@@ -20,6 +20,7 @@
 //! `AT_GUARD_CANARY` the canary fraction (default 0.25), plus the usual
 //! harness sizing variables (`AT_SAMPLES`, `AT_ITERS`, …).
 
+use crate::env;
 use crate::harness::{Prepared, Sizing};
 use crate::report::{pct, Table};
 use at_core::guard::{GuardParams, MiscalibratedExecutor};
@@ -67,13 +68,6 @@ fn severities_from_env() -> Vec<f64> {
         .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
         .filter(|v: &Vec<f64>| !v.is_empty())
         .unwrap_or_else(|| vec![1.0, 1.5, 2.0, 3.0])
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// The aggressive half of the curve: the faster points, whose promises the
@@ -170,7 +164,7 @@ pub fn run() {
     // breaches come from delivered drift, never from honest points
     // straddling the floor.
     let qos_floor = worst_promised - 5.0;
-    let canary_fraction = env_f64("AT_GUARD_CANARY", 0.25);
+    let canary_fraction = env::f64_var("AT_GUARD_CANARY", &[], 0.25);
     let guard_params = GuardParams {
         canary_fraction,
         canary_seed: 0xCA9A,

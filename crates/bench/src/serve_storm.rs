@@ -17,6 +17,7 @@
 //! 4), plus the usual harness sizing variables (`AT_SAMPLES`, `AT_ITERS`,
 //! …).
 
+use crate::env;
 use crate::harness::{Prepared, Sizing};
 use crate::report::{pct, Table};
 use at_core::predict::PredictionModel;
@@ -37,13 +38,6 @@ struct Artifact {
     curve_points: usize,
     curve_max_speedup: f64,
     runs: Vec<ServeReport>,
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// One serving run, returning the report and printing a summary row.
@@ -116,8 +110,8 @@ pub fn run() {
     // Rates are expressed relative to baseline service capacity so the
     // experiment is meaningful whatever the benchmark's absolute speed.
     let capacity_rps = 1.0 / base_time.max(1e-9);
-    let base_rps = env_f64("AT_SERVE_RPS", 0.5) * capacity_rps;
-    let horizon_s = env_f64("AT_SERVE_HORIZON", 4.0) * 100.0 * base_time;
+    let base_rps = env::f64_var("AT_SERVE_RPS", &[], 0.5) * capacity_rps;
+    let horizon_s = env::f64_var("AT_SERVE_HORIZON", &[], 4.0) * 100.0 * base_time;
     // All control timescales are multiples of the service time, so the
     // experiment behaves identically whether the benchmark serves in
     // microseconds or seconds.

@@ -45,13 +45,18 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::chaos::{ChaosKind, ChaosPlan, InjectedFlip};
+use crate::chaos::{ChaosKind, ChaosPlan};
 use crate::checkpoint::{ReplicaCheckpoint, TenantCheckpoint, REPLICA_CHECKPOINT_VERSION};
-use crate::guard::{fails_floor, splitmix64, GuardParams, GuardVerdict, QosGuard};
+use crate::guard::{fails_floor, splitmix64, GuardParams, QosGuard};
 use crate::pareto::TradeoffCurve;
-use crate::runtime::{Policy, RuntimeTuner};
+use crate::replica::{
+    escalated, latency_summary, mean, premask_below_floor, verify_canary, Breaker,
+    BreakerTransition, EventRing, InFlight, Queued, ServiceCtx,
+};
+use crate::runtime::RuntimeTuner;
 use crate::serve::{
-    generate_arrivals, BreakerState, NoFaultExecutor, RequestExecutor, ServeParams, TrafficPattern,
+    generate_arrivals, BreakerState, NoFaultExecutor, RequestExecutor, RequestOutcome, ServeParams,
+    TrafficPattern,
 };
 use at_hw::DisturbedDevice;
 use serde::{Deserialize, Serialize};
@@ -114,15 +119,19 @@ impl RouterPolicy {
 }
 
 /// Fleet-level parameters. Per-replica control behaviour (deadline, queue
-/// cap, ladder hysteresis, breaker thresholds, stall watchdog, event cap)
-/// reuses [`ServeParams`] unchanged.
+/// cap, ladder dead-band and drain fraction, breaker thresholds, stall
+/// watchdog, event cap) comes from [`ServeParams`].
 #[derive(Clone, Debug)]
 pub struct FleetParams {
     /// Number of server replicas (≥ 1).
     pub replicas: usize,
     /// Front-door routing policy.
     pub policy: RouterPolicy,
-    /// Per-replica serving parameters (shared by all replicas).
+    /// Per-replica serving parameters (shared by all replicas). Two fields
+    /// are not read: the fleet ladder re-selects only at service start and
+    /// has no dwell damping, so [`ServeParams::min_dwell`] is ignored, and
+    /// the exact configuration's QoS is per tenant
+    /// ([`TenantSpec::baseline_qos`]), not [`ServeParams::baseline_qos`].
     pub serve: ServeParams,
     /// Simulated horizon, seconds: every tenant's arrival trace covers
     /// `[0, horizon_s)`.
@@ -615,7 +624,7 @@ impl FleetEvent {
 /// Per-tenant accounting over the whole fleet. Counters are exact and
 /// isolated: one tenant's quarantines, fallbacks and floor breaches never
 /// appear in another tenant's row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct TenantReport {
     /// Tenant display name.
     pub name: String,
@@ -692,7 +701,7 @@ impl TenantReport {
 }
 
 /// Per-replica accounting.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ReplicaReport {
     /// Requests this replica executed.
     pub executions: usize,
@@ -825,37 +834,6 @@ impl FleetReport {
 // The fleet simulation
 // ---------------------------------------------------------------------------
 
-struct QueuedReq {
-    tenant: usize,
-    arrival_s: f64,
-    deadline_s: f64,
-    /// Times this request was already re-executed after a corruption
-    /// detection (bounded by `SdcParams::reexec_budget`).
-    reexecs: usize,
-}
-
-struct InFlight {
-    tenant: usize,
-    arrival_s: f64,
-    deadline_s: f64,
-    finish_s: f64,
-    qos: f64,
-    fault: bool,
-    stalled: bool,
-    rung: Option<usize>,
-    canary: Option<f64>,
-    /// Per-(replica, tenant) execution index the request ran as.
-    tk: usize,
-    /// Normalised slowdown of this execution (service × speedup ÷
-    /// baseline) — the router's gray-detection sample.
-    slow_sample: f64,
-    /// Ground-truth injected bit flip, when a chaos bit-flip window was
-    /// active at start and the seeded draw fired.
-    flip: Option<InjectedFlip>,
-    /// Corruption re-executions this request already consumed.
-    reexecs: usize,
-}
-
 /// Router-side gray-failure state of one replica.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum EjectState {
@@ -868,25 +846,23 @@ enum EjectState {
     Probing { left: usize, successes: usize },
 }
 
+/// Per-(replica, tenant) state: the shipped-curve tuner, the guard, and the
+/// execution counter keying canary sampling and executor calls.
+struct Lane {
+    tuner: RuntimeTuner,
+    guard: QosGuard,
+    execs: usize,
+}
+
 struct Replica {
-    queue: VecDeque<QueuedReq>,
+    queue: VecDeque<Queued>,
     busy: Option<InFlight>,
-    breaker: BreakerState,
-    consecutive_failures: usize,
-    open_until: f64,
-    probes_admitted: usize,
-    probe_successes: usize,
-    executions: usize,
+    breaker: Breaker,
+    /// One lane per tenant, in tenant order.
+    lanes: Vec<Lane>,
     /// EWMA of the device slowdown this replica observes (1.0 = nominal).
     slow_ewma: f64,
     applied_required: f64,
-    trips: usize,
-    steals_in: usize,
-    steals_out: usize,
-    migrations_in: usize,
-    escalations: usize,
-    deescalations: usize,
-    max_queue_depth: usize,
     /// Crashed and not yet restarted.
     down: bool,
     /// Partitioned away from the router (still executing its own queue).
@@ -901,9 +877,8 @@ struct Replica {
     /// Set at crash time; cleared (into the recovery-time series) by the
     /// first completion after restart.
     recovering_since: Option<f64>,
-    crashes: usize,
-    gray_ejections: usize,
-    partitions: usize,
+    /// Control state snapshotted at crash time for the warm restart.
+    checkpoint: Option<ReplicaCheckpoint>,
     /// Requests started while a bit-flip window was active (keys the
     /// seeded flip draw; only advances inside a window).
     flip_draws: usize,
@@ -913,53 +888,30 @@ struct Replica {
     /// Detection strikes since the replica last earned trust (readmission
     /// or restart resets it).
     sdc_strikes: usize,
-    sdc_detections: usize,
-    sdc_ejections: usize,
+    /// Counters accumulate in place; `finish` fills in `final_breaker`.
+    stats: ReplicaReport,
 }
 
 impl Replica {
-    fn new() -> Replica {
+    fn new(sp: &ServeParams, lanes: Vec<Lane>) -> Replica {
         Replica {
             queue: VecDeque::new(),
             busy: None,
-            breaker: BreakerState::Closed,
-            consecutive_failures: 0,
-            open_until: 0.0,
-            probes_admitted: 0,
-            probe_successes: 0,
-            executions: 0,
+            breaker: Breaker::new(sp),
+            lanes,
             slow_ewma: 1.0,
             applied_required: 1.0,
-            trips: 0,
-            steals_in: 0,
-            steals_out: 0,
-            migrations_in: 0,
-            escalations: 0,
-            deescalations: 0,
-            max_queue_depth: 0,
             down: false,
             partitioned: false,
             eject: EjectState::Healthy,
             router_ewma: 1.0,
             samples_since_up: 0,
             recovering_since: None,
-            crashes: 0,
-            gray_ejections: 0,
-            partitions: 0,
+            checkpoint: None,
             flip_draws: 0,
             fa_draws: 0,
             sdc_strikes: 0,
-            sdc_detections: 0,
-            sdc_ejections: 0,
-        }
-    }
-
-    /// Whether the replica accepts new front-door work right now.
-    fn open_to_arrivals(&self, probes_needed: usize) -> bool {
-        match self.breaker {
-            BreakerState::Closed => true,
-            BreakerState::HalfOpen => self.probes_admitted < probes_needed,
-            BreakerState::Open => false,
+            stats: ReplicaReport::default(),
         }
     }
 
@@ -985,47 +937,20 @@ impl Replica {
     fn healthy_target(&self) -> bool {
         self.reachable() && self.eject == EjectState::Healthy
     }
+
+    fn enqueue(&mut self, req: Queued) {
+        self.queue.push_back(req);
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
+    }
 }
 
+/// A tenant's report under construction: counters accumulate in place;
+/// `finish` turns the sums into means.
 #[derive(Default)]
 struct TenantAccum {
-    arrivals: usize,
-    served_on_time: usize,
-    served_late: usize,
-    faulted: usize,
-    stalled: usize,
-    shed_queue_full: usize,
-    shed_deadline: usize,
-    shed_breaker: usize,
-    shed_replica_lost: usize,
-    planned_floor_breaches: usize,
-    sdc_detected: usize,
-    sdc_reexecuted: usize,
-    sdc_escaped: usize,
-    sdc_false_alarm: usize,
+    report: TenantReport,
     latency_sum: f64,
     qos_sum: f64,
-    served: usize,
-}
-
-struct EventLog {
-    events: Vec<FleetEvent>,
-    limit: usize,
-    evicted: usize,
-}
-
-impl EventLog {
-    fn push(&mut self, time_s: f64, completed: usize, kind: FleetEventKind) {
-        self.events.push(FleetEvent {
-            time_s,
-            completed,
-            kind,
-        });
-        while self.events.len() > self.limit {
-            self.events.remove(0);
-            self.evicted += 1;
-        }
-    }
 }
 
 /// A fault-free, canary-less executor used when the caller supplies fewer
@@ -1046,278 +971,723 @@ pub fn run_fleet(
     device: &DisturbedDevice,
     params: &FleetParams,
 ) -> FleetReport {
-    let n = params.replicas.max(1);
-    let m = tenants.len();
-    let sp = &params.serve;
-    let deadline = sp.deadline_s.max(1e-9);
-    let dead_band = sp.dead_band.clamp(0.0, 10.0);
-    let drain_budget = deadline * sp.drain_fraction.clamp(0.05, 1.0);
-    let trip_at = sp.breaker_threshold.max(1);
-    let probes_needed = sp.half_open_probes.max(1);
-    let stall_bound = sp.stall_bound_s.max(1e-9);
-    // Seeds the ground-truth bit-flip draws; sharing the serve seed keeps
-    // the whole simulation a function of the existing parameter set.
-    let flip_seed = sp.seed;
-
-    let mut replicas: Vec<Replica> = (0..n).map(|_| Replica::new()).collect();
-    // Per-(replica, tenant) state: the shipped-curve tuner, the guard, and
-    // the execution counter keying canary sampling and executor calls.
-    let mut tuners: Vec<Vec<RuntimeTuner>> = Vec::with_capacity(n);
-    let mut guards: Vec<Vec<QosGuard>> = Vec::with_capacity(n);
-    let mut texec: Vec<Vec<usize>> = vec![vec![0usize; m]; n];
-    let mut log = EventLog {
-        events: Vec::new(),
-        limit: sp.event_limit,
-        evicted: 0,
-    };
-    let mut completed_total = 0usize;
-
-    for _ in 0..n {
-        let mut row_t = Vec::with_capacity(m);
-        let mut row_g = Vec::with_capacity(m);
-        for spec in tenants {
-            let mut tuner = RuntimeTuner::new(
-                spec.curve.clone(),
-                Policy::EnforceEachInvocation,
-                1,
-                spec.baseline_time_s.max(1e-12),
-                sp.seed,
-            );
-            let mut guard = QosGuard::new(&spec.guard, &spec.curve);
-            // Premask points whose shipped promise already fails the
-            // tenant's floor — corrupt curves are quarantined at the door.
-            for (i, p) in spec.curve.points().iter().enumerate() {
-                if fails_floor(p.qos, spec.guard.qos_floor) {
-                    tuner.quarantine(i);
-                    guard.note_premask(i);
-                }
-            }
-            if !spec.curve.points().is_empty() && tuner.active_len() == 0 {
-                guard.note_unrecoverable(0.0, 0);
-            }
-            row_t.push(tuner);
-            row_g.push(guard);
+    let mut sim = FleetSim::new(tenants, executors, device, params);
+    while let Some((now, event)) = sim.next_event() {
+        match event {
+            Event::Completion(r) => sim.on_completion(r, now),
+            Event::Chaos => sim.on_chaos(now),
+            Event::Timer(ix) => sim.on_timer(ix, now),
+            Event::Arrival => sim.on_arrival(now),
         }
-        tuners.push(row_t);
-        guards.push(row_g);
+    }
+    sim.finish()
+}
+
+/// The next thing to happen, in same-instant precedence order.
+enum Event {
+    /// The in-flight request of this replica completes.
+    Completion(usize),
+    /// The next scripted chaos event fires.
+    Chaos,
+    /// The pending timer at this index fires.
+    Timer(usize),
+    /// The next arrival reaches the front door.
+    Arrival,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum TimerKind {
+    Restart,
+    Heal,
+}
+
+struct FleetTimer {
+    at_s: f64,
+    replica: usize,
+    kind: TimerKind,
+}
+
+/// The whole fleet's state, advanced one event at a time.
+struct FleetSim<'a> {
+    device: &'a DisturbedDevice,
+    params: &'a FleetParams,
+    /// Per-tenant service-draw constants (device, executor, cost anchor).
+    ctxs: Vec<ServiceCtx<'a>>,
+    deadline: f64,
+    dead_band: f64,
+    drain_budget: f64,
+    replicas: Vec<Replica>,
+    tenant_acc: Vec<TenantAccum>,
+    log: EventRing<FleetEvent>,
+    completed: usize,
+    latencies: Vec<f64>,
+    steal_events: usize,
+    rr_cursor: usize,
+    arrivals: Vec<(f64, usize)>,
+    next_arrival: usize,
+    /// Chaos machinery: the scripted event cursor, pending restart/heal
+    /// timers, and recovery timing.
+    next_chaos: usize,
+    timers: Vec<FleetTimer>,
+    recovery_times: Vec<f64>,
+}
+
+impl<'a> FleetSim<'a> {
+    fn new(
+        tenants: &'a [TenantSpec],
+        executors: &'a [&'a dyn RequestExecutor],
+        device: &'a DisturbedDevice,
+        params: &'a FleetParams,
+    ) -> FleetSim<'a> {
+        let n = params.replicas.max(1);
+        let sp = &params.serve;
+        let deadline = sp.deadline_s.max(1e-9);
+        let ctxs: Vec<ServiceCtx<'a>> = tenants
+            .iter()
+            .enumerate()
+            .map(|(t, spec)| ServiceCtx {
+                device,
+                executor: executors.get(t).copied().unwrap_or(&FALLBACK_EXECUTOR),
+                baseline_time_s: spec.baseline_time_s.max(1e-12),
+                baseline_qos: spec.baseline_qos,
+                stall_bound_s: sp.stall_bound_s,
+            })
+            .collect();
+        let lanes = || -> Vec<Lane> {
+            tenants
+                .iter()
+                .zip(&ctxs)
+                .map(|(spec, ctx)| {
+                    let mut tuner = ctx.new_tuner(spec.curve.clone(), sp.seed);
+                    let mut guard = QosGuard::new(&spec.guard, &spec.curve);
+                    premask_below_floor(&mut tuner, &mut guard, &spec.curve, spec.guard.qos_floor);
+                    Lane {
+                        tuner,
+                        guard,
+                        execs: 0,
+                    }
+                })
+                .collect()
+        };
+        let replicas = (0..n).map(|_| Replica::new(sp, lanes())).collect();
+        let arrivals = fleet_arrivals(tenants, params.horizon_s);
+        let mut tenant_acc: Vec<TenantAccum> = tenants
+            .iter()
+            .map(|spec| TenantAccum {
+                report: TenantReport {
+                    name: spec.name.clone(),
+                    mean_qos: spec.baseline_qos,
+                    ..TenantReport::default()
+                },
+                ..TenantAccum::default()
+            })
+            .collect();
+        for &(_, t) in &arrivals {
+            tenant_acc[t].report.arrivals += 1;
+        }
+        FleetSim {
+            device,
+            params,
+            ctxs,
+            deadline,
+            dead_band: sp.dead_band.clamp(0.0, 10.0),
+            drain_budget: deadline * sp.drain_fraction.clamp(0.05, 1.0),
+            replicas,
+            tenant_acc,
+            log: EventRing::new(sp.event_limit),
+            completed: 0,
+            // An arrival is served at most once: sized up front, the buffer
+            // never regrows, which keeps peak memory independent of how the
+            // allocator happens to place the outgrown copies.
+            latencies: Vec::with_capacity(arrivals.len()),
+            steal_events: 0,
+            rr_cursor: 0,
+            arrivals,
+            next_arrival: 0,
+            next_chaos: 0,
+            timers: Vec::new(),
+            recovery_times: Vec::new(),
+        }
     }
 
-    let arrivals = fleet_arrivals(tenants, params.horizon_s);
-    let mut tenant_acc: Vec<TenantAccum> = (0..m).map(|_| TenantAccum::default()).collect();
-    for &(_, t) in &arrivals {
-        tenant_acc[t].arrivals += 1;
+    fn log(&mut self, time_s: f64, kind: FleetEventKind) {
+        self.log.push(FleetEvent {
+            time_s,
+            completed: self.completed,
+            kind,
+        });
     }
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut steal_events = 0usize;
-    let mut rr_cursor = 0usize;
 
-    // Starts the head-of-queue request on replica `r` if it is idle. The
-    // ladder re-selects the serving tenant's configuration for the
-    // replica's applied pressure first, so escalation happens before the
-    // service time is drawn.
-    #[allow(clippy::too_many_arguments)]
-    fn start_next(
-        r: usize,
-        now: f64,
-        replicas: &mut [Replica],
-        tuners: &mut [Vec<RuntimeTuner>],
-        guards: &mut [Vec<QosGuard>],
-        texec: &mut [Vec<usize>],
-        tenants: &[TenantSpec],
-        executors: &[&dyn RequestExecutor],
-        tenant_acc: &mut [TenantAccum],
-        device: &DisturbedDevice,
-        chaos: &ChaosPlan,
-        flip_seed: u64,
-        dead_band: f64,
-        drain_budget: f64,
-        stall_bound: f64,
-    ) {
-        while replicas[r].busy.is_none() {
-            let Some(req) = replicas[r].queue.pop_front() else {
-                return;
-            };
-            let t = req.tenant;
-            let spec = &tenants[t];
-            let rep = &mut replicas[r];
-            let k = rep.executions;
-            rep.executions += 1;
-            let tk = texec[r][t];
-            texec[r][t] += 1;
-
-            // Ladder: required total speedup to drain the backlog within
-            // the ladder's share of the deadline, from the replica's
-            // observed slowdown and the serving tenant's baseline cost.
-            let backlog = rep.queue.len() + 1;
-            let required = (rep.slow_ewma * spec.baseline_time_s.max(1e-12) * backlog as f64
-                / drain_budget)
-                .max(1e-6);
-            let up = required > rep.applied_required * (1.0 + dead_band);
-            let down = required < rep.applied_required * (1.0 - dead_band);
-            if up || down {
-                rep.applied_required = required;
-            }
-            let tuner = &mut tuners[r][t];
-            let from = tuner.current_index();
-            tuner.adapt_to(rep.applied_required);
-            let to = tuner.current_index();
-            if to != from {
-                let escalated = match (from, to) {
-                    (None, Some(_)) => true,
-                    (Some(_), None) => false,
-                    (Some(a), Some(b)) => b > a,
-                    (None, None) => false,
-                };
-                if escalated {
-                    rep.escalations += 1;
-                } else {
-                    rep.deescalations += 1;
+    /// Merges the four event sources. Same-instant ties resolve completion
+    /// → chaos → timer → arrival (strict `<` against each later source),
+    /// preserving the pre-chaos `completion <= arrival` discipline.
+    fn next_event(&self) -> Option<(f64, Event)> {
+        // Earliest completion across replicas (ties: lowest replica index).
+        let mut choice: Option<(f64, Event)> = None;
+        for (r, rep) in self.replicas.iter().enumerate() {
+            if let Some(b) = &rep.busy {
+                if choice.as_ref().is_none_or(|(t0, _)| b.finish_s < *t0) {
+                    choice = Some((b.finish_s, Event::Completion(r)));
                 }
             }
-
-            let state = device.state_at(k);
-            let speedup = tuner.current_speedup();
-            let mut raw_svc =
-                device.invocation_time(&state, spec.baseline_time_s.max(1e-12), speedup);
-            // Gray failure: silent service-time inflation. The branch keeps
-            // the chaos-free service time bit-identical to the pre-chaos
-            // code path.
-            let inflation = chaos.gray_inflation_at(r, now);
-            if inflation != 1.0 {
-                raw_svc *= inflation;
+        }
+        // Earliest pending timer (ties: restarts before heals, then lowest
+        // replica index — unique per (replica, kind) while pending, so the
+        // order is total).
+        let timers = &self.timers;
+        let next_t = (0..timers.len()).min_by(|&a, &b| {
+            timers[a]
+                .at_s
+                .total_cmp(&timers[b].at_s)
+                .then_with(|| timers[a].kind.cmp(&timers[b].kind))
+                .then_with(|| timers[a].replica.cmp(&timers[b].replica))
+        });
+        let chaos = self.params.chaos.events().get(self.next_chaos);
+        let arrival = self.arrivals.get(self.next_arrival);
+        let later = [
+            chaos.map(|e| (e.at_s, Event::Chaos)),
+            next_t.map(|ix| (timers[ix].at_s, Event::Timer(ix))),
+            arrival.map(|a| (a.0, Event::Arrival)),
+        ];
+        for (t, event) in later.into_iter().flatten() {
+            if choice.as_ref().is_none_or(|(t0, _)| t < *t0) {
+                choice = Some((t, event));
             }
-            let (svc, stalled) = if raw_svc > stall_bound {
-                (stall_bound, true)
+        }
+        choice
+    }
+
+    /// The least-loaded fully healthy replica other than `except` that is
+    /// open to new work and has queue room (ties: lowest index).
+    fn pick_peer_with_room(&self, except: usize) -> Option<usize> {
+        (0..self.replicas.len())
+            .filter(|&j| {
+                let rep = &self.replicas[j];
+                j != except
+                    && rep.healthy_target()
+                    && rep.breaker.admits()
+                    && rep.queue.len() < self.params.serve.queue_cap
+            })
+            .min_by_key(|&j| (self.replicas[j].queue.len(), j))
+    }
+
+    /// Starts the head-of-queue request on replica `r` if it is idle. The
+    /// ladder re-selects the serving tenant's configuration for the
+    /// replica's applied pressure first, so escalation happens before the
+    /// service time is drawn.
+    fn start_next(&mut self, r: usize, now: f64) {
+        let rep = &mut self.replicas[r];
+        if rep.busy.is_some() {
+            return;
+        }
+        let Some(req) = rep.queue.pop_front() else {
+            return;
+        };
+        let t = req.tenant;
+        let ctx = &self.ctxs[t];
+        let k = rep.stats.executions;
+        rep.stats.executions += 1;
+        let lane = &mut rep.lanes[t];
+        let tk = lane.execs;
+        lane.execs += 1;
+
+        // Ladder: required total speedup to drain the backlog within
+        // the ladder's share of the deadline, from the replica's
+        // observed slowdown and the serving tenant's baseline cost.
+        let backlog = rep.queue.len() + 1;
+        let required =
+            (rep.slow_ewma * ctx.baseline_time_s * backlog as f64 / self.drain_budget).max(1e-6);
+        let up = required > rep.applied_required * (1.0 + self.dead_band);
+        let down = required < rep.applied_required * (1.0 - self.dead_band);
+        if up || down {
+            rep.applied_required = required;
+        }
+        let from = lane.tuner.current_index();
+        lane.tuner.adapt_to(rep.applied_required);
+        let to = lane.tuner.current_index();
+        if to != from {
+            if escalated(from, to) {
+                rep.stats.escalations += 1;
             } else {
-                (raw_svc, false)
-            };
-            let slow_sample = svc * speedup / spec.baseline_time_s.max(1e-12);
-            rep.slow_ewma = 0.7 * rep.slow_ewma + 0.3 * slow_sample;
-            let executor = executors.get(t).copied().unwrap_or(&FALLBACK_EXECUTOR);
-            let fault = executor.execute(tk).is_err();
-            let rung = tuner.current_index();
-            let qos = tuner.current_point().map_or(spec.baseline_qos, |p| p.qos);
-            if rung.is_some() && fails_floor(qos, spec.guard.qos_floor) {
-                tenant_acc[t].planned_floor_breaches += 1;
+                rep.stats.deescalations += 1;
             }
-            let canary = match rung {
-                Some(rg) if !stalled && !fault && guards[r][t].is_canary(tk) => tuner
-                    .current_point()
-                    .and_then(|p| executor.canary_qos(tk, rg, p)),
-                _ => None,
-            };
-            // Silent corruption: inside an active bit-flip window each
-            // started request consumes one seeded draw. Outside a window
-            // no draw state advances, keeping chaos-free runs
-            // bit-identical to the pre-SDC code path.
-            let flip = match chaos.bitflip_at(r, now) {
-                Some(w) => {
-                    let kd = rep.flip_draws as u64;
-                    rep.flip_draws += 1;
-                    ChaosPlan::draw_flip(flip_seed, r, kd, &w)
-                }
-                None => None,
-            };
-            rep.busy = Some(InFlight {
-                tenant: t,
-                arrival_s: req.arrival_s,
-                deadline_s: req.deadline_s,
-                finish_s: now + svc,
-                qos,
-                fault,
-                stalled,
-                rung,
-                canary,
-                tk,
-                slow_sample,
-                flip,
-                reexecs: req.reexecs,
-            });
+        }
+
+        let chaos = &self.params.chaos;
+        let inflation = chaos.gray_inflation_at(r, now);
+        let draw = ctx.draw(&lane.tuner, Some(&lane.guard), k, tk, inflation);
+        rep.slow_ewma = 0.7 * rep.slow_ewma + 0.3 * draw.slowdown;
+        if draw.rung.is_some() && fails_floor(draw.qos, lane.guard.params().qos_floor) {
+            self.tenant_acc[t].report.planned_floor_breaches += 1;
+        }
+        // Silent corruption: inside an active bit-flip window each
+        // started request consumes one seeded draw. Outside a window
+        // no draw state advances, keeping chaos-free runs
+        // bit-identical to the pre-SDC code path. The serve seed keys the
+        // draws, so the whole simulation stays a function of the existing
+        // parameter set.
+        let flip = chaos.bitflip_at(r, now).and_then(|w| {
+            let kd = rep.flip_draws as u64;
+            rep.flip_draws += 1;
+            ChaosPlan::draw_flip(self.params.serve.seed, r, kd, &w)
+        });
+        rep.busy = Some(InFlight {
+            req,
+            finish_s: now + draw.svc_s,
+            draw,
+            flip,
+        });
+    }
+
+    /// Starts every idle, live replica that has queued work — a flush may
+    /// have migrated requests onto idle peers.
+    fn start_idle(&mut self, now: f64) {
+        for j in 0..self.replicas.len() {
+            if !self.replicas[j].down {
+                self.start_next(j, now);
+            }
         }
     }
 
-    // Migrates (or sheds) replica `r`'s queue after its breaker tripped or
-    // it crashed. Each request goes to the least-loaded healthy replica
-    // with room; with stealing off, or no such replica, it is shed — as a
-    // breaker casualty (`lost == false`) or as `ReplicaLost` (`lost ==
-    // true`, the crash path). Either way every request is accounted.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_queue(
-        r: usize,
-        now: f64,
-        steal: bool,
-        lost: bool,
-        queue_cap: usize,
-        probes_needed: usize,
-        replicas: &mut [Replica],
-        tenant_acc: &mut [TenantAccum],
-    ) -> (usize, usize) {
-        let drained: Vec<QueuedReq> = replicas[r].queue.drain(..).collect();
+    /// Migrates (or sheds) replica `r`'s queue after its breaker tripped or
+    /// it crashed. Each request goes to the least-loaded healthy replica
+    /// with room; with stealing off, or no such replica, it is shed — as a
+    /// breaker casualty (`lost == false`) or as `ReplicaLost` (`lost ==
+    /// true`, the crash path). Either way every request is accounted.
+    /// Returns `(migrated, shed)`.
+    fn flush_queue(&mut self, r: usize, lost: bool) -> (usize, usize) {
+        let drained: Vec<Queued> = self.replicas[r].queue.drain(..).collect();
         let mut migrated = 0usize;
         let mut shed = 0usize;
-        let _ = now;
+        let steal = self.params.steal;
         for q in drained {
-            let target = if steal {
-                (0..replicas.len())
-                    .filter(|&j| {
-                        j != r
-                            && replicas[j].healthy_target()
-                            && replicas[j].open_to_arrivals(probes_needed)
-                            && replicas[j].queue.len() < queue_cap
-                    })
-                    .min_by_key(|&j| (replicas[j].queue.len(), j))
+            let target = steal.then(|| self.pick_peer_with_room(r)).flatten();
+            if let Some(j) = target {
+                self.replicas[j].enqueue(q);
+                self.replicas[j].stats.migrations_in += 1;
+                migrated += 1;
             } else {
-                None
-            };
-            match target {
-                Some(j) => {
-                    replicas[j].queue.push_back(q);
-                    replicas[j].max_queue_depth =
-                        replicas[j].max_queue_depth.max(replicas[j].queue.len());
-                    replicas[j].migrations_in += 1;
-                    migrated += 1;
+                let acc = &mut self.tenant_acc[q.tenant].report;
+                if lost {
+                    acc.shed_replica_lost += 1;
+                } else {
+                    acc.shed_breaker += 1;
                 }
-                None => {
-                    if lost {
-                        tenant_acc[q.tenant].shed_replica_lost += 1;
-                    } else {
-                        tenant_acc[q.tenant].shed_breaker += 1;
-                    }
-                    shed += 1;
-                }
+                shed += 1;
             }
         }
         (migrated, shed)
     }
 
-    // Snapshots a replica's full control state for warm restart: breaker,
-    // ladder position, slowdown EWMA, and every tenant's (possibly
-    // repaired) curve, quarantine mask and guard.
-    fn snapshot_replica(
-        r: usize,
-        now: f64,
-        rep: &Replica,
-        tuners_row: &[RuntimeTuner],
-        guards_row: &[QosGuard],
-    ) -> ReplicaCheckpoint {
+    fn on_completion(&mut self, r: usize, now: f64) {
+        let Some(b) = self.replicas[r].busy.take() else {
+            return;
+        };
+        self.completed += 1;
+        if self.sdc_tripped(r, &b, now) {
+            self.discard_corrupted(r, &b, now);
+        } else {
+            self.settle(r, &b, now);
+        }
+
+        // Crash recovery bookkeeping: the first completion after a
+        // restart closes that crash's recovery window.
+        if let Some(t0) = self.replicas[r].recovering_since.take() {
+            self.recovery_times.push((now - t0).max(0.0));
+        }
+        self.gray_defense(r, b.draw.slowdown, now);
+        self.steal_into(r, now);
+        self.start_next(r, now);
+        self.start_idle(now);
+    }
+
+    /// Silent-data-corruption verdict: ground truth from the chaos plan
+    /// meets the modelled ABFT sensitivity. Strictly gated: with no
+    /// injected flip and a zero false-alarm rate nothing here mutates any
+    /// state, so corruption-free runs stay bit-identical to the pre-SDC
+    /// code path. Returns whether verification tripped.
+    fn sdc_tripped(&mut self, r: usize, b: &InFlight, now: f64) -> bool {
+        let sdcp = self.params.sdc;
+        let t = b.req.tenant;
+        if let Some(flip) = b.flip {
+            if !(sdcp.protected && flip.bit >= sdcp.detect_bit_floor) {
+                // Below the detection floor (or unprotected kernels):
+                // the corrupted result is served silently.
+                self.tenant_acc[t].report.sdc_escaped += 1;
+                return false;
+            }
+            self.tenant_acc[t].report.sdc_detected += 1;
+            self.replicas[r].stats.sdc_detections += 1;
+            self.log(
+                now,
+                FleetEventKind::SdcDetected {
+                    replica: r,
+                    tenant: t,
+                    bit: flip.bit,
+                },
+            );
+            return true;
+        }
+        if !(sdcp.protected && sdcp.false_alarm_rate > 0.0) {
+            return false;
+        }
+        let kd = self.replicas[r].fa_draws as u64;
+        self.replicas[r].fa_draws += 1;
+        let h = splitmix64(
+            self.params.serve.seed
+                ^ 0x5DC_FA11
+                ^ (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ kd.wrapping_mul(0xBF58_476D_1CE4_E5B9),
+        );
+        let alarm = (h as f64) / (u64::MAX as f64) < sdcp.false_alarm_rate;
+        if alarm {
+            self.tenant_acc[t].report.sdc_false_alarm += 1;
+            self.replicas[r].stats.sdc_detections += 1;
+            self.log(
+                now,
+                FleetEventKind::SdcFalseAlarm {
+                    replica: r,
+                    tenant: t,
+                },
+            );
+        }
+        alarm
+    }
+
+    /// Handles a result verification rejected. The discarded result reaches
+    /// neither the tenant nor the guard's residual window nor the breaker:
+    /// a corruption verdict is not evidence about promises or failure
+    /// rates. Re-execute on a healthy peer within budget; past it (or with
+    /// no peer able to take the request) it is accounted as faulted,
+    /// keeping the arrival-accounting invariant exact.
+    fn discard_corrupted(&mut self, r: usize, b: &InFlight, now: f64) {
+        let sdcp = self.params.sdc;
+        let t = b.req.tenant;
+        let in_budget = b.req.reexecs < sdcp.reexec_budget;
+        let target = in_budget.then(|| self.pick_peer_with_room(r)).flatten();
+        if let Some(j) = target {
+            self.replicas[j].enqueue(Queued {
+                reexecs: b.req.reexecs + 1,
+                ..b.req
+            });
+            self.tenant_acc[t].report.sdc_reexecuted += 1;
+            self.log(
+                now,
+                FleetEventKind::SdcReexecuted {
+                    replica: r,
+                    target: j,
+                    tenant: t,
+                },
+            );
+        } else {
+            self.tenant_acc[t].report.faulted += 1;
+        }
+        // Repeated detections hand the replica to the existing gray
+        // eject → probe → readmit machinery. Never eject the last
+        // healthy replica.
+        self.replicas[r].sdc_strikes += 1;
+        let strikes = self.replicas[r].sdc_strikes;
+        if self.params.ejection.enabled
+            && strikes >= sdcp.eject_after.max(1)
+            && self.replicas[r].eject == EjectState::Healthy
+            && (0..self.replicas.len()).any(|j| j != r && self.replicas[j].healthy_target())
+        {
+            let rep = &mut self.replicas[r];
+            rep.eject = EjectState::Ejected { since: now };
+            rep.stats.sdc_ejections += 1;
+            rep.sdc_strikes = 0;
+            self.log(
+                now,
+                FleetEventKind::SdcEjected {
+                    replica: r,
+                    strikes,
+                },
+            );
+        }
+    }
+
+    /// Accounts a verified completion, feeds the replica's breaker (a trip
+    /// migrates the queue) and lets the guard verify the canaried promise
+    /// before anything re-selects.
+    fn settle(&mut self, r: usize, b: &InFlight, now: f64) {
+        let t = b.req.tenant;
+        let acc = &mut self.tenant_acc[t];
+        let outcome = b.outcome();
+        match outcome {
+            RequestOutcome::Stalled => acc.report.stalled += 1,
+            RequestOutcome::Faulted => acc.report.faulted += 1,
+            served => {
+                if served == RequestOutcome::ServedLate {
+                    acc.report.served_late += 1;
+                } else {
+                    acc.report.served_on_time += 1;
+                }
+                let latency = b.latency();
+                acc.latency_sum += latency;
+                acc.qos_sum += b.draw.qos;
+                self.latencies.push(latency);
+            }
+        }
+
+        let failure = outcome != RequestOutcome::ServedOnTime;
+        match self.replicas[r].breaker.on_result(failure, now) {
+            Some(BreakerTransition::Tripped { failures }) => {
+                self.replicas[r].stats.breaker_trips += 1;
+                let (migrated, shed) = self.flush_queue(r, false);
+                self.log(
+                    now,
+                    FleetEventKind::BreakerTripped {
+                        replica: r,
+                        failures,
+                        migrated,
+                        shed,
+                    },
+                );
+            }
+            Some(BreakerTransition::Closed) => {
+                self.log(now, FleetEventKind::BreakerClosed { replica: r });
+            }
+            None => {}
+        }
+
+        let rep = &mut self.replicas[r];
+        let lane = &mut rep.lanes[t];
+        let conviction = verify_canary(
+            &mut lane.tuner,
+            &mut lane.guard,
+            b,
+            now,
+            self.completed,
+            rep.applied_required,
+        );
+        if let Some(c) = conviction {
+            self.log(
+                now,
+                FleetEventKind::Quarantined {
+                    replica: r,
+                    tenant: t,
+                    rung: c.rung,
+                    repaired_qos: c.repaired_qos,
+                },
+            );
+            if c.exact_fallback {
+                self.log(
+                    now,
+                    FleetEventKind::ExactFallback {
+                        replica: r,
+                        tenant: t,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Router-side gray defense: fold this completion's slowdown sample
+    /// into the replica's EWMA (NaN-safe), then run the ejection /
+    /// probation state machine against the healthy-peer median. Detection
+    /// is relative, so fleet-wide disturbances (which slow every replica
+    /// together) never eject anyone.
+    fn gray_defense(&mut self, r: usize, slow_sample: f64, now: f64) {
+        let ej = self.params.ejection;
+        let n = self.replicas.len();
+        if !ej.enabled || n < 2 {
+            return;
+        }
+        if slow_sample.is_finite() {
+            let rep = &mut self.replicas[r];
+            let alpha = ej.alpha.clamp(1e-6, 1.0);
+            let next = (1.0 - alpha) * rep.router_ewma + alpha * slow_sample;
+            rep.router_ewma = if next.is_finite() { next } else { slow_sample };
+            rep.samples_since_up += 1;
+        }
+        let mut peers: Vec<f64> = (0..n)
+            .filter(|&j| j != r && self.replicas[j].healthy_target())
+            .map(|j| self.replicas[j].router_ewma)
+            .filter(|v| v.is_finite())
+            .collect();
+        // Never eject the last healthy replica: with no peer to compare
+        // against there is no relative signal.
+        if peers.is_empty() {
+            return;
+        }
+        peers.sort_by(f64::total_cmp);
+        let median = peers[peers.len() / 2].max(1e-9);
+        let rep = &mut self.replicas[r];
+        match rep.eject {
+            EjectState::Healthy => {
+                if rep.samples_since_up >= ej.min_samples.max(1)
+                    && rep.router_ewma > ej.eject_ratio.max(1.0) * median
+                {
+                    rep.eject = EjectState::Ejected { since: now };
+                    rep.stats.gray_ejections += 1;
+                    let slow_ratio = rep.router_ewma / median;
+                    self.log(
+                        now,
+                        FleetEventKind::GrayEjected {
+                            replica: r,
+                            slow_ratio,
+                        },
+                    );
+                }
+            }
+            EjectState::Probing { .. } if !slow_sample.is_finite() => {}
+            EjectState::Probing { left, successes } => {
+                if slow_sample > ej.readmit_ratio.max(1.0) * median {
+                    // Failed probe: back to the bench until the next
+                    // probation round.
+                    rep.eject = EjectState::Ejected { since: now };
+                } else if successes + 1 < ej.probe_budget.max(1) {
+                    rep.eject = EjectState::Probing {
+                        left,
+                        successes: successes + 1,
+                    };
+                } else {
+                    rep.eject = EjectState::Healthy;
+                    // The EWMA is contaminated by the gray window;
+                    // restart trust fresh.
+                    rep.router_ewma = 1.0;
+                    rep.sdc_strikes = 0;
+                    self.log(now, FleetEventKind::GrayReadmitted { replica: r });
+                }
+            }
+            EjectState::Ejected { .. } => {}
+        }
+    }
+
+    /// Queue drained: steal the back half of the longest reachable peer
+    /// queue. Only a fully healthy replica steals (never into a gray or
+    /// partitioned one), and never across a partition.
+    fn steal_into(&mut self, r: usize, now: f64) {
+        let thief = &self.replicas[r];
+        if !(thief.queue.is_empty()
+            && self.params.steal
+            && thief.breaker.state() == BreakerState::Closed
+            && thief.healthy_target())
+        {
+            return;
+        }
+        let victim = (0..self.replicas.len())
+            .filter(|&j| {
+                j != r && self.replicas[j].reachable() && self.replicas[j].queue.len() >= 2
+            })
+            .max_by_key(|&j| (self.replicas[j].queue.len(), usize::MAX - j));
+        let Some(v) = victim else { return };
+        let vlen = self.replicas[v].queue.len();
+        let moved = vlen / 2;
+        let mut taken = self.replicas[v].queue.split_off(vlen - moved);
+        self.replicas[v].stats.steals_out += moved;
+        let thief = &mut self.replicas[r];
+        thief.stats.steals_in += moved;
+        thief.queue.append(&mut taken);
+        thief.stats.max_queue_depth = thief.stats.max_queue_depth.max(thief.queue.len());
+        self.steal_events += 1;
+        self.log(
+            now,
+            FleetEventKind::Steal {
+                thief: r,
+                victim: v,
+                moved,
+            },
+        );
+    }
+
+    fn on_chaos(&mut self, now: f64) {
+        let ev = self.params.chaos.events()[self.next_chaos];
+        self.next_chaos += 1;
+        let r = ev.replica;
+        if r >= self.replicas.len() || self.replicas[r].down {
+            return;
+        }
+        match ev.kind {
+            ChaosKind::Crash { restart_after_s } => {
+                // Checkpoint first: the warm restart resumes from the
+                // exact pre-crash control state (breaker, ladder,
+                // quarantine convictions).
+                self.replicas[r].checkpoint = Some(self.snapshot_replica(r, now));
+                let rep = &mut self.replicas[r];
+                let killed = match rep.busy.take() {
+                    Some(victim) => {
+                        self.tenant_acc[victim.req.tenant].report.shed_replica_lost += 1;
+                        1
+                    }
+                    None => 0,
+                };
+                rep.down = true;
+                rep.stats.crashes += 1;
+                rep.recovering_since = Some(now);
+                let (migrated, shed) = self.flush_queue(r, true);
+                self.timers.push(FleetTimer {
+                    at_s: now + restart_after_s.max(0.0),
+                    replica: r,
+                    kind: TimerKind::Restart,
+                });
+                self.log(
+                    now,
+                    FleetEventKind::ReplicaCrashed {
+                        replica: r,
+                        killed,
+                        migrated,
+                        shed,
+                    },
+                );
+                self.start_idle(now);
+            }
+            // Silent by design: gray inflation and corruption windows reach
+            // requests through `gray_inflation_at` / `bitflip_at` +
+            // `draw_flip` inside start_next; the router has to notice the
+            // slowdown on its own, and only the ABFT verdict at completion
+            // makes a flip observable.
+            ChaosKind::Gray { .. } | ChaosKind::BitFlip { .. } => {}
+            ChaosKind::Partition {
+                len_s,
+                lost_messages,
+            } => {
+                let rep = &mut self.replicas[r];
+                if rep.partitioned {
+                    return;
+                }
+                rep.partitioned = true;
+                rep.stats.partitions += 1;
+                let mut lost = 0usize;
+                while lost < lost_messages {
+                    let Some(q) = rep.queue.pop_back() else { break };
+                    self.tenant_acc[q.tenant].report.shed_replica_lost += 1;
+                    lost += 1;
+                }
+                self.timers.push(FleetTimer {
+                    at_s: now + len_s,
+                    replica: r,
+                    kind: TimerKind::Heal,
+                });
+                self.log(now, FleetEventKind::Partitioned { replica: r, lost });
+            }
+        }
+    }
+
+    /// Snapshots a replica's full control state for warm restart: breaker,
+    /// ladder position, slowdown EWMA, and every tenant's (possibly
+    /// repaired) curve, quarantine mask and guard.
+    fn snapshot_replica(&self, r: usize, now: f64) -> ReplicaCheckpoint {
+        let rep = &self.replicas[r];
+        let (breaker, consecutive_failures, open_until) = rep.breaker.checkpoint();
         let mut cp = ReplicaCheckpoint {
             version: REPLICA_CHECKPOINT_VERSION,
             replica: r,
             crashed_at_s: now,
             applied_required: rep.applied_required,
             slow_ewma: rep.slow_ewma,
-            breaker: rep.breaker,
-            consecutive_failures: rep.consecutive_failures,
-            open_until: rep.open_until,
-            tenants: tuners_row
+            breaker,
+            consecutive_failures,
+            open_until,
+            tenants: rep
+                .lanes
                 .iter()
-                .zip(guards_row)
-                .map(|(tu, g)| TenantCheckpoint {
-                    quarantined: (0..tu.curve().len())
-                        .map(|ix| tu.is_quarantined(ix))
+                .map(|lane| TenantCheckpoint {
+                    quarantined: (0..lane.tuner.curve().len())
+                        .map(|ix| lane.tuner.is_quarantined(ix))
                         .collect(),
-                    curve: tu.curve().clone(),
-                    guard: g.clone(),
+                    curve: lane.tuner.curve().clone(),
+                    guard: lane.guard.clone(),
                 })
                 .collect(),
             fingerprint: 0,
@@ -1326,963 +1696,214 @@ pub fn run_fleet(
         cp
     }
 
-    // Chaos machinery: the scripted event cursor, pending restart/heal
-    // timers, per-replica crash checkpoints, and recovery timing.
-    #[derive(Clone, Copy)]
-    enum TimerKind {
-        Restart,
-        Heal,
-    }
-    impl TimerKind {
-        fn rank(self) -> u8 {
-            match self {
-                TimerKind::Restart => 0,
-                TimerKind::Heal => 1,
+    fn on_timer(&mut self, ix: usize, now: f64) {
+        let timer = self.timers.swap_remove(ix);
+        let r = timer.replica;
+        if timer.kind == TimerKind::Heal {
+            self.replicas[r].partitioned = false;
+            self.log(now, FleetEventKind::PartitionHealed { replica: r });
+            return;
+        }
+        let rep = &mut self.replicas[r];
+        rep.down = false;
+        // Cold or warm, the router's trust history starts fresh.
+        rep.router_ewma = 1.0;
+        rep.samples_since_up = 0;
+        rep.sdc_strikes = 0;
+        let mut inherited = 0usize;
+        // A checkpoint whose content fingerprint no longer matches was
+        // corrupted between crash and restart: refuse the warm restore and
+        // restart cold instead (as with no checkpoint at all, which is
+        // unreachable for scripted crashes).
+        if let Some(cp) = rep.checkpoint.take().filter(ReplicaCheckpoint::is_sealed) {
+            rep.breaker
+                .restore(cp.breaker, cp.consecutive_failures, cp.open_until);
+            rep.applied_required = cp.applied_required;
+            rep.slow_ewma = cp.slow_ewma;
+            for (t, tc) in cp.tenants.into_iter().enumerate().take(self.ctxs.len()) {
+                let mut tuner = self.ctxs[t].new_tuner(tc.curve, self.params.serve.seed);
+                // Re-apply the convictions instead of re-learning them:
+                // the restored guard's Quarantined trust keeps `observe`
+                // from ever re-convicting these points.
+                for (ix2, &q) in tc.quarantined.iter().enumerate() {
+                    if q {
+                        tuner.quarantine(ix2);
+                        inherited += 1;
+                    }
+                }
+                tuner.adapt_to(cp.applied_required);
+                rep.lanes[t].tuner = tuner;
+                rep.lanes[t].guard = tc.guard;
             }
         }
+        self.log(
+            now,
+            FleetEventKind::ReplicaRestarted {
+                replica: r,
+                inherited_quarantined: inherited,
+            },
+        );
     }
-    struct FleetTimer {
-        at_s: f64,
-        replica: usize,
-        kind: TimerKind,
-    }
-    let chaos_events = params.chaos.events();
-    let mut ci = 0usize; // next chaos event index
-    let mut timers: Vec<FleetTimer> = Vec::new();
-    let mut checkpoints: Vec<Option<ReplicaCheckpoint>> = (0..n).map(|_| None).collect();
-    let mut recovery_times: Vec<f64> = Vec::new();
-    let ej = params.ejection;
-    let sdcp = params.sdc;
 
-    let mut i = 0usize; // next arrival index
-    loop {
-        // Earliest completion across replicas (ties: lowest replica index).
-        let mut next_c: Option<(f64, usize)> = None;
-        for (r, rep) in replicas.iter().enumerate() {
-            if let Some(b) = &rep.busy {
-                let better = match next_c {
-                    None => true,
-                    Some((t0, _)) => b.finish_s < t0,
-                };
-                if better {
-                    next_c = Some((b.finish_s, r));
+    fn on_arrival(&mut self, now: f64) {
+        let t = self.arrivals[self.next_arrival].1;
+        self.next_arrival += 1;
+        let ej = self.params.ejection;
+
+        // Cooldowns elapse on arrival ticks, in replica order; crashed
+        // replicas are frozen until their restart timer fires. Ejected
+        // replicas whose sit-out elapsed enter probation here too.
+        for r in 0..self.replicas.len() {
+            let rep = &mut self.replicas[r];
+            if rep.down {
+                continue;
+            }
+            if rep.breaker.tick(now) {
+                self.log(now, FleetEventKind::BreakerHalfOpen { replica: r });
+            }
+            if let EjectState::Ejected { since } = self.replicas[r].eject {
+                if ej.enabled && now >= since + ej.probe_after_s.max(0.0) {
+                    self.replicas[r].eject = EjectState::Probing {
+                        left: ej.probe_budget.max(1),
+                        successes: 0,
+                    };
+                    self.log(now, FleetEventKind::GrayProbing { replica: r });
                 }
             }
         }
-        // Earliest pending timer (ties: restarts before heals, then lowest
-        // replica index — unique per (replica, kind) while pending, so the
-        // order is total).
-        let next_t: Option<usize> = (0..timers.len()).min_by(|&a, &b| {
-            timers[a]
-                .at_s
-                .total_cmp(&timers[b].at_s)
-                .then_with(|| timers[a].kind.rank().cmp(&timers[b].kind.rank()))
-                .then_with(|| timers[a].replica.cmp(&timers[b].replica))
+
+        let views: Vec<ReplicaView> = self
+            .replicas
+            .iter()
+            .map(|rep| ReplicaView {
+                queue_len: rep.queue.len(),
+                busy: rep.busy.is_some(),
+                breaker_open: !rep.breaker.admits(),
+                degradation: rep.lanes[t].tuner.current_index().map_or(0, |ix| ix + 1),
+                unreachable: rep.route_unreachable(),
+            })
+            .collect();
+        let key = splitmix64(
+            self.params.route_seed ^ (self.next_arrival as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
+        let decision = route(self.params.policy, &views, &mut self.rr_cursor, key);
+
+        let acc = &mut self.tenant_acc[t].report;
+        let Some(r) = decision.chosen else {
+            // Every breaker open: shed at the fleet door.
+            acc.shed_breaker += 1;
+            return;
+        };
+        // Replica-level admission: bounded queue, then deadline
+        // feasibility under the replica's observed slowdown and the
+        // queued tenants' current configurations.
+        let rep = &mut self.replicas[r];
+        if rep.queue.len() >= self.params.serve.queue_cap {
+            acc.shed_queue_full += 1;
+            return;
+        }
+        let est = |tenant: usize| -> f64 {
+            rep.slow_ewma * self.ctxs[tenant].baseline_time_s
+                / rep.lanes[tenant].tuner.current_speedup().max(1e-9)
+        };
+        let mut wait = rep
+            .busy
+            .as_ref()
+            .map_or(0.0, |b| (b.finish_s - now).max(0.0));
+        for q in &rep.queue {
+            wait += est(q.tenant);
+        }
+        let deadline_s = now + self.deadline;
+        if now + wait + est(t) > deadline_s + 1e-12 {
+            acc.shed_deadline += 1;
+            return;
+        }
+        rep.breaker.note_admitted();
+        // A probing (previously gray-ejected) replica spends one probe
+        // slot per admitted request; at zero it leaves candidacy again
+        // until its probes complete.
+        if let EjectState::Probing { left, .. } = &mut rep.eject {
+            *left = left.saturating_sub(1);
+        }
+        rep.enqueue(Queued {
+            tenant: t,
+            arrival_s: now,
+            deadline_s,
+            reexecs: 0,
         });
-        let next_k = chaos_events.get(ci).map(|e| e.at_s);
-        let next_a = arrivals.get(i).copied();
-
-        // Merge the four sources. Same-instant ties resolve completion →
-        // chaos → timer → arrival (strict `<` against each later source),
-        // preserving the pre-chaos `completion <= arrival` discipline.
-        let mut choice: Option<(f64, u8)> = next_c.map(|(t, _)| (t, 0u8));
-        for (t, class) in [
-            (next_k, 1u8),
-            (next_t.map(|ix| timers[ix].at_s), 2u8),
-            (next_a.map(|(a, _)| a), 3u8),
-        ]
-        .into_iter()
-        .filter_map(|(t, c)| t.map(|t| (t, c)))
-        {
-            let replace = match choice {
-                None => true,
-                Some((t0, _)) => t < t0,
-            };
-            if replace {
-                choice = Some((t, class));
-            }
-        }
-        let Some((now, class)) = choice else { break };
-
-        if class == 0 {
-            // --- Completion ------------------------------------------------
-            let r = match next_c {
-                Some((_, r)) => r,
-                None => break,
-            };
-            let Some(b) = replicas[r].busy.take() else {
-                break;
-            };
-            completed_total += 1;
-            let t = b.tenant;
-            let latency = b.finish_s - b.arrival_s;
-
-            // --- Silent-data-corruption verdict ---------------------------
-            // Ground truth from the chaos plan meets the modelled ABFT
-            // sensitivity. Strictly gated: with no injected flip and a zero
-            // false-alarm rate nothing below mutates any state, so
-            // corruption-free runs stay bit-identical to the pre-SDC code
-            // path.
-            let mut sdc_tripped = false;
-            if let Some(flip) = b.flip {
-                if sdcp.protected && flip.bit >= sdcp.detect_bit_floor {
-                    sdc_tripped = true;
-                    tenant_acc[t].sdc_detected += 1;
-                    replicas[r].sdc_detections += 1;
-                    log.push(
-                        now,
-                        completed_total,
-                        FleetEventKind::SdcDetected {
-                            replica: r,
-                            tenant: t,
-                            bit: flip.bit,
-                        },
-                    );
-                } else {
-                    // Below the detection floor (or unprotected kernels):
-                    // the corrupted result is served silently.
-                    tenant_acc[t].sdc_escaped += 1;
-                }
-            } else if sdcp.protected && sdcp.false_alarm_rate > 0.0 {
-                let kd = replicas[r].fa_draws as u64;
-                replicas[r].fa_draws += 1;
-                let h = splitmix64(
-                    flip_seed
-                        ^ 0x5DC_FA11
-                        ^ (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ kd.wrapping_mul(0xBF58_476D_1CE4_E5B9),
-                );
-                if (h as f64) / (u64::MAX as f64) < sdcp.false_alarm_rate {
-                    sdc_tripped = true;
-                    tenant_acc[t].sdc_false_alarm += 1;
-                    replicas[r].sdc_detections += 1;
-                    log.push(
-                        now,
-                        completed_total,
-                        FleetEventKind::SdcFalseAlarm {
-                            replica: r,
-                            tenant: t,
-                        },
-                    );
-                }
-            }
-
-            if sdc_tripped {
-                // The discarded result reaches neither the tenant nor the
-                // guard's residual window nor the breaker: a corruption
-                // verdict is not evidence about promises or failure rates.
-                // Re-execute on a healthy peer within budget; past it (or
-                // with no peer able to take the request) it is accounted as
-                // faulted, keeping the arrival-accounting invariant exact.
-                let mut reexecuted = false;
-                if b.reexecs < sdcp.reexec_budget {
-                    let target = (0..n)
-                        .filter(|&j| {
-                            j != r
-                                && replicas[j].healthy_target()
-                                && replicas[j].open_to_arrivals(probes_needed)
-                                && replicas[j].queue.len() < sp.queue_cap
-                        })
-                        .min_by_key(|&j| (replicas[j].queue.len(), j));
-                    if let Some(j) = target {
-                        replicas[j].queue.push_back(QueuedReq {
-                            tenant: t,
-                            arrival_s: b.arrival_s,
-                            deadline_s: b.deadline_s,
-                            reexecs: b.reexecs + 1,
-                        });
-                        replicas[j].max_queue_depth =
-                            replicas[j].max_queue_depth.max(replicas[j].queue.len());
-                        tenant_acc[t].sdc_reexecuted += 1;
-                        log.push(
-                            now,
-                            completed_total,
-                            FleetEventKind::SdcReexecuted {
-                                replica: r,
-                                target: j,
-                                tenant: t,
-                            },
-                        );
-                        reexecuted = true;
-                    }
-                }
-                if !reexecuted {
-                    tenant_acc[t].faulted += 1;
-                }
-                // Repeated detections hand the replica to the existing gray
-                // eject → probe → readmit machinery. Never eject the last
-                // healthy replica.
-                replicas[r].sdc_strikes += 1;
-                if ej.enabled
-                    && replicas[r].sdc_strikes >= sdcp.eject_after.max(1)
-                    && replicas[r].eject == EjectState::Healthy
-                    && (0..n).any(|j| j != r && replicas[j].healthy_target())
-                {
-                    let strikes = replicas[r].sdc_strikes;
-                    replicas[r].eject = EjectState::Ejected { since: now };
-                    replicas[r].sdc_ejections += 1;
-                    replicas[r].sdc_strikes = 0;
-                    log.push(
-                        now,
-                        completed_total,
-                        FleetEventKind::SdcEjected {
-                            replica: r,
-                            strikes,
-                        },
-                    );
-                }
-            } else {
-                let failure = if b.stalled {
-                    tenant_acc[t].stalled += 1;
-                    true
-                } else if b.fault {
-                    tenant_acc[t].faulted += 1;
-                    true
-                } else if b.finish_s > b.deadline_s + 1e-12 {
-                    tenant_acc[t].served_late += 1;
-                    tenant_acc[t].latency_sum += latency;
-                    tenant_acc[t].qos_sum += b.qos;
-                    tenant_acc[t].served += 1;
-                    latencies.push(latency);
-                    true
-                } else {
-                    tenant_acc[t].served_on_time += 1;
-                    tenant_acc[t].latency_sum += latency;
-                    tenant_acc[t].qos_sum += b.qos;
-                    tenant_acc[t].served += 1;
-                    latencies.push(latency);
-                    false
-                };
-
-                // Per-replica breaker bookkeeping; a trip migrates the queue.
-                match replicas[r].breaker {
-                    BreakerState::Closed => {
-                        if failure {
-                            replicas[r].consecutive_failures += 1;
-                            if replicas[r].consecutive_failures >= trip_at {
-                                replicas[r].breaker = BreakerState::Open;
-                                replicas[r].open_until = now + sp.cooldown_s.max(0.0);
-                                replicas[r].trips += 1;
-                                let failures = replicas[r].consecutive_failures;
-                                let (migrated, shed) = flush_queue(
-                                    r,
-                                    now,
-                                    params.steal,
-                                    false,
-                                    sp.queue_cap,
-                                    probes_needed,
-                                    &mut replicas,
-                                    &mut tenant_acc,
-                                );
-                                log.push(
-                                    now,
-                                    completed_total,
-                                    FleetEventKind::BreakerTripped {
-                                        replica: r,
-                                        failures,
-                                        migrated,
-                                        shed,
-                                    },
-                                );
-                            }
-                        } else {
-                            replicas[r].consecutive_failures = 0;
-                        }
-                    }
-                    BreakerState::HalfOpen => {
-                        if failure {
-                            replicas[r].breaker = BreakerState::Open;
-                            replicas[r].open_until = now + sp.cooldown_s.max(0.0);
-                            replicas[r].trips += 1;
-                            replicas[r].consecutive_failures = 1;
-                            let (migrated, shed) = flush_queue(
-                                r,
-                                now,
-                                params.steal,
-                                false,
-                                sp.queue_cap,
-                                probes_needed,
-                                &mut replicas,
-                                &mut tenant_acc,
-                            );
-                            log.push(
-                                now,
-                                completed_total,
-                                FleetEventKind::BreakerTripped {
-                                    replica: r,
-                                    failures: 1,
-                                    migrated,
-                                    shed,
-                                },
-                            );
-                        } else {
-                            replicas[r].probe_successes += 1;
-                            if replicas[r].probe_successes >= probes_needed {
-                                replicas[r].breaker = BreakerState::Closed;
-                                replicas[r].consecutive_failures = 0;
-                                log.push(
-                                    now,
-                                    completed_total,
-                                    FleetEventKind::BreakerClosed { replica: r },
-                                );
-                            }
-                        }
-                    }
-                    BreakerState::Open => {}
-                }
-
-                // Guard: verify the canaried promise before anything re-selects.
-                if !b.stalled && !b.fault {
-                    if let (Some(rg), Some(obs)) = (b.rung, b.canary) {
-                        let verdict = guards[r][t].observe(now, completed_total, rg, b.qos, obs);
-                        if let GuardVerdict::Quarantine { rung, repaired_qos } = verdict {
-                            tuners[r][t].repair_qos(rung, repaired_qos);
-                            tuners[r][t].quarantine(rung);
-                            log.push(
-                                now,
-                                completed_total,
-                                FleetEventKind::Quarantined {
-                                    replica: r,
-                                    tenant: t,
-                                    rung,
-                                    repaired_qos,
-                                },
-                            );
-                            if tuners[r][t].active_len() == 0 {
-                                guards[r][t].note_unrecoverable(now, completed_total);
-                                log.push(
-                                    now,
-                                    completed_total,
-                                    FleetEventKind::ExactFallback {
-                                        replica: r,
-                                        tenant: t,
-                                    },
-                                );
-                            } else {
-                                let applied = replicas[r].applied_required;
-                                tuners[r][t].adapt_to(applied);
-                            }
-                        }
-                        let _ = b.tk;
-                    }
-                }
-            }
-
-            // Crash recovery bookkeeping: the first completion after a
-            // restart closes that crash's recovery window.
-            if let Some(t0) = replicas[r].recovering_since.take() {
-                recovery_times.push((now - t0).max(0.0));
-            }
-
-            // Router-side gray defense: fold this completion's slowdown
-            // sample into the replica's EWMA (NaN-safe), then run the
-            // ejection / probation state machine against the healthy-peer
-            // median. Detection is relative, so fleet-wide disturbances
-            // (which slow every replica together) never eject anyone.
-            if ej.enabled && n >= 2 {
-                if b.slow_sample.is_finite() {
-                    let alpha = ej.alpha.clamp(1e-6, 1.0);
-                    let next = (1.0 - alpha) * replicas[r].router_ewma + alpha * b.slow_sample;
-                    replicas[r].router_ewma = if next.is_finite() {
-                        next
-                    } else {
-                        b.slow_sample
-                    };
-                    replicas[r].samples_since_up += 1;
-                }
-                let mut peers: Vec<f64> = (0..n)
-                    .filter(|&j| j != r && replicas[j].healthy_target())
-                    .map(|j| replicas[j].router_ewma)
-                    .filter(|v| v.is_finite())
-                    .collect();
-                // Never eject the last healthy replica: with no peer to
-                // compare against there is no relative signal.
-                if !peers.is_empty() {
-                    peers.sort_by(f64::total_cmp);
-                    let median = peers[peers.len() / 2].max(1e-9);
-                    match replicas[r].eject {
-                        EjectState::Healthy => {
-                            if replicas[r].samples_since_up >= ej.min_samples.max(1)
-                                && replicas[r].router_ewma > ej.eject_ratio.max(1.0) * median
-                            {
-                                replicas[r].eject = EjectState::Ejected { since: now };
-                                replicas[r].gray_ejections += 1;
-                                log.push(
-                                    now,
-                                    completed_total,
-                                    FleetEventKind::GrayEjected {
-                                        replica: r,
-                                        slow_ratio: replicas[r].router_ewma / median,
-                                    },
-                                );
-                            }
-                        }
-                        EjectState::Probing { left, successes } => {
-                            if b.slow_sample.is_finite() {
-                                if b.slow_sample <= ej.readmit_ratio.max(1.0) * median {
-                                    let s = successes + 1;
-                                    if s >= ej.probe_budget.max(1) {
-                                        replicas[r].eject = EjectState::Healthy;
-                                        // The EWMA is contaminated by the
-                                        // gray window; restart trust fresh.
-                                        replicas[r].router_ewma = 1.0;
-                                        replicas[r].sdc_strikes = 0;
-                                        log.push(
-                                            now,
-                                            completed_total,
-                                            FleetEventKind::GrayReadmitted { replica: r },
-                                        );
-                                    } else {
-                                        replicas[r].eject =
-                                            EjectState::Probing { left, successes: s };
-                                    }
-                                } else {
-                                    // Failed probe: back to the bench until
-                                    // the next probation round.
-                                    replicas[r].eject = EjectState::Ejected { since: now };
-                                }
-                            }
-                        }
-                        EjectState::Ejected { .. } => {}
-                    }
-                }
-            }
-
-            // Queue drained: steal the back half of the longest reachable
-            // peer queue. Only a fully healthy replica steals (never into a
-            // gray or partitioned one), and never across a partition.
-            if replicas[r].queue.is_empty()
-                && params.steal
-                && replicas[r].breaker == BreakerState::Closed
-                && replicas[r].healthy_target()
-            {
-                let victim = (0..n)
-                    .filter(|&j| j != r && replicas[j].reachable() && replicas[j].queue.len() >= 2)
-                    .max_by_key(|&j| (replicas[j].queue.len(), usize::MAX - j));
-                if let Some(v) = victim {
-                    let vlen = replicas[v].queue.len();
-                    let moved = vlen / 2;
-                    let mut taken: VecDeque<QueuedReq> = replicas[v].queue.split_off(vlen - moved);
-                    replicas[r].steals_in += moved;
-                    replicas[v].steals_out += moved;
-                    replicas[r].queue.append(&mut taken);
-                    replicas[r].max_queue_depth =
-                        replicas[r].max_queue_depth.max(replicas[r].queue.len());
-                    steal_events += 1;
-                    log.push(
-                        now,
-                        completed_total,
-                        FleetEventKind::Steal {
-                            thief: r,
-                            victim: v,
-                            moved,
-                        },
-                    );
-                }
-            }
-
-            start_next(
-                r,
-                now,
-                &mut replicas,
-                &mut tuners,
-                &mut guards,
-                &mut texec,
-                tenants,
-                executors,
-                &mut tenant_acc,
-                device,
-                &params.chaos,
-                flip_seed,
-                dead_band,
-                drain_budget,
-                stall_bound,
-            );
-            // A breaker trip may have migrated work onto idle replicas.
-            for j in 0..n {
-                if !replicas[j].down && replicas[j].busy.is_none() && !replicas[j].queue.is_empty()
-                {
-                    start_next(
-                        j,
-                        now,
-                        &mut replicas,
-                        &mut tuners,
-                        &mut guards,
-                        &mut texec,
-                        tenants,
-                        executors,
-                        &mut tenant_acc,
-                        device,
-                        &params.chaos,
-                        flip_seed,
-                        dead_band,
-                        drain_budget,
-                        stall_bound,
-                    );
-                }
-            }
-        } else if class == 1 {
-            // --- Chaos event -----------------------------------------------
-            let ev = chaos_events[ci];
-            ci += 1;
-            let r = ev.replica;
-            if r >= n {
-                continue;
-            }
-            match ev.kind {
-                ChaosKind::Crash { restart_after_s } => {
-                    if replicas[r].down {
-                        continue;
-                    }
-                    // Checkpoint first: the warm restart resumes from the
-                    // exact pre-crash control state (breaker, ladder,
-                    // quarantine convictions).
-                    checkpoints[r] = Some(snapshot_replica(
-                        r,
-                        now,
-                        &replicas[r],
-                        &tuners[r],
-                        &guards[r],
-                    ));
-                    let killed = match replicas[r].busy.take() {
-                        Some(victim) => {
-                            tenant_acc[victim.tenant].shed_replica_lost += 1;
-                            1
-                        }
-                        None => 0,
-                    };
-                    replicas[r].down = true;
-                    replicas[r].crashes += 1;
-                    replicas[r].recovering_since = Some(now);
-                    let (migrated, shed) = flush_queue(
-                        r,
-                        now,
-                        params.steal,
-                        true,
-                        sp.queue_cap,
-                        probes_needed,
-                        &mut replicas,
-                        &mut tenant_acc,
-                    );
-                    timers.push(FleetTimer {
-                        at_s: now + restart_after_s.max(0.0),
-                        replica: r,
-                        kind: TimerKind::Restart,
-                    });
-                    log.push(
-                        now,
-                        completed_total,
-                        FleetEventKind::ReplicaCrashed {
-                            replica: r,
-                            killed,
-                            migrated,
-                            shed,
-                        },
-                    );
-                    // Migrated work may have landed on idle replicas.
-                    for j in 0..n {
-                        if !replicas[j].down
-                            && replicas[j].busy.is_none()
-                            && !replicas[j].queue.is_empty()
-                        {
-                            start_next(
-                                j,
-                                now,
-                                &mut replicas,
-                                &mut tuners,
-                                &mut guards,
-                                &mut texec,
-                                tenants,
-                                executors,
-                                &mut tenant_acc,
-                                device,
-                                &params.chaos,
-                                flip_seed,
-                                dead_band,
-                                drain_budget,
-                                stall_bound,
-                            );
-                        }
-                    }
-                }
-                ChaosKind::Gray { .. } => {
-                    // Silent by design: the inflation reaches service times
-                    // through `gray_inflation_at` inside start_next; the
-                    // router has to notice on its own.
-                }
-                ChaosKind::BitFlip { .. } => {
-                    // Silent by design: corruption windows reach requests
-                    // through `bitflip_at` + `draw_flip` inside start_next;
-                    // only the ABFT verdict at completion is observable.
-                }
-                ChaosKind::Partition {
-                    len_s,
-                    lost_messages,
-                } => {
-                    if replicas[r].down || replicas[r].partitioned {
-                        continue;
-                    }
-                    replicas[r].partitioned = true;
-                    replicas[r].partitions += 1;
-                    let mut lost = 0usize;
-                    for _ in 0..lost_messages {
-                        match replicas[r].queue.pop_back() {
-                            Some(q) => {
-                                tenant_acc[q.tenant].shed_replica_lost += 1;
-                                lost += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    timers.push(FleetTimer {
-                        at_s: now + len_s,
-                        replica: r,
-                        kind: TimerKind::Heal,
-                    });
-                    log.push(
-                        now,
-                        completed_total,
-                        FleetEventKind::Partitioned { replica: r, lost },
-                    );
-                }
-            }
-        } else if class == 2 {
-            // --- Restart / heal timer --------------------------------------
-            let Some(ix) = next_t else { break };
-            let timer = timers.swap_remove(ix);
-            let r = timer.replica;
-            match timer.kind {
-                TimerKind::Restart => {
-                    replicas[r].down = false;
-                    let mut inherited = 0usize;
-                    // A checkpoint whose content fingerprint no longer
-                    // matches was corrupted between crash and restart:
-                    // refuse the warm restore and restart cold instead.
-                    if let Some(cp) = checkpoints[r].take().filter(ReplicaCheckpoint::is_sealed) {
-                        let applied = cp.applied_required;
-                        {
-                            let rep = &mut replicas[r];
-                            rep.breaker = cp.breaker;
-                            rep.consecutive_failures = cp.consecutive_failures;
-                            rep.open_until = cp.open_until;
-                            rep.probes_admitted = 0;
-                            rep.probe_successes = 0;
-                            rep.applied_required = cp.applied_required;
-                            rep.slow_ewma = cp.slow_ewma;
-                            rep.router_ewma = 1.0;
-                            rep.samples_since_up = 0;
-                            rep.sdc_strikes = 0;
-                        }
-                        for (t, tc) in cp.tenants.into_iter().enumerate() {
-                            if t >= m {
-                                break;
-                            }
-                            let TenantCheckpoint {
-                                curve,
-                                quarantined,
-                                guard,
-                            } = tc;
-                            let spec = &tenants[t];
-                            let mut tuner = RuntimeTuner::new(
-                                curve,
-                                Policy::EnforceEachInvocation,
-                                1,
-                                spec.baseline_time_s.max(1e-12),
-                                sp.seed,
-                            );
-                            // Re-apply the convictions instead of
-                            // re-learning them: the restored guard's
-                            // Quarantined trust keeps `observe` from ever
-                            // re-convicting these points.
-                            for (ix2, &q) in quarantined.iter().enumerate() {
-                                if q {
-                                    tuner.quarantine(ix2);
-                                    inherited += 1;
-                                }
-                            }
-                            tuner.adapt_to(applied);
-                            tuners[r][t] = tuner;
-                            guards[r][t] = guard;
-                        }
-                    } else {
-                        // No checkpoint (unreachable for scripted crashes):
-                        // restart cold.
-                        replicas[r].router_ewma = 1.0;
-                        replicas[r].samples_since_up = 0;
-                        replicas[r].sdc_strikes = 0;
-                    }
-                    log.push(
-                        now,
-                        completed_total,
-                        FleetEventKind::ReplicaRestarted {
-                            replica: r,
-                            inherited_quarantined: inherited,
-                        },
-                    );
-                }
-                TimerKind::Heal => {
-                    replicas[r].partitioned = false;
-                    log.push(
-                        now,
-                        completed_total,
-                        FleetEventKind::PartitionHealed { replica: r },
-                    );
-                }
-            }
-        } else {
-            // --- Arrival event ---------------------------------------------
-            let Some((at, t)) = next_a else { break };
-            i += 1;
-
-            // Cooldowns elapse on arrival ticks, in replica order; crashed
-            // replicas are frozen until their restart timer fires. Ejected
-            // replicas whose sit-out elapsed enter probation here too.
-            for (r, rep) in replicas.iter_mut().enumerate() {
-                if rep.down {
-                    continue;
-                }
-                if rep.breaker == BreakerState::Open && now >= rep.open_until {
-                    rep.breaker = BreakerState::HalfOpen;
-                    rep.probes_admitted = 0;
-                    rep.probe_successes = 0;
-                    log.push(
-                        now,
-                        completed_total,
-                        FleetEventKind::BreakerHalfOpen { replica: r },
-                    );
-                }
-                if let EjectState::Ejected { since } = rep.eject {
-                    if ej.enabled && now >= since + ej.probe_after_s.max(0.0) {
-                        rep.eject = EjectState::Probing {
-                            left: ej.probe_budget.max(1),
-                            successes: 0,
-                        };
-                        log.push(
-                            now,
-                            completed_total,
-                            FleetEventKind::GrayProbing { replica: r },
-                        );
-                    }
-                }
-            }
-
-            let views: Vec<ReplicaView> = replicas
-                .iter()
-                .enumerate()
-                .map(|(r, rep)| ReplicaView {
-                    queue_len: rep.queue.len(),
-                    busy: rep.busy.is_some(),
-                    breaker_open: !rep.open_to_arrivals(probes_needed),
-                    degradation: tuners[r][t].current_index().map_or(0, |ix| ix + 1),
-                    unreachable: rep.route_unreachable(),
-                })
-                .collect();
-            let key =
-                splitmix64(params.route_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let decision = route(params.policy, &views, &mut rr_cursor, key);
-
-            let Some(r) = decision.chosen else {
-                // Every breaker open: shed at the fleet door.
-                tenant_acc[t].shed_breaker += 1;
-                continue;
-            };
-
-            let req = QueuedReq {
-                tenant: t,
-                arrival_s: at,
-                deadline_s: at + deadline,
-                reexecs: 0,
-            };
-            // Replica-level admission: bounded queue, then deadline
-            // feasibility under the replica's observed slowdown and the
-            // queued tenants' current configurations.
-            if replicas[r].queue.len() >= sp.queue_cap {
-                tenant_acc[t].shed_queue_full += 1;
-                continue;
-            }
-            let est = |tenant: usize, rep: &Replica| -> f64 {
-                rep.slow_ewma * tenants[tenant].baseline_time_s.max(1e-12)
-                    / tuners[r][tenant].current_speedup().max(1e-9)
-            };
-            let rep = &replicas[r];
-            let mut wait = rep
-                .busy
-                .as_ref()
-                .map(|b| (b.finish_s - now).max(0.0))
-                .unwrap_or(0.0);
-            for q in &rep.queue {
-                wait += est(q.tenant, rep);
-            }
-            if now + wait + est(t, rep) > req.deadline_s + 1e-12 {
-                tenant_acc[t].shed_deadline += 1;
-                continue;
-            }
-            if replicas[r].breaker == BreakerState::HalfOpen {
-                replicas[r].probes_admitted += 1;
-            }
-            // A probing (previously gray-ejected) replica spends one probe
-            // slot per admitted request; at zero it leaves candidacy again
-            // until its probes complete.
-            if let EjectState::Probing { left, successes } = replicas[r].eject {
-                if left > 0 {
-                    replicas[r].eject = EjectState::Probing {
-                        left: left - 1,
-                        successes,
-                    };
-                }
-            }
-            replicas[r].queue.push_back(req);
-            replicas[r].max_queue_depth = replicas[r].max_queue_depth.max(replicas[r].queue.len());
-            start_next(
-                r,
-                now,
-                &mut replicas,
-                &mut tuners,
-                &mut guards,
-                &mut texec,
-                tenants,
-                executors,
-                &mut tenant_acc,
-                device,
-                &params.chaos,
-                flip_seed,
-                dead_band,
-                drain_budget,
-                stall_bound,
-            );
-        }
+        self.start_next(r, now);
     }
 
-    // --- Finalise ----------------------------------------------------------
-    latencies.sort_by(f64::total_cmp);
-    let mean_latency_s = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / latencies.len() as f64
-    };
-    let p99_latency_s = if latencies.is_empty() {
-        0.0
-    } else {
-        let idx = ((latencies.len() as f64 * 0.99).ceil() as usize)
-            .saturating_sub(1)
-            .min(latencies.len() - 1);
-        latencies[idx]
-    };
+    fn finish(mut self) -> FleetReport {
+        let (mean_latency_s, p99_latency_s) = latency_summary(&mut self.latencies);
 
-    // Aggregate guard outcomes per tenant across replicas.
-    let mut tenant_reports: Vec<TenantReport> = tenants
-        .iter()
-        .zip(tenant_acc.iter())
-        .map(|(spec, acc)| TenantReport {
-            name: spec.name.clone(),
-            arrivals: acc.arrivals,
-            admitted: acc.served_on_time + acc.served_late + acc.faulted + acc.stalled,
-            served_on_time: acc.served_on_time,
-            served_late: acc.served_late,
-            faulted: acc.faulted,
-            stalled: acc.stalled,
-            shed_queue_full: acc.shed_queue_full,
-            shed_deadline: acc.shed_deadline,
-            shed_breaker: acc.shed_breaker,
-            shed_replica_lost: acc.shed_replica_lost,
-            canaries: 0,
-            canary_misses: 0,
-            observed_floor_breaches: 0,
-            planned_floor_breaches: acc.planned_floor_breaches,
-            quarantined_points: 0,
-            exact_fallback_replicas: 0,
-            sdc_detected: acc.sdc_detected,
-            sdc_reexecuted: acc.sdc_reexecuted,
-            sdc_escaped: acc.sdc_escaped,
-            sdc_false_alarm: acc.sdc_false_alarm,
-            mean_latency_s: if acc.served == 0 {
-                0.0
-            } else {
-                acc.latency_sum / acc.served as f64
-            },
-            mean_qos: if acc.served == 0 {
-                spec.baseline_qos
-            } else {
-                acc.qos_sum / acc.served as f64
-            },
-        })
-        .collect();
-    for (r, row) in guards.into_iter().enumerate() {
-        for (t, guard) in row.into_iter().enumerate() {
-            let fell_back = guard.exact_fallback();
-            let grep = guard.into_report(tuners[r][t].curve().clone());
-            let tr = &mut tenant_reports[t];
-            tr.canaries += grep.canaries;
-            tr.canary_misses += grep.misses;
-            tr.observed_floor_breaches += grep.floor_breaches;
-            tr.quarantined_points += grep.quarantined.len();
-            tr.exact_fallback_replicas += usize::from(fell_back);
+        let mut tenant_reports: Vec<TenantReport> = self
+            .tenant_acc
+            .into_iter()
+            .map(|acc| {
+                let mut tr = acc.report;
+                let served = tr.served_on_time + tr.served_late;
+                tr.admitted = served + tr.faulted + tr.stalled;
+                if served > 0 {
+                    tr.mean_latency_s = acc.latency_sum / served as f64;
+                    tr.mean_qos = acc.qos_sum / served as f64;
+                }
+                tr
+            })
+            .collect();
+        // Aggregate guard outcomes per tenant across replicas.
+        let mut replica_reports = Vec::with_capacity(self.replicas.len());
+        for rep in self.replicas {
+            for (lane, tr) in rep.lanes.into_iter().zip(&mut tenant_reports) {
+                tr.exact_fallback_replicas += usize::from(lane.guard.exact_fallback());
+                let grep = lane.guard.into_report(lane.tuner.curve().clone());
+                tr.canaries += grep.canaries;
+                tr.canary_misses += grep.misses;
+                tr.observed_floor_breaches += grep.floor_breaches;
+                tr.quarantined_points += grep.quarantined.len();
+            }
+            replica_reports.push(ReplicaReport {
+                final_breaker: rep.breaker.state(),
+                ..rep.stats
+            });
         }
-    }
 
-    let replica_reports: Vec<ReplicaReport> = replicas
-        .iter()
-        .map(|rep| ReplicaReport {
-            executions: rep.executions,
-            breaker_trips: rep.trips,
-            steals_in: rep.steals_in,
-            steals_out: rep.steals_out,
-            migrations_in: rep.migrations_in,
-            escalations: rep.escalations,
-            deescalations: rep.deescalations,
-            max_queue_depth: rep.max_queue_depth,
-            crashes: rep.crashes,
-            gray_ejections: rep.gray_ejections,
-            partitions: rep.partitions,
-            sdc_detections: rep.sdc_detections,
-            sdc_ejections: rep.sdc_ejections,
-            final_breaker: rep.breaker,
-        })
-        .collect();
-
-    let admitted: usize = tenant_reports.iter().map(|t| t.admitted).sum();
-    let served_on_time: usize = tenant_reports.iter().map(|t| t.served_on_time).sum();
-    let served_late: usize = tenant_reports.iter().map(|t| t.served_late).sum();
-    let faulted: usize = tenant_reports.iter().map(|t| t.faulted).sum();
-    let stalled: usize = tenant_reports.iter().map(|t| t.stalled).sum();
-    let shed: usize = tenant_reports
-        .iter()
-        .map(|t| t.shed_queue_full + t.shed_deadline + t.shed_breaker + t.shed_replica_lost)
-        .sum();
-    let mean_recovery_s = if recovery_times.is_empty() {
-        0.0
-    } else {
-        recovery_times.iter().sum::<f64>() / recovery_times.len() as f64
-    };
-    FleetReport {
-        policy: params.policy.name().to_string(),
-        replicas: n,
-        scenario: device.scenario().name().to_string(),
-        arrivals: arrivals.len(),
-        admitted,
-        served_on_time,
-        served_late,
-        faulted,
-        stalled,
-        shed,
-        steal_events,
-        breaker_trips: replica_reports.iter().map(|r| r.breaker_trips).sum(),
-        crashes: replica_reports.iter().map(|r| r.crashes).sum(),
-        gray_ejections: replica_reports.iter().map(|r| r.gray_ejections).sum(),
-        partitions: replica_reports.iter().map(|r| r.partitions).sum(),
-        sdc_detected: tenant_reports.iter().map(|t| t.sdc_detected).sum(),
-        sdc_reexecuted: tenant_reports.iter().map(|t| t.sdc_reexecuted).sum(),
-        sdc_escaped: tenant_reports.iter().map(|t| t.sdc_escaped).sum(),
-        sdc_false_alarm: tenant_reports.iter().map(|t| t.sdc_false_alarm).sum(),
-        sdc_ejections: replica_reports.iter().map(|r| r.sdc_ejections).sum(),
-        requests_unaccounted: arrivals.len().abs_diff(admitted + shed),
-        mean_recovery_s,
-        mean_latency_s,
-        p99_latency_s,
-        tenants: tenant_reports,
-        replica_reports,
-        events: log.events,
-        events_evicted: log.evicted,
+        let tsum = |f: fn(&TenantReport) -> usize| tenant_reports.iter().map(f).sum::<usize>();
+        let rsum = |f: fn(&ReplicaReport) -> usize| replica_reports.iter().map(f).sum::<usize>();
+        let admitted = tsum(|t| t.admitted);
+        let shed =
+            tsum(|t| t.shed_queue_full + t.shed_deadline + t.shed_breaker + t.shed_replica_lost);
+        let (events, events_evicted) = self.log.into_parts();
+        FleetReport {
+            policy: self.params.policy.name().to_string(),
+            replicas: replica_reports.len(),
+            scenario: self.device.scenario().name().to_string(),
+            arrivals: self.arrivals.len(),
+            admitted,
+            served_on_time: tsum(|t| t.served_on_time),
+            served_late: tsum(|t| t.served_late),
+            faulted: tsum(|t| t.faulted),
+            stalled: tsum(|t| t.stalled),
+            shed,
+            steal_events: self.steal_events,
+            breaker_trips: rsum(|r| r.breaker_trips),
+            crashes: rsum(|r| r.crashes),
+            gray_ejections: rsum(|r| r.gray_ejections),
+            partitions: rsum(|r| r.partitions),
+            sdc_detected: tsum(|t| t.sdc_detected),
+            sdc_reexecuted: tsum(|t| t.sdc_reexecuted),
+            sdc_escaped: tsum(|t| t.sdc_escaped),
+            sdc_false_alarm: tsum(|t| t.sdc_false_alarm),
+            sdc_ejections: rsum(|r| r.sdc_ejections),
+            requests_unaccounted: self.arrivals.len().abs_diff(admitted + shed),
+            mean_recovery_s: mean(&self.recovery_times),
+            mean_latency_s,
+            p99_latency_s,
+            tenants: tenant_reports,
+            replica_reports,
+            events,
+            events_evicted,
+        }
     }
 }
 

@@ -28,7 +28,9 @@
 //!    breaker around execution — all deterministic and seeded. [`fleet`]
 //!    scales that loop out to N replicas × M tenant models with pluggable
 //!    front-door routing, per-replica breaker + per-tenant guard state,
-//!    and work stealing across replica queues.
+//!    and work stealing across replica queues. Both loops drive one
+//!    private replica engine (breaker, event ring, service draw, guard
+//!    wiring), so those mechanisms exist exactly once.
 //!
 //! [`knobs`] defines the integer knob registry (63 per convolution, 8 per
 //! reduction, 2 per other op — §2.3); [`config`] the per-program
@@ -67,6 +69,7 @@ pub mod perf;
 pub mod predict;
 pub mod profile;
 pub mod qos;
+mod replica;
 pub mod runtime;
 pub mod search;
 pub mod serve;

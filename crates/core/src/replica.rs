@@ -1,0 +1,580 @@
+//! The replica engine: the per-replica serving mechanisms that the
+//! single-server loop ([`crate::serve`]) and the fleet simulator
+//! ([`crate::fleet`]) agree on, implemented exactly once — the circuit
+//! breaker state machine, the capped event ring, the latency summary, the
+//! guard's floor pre-mask and canary conviction, the service draw (device
+//! state → watchdog → executor → shadow canary), the completion classifier
+//! and the queued / in-flight request pair.
+//!
+//! What is deliberately *not* here is the degradation ladder: the two loops
+//! run different ladder policies pinned by different golden sequences (the
+//! single server re-evaluates pressure on every admitted arrival and
+//! honours `min_dwell`; a fleet replica re-evaluates only at service
+//! start), so each keeps its own and they share only [`escalated`].
+
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::chaos::InjectedFlip;
+use crate::guard::{fails_floor, GuardVerdict, QosGuard};
+use crate::pareto::TradeoffCurve;
+use crate::runtime::{Policy, RuntimeTuner};
+use crate::serve::{BreakerState, RequestExecutor, RequestOutcome, ServeParams};
+use at_hw::DisturbedDevice;
+use std::collections::VecDeque;
+
+// ---------------------------------------------------------------------------
+// Circuit breaker
+// ---------------------------------------------------------------------------
+
+/// What one completion did to a [`Breaker`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BreakerTransition {
+    /// Tripped open, from `Closed` after `failures` consecutive failures or
+    /// from `HalfOpen` on a failed probe (`failures == 1`). The caller owns
+    /// the queue and flushes it.
+    Tripped {
+        /// Consecutive failures that caused the trip.
+        failures: usize,
+    },
+    /// Every half-open probe succeeded; the breaker closed.
+    Closed,
+}
+
+/// One replica's circuit breaker: trip on consecutive failures, cool down,
+/// half-open with a bounded probe budget, close when every probe succeeds.
+pub(crate) struct Breaker {
+    state: BreakerState,
+    consecutive_failures: usize,
+    open_until: f64,
+    probes_admitted: usize,
+    probe_successes: usize,
+    trip_at: usize,
+    probes_needed: usize,
+    cooldown_s: f64,
+}
+
+impl Breaker {
+    /// A closed breaker with `p`'s threshold, cooldown and probe budget.
+    pub(crate) fn new(p: &ServeParams) -> Breaker {
+        Breaker {
+            state: BreakerState::Closed,
+            consecutive_failures: 0,
+            open_until: 0.0,
+            probes_admitted: 0,
+            probe_successes: 0,
+            trip_at: p.breaker_threshold.max(1),
+            probes_needed: p.half_open_probes.max(1),
+            cooldown_s: p.cooldown_s.max(0.0),
+        }
+    }
+
+    pub(crate) fn state(&self) -> BreakerState {
+        self.state
+    }
+
+    /// Whether new work may be admitted: closed, or half-open with probe
+    /// budget left.
+    pub(crate) fn admits(&self) -> bool {
+        match self.state {
+            BreakerState::Closed => true,
+            BreakerState::HalfOpen => self.probes_admitted < self.probes_needed,
+            BreakerState::Open => false,
+        }
+    }
+
+    /// Accounts one admitted request; while half-open it spends a probe.
+    pub(crate) fn note_admitted(&mut self) {
+        if self.state == BreakerState::HalfOpen {
+            self.probes_admitted += 1;
+        }
+    }
+
+    /// Clock tick: an open breaker whose cooldown has elapsed half-opens
+    /// with a fresh probe budget. Returns whether it did.
+    pub(crate) fn tick(&mut self, now: f64) -> bool {
+        let elapsed = self.state == BreakerState::Open && now >= self.open_until;
+        if elapsed {
+            self.state = BreakerState::HalfOpen;
+            self.probes_admitted = 0;
+            self.probe_successes = 0;
+        }
+        elapsed
+    }
+
+    /// Feeds one completion (`failure` = deadline blowout, executor fault or
+    /// watchdog stall) into the state machine.
+    pub(crate) fn on_result(&mut self, failure: bool, now: f64) -> Option<BreakerTransition> {
+        match self.state {
+            BreakerState::Closed if !failure => {
+                self.consecutive_failures = 0;
+                return None;
+            }
+            BreakerState::Closed => {
+                self.consecutive_failures += 1;
+                if self.consecutive_failures < self.trip_at {
+                    return None;
+                }
+            }
+            BreakerState::HalfOpen if !failure => {
+                self.probe_successes += 1;
+                if self.probe_successes < self.probes_needed {
+                    return None;
+                }
+                self.state = BreakerState::Closed;
+                self.consecutive_failures = 0;
+                return Some(BreakerTransition::Closed);
+            }
+            BreakerState::HalfOpen => self.consecutive_failures = 1,
+            BreakerState::Open => return None,
+        }
+        self.state = BreakerState::Open;
+        self.open_until = now + self.cooldown_s;
+        Some(BreakerTransition::Tripped {
+            failures: self.consecutive_failures,
+        })
+    }
+
+    /// `(state, consecutive failures, open-until)` — the part of the breaker
+    /// a replica checkpoint persists.
+    pub(crate) fn checkpoint(&self) -> (BreakerState, usize, f64) {
+        (self.state, self.consecutive_failures, self.open_until)
+    }
+
+    /// Restores a checkpointed breaker; probe accounting starts fresh.
+    pub(crate) fn restore(&mut self, state: BreakerState, failures: usize, open_until: f64) {
+        self.state = state;
+        self.consecutive_failures = failures;
+        self.open_until = open_until;
+        self.probes_admitted = 0;
+        self.probe_successes = 0;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Event ring and latency summary
+// ---------------------------------------------------------------------------
+
+/// A capped event log: keeps the most recent `limit` events and counts what
+/// the cap dropped.
+pub(crate) struct EventRing<E> {
+    events: VecDeque<E>,
+    limit: usize,
+    evicted: usize,
+}
+
+impl<E> EventRing<E> {
+    pub(crate) fn new(limit: usize) -> EventRing<E> {
+        EventRing {
+            events: VecDeque::new(),
+            limit,
+            evicted: 0,
+        }
+    }
+
+    pub(crate) fn push(&mut self, event: E) {
+        self.events.push_back(event);
+        while self.events.len() > self.limit {
+            self.events.pop_front();
+            self.evicted += 1;
+        }
+    }
+
+    /// The retained events, oldest first, and the eviction count.
+    pub(crate) fn into_parts(self) -> (Vec<E>, usize) {
+        (self.events.into(), self.evicted)
+    }
+}
+
+/// Arithmetic mean in slice order; 0 when empty.
+pub(crate) fn mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// Sorts `latencies` and returns `(mean, p99)`, the p99 being the sample at
+/// index `ceil(0.99·n) − 1`; `(0, 0)` when empty.
+pub(crate) fn latency_summary(latencies: &mut [f64]) -> (f64, f64) {
+    latencies.sort_by(f64::total_cmp);
+    let n = latencies.len();
+    let idx = ((n as f64 * 0.99).ceil() as usize).saturating_sub(1);
+    (mean(latencies), latencies.get(idx).copied().unwrap_or(0.0))
+}
+
+/// Whether a ladder move `from → to` (curve indices, `None` = the exact
+/// baseline) went towards more approximation.
+pub(crate) fn escalated(from: Option<usize>, to: Option<usize>) -> bool {
+    match (from, to) {
+        (_, None) => false,
+        (None, Some(_)) => true,
+        (Some(a), Some(b)) => b > a,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Guard wiring
+// ---------------------------------------------------------------------------
+
+/// Guard setup: points whose *shipped* promise already sits below the QoS
+/// floor are excluded from selection up front (a corrupt or repaired curve
+/// must trigger quarantine at the door, not a breach at runtime). A NaN
+/// promise fails the `>=` and is masked out too.
+pub(crate) fn premask_below_floor(
+    tuner: &mut RuntimeTuner,
+    guard: &mut QosGuard,
+    curve: &TradeoffCurve,
+    floor: f64,
+) {
+    for (i, p) in curve.points().iter().enumerate() {
+        if fails_floor(p.qos, floor) {
+            tuner.quarantine(i);
+            guard.note_premask(i);
+        }
+    }
+    if !curve.points().is_empty() && tuner.active_len() == 0 {
+        guard.note_unrecoverable(0.0, 0);
+    }
+}
+
+/// A curve point the guard just convicted.
+pub(crate) struct Conviction {
+    /// Curve index of the convicted point.
+    pub rung: usize,
+    /// The honest estimate written into the curve.
+    pub repaired_qos: f64,
+    /// The conviction exhausted the curve: service is clamped to exact.
+    pub exact_fallback: bool,
+}
+
+/// Verifies a completed request's shadow canary (present only on a cleanly
+/// served, canaried execution) against its rung's shipped promise. On a
+/// conviction the point is repaired and quarantined; with every point
+/// distrusted the guard records the clamp to exact — never a panic or a
+/// silent breach — and otherwise the tuner re-selects for the unchanged
+/// pressure `applied_required` among the surviving points, so service
+/// continues at the nearest honest rung.
+pub(crate) fn verify_canary(
+    tuner: &mut RuntimeTuner,
+    guard: &mut QosGuard,
+    done: &InFlight,
+    now: f64,
+    completed: usize,
+    applied_required: f64,
+) -> Option<Conviction> {
+    let (Some(r), Some(observed)) = (done.draw.rung, done.draw.canary) else {
+        return None;
+    };
+    let GuardVerdict::Quarantine { rung, repaired_qos } =
+        guard.observe(now, completed, r, done.draw.qos, observed)
+    else {
+        return None;
+    };
+    tuner.repair_qos(rung, repaired_qos);
+    tuner.quarantine(rung);
+    let exact_fallback = tuner.active_len() == 0;
+    if exact_fallback {
+        guard.note_unrecoverable(now, completed);
+    } else {
+        tuner.adapt_to(applied_required);
+    }
+    Some(Conviction {
+        rung,
+        repaired_qos,
+        exact_fallback,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Requests and the service draw
+// ---------------------------------------------------------------------------
+
+/// A request waiting in a replica's queue.
+pub(crate) struct Queued {
+    /// Owning tenant (always 0 on a single server).
+    pub tenant: usize,
+    pub arrival_s: f64,
+    pub deadline_s: f64,
+    /// Times this request was already re-executed after a corruption
+    /// detection (bounded by `SdcParams::reexec_budget`).
+    pub reexecs: usize,
+}
+
+/// Everything one started execution resolved to.
+pub(crate) struct Draw {
+    /// Service time, clamped to the watchdog bound when `stalled`.
+    pub svc_s: f64,
+    /// Speedup of the configuration the request ran on.
+    pub speedup: f64,
+    /// Normalised slowdown of this execution (service × speedup ÷
+    /// baseline): 1.0 under nominal conditions on an honest replica.
+    pub slowdown: f64,
+    pub fault: bool,
+    pub stalled: bool,
+    /// Promised QoS of the configuration (baseline QoS when exact).
+    pub qos: f64,
+    /// Curve index the request ran on (`None` = baseline).
+    pub rung: Option<usize>,
+    /// Observed QoS of the shadow canary re-execution, when this request
+    /// was canaried and the executor could measure it.
+    pub canary: Option<f64>,
+}
+
+/// The request a replica is executing.
+pub(crate) struct InFlight {
+    pub req: Queued,
+    pub finish_s: f64,
+    pub draw: Draw,
+    /// Ground-truth injected bit flip, when a chaos bit-flip window was
+    /// active at start and the seeded draw fired (fleet only).
+    pub flip: Option<InjectedFlip>,
+}
+
+impl InFlight {
+    /// Arrival-to-completion latency, seconds.
+    pub(crate) fn latency(&self) -> f64 {
+        self.finish_s - self.req.arrival_s
+    }
+
+    /// Accounting class of the completed execution; everything but
+    /// [`RequestOutcome::ServedOnTime`] is a breaker failure.
+    pub(crate) fn outcome(&self) -> RequestOutcome {
+        if self.draw.stalled {
+            RequestOutcome::Stalled
+        } else if self.draw.fault {
+            RequestOutcome::Faulted
+        } else if self.finish_s > self.req.deadline_s + 1e-12 {
+            RequestOutcome::ServedLate
+        } else {
+            RequestOutcome::ServedOnTime
+        }
+    }
+}
+
+/// The per-tenant constants of a service draw.
+pub(crate) struct ServiceCtx<'a> {
+    pub device: &'a DisturbedDevice,
+    pub executor: &'a dyn RequestExecutor,
+    /// Nominal-condition exact service time, seconds (> 0).
+    pub baseline_time_s: f64,
+    pub baseline_qos: f64,
+    /// Executor watchdog bound ([`ServeParams::stall_bound_s`]).
+    pub stall_bound_s: f64,
+}
+
+impl ServiceCtx<'_> {
+    /// A Policy-1 (enforce-each-invocation) tuner over `curve`, anchored at
+    /// this tenant's baseline cost.
+    pub(crate) fn new_tuner(&self, curve: TradeoffCurve, seed: u64) -> RuntimeTuner {
+        RuntimeTuner::new(
+            curve,
+            Policy::EnforceEachInvocation,
+            1,
+            self.baseline_time_s,
+            seed,
+        )
+    }
+
+    /// Starts one execution under `tuner`'s current configuration: resolves
+    /// the device state at `device_k`, applies the executor watchdog, runs
+    /// the executor as its `exec_k`-th request and — when a guard is active
+    /// and its deterministic sampler picks `exec_k` — performs the shadow
+    /// canary re-execution through the executor's hook. The two indices are
+    /// the same on a single server; a fleet replica counts executions per
+    /// replica for the device and per (replica, tenant) for the executor.
+    /// `inflation` is the chaos plan's gray-failure multiplier (1.0 = none).
+    pub(crate) fn draw(
+        &self,
+        tuner: &RuntimeTuner,
+        guard: Option<&QosGuard>,
+        device_k: usize,
+        exec_k: usize,
+        inflation: f64,
+    ) -> Draw {
+        let state = self.device.state_at(device_k);
+        let speedup = tuner.current_speedup();
+        let mut raw_svc = self
+            .device
+            .invocation_time(&state, self.baseline_time_s, speedup);
+        // Gray failure: silent service-time inflation. The branch keeps
+        // the chaos-free service time bit-identical to the pre-chaos
+        // code path.
+        if inflation != 1.0 {
+            raw_svc *= inflation;
+        }
+        // Watchdog: a blowout past the bound is cut off at the bound and
+        // becomes a typed Stalled completion (feeding the breaker) instead
+        // of an unbounded queue-time entry.
+        let bound = self.stall_bound_s.max(1e-9);
+        let (svc_s, stalled) = if raw_svc > bound {
+            (bound, true)
+        } else {
+            (raw_svc, false)
+        };
+        let fault = self.executor.execute(exec_k).is_err();
+        let rung = tuner.current_index();
+        let point = tuner.current_point();
+        let canary = match (guard, rung, point) {
+            (Some(g), Some(r), Some(p)) if !stalled && !fault && g.is_canary(exec_k) => {
+                self.executor.canary_qos(exec_k, r, p)
+            }
+            _ => None,
+        };
+        Draw {
+            svc_s,
+            speedup,
+            slowdown: svc_s * speedup / self.baseline_time_s,
+            fault,
+            stalled,
+            qos: point.map_or(self.baseline_qos, |p| p.qos),
+            rung,
+            canary,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn breaker(threshold: usize, probes: usize, cooldown_s: f64) -> Breaker {
+        Breaker::new(&ServeParams {
+            breaker_threshold: threshold,
+            half_open_probes: probes,
+            cooldown_s,
+            ..ServeParams::default()
+        })
+    }
+
+    #[test]
+    fn breaker_trips_at_exactly_the_threshold() {
+        let mut b = breaker(3, 2, 5.0);
+        assert_eq!(b.on_result(true, 1.0), None);
+        assert_eq!(b.on_result(true, 2.0), None);
+        assert!(b.admits());
+        assert_eq!(
+            b.on_result(true, 3.0),
+            Some(BreakerTransition::Tripped { failures: 3 })
+        );
+        assert_eq!(b.state(), BreakerState::Open);
+        assert!(!b.admits());
+        assert_eq!(b.checkpoint(), (BreakerState::Open, 3, 8.0));
+        // Completions while open change nothing.
+        assert_eq!(b.on_result(true, 3.5), None);
+        assert_eq!(b.on_result(false, 3.6), None);
+        assert_eq!(b.checkpoint(), (BreakerState::Open, 3, 8.0));
+    }
+
+    #[test]
+    fn a_success_resets_the_failure_streak() {
+        let mut b = breaker(3, 1, 1.0);
+        assert_eq!(b.on_result(true, 0.1), None);
+        assert_eq!(b.on_result(true, 0.2), None);
+        assert_eq!(b.on_result(false, 0.3), None);
+        assert_eq!(b.on_result(true, 0.4), None);
+        assert_eq!(b.on_result(true, 0.5), None);
+        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(
+            b.on_result(true, 0.6),
+            Some(BreakerTransition::Tripped { failures: 3 })
+        );
+    }
+
+    #[test]
+    fn tick_half_opens_only_once_the_cooldown_has_elapsed() {
+        let mut b = breaker(1, 2, 2.0);
+        assert!(!b.tick(0.0), "a closed breaker never ticks over");
+        assert!(b.on_result(true, 10.0).is_some());
+        assert!(!b.tick(11.999));
+        assert_eq!(b.state(), BreakerState::Open);
+        assert!(b.tick(12.0), "the cooldown bound is inclusive");
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert!(!b.tick(13.0), "already half-open");
+
+        let mut late = breaker(1, 2, 2.0);
+        assert!(late.on_result(true, 10.0).is_some());
+        assert!(late.tick(99.0));
+    }
+
+    #[test]
+    fn a_failed_probe_retrips_with_one_failure() {
+        let mut b = breaker(3, 2, 1.0);
+        for t in 0..3 {
+            b.on_result(true, t as f64);
+        }
+        assert!(b.tick(5.0));
+        b.note_admitted();
+        assert_eq!(b.on_result(false, 5.1), None);
+        assert_eq!(
+            b.on_result(true, 5.2),
+            Some(BreakerTransition::Tripped { failures: 1 })
+        );
+        assert_eq!(b.checkpoint(), (BreakerState::Open, 1, 6.2));
+    }
+
+    #[test]
+    fn probe_budget_shuts_the_door_and_enough_successes_close() {
+        let mut b = breaker(1, 2, 1.0);
+        assert!(b.on_result(true, 0.0).is_some());
+        assert!(b.tick(1.0));
+        assert!(b.admits());
+        b.note_admitted();
+        assert!(b.admits());
+        b.note_admitted();
+        assert!(!b.admits(), "both probes are out; the door is shut");
+        assert_eq!(b.on_result(false, 1.1), None);
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.on_result(false, 1.2), Some(BreakerTransition::Closed));
+        assert_eq!(b.state(), BreakerState::Closed);
+        assert!(b.admits());
+        // Admissions on a closed breaker spend no probes, and a restore
+        // starts probe accounting fresh.
+        b.note_admitted();
+        b.restore(BreakerState::HalfOpen, 0, 0.0);
+        assert!(b.admits());
+    }
+
+    #[test]
+    fn event_ring_caps_counts_and_keeps_order() {
+        let mut none = EventRing::new(0);
+        none.push(1);
+        none.push(2);
+        assert_eq!(none.into_parts(), (vec![], 2));
+
+        let mut one = EventRing::new(1);
+        for e in 0..4 {
+            one.push(e);
+        }
+        assert_eq!(one.into_parts(), (vec![3], 3));
+
+        let mut ring = EventRing::new(3);
+        for e in 0..3 {
+            ring.push(e);
+        }
+        assert_eq!(ring.evicted, 0);
+        for e in 3..8 {
+            ring.push(e);
+        }
+        assert_eq!(ring.into_parts(), (vec![5, 6, 7], 5));
+    }
+
+    #[test]
+    fn latency_summary_picks_the_ceil_099n_minus_one_sample() {
+        assert_eq!(latency_summary(&mut []), (0.0, 0.0));
+        assert_eq!(latency_summary(&mut [0.25]), (0.25, 0.25));
+        // Unsorted input; sample i has value i, so the p99 value is its index.
+        let mut hundred: Vec<f64> = (0..100).rev().map(f64::from).collect();
+        assert_eq!(latency_summary(&mut hundred), (49.5, 98.0));
+        let mut hundred_one: Vec<f64> = (0..101).rev().map(f64::from).collect();
+        assert_eq!(latency_summary(&mut hundred_one), (50.0, 99.0));
+    }
+
+    #[test]
+    fn escalated_reads_baseline_as_the_bottom_rung() {
+        assert!(escalated(None, Some(0)));
+        assert!(escalated(Some(0), Some(2)));
+        assert!(!escalated(Some(2), Some(0)));
+        assert!(!escalated(Some(1), None));
+    }
+}
