@@ -115,34 +115,14 @@ pub fn quantize(x: f32) -> f32 {
     F16::from_f32(x).to_f32()
 }
 
-/// Length at which slice quantisation switches to rayon (elementwise, so
-/// partitioning cannot change results).
-const PAR_THRESHOLD: usize = 1 << 14;
-
 /// Quantises a slice in place through binary16.
 pub fn quantize_slice(xs: &mut [f32]) {
-    use rayon::prelude::*;
-    if xs.len() >= PAR_THRESHOLD {
-        xs.par_chunks_mut(PAR_THRESHOLD).for_each(|chunk| {
-            for x in chunk.iter_mut() {
-                *x = quantize(*x);
-            }
-        });
-    } else {
-        for x in xs.iter_mut() {
-            *x = quantize(*x);
-        }
-    }
+    crate::par::map_in_place(xs, quantize);
 }
 
 /// Returns a quantised copy of the slice.
 pub fn quantized(xs: &[f32]) -> Vec<f32> {
-    use rayon::prelude::*;
-    if xs.len() >= PAR_THRESHOLD {
-        xs.par_iter().map(|&x| quantize(x)).collect()
-    } else {
-        xs.iter().map(|&x| quantize(x)).collect()
-    }
+    crate::par::map(xs, quantize)
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@
 //!   ([`lut`]), accumulated exactly in `i64`.
 //!
 //! Kernels are parallelised with rayon over batch × output-channel (or rows
-//! for 2-D ops), following the data-parallel iterator idiom.
+//! for 2-D ops), following the data-parallel iterator idiom; one grain rule
+//! (`par`) decides whether a loop is big enough to fork at all.
 //!
 //! The layout is NCHW throughout, matching the paper's cuDNN-based library.
 
@@ -40,6 +41,7 @@ pub mod instrument;
 pub mod knobs;
 pub mod lut;
 pub mod ops;
+mod par;
 pub mod shape;
 pub mod tensor;
 

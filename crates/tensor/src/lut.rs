@@ -15,7 +15,6 @@
 //! Quantisation to `bits`-bit signed magnitudes adds the per-bitwidth error
 //! component, giving the knob family its error/energy gradient.
 
-use rayon::prelude::*;
 use std::sync::OnceLock;
 
 /// Smallest supported operand bitwidth.
@@ -133,12 +132,9 @@ pub fn quantize_symmetric(data: &[f32], bits: u8) -> QuantizedTensor {
         1.0
     };
     let inv = 1.0 / scale;
-    let quantize = |x: f32| (x * inv).round().clamp(-(qmax as f32), qmax as f32) as i16;
-    let q = if data.len() >= 4096 {
-        data.par_iter().map(|&x| quantize(x)).collect()
-    } else {
-        data.iter().map(|&x| quantize(x)).collect()
-    };
+    let q = crate::par::map(data, |x| {
+        (x * inv).round().clamp(-(qmax as f32), qmax as f32) as i16
+    });
     QuantizedTensor { q, scale }
 }
 

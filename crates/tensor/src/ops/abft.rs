@@ -38,7 +38,7 @@
 //!
 //! **Bit-exactness**: the verified paths run the production kernels with a
 //! raw epilogue, verify, then apply the epilogue element-wise. Because
-//! [`Epilogue::apply`] is a pure per-element function, outputs are
+//! [`Epilogue::apply_row`] is a pure per-element function, outputs are
 //! bit-identical to the unprotected fused kernels (the golden suite pins
 //! this).
 
@@ -284,16 +284,11 @@ pub fn verify_gemm_lut(
 }
 
 /// Applies an epilogue element-wise to a raw `[M,N]` accumulator buffer —
-/// bit-identical to the fused kernels because [`Epilogue::apply`] is a pure
-/// per-element function.
+/// bit-identical to the fused kernels because [`Epilogue::apply_row`] is a
+/// pure per-element function.
 fn apply_epilogue(out: &mut [f32], n: usize, epi: &Epilogue) {
-    if matches!(epi, Epilogue::Raw) {
-        return;
-    }
     for (i, orow) in out.chunks_mut(n).enumerate() {
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o = epi.apply(*o, i, j);
-        }
+        epi.apply_row(i, orow);
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::error::TensorError;
 use crate::knobs::Precision;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
+use crate::{f16, par};
 
 /// Elementwise unary operations supported as `map` ops.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,17 +42,12 @@ impl UnaryOp {
 
 /// Applies a unary map over the tensor, honouring FP16 semantics.
 pub fn map_unary(input: &Tensor, op: UnaryOp, precision: Precision) -> Result<Tensor, TensorError> {
-    let mut data: Vec<f32> = match precision {
-        Precision::Fp32 => input.data().par_iter().map(|&x| op.apply(x)).collect(),
-        Precision::Fp16 => input
-            .data()
-            .par_iter()
-            .map(|&x| crate::f16::quantize(op.apply(crate::f16::quantize(x))))
-            .collect(),
+    let data = match precision {
+        Precision::Fp32 => par::map(input.data(), |x| op.apply(x)),
+        Precision::Fp16 => par::map(input.data(), |x| f16::quantize(op.apply(f16::quantize(x)))),
     };
-    // Parallel map preserves length; shape unchanged.
-    let t = Tensor::from_vec(input.shape(), std::mem::take(&mut data))?;
-    Ok(t)
+    // The map preserves length; shape unchanged.
+    Tensor::from_vec(input.shape(), data)
 }
 
 /// ReLU activation.

@@ -2,13 +2,16 @@
 //! the optimised matmul and the im2col-lowered convolutions.
 //!
 //! Layout: `C[M,N] = A[M,K] × B[K,N]`, all row-major. The inner microkernel
-//! computes a [`MICRO_ROWS`]×(2·[`LANES`]) output tile (8×32) held entirely
-//! in registers: per `k` step it loads two 16-float groups of a packed B
-//! panel once, broadcasts one `A[i,k]` per tile row and issues 16
+//! computes an `R`×(2·[`LANES`]) output tile (8×32 at full height) held
+//! entirely in registers: per `k` step it loads two 16-float groups of a
+//! packed B panel once, broadcasts one `A[i,k]` per tile row and issues 2·`R`
 //! independent fused-multiply–add chains, hiding FMA latency without
-//! reassociating any single output's sum. Sharing each B load across 8 rows
-//! and packing B's panels contiguously ([`pack_b_panels`]) is what makes
-//! the kernel compute-bound instead of L2/TLB-bound. Build with
+//! reassociating any single output's sum. Sharing each B load across the
+//! tile's rows and packing B's panels contiguously ([`pack_b_panels`]) is
+//! what makes the kernel compute-bound instead of L2/TLB-bound — for every
+//! `M`: rows are covered in groups of 8, then 4, 2 and 1 over the same
+//! packed panels, so a 2–4-output-channel convolution runs the same
+//! microkernel as a 512-row matmul. Build with
 //! `target-cpu=native` (see `.cargo/config.toml`) so each 16-lane group
 //! maps onto one 512-bit register (or a ymm pair on AVX2 parts).
 //!
@@ -29,15 +32,21 @@
 use crate::f16;
 use crate::instrument;
 use crate::lut::LutTable;
+use crate::par;
 use rayon::prelude::*;
 
 /// SIMD lane count the microkernel is unrolled for (f32x16 ≙ AVX-512 zmm;
 /// lowers to a ymm pair on AVX2-only parts).
 pub const LANES: usize = 16;
-/// Accumulator vectors per panel: 64-column panels, 8 chains in flight.
-const PANEL_VECS: usize = 8;
+/// Lane groups per packed B panel.
+const V: usize = 2;
+/// Columns per packed B panel.
+const PANEL: usize = V * LANES;
 /// Output rows per rayon task (fixed, so partitioning is deterministic).
 const ROW_BLOCK: usize = 8;
+/// Multiply–adds the packed microkernel retires in the time of one
+/// element-wise item of [`par::GRAIN`] (a `tanh`, a binary16 round-trip).
+const MULS_PER_ITEM: usize = 64;
 
 /// What happens to each accumulated output element before it is stored.
 ///
@@ -74,72 +83,68 @@ pub enum Epilogue<'a> {
 }
 
 impl Epilogue<'_> {
-    /// Applies the epilogue to one accumulated element.
-    #[inline(always)]
-    pub fn apply(&self, acc: f32, row: usize, col: usize) -> f32 {
+    /// Applies the epilogue in place to the raw accumulators of output row
+    /// `row`. What does not vary along a row (variant, bias presence, the
+    /// row's bias, the flags) is resolved once, so each step is a
+    /// branch-free pass the compiler vectorises; every element still goes
+    /// through the same operations in the same order.
+    pub fn apply_row(&self, row: usize, orow: &mut [f32]) {
+        let quantize = |orow: &mut [f32]| orow.iter_mut().for_each(|v| *v = f16::quantize(*v));
         match *self {
-            Epilogue::Raw => acc,
+            Epilogue::Raw => {}
             Epilogue::Conv {
                 scale,
                 bias,
                 fp16,
                 relu,
             } => {
-                let mut v = acc * scale + bias.map_or(0.0, |b| b[row]);
+                let b = bias.map_or(0.0, |b| b[row]);
+                orow.iter_mut().for_each(|v| *v = *v * scale + b);
                 if fp16 {
-                    v = f16::quantize(v);
+                    quantize(orow);
                 }
                 if relu {
-                    v = v.max(0.0);
+                    orow.iter_mut().for_each(|v| *v = v.max(0.0));
                 }
-                v
             }
             Epilogue::Dense { bias, fp16 } => {
-                let mut v = acc;
                 if fp16 {
-                    v = f16::quantize(v);
+                    quantize(orow);
                 }
                 if let Some(b) = bias {
-                    v += b[col];
+                    let b = &b[..orow.len()];
+                    orow.iter_mut().zip(b).for_each(|(v, &b)| *v += b);
                     if fp16 {
-                        v = f16::quantize(v);
+                        quantize(orow);
                     }
                 }
-                v
             }
         }
     }
 }
 
-/// Rows per multi-row microkernel call. Each `B[k, panel]` vector load is
-/// shared across this many output rows' accumulator chains, which divides
-/// the kernel's B-panel cache traffic by the same factor — the classic
-/// register-blocking trade: more independent FMA chains in flight per byte
-/// loaded. 8 rows × 2 vectors = 16 accumulator vectors + 2 B vectors + 1
-/// broadcast, within the 32 SIMD registers of AVX-512.
-const MICRO_ROWS: usize = 8;
-
-/// `R` output rows over a `V·LANES`-column panel, sharing each B vector
-/// load across all `R` rows. `b` starts at the panel's first element and
-/// `bstride` is the distance between consecutive `k` rows of the panel —
-/// `n` for an unpacked row-major B, `V·LANES` for a packed panel (see
-/// [`pack_b_panels`]), in which case the `k` loop walks memory purely
-/// sequentially and the hardware prefetcher keeps it fed.
+/// `R` output rows (starting at row `i0` of `a`) over one packed
+/// [`PANEL`]-column panel, sharing each B vector load across all `R` rows'
+/// accumulator chains — the classic register-blocking trade: more
+/// independent FMA chains in flight per byte loaded. 8 rows × 2 vectors =
+/// 16 accumulator vectors + 2 B vectors + 1 broadcast, within the 32 SIMD
+/// registers of AVX-512. `panel` is a `K×PANEL` slab (see
+/// [`pack_b_panels`]), so the `k` loop walks memory purely sequentially and
+/// the hardware prefetcher keeps it fed.
 ///
-/// Every output element still accumulates its `K` products in strictly
-/// increasing `k` order into its own single `f32`, so the result is
-/// bit-identical to the single-row kernel and the naive reference.
+/// Every output element accumulates its `K` products in strictly
+/// increasing `k` order into its own single `f32`, whatever `R`, so the
+/// result is bit-identical to the naive reference.
 // The `0..k` counter loop with `arows[r][kk]` indexing is deliberate: it is
 // the shape LLVM turns into the spill-free broadcast+FMA loop; the iterator
 // rewrite clippy suggests pessimises register allocation here.
 #[allow(clippy::needless_range_loop)]
 #[inline]
-fn panel_rows<const R: usize, const V: usize>(
+fn panel_rows<const R: usize>(
     a: &[f32],
     k: usize,
     i0: usize,
-    b: &[f32],
-    bstride: usize,
+    panel: &[f32],
 ) -> [[[f32; LANES]; V]; R] {
     let mut acc = [[[0.0f32; LANES]; V]; R];
     // Whole-row slices of length k: the `arows[r][kk]` access below is then
@@ -147,8 +152,7 @@ fn panel_rows<const R: usize, const V: usize>(
     // the hot loop.
     let arows: [&[f32]; R] = core::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
     for kk in 0..k {
-        let base = kk * bstride;
-        let brow = &b[base..base + V * LANES];
+        let brow = &panel[kk * PANEL..(kk + 1) * PANEL];
         let mut bv = [[0.0f32; LANES]; V];
         for (c, bvc) in bv.iter_mut().enumerate() {
             *bvc = match brow[c * LANES..(c + 1) * LANES].try_into() {
@@ -170,67 +174,64 @@ fn panel_rows<const R: usize, const V: usize>(
     acc
 }
 
-/// Reorders B's full-width column panels into contiguous `K×(2·LANES)`
-/// slabs, panel-major. Row-major B is read with stride `n` inside the
-/// microkernel's `k` loop — at GEMM sizes that is a fresh cache line (and
-/// every other step a fresh page) per iteration, which stalls on L2/TLB
-/// because stride prefetchers give up at page boundaries. Packing costs one
-/// `O(K·N)` pass and turns the `O(M·K·N)` hot loop into sequential reads.
-/// Pure data movement: the arithmetic, and therefore every output bit, is
-/// unchanged.
+/// Reorders B into contiguous `K×PANEL` column slabs, panel-major, the last
+/// one zero-padded to full width (its surplus lanes are computed and
+/// dropped: lanes never interact, so the kept outputs are unaffected, and
+/// a ragged edge costs one vector step instead of a scalar loop per
+/// column). Row-major B is read with stride `n` inside the microkernel's
+/// `k` loop — at GEMM sizes that is a fresh cache line (and every other
+/// step a fresh page) per iteration, which stalls on L2/TLB because stride
+/// prefetchers give up at page boundaries. Packing costs one `O(K·N)` pass
+/// and turns the `O(M·K·N)` hot loop into sequential reads. Pure data
+/// movement: the arithmetic, and therefore every output bit, is unchanged.
 fn pack_b_panels(k: usize, n: usize, b: &[f32]) -> Vec<f32> {
-    let wide = 2 * LANES;
-    let npanels = n / wide;
-    let mut packed = vec![0.0f32; npanels * k * wide];
-    for kk in 0..k {
-        let brow = &b[kk * n..kk * n + npanels * wide];
-        for (p, chunk) in brow.chunks_exact(wide).enumerate() {
-            packed[(p * k + kk) * wide..(p * k + kk + 1) * wide].copy_from_slice(chunk);
+    let mut packed = Vec::with_capacity(n.div_ceil(PANEL) * k * PANEL);
+    for j in (0..n).step_by(PANEL) {
+        let width = PANEL.min(n - j);
+        for kk in 0..k {
+            packed.extend_from_slice(&b[kk * n + j..][..width]);
+            packed.resize(packed.len() + PANEL - width, 0.0);
         }
     }
     packed
 }
 
-/// One output row over a `V·LANES`-column panel starting at column `j0`.
-/// `dst` receives the raw accumulators (epilogue applied later).
-#[inline]
-fn panel_row<const V: usize>(arow: &[f32], b: &[f32], n: usize, j0: usize, dst: &mut [f32]) {
-    let mut acc = [[0.0f32; LANES]; V];
-    for (kk, &av) in arow.iter().enumerate() {
-        let base = kk * n + j0;
-        let brow = &b[base..base + V * LANES];
-        for (c, accv) in acc.iter_mut().enumerate() {
-            let bb: &[f32; LANES] = match brow[c * LANES..(c + 1) * LANES].try_into() {
-                Ok(v) => v,
-                Err(_) => unreachable!("panel slice is exactly LANES wide"),
-            };
-            for (l, s) in accv.iter_mut().enumerate() {
-                *s = av.mul_add(bb[l], *s);
-            }
+/// Raw accumulators of `R` whole output rows (`orows` is `R·n` long, row
+/// `i0` of `a` first), one packed panel at a time.
+fn row_group<const R: usize>(
+    k: usize,
+    n: usize,
+    a: &[f32],
+    i0: usize,
+    packed: &[f32],
+    orows: &mut [f32],
+) {
+    for (p, j) in (0..n).step_by(PANEL).enumerate() {
+        let acc = panel_rows::<R>(a, k, i0, &packed[p * k * PANEL..(p + 1) * k * PANEL]);
+        let width = PANEL.min(n - j);
+        for (orow, accr) in orows.chunks_mut(n).zip(&acc) {
+            orow[j..j + width].copy_from_slice(&accr.as_flattened()[..width]);
         }
-    }
-    for (c, accv) in acc.iter().enumerate() {
-        dst[c * LANES..(c + 1) * LANES].copy_from_slice(accv);
     }
 }
 
-/// Scalar column tail (fewer than [`LANES`] columns remain).
-fn panel_row_tail(arow: &[f32], b: &[f32], n: usize, j0: usize, dst: &mut [f32]) {
-    for (dj, d) in dst.iter_mut().enumerate() {
-        let j = j0 + dj;
-        let mut acc = 0.0f32;
-        for (kk, &av) in arow.iter().enumerate() {
-            acc = av.mul_add(b[kk * n + j], acc);
-        }
-        *d = acc;
-    }
-}
+type RowGroupFn = fn(usize, usize, &[f32], usize, &[f32], &mut [f32]);
+
+/// Row-group heights in the order a row block is covered: full tiles first,
+/// then the largest that still fits what is left.
+const ROW_GROUPS: [(usize, RowGroupFn); 4] = [
+    (8, row_group::<8>),
+    (4, row_group::<4>),
+    (2, row_group::<2>),
+    (1, row_group::<1>),
+];
 
 /// Tiled f32 GEMM with fused epilogue: `out[M,N] = epi(A[M,K] × B[K,N])`.
 ///
-/// Parallelised over fixed [`ROW_BLOCK`]-row chunks; inside a chunk the
-/// column-panel loop is outermost so each `K×64` B panel is reused across
-/// the chunk's rows while it is cache-resident.
+/// Parallelised over fixed [`ROW_BLOCK`]-row chunks (forked only when every
+/// thread gets [`par::GRAIN`] worth of multiply–adds); inside a chunk the
+/// rows are covered by register-blocked groups of 8, then 4, 2 and 1 rows,
+/// so each B panel is loaded once per group instead of once per row.
 pub fn gemm_f32(
     m: usize,
     k: usize,
@@ -247,76 +248,23 @@ pub fn gemm_f32(
         return;
     }
     instrument::add_muls((m * k * n) as u64);
-    let wide = PANEL_VECS * LANES;
-    let wide2 = 2 * LANES;
-    // Shared read-only packed copy of B's 16-column panels (empty when no
-    // row group can use it).
-    let packed = if m >= MICRO_ROWS && n >= wide2 {
-        pack_b_panels(k, n, b)
-    } else {
-        Vec::new()
-    };
-    let npanels = if packed.is_empty() { 0 } else { n / wide2 };
+    // Shared read-only packed copy of B: the kernel never reads `b` again.
+    let packed = pack_b_panels(k, n, b);
     out.par_chunks_mut(ROW_BLOCK * n)
+        .with_min_len(par::min_chunks(ROW_BLOCK * k * n / MULS_PER_ITEM))
         .enumerate()
         .for_each(|(blk, ob)| {
             let i0 = blk * ROW_BLOCK;
             let rows = ob.len() / n;
-            // Register-blocked groups of MICRO_ROWS rows: the B panel is
-            // loaded once per group instead of once per row.
-            let mut di = 0;
-            while di + MICRO_ROWS <= rows {
-                let mut j = 0;
-                for p in 0..npanels {
-                    let bpanel = &packed[p * k * wide2..(p + 1) * k * wide2];
-                    let acc = panel_rows::<MICRO_ROWS, 2>(a, k, i0 + di, bpanel, wide2);
-                    for (r, accr) in acc.iter().enumerate() {
-                        for (c, accv) in accr.iter().enumerate() {
-                            let o = (di + r) * n + j + c * LANES;
-                            ob[o..o + LANES].copy_from_slice(accv);
-                        }
-                    }
-                    j += wide2;
-                }
-                while j + LANES <= n {
-                    let acc = panel_rows::<MICRO_ROWS, 1>(a, k, i0 + di, &b[j..], n);
-                    for (r, accr) in acc.iter().enumerate() {
-                        let o = (di + r) * n + j;
-                        ob[o..o + LANES].copy_from_slice(&accr[0]);
-                    }
-                    j += LANES;
-                }
-                if j < n {
-                    for r in 0..MICRO_ROWS {
-                        let d = di + r;
-                        let arow = &a[(i0 + d) * k..(i0 + d + 1) * k];
-                        panel_row_tail(arow, b, n, j, &mut ob[d * n + j..(d + 1) * n]);
-                    }
-                }
-                di += MICRO_ROWS;
-            }
-            // Leftover rows (fewer than MICRO_ROWS): single-row panels.
-            for d in di..rows {
-                let arow = &a[(i0 + d) * k..(i0 + d + 1) * k];
-                let mut j = 0;
-                while j + wide <= n {
-                    panel_row::<PANEL_VECS>(arow, b, n, j, &mut ob[d * n + j..d * n + j + wide]);
-                    j += wide;
-                }
-                while j + LANES <= n {
-                    panel_row::<1>(arow, b, n, j, &mut ob[d * n + j..d * n + j + LANES]);
-                    j += LANES;
-                }
-                if j < n {
-                    panel_row_tail(arow, b, n, j, &mut ob[d * n + j..(d + 1) * n]);
+            let mut d = 0;
+            for (r, group) in ROW_GROUPS {
+                while d + r <= rows {
+                    group(k, n, a, i0 + d, &packed, &mut ob[d * n..(d + r) * n]);
+                    d += r;
                 }
             }
-            if !matches!(epi, Epilogue::Raw) {
-                for (di, orow) in ob.chunks_mut(n).enumerate() {
-                    for (jj, o) in orow.iter_mut().enumerate() {
-                        *o = epi.apply(*o, i0 + di, jj);
-                    }
-                }
+            for (di, orow) in ob.chunks_mut(n).enumerate() {
+                epi.apply_row(i0 + di, orow);
             }
         });
 }
@@ -344,6 +292,7 @@ pub fn gemm_lut(
     }
     instrument::add_muls((m * k * n) as u64);
     out.par_chunks_mut(ROW_BLOCK * n)
+        .with_min_len(par::min_chunks(ROW_BLOCK * k * n))
         .enumerate()
         .for_each(|(blk, ob)| {
             let i0 = blk * ROW_BLOCK;
@@ -366,9 +315,10 @@ pub fn gemm_lut(
                         *s += if (bv < 0) != neg { -p } else { p };
                     }
                 }
-                for (jj, (o, &s)) in orow.iter_mut().zip(acc.iter()).enumerate() {
-                    *o = epi.apply(s as f32 * dequant, i, jj);
+                for (o, &s) in orow.iter_mut().zip(acc.iter()) {
+                    *o = s as f32 * dequant;
                 }
+                epi.apply_row(i, orow);
             }
         });
 }
@@ -389,8 +339,8 @@ mod tests {
 
     #[test]
     fn wide_panel_and_tails_agree_with_scalar() {
-        // n = 64 + 8 + 5 exercises the wide panel, the 8-wide loop and the
-        // scalar tail in one call.
+        // n = 32 + 32 + 13 exercises full panels and the zero-padded ragged
+        // one in one call; m = 3 the 2- and 1-row groups.
         let m = 3;
         let k = 17;
         let n = 77;
@@ -417,8 +367,9 @@ mod tests {
             fp16: false,
             relu: true,
         };
-        assert_eq!(e.apply(3.0, 0, 0), 7.0);
-        assert_eq!(e.apply(-3.0, 0, 0), 0.0, "relu after bias");
+        let mut row = [3.0, -3.0];
+        e.apply_row(0, &mut row);
+        assert_eq!(row, [7.0, 0.0], "relu after bias");
     }
 
     #[test]
@@ -430,7 +381,9 @@ mod tests {
         };
         let acc = 1.2345678f32;
         let want = crate::f16::quantize(crate::f16::quantize(acc) + bias[1]);
-        assert_eq!(e.apply(acc, 0, 1).to_bits(), want.to_bits());
+        let mut row = [0.0, acc];
+        e.apply_row(0, &mut row);
+        assert_eq!(row[1].to_bits(), want.to_bits());
     }
 
     #[test]

@@ -93,45 +93,59 @@ fn pack_weights<T: PatchElem>(
     a
 }
 
-/// Builds the row- and column-pruned patch matrix `B[kept, oys×oxs]` for
+/// Fills the row- and column-pruned patch matrix `B[kept, oys×oxs]` for
 /// one (image, group): `B[kr, p]` is the input value under filter element
-/// `kept[kr]` at output position `p`, or zero where the window pads.
-fn pack_patches<T: PatchElem>(plan: &LowerPlan, in_data: &[T], b: usize, g: usize) -> Vec<T> {
+/// `kept[kr]` at output position `p`. Positions where the window pads are
+/// not written: which ones pad depends on the geometry alone, so `bmat` is
+/// zeroed once by the caller and reused for every image and group.
+///
+/// With unit width-stride and every output column computed (every zoo conv,
+/// filter sampling, row perforation), the taps of one (filter element,
+/// output row) are one contiguous run of an input row and move as a single
+/// `copy_from_slice`; only strided or column-perforated lowering gathers
+/// element by element.
+fn pack_patches<T: PatchElem>(plan: &LowerPlan, in_data: &[T], b: usize, g: usize, bmat: &mut [T]) {
     let (h, w) = (plan.h, plan.w);
     let (r, s) = (plan.r, plan.s);
     let (ph, pw) = plan.pad;
     let (sh, sw) = plan.stride;
-    let n_pos = plan.oys.len() * plan.oxs.len();
-    let ic_start = g * plan.cpg;
-    let mut bmat = vec![T::ZERO; plan.kept.len() * n_pos];
+    let nx = plan.oxs.len();
+    let n_pos = plan.oys.len() * nx;
     if n_pos == 0 {
-        return bmat;
+        return;
     }
-    for (kr, brow) in bmat.chunks_mut(n_pos).enumerate() {
-        let idx = plan.kept[kr];
+    let contiguous = sw == 1 && nx == plan.wo;
+    let ic_start = g * plan.cpg;
+    for (brow, &idx) in bmat.chunks_mut(n_pos).zip(plan.kept) {
         let icw = idx / (r * s);
         let rem = idx % (r * s);
         let ky = rem / s;
         let kx = rem % s;
         let in_base = (b * plan.c + ic_start + icw) * h * w;
-        let mut p = 0;
-        for &oy in plan.oys {
-            let iy = (oy * sh + ky) as isize - ph as isize;
-            if iy < 0 || iy >= h as isize {
-                p += plan.oxs.len(); // whole row pads: stays ZERO
-                continue;
+        // Output columns `[x0, x1)` whose tap `ox + kx − pw` is inside the
+        // input row (unit stride).
+        let x0 = pw.saturating_sub(kx);
+        let x1 = (w + pw).saturating_sub(kx).min(plan.wo);
+        for (dst, &oy) in brow.chunks_mut(nx).zip(plan.oys) {
+            let iy = oy * sh + ky;
+            if iy < ph || iy - ph >= h {
+                continue; // whole row pads
             }
-            let row_base = in_base + iy as usize * w;
-            for &ox in plan.oxs {
-                let ix = (ox * sw + kx) as isize - pw as isize;
-                if ix >= 0 && ix < w as isize {
-                    brow[p] = in_data[row_base + ix as usize];
+            let src = &in_data[in_base + (iy - ph) * w..][..w];
+            if contiguous {
+                if x0 < x1 {
+                    dst[x0..x1].copy_from_slice(&src[x0 + kx - pw..x1 + kx - pw]);
                 }
-                p += 1;
+            } else {
+                for (d, &ox) in dst.iter_mut().zip(plan.oxs) {
+                    let ix = ox * sw + kx;
+                    if ix >= pw && ix - pw < w {
+                        *d = src[ix - pw];
+                    }
+                }
             }
         }
     }
-    bmat
 }
 
 /// Interpolation pass for perforated outputs: nearest-neighbour averaging
@@ -201,11 +215,14 @@ fn run_lowered<T: PatchElem>(
     let n_pos = plan.oys.len() * plan.oxs.len();
     let kk2 = plan.kept.len();
     let plane = plan.ho * plan.wo;
+    let mut b_pack = vec![T::ZERO; kk2 * n_pos];
+    // Perforation computes only the kept columns into this scratch plane.
+    let mut cbuf = vec![0.0f32; plan.perf.map_or(0, |_| plan.kpg * n_pos)];
     for g in 0..plan.groups {
         let a_pack = pack_weights(w_data, g, plan.kpg, total, plan.kept);
         let bias_slice = bias_data.map(|bd| &bd[g * plan.kpg..(g + 1) * plan.kpg]);
         for bimg in 0..plan.n {
-            let b_pack = pack_patches(plan, in_data, bimg, g);
+            pack_patches(plan, in_data, bimg, g, &mut b_pack);
             let out_base = (bimg * plan.k + g * plan.kpg) * plane;
             match plan.perf {
                 None => {
@@ -233,7 +250,6 @@ fn run_lowered<T: PatchElem>(
                     // interpolate. Quantisation/ReLU must run *after*
                     // interpolation (matching the reference kernel), so the
                     // GEMM epilogue applies only scale and bias.
-                    let mut cbuf = vec![0.0f32; plan.kpg * n_pos];
                     let epi = Epilogue::Conv {
                         scale: plan.scale,
                         bias: bias_slice,

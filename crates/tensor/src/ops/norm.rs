@@ -2,6 +2,7 @@
 
 use crate::error::TensorError;
 use crate::knobs::Precision;
+use crate::par;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -51,13 +52,16 @@ pub fn batchnorm2d(
     let plane = h * w;
     let data = input_t.data();
     let mut out = vec![0.0f32; data.len()];
-    out.par_chunks_mut(plane).enumerate().for_each(|(idx, op)| {
-        let ch = idx % c;
-        let base = idx * plane;
-        for (o, &x) in op.iter_mut().zip(&data[base..base + plane]) {
-            *o = x * a[ch] + b[ch];
-        }
-    });
+    out.par_chunks_mut(plane)
+        .with_min_len(par::min_chunks(plane))
+        .enumerate()
+        .for_each(|(idx, op)| {
+            let ch = idx % c;
+            let base = idx * plane;
+            for (o, &x) in op.iter_mut().zip(&data[base..base + plane]) {
+                *o = x * a[ch] + b[ch];
+            }
+        });
 
     let mut t = Tensor::from_vec(input.shape(), out)?;
     if precision == Precision::Fp16 {

@@ -3,6 +3,7 @@
 
 use crate::error::TensorError;
 use crate::knobs::{Precision, ReduceApprox};
+use crate::par;
 use crate::shape::{conv_out_dim, Shape};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -34,16 +35,60 @@ fn pool_out_shape(
     ))
 }
 
+/// What a pooling window's valid taps are folded into. A trait rather than
+/// a closure so the window walk is monomorphised per reducer instead of
+/// going through a `dyn Iterator` for every output element.
+trait WindowReduce: Sync {
+    /// Folds one window's in-bounds taps, visited in `(ky, kx)` order.
+    fn reduce(&self, taps: impl Iterator<Item = f32>) -> f32;
+}
+
+struct Max;
+impl WindowReduce for Max {
+    fn reduce(&self, taps: impl Iterator<Item = f32>) -> f32 {
+        taps.fold(f32::NEG_INFINITY, f32::max)
+    }
+}
+
+/// Sum over the valid taps divided by the full window size.
+struct Mean {
+    denom: f32,
+}
+impl WindowReduce for Mean {
+    fn reduce(&self, taps: impl Iterator<Item = f32>) -> f32 {
+        taps.sum::<f32>() / self.denom
+    }
+}
+
+/// Mean over `num` of every `den` valid taps.
+struct SampledMean {
+    num: usize,
+    den: usize,
+}
+impl WindowReduce for SampledMean {
+    fn reduce(&self, taps: impl Iterator<Item = f32>) -> f32 {
+        let (sum, used) = taps
+            .enumerate()
+            .filter(|(i, _)| i % self.den < self.num)
+            .fold((0.0f32, 0usize), |(sum, used), (_, v)| (sum + v, used + 1));
+        if used == 0 {
+            0.0
+        } else {
+            sum / used as f32
+        }
+    }
+}
+
 fn pool2d_impl(
     input: &Tensor,
     window: (usize, usize),
     pad: (usize, usize),
     stride: (usize, usize),
     precision: Precision,
-    f: impl Fn(&mut dyn Iterator<Item = f32>) -> f32 + Sync,
+    reducer: impl WindowReduce,
 ) -> Result<Tensor, TensorError> {
     let out_shape = pool_out_shape(input.shape(), window, pad, stride)?;
-    let (_, c, h, w) = input.shape().as_nchw()?;
+    let (_, _, h, w) = input.shape().as_nchw()?;
     let (_, _, ho, wo) = out_shape.as_nchw()?;
 
     let qin;
@@ -57,30 +102,27 @@ fn pool2d_impl(
     let data = input.data();
     let plane_out = ho * wo;
     let mut out = vec![0.0f32; out_shape.volume()];
+    // The window clipped to the input along one axis: the taps a padded
+    // border drops are exactly the ones outside `[0, extent)`, so clipping
+    // the range once per output visits the same taps in the same order as
+    // testing every tap.
+    let clip = |o: usize, stride: usize, pad: usize, window: usize, extent: usize| {
+        let end = (o * stride + window).saturating_sub(pad).min(extent);
+        (o * stride).saturating_sub(pad).min(end)..end
+    };
     out.par_chunks_mut(plane_out)
+        .with_min_len(par::min_chunks(plane_out * window.0 * window.1))
         .enumerate()
         .for_each(|(idx, op)| {
-            let b = idx / c;
-            let ch = idx % c;
-            let in_base = (b * c + ch) * h * w;
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let iy0 = (oy * stride.0) as isize - pad.0 as isize;
-                    let ix0 = (ox * stride.1) as isize - pad.1 as isize;
-                    let mut it = (0..window.0)
-                        .flat_map(|ky| {
-                            let iy = iy0 + ky as isize;
-                            (0..window.1).filter_map(move |kx| {
-                                let ix = ix0 + kx as isize;
-                                if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                                    Some((iy as usize, ix as usize))
-                                } else {
-                                    None
-                                }
-                            })
-                        })
-                        .map(|(iy, ix)| data[in_base + iy * w + ix]);
-                    op[oy * wo + ox] = f(&mut it);
+            let plane = &data[idx * h * w..(idx + 1) * h * w];
+            for (oy, orow) in op.chunks_mut(wo).enumerate() {
+                let ys = clip(oy, stride.0, pad.0, window.0, h);
+                for (ox, o) in orow.iter_mut().enumerate() {
+                    let xs = clip(ox, stride.1, pad.1, window.1, w);
+                    *o = reducer.reduce(
+                        ys.clone()
+                            .flat_map(|iy| plane[iy * w..][xs.clone()].iter().copied()),
+                    );
                 }
             }
         });
@@ -100,9 +142,7 @@ pub fn max_pool2d(
     stride: (usize, usize),
     precision: Precision,
 ) -> Result<Tensor, TensorError> {
-    pool2d_impl(input, window, pad, stride, precision, |it| {
-        it.fold(f32::NEG_INFINITY, f32::max)
-    })
+    pool2d_impl(input, window, pad, stride, precision, Max)
 }
 
 /// Average pooling with optional reduction sampling.
@@ -120,28 +160,19 @@ pub fn avg_pool2d(
     precision: Precision,
 ) -> Result<Tensor, TensorError> {
     approx.validate()?;
-    let denom = (window.0 * window.1) as f32;
     match approx {
-        ReduceApprox::Exact => pool2d_impl(input, window, pad, stride, precision, move |it| {
-            it.sum::<f32>() / denom
-        }),
-        ReduceApprox::Sampling { num, den } => {
-            pool2d_impl(input, window, pad, stride, precision, move |it| {
-                let mut sum = 0.0f32;
-                let mut used = 0usize;
-                for (i, v) in it.enumerate() {
-                    if i % den < num {
-                        sum += v;
-                        used += 1;
-                    }
-                }
-                if used == 0 {
-                    0.0
-                } else {
-                    sum / used as f32
-                }
-            })
+        ReduceApprox::Exact => {
+            let denom = (window.0 * window.1) as f32;
+            pool2d_impl(input, window, pad, stride, precision, Mean { denom })
         }
+        ReduceApprox::Sampling { num, den } => pool2d_impl(
+            input,
+            window,
+            pad,
+            stride,
+            precision,
+            SampledMean { num, den },
+        ),
     }
 }
 

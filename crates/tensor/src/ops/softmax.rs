@@ -3,6 +3,7 @@
 
 use crate::error::TensorError;
 use crate::knobs::Precision;
+use crate::par;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -18,19 +19,21 @@ pub fn softmax_rows(input: &Tensor, precision: Precision) -> Result<Tensor, Tens
         }
     };
     let mut out = input_t.data().to_vec();
-    out.par_chunks_mut(n).for_each(|row| {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
+    out.par_chunks_mut(n)
+        .with_min_len(par::min_chunks(n))
+        .for_each(|row| {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
             for v in row.iter_mut() {
-                *v /= sum;
+                *v = (*v - max).exp();
+                sum += *v;
             }
-        }
-    });
+            if sum > 0.0 {
+                for v in row.iter_mut() {
+                    *v /= sum;
+                }
+            }
+        });
     let mut t = Tensor::from_vec(input.shape(), out)?;
     if precision == Precision::Fp16 {
         t.quantize_f16();

@@ -80,9 +80,37 @@ impl ConvCase {
     }
 }
 
+type RawConvCase = (
+    (usize, usize, usize, usize),          // n, groups, cpg, kpg
+    (usize, usize, usize, usize),          // h, w, r, s
+    ((usize, usize), (usize, usize), u64), // pad, stride, seed
+);
+
+/// Names the fuzzed tuple and keeps only kernels that fit the padded input.
+fn conv_cases(raw: impl Strategy<Value = RawConvCase>) -> impl Strategy<Value = ConvCase> {
+    raw.prop_map(
+        |((n, groups, cpg, kpg), (h, w, r, s), (pad, stride, seed))| ConvCase {
+            n,
+            groups,
+            cpg,
+            kpg,
+            h,
+            w,
+            r,
+            s,
+            pad,
+            stride,
+            seed,
+        },
+    )
+    .prop_filter("kernel fits", |c| {
+        c.h + 2 * c.pad.0 >= c.r && c.w + 2 * c.pad.1 >= c.s
+    })
+}
+
 fn conv_case() -> impl Strategy<Value = ConvCase> {
-    (
-        (1usize..=2, 1usize..=3, 1usize..=3, 1usize..=3), // n, groups, cpg, kpg
+    conv_cases((
+        (1usize..=2, 1usize..=3, 1usize..=3, 1usize..=3),
         // h; w crosses the 8-wide SIMD panel boundary; r/s kernel extents.
         (1usize..=9, 1usize..=11, 1usize..=3, 1usize..=3),
         (
@@ -90,34 +118,30 @@ fn conv_case() -> impl Strategy<Value = ConvCase> {
             (1usize..=2, 1usize..=3),
             0u64..1000,
         ),
-    )
-        .prop_map(
-            |((n, groups, cpg, kpg), (h, w, r, s), (pad, stride, seed))| ConvCase {
-                n,
-                groups,
-                cpg,
-                kpg,
-                h,
-                w,
-                r,
-                s,
-                pad,
-                stride,
-                seed,
-            },
-        )
-        // The kernel must fit the padded input.
-        .prop_filter("kernel fits", |c| {
-            c.h + 2 * c.pad.0 >= c.r && c.w + 2 * c.pad.1 >= c.s
-        })
+    ))
+}
+
+/// [`conv_case`] with the geometry widened past what the zoo uses: padding
+/// at least as wide as the kernel (whole taps pad away), inputs narrower
+/// than the kernel, kernels up to 4×5.
+fn wide_conv_case() -> impl Strategy<Value = ConvCase> {
+    conv_cases((
+        (1usize..=2, 1usize..=2, 1usize..=2, 1usize..=5),
+        (1usize..=8, 1usize..=9, 1usize..=4, 1usize..=5),
+        (
+            (0usize..=4, 0usize..=5),
+            (1usize..=2, 1usize..=2),
+            0u64..1000,
+        ),
+    ))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Exact FP32 matmul: bit-for-bit against the naive oracle, across
-    /// shapes that straddle every panel boundary (scalar tail, 8-wide,
-    /// 64-wide, and the 8-row rayon blocks).
+    /// shapes that straddle every panel boundary (ragged and full 32-wide
+    /// panels, every row-group height, and the 8-row rayon blocks).
     #[test]
     fn matmul_fp32_bitwise(
         m in 1usize..40,
@@ -228,6 +252,65 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Both im2col paths against the oracle, bits only, over the widened
+    /// geometry and every approximation family: unit width-stride without
+    /// column perforation packs each (filter element, output row) as one
+    /// contiguous copy, anything else gathers element by element.
+    #[test]
+    fn conv_lowering_bitwise_on_both_im2col_paths(
+        case in wide_conv_case(),
+        which in 0usize..6,
+        (pk, poff) in (2usize..=4, 0usize..4),
+    ) {
+        let offset = poff % pk;
+        let (approx, precision, mul) = match which {
+            0 => (ConvApprox::Exact, Precision::Fp32, MulApprox::Exact),
+            1 => (ConvApprox::FilterSampling { k: pk, offset }, Precision::Fp32, MulApprox::Exact),
+            2 => (
+                ConvApprox::Perforation { dim: PerforationDim::Row, k: pk, offset },
+                Precision::Fp32,
+                MulApprox::Exact,
+            ),
+            3 => (
+                ConvApprox::Perforation { dim: PerforationDim::Col, k: pk, offset },
+                Precision::Fp32,
+                MulApprox::Exact,
+            ),
+            4 => (ConvApprox::Exact, Precision::Fp16, MulApprox::Exact),
+            _ => (ConvApprox::Exact, Precision::Fp32, MulApprox::Lut { bits: 8 }),
+        };
+        let (x, wt, b) = case.tensors();
+        let p = case.params(approx, precision, mul);
+        let naive = reference::conv2d_reference(&x, &wt, Some(&b), p);
+        match conv2d(&x, &wt, Some(&b), p) {
+            Ok(fast) => prop_assert_eq!(bits(&fast), bits(&naive.unwrap())),
+            Err(_) => prop_assert!(naive.is_err(), "only the lowered kernel rejected {:?}", p),
+        }
+    }
+}
+
+/// Every row-group height (8, 4, 2, 1 and their sums up to two row blocks)
+/// against every column regime — below one lane group, exactly one, a ragged
+/// and a full panel, several panels with a ragged edge — and the empty and
+/// single-step reductions: bit for bit against the naive oracle.
+#[test]
+fn gemm_bitwise_for_every_row_group_and_panel_edge() {
+    for m in 1..=17 {
+        for n in [1, 15, 16, 31, 32, 33, 77, 128] {
+            for k in [0, 1, 17] {
+                let a = tensor(Shape::mat(m, k), (m * 1000 + n * 10 + k) as u64);
+                let b = tensor(Shape::mat(k, n), (m * 1000 + n * 10 + k) as u64 ^ 0x77);
+                let fast = matmul_ex(&a, &b, None, Precision::Fp32, MulApprox::Exact).unwrap();
+                let naive = reference::matmul_reference(&a, &b, Precision::Fp32).unwrap();
+                assert_eq!(bits(&fast), bits(&naive), "matmul {m}x{k}x{n}");
+            }
+        }
+    }
+}
+
 /// Degenerate shapes the tiling must survive: 1×1 kernels, K=1 reduction,
 /// widths below one SIMD lane-group, single-pixel planes.
 #[test]
@@ -265,10 +348,13 @@ fn degenerate_shapes_bitwise() {
 /// no accumulation chain is ever split.
 #[test]
 fn deterministic_across_thread_counts() {
-    let a = tensor(Shape::mat(37, 19), 11);
-    let b = tensor(Shape::mat(19, 71), 12);
-    let x = tensor(Shape::nchw(2, 3, 13, 17), 13);
-    let w = tensor(Shape::nchw(4, 3, 3, 3), 14);
+    // Large enough that regions really fork under the kernels' grain rule:
+    // 38 GEMM row blocks, 51 k-element conv operands for the FP16 and LUT
+    // quantisers, 16-row LUT GEMMs.
+    let a = tensor(Shape::mat(300, 96), 11);
+    let b = tensor(Shape::mat(96, 165), 12);
+    let x = tensor(Shape::nchw(4, 8, 40, 40), 13);
+    let w = tensor(Shape::nchw(16, 8, 3, 3), 14);
     let params = [
         Conv2dParams::default(),
         Conv2dParams {

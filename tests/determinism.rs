@@ -3,7 +3,9 @@
 //! All bandit and RNG state advances only on the sequential propose/report
 //! path, and evaluators are pure functions of the configuration — so the
 //! same seed must produce bit-identical tradeoff curves whether candidates
-//! are evaluated on one thread or a pool.
+//! are evaluated on one thread or a pool. The same holds one level down:
+//! kernels partition whole output rows, planes and elements, never one
+//! accumulation chain, so plain inference is bit-identical at any pool size.
 
 use approxtuner::core::closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport};
 use approxtuner::core::config::Config;
@@ -15,6 +17,7 @@ use approxtuner::core::qos::{QosMetric, QosReference};
 use approxtuner::core::runtime::Policy;
 use approxtuner::core::tuner::{PredictiveTuner, TunerParams, TuningResult};
 use approxtuner::hw::{Disturbance, DisturbedDevice, FrequencyLadder, Scenario};
+use approxtuner::ir::{execute, ExecOptions, OpClass};
 use approxtuner::models::data::build_dataset;
 use approxtuner::models::{build, Benchmark, BenchmarkId, Dataset, ModelScale};
 
@@ -210,4 +213,57 @@ fn cache_counters_reconcile_with_iterations() {
         r.cache.misses <= r.iterations,
         "more evaluator invocations than iterations"
     );
+}
+
+/// The five knob rungs the benchmark's `infer_ladder` sets on every
+/// convolution.
+const LADDER: [&str; 5] = [
+    "fp32",
+    "samp-50%-o0-fp32",
+    "perf-50%-row-o0-fp32",
+    "fp16",
+    "lutmul-8b",
+];
+
+#[test]
+fn inference_identical_across_thread_counts_on_every_ladder_rung() {
+    // Batch 32 puts every activation above the kernels' fork grain, so at 2
+    // and 8 threads the element-wise maps, quantisers and pooling planes
+    // really are split across workers.
+    let registry = KnobRegistry::new();
+    for id in [BenchmarkId::AlexNet2, BenchmarkId::LeNet] {
+        let bench = build(id, ModelScale::Tiny);
+        let input = &build_dataset(&bench, 32, 32, 7).batches[0];
+        for label in LADDER {
+            let knob = registry
+                .table(OpClass::Conv)
+                .iter()
+                .find(|k| k.label == label)
+                .unwrap_or_else(|| panic!("no conv knob labelled {label}"))
+                .id;
+            let mut config = Config::baseline(&bench.graph);
+            for node in bench.graph.nodes() {
+                if node.op.class() == OpClass::Conv {
+                    config.set_knob(node.id.0 as usize, knob);
+                }
+            }
+            let opts = ExecOptions {
+                config: config.decode(&registry, &bench.graph),
+                promise_seed: 0,
+            };
+            let run = |threads| {
+                let out = in_pool(threads, || execute(&bench.graph, input, &opts));
+                let out = out.expect("inference");
+                out.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            };
+            let single = run(1);
+            for threads in [2, 8] {
+                assert_eq!(
+                    run(threads),
+                    single,
+                    "{id:?} [{label}] differs at {threads} threads"
+                );
+            }
+        }
+    }
 }
