@@ -481,6 +481,13 @@ pub fn node_costs(graph: &Graph, input: Shape) -> Result<Vec<OpCounts>, GraphErr
             OpKind::Relu | OpKind::ClippedRelu { .. } | OpKind::Abs => {
                 cost::map_counts(in_shape(0).volume(), 1.0)
             }
+            // 8 is the hardware-agnostic charge for one transcendental, not a
+            // count of this CPU's kernel: `at-tensor`'s rational `tanh` runs
+            // 29 flops per element (11 FMAs, 3 multiplies, a divide, 4
+            // min/max/selects) and measures ≈ 13 GEMM-flop times. Left at 8
+            // so predicted speedups — every shipped curve's `perf` — do not
+            // move with a kernel change; re-fitting the weights against
+            // wall-clock is ROADMAP item 1's calibration study.
             OpKind::Tanh => cost::map_counts(in_shape(0).volume(), 8.0),
             OpKind::MaxPool2d {
                 window,

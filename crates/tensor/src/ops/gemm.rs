@@ -32,6 +32,7 @@
 use crate::f16;
 use crate::instrument;
 use crate::lut::LutTable;
+use crate::ops::activation::UnaryOp;
 use crate::par;
 use rayon::prelude::*;
 
@@ -45,8 +46,10 @@ const PANEL: usize = V * LANES;
 /// Output rows per rayon task (fixed, so partitioning is deterministic).
 const ROW_BLOCK: usize = 8;
 /// Multiply–adds the packed microkernel retires in the time of one
-/// element-wise item of [`par::GRAIN`] (a `tanh`, a binary16 round-trip).
-const MULS_PER_ITEM: usize = 64;
+/// element-wise item of [`par::GRAIN`] (a `tanh`, a binary16 round-trip):
+/// ≈ 25 G/s against ≈ 3 G/s, so a GEMM forks from 1 Mi multiply–adds per
+/// thread.
+const MULS_PER_ITEM: usize = 8;
 
 /// What happens to each accumulated output element before it is stored.
 ///
@@ -104,7 +107,7 @@ impl Epilogue<'_> {
                     quantize(orow);
                 }
                 if relu {
-                    orow.iter_mut().for_each(|v| *v = v.max(0.0));
+                    orow.iter_mut().for_each(|v| *v = UnaryOp::Relu.apply(*v));
                 }
             }
             Epilogue::Dense { bias, fp16 } => {

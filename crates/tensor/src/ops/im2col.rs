@@ -27,6 +27,7 @@ use crate::error::TensorError;
 use crate::f16;
 use crate::knobs::{ConvApprox, MulApprox, PerforationDim, Precision};
 use crate::lut;
+use crate::ops::activation::UnaryOp;
 use crate::ops::conv::Conv2dParams;
 use crate::ops::gemm::{self, Epilogue};
 use crate::shape::{conv2d_out_shape, Shape};
@@ -276,7 +277,7 @@ fn run_lowered<T: PatchElem>(
                         }
                         if plan.fuse_relu {
                             for v in op.iter_mut() {
-                                *v = v.max(0.0);
+                                *v = UnaryOp::Relu.apply(*v);
                             }
                         }
                     }

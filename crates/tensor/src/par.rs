@@ -1,9 +1,9 @@
 //! The crate's one fork-or-inline rule for data-parallel loops.
 //!
 //! Handing a part of a loop to another thread costs a channel send and a
-//! condvar wake-up — tens of microseconds on a small VM — so a loop forks
-//! only when every thread gets at least [`GRAIN`] element-wise items of
-//! work (rayon's `with_min_len`); anything smaller runs inline on the
+//! condvar wake-up — 6–8 µs measured below, tens on a busy host — so a loop
+//! forks only when every thread gets at least [`GRAIN`] element-wise items
+//! of work (rayon's `with_min_len`); anything smaller runs inline on the
 //! caller. Partitioning never changes results: parts are contiguous, each
 //! element is computed by exactly one thread, and no reduction crosses a
 //! part boundary.
@@ -11,10 +11,18 @@
 use rayon::prelude::*;
 
 /// Minimum element-wise items (one `tanh`, one binary16 round-trip, one
-/// pooling-window tap) per thread. 16 Ki items are 50–250 µs of such work:
-/// LeNet's 1.5 k-element activations stay inline, Alexnet2's 64 k-element
-/// ones split across at most four threads.
-pub(crate) const GRAIN: usize = 1 << 14;
+/// pooling-window tap) per thread.
+///
+/// Measured with `map_unary` on the 2-vCPU Xeon VM (min of 300, µs, inline
+/// → forked in two): the vectorised maps cost 0.15 (ReLU) to 0.7 (`tanh`
+/// under FP16) ns per item, and forking adds a fixed 6–8 µs at any size —
+/// 32 Ki ReLU 4.0 → 10.8, 32 Ki `tanh` 10.1 → 16.2, 128 Ki `tanh` 34 → 48.
+/// 128 Ki items are 20–90 µs of such work, so the hand-off stays under a
+/// third of what each thread is given; at the 16 Ki that suited libm `tanh`
+/// and the soft-float (3–15 ns per item) it would exceed the work itself.
+/// LeNet's activations and Alexnet2-Tiny's 64 k-element ones at batch 16
+/// (20 µs of `tanh`) stay inline; at batch 64 the latter split in two.
+pub(crate) const GRAIN: usize = 1 << 17;
 
 /// Chunk length of [`map_in_place`]: long enough for the inner loop to
 /// vectorise, short enough that parts stay balanced.

@@ -12,7 +12,7 @@
 //! re-pin it and say why in the commit.
 
 use at_tensor::ops::conv::Conv2dParams;
-use at_tensor::ops::{conv2d, conv2d_abft, matmul_abft, matmul_ex};
+use at_tensor::ops::{conv2d, conv2d_abft, map_unary, matmul_abft, matmul_ex, UnaryOp};
 use at_tensor::{ConvApprox, MulApprox, PerforationDim, Precision, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,6 +59,39 @@ fn matmul_out(precision: Precision, mul: MulApprox) -> Tensor {
     let b = tensor(Shape::mat(13, 9), 127);
     let bias = tensor(Shape::new(&[9]), 128);
     matmul_ex(&a, &b, Some(&bias), precision, mul).unwrap()
+}
+
+/// Seeded values in `[-10, 10)` — past `tanh`'s saturation on both sides —
+/// with the inputs where an element-wise kernel changes regime written over
+/// the first few: signed zeros, `f32` and binary16 subnormals, the
+/// 2^-25 rounding tie and its successor, `tanh`'s identity and saturation
+/// thresholds with their predecessors, binary16's overflow midpoint,
+/// infinities and NaN.
+fn elementwise_input() -> Tensor {
+    let mut t = tensor(Shape::vec(1000), 129);
+    let edges = [
+        0x0000_0000_u32, // 0
+        0x0000_0001,     // smallest f32 subnormal
+        0x3300_0000,     // 2^-25
+        0x3300_0001,
+        0x3380_0000, // 2^-24, smallest binary16 subnormal
+        0x3687_2B02, // 4.03e-6, a binary16 subnormal
+        0x39D1_B716,
+        0x39D1_B717, // 0.0004
+        0x40FF_F643,
+        0x40FF_F644, // 7.9988117
+        0x477F_EFFF,
+        0x477F_F000, // 65520
+        0x7F80_0000, // infinity
+    ];
+    let data = t.data_mut();
+    data.iter_mut().for_each(|v| *v *= 10.0);
+    for (i, &e) in edges.iter().enumerate() {
+        data[2 * i] = f32::from_bits(e);
+        data[2 * i + 1] = -f32::from_bits(e);
+    }
+    data[2 * edges.len()] = f32::NAN;
+    t
 }
 
 #[test]
@@ -140,6 +173,22 @@ fn golden_checksums_per_knob_family() {
             matmul_out(Fp32, Lut { bits: 8 }),
             0x27e41ce146a000b9,
         ),
+        (
+            "tanh-fp32",
+            map_unary(&elementwise_input(), UnaryOp::Tanh, Fp32).unwrap(),
+            0x73ff16498910f3c6,
+        ),
+        (
+            "tanh-fp16",
+            map_unary(&elementwise_input(), UnaryOp::Tanh, Fp16).unwrap(),
+            0x1be24fc76f6b5221,
+        ),
+        (
+            "relu-fp16",
+            map_unary(&elementwise_input(), UnaryOp::Relu, Fp16).unwrap(),
+            0x09375eb8a1e532fd,
+        ),
+        ("to-f16", elementwise_input().to_f16(), 0xbfecca179a7b9efc),
     ];
 
     let mut mismatches = Vec::new();

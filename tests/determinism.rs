@@ -216,25 +216,45 @@ fn cache_counters_reconcile_with_iterations() {
 }
 
 /// The five knob rungs the benchmark's `infer_ladder` sets on every
-/// convolution.
-const LADDER: [&str; 5] = [
-    "fp32",
-    "samp-50%-o0-fp32",
-    "perf-50%-row-o0-fp32",
-    "fp16",
-    "lutmul-8b",
+/// convolution, each with the FNV-1a hash of the whole-graph output bits it
+/// produces on `[AlexNet2, LeNet]` — the only pins that see an element-wise
+/// kernel (`tanh`, pooling, softmax, the binary16 round-trip) change bits.
+/// If one moves intentionally, re-pin it and say why in the commit.
+const LADDER: [(&str, [u64; 2]); 5] = [
+    ("fp32", [0x847ee7016ea987b4, 0x4b6c7a034d6c4aa3]),
+    ("samp-50%-o0-fp32", [0x8ce26660180f7dfb, 0xfa1fd8fbd1e2d71c]),
+    (
+        "perf-50%-row-o0-fp32",
+        [0x4a0daced9a4e3888, 0x0b20facca7ab7d23],
+    ),
+    ("fp16", [0x48c6046b10da8d01, 0xf98eeabfabb79bf1]),
+    ("lutmul-8b", [0xa2e71aee3bef9b74, 0xd8d26cf6eda4dc0d]),
 ];
+
+/// FNV-1a over the little-endian bit patterns.
+fn fnv1a(bits: &[u32]) -> u64 {
+    bits.iter()
+        .flat_map(|b| b.to_le_bytes())
+        .fold(0xcbf29ce484222325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
+}
 
 #[test]
 fn inference_identical_across_thread_counts_on_every_ladder_rung() {
-    // Batch 32 puts every activation above the kernels' fork grain, so at 2
-    // and 8 threads the element-wise maps, quantisers and pooling planes
-    // really are split across workers.
+    // Batch 64 puts Alexnet2's 262 k-element activations at twice the
+    // kernels' fork grain, so at 2 and 8 threads its element-wise maps and
+    // quantisers really are split across workers, as are the conv GEMMs of
+    // both models.
     let registry = KnobRegistry::new();
-    for id in [BenchmarkId::AlexNet2, BenchmarkId::LeNet] {
+    let mut drifted = Vec::new();
+    for (model, id) in [BenchmarkId::AlexNet2, BenchmarkId::LeNet]
+        .into_iter()
+        .enumerate()
+    {
         let bench = build(id, ModelScale::Tiny);
-        let input = &build_dataset(&bench, 32, 32, 7).batches[0];
-        for label in LADDER {
+        let input = &build_dataset(&bench, 64, 64, 7).batches[0];
+        for (label, pins) in LADDER {
             let knob = registry
                 .table(OpClass::Conv)
                 .iter()
@@ -264,6 +284,15 @@ fn inference_identical_across_thread_counts_on_every_ladder_rung() {
                     "{id:?} [{label}] differs at {threads} threads"
                 );
             }
+            let got = fnv1a(&single);
+            if got != pins[model] {
+                drifted.push(format!("{id:?} [{label}]: 0x{got:016x}"));
+            }
         }
     }
+    assert!(
+        drifted.is_empty(),
+        "whole-graph output pins drifted:\n{}",
+        drifted.join("\n")
+    );
 }
