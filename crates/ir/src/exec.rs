@@ -15,7 +15,7 @@ use crate::graph::{Graph, Node, NodeId, OpClass, OpKind};
 use crate::shapes::infer_shapes;
 use at_promise::{promise_conv2d, promise_matmul};
 use at_tensor::cost::{self, OpCounts};
-use at_tensor::ops::{self, conv::Conv2dParams};
+use at_tensor::ops::{self, conv::Conv2dParams, UnaryOp};
 use at_tensor::{MulApprox, Precision, ReduceApprox, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,14 +59,46 @@ impl ExecOptions {
     }
 }
 
-/// Evaluates a single node given access to its input tensors.
+/// A node's first operand: borrowed from wherever the value lives, or — when
+/// this node is its last consumer and the executor owns it — the tensor
+/// itself, to overwrite or move.
+enum Operand<'a> {
+    Shared(&'a Tensor),
+    Owned(Tensor),
+}
+
+impl Operand<'_> {
+    fn get(&self) -> &Tensor {
+        match self {
+            Operand::Shared(t) => t,
+            Operand::Owned(t) => t,
+        }
+    }
+}
+
+/// The element-wise ops that may overwrite their operand, as the tensor
+/// crate's map.
+fn unary_op(op: &OpKind) -> Option<UnaryOp> {
+    match *op {
+        OpKind::Relu => Some(UnaryOp::Relu),
+        OpKind::ClippedRelu { lo, hi } => Some(UnaryOp::ClippedRelu(lo, hi)),
+        OpKind::Tanh => Some(UnaryOp::Tanh),
+        OpKind::Abs => Some(UnaryOp::Abs),
+        _ => None,
+    }
+}
+
+/// Evaluates a single non-`Input` node. `first` is operand 0 and `arg(i)`
+/// any operand; `fused` is the activation a convolution applies in its
+/// epilogue on behalf of its only consumer (see [`Plan`]).
 fn eval_node<'a>(
     graph: &Graph,
     node: &Node,
+    first: Operand<'_>,
     arg: impl Fn(usize) -> Result<&'a Tensor, GraphError>,
     choice: ApproxChoice,
     promise_seed: u64,
-    program_input: &Tensor,
+    fused: Option<UnaryOp>,
 ) -> Result<Tensor, GraphError> {
     let (conv_approx, reduce_approx, precision, mul_approx) = match choice {
         ApproxChoice::Digital {
@@ -82,8 +114,13 @@ fn eval_node<'a>(
             MulApprox::Exact,
         ),
     };
+    let x = first.get();
     let out = match &node.op {
-        OpKind::Input => program_input.clone(),
+        OpKind::Input => {
+            return Err(GraphError::Internal {
+                detail: format!("Input node {} reached the kernel dispatch", node.id.0),
+            })
+        }
         OpKind::Conv2d {
             weight,
             bias,
@@ -93,46 +130,30 @@ fn eval_node<'a>(
         } => {
             let w = graph.param(*weight);
             let b = bias.map(|p| graph.param(p));
-            if let ApproxChoice::Promise(level) = choice {
+            let params = Conv2dParams {
+                pad: *pad,
+                stride: *stride,
+                groups: *groups,
+                approx: conv_approx,
+                precision,
+                mul: mul_approx,
+            };
+            match (choice, fused) {
                 // PROMISE path (dense convolutions only; grouped convs fall
                 // back to the digital exact kernel).
-                if *groups == 1 {
+                (ApproxChoice::Promise(level), _) if *groups == 1 => {
                     let mut rng = StdRng::seed_from_u64(promise_seed ^ ((node.id.0 as u64) << 17));
-                    promise_conv2d(arg(0)?, w, b, *pad, *stride, level, &mut rng)?
-                } else {
-                    ops::conv2d(
-                        arg(0)?,
-                        w,
-                        b,
-                        Conv2dParams {
-                            pad: *pad,
-                            stride: *stride,
-                            groups: *groups,
-                            ..Default::default()
-                        },
-                    )?
+                    promise_conv2d(x, w, b, *pad, *stride, level, &mut rng)?
                 }
-            } else {
-                ops::conv2d(
-                    arg(0)?,
-                    w,
-                    b,
-                    Conv2dParams {
-                        pad: *pad,
-                        stride: *stride,
-                        groups: *groups,
-                        approx: conv_approx,
-                        precision,
-                        mul: mul_approx,
-                    },
-                )?
+                (_, Some(act)) => ops::conv2d_fused(x, w, b, params, act)?,
+                (_, None) => ops::conv2d(x, w, b, params)?,
             }
         }
         OpKind::Dense { weight, bias } => {
             let w = graph.param(*weight);
             if let ApproxChoice::Promise(level) = choice {
                 let mut rng = StdRng::seed_from_u64(promise_seed ^ ((node.id.0 as u64) << 17));
-                let out = promise_matmul(arg(0)?, w, level, &mut rng)?;
+                let out = promise_matmul(x, w, level, &mut rng)?;
                 match bias {
                     Some(b) => ops::bias_add_rows(&out, graph.param(*b), precision)?,
                     None => out,
@@ -141,23 +162,31 @@ fn eval_node<'a>(
                 // Fused GEMM+bias epilogue; bit-identical to the unfused
                 // matmul → bias_add_rows pair at every precision.
                 let b = bias.map(|p| graph.param(p));
-                ops::matmul_ex(arg(0)?, w, b, precision, mul_approx)?
+                ops::matmul_ex(x, w, b, precision, mul_approx)?
             }
         }
-        OpKind::Relu => ops::relu(arg(0)?, precision)?,
-        OpKind::ClippedRelu { lo, hi } => ops::clipped_relu(arg(0)?, *lo, *hi, precision)?,
-        OpKind::Tanh => ops::tanh_op(arg(0)?, precision)?,
-        OpKind::Abs => ops::map_unary(arg(0)?, at_tensor::ops::UnaryOp::Abs, precision)?,
+        OpKind::Relu | OpKind::ClippedRelu { .. } | OpKind::Tanh | OpKind::Abs => {
+            let op = unary_op(&node.op).ok_or_else(|| GraphError::Internal {
+                detail: format!("node {} is not an element-wise map", node.id.0),
+            })?;
+            match first {
+                Operand::Owned(mut t) => {
+                    ops::map_unary_in_place(&mut t, op, precision);
+                    t
+                }
+                Operand::Shared(t) => ops::map_unary(t, op, precision)?,
+            }
+        }
         OpKind::MaxPool2d {
             window,
             pad,
             stride,
-        } => ops::max_pool2d(arg(0)?, *window, *pad, *stride, precision)?,
+        } => ops::max_pool2d(x, *window, *pad, *stride, precision)?,
         OpKind::AvgPool2d {
             window,
             pad,
             stride,
-        } => ops::avg_pool2d(arg(0)?, *window, *pad, *stride, reduce_approx, precision)?,
+        } => ops::avg_pool2d(x, *window, *pad, *stride, reduce_approx, precision)?,
         OpKind::BatchNorm {
             gamma,
             beta,
@@ -165,7 +194,7 @@ fn eval_node<'a>(
             var,
             eps,
         } => ops::batchnorm2d(
-            arg(0)?,
+            x,
             graph.param(*gamma),
             graph.param(*beta),
             graph.param(*mean),
@@ -173,9 +202,9 @@ fn eval_node<'a>(
             *eps,
             precision,
         )?,
-        OpKind::Softmax => ops::softmax_rows(arg(0)?, precision)?,
+        OpKind::Softmax => ops::softmax_rows(x, precision)?,
         OpKind::Add => {
-            let sum = arg(0)?.add(arg(1)?)?;
+            let sum = x.add(arg(1)?)?;
             if precision == Precision::Fp16 {
                 sum.to_f16()
             } else {
@@ -183,192 +212,228 @@ fn eval_node<'a>(
             }
         }
         OpKind::Flatten => {
-            let t = arg(0)?;
-            let dims = t.shape();
-            let d = dims.dims();
-            t.reshape(Shape::mat(d[0], d[1..].iter().product()))?
+            let d = x.shape();
+            let d = d.dims();
+            let flat = Shape::mat(d[0], d[1..].iter().product());
+            match first {
+                Operand::Owned(t) => t.into_reshaped(flat)?,
+                Operand::Shared(t) => t.reshape(flat)?,
+            }
         }
-        OpKind::Reduce { axis, kind } => {
-            ops::reduce(arg(0)?, *axis, *kind, reduce_approx, precision)?
-        }
+        OpKind::Reduce { axis, kind } => ops::reduce(x, *axis, *kind, reduce_approx, precision)?,
     };
     Ok(out)
-}
-
-/// Looks up input `i` of `node` in the per-node output cache, as a typed
-/// error rather than a panic when the invariant "topological order
-/// guarantees inputs are computed" is violated by a corrupt graph.
-fn fetch<'a>(
-    outputs: &'a [Option<Tensor>],
-    node: &Node,
-    i: usize,
-) -> Result<&'a Tensor, GraphError> {
-    let id = node.inputs.get(i).ok_or_else(|| GraphError::Internal {
-        detail: format!("node {} has no input #{i}", node.id.0),
-    })?;
-    outputs
-        .get(id.0 as usize)
-        .and_then(|o| o.as_ref())
-        .ok_or_else(|| GraphError::Internal {
-            detail: format!("input {} of node {} not computed", id.0, node.id.0),
-        })
 }
 
 /// Executes the graph on `input`, returning the output tensor of the final
 /// node.
 pub fn execute(graph: &Graph, input: &Tensor, opts: &ExecOptions) -> Result<Tensor, GraphError> {
-    let (out, _) = execute_with_trace(graph, input, opts)?;
-    Ok(out)
+    graph.validate()?;
+    let values = run(graph, input, opts, &[], 0, Keep::Live, None)?;
+    take_output(graph, values)
 }
 
-/// Conv→ReLU fusion plan for one execution: `plan[r] == Some(c)` means ReLU
-/// node `r` is satisfied by evaluating Conv2d node `c` with the fused
-/// conv+bias+ReLU kernel and moving the tensor into `r`'s slot.
-///
-/// Fusion is bit-invisible (the fused kernel applies `max(0.0)` in its
-/// epilogue exactly where the standalone FP32 ReLU would), so it is only
-/// planned when that holds: the ReLU's sole input is a digitally-executed
-/// Conv2d consumed by nobody else, the ReLU itself runs digitally at FP32,
-/// and the conv is not the program output.
-fn relu_fusion_plan(graph: &Graph, opts: &ExecOptions) -> Vec<Option<NodeId>> {
-    let mut consumers = vec![0usize; graph.len()];
-    for node in graph.nodes() {
-        for inp in &node.inputs {
-            consumers[inp.0 as usize] += 1;
+/// Where a node's output is while the graph runs.
+enum Value<'a> {
+    /// Not computed yet, released after its last consumer, or moved into
+    /// the node that consumed it.
+    Gone,
+    /// Produced by this run: the executor may release it, overwrite it or
+    /// move it.
+    Owned(Tensor),
+    /// The program input or an entry of the caller's cache: read, never
+    /// written, whatever the plan says.
+    Shared(&'a Tensor),
+}
+
+/// Whether a run keeps every node's output or only what is still to be
+/// read.
+#[derive(Clone, Copy, PartialEq)]
+enum Keep {
+    /// [`execute_all`]: every output survives the run untouched, so nothing
+    /// is released, overwritten, moved or fused.
+    All,
+    /// Release each value after its last consumer.
+    Live,
+}
+
+/// What one run may do with each value, decided from the graph and the
+/// configuration before any kernel runs.
+struct Plan {
+    /// `last_use[v]`: the last node that reads `v`, if any node does. The
+    /// program output has none — it is the last node — and is never
+    /// released.
+    last_use: Vec<Option<usize>>,
+    /// `fused[c]`: the activation convolution `c` applies in its epilogue,
+    /// its only consumer then being a move.
+    ///
+    /// Fusion is bit-invisible (the epilogue applies the node's own scalar
+    /// function exactly where the standalone FP32 node would), so it is
+    /// planned only when that holds: the activation's sole input is a
+    /// digitally-executed convolution of this run that nobody else reads,
+    /// and the activation itself runs digitally at FP32.
+    fused: Vec<Option<UnaryOp>>,
+}
+
+impl Plan {
+    /// Plans the run of nodes `start..`.
+    fn new(graph: &Graph, opts: &ExecOptions, start: usize, keep: Keep) -> Plan {
+        let mut last_use = vec![None; graph.len()];
+        let mut fused = vec![None; graph.len()];
+        if keep == Keep::All {
+            return Plan { last_use, fused };
         }
-    }
-    let out_id = graph.output();
-    let mut plan = vec![None; graph.len()];
-    for node in graph.nodes() {
-        if !matches!(node.op, OpKind::Relu) {
-            continue;
-        }
-        let Some(&cid) = node.inputs.first() else {
-            continue;
-        };
-        if !matches!(graph.node(cid).op, OpKind::Conv2d { .. })
-            || consumers[cid.0 as usize] != 1
-            || Some(cid) == out_id
-        {
-            continue;
-        }
-        let relu_fp32 = matches!(
-            opts.choice(node.id),
-            ApproxChoice::Digital {
-                precision: Precision::Fp32,
-                ..
+        let mut readers = vec![0usize; graph.len()];
+        for node in &graph.nodes()[start..] {
+            for inp in &node.inputs {
+                last_use[inp.0 as usize] = Some(node.id.0 as usize);
+                readers[inp.0 as usize] += 1;
             }
-        );
-        if relu_fp32 && matches!(opts.choice(cid), ApproxChoice::Digital { .. }) {
-            plan[node.id.0 as usize] = Some(cid);
         }
+        for node in &graph.nodes()[start..] {
+            let (Some(act), Some(&cid)) = (unary_op(&node.op), node.inputs.first()) else {
+                continue;
+            };
+            let c = cid.0 as usize;
+            let act_fp32 = matches!(
+                opts.choice(node.id),
+                ApproxChoice::Digital {
+                    precision: Precision::Fp32,
+                    ..
+                }
+            );
+            if c >= start
+                && readers[c] == 1
+                && act_fp32
+                && matches!(graph.node(cid).op, OpKind::Conv2d { .. })
+                && matches!(opts.choice(cid), ApproxChoice::Digital { .. })
+            {
+                fused[c] = Some(act);
+            }
+        }
+        Plan { last_use, fused }
     }
-    plan
 }
 
-/// Evaluates a Conv2d node with the fused conv+bias+ReLU kernel (digital
-/// choices only; callers guarantee this via [`relu_fusion_plan`]).
-fn eval_conv_fused<'a>(
+/// The one node-evaluation loop behind every entry point: runs nodes
+/// `start..` in order, reading earlier nodes from `cache`, and returns
+/// where every value ended up. With `times`, each node's wall-clock seconds
+/// are recorded.
+///
+/// A value produced here is released the moment its last consumer has run;
+/// an element-wise node or `Flatten` whose operand dies there takes the
+/// tensor and overwrites or moves it; an activation fused into its
+/// convolution reduces to that move. `input` and `cache` are only ever
+/// borrowed.
+fn run<'a>(
     graph: &Graph,
-    node: &Node,
-    arg: impl Fn(usize) -> Result<&'a Tensor, GraphError>,
-    choice: ApproxChoice,
-) -> Result<Tensor, GraphError> {
-    let OpKind::Conv2d {
-        weight,
-        bias,
-        pad,
-        stride,
-        groups,
-    } = &node.op
-    else {
-        return Err(GraphError::Internal {
-            detail: format!("fused-ReLU plan points at non-conv node {}", node.id.0),
-        });
-    };
-    let ApproxChoice::Digital {
-        conv,
-        precision,
-        mul,
-        ..
-    } = choice
-    else {
-        return Err(GraphError::Internal {
-            detail: format!("fused-ReLU plan on non-digital node {}", node.id.0),
-        });
-    };
-    let w = graph.param(*weight);
-    let b = bias.map(|p| graph.param(p));
-    Ok(ops::conv2d_fused_relu(
-        arg(0)?,
-        w,
-        b,
-        Conv2dParams {
-            pad: *pad,
-            stride: *stride,
-            groups: *groups,
-            approx: conv,
-            precision,
-            mul,
-        },
-    )?)
+    input: &'a Tensor,
+    opts: &ExecOptions,
+    cache: &'a [Tensor],
+    start: usize,
+    keep: Keep,
+    mut times: Option<&mut [f64]>,
+) -> Result<Vec<Value<'a>>, GraphError> {
+    let plan = Plan::new(graph, opts, start, keep);
+    let mut values: Vec<Value<'a>> = cache[..start].iter().map(Value::Shared).collect();
+    values.resize_with(graph.len(), || Value::Gone);
+    for node in &graph.nodes()[start..] {
+        let started = times.is_some().then(std::time::Instant::now);
+        let idx = node.id.0 as usize;
+        values[idx] = if matches!(node.op, OpKind::Input) {
+            Value::Shared(input)
+        } else {
+            let operand = |i: usize| {
+                node.inputs
+                    .get(i)
+                    .map(|id| id.0 as usize)
+                    .ok_or_else(|| GraphError::Internal {
+                        detail: format!("node {idx} has no input #{i}"),
+                    })
+            };
+            let v0 = operand(0)?;
+            // Taking the operand is what lets the node write it: only a
+            // value this run produced, at its last read, by a node that
+            // can use the storage (or whose work the producer already did).
+            let reuses = plan.fused[v0].is_some()
+                || unary_op(&node.op).is_some()
+                || matches!(node.op, OpKind::Flatten);
+            let take = reuses && plan.last_use[v0] == Some(idx);
+            let taken = match &mut values[v0] {
+                slot @ Value::Owned(_) if take => std::mem::replace(slot, Value::Gone),
+                _ => Value::Gone,
+            };
+            let read = |v: usize| match &values[v] {
+                Value::Owned(t) => Ok(t),
+                Value::Shared(t) => Ok(*t),
+                Value::Gone => Err(GraphError::Internal {
+                    detail: format!("input {v} of node {idx} is not available"),
+                }),
+            };
+            let first = match taken {
+                Value::Owned(t) => Operand::Owned(t),
+                _ => Operand::Shared(read(v0)?),
+            };
+            let out = match (plan.fused[v0], first) {
+                // The producing convolution already applied this node.
+                (Some(_), Operand::Owned(t)) => t,
+                (Some(_), Operand::Shared(_)) => {
+                    return Err(GraphError::Internal {
+                        detail: format!("fused convolution {v0} is not node {idx}'s to take"),
+                    })
+                }
+                (None, first) => eval_node(
+                    graph,
+                    node,
+                    first,
+                    |i| read(operand(i)?),
+                    opts.choice(node.id),
+                    opts.promise_seed,
+                    plan.fused[idx],
+                )?,
+            };
+            Value::Owned(out)
+        };
+        for inp in &node.inputs {
+            let v = inp.0 as usize;
+            if plan.last_use[v] == Some(idx) {
+                values[v] = Value::Gone;
+            }
+        }
+        if let (Some(times), Some(started)) = (times.as_deref_mut(), started) {
+            times[idx] = started.elapsed().as_secs_f64();
+        }
+    }
+    Ok(values)
+}
+
+/// The program output of a finished run (cloned when it is the caller's own
+/// tensor: a graph that is only its input, or a suffix that starts past the
+/// output).
+fn take_output(graph: &Graph, mut values: Vec<Value<'_>>) -> Result<Tensor, GraphError> {
+    let out = graph.output().ok_or(GraphError::EmptyGraph)?.0 as usize;
+    match values.swap_remove(out) {
+        Value::Owned(t) => Ok(t),
+        Value::Shared(t) => Ok(t.clone()),
+        Value::Gone => Err(GraphError::Internal {
+            detail: "output node was not computed".into(),
+        }),
+    }
 }
 
 /// Executes the graph and additionally returns per-node wall-clock kernel
 /// times in seconds (host measurements; used for the empirical CPU results
-/// and for tuning-time accounting).
+/// and for tuning-time accounting). A convolution's time includes the
+/// activation fused into it, whose own node then reads as a move.
 pub fn execute_with_trace(
     graph: &Graph,
     input: &Tensor,
     opts: &ExecOptions,
 ) -> Result<(Tensor, Vec<f64>), GraphError> {
     graph.validate()?;
-    let plan = relu_fusion_plan(graph, opts);
-    let mut fused_conv = vec![false; graph.len()];
-    for cid in plan.iter().flatten() {
-        fused_conv[cid.0 as usize] = true;
-    }
-    let mut outputs: Vec<Option<Tensor>> = vec![None; graph.len()];
     let mut times = vec![0.0f64; graph.len()];
-    for node in graph.nodes() {
-        let started = std::time::Instant::now();
-        let idx = node.id.0 as usize;
-        let out = if let Some(cid) = plan[idx] {
-            // ReLU was already applied by the conv's fused epilogue: this
-            // node reduces to moving the tensor (the conv has no other
-            // consumer, so its slot can be vacated).
-            outputs[cid.0 as usize]
-                .take()
-                .ok_or_else(|| GraphError::Internal {
-                    detail: format!("fused conv {} not computed before its ReLU", cid.0),
-                })?
-        } else if fused_conv[idx] {
-            eval_conv_fused(
-                graph,
-                node,
-                |i| fetch(&outputs, node, i),
-                opts.choice(node.id),
-            )?
-        } else {
-            eval_node(
-                graph,
-                node,
-                |i| fetch(&outputs, node, i),
-                opts.choice(node.id),
-                opts.promise_seed,
-                input,
-            )?
-        };
-        times[idx] = started.elapsed().as_secs_f64();
-        outputs[idx] = Some(out);
-    }
-    let out_id = graph.output().ok_or(GraphError::EmptyGraph)?;
-    let out = outputs[out_id.0 as usize]
-        .take()
-        .ok_or_else(|| GraphError::Internal {
-            detail: "output node was not computed".into(),
-        })?;
-    Ok((out, times))
+    let values = run(graph, input, opts, &[], 0, Keep::Live, Some(&mut times))?;
+    Ok((take_output(graph, values)?, times))
 }
 
 /// Executes the graph and returns *all* node outputs — the cache consumed by
@@ -379,32 +444,22 @@ pub fn execute_all(
     opts: &ExecOptions,
 ) -> Result<Vec<Tensor>, GraphError> {
     graph.validate()?;
-    let mut outputs: Vec<Option<Tensor>> = vec![None; graph.len()];
-    for node in graph.nodes() {
-        let out = eval_node(
-            graph,
-            node,
-            |i| fetch(&outputs, node, i),
-            opts.choice(node.id),
-            opts.promise_seed,
-            input,
-        )?;
-        outputs[node.id.0 as usize] = Some(out);
-    }
-    outputs
+    run(graph, input, opts, &[], 0, Keep::All, None)?
         .into_iter()
         .enumerate()
-        .map(|(i, o)| {
-            o.ok_or_else(|| GraphError::Internal {
+        .map(|(i, v)| match v {
+            Value::Owned(t) => Ok(t),
+            Value::Shared(t) => Ok(t.clone()),
+            Value::Gone => Err(GraphError::Internal {
                 detail: format!("node {i} was not computed"),
-            })
+            }),
         })
         .collect()
 }
 
 /// Recomputes only the nodes at positions `from..` of the graph, reading
-/// earlier nodes' outputs from `cache` (a previous [`execute_all`] result).
-/// Returns the program output.
+/// earlier nodes' outputs from `cache` (a previous [`execute_all`] result),
+/// which is left untouched. Returns the program output.
 ///
 /// Used by profile collection: approximating a single op leaves its prefix
 /// unchanged, so only the suffix needs re-execution.
@@ -422,40 +477,11 @@ pub fn execute_suffix(
             got: cache.len(),
         });
     }
-    let start = from.0 as usize;
-    let mut outputs: Vec<Option<Tensor>> = vec![None; graph.len()];
-    for node in &graph.nodes()[start..] {
-        let out = eval_node(
-            graph,
-            node,
-            |i| {
-                let id = node.inputs.get(i).ok_or_else(|| GraphError::Internal {
-                    detail: format!("node {} has no input #{i}", node.id.0),
-                })?;
-                let idx = id.0 as usize;
-                if idx < start {
-                    Ok(&cache[idx])
-                } else {
-                    outputs[idx].as_ref().ok_or_else(|| GraphError::Internal {
-                        detail: format!("suffix input {idx} not computed in order"),
-                    })
-                }
-            },
-            opts.choice(node.id),
-            opts.promise_seed,
-            input,
-        )?;
-        outputs[node.id.0 as usize] = Some(out);
-    }
-    let out_id = graph.output().ok_or(GraphError::EmptyGraph)?;
-    let idx = out_id.0 as usize;
-    Ok(if idx < start {
-        cache[idx].clone()
-    } else {
-        outputs[idx].take().ok_or_else(|| GraphError::Internal {
-            detail: "suffix output was not computed".into(),
-        })?
-    })
+    let start = (from.0 as usize).min(graph.len());
+    take_output(
+        graph,
+        run(graph, input, opts, cache, start, Keep::Live, None)?,
+    )
 }
 
 /// Baseline analytical cost of every node (paper §3.4), given the program
@@ -677,6 +703,10 @@ mod tests {
         let (g, x) = tiny_cnn();
         // execute() fuses conv→relu; execute_all() never does. The program
         // output must stay bitwise identical under every digital conv knob.
+        assert_eq!(
+            Plan::new(&g, &ExecOptions::baseline(), 0, Keep::Live).fused[1],
+            Some(UnaryOp::Relu)
+        );
         let conv_choices = [
             ApproxChoice::BASELINE,
             ApproxChoice::FP16,
@@ -805,5 +835,70 @@ mod tests {
         let last = g.output().unwrap();
         let out = execute_suffix(&g, &x, &cache, last, &ExecOptions::baseline()).unwrap();
         assert_eq!(out.data(), cache[last.0 as usize].data());
+    }
+
+    /// A random DAG over one `[2, 8]` value: element-wise maps, `Flatten`
+    /// (a no-op reshape here) and `Add`, each reading any earlier node —
+    /// so values fan out, die at different times, and some are never read.
+    fn random_dag(seed: u64, nodes: usize) -> (Graph, Tensor) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::new("dag");
+        g.add_node(OpKind::Input, vec![], "in");
+        for i in 1..=nodes {
+            let a = NodeId(rng.gen_range(0..i as u32));
+            let (op, inputs) = match rng.gen_range(0..7) {
+                0 => (OpKind::Tanh, vec![a]),
+                1 => (OpKind::Abs, vec![a]),
+                2 => (OpKind::Relu, vec![a]),
+                3 => (OpKind::ClippedRelu { lo: -0.3, hi: 0.4 }, vec![a]),
+                4 => (OpKind::Flatten, vec![a]),
+                _ => (OpKind::Add, vec![a, NodeId(rng.gen_range(0..i as u32))]),
+            };
+            g.add_node(op, inputs, "");
+        }
+        let x = Tensor::uniform(Shape::mat(2, 8), -1.0, 1.0, &mut rng);
+        (g, x)
+    }
+
+    proptest::proptest! {
+        /// No node takes (overwrites or moves) its operand while another
+        /// consumer of it is still pending, from any suffix start; and with
+        /// every value's lifetime decided that way, the run still computes
+        /// what the keep-everything run computes.
+        #[test]
+        fn in_place_never_races_a_pending_consumer(
+            seed in 0u64..1 << 32,
+            nodes in 1usize..16,
+            fp16_every in 2usize..5,
+        ) {
+            let (g, x) = random_dag(seed, nodes);
+            g.validate().unwrap();
+            let config = (0..g.len())
+                .map(|i| if i > 0 && i % fp16_every == 0 { ApproxChoice::FP16 } else { ApproxChoice::BASELINE })
+                .collect();
+            let opts = ExecOptions { config, promise_seed: 0 };
+            let all = execute_all(&g, &x, &opts).unwrap();
+            let want: Vec<u32> = all.last().unwrap().data().iter().map(|v| v.to_bits()).collect();
+            for start in 0..g.len() {
+                let plan = Plan::new(&g, &opts, start, Keep::Live);
+                for node in &g.nodes()[start..] {
+                    let i = node.id.0 as usize;
+                    for v in node.inputs.iter().map(|id| id.0 as usize) {
+                        let later = g.nodes()[i + 1..].iter().any(|n| n.inputs.contains(&NodeId(v as u32)));
+                        if plan.last_use[v] == Some(i) {
+                            proptest::prop_assert!(!later, "node {i} takes {v}, read again later");
+                        } else {
+                            proptest::prop_assert!(later, "{v} outlives its last reader {i}");
+                        }
+                    }
+                }
+                let out = execute_suffix(&g, &x, &all, NodeId(start as u32), &opts).unwrap();
+                let got: Vec<u32> = out.data().iter().map(|v| v.to_bits()).collect();
+                proptest::prop_assert_eq!(&got, &want, "suffix from {}", start);
+            }
+            let got: Vec<u32> = execute(&g, &x, &opts).unwrap().data().iter().map(|v| v.to_bits()).collect();
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

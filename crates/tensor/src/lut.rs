@@ -21,6 +21,11 @@ use std::sync::OnceLock;
 pub const MIN_BITS: u8 = 2;
 /// Largest supported operand bitwidth (keeps every table ≤ 64 KiB).
 pub const MAX_BITS: u8 = 8;
+/// Entries per table row. Every table is laid out at the widest supported
+/// magnitude range whatever its bitwidth, so a row is a fixed-size array and
+/// an index masked to `ROW - 1` needs no bounds check — which is what lets
+/// the LUT GEMM's 32-lane lookup compile to vector gathers.
+pub const ROW: usize = 1 << (MAX_BITS - 1);
 
 /// A precomputed approximate-multiplier truth table over operand
 /// *magnitudes* `0..=qmax` (signs are applied outside the table; the
@@ -30,8 +35,9 @@ pub struct LutTable {
     pub bits: u8,
     /// Largest representable magnitude, `2^(bits-1) - 1`.
     pub qmax: i32,
-    /// Row-major `(qmax+1)²` table of products.
-    tab: Vec<i32>,
+    /// Row-major table of products, [`ROW`] entries per magnitude
+    /// (entries past `qmax` are zero and never addressed).
+    tab: Vec<[i32; ROW]>,
 }
 
 impl LutTable {
@@ -39,10 +45,10 @@ impl LutTable {
         assert!((MIN_BITS..=MAX_BITS).contains(&bits), "bits {bits}");
         let qmax = (1i32 << (bits - 1)) - 1;
         let n = (qmax + 1) as usize;
-        let mut tab = vec![0i32; n * n];
-        for a in 0..n {
-            for b in 0..n {
-                tab[a * n + b] = mitchell_mul(a as u64, b as u64) as i32;
+        let mut tab = vec![[0i32; ROW]; n];
+        for (a, row) in tab.iter_mut().enumerate() {
+            for (b, p) in row[..n].iter_mut().enumerate() {
+                *p = mitchell_mul(a as u64, b as u64) as i32;
             }
         }
         LutTable { bits, qmax, tab }
@@ -51,15 +57,15 @@ impl LutTable {
     /// Approximate product of two magnitudes (`0..=qmax` each).
     #[inline(always)]
     pub fn mul_mag(&self, a: usize, b: usize) -> i32 {
-        self.tab[a * (self.qmax as usize + 1) + b]
+        self.tab[a][b]
     }
 
-    /// One magnitude's row of the table (`row(a)[b] == mul_mag(a, b)`),
-    /// letting inner loops hoist the row lookup out of the `b` walk.
+    /// One magnitude's row of the table (`row(a)[b] == mul_mag(a, b)` for
+    /// `b ≤ qmax`), letting inner loops hoist the row lookup out of the `b`
+    /// walk.
     #[inline]
-    pub fn row(&self, mag: usize) -> &[i32] {
-        let n = self.qmax as usize + 1;
-        &self.tab[mag * n..(mag + 1) * n]
+    pub fn row(&self, mag: usize) -> &[i32; ROW] {
+        &self.tab[mag]
     }
 
     /// Approximate signed product of two quantised operands.

@@ -45,6 +45,7 @@
 use crate::error::TensorError;
 use crate::knobs::{MulApprox, Precision};
 use crate::lut::{self, LutTable};
+use crate::ops::activation::UnaryOp;
 use crate::ops::conv::Conv2dParams;
 use crate::ops::gemm::{self, Epilogue};
 use crate::ops::im2col;
@@ -106,7 +107,10 @@ pub fn flip_bit(data: &mut [f32], index: usize, bit: u32) {
 /// Column-checksum verification core over `f32` views of the operands.
 /// `c` holds the *raw* (pre-epilogue) accumulators, with the LUT path's
 /// dequantisation already applied (that is how `Epilogue::Raw` stores
-/// them).
+/// them). `b` is laid out in column slabs `pw` wide, each a row-major
+/// `K×pw` block: `pw = n` is plain row-major, `pw = PANEL` the packed panels
+/// the convolution lowering builds. Either way column `j`'s checksum folds
+/// its `K` terms in increasing `k`, so the layout changes no sum.
 ///
 /// Checksums accumulate in `f32`, not `f64`. The comparison limit is
 /// sized for the production kernel's own f32 accumulation noise
@@ -126,6 +130,7 @@ fn verify_raw<TA: Copy, TB: Copy>(
     a: &[TA],
     fa: impl Fn(TA) -> f32,
     b: &[TB],
+    pw: usize,
     fb: impl Fn(TB) -> f32,
     c: &[f32],
     tol: &AbftTol,
@@ -133,9 +138,9 @@ fn verify_raw<TA: Copy, TB: Copy>(
     // Monomorphise on the magnitude norm: a runtime `tol.l1` branch inside
     // the hot loops defeats the autovectoriser.
     if tol.l1 {
-        verify_raw_impl::<_, _, _, _, true>(op, m, k, n, a, fa, b, fb, c, tol)
+        verify_raw_impl::<_, _, _, _, true>(op, m, k, n, a, fa, b, pw, fb, c, tol)
     } else {
-        verify_raw_impl::<_, _, _, _, false>(op, m, k, n, a, fa, b, fb, c, tol)
+        verify_raw_impl::<_, _, _, _, false>(op, m, k, n, a, fa, b, pw, fb, c, tol)
     }
 }
 
@@ -148,6 +153,7 @@ fn verify_raw_impl<TA: Copy, TB: Copy, FA, FB, const L1: bool>(
     a: &[TA],
     fa: FA,
     b: &[TB],
+    pw: usize,
     fb: FB,
     c: &[f32],
     tol: &AbftTol,
@@ -188,27 +194,27 @@ where
     // matching magnitude bound, in one stream.
     let mut expected_col = vec![0.0f32; n];
     let mut magnitude_col = vec![0.0f32; n];
-    for kk in 0..k {
-        let sa = colsum_a[kk];
-        // L2 magnitude weight: `sa²` bounds the f32 *checksum* random walk
-        // (its summands are `sa·b`, which dwarfs `Σᵢa²·b²` when A's column
-        // entries correlate in sign), `Σᵢa²` bounds the GEMM's own
-        // accumulation noise folded per column. Their sum dominates both
-        // error sources, so one limit covers the whole comparison.
-        let ma = if L1 {
-            colmag_a[kk]
-        } else {
-            sa * sa + colmag_a[kk]
-        };
-        let brow = &b[kk * n..(kk + 1) * n];
-        for ((e, g), &v) in expected_col
-            .iter_mut()
-            .zip(magnitude_col.iter_mut())
-            .zip(brow)
-        {
-            let v = fb(v);
-            *e += sa * v;
-            *g += ma * mag(v);
+    // L2 magnitude weight: `sa²` bounds the f32 *checksum* random walk (its
+    // summands are `sa·b`, which dwarfs `Σᵢa²·b²` when A's column entries
+    // correlate in sign), `Σᵢa²` bounds the GEMM's own accumulation noise
+    // folded per column. Their sum dominates both error sources, so one
+    // limit covers the whole comparison.
+    if !L1 {
+        for (g, &sa) in colmag_a.iter_mut().zip(&colsum_a) {
+            *g += sa * sa;
+        }
+    }
+    let slabs = expected_col
+        .chunks_mut(pw)
+        .zip(magnitude_col.chunks_mut(pw))
+        .zip(b.chunks((k * pw).max(1)));
+    for ((expected, magnitude), slab) in slabs {
+        for ((brow, &sa), &ma) in slab.chunks(pw).zip(&colsum_a).zip(&colmag_a) {
+            for ((e, g), &v) in expected.iter_mut().zip(magnitude.iter_mut()).zip(brow) {
+                let v = fb(v);
+                *e += sa * v;
+                *g += ma * mag(v);
+            }
         }
     }
     // Pass over C: actual column checksums.
@@ -253,7 +259,7 @@ pub fn verify_gemm_f32(
     c: &[f32],
     tol: &AbftTol,
 ) -> Result<(), TensorError> {
-    verify_raw("gemm", m, k, n, a, |x| x, b, |x| x, c, tol)
+    verify_raw("gemm", m, k, n, a, |x| x, b, n.max(1), |x| x, c, tol)
 }
 
 /// Verifies raw LUT-GEMM output (already dequantised by `Epilogue::Raw`)
@@ -277,6 +283,7 @@ pub fn verify_gemm_lut(
         a,
         f32::from,
         b,
+        n.max(1),
         move |x| f32::from(x) * dequant,
         c,
         tol,
@@ -328,6 +335,71 @@ pub fn gemm_lut_abft(
 ) -> Result<(), TensorError> {
     gemm::gemm_lut(m, k, n, a, b, table, dequant, out, &Epilogue::Raw);
     verify_gemm_lut(m, k, n, a, b, dequant, out, tol)?;
+    apply_epilogue(out, n, epi);
+    Ok(())
+}
+
+/// [`gemm_f32_abft`] over a panel-major `B` (the convolution lowering's
+/// patches): the B-side checksums fold over the same panels the multiply
+/// read.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_f32_abft_packed(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    packed: &[f32],
+    out: &mut [f32],
+    epi: &Epilogue,
+    tol: &AbftTol,
+) -> Result<(), TensorError> {
+    gemm::gemm_f32_packed(m, k, n, a, packed, out, &Epilogue::Raw);
+    verify_raw(
+        "gemm",
+        m,
+        k,
+        n,
+        a,
+        |x| x,
+        packed,
+        gemm::PANEL,
+        |x| x,
+        out,
+        tol,
+    )?;
+    apply_epilogue(out, n, epi);
+    Ok(())
+}
+
+/// [`gemm_lut_abft`] over a panel-major `B`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_lut_abft_packed(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[i16],
+    packed: &[i16],
+    table: &LutTable,
+    dequant: f32,
+    out: &mut [f32],
+    epi: &Epilogue,
+    tol: &AbftTol,
+) -> Result<(), TensorError> {
+    gemm::gemm_lut_packed(m, k, n, a, packed, table, dequant, out, &Epilogue::Raw);
+    let fb = move |x| f32::from(x) * dequant;
+    verify_raw(
+        "gemm_lut",
+        m,
+        k,
+        n,
+        a,
+        f32::from,
+        packed,
+        gemm::PANEL,
+        fb,
+        out,
+        tol,
+    )?;
     apply_epilogue(out, n, epi);
     Ok(())
 }
@@ -398,18 +470,19 @@ pub fn conv2d_abft(
     bias: Option<&Tensor>,
     params: Conv2dParams,
 ) -> Result<Tensor, TensorError> {
-    im2col::conv2d_lowered_abft(input, weight, bias, params, false)
+    im2col::conv2d_lowered_abft(input, weight, bias, params, None)
 }
 
-/// ABFT-protected fused conv+ReLU — twin of
-/// [`crate::ops::conv2d_fused_relu`].
-pub fn conv2d_fused_relu_abft(
+/// ABFT-protected fused conv+activation — twin of
+/// [`crate::ops::conv2d_fused`].
+pub fn conv2d_fused_abft(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     params: Conv2dParams,
+    act: UnaryOp,
 ) -> Result<Tensor, TensorError> {
-    im2col::conv2d_lowered_abft(input, weight, bias, params, true)
+    im2col::conv2d_lowered_abft(input, weight, bias, params, Some(act))
 }
 
 #[cfg(test)]

@@ -115,36 +115,85 @@ fn tanh(x: f32) -> f32 {
     }
 }
 
-/// Applies a unary map over the tensor, honouring FP16 semantics. The op is
-/// matched once, outside the loop: each arm hands [`map_as`] a closure in
-/// which `apply`'s own `match` folds to the one expression, so every
-/// (op, precision) pair runs its own monomorphised, vectorisable loop.
-pub fn map_unary(input: &Tensor, op: UnaryOp, precision: Precision) -> Result<Tensor, TensorError> {
-    use UnaryOp::*;
-    let xs = input.data();
-    let data = match op {
-        Relu => map_as(xs, precision, |x| Relu.apply(x)),
-        ClippedRelu(lo, hi) => {
-            assert!(lo <= hi, "clipped ReLU bounds out of order: {lo} > {hi}");
-            map_as(xs, precision, |x| ClippedRelu(lo, hi).apply(x))
-        }
-        Tanh => map_as(xs, precision, |x| Tanh.apply(x)),
-        Abs => map_as(xs, precision, |x| Abs.apply(x)),
-        Scale(s) => map_as(xs, precision, |x| Scale(s).apply(x)),
-        Offset(c) => map_as(xs, precision, |x| Offset(c).apply(x)),
-        SqrtPos => map_as(xs, precision, |x| SqrtPos.apply(x)),
-    };
-    // The map preserves length; shape unchanged.
-    Tensor::from_vec(input.shape(), data)
+/// A loop that wants `op`'s scalar function as a closure. [`UnaryOp::with_fn`]
+/// matches the op once, outside the loop: each arm hands the loop a closure
+/// in which `apply`'s own `match` folds to the one expression, so every
+/// (op, loop) pair is its own monomorphised, vectorisable body.
+trait ElementLoop {
+    type Out;
+    fn run(self, f: impl Fn(f32) -> f32 + Sync) -> Self::Out;
 }
 
-/// `f` over the slice; under FP16 both its operand and its result are
-/// rounded through binary16.
-fn map_as(xs: &[f32], precision: Precision, f: impl Fn(f32) -> f32 + Sync) -> Vec<f32> {
-    match precision {
-        Precision::Fp32 => par::map(xs, f),
-        Precision::Fp16 => par::map(xs, |x| f16::quantize(f(f16::quantize(x)))),
+impl UnaryOp {
+    fn with_fn<L: ElementLoop>(self, body: L) -> L::Out {
+        use UnaryOp::*;
+        match self {
+            Relu => body.run(|x| Relu.apply(x)),
+            ClippedRelu(lo, hi) => {
+                assert!(lo <= hi, "clipped ReLU bounds out of order: {lo} > {hi}");
+                body.run(|x| ClippedRelu(lo, hi).apply(x))
+            }
+            Tanh => body.run(|x| Tanh.apply(x)),
+            Abs => body.run(|x| Abs.apply(x)),
+            Scale(s) => body.run(|x| Scale(s).apply(x)),
+            Offset(c) => body.run(|x| Offset(c).apply(x)),
+            SqrtPos => body.run(|x| SqrtPos.apply(x)),
+        }
     }
+
+    /// Applies the op to every element of `xs` in place, on the calling
+    /// thread: the GEMM epilogue's fused activation, where the rows are
+    /// already spread over the pool.
+    pub(crate) fn apply_slice(self, xs: &mut [f32]) {
+        struct Rows<'a>(&'a mut [f32]);
+        impl ElementLoop for Rows<'_> {
+            type Out = ();
+            fn run(self, f: impl Fn(f32) -> f32 + Sync) {
+                self.0.iter_mut().for_each(|x| *x = f(*x));
+            }
+        }
+        self.with_fn(Rows(xs))
+    }
+}
+
+/// `f` under FP16: both its operand and its result are rounded through
+/// binary16.
+fn through_f16(f: impl Fn(f32) -> f32 + Sync) -> impl Fn(f32) -> f32 + Sync {
+    move |x| f16::quantize(f(f16::quantize(x)))
+}
+
+/// Applies a unary map over the tensor into a new one, honouring FP16
+/// semantics.
+pub fn map_unary(input: &Tensor, op: UnaryOp, precision: Precision) -> Result<Tensor, TensorError> {
+    struct IntoVec<'a>(&'a [f32], Precision);
+    impl ElementLoop for IntoVec<'_> {
+        type Out = Vec<f32>;
+        fn run(self, f: impl Fn(f32) -> f32 + Sync) -> Vec<f32> {
+            match self.1 {
+                Precision::Fp32 => par::map(self.0, f),
+                Precision::Fp16 => par::map(self.0, through_f16(f)),
+            }
+        }
+    }
+    // The map preserves length; shape unchanged.
+    Tensor::from_vec(input.shape(), op.with_fn(IntoVec(input.data(), precision)))
+}
+
+/// [`map_unary`] overwriting its operand: the same value for every element,
+/// without the second tensor. For a caller that owns `t` and has no other
+/// reader of it (the graph executor, once a value's last consumer runs).
+pub fn map_unary_in_place(t: &mut Tensor, op: UnaryOp, precision: Precision) {
+    struct InPlace<'a>(&'a mut [f32], Precision);
+    impl ElementLoop for InPlace<'_> {
+        type Out = ();
+        fn run(self, f: impl Fn(f32) -> f32 + Sync) {
+            match self.1 {
+                Precision::Fp32 => par::map_in_place(self.0, f),
+                Precision::Fp16 => par::map_in_place(self.0, through_f16(f)),
+            }
+        }
+    }
+    op.with_fn(InPlace(t.data_mut(), precision))
 }
 
 /// ReLU activation.

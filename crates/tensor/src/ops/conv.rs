@@ -10,6 +10,7 @@
 
 use crate::error::TensorError;
 use crate::knobs::{ConvApprox, MulApprox, Precision};
+use crate::ops::activation::UnaryOp;
 use crate::tensor::Tensor;
 
 /// Configuration of a convolution call.
@@ -58,22 +59,24 @@ pub fn conv2d(
     bias: Option<&Tensor>,
     params: Conv2dParams,
 ) -> Result<Tensor, TensorError> {
-    super::im2col::conv2d_lowered(input, weight, bias, params, false)
+    super::im2col::conv2d_lowered(input, weight, bias, params, None)
 }
 
-/// [`conv2d`] with the subsequent ReLU fused into the kernel's epilogue, so
-/// the executor skips one full intermediate-tensor materialisation.
+/// [`conv2d`] with the subsequent FP32 activation fused into the kernel's
+/// epilogue, so the executor skips one full pass over the intermediate
+/// tensor.
 ///
-/// Bit-identical to `relu(conv2d(..))` at FP32 for every `params` setting
-/// (the epilogue applies the same `max(v, 0)` expression after the same
+/// Bit-identical to `map_unary(conv2d(..), act, Fp32)` for every `params`
+/// setting (the epilogue applies the same scalar function after the same
 /// quantisation points).
-pub fn conv2d_fused_relu(
+pub fn conv2d_fused(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     params: Conv2dParams,
+    act: UnaryOp,
 ) -> Result<Tensor, TensorError> {
-    super::im2col::conv2d_lowered(input, weight, bias, params, true)
+    super::im2col::conv2d_lowered(input, weight, bias, params, Some(act))
 }
 
 #[cfg(test)]

@@ -26,12 +26,18 @@
 //! operation whether the target has an FMA unit or falls back to libm.
 //!
 //! [`gemm_lut`] is the integer twin for the LUT approximate-multiplier
-//! path: `i16`-quantised operands, table-served products, `i64`
-//! accumulation (associative, hence trivially order-independent).
+//! path: `i16`-quantised operands, table-served products gathered 32 lanes
+//! at a time over the same packed panels, exact integer accumulation
+//! (associative, hence trivially order-independent).
+//!
+//! Both kernels come in two entries: the row-major-`B` one a dense layer
+//! calls (it packs `B` first), and the `_packed` one the convolution
+//! lowering calls with panels it built itself ([`super::im2col`] packs
+//! patches straight into this layout, so no row-major patch matrix exists).
 
 use crate::f16;
 use crate::instrument;
-use crate::lut::LutTable;
+use crate::lut::{self, LutTable};
 use crate::ops::activation::UnaryOp;
 use crate::par;
 use rayon::prelude::*;
@@ -42,7 +48,7 @@ pub const LANES: usize = 16;
 /// Lane groups per packed B panel.
 const V: usize = 2;
 /// Columns per packed B panel.
-const PANEL: usize = V * LANES;
+pub(crate) const PANEL: usize = V * LANES;
 /// Output rows per rayon task (fixed, so partitioning is deterministic).
 const ROW_BLOCK: usize = 8;
 /// Multiply–adds the packed microkernel retires in the time of one
@@ -61,8 +67,9 @@ pub enum Epilogue<'a> {
     /// Store the raw accumulator.
     Raw,
     /// Convolution epilogue: `v = acc·scale + bias[row]`, then optional
-    /// fp16 quantisation, then optional fused ReLU (in that order — the
-    /// same order the unfused conv → relu node sequence applies them).
+    /// fp16 quantisation, then the optional fused activation (in that order
+    /// — the same order the unfused conv → activation node sequence applies
+    /// them).
     Conv {
         /// Filter-sampling compensation factor (1.0 when exact).
         scale: f32,
@@ -71,8 +78,9 @@ pub enum Epilogue<'a> {
         bias: Option<&'a [f32]>,
         /// Quantise through binary16 after bias.
         fp16: bool,
-        /// Apply `max(v, 0)` last (fused ReLU).
-        relu: bool,
+        /// The FP32 activation node fused behind the convolution, applied
+        /// last.
+        act: Option<UnaryOp>,
     },
     /// Dense-layer epilogue: optional fp16 quantisation of the product,
     /// then per-*column* bias, then fp16 again — matching the unfused
@@ -99,15 +107,15 @@ impl Epilogue<'_> {
                 scale,
                 bias,
                 fp16,
-                relu,
+                act,
             } => {
                 let b = bias.map_or(0.0, |b| b[row]);
                 orow.iter_mut().for_each(|v| *v = *v * scale + b);
                 if fp16 {
                     quantize(orow);
                 }
-                if relu {
-                    orow.iter_mut().for_each(|v| *v = UnaryOp::Relu.apply(*v));
+                if let Some(op) = act {
+                    op.apply_slice(orow);
                 }
             }
             Epilogue::Dense { bias, fp16 } => {
@@ -177,6 +185,11 @@ fn panel_rows<const R: usize>(
     acc
 }
 
+/// Length of the panel-major image of a `K×N` operand.
+pub(crate) fn packed_len(k: usize, n: usize) -> usize {
+    n.div_ceil(PANEL) * k * PANEL
+}
+
 /// Reorders B into contiguous `K×PANEL` column slabs, panel-major, the last
 /// one zero-padded to full width (its surplus lanes are computed and
 /// dropped: lanes never interact, so the kept outputs are unaffected, and
@@ -187,13 +200,13 @@ fn panel_rows<const R: usize>(
 /// prefetchers give up at page boundaries. Packing costs one `O(K·N)` pass
 /// and turns the `O(M·K·N)` hot loop into sequential reads. Pure data
 /// movement: the arithmetic, and therefore every output bit, is unchanged.
-fn pack_b_panels(k: usize, n: usize, b: &[f32]) -> Vec<f32> {
-    let mut packed = Vec::with_capacity(n.div_ceil(PANEL) * k * PANEL);
+fn pack_b_panels<T: Copy + Default>(k: usize, n: usize, b: &[T]) -> Vec<T> {
+    let mut packed = Vec::with_capacity(packed_len(k, n));
     for j in (0..n).step_by(PANEL) {
         let width = PANEL.min(n - j);
         for kk in 0..k {
             packed.extend_from_slice(&b[kk * n + j..][..width]);
-            packed.resize(packed.len() + PANEL - width, 0.0);
+            packed.resize(packed.len() + PANEL - width, T::default());
         }
     }
     packed
@@ -218,23 +231,22 @@ fn row_group<const R: usize>(
     }
 }
 
-type RowGroupFn = fn(usize, usize, &[f32], usize, &[f32], &mut [f32]);
+/// Covers the `rows`-row block `ob` with row groups of 8, then 4, 2 and 1
+/// rows — full tiles first, then the largest that still fits what is left.
+/// `group(r, d, orows)` computes rows `d..d + r` of the block into `orows`.
+fn cover_rows(n: usize, ob: &mut [f32], mut group: impl FnMut(usize, usize, &mut [f32])) {
+    let rows = ob.len() / n;
+    let mut d = 0;
+    for r in [8, 4, 2, 1] {
+        while d + r <= rows {
+            group(r, d, &mut ob[d * n..(d + r) * n]);
+            d += r;
+        }
+    }
+}
 
-/// Row-group heights in the order a row block is covered: full tiles first,
-/// then the largest that still fits what is left.
-const ROW_GROUPS: [(usize, RowGroupFn); 4] = [
-    (8, row_group::<8>),
-    (4, row_group::<4>),
-    (2, row_group::<2>),
-    (1, row_group::<1>),
-];
-
-/// Tiled f32 GEMM with fused epilogue: `out[M,N] = epi(A[M,K] × B[K,N])`.
-///
-/// Parallelised over fixed [`ROW_BLOCK`]-row chunks (forked only when every
-/// thread gets [`par::GRAIN`] worth of multiply–adds); inside a chunk the
-/// rows are covered by register-blocked groups of 8, then 4, 2 and 1 rows,
-/// so each B panel is loaded once per group instead of once per row.
+/// Tiled f32 GEMM with fused epilogue: `out[M,N] = epi(A[M,K] × B[K,N])`,
+/// `B` row-major (packed here, once, into the layout the microkernel reads).
 pub fn gemm_f32(
     m: usize,
     k: usize,
@@ -244,37 +256,140 @@ pub fn gemm_f32(
     out: &mut [f32],
     epi: &Epilogue,
 ) {
-    assert_eq!(a.len(), m * k, "gemm A size");
     assert_eq!(b.len(), k * n, "gemm B size");
+    // Shared read-only packed copy of B: the kernel never reads `b` again.
+    gemm_f32_packed(m, k, n, a, &pack_b_panels(k, n, b), out, epi);
+}
+
+/// [`gemm_f32`] over a `B` that is already panel-major: [`packed_len`]
+/// elements, one `K×PANEL` slab per panel (the surplus lanes of a ragged
+/// last panel are computed and dropped, whatever they hold).
+///
+/// Parallelised over fixed [`ROW_BLOCK`]-row chunks (forked only when every
+/// thread gets [`par::GRAIN`] worth of multiply–adds); inside a chunk the
+/// rows are covered by register-blocked groups of 8, then 4, 2 and 1 rows,
+/// so each B panel is loaded once per group instead of once per row.
+pub(crate) fn gemm_f32_packed(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    packed: &[f32],
+    out: &mut [f32],
+    epi: &Epilogue,
+) {
+    assert_eq!(a.len(), m * k, "gemm A size");
+    assert_eq!(packed.len(), packed_len(k, n), "gemm packed B size");
     assert_eq!(out.len(), m * n, "gemm C size");
     if m == 0 || n == 0 {
         return;
     }
     instrument::add_muls((m * k * n) as u64);
-    // Shared read-only packed copy of B: the kernel never reads `b` again.
-    let packed = pack_b_panels(k, n, b);
     out.par_chunks_mut(ROW_BLOCK * n)
         .with_min_len(par::min_chunks(ROW_BLOCK * k * n / MULS_PER_ITEM))
         .enumerate()
         .for_each(|(blk, ob)| {
             let i0 = blk * ROW_BLOCK;
-            let rows = ob.len() / n;
-            let mut d = 0;
-            for (r, group) in ROW_GROUPS {
-                while d + r <= rows {
-                    group(k, n, a, i0 + d, &packed, &mut ob[d * n..(d + r) * n]);
-                    d += r;
-                }
-            }
+            cover_rows(n, ob, |r, d, orows| match r {
+                8 => row_group::<8>(k, n, a, i0 + d, packed, orows),
+                4 => row_group::<4>(k, n, a, i0 + d, packed, orows),
+                2 => row_group::<2>(k, n, a, i0 + d, packed, orows),
+                _ => row_group::<1>(k, n, a, i0 + d, packed, orows),
+            });
             for (di, orow) in ob.chunks_mut(n).enumerate() {
                 epi.apply_row(i0 + di, orow);
             }
         });
 }
 
-/// Integer GEMM over LUT-quantised operands: products served from `table`,
-/// accumulated in `i64`, dequantised by `dequant` (= scale_A · scale_B)
-/// before the epilogue.
+/// Products an `i32` lane can absorb before it is widened: table entries
+/// are at most `127²` (Mitchell never over-approximates, and [`lut::ROW`]
+/// caps the magnitudes), so `2¹⁶` of them stay below `2³⁰`.
+const LUT_BLOCK: usize = 1 << 16;
+
+/// Integer twin of [`panel_rows`]: the table-served products of `R` rows of
+/// `a` against one packed panel, as exact `i64` sums per lane.
+///
+/// Per `k` step the panel row's 32 magnitudes and sign masks are formed
+/// once and shared by the `R` rows; each row then gathers its 32 products
+/// from its operand's table row and adds them, negated where the signs
+/// differ (`(p ^ s) − s` with `s ∈ {0, −1}`: a mask, not a branch), into an
+/// `R`×32 tile of `i32` partial sums held in registers. Integer addition is
+/// exact and associative, and the tile is widened into the `i64` totals
+/// every [`LUT_BLOCK`] steps — before any lane can overflow — so the result
+/// is the same integer the element-at-a-time `i64` loop produces.
+#[allow(clippy::needless_range_loop)]
+#[inline]
+fn lut_panel_rows<const R: usize>(
+    a: &[i16],
+    k: usize,
+    i0: usize,
+    panel: &[i16],
+    table: &LutTable,
+) -> [[i64; PANEL]; R] {
+    let mut total = [[0i64; PANEL]; R];
+    let arows: [&[i16]; R] = core::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+    for k0 in (0..k).step_by(LUT_BLOCK) {
+        let mut acc = [[0i32; PANEL]; R];
+        for kk in k0..k.min(k0 + LUT_BLOCK) {
+            let brow: &[i16; PANEL] = match panel[kk * PANEL..(kk + 1) * PANEL].try_into() {
+                Ok(v) => v,
+                Err(_) => unreachable!("panel slice is exactly PANEL wide"),
+            };
+            let bmag = brow.map(|v| u32::from(v.unsigned_abs()));
+            let bneg = brow.map(|v| i32::from(v >> 15));
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = arows[r][kk];
+                let row = table.row(usize::from(av.unsigned_abs()));
+                let aneg = i32::from(av >> 15);
+                // The lookup as its own loop, its index masked where it is
+                // used: that is the shape that compiles to vector gathers.
+                let products: [i32; PANEL] =
+                    core::array::from_fn(|l| row[bmag[l] as usize & (lut::ROW - 1)]);
+                for l in 0..PANEL {
+                    let s = bneg[l] ^ aneg;
+                    accr[l] += (products[l] ^ s) - s;
+                }
+            }
+        }
+        for (t, accr) in total.iter_mut().zip(&acc) {
+            for (t, &v) in t.iter_mut().zip(accr) {
+                *t += i64::from(v);
+            }
+        }
+    }
+    total
+}
+
+/// Dequantised sums of `R` whole output rows, one packed panel at a time.
+#[allow(clippy::too_many_arguments)]
+fn lut_row_group<const R: usize>(
+    k: usize,
+    n: usize,
+    a: &[i16],
+    i0: usize,
+    packed: &[i16],
+    table: &LutTable,
+    dequant: f32,
+    orows: &mut [f32],
+) {
+    for (p, j) in (0..n).step_by(PANEL).enumerate() {
+        let panel = &packed[p * k * PANEL..(p + 1) * k * PANEL];
+        let total = lut_panel_rows::<R>(a, k, i0, panel, table);
+        let width = PANEL.min(n - j);
+        for (orow, sums) in orows.chunks_mut(n).zip(&total) {
+            for (o, &s) in orow[j..j + width].iter_mut().zip(sums) {
+                *o = s as f32 * dequant;
+            }
+        }
+    }
+}
+
+/// Integer GEMM over LUT-quantised operands, `B` row-major: products served
+/// from `table`, summed exactly, dequantised by `dequant` (= scale_A ·
+/// scale_B) before the epilogue. Operand magnitudes must not exceed
+/// `table.qmax` (what [`lut::quantize_symmetric`] guarantees); it is
+/// checked here because the kernel masks its table index instead.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_lut(
     m: usize,
@@ -287,8 +402,36 @@ pub fn gemm_lut(
     out: &mut [f32],
     epi: &Epilogue,
 ) {
-    assert_eq!(a.len(), m * k, "gemm_lut A size");
     assert_eq!(b.len(), k * n, "gemm_lut B size");
+    let in_range = |xs: &[i16]| {
+        let qmax = table.qmax as u16;
+        xs.iter().fold(0, |m, v| v.unsigned_abs().max(m)) <= qmax
+    };
+    assert!(
+        in_range(a) && in_range(b),
+        "gemm_lut operand outside the {}-bit table",
+        table.bits
+    );
+    let packed = pack_b_panels(k, n, b);
+    gemm_lut_packed(m, k, n, a, &packed, table, dequant, out, epi);
+}
+
+/// [`gemm_lut`] over a panel-major `B`; operands come from
+/// [`lut::quantize_symmetric`] at the table's bitwidth.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_lut_packed(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[i16],
+    packed: &[i16],
+    table: &LutTable,
+    dequant: f32,
+    out: &mut [f32],
+    epi: &Epilogue,
+) {
+    assert_eq!(a.len(), m * k, "gemm_lut A size");
+    assert_eq!(packed.len(), packed_len(k, n), "gemm_lut packed B size");
     assert_eq!(out.len(), m * n, "gemm_lut C size");
     if m == 0 || n == 0 {
         return;
@@ -299,29 +442,14 @@ pub fn gemm_lut(
         .enumerate()
         .for_each(|(blk, ob)| {
             let i0 = blk * ROW_BLOCK;
-            let mut acc = vec![0i64; n];
+            cover_rows(n, ob, |r, d, orows| match r {
+                8 => lut_row_group::<8>(k, n, a, i0 + d, packed, table, dequant, orows),
+                4 => lut_row_group::<4>(k, n, a, i0 + d, packed, table, dequant, orows),
+                2 => lut_row_group::<2>(k, n, a, i0 + d, packed, table, dequant, orows),
+                _ => lut_row_group::<1>(k, n, a, i0 + d, packed, table, dequant, orows),
+            });
             for (di, orow) in ob.chunks_mut(n).enumerate() {
-                let i = i0 + di;
-                acc.fill(0);
-                let arow = &a[i * k..(i + 1) * k];
-                for (kk, &av) in arow.iter().enumerate() {
-                    if av == 0 {
-                        // Integer sums are order-independent; skipping exact
-                        // zeros cannot change the result.
-                        continue;
-                    }
-                    let neg = av < 0;
-                    let row = table.row(av.unsigned_abs() as usize);
-                    let brow = &b[kk * n..(kk + 1) * n];
-                    for (s, &bv) in acc.iter_mut().zip(brow) {
-                        let p = i64::from(row[bv.unsigned_abs() as usize]);
-                        *s += if (bv < 0) != neg { -p } else { p };
-                    }
-                }
-                for (o, &s) in orow.iter_mut().zip(acc.iter()) {
-                    *o = s as f32 * dequant;
-                }
-                epi.apply_row(i, orow);
+                epi.apply_row(i0 + di, orow);
             }
         });
 }
@@ -368,7 +496,7 @@ mod tests {
             scale: 2.0,
             bias: Some(&[1.0]),
             fp16: false,
-            relu: true,
+            act: Some(UnaryOp::Relu),
         };
         let mut row = [3.0, -3.0];
         e.apply_row(0, &mut row);
@@ -411,6 +539,88 @@ mod tests {
         }
     }
 
+    /// `out[i,j]` as the scalar `i64` sum of `LutTable::mul` products.
+    fn lut_scalar(a: &[i16], b: &[i16], k: usize, n: usize, i: usize, j: usize, dq: f32) -> f32 {
+        let table = crate::lut::lut_for(8);
+        let sum: i64 = (0..k)
+            .map(|kk| i64::from(table.mul(a[i * k + kk], b[kk * n + j])))
+            .sum();
+        sum as f32 * dq
+    }
+
+    #[test]
+    fn lut_gemm_is_exact_across_the_widening_boundary() {
+        // Three `i32` blocks and one step, every operand at ±qmax: row 0's
+        // products are all +127·127-ish, row 1's all negative, so a lane
+        // that was not widened after 2¹⁶ steps would pass ±2³¹ and wrap.
+        // m = 3 covers the 2- and 1-row groups, n = 33 a full panel and a
+        // one-lane ragged one.
+        let (m, k, n) = (3, 3 * LUT_BLOCK + 1, 33);
+        let table = crate::lut::lut_for(8);
+        assert!(i64::from(table.mul(127, 127)) * k as i64 > i64::from(i32::MAX));
+        let a: Vec<i16> = (0..m * k)
+            .map(|idx| match idx / k {
+                0 => 127,
+                1 => -127,
+                _ => [127, -127][idx % 2],
+            })
+            .collect();
+        let b: Vec<i16> = (0..k * n)
+            .map(|idx| {
+                if idx % n < 20 || idx / n % 3 == 0 {
+                    127
+                } else {
+                    -127
+                }
+            })
+            .collect();
+        let mut c = vec![0.0f32; m * n];
+        gemm_lut(m, k, n, &a, &b, table, 0.5, &mut c, &Epilogue::Raw);
+        for (idx, &got) in c.iter().enumerate() {
+            let want = lut_scalar(&a, &b, k, n, idx / n, idx % n, 0.5);
+            assert_eq!(got.to_bits(), want.to_bits(), "({}, {})", idx / n, idx % n);
+        }
+    }
+
+    #[test]
+    fn lut_gemm_ragged_widths_match_scalar() {
+        let (m, k) = (5, 19);
+        let table = crate::lut::lut_for(8);
+        for n in [1, 31, 33, 77] {
+            let a: Vec<i16> = (0..m * k).map(|i| ((i * 37) % 255) as i16 - 127).collect();
+            let b: Vec<i16> = (0..k * n).map(|i| ((i * 91) % 255) as i16 - 127).collect();
+            let mut c = vec![0.0f32; m * n];
+            gemm_lut(m, k, n, &a, &b, table, 0.125, &mut c, &Epilogue::Raw);
+            for (idx, &got) in c.iter().enumerate() {
+                let want = lut_scalar(&a, &b, k, n, idx / n, idx % n, 0.125);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "n={n} ({}, {})",
+                    idx / n,
+                    idx % n
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 4-bit table")]
+    fn lut_gemm_rejects_operands_past_the_table() {
+        let mut c = [0.0f32];
+        gemm_lut(
+            1,
+            1,
+            1,
+            &[8],
+            &[1],
+            crate::lut::lut_for(4),
+            1.0,
+            &mut c,
+            &Epilogue::Raw,
+        );
+    }
+
     #[test]
     fn empty_dims_are_noops() {
         let mut c: Vec<f32> = vec![];
@@ -428,7 +638,7 @@ mod tests {
                 scale: 1.0,
                 bias: Some(&[5.0]),
                 fp16: false,
-                relu: false,
+                act: None,
             },
         );
         assert_eq!(c1, [5.0, 5.0, 5.0]);

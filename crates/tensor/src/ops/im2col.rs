@@ -4,8 +4,11 @@
 //! Each (image, group) pair builds a patch matrix `B[F, P]` whose rows are
 //! flattened filter elements and whose columns are output positions, then
 //! multiplies it by the group's weight matrix `A[K/g, F]` on the tiled GEMM
-//! core ([`super::gemm`]). The approximations *prune the lowering itself*,
-//! so skipped work is genuinely never computed:
+//! core ([`super::gemm`]). `B` is never materialised row-major: patches are
+//! packed once, straight into the panel-major layout the microkernel reads,
+//! in a per-thread scratch that is reused across images and calls. The
+//! approximations *prune the lowering itself*, so skipped work is genuinely
+//! never computed:
 //!
 //! * **Filter sampling** drops the skipped filter elements' *rows* from
 //!   both `A` and `B` (the GEMM inner dimension shrinks by `1/k`).
@@ -13,10 +16,10 @@
 //!   `B` (the GEMM output shrinks by `1/k`); the missing outputs are
 //!   interpolated from computed neighbours after the GEMM, exactly like
 //!   the direct kernel.
-//! * **LUT multipliers** build the patch matrix over `i16`-quantised
-//!   operands and run the integer table-served GEMM.
+//! * **LUT multipliers** pack the patches over `i16`-quantised operands
+//!   and run the integer table-served GEMM.
 //!
-//! The bias/scale/FP16/ReLU epilogue is fused into the GEMM's output
+//! The bias/scale/FP16/activation epilogue is fused into the GEMM's output
 //! write ([`super::gemm::Epilogue`]), so no unbiased intermediate is
 //! materialised. Results are bit-identical to the direct reference kernel
 //! ([`super::reference`]) for every configuration: both sides accumulate
@@ -29,20 +32,50 @@ use crate::knobs::{ConvApprox, MulApprox, PerforationDim, Precision};
 use crate::lut;
 use crate::ops::activation::UnaryOp;
 use crate::ops::conv::Conv2dParams;
-use crate::ops::gemm::{self, Epilogue};
+use crate::ops::gemm::{self, Epilogue, PANEL};
 use crate::shape::{conv2d_out_shape, Shape};
 use crate::tensor::Tensor;
+use std::cell::Cell;
 
-/// Element type a patch matrix can be built over (f32 exact path, i16
+/// What one thread's lowered convolutions borrow instead of allocating: the
+/// packed patch panels (one buffer per element type; a strided lowering's
+/// column-compacted rows sit behind them in the same buffer) and the plane
+/// a perforated GEMM computes its kept columns into. Each buffer grows to
+/// the largest (image, group) a thread has lowered and is freed with the
+/// thread; nothing else bounds or sizes it.
+#[derive(Default)]
+struct Scratch {
+    panels_f32: Vec<f32>,
+    panels_i16: Vec<i16>,
+    kept_plane: Vec<f32>,
+}
+
+thread_local! {
+    /// Taken for the duration of a call and put back after it, so a
+    /// convolution entered while another holds the scratch (it cannot
+    /// happen with today's pool, which never runs a second job on a
+    /// blocked thread) would allocate its own instead of aliasing.
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
+/// Element type patches can be packed over (f32 exact path, i16
 /// LUT-quantised path). `ZERO` is the padding value.
 trait PatchElem: Copy + Send + Sync {
     const ZERO: Self;
+    /// This element type's panel buffer, and the kept-columns plane.
+    fn buffers(scratch: &mut Scratch) -> (&mut Vec<Self>, &mut Vec<f32>);
 }
 impl PatchElem for f32 {
     const ZERO: Self = 0.0;
+    fn buffers(scratch: &mut Scratch) -> (&mut Vec<f32>, &mut Vec<f32>) {
+        (&mut scratch.panels_f32, &mut scratch.kept_plane)
+    }
 }
 impl PatchElem for i16 {
     const ZERO: Self = 0;
+    fn buffers(scratch: &mut Scratch) -> (&mut Vec<i16>, &mut Vec<f32>) {
+        (&mut scratch.panels_i16, &mut scratch.kept_plane)
+    }
 }
 
 /// Resolved geometry and pruning decisions for one lowered convolution.
@@ -69,10 +102,11 @@ struct LowerPlan<'a> {
     oys: &'a [usize],
     /// Computed output columns (all columns unless column-perforated).
     oxs: &'a [usize],
-    /// Perforation `(dim, k, offset)` if active.
-    perf: Option<(PerforationDim, usize, usize)>,
+    /// Perforation dimension if active.
+    perf: Option<PerforationDim>,
     fp16: bool,
-    fuse_relu: bool,
+    /// FP32 activation fused behind the convolution.
+    act: Option<UnaryOp>,
 }
 
 /// Packs one group's kept weight elements into a dense `[kpg, kept]` GEMM
@@ -94,105 +128,280 @@ fn pack_weights<T: PatchElem>(
     a
 }
 
-/// Fills the row- and column-pruned patch matrix `B[kept, oys×oxs]` for
-/// one (image, group): `B[kr, p]` is the input value under filter element
-/// `kept[kr]` at output position `p`. Positions where the window pads are
-/// not written: which ones pad depends on the geometry alone, so `bmat` is
-/// zeroed once by the caller and reused for every image and group.
-///
-/// With unit width-stride and every output column computed (every zoo conv,
-/// filter sampling, row perforation), the taps of one (filter element,
-/// output row) are one contiguous run of an input row and move as a single
-/// `copy_from_slice`; only strided or column-perforated lowering gathers
-/// element by element.
-fn pack_patches<T: PatchElem>(plan: &LowerPlan, in_data: &[T], b: usize, g: usize, bmat: &mut [T]) {
-    let (h, w) = (plan.h, plan.w);
-    let (r, s) = (plan.r, plan.s);
-    let (ph, pw) = plan.pad;
-    let (sh, sw) = plan.stride;
-    let nx = plan.oxs.len();
-    let n_pos = plan.oys.len() * nx;
-    if n_pos == 0 {
-        return;
-    }
-    let contiguous = sw == 1 && nx == plan.wo;
-    let ic_start = g * plan.cpg;
-    for (brow, &idx) in bmat.chunks_mut(n_pos).zip(plan.kept) {
-        let icw = idx / (r * s);
-        let rem = idx % (r * s);
-        let ky = rem / s;
-        let kx = rem % s;
-        let in_base = (b * plan.c + ic_start + icw) * h * w;
-        // Output columns `[x0, x1)` whose tap `ox + kx − pw` is inside the
-        // input row (unit stride).
-        let x0 = pw.saturating_sub(kx);
-        let x1 = (w + pw).saturating_sub(kx).min(plan.wo);
-        for (dst, &oy) in brow.chunks_mut(nx).zip(plan.oys) {
-            let iy = oy * sh + ky;
-            if iy < ph || iy - ph >= h {
-                continue; // whole row pads
-            }
-            let src = &in_data[in_base + (iy - ph) * w..][..w];
-            if contiguous {
-                if x0 < x1 {
-                    dst[x0..x1].copy_from_slice(&src[x0 + kx - pw..x1 + kx - pw]);
+/// One kept filter element, resolved against the geometry: which plane of
+/// the source image its taps read and which computed output columns they
+/// land inside the input for.
+struct Tap {
+    /// Offset of the plane the tap reads inside the source image.
+    plane: usize,
+    ky: usize,
+    /// Indices into the computed columns whose tap is inside the input row:
+    /// `[x0, x1)`; the rest pad.
+    x0: usize,
+    x1: usize,
+    /// Source column read for index `x0`; consecutive indices read
+    /// consecutive columns.
+    first: usize,
+}
+
+/// A run of consecutive patch-matrix columns that share one computed output
+/// row and one panel: the unit a tap row is copied in.
+struct Segment {
+    /// Offset of the run's first lane in the panel buffer, filter row 0.
+    dst: usize,
+    /// Output row (a value of `oys`).
+    oy: usize,
+    /// The run's first index into the computed columns, and its length.
+    xi: usize,
+    len: usize,
+}
+
+/// The column gather of a strided or column-perforated lowering: the
+/// computed columns are not consecutive in the input, so each input row is
+/// first compacted, once per filter column `kx`, into the run of values its
+/// taps read — `s·C·H` row gathers instead of `r·s·C·Ho`, after which every
+/// tap row is a plain copy exactly as in the unit-stride case.
+struct Gather {
+    /// Input column offset `ox·stride` of each computed column.
+    cols: Vec<usize>,
+    /// `[x0, x1)` of each filter column.
+    ranges: Vec<(usize, usize)>,
+    /// Input rows some tap reads.
+    rows: Vec<usize>,
+}
+
+/// The patch packer of one call: which `(panel lane run, output row,
+/// column run)` segments tile the column space and where each kept tap
+/// reads — resolved once, then replayed for every image and group.
+struct Packer<'a> {
+    plan: &'a LowerPlan<'a>,
+    taps: Vec<Tap>,
+    segments: Vec<Segment>,
+    /// `None` with unit width-stride and every output column computed
+    /// (every zoo conv, filter sampling, row perforation): a tap row's run
+    /// is already contiguous in the input.
+    gather: Option<Gather>,
+    /// Row pitch of the source image the taps read (the input's, or the
+    /// compacted one's).
+    pitch: usize,
+}
+
+impl<'a> Packer<'a> {
+    fn new(plan: &'a LowerPlan<'a>) -> Self {
+        let (h, w) = (plan.h, plan.w);
+        let ((ph, pw), (sh, sw)) = (plan.pad, plan.stride);
+        let rows = plan.kept.len();
+        let nx = plan.oxs.len();
+        let contiguous = sw == 1 && nx == plan.wo;
+        let pitch = if contiguous { w } else { nx };
+        let cols: Vec<usize> = plan.oxs.iter().map(|&ox| ox * sw).collect();
+        let ranges: Vec<(usize, usize)> = (0..plan.s)
+            .map(|kx| {
+                (
+                    cols.partition_point(|&c| c + kx < pw),
+                    cols.partition_point(|&c| c + kx < w + pw),
+                )
+            })
+            .collect();
+        let taps = plan
+            .kept
+            .iter()
+            .map(|&idx| {
+                let (chan, rem) = (idx / (plan.r * plan.s), idx % (plan.r * plan.s));
+                let kx = rem % plan.s;
+                let (x0, x1) = ranges[kx];
+                let (plane, first) = if contiguous {
+                    (chan, (x0 + kx).saturating_sub(pw))
+                } else {
+                    (kx * plan.cpg + chan, x0)
+                };
+                Tap {
+                    plane: plane * h * pitch,
+                    ky: rem / plan.s,
+                    x0,
+                    x1,
+                    first,
                 }
-            } else {
-                for (d, &ox) in dst.iter_mut().zip(plan.oxs) {
-                    let ix = ox * sw + kx;
-                    if ix >= pw && ix - pw < w {
-                        *d = src[ix - pw];
+            })
+            .collect();
+        let mut segments = Vec::new();
+        let n_pos = plan.oys.len() * nx;
+        let mut j = 0;
+        while j < n_pos {
+            // Up to the end of the output row or of the panel, whichever
+            // comes first.
+            let (yi, xi) = (j / nx, j % nx);
+            let len = (nx - xi).min(PANEL - j % PANEL);
+            segments.push(Segment {
+                dst: (j / PANEL) * rows * PANEL + j % PANEL,
+                oy: plan.oys[yi],
+                xi,
+                len,
+            });
+            j += len;
+        }
+        let gather = (!contiguous).then(|| {
+            let mut read = vec![false; h];
+            for iy in plan.oys.iter().flat_map(|oy| oy * sh..oy * sh + plan.r) {
+                if (ph..h + ph).contains(&iy) {
+                    read[iy - ph] = true;
+                }
+            }
+            Gather {
+                cols,
+                ranges,
+                rows: (0..h).filter(|&iy| read[iy]).collect(),
+            }
+        });
+        Packer {
+            plan,
+            taps,
+            segments,
+            gather,
+            pitch,
+        }
+    }
+
+    /// Elements of scratch [`Packer::pack`] needs behind the panels.
+    fn gathered_len(&self) -> usize {
+        let plan = self.plan;
+        self.gather
+            .as_ref()
+            .map_or(0, |_| plan.s * plan.cpg * plan.h * self.pitch)
+    }
+
+    /// Writes the panel-major patches of image `b`, group `g` into `panels`:
+    /// lane `j % PANEL` of row `kr` of panel `j / PANEL` is the input value
+    /// under filter element `kept[kr]` at computed position `j`. Positions
+    /// where the window pads are not written: which ones pad depends on the
+    /// geometry alone, so the caller zeroes `panels` once per call.
+    /// `gathered` is [`Packer::gathered_len`] elements of working space.
+    fn pack<T: PatchElem>(
+        &self,
+        in_data: &[T],
+        b: usize,
+        g: usize,
+        panels: &mut [T],
+        gathered: &mut [T],
+    ) {
+        let plan = self.plan;
+        let (h, w) = (plan.h, plan.w);
+        let (ph, pw) = plan.pad;
+        let sh = plan.stride.0;
+        let image = &in_data[(b * plan.c + g * plan.cpg) * h * w..][..plan.cpg * h * w];
+        let pitch = self.pitch;
+        let source: &[T] = match &self.gather {
+            None => image,
+            Some(gather) => {
+                for (kx, &(x0, x1)) in gather.ranges.iter().enumerate() {
+                    for chan in 0..plan.cpg {
+                        let dst = &mut gathered[(kx * plan.cpg + chan) * h * pitch..][..h * pitch];
+                        let src = &image[chan * h * w..][..h * w];
+                        for &iy in &gather.rows {
+                            let (dst, src) = (&mut dst[iy * pitch..][x0..x1], &src[iy * w..][..w]);
+                            for (d, &col) in dst.iter_mut().zip(&gather.cols[x0..x1]) {
+                                *d = src[col + kx - pw];
+                            }
+                        }
                     }
                 }
+                gathered
+            }
+        };
+        for seg in &self.segments {
+            let (lo, hi) = (seg.xi, seg.xi + seg.len);
+            for (kr, tap) in self.taps.iter().enumerate() {
+                let iy = seg.oy * sh + tap.ky;
+                let (x0, x1) = (tap.x0.max(lo), tap.x1.min(hi));
+                if iy < ph || iy - ph >= h || x0 >= x1 {
+                    continue; // the whole run pads
+                }
+                let src = &source[tap.plane + (iy - ph) * pitch..][..pitch];
+                panels[seg.dst + kr * PANEL + (x0 - lo)..][..x1 - x0]
+                    .copy_from_slice(&src[tap.first + (x0 - tap.x0)..][..x1 - x0]);
             }
         }
     }
 }
 
-/// Interpolation pass for perforated outputs: nearest-neighbour averaging
-/// of computed elements (Figurnov et al.) — expression-identical to the
-/// direct reference kernel.
-fn interpolate(
-    op: &mut [f32],
-    ho: usize,
-    wo: usize,
+/// Where a perforated output row or column takes its value from.
+#[derive(Clone, Copy)]
+enum Fill {
+    /// `0.5·(a + b)` of the nearest computed coordinate on either side.
+    Between(usize, usize),
+    /// A copy of the only side that has a computed coordinate.
+    Copy(usize),
+    /// Nothing was computed along this dimension: the bias alone.
+    Bias,
+}
+
+/// The skipped coordinates of a perforated dimension with their nearest
+/// computed neighbours (Figurnov et al.), resolved once per call. `kept` is
+/// increasing.
+fn fills(extent: usize, kept: &[usize]) -> Vec<(usize, Fill)> {
+    (0..extent)
+        .filter(|c| kept.binary_search(c).is_err())
+        .map(|c| {
+            let after = kept.partition_point(|&v| v < c);
+            let fill = match (after.checked_sub(1).map(|i| kept[i]), kept.get(after)) {
+                (Some(a), Some(&b)) => Fill::Between(a, b),
+                (Some(a), None) | (None, Some(&a)) => Fill::Copy(a),
+                (None, None) => Fill::Bias,
+            };
+            (c, fill)
+        })
+        .collect()
+}
+
+/// Spreads one output channel's computed positions (`kept`, row-major over
+/// `oys × oxs`) over its `ho × wo` plane and interpolates the perforated
+/// rows or columns — expression-identical to the direct reference kernel,
+/// one whole row (or one strided pass along a row) at a time.
+fn scatter_interpolate(
+    plan: &LowerPlan,
     dim: PerforationDim,
-    kk: usize,
-    offset: usize,
+    skipped: &[(usize, Fill)],
+    kept: &[f32],
     bias_v: f32,
+    op: &mut [f32],
 ) {
-    let skip = |coord: usize| coord % kk == offset;
+    let wo = plan.wo;
+    let nx = plan.oxs.len();
     match dim {
         PerforationDim::Row => {
-            for oy in 0..ho {
-                if !skip(oy) {
-                    continue;
-                }
-                let above = (0..oy).rev().find(|&y| !skip(y));
-                let below = (oy + 1..ho).find(|&y| !skip(y));
-                for ox in 0..wo {
-                    op[oy * wo + ox] = match (above, below) {
-                        (Some(a), Some(bl)) => 0.5 * (op[a * wo + ox] + op[bl * wo + ox]),
-                        (Some(a), None) => op[a * wo + ox],
-                        (None, Some(bl)) => op[bl * wo + ox],
-                        (None, None) => bias_v,
-                    };
+            for (krow, &oy) in kept.chunks(wo.max(1)).zip(plan.oys) {
+                op[oy * wo..][..wo].copy_from_slice(krow);
+            }
+            for &(oy, fill) in skipped {
+                // Neighbours are computed rows on either side of `oy`.
+                let (above, rest) = op.split_at_mut(oy * wo);
+                let (row, below) = rest.split_at_mut(wo);
+                match fill {
+                    Fill::Between(a, b) => {
+                        let ra = &above[a * wo..][..wo];
+                        let rb = &below[(b - oy - 1) * wo..][..wo];
+                        for ((o, &va), &vb) in row.iter_mut().zip(ra).zip(rb) {
+                            *o = 0.5 * (va + vb);
+                        }
+                    }
+                    Fill::Copy(a) if a < oy => row.copy_from_slice(&above[a * wo..][..wo]),
+                    Fill::Copy(b) => row.copy_from_slice(&below[(b - oy - 1) * wo..][..wo]),
+                    Fill::Bias => row.fill(bias_v),
                 }
             }
         }
         PerforationDim::Col => {
-            for ox in 0..wo {
-                if !skip(ox) {
-                    continue;
+            for (oy, row) in op.chunks_mut(wo.max(1)).enumerate() {
+                if nx > 0 {
+                    for (&ox, &v) in plan.oxs.iter().zip(&kept[oy * nx..][..nx]) {
+                        row[ox] = v;
+                    }
                 }
-                let left = (0..ox).rev().find(|&x| !skip(x));
-                let right = (ox + 1..wo).find(|&x| !skip(x));
-                for oy in 0..ho {
-                    op[oy * wo + ox] = match (left, right) {
-                        (Some(l), Some(rr)) => 0.5 * (op[oy * wo + l] + op[oy * wo + rr]),
-                        (Some(l), None) => op[oy * wo + l],
-                        (None, Some(rr)) => op[oy * wo + rr],
-                        (None, None) => bias_v,
+                for &(ox, fill) in skipped {
+                    row[ox] = match fill {
+                        Fill::Between(l, r) => 0.5 * (row[l] + row[r]),
+                        Fill::Copy(c) => row[c],
+                        Fill::Bias => bias_v,
                     };
                 }
             }
@@ -201,8 +410,8 @@ fn interpolate(
 }
 
 /// Drives the pack → GEMM → epilogue/scatter pipeline over all
-/// (group, image) pairs. `gemm_call(m, k, n, a, b, dst, epi)` runs the
-/// element-type-appropriate GEMM.
+/// (group, image) pairs. `gemm_call(m, k, n, a, panels, dst, epi)` runs the
+/// element-type-appropriate GEMM over the packed patches.
 #[allow(clippy::type_complexity)]
 fn run_lowered<T: PatchElem>(
     plan: &LowerPlan,
@@ -216,91 +425,87 @@ fn run_lowered<T: PatchElem>(
     let n_pos = plan.oys.len() * plan.oxs.len();
     let kk2 = plan.kept.len();
     let plane = plan.ho * plan.wo;
-    let mut b_pack = vec![T::ZERO; kk2 * n_pos];
-    // Perforation computes only the kept columns into this scratch plane.
-    let mut cbuf = vec![0.0f32; plan.perf.map_or(0, |_| plan.kpg * n_pos)];
+    let packer = Packer::new(plan);
+    let skipped = match plan.perf {
+        Some(PerforationDim::Row) => fills(plan.ho, plan.oys),
+        Some(PerforationDim::Col) => fills(plan.wo, plan.oxs),
+        None => Vec::new(),
+    };
+
+    let mut scratch = SCRATCH.take();
+    let (panels, kept_plane) = T::buffers(&mut scratch);
+    let packed_len = gemm::packed_len(kk2, n_pos);
+    panels.clear();
+    panels.resize(packed_len + packer.gathered_len(), T::ZERO);
+    let (panels, gathered) = panels.split_at_mut(packed_len);
+    // Perforation computes only the kept columns into this plane.
+    let kept_len = plan.perf.map_or(0, |_| plan.kpg * n_pos);
+    if kept_plane.len() < kept_len {
+        kept_plane.resize(kept_len, 0.0);
+    }
+    let kept_plane = &mut kept_plane[..kept_len];
+
     for g in 0..plan.groups {
         let a_pack = pack_weights(w_data, g, plan.kpg, total, plan.kept);
         let bias_slice = bias_data.map(|bd| &bd[g * plan.kpg..(g + 1) * plan.kpg]);
         for bimg in 0..plan.n {
-            pack_patches(plan, in_data, bimg, g, &mut b_pack);
+            packer.pack(in_data, bimg, g, panels, gathered);
             let out_base = (bimg * plan.k + g * plan.kpg) * plane;
-            match plan.perf {
-                None => {
-                    // Columns cover the full plane in row-major order, so
-                    // the GEMM writes the group's output planes directly,
-                    // epilogue fused.
-                    let epi = Epilogue::Conv {
-                        scale: plan.scale,
-                        bias: bias_slice,
-                        fp16: plan.fp16,
-                        relu: plan.fuse_relu,
-                    };
-                    gemm_call(
-                        plan.kpg,
-                        kk2,
-                        n_pos,
-                        &a_pack,
-                        &b_pack,
-                        &mut out[out_base..out_base + plan.kpg * plane],
-                        &epi,
-                    );
+            let planes = &mut out[out_base..out_base + plan.kpg * plane];
+            let Some(dim) = plan.perf else {
+                // Columns cover the full plane in row-major order, so the
+                // GEMM writes the group's output planes directly, epilogue
+                // fused.
+                let epi = Epilogue::Conv {
+                    scale: plan.scale,
+                    bias: bias_slice,
+                    fp16: plan.fp16,
+                    act: plan.act,
+                };
+                gemm_call(plan.kpg, kk2, n_pos, &a_pack, panels, planes, &epi);
+                continue;
+            };
+            // Compute only the kept columns, then scatter and interpolate.
+            // Quantisation and the activation must run *after*
+            // interpolation (matching the reference kernel), so the GEMM
+            // epilogue applies only scale and bias.
+            let epi = Epilogue::Conv {
+                scale: plan.scale,
+                bias: bias_slice,
+                fp16: false,
+                act: None,
+            };
+            gemm_call(plan.kpg, kk2, n_pos, &a_pack, panels, kept_plane, &epi);
+            for (di, op) in planes.chunks_mut(plane.max(1)).enumerate() {
+                let bias_v = bias_slice.map_or(0.0, |bs| bs[di]);
+                let kept = &kept_plane[di * n_pos..(di + 1) * n_pos];
+                scatter_interpolate(plan, dim, &skipped, kept, bias_v, op);
+                if plan.fp16 {
+                    op.iter_mut().for_each(|v| *v = f16::quantize(*v));
                 }
-                Some((dim, pk, poff)) => {
-                    // Compute only the kept columns, then scatter and
-                    // interpolate. Quantisation/ReLU must run *after*
-                    // interpolation (matching the reference kernel), so the
-                    // GEMM epilogue applies only scale and bias.
-                    let epi = Epilogue::Conv {
-                        scale: plan.scale,
-                        bias: bias_slice,
-                        fp16: false,
-                        relu: false,
-                    };
-                    gemm_call(plan.kpg, kk2, n_pos, &a_pack, &b_pack, &mut cbuf, &epi);
-                    for di in 0..plan.kpg {
-                        let op = &mut out[out_base + di * plane..out_base + (di + 1) * plane];
-                        let crow = &cbuf[di * n_pos..(di + 1) * n_pos];
-                        let mut p = 0;
-                        for &oy in plan.oys {
-                            for &ox in plan.oxs {
-                                op[oy * plan.wo + ox] = crow[p];
-                                p += 1;
-                            }
-                        }
-                        let bias_v = bias_slice.map_or(0.0, |bs| bs[di]);
-                        interpolate(op, plan.ho, plan.wo, dim, pk, poff, bias_v);
-                        if plan.fp16 {
-                            for v in op.iter_mut() {
-                                *v = f16::quantize(*v);
-                            }
-                        }
-                        if plan.fuse_relu {
-                            for v in op.iter_mut() {
-                                *v = UnaryOp::Relu.apply(*v);
-                            }
-                        }
-                    }
+                if let Some(act) = plan.act {
+                    act.apply_slice(op);
                 }
             }
         }
     }
+    SCRATCH.set(scratch);
 }
 
 /// Lowers a convolution (any [`Conv2dParams`] setting, optionally with a
-/// fused trailing ReLU) through im2col onto the tiled GEMM.
+/// fused trailing FP32 activation) through im2col onto the tiled GEMM.
 ///
 /// This is the kernel behind [`super::conv2d`] and
-/// [`super::conv::conv2d_fused_relu`]; results are bit-identical to the
-/// direct reference kernel for every configuration.
+/// [`super::conv::conv2d_fused`]; results are bit-identical to the direct
+/// reference kernel for every configuration.
 pub fn conv2d_lowered(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     params: Conv2dParams,
-    fuse_relu: bool,
+    act: Option<UnaryOp>,
 ) -> Result<Tensor, TensorError> {
-    conv2d_lowered_impl(input, weight, bias, params, fuse_relu, false)
+    conv2d_lowered_impl(input, weight, bias, params, act, false)
 }
 
 /// ABFT twin of [`conv2d_lowered`]: every lowered GEMM runs with a raw
@@ -313,9 +518,9 @@ pub(crate) fn conv2d_lowered_abft(
     weight: &Tensor,
     bias: Option<&Tensor>,
     params: Conv2dParams,
-    fuse_relu: bool,
+    act: Option<UnaryOp>,
 ) -> Result<Tensor, TensorError> {
-    conv2d_lowered_impl(input, weight, bias, params, fuse_relu, true)
+    conv2d_lowered_impl(input, weight, bias, params, act, true)
 }
 
 fn conv2d_lowered_impl(
@@ -323,7 +528,7 @@ fn conv2d_lowered_impl(
     weight: &Tensor,
     bias: Option<&Tensor>,
     params: Conv2dParams,
-    fuse_relu: bool,
+    act: Option<UnaryOp>,
     verify: bool,
 ) -> Result<Tensor, TensorError> {
     params.approx.validate()?;
@@ -382,20 +587,15 @@ fn conv2d_lowered_impl(
         _ => ((0..total).collect(), 1.0),
     };
     // Column pruning (perforation): computed output positions.
-    let perf = match params.approx {
-        ConvApprox::Perforation { dim, k, offset } => Some((dim, k, offset)),
-        _ => None,
-    };
-    let (oys, oxs): (Vec<usize>, Vec<usize>) = match perf {
-        Some((PerforationDim::Row, pk, off)) => (
-            (0..ho).filter(|&y| y % pk != off).collect(),
-            (0..wo).collect(),
-        ),
-        Some((PerforationDim::Col, pk, off)) => (
-            (0..ho).collect(),
-            (0..wo).filter(|&x| x % pk != off).collect(),
-        ),
-        None => ((0..ho).collect(), (0..wo).collect()),
+    let (perf, oys, oxs): (_, Vec<usize>, Vec<usize>) = match params.approx {
+        ConvApprox::Perforation { dim, k, offset } => {
+            let keep = |extent| (0..extent).filter(|c| c % k != offset).collect();
+            match dim {
+                PerforationDim::Row => (Some(dim), keep(ho), (0..wo).collect()),
+                PerforationDim::Col => (Some(dim), (0..ho).collect(), keep(wo)),
+            }
+        }
+        _ => (None, (0..ho).collect(), (0..wo).collect()),
     };
 
     let plan = LowerPlan {
@@ -419,7 +619,7 @@ fn conv2d_lowered_impl(
         oxs: &oxs,
         perf,
         fp16: params.precision == Precision::Fp16,
-        fuse_relu,
+        act,
     };
 
     let mut out = vec![0.0f32; n * k * ho * wo];
@@ -441,7 +641,9 @@ fn conv2d_lowered_impl(
                         return;
                     }
                     let tol = super::abft::AbftTol::exact(m, kd, nd);
-                    if let Err(e) = super::abft::gemm_f32_abft(m, kd, nd, a, bm, dst, epi, &tol) {
+                    if let Err(e) =
+                        super::abft::gemm_f32_abft_packed(m, kd, nd, a, bm, dst, epi, &tol)
+                    {
                         *corrupt.borrow_mut() = Some(e.to_string());
                     }
                 },
@@ -454,7 +656,7 @@ fn conv2d_lowered_impl(
                 weight.data(),
                 bias_data,
                 &mut out,
-                &|m, kd, nd, a, bm, dst, epi| gemm::gemm_f32(m, kd, nd, a, bm, dst, epi),
+                &|m, kd, nd, a, bm, dst, epi| gemm::gemm_f32_packed(m, kd, nd, a, bm, dst, epi),
             );
         }
         MulApprox::Lut { bits } => {
@@ -474,9 +676,9 @@ fn conv2d_lowered_impl(
                             return;
                         }
                         let tol = super::abft::AbftTol::lut(kd, dq);
-                        if let Err(e) =
-                            super::abft::gemm_lut_abft(m, kd, nd, a, bm, table, dq, dst, epi, &tol)
-                        {
+                        if let Err(e) = super::abft::gemm_lut_abft_packed(
+                            m, kd, nd, a, bm, table, dq, dst, epi, &tol,
+                        ) {
                             *corrupt.borrow_mut() = Some(e.to_string());
                         }
                     },
@@ -489,7 +691,7 @@ fn conv2d_lowered_impl(
                     bias_data,
                     &mut out,
                     &move |m, kd, nd, a, bm, dst, epi| {
-                        gemm::gemm_lut(m, kd, nd, a, bm, table, dq, dst, epi)
+                        gemm::gemm_lut_packed(m, kd, nd, a, bm, table, dq, dst, epi)
                     },
                 );
             }
@@ -525,7 +727,7 @@ pub fn conv2d_im2col(
             precision,
             ..Default::default()
         },
-        false,
+        None,
     )
 }
 
@@ -553,7 +755,7 @@ mod tests {
 
     fn check(params: Conv2dParams, ctx: &str) {
         let (x, w, b) = fixtures();
-        let lowered = conv2d_lowered(&x, &w, Some(&b), params, false).unwrap();
+        let lowered = conv2d_lowered(&x, &w, Some(&b), params, None).unwrap();
         let direct = conv2d_reference(&x, &w, Some(&b), params).unwrap();
         assert_bits_eq(&lowered, &direct, ctx);
     }
@@ -654,7 +856,7 @@ mod tests {
             groups: 4,
             ..Default::default()
         };
-        let lowered = conv2d_lowered(&x, &w, None, params, false).unwrap();
+        let lowered = conv2d_lowered(&x, &w, None, params, None).unwrap();
         let direct = conv2d_reference(&x, &w, None, params).unwrap();
         assert_bits_eq(&lowered, &direct, "depthwise");
     }
@@ -676,9 +878,9 @@ mod tests {
                 approx,
                 ..Default::default()
             };
-            let fused = conv2d_lowered(&x, &w, Some(&b), params, true).unwrap();
+            let fused = conv2d_lowered(&x, &w, Some(&b), params, Some(UnaryOp::Relu)).unwrap();
             let unfused = crate::ops::relu(
-                &conv2d_lowered(&x, &w, Some(&b), params, false).unwrap(),
+                &conv2d_lowered(&x, &w, Some(&b), params, None).unwrap(),
                 Precision::Fp32,
             )
             .unwrap();
@@ -700,7 +902,7 @@ mod tests {
         let x = Tensor::uniform(Shape::nchw(1, 1, 3, 2), -1.0, 1.0, &mut rng);
         let w = Tensor::uniform(Shape::nchw(1, 1, 1, 1), -1.0, 1.0, &mut rng);
         let params = Conv2dParams::default();
-        let lowered = conv2d_lowered(&x, &w, None, params, false).unwrap();
+        let lowered = conv2d_lowered(&x, &w, None, params, None).unwrap();
         let direct = conv2d_reference(&x, &w, None, params).unwrap();
         assert_bits_eq(&lowered, &direct, "1x1");
     }

@@ -129,6 +129,12 @@ impl Tensor {
         })
     }
 
+    /// [`Tensor::reshape`] for a tensor the caller is done with: the backing
+    /// data moves instead of being copied.
+    pub fn into_reshaped(self, shape: Shape) -> Result<Tensor, TensorError> {
+        Tensor::from_vec(shape, self.data)
+    }
+
     /// Element at a 4-D NCHW coordinate.
     #[inline(always)]
     pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {

@@ -8,7 +8,15 @@
 //! 1. the counted multiplies of the approximate kernels are strictly below
 //!    the exact kernel's (and close to the analytical fraction);
 //! 2. k=2 column perforation is measurably faster than the exact kernel on
-//!    the same shape (median over repetitions).
+//!    the same shape (minimum over repetitions: the two kernels differ by the
+//!    work they do, and the minimum is the repetition least disturbed by
+//!    anything else on the machine). The shape is one image, 16 → 32
+//!    channels of 64×64 at 3×3: with 32 output channels the multiplies
+//!    outweigh the patch packing, which perforation also halves but whose
+//!    strided gather costs more per element than the exact path's row
+//!    copies. On the 4–12-channel layers of the Tiny zoo models packing
+//!    dominates and column perforation does *not* beat exact; only the
+//!    multiply counts of part 1 hold on every shape.
 //!
 //! Everything runs inside one `#[test]` so the global counter windows and
 //! the timing comparison cannot interleave with other tests.
@@ -20,16 +28,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-fn median_time_s(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
+fn min_time_s(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
         .map(|_| {
             let t = Instant::now();
             f();
             t.elapsed().as_secs_f64()
         })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[test]
@@ -96,10 +102,10 @@ fn approximations_execute_fewer_multiplies_and_run_faster() {
     // --- 2. wall-clock ---------------------------------------------------
     // Warm up once (rayon pool spawn, LUT-free path, page faults).
     conv2d(&x, &w, None, params(ConvApprox::Exact)).unwrap();
-    let t_exact = median_time_s(5, || {
+    let t_exact = min_time_s(15, || {
         conv2d(&x, &w, None, params(ConvApprox::Exact)).unwrap();
     });
-    let t_perf = median_time_s(5, || {
+    let t_perf = min_time_s(15, || {
         conv2d(&x, &w, None, params(perf_col)).unwrap();
     });
     let speedup = t_exact / t_perf;

@@ -18,10 +18,12 @@ use approxtuner::core::knobs::{KnobRegistry, KnobSet};
 use approxtuner::core::predict::PredictionModel;
 use approxtuner::core::qos::{QosMetric, QosReference};
 use approxtuner::core::tuner::{PredictiveTuner, TunerParams};
-use approxtuner::core::ShippedArtifact;
+use approxtuner::core::{Config, ShippedArtifact, TradeoffCurve};
 use approxtuner::hw::{DeviceSpec, TimingModel};
+use approxtuner::ir::{ApproxChoice, Graph};
 use approxtuner::models::data::build_dataset;
 use approxtuner::models::{build, BenchmarkId, ModelScale};
+use approxtuner::tensor::Precision;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -118,6 +120,19 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Whether any op of `config` runs at FP16.
+fn uses_fp16(config: &Config, registry: &KnobRegistry, graph: &Graph) -> bool {
+    config.decode(registry, graph).iter().any(|choice| {
+        matches!(
+            choice,
+            ApproxChoice::Digital {
+                precision: Precision::Fp16,
+                ..
+            }
+        )
+    })
+}
+
 fn cmd_tune(name: &str, flags: Flags) -> ExitCode {
     let Some(id) = find_benchmark(name) else {
         eprintln!("unknown benchmark {name} (try `atune list`)");
@@ -141,7 +156,7 @@ fn cmd_tune(name: &str, flags: Flags) -> ExitCode {
     let base = approxtuner::core::profile::measure_config(
         &bench.graph,
         &registry,
-        &approxtuner::core::Config::baseline(&bench.graph),
+        &Config::baseline(&bench.graph),
         &cal.batches,
         QosMetric::Accuracy,
         &reference,
@@ -180,12 +195,31 @@ fn cmd_tune(name: &str, flags: Flags) -> ExitCode {
     for p in result.curve.points() {
         println!("  qos {:6.2}%  predicted speedup {:5.2}x", p.qos, p.perf);
     }
+    // Targets without FP16 units (`install --no-fp16`) select the second
+    // slot: the tuned points that use no FP16 knob, Pareto-filtered again
+    // since dropping points can leave dominated ones behind.
+    let fp32_points: Vec<_> = result
+        .curve
+        .points()
+        .iter()
+        .filter(|p| !uses_fp16(&p.config, &registry, &bench.graph))
+        .cloned()
+        .collect();
+    let curve_fp32_only =
+        (!fp32_points.is_empty()).then(|| TradeoffCurve::from_points(fp32_points));
+    match &curve_fp32_only {
+        Some(c) => eprintln!("fp32-only curve: {} of the points above", c.len()),
+        None => eprintln!(
+            "fp32-only curve: absent (every tuned point uses an FP16 knob); \
+             `atune install --no-fp16` will reject this artifact"
+        ),
+    }
     let artifact = ShippedArtifact::new(
         &bench.graph,
         QosMetric::Accuracy,
         params.qos_min,
         Some(result.curve.clone()),
-        None,
+        curve_fp32_only,
     );
     let path = flags
         .out

@@ -1,0 +1,76 @@
+//! The `atune` binary end to end: `tune` → `inspect` → `install`, on both
+//! sides of the platform's FP16 switch.
+//!
+//! Regression: `tune` used to ship only the FP16 curve slot, so the artifact
+//! it wrote was rejected by `install --no-fp16` ("artifact holds no curve
+//! for this platform") — a failure no library-level test could see, because
+//! the slots are filled in the binary.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn atune(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_atune"))
+        .args(args)
+        .output()
+        .expect("atune runs")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn assert_ok(out: &Output, what: &str) {
+    assert!(
+        out.status.success(),
+        "{what} failed: {}\n{}",
+        stdout(out),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn tuned_artifact_installs_with_and_without_fp16() {
+    let path: PathBuf = std::env::temp_dir().join(format!("atune-cli-{}.json", std::process::id()));
+    let artifact = path.to_str().expect("utf-8 temp path");
+    let small = ["--samples", "32"];
+
+    let tune = atune(&[
+        "tune",
+        "Lenet",
+        "--qos-drop",
+        "3",
+        "--iters",
+        "40",
+        "--samples",
+        "32",
+        "--out",
+        artifact,
+    ]);
+    assert_ok(&tune, "tune");
+
+    let inspect = atune(&["inspect", artifact]);
+    assert_ok(&inspect, "inspect");
+    let listing = stdout(&inspect);
+    for tag in ["fp16", "fp32-only"] {
+        assert!(
+            listing.contains(&format!("curve [{tag}]: "))
+                && !listing.contains(&format!("curve [{tag}]: absent")),
+            "inspect shows no {tag} curve:\n{listing}"
+        );
+    }
+
+    for extra in [&[][..], &["--no-fp16"][..]] {
+        let mut args = vec!["install", "Lenet", artifact];
+        args.extend_from_slice(extra);
+        args.extend_from_slice(&small);
+        let install = atune(&args);
+        assert_ok(&install, &format!("install {extra:?}"));
+        assert!(
+            stdout(&install).contains("install-time curve on"),
+            "install {extra:?} printed no curve:\n{}",
+            stdout(&install)
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
