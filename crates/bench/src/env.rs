@@ -15,6 +15,14 @@
 //! | `AT_BENCH_REPLICAS`  | `AT_FLEET_REPLICAS` | Fleet replica count              |
 //! | `AT_BENCH_SEED`      | `AT_FLEET_SEED`     | Fleet / chaos simulation seed    |
 
+/// Whether any `AT_*` variable is set — every sizing, selection and seed
+/// knob of the harness lives in that family, so this is "the run was not
+/// sized by the defaults". The report writers use it to keep a down-sized
+/// smoke run from overwriting the committed full-scale artifacts.
+pub fn overridden() -> bool {
+    std::env::vars_os().any(|(k, _)| k.to_string_lossy().starts_with("AT_"))
+}
+
 /// The first set variable among `canonical` and `aliases`, if any.
 fn lookup(canonical: &str, aliases: &[&str]) -> Option<String> {
     std::iter::once(canonical)
@@ -57,6 +65,13 @@ mod tests {
         assert_eq!(usize_var("AT_TEST_CANON_A", &["AT_TEST_ALIAS_A"], 1), 7);
         std::env::remove_var("AT_TEST_CANON_A");
         std::env::remove_var("AT_TEST_ALIAS_A");
+    }
+
+    #[test]
+    fn any_at_variable_marks_the_run_as_overridden() {
+        std::env::set_var("AT_TEST_OVERRIDE_E", "");
+        assert!(overridden(), "even an empty AT_* variable counts");
+        std::env::remove_var("AT_TEST_OVERRIDE_E");
     }
 
     #[test]

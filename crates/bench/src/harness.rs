@@ -56,7 +56,21 @@ pub struct Prepared {
 
 impl Prepared {
     /// Builds a benchmark with its synthetic dataset.
+    ///
+    /// # Panics
+    ///
+    /// When the sizing cannot fill both splits: the samples are cut into
+    /// batches of `AT_BATCH` and the batches split 50/50, so fewer than two
+    /// batches leaves the calibration split empty.
     pub fn new(id: BenchmarkId, sizing: Sizing) -> Prepared {
+        assert!(
+            sizing.batch >= 1 && sizing.samples > sizing.batch,
+            "AT_SAMPLES={} with AT_BATCH={} leaves the calibration split empty: the samples \
+             are cut into batches of AT_BATCH and split 50/50 calibration/test, so AT_SAMPLES \
+             must exceed AT_BATCH (and AT_BATCH must be at least 1)",
+            sizing.samples,
+            sizing.batch
+        );
         let bench = build(id, ModelScale::Tiny);
         let ds = build_dataset(&bench, sizing.samples, sizing.batch, 0xD5EED ^ id as u64);
         let (cal, test) = ds.split();
@@ -312,6 +326,18 @@ mod tests {
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "AT_SAMPLES=16 with AT_BATCH=16")]
+    fn a_sizing_that_empties_the_calibration_split_is_refused_by_name() {
+        let sizing = Sizing {
+            samples: 16,
+            batch: 16,
+            max_iters: 30,
+            convergence: 30,
+        };
+        Prepared::new(BenchmarkId::LeNet, sizing);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Result formatting: fixed-width console tables plus JSON artifacts under
-//! `results/` and `BENCH_*.json` perf reports at the repo root.
+//! `results/` and `BENCH_*.json` perf reports at the repo root — or, for a
+//! run sized by any `AT_*` override, the same files under `target/bench/`,
+//! so a smoke run never overwrites the committed full-scale artifacts.
 //!
 //! Every artifact that leaves this module is validated *before* encoding:
 //! the top level must be an object carrying an integer `schema_version`
@@ -12,6 +14,7 @@
 
 use serde::Value;
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 /// Schema version stamped into every `results/*.json` artifact, so
 /// downstream tooling can detect layout changes instead of guessing from
@@ -137,18 +140,14 @@ impl Table {
 
 /// Writes a pretty-printed JSON artifact under `results/`.
 pub fn write_json(name: &str, value: &impl serde::Serialize) {
-    let dir = std::path::Path::new("results");
-    let _ = std::fs::create_dir_all(dir);
-    write_artifact(&dir.join(format!("{name}.json")), value, true);
+    write_artifact(&format!("results/{name}.json"), value, true);
 }
 
 /// Writes a compact (single-line) JSON artifact under `results/` — for
 /// artifacts carrying per-invocation traces, where pretty-printing
 /// multiplies the size several-fold.
 pub fn write_json_compact(name: &str, value: &impl serde::Serialize) {
-    let dir = std::path::Path::new("results");
-    let _ = std::fs::create_dir_all(dir);
-    write_artifact(&dir.join(format!("{name}.json")), value, false);
+    write_artifact(&format!("results/{name}.json"), value, false);
 }
 
 /// Writes a perf report as `BENCH_<name>.json` at the repository root
@@ -156,14 +155,25 @@ pub fn write_json_compact(name: &str, value: &impl serde::Serialize) {
 /// artifacts CI uploads alongside `results/`. Returns whether the file
 /// was written.
 pub fn write_bench_json(name: &str, value: &impl serde::Serialize) -> bool {
-    write_artifact(
-        std::path::Path::new(&format!("BENCH_{name}.json")),
-        value,
-        true,
-    )
+    write_artifact(&format!("BENCH_{name}.json"), value, true)
 }
 
-fn write_artifact(path: &std::path::Path, value: &impl serde::Serialize, pretty: bool) -> bool {
+/// Where an artifact named `relative` (to the working directory) goes: in
+/// place for a default-sized run, under `target/bench/` for an overridden
+/// one (`smoke`), whose numbers are not the committed artifact's.
+fn artifact_path(relative: &str, smoke: bool) -> PathBuf {
+    if smoke {
+        Path::new("target/bench").join(relative)
+    } else {
+        PathBuf::from(relative)
+    }
+}
+
+fn write_artifact(relative: &str, value: &impl serde::Serialize, pretty: bool) -> bool {
+    let path = &artifact_path(relative, crate::env::overridden());
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
     let tree = envelope(serde_json::to_value(value));
     if let Err(e) = validate_artifact(&tree) {
         eprintln!("[results] refusing to write {}: {e}", path.display());
@@ -293,6 +303,17 @@ mod tests {
             assert!(
                 err.contains("$.rows[0].speedup"),
                 "error must name the offending path: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn overridden_runs_write_under_target_bench_not_over_committed_artifacts() {
+        for name in ["BENCH_serve.json", "results/serve_storm.json"] {
+            assert_eq!(artifact_path(name, false), Path::new(name));
+            assert_eq!(
+                artifact_path(name, true),
+                Path::new("target/bench").join(name)
             );
         }
     }

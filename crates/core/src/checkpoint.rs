@@ -99,8 +99,13 @@ impl fmt::Display for CheckpointError {
     }
 }
 
-/// FNV-1a over a checkpoint's canonical JSON — the content fingerprint
-/// primitive shared by both checkpoint types.
+impl std::error::Error for CheckpointError {}
+
+// ---------------------------------------------------------------------------
+// The sealed envelope shared by both checkpoint types
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over a checkpoint's canonical JSON — the content fingerprint.
 fn fnv1a64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
@@ -110,7 +115,104 @@ fn fnv1a64(s: &str) -> u64 {
     h
 }
 
-impl std::error::Error for CheckpointError {}
+/// Minimal probe deserialising only the version field (tolerates any
+/// trailing fields because the vendored deserializer ignores unknown keys).
+#[derive(Deserialize)]
+struct VersionProbe {
+    version: u32,
+}
+
+/// Atomic file write: serialise to `<path>.tmp`, then rename over `path`,
+/// so a crash mid-write never leaves a truncated file where a good
+/// checkpoint used to be.
+fn atomic_write(path: &Path, json: &str) -> Result<(), CheckpointError> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, json).map_err(|e| CheckpointError::Io(e.to_string()))?;
+    std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(e.to_string()))
+}
+
+/// Gives a checkpoint type its sealed, versioned JSON envelope: the one
+/// implementation of serialise / fingerprint / seal / strict parse / atomic
+/// save / load. The type brings a `version: u32` field written as
+/// `$version`, a `fingerprint: u64` field, and a private
+/// `validate(&self) -> Result<(), CheckpointError>` for its own fields.
+macro_rules! sealed_envelope {
+    ($ty:ident, $version:expr) => {
+        impl $ty {
+            /// Serialises the checkpoint to JSON.
+            pub fn to_json(&self) -> String {
+                serde_json::to_string(self).expect("checkpoint state contains only finite floats")
+            }
+
+            /// Recomputes the content fingerprint from everything but the
+            /// fingerprint field itself.
+            fn content_fingerprint(&self) -> u64 {
+                let mut z = self.clone();
+                z.fingerprint = 0;
+                fnv1a64(&z.to_json())
+            }
+
+            /// Stamps the content fingerprint. A checkpoint must be sealed
+            /// before its JSON can pass [`Self::from_json`].
+            pub fn seal(&mut self) {
+                self.fingerprint = self.content_fingerprint();
+            }
+
+            /// Whether the stored fingerprint matches the contents.
+            pub fn is_sealed(&self) -> bool {
+                self.fingerprint == self.content_fingerprint()
+            }
+
+            /// Parses and validates a checkpoint from JSON: schema version,
+            /// structure, the type's own field checks, then the content
+            /// fingerprint — a corrupted file is refused with a typed error
+            /// instead of silently resuming wrong.
+            pub fn from_json(s: &str) -> Result<$ty, CheckpointError> {
+                // Peek at the version first so an old-format file reports
+                // a version mismatch, not an opaque structural error.
+                if let Ok(v) = serde_json::from_str::<VersionProbe>(s) {
+                    if v.version != $version {
+                        return Err(CheckpointError::VersionMismatch { found: v.version });
+                    }
+                }
+                let cp: $ty = serde_json::from_str(s)
+                    .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+                if cp.version != $version {
+                    return Err(CheckpointError::VersionMismatch { found: cp.version });
+                }
+                cp.validate()?;
+                let expected = cp.content_fingerprint();
+                if cp.fingerprint != expected {
+                    return Err(CheckpointError::FingerprintMismatch {
+                        expected,
+                        found: cp.fingerprint,
+                    });
+                }
+                Ok(cp)
+            }
+
+            /// Writes the checkpoint atomically (temp file + rename), so a
+            /// crash mid-write never corrupts an existing good checkpoint.
+            /// The written copy is always sealed.
+            pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+                let mut cp = self.clone();
+                cp.seal();
+                atomic_write(path, &cp.to_json())
+            }
+
+            /// Loads and validates a checkpoint from disk.
+            pub fn load(path: &Path) -> Result<$ty, CheckpointError> {
+                let json = std::fs::read_to_string(path)
+                    .map_err(|e| CheckpointError::Io(e.to_string()))?;
+                $ty::from_json(&json)
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
+// Search checkpoints
+// ---------------------------------------------------------------------------
 
 /// Everything needed to resume a batched search mid-campaign.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -140,71 +242,14 @@ pub struct SearchCheckpoint {
     pub fingerprint: u64,
 }
 
+sealed_envelope!(SearchCheckpoint, CHECKPOINT_VERSION);
+
 impl SearchCheckpoint {
-    /// Serialises the checkpoint to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoint state contains only finite floats")
-    }
-
-    /// Recomputes the content fingerprint from everything but the
-    /// fingerprint field itself.
-    fn content_fingerprint(&self) -> u64 {
-        let mut z = self.clone();
-        z.fingerprint = 0;
-        fnv1a64(&z.to_json())
-    }
-
-    /// Stamps the content fingerprint. A checkpoint must be sealed before
-    /// its JSON can pass [`Self::from_json`].
-    pub fn seal(&mut self) {
-        self.fingerprint = self.content_fingerprint();
-    }
-
-    /// Whether the stored fingerprint matches the contents.
-    pub fn is_sealed(&self) -> bool {
-        self.fingerprint == self.content_fingerprint()
-    }
-
-    /// Parses and validates a checkpoint from JSON.
-    pub fn from_json(s: &str) -> Result<SearchCheckpoint, CheckpointError> {
-        // Peek at the version first so an old-format file reports a
-        // version mismatch, not an opaque structural error.
-        if let Ok(v) = serde_json::from_str::<VersionProbe>(s) {
-            if v.version != CHECKPOINT_VERSION {
-                return Err(CheckpointError::VersionMismatch { found: v.version });
-            }
-        }
-        let cp: SearchCheckpoint =
-            serde_json::from_str(s).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        if cp.version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::VersionMismatch { found: cp.version });
-        }
-        if !cp.qos_min.is_finite() {
+    fn validate(&self) -> Result<(), CheckpointError> {
+        if !self.qos_min.is_finite() {
             return Err(CheckpointError::Malformed("non-finite qos_min".into()));
         }
-        let expected = cp.content_fingerprint();
-        if cp.fingerprint != expected {
-            return Err(CheckpointError::FingerprintMismatch {
-                expected,
-                found: cp.fingerprint,
-            });
-        }
-        Ok(cp)
-    }
-
-    /// Writes the checkpoint atomically: serialise to `<path>.tmp`, then
-    /// rename over `path`, so a crash mid-write never corrupts an existing
-    /// good checkpoint. The written copy is always sealed.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let mut cp = self.clone();
-        cp.seal();
-        atomic_write(path, &cp.to_json())
-    }
-
-    /// Loads and validates a checkpoint from disk.
-    pub fn load(path: &Path) -> Result<SearchCheckpoint, CheckpointError> {
-        let json = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        SearchCheckpoint::from_json(&json)
+        Ok(())
     }
 
     /// Checks that this checkpoint belongs to a run with the given
@@ -225,22 +270,6 @@ impl SearchCheckpoint {
         }
         Ok(())
     }
-}
-
-/// Minimal probe deserialising only the version field (tolerates any
-/// trailing fields because the vendored deserializer ignores unknown keys).
-#[derive(Deserialize)]
-struct VersionProbe {
-    version: u32,
-}
-
-/// Atomic file write shared by every checkpoint writer: serialise to
-/// `<path>.tmp`, then rename over `path`, so a crash mid-write never leaves
-/// a truncated file where a good checkpoint used to be.
-fn atomic_write(path: &Path, json: &str) -> Result<(), CheckpointError> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json).map_err(|e| CheckpointError::Io(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -290,50 +319,16 @@ pub struct ReplicaCheckpoint {
     pub fingerprint: u64,
 }
 
+sealed_envelope!(ReplicaCheckpoint, REPLICA_CHECKPOINT_VERSION);
+
 impl ReplicaCheckpoint {
-    /// Serialises the checkpoint to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("replica checkpoint contains only finite floats")
-    }
-
-    /// Recomputes the content fingerprint from everything but the
-    /// fingerprint field itself.
-    fn content_fingerprint(&self) -> u64 {
-        let mut z = self.clone();
-        z.fingerprint = 0;
-        fnv1a64(&z.to_json())
-    }
-
-    /// Stamps the content fingerprint.
-    pub fn seal(&mut self) {
-        self.fingerprint = self.content_fingerprint();
-    }
-
-    /// Whether the stored fingerprint matches the contents. The fleet's
-    /// warm-restart path refuses an unsealed or tampered checkpoint and
-    /// restarts cold instead.
-    pub fn is_sealed(&self) -> bool {
-        self.fingerprint == self.content_fingerprint()
-    }
-
-    /// Parses and validates a replica checkpoint from JSON.
-    pub fn from_json(s: &str) -> Result<ReplicaCheckpoint, CheckpointError> {
-        if let Ok(v) = serde_json::from_str::<VersionProbe>(s) {
-            if v.version != REPLICA_CHECKPOINT_VERSION {
-                return Err(CheckpointError::VersionMismatch { found: v.version });
-            }
-        }
-        let cp: ReplicaCheckpoint =
-            serde_json::from_str(s).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        if cp.version != REPLICA_CHECKPOINT_VERSION {
-            return Err(CheckpointError::VersionMismatch { found: cp.version });
-        }
-        if !cp.crashed_at_s.is_finite() || !cp.applied_required.is_finite() {
+    fn validate(&self) -> Result<(), CheckpointError> {
+        if !self.crashed_at_s.is_finite() || !self.applied_required.is_finite() {
             return Err(CheckpointError::Malformed(
                 "non-finite replica checkpoint timing".into(),
             ));
         }
-        for (t, tc) in cp.tenants.iter().enumerate() {
+        for (t, tc) in self.tenants.iter().enumerate() {
             if tc.quarantined.len() != tc.curve.len() {
                 return Err(CheckpointError::Malformed(format!(
                     "tenant {t}: quarantine mask length {} vs curve length {}",
@@ -342,28 +337,7 @@ impl ReplicaCheckpoint {
                 )));
             }
         }
-        let expected = cp.content_fingerprint();
-        if cp.fingerprint != expected {
-            return Err(CheckpointError::FingerprintMismatch {
-                expected,
-                found: cp.fingerprint,
-            });
-        }
-        Ok(cp)
-    }
-
-    /// Writes the checkpoint atomically (temp file + rename). The written
-    /// copy is always sealed.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let mut cp = self.clone();
-        cp.seal();
-        atomic_write(path, &cp.to_json())
-    }
-
-    /// Loads and validates a replica checkpoint from disk.
-    pub fn load(path: &Path) -> Result<ReplicaCheckpoint, CheckpointError> {
-        let json = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        ReplicaCheckpoint::from_json(&json)
+        Ok(())
     }
 }
 
@@ -618,6 +592,45 @@ mod tests {
         cp.seal();
         assert!(cp.is_sealed());
         assert!(ReplicaCheckpoint::from_json(&cp.to_json()).is_ok());
+    }
+
+    /// Fixtures: `sample()` and `replica_sample()` as sealed version-2 JSON,
+    /// captured as strings. The format and the fingerprint discipline are a
+    /// compatibility surface: these files must keep loading.
+    #[test]
+    fn sealed_v2_checkpoint_fixtures_still_load() {
+        let search = concat!(
+            r#"{"version":2,"qos_min":89.5,"batch_size":16,"rounds":3,"tuner":{"rng":[1,2,3,1844674"#,
+            r#"4073709551615],"iterations":48,"since_improvement":7,"best":[{"knobs":[2,0]},1.75],""#,
+            r#"arms":[{"history":[true,false,true],"uses":12}],"techniques":["Random",{"Evolutionar"#,
+            r#"y":{"sites":3}},{"Torczon":{"center":[1,0],"step":2}},{"NelderMead":{"simplex":[[[0,"#,
+            r#"1],1.25]],"max_vertices":8}}]},"cache":{"entries":[[{"knobs":[2,0]},{"qos":92.125,"p"#,
+            r#"erf":1.75}]],"stats":{"hits":30,"misses":17,"dedup":1}},"candidates":[{"qos":92.125,"#,
+            r#""perf":1.75,"config":{"knobs":[2,0]}}],"telemetry":[{"round":0,"proposed":2,"cached""#,
+            r#":0,"evaluated":2,"failed":0,"best_fitness":1.75}],"supervision":{"stats":{"attempts""#,
+            r#":20,"retries":3,"errors_caught":2,"panics_caught":1,"poisoned":0,"exhausted":1,"quar"#,
+            r#"antined":1,"quarantine_hits":2,"skipped":1},"quarantine":[{"knobs":[1,1]}],"failures"#,
+            r#"":[],"attempt_base":[[{"knobs":[2,0]},4]]},"fingerprint":786458776996160725}"#
+        );
+        assert_eq!(SearchCheckpoint::from_json(search).unwrap(), sample());
+        let replica = concat!(
+            r#"{"version":2,"replica":3,"crashed_at_s":12.5,"applied_required":1.25,"slow_ewma":1.1"#,
+            r#"25,"breaker":"HalfOpen","consecutive_failures":2,"open_until":13,"tenants":[{"curve""#,
+            r#":{"points":[{"qos":90,"perf":1,"config":{"knobs":[0]}},{"qos":85,"perf":2,"config":{"#,
+            r#""knobs":[1]}}]},"quarantined":[false,false],"guard":{"params":{"canary_fraction":0.0"#,
+            r#"5,"canary_seed":51866,"tolerance":1,"strikes_to_quarantine":3,"residual_window":32,""#,
+            r#"qos_floor":0,"event_limit":4096},"sampler":{"seed":51866,"fraction":0.05},"accounts""#,
+            r#":[{"trust":"Trusted","canaries":0,"strikes":0,"window":{"values":[],"cap":32,"total""#,
+            r#":0,"poisoned":0,"evicted":0},"shipped_qos":90},{"trust":"Trusted","canaries":0,"stri"#,
+            r#"kes":0,"window":{"values":[],"cap":32,"total":0,"poisoned":0,"evicted":0},"shipped_q"#,
+            r#"os":85}],"quarantined":[],"events":[],"events_evicted":0,"canaries":0,"misses":0,"po"#,
+            r#"isoned":0,"floor_breaches":0,"repairs":0,"premasked":[],"exact_fallback":false}}],"f"#,
+            r#"ingerprint":2428269634744071688}"#
+        );
+        let back = ReplicaCheckpoint::from_json(replica).unwrap();
+        assert!(back.is_sealed());
+        assert_eq!(back.to_json(), replica_sample().to_json());
+        assert_eq!(back.to_json(), replica);
     }
 
     #[test]

@@ -171,64 +171,23 @@ impl CacheStats {
 /// The search ensemble frequently re-proposes configurations it has already
 /// visited (mutation of an incumbent, hillclimber contraction, random
 /// collisions in small spaces); on the empirical path every such repeat
-/// would re-run the whole program. An unbounded cache guarantees at most
-/// one evaluator invocation per distinct configuration; a capacity-bounded
-/// one ([`EvalCache::with_capacity_limit`]) trades re-evaluation of evicted
-/// configs for a hard memory ceiling — the right trade for long-running
-/// servers over huge knob spaces.
+/// would re-run the whole program. The cache guarantees at most one
+/// evaluator invocation per distinct configuration.
 #[derive(Default)]
 pub struct EvalCache {
     map: HashMap<Config, Evaluation>,
-    /// Insertion order, maintained only for FIFO eviction.
-    order: Vec<Config>,
-    capacity: Option<usize>,
-    evictions: usize,
     stats: CacheStats,
 }
 
 impl EvalCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> EvalCache {
         EvalCache::default()
-    }
-
-    /// An empty cache that retains at most `limit` evaluations, evicting
-    /// the oldest entry (FIFO) past the bound. Evicted configurations cost
-    /// a fresh evaluator invocation if re-proposed; [`EvalCache::evictions`]
-    /// counts how often that safety valve fired.
-    pub fn with_capacity_limit(limit: usize) -> EvalCache {
-        EvalCache {
-            capacity: Some(limit),
-            ..EvalCache::default()
-        }
     }
 
     /// The hit/miss/dedup counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Entries evicted by the capacity bound (0 for unbounded caches).
-    pub fn evictions(&self) -> usize {
-        self.evictions
-    }
-
-    fn insert(&mut self, config: Config, eval: Evaluation) {
-        if self.map.insert(config.clone(), eval).is_none() {
-            self.order.push(config);
-        }
-    }
-
-    /// Evicts oldest-first down to the capacity bound. Called only after a
-    /// batch's results have been collected, so in-batch lookups never see a
-    /// hole.
-    fn enforce_capacity(&mut self) {
-        let Some(cap) = self.capacity else { return };
-        while self.map.len() > cap && !self.order.is_empty() {
-            let victim = self.order.remove(0);
-            self.map.remove(&victim);
-            self.evictions += 1;
-        }
     }
 
     /// Number of distinct configurations evaluated.
@@ -241,44 +200,13 @@ impl EvalCache {
         self.map.is_empty()
     }
 
-    /// Scores a batch of configurations, returning evaluations in input
-    /// order. Configurations not in the cache are evaluated concurrently
-    /// (duplicates within the batch are coalesced first); everything else
-    /// is served from memory.
-    pub fn evaluate_batch<E: Evaluator>(
-        &mut self,
-        evaluator: &E,
-        configs: &[Config],
-    ) -> Result<Vec<Evaluation>, TensorError> {
-        let mut fresh: Vec<Config> = Vec::new();
-        let mut in_flight: HashMap<&Config, ()> = HashMap::new();
-        for c in configs {
-            if self.map.contains_key(c) {
-                self.stats.hits += 1;
-            } else if in_flight.contains_key(c) {
-                self.stats.dedup += 1;
-            } else {
-                in_flight.insert(c, ());
-                fresh.push(c.clone());
-                self.stats.misses += 1;
-            }
-        }
-        drop(in_flight);
-        let results: Result<Vec<Evaluation>, TensorError> =
-            fresh.par_iter().map(|c| evaluator.evaluate(c)).collect();
-        for (c, e) in fresh.iter().zip(results?) {
-            self.insert(c.clone(), e);
-        }
-        let out = configs.iter().map(|c| self.map[c]).collect();
-        self.enforce_capacity();
-        Ok(out)
-    }
-
-    /// The supervised sibling of [`EvalCache::evaluate_batch`]: scores a
-    /// batch through a [`SupervisedEvaluator`], returning a per-config
-    /// result in input order. Only successful (finite) evaluations enter
-    /// the cache; failures are reported as typed [`EvalError`]s, and
-    /// in-batch duplicates of a failed config share its error.
+    /// Scores a batch of configurations through a [`SupervisedEvaluator`],
+    /// returning a per-config result in input order. Configurations not in
+    /// the cache are evaluated concurrently (duplicates within the batch
+    /// are coalesced first); everything else is served from memory. Only
+    /// successful (finite) evaluations enter the cache; failures are
+    /// reported as typed [`EvalError`]s, and in-batch duplicates of a
+    /// failed config share its error.
     pub fn evaluate_batch_supervised<E: AttemptEvaluator>(
         &mut self,
         supervisor: &SupervisedEvaluator<'_, E>,
@@ -301,29 +229,23 @@ impl EvalCache {
         let results: Vec<Result<Evaluation, EvalError>> =
             fresh.par_iter().map(|c| supervisor.evaluate(c)).collect();
         let mut failed: HashMap<&Config, EvalError> = HashMap::new();
-        let mut stored: Vec<(Config, Evaluation)> = Vec::new();
         for (c, r) in fresh.iter().zip(results) {
             match r {
                 Ok(e) => {
-                    stored.push((c.clone(), e));
+                    self.map.insert(c.clone(), e);
                 }
                 Err(err) => {
                     failed.insert(c, err);
                 }
             }
         }
-        for (c, e) in stored {
-            self.insert(c, e);
-        }
-        let out = configs
+        configs
             .iter()
             .map(|c| match self.map.get(c) {
                 Some(e) => Ok(*e),
                 None => Err(failed[c].clone()),
             })
-            .collect();
-        self.enforce_capacity();
-        out
+            .collect()
     }
 
     /// Serialisable snapshot of the cache: entries sorted by knob vector
@@ -338,16 +260,10 @@ impl EvalCache {
         }
     }
 
-    /// Rebuilds a cache from a [`EvalCache::snapshot`]. The rebuilt cache
-    /// is unbounded (the capacity limit is a process-local policy, not part
-    /// of the checkpoint format); callers that want a bound re-apply it via
-    /// [`EvalCache::with_capacity_limit`] semantics on their own.
+    /// Rebuilds a cache from a [`EvalCache::snapshot`].
     pub fn from_snapshot(snap: &CacheSnapshot) -> EvalCache {
         EvalCache {
             map: snap.entries.iter().cloned().collect(),
-            order: snap.entries.iter().map(|(c, _)| c.clone()).collect(),
-            capacity: None,
-            evictions: 0,
             stats: snap.stats,
         }
     }
@@ -410,23 +326,16 @@ pub struct SearchOptions {
     /// Stop (with `halted = true`) once this many total rounds have run —
     /// the hook the crash/resume tests use to kill a run mid-campaign.
     pub halt_after_rounds: Option<usize>,
-    /// Retain at most this many telemetry rounds (ring buffer, oldest
-    /// evicted first). `None` (the default) keeps every round — required
-    /// for bit-identical checkpoint/resume; a bound is for long-running
-    /// campaigns where telemetry must not grow without limit.
-    pub telemetry_limit: Option<usize>,
 }
 
 impl SearchOptions {
-    /// Plain options: no checkpointing, no simulated crash, unbounded
-    /// telemetry.
+    /// Plain options: no checkpointing, no simulated crash.
     pub fn new(qos_min: f64, batch_size: usize) -> SearchOptions {
         SearchOptions {
             qos_min,
             batch_size,
             checkpoint: None,
             halt_after_rounds: None,
-            telemetry_limit: None,
         }
     }
 }
@@ -465,43 +374,28 @@ pub fn run_batched_search<E: AttemptEvaluator>(
     let qos_min = opts.qos_min;
     let batch_size = opts.batch_size.max(1);
     let mut candidates: Vec<TradeoffPoint> = Vec::new();
+    // One entry per completed round, so its length is the round count.
     let mut telemetry: Vec<BatchTelemetry> = Vec::new();
-    // Rounds completed so far. Tracked separately from `telemetry.len()`
-    // because a `telemetry_limit` may have evicted early rounds.
-    let mut rounds: usize = 0;
     let mut halted = false;
 
     if let Some(cp) = resume {
         tuner.restore(&cp.tuner);
-        let capacity = cache.capacity;
         *cache = EvalCache::from_snapshot(&cp.cache);
-        cache.capacity = capacity;
-        cache.enforce_capacity();
         supervisor.restore(&cp.supervision);
         candidates = cp.candidates.clone();
         telemetry = cp.telemetry.clone();
-        rounds = cp.rounds;
     }
-
-    let cap_telemetry = |telemetry: &mut Vec<BatchTelemetry>| {
-        if let Some(limit) = opts.telemetry_limit {
-            while telemetry.len() > limit {
-                telemetry.remove(0);
-            }
-        }
-    };
 
     let save_checkpoint = |tuner: &Autotuner,
                            cache: &EvalCache,
                            candidates: &[TradeoffPoint],
-                           telemetry: &[BatchTelemetry],
-                           rounds: usize| {
+                           telemetry: &[BatchTelemetry]| {
         if let Some(policy) = &opts.checkpoint {
             let cp = SearchCheckpoint {
                 version: CHECKPOINT_VERSION,
                 qos_min,
                 batch_size,
-                rounds,
+                rounds: telemetry.len(),
                 tuner: tuner.snapshot(),
                 cache: cache.snapshot(),
                 candidates: candidates.to_vec(),
@@ -519,7 +413,7 @@ pub fn run_batched_search<E: AttemptEvaluator>(
         }
     };
 
-    if rounds == 0 && !seeds.is_empty() {
+    if telemetry.is_empty() && !seeds.is_empty() {
         let before = cache.stats();
         let results = cache.evaluate_batch_supervised(supervisor, seeds);
         let mut failed = 0usize;
@@ -536,15 +430,13 @@ pub fn run_batched_search<E: AttemptEvaluator>(
             cache.stats(),
             tuner,
         ));
-        rounds += 1;
-        cap_telemetry(&mut telemetry);
-        if checkpoint_due(&opts.checkpoint, rounds) {
-            save_checkpoint(tuner, cache, &candidates, &telemetry, rounds);
+        if checkpoint_due(&opts.checkpoint, telemetry.len()) {
+            save_checkpoint(tuner, cache, &candidates, &telemetry);
         }
     }
 
     while tuner.continue_tuning() {
-        if opts.halt_after_rounds.is_some_and(|h| rounds >= h) {
+        if opts.halt_after_rounds.is_some_and(|h| telemetry.len() >= h) {
             halted = true;
             break;
         }
@@ -568,24 +460,22 @@ pub fn run_batched_search<E: AttemptEvaluator>(
         }
         supervisor.note_skipped(failed as u64);
         telemetry.push(round_entry(
-            rounds,
+            telemetry.len(),
             proposals.len(),
             failed,
             before,
             cache.stats(),
             tuner,
         ));
-        rounds += 1;
-        cap_telemetry(&mut telemetry);
-        if checkpoint_due(&opts.checkpoint, rounds) {
-            save_checkpoint(tuner, cache, &candidates, &telemetry, rounds);
+        if checkpoint_due(&opts.checkpoint, telemetry.len()) {
+            save_checkpoint(tuner, cache, &candidates, &telemetry);
         }
     }
 
     if halted {
         // A simulated crash still leaves a checkpoint at the exact halt
         // round so resume tests have a well-defined restart point.
-        save_checkpoint(tuner, cache, &candidates, &telemetry, rounds);
+        save_checkpoint(tuner, cache, &candidates, &telemetry);
     }
 
     SearchOutcome {
@@ -687,6 +577,17 @@ mod tests {
         }
     }
 
+    /// One attempt, no backoff, no quarantine: supervision as a pass-through
+    /// for evaluators that never fail.
+    fn pass_through() -> SupervisionPolicy {
+        SupervisionPolicy {
+            max_attempts: 1,
+            backoff_ms: 0,
+            max_backoff_ms: 0,
+            quarantine_threshold: u32::MAX,
+        }
+    }
+
     fn tiny_space() -> SearchSpace {
         // 2 tunable nodes × 3 knobs → at most 9 distinct configurations.
         SearchSpace::new(vec![
@@ -728,11 +629,13 @@ mod tests {
         let evaluator = CountingEvaluator {
             calls: AtomicUsize::new(0),
         };
+        let sup = SupervisedEvaluator::new(&evaluator, pass_through());
         let mut cache = EvalCache::new();
         let a = Config::from_knobs(vec![KnobId(0), KnobId(2)]);
         let b = Config::from_knobs(vec![KnobId(1), KnobId(1)]);
         let batch = vec![a.clone(), b.clone(), a.clone()];
-        let evals = cache.evaluate_batch(&evaluator, &batch).unwrap();
+        let evals = cache.evaluate_batch_supervised(&sup, &batch);
+        assert!(evals.iter().all(Result::is_ok));
         assert_eq!(evals[0], evals[2], "same config, same evaluation");
         assert_ne!(evals[0], evals[1]);
         assert_eq!(evaluator.calls.load(Ordering::SeqCst), 2);
@@ -745,7 +648,7 @@ mod tests {
             }
         );
         // A second batch of known configs is served entirely from memory.
-        let again = cache.evaluate_batch(&evaluator, &batch).unwrap();
+        let again = cache.evaluate_batch_supervised(&sup, &batch);
         assert_eq!(again, evals);
         assert_eq!(evaluator.calls.load(Ordering::SeqCst), 2);
         assert_eq!(cache.stats().hits, 3);
@@ -777,61 +680,19 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .expect("pool");
+            let sup = SupervisedEvaluator::new(&Sleepy, pass_through());
             let mut cache = EvalCache::new();
             let started = std::time::Instant::now();
-            pool.install(|| cache.evaluate_batch(&Sleepy, &configs))
-                .expect("batch");
-            started.elapsed().as_secs_f64()
+            let evals = pool.install(|| cache.evaluate_batch_supervised(&sup, &configs));
+            let elapsed = started.elapsed().as_secs_f64();
+            assert!(evals.iter().all(Result::is_ok));
+            elapsed
         };
         let single = timed(1);
         let multi = timed(8);
         assert!(
             multi * 2.0 <= single,
             "expected >=2x batch throughput with 8 threads: single {single:.3}s, multi {multi:.3}s"
-        );
-    }
-
-    #[test]
-    fn capacity_bound_evicts_fifo_and_counts() {
-        let evaluator = CountingEvaluator {
-            calls: AtomicUsize::new(0),
-        };
-        let mut cache = EvalCache::with_capacity_limit(2);
-        let configs: Vec<Config> = (0..3u16)
-            .map(|i| Config::from_knobs(vec![KnobId(i)]))
-            .collect();
-        let evals = cache.evaluate_batch(&evaluator, &configs).unwrap();
-        assert_eq!(evals.len(), 3, "results are complete despite the bound");
-        assert_eq!(cache.len(), 2, "cache trimmed to capacity");
-        assert_eq!(cache.evictions(), 1);
-        // The oldest entry (config 0) was evicted: re-proposing it is a
-        // fresh miss; the surviving two are hits.
-        let calls_before = evaluator.calls.load(Ordering::SeqCst);
-        cache.evaluate_batch(&evaluator, &configs).unwrap();
-        assert_eq!(evaluator.calls.load(Ordering::SeqCst), calls_before + 1);
-        assert_eq!(cache.stats().hits, 2);
-        assert_eq!(cache.evictions(), 2);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn telemetry_limit_caps_retained_rounds() {
-        let evaluator = CountingEvaluator {
-            calls: AtomicUsize::new(0),
-        };
-        let mut tuner = Autotuner::new(tiny_space(), 60, 60, 7);
-        let mut cache = EvalCache::new();
-        let sup = SupervisedEvaluator::new(&evaluator, SupervisionPolicy::default());
-        let mut opts = SearchOptions::new(90.0, 4);
-        opts.telemetry_limit = Some(3);
-        let outcome = run_batched_search(&mut tuner, &sup, &mut cache, &[], &opts, None);
-        assert!(outcome.telemetry.len() <= 3, "telemetry exceeded the cap");
-        // Round indices keep counting past the eviction window.
-        let last = outcome.telemetry.last().expect("rounds ran");
-        assert!(
-            last.round + 1 >= tuner.iterations() / 4,
-            "round index {} does not reflect evicted rounds",
-            last.round
         );
     }
 

@@ -1,12 +1,12 @@
 //! Fleet-scale multi-tenant serving (§5 at the millions-of-users regime).
 //!
-//! [`crate::serve`] holds one server's QoS promises under overload; this
-//! module generalises it into a simulated *fleet*: N server replicas × M
-//! tenant models, each tenant carrying its own shipped [`TradeoffCurve`],
-//! QoS floor, baseline cost and traffic profile (the same
-//! Steady/Bursty/Diurnal/Spike arrival generators). On top of the
-//! per-replica machinery the fleet adds the three distribution concerns the
-//! single-server loop cannot express:
+//! The repo's one serving loop: a simulated *fleet* of N server replicas ×
+//! M tenant models, each tenant carrying its own shipped [`TradeoffCurve`],
+//! QoS floor, baseline cost and traffic profile (the
+//! Steady/Bursty/Diurnal/Spike arrival generators of [`crate::serve`],
+//! whose `serve()` is this loop at N = M = 1). On top of the per-replica
+//! machinery ([`crate::replica`]: admission, degradation ladder, breaker,
+//! guard) the fleet adds three distribution concerns:
 //!
 //! * **Front-door routing** — a pluggable, pure [`route`] function
 //!   implementing round-robin, join-shortest-queue and QoS-aware
@@ -47,11 +47,11 @@
 
 use crate::chaos::{ChaosKind, ChaosPlan};
 use crate::checkpoint::{ReplicaCheckpoint, TenantCheckpoint, REPLICA_CHECKPOINT_VERSION};
-use crate::guard::{fails_floor, splitmix64, GuardParams, QosGuard};
+use crate::guard::{fails_floor, splitmix64, GuardParams, GuardReport, QosGuard};
 use crate::pareto::TradeoffCurve;
 use crate::replica::{
-    escalated, latency_summary, mean, premask_below_floor, verify_canary, Breaker,
-    BreakerTransition, EventRing, InFlight, Queued, ServiceCtx,
+    latency_summary, mean, premask_below_floor, verify_canary, Breaker, BreakerTransition,
+    EventRing, InFlight, Ladder, LadderMove, Queued, ServiceCtx,
 };
 use crate::runtime::RuntimeTuner;
 use crate::serve::{
@@ -127,18 +127,15 @@ pub struct FleetParams {
     pub replicas: usize,
     /// Front-door routing policy.
     pub policy: RouterPolicy,
-    /// Per-replica serving parameters (shared by all replicas). Two fields
-    /// are not read: the fleet ladder re-selects only at service start and
-    /// has no dwell damping, so [`ServeParams::min_dwell`] is ignored, and
-    /// the exact configuration's QoS is per tenant
+    /// Per-replica serving parameters (shared by all replicas). One field
+    /// is not read: the exact configuration's QoS is per tenant
     /// ([`TenantSpec::baseline_qos`]), not [`ServeParams::baseline_qos`].
     pub serve: ServeParams,
     /// Simulated horizon, seconds: every tenant's arrival trace covers
     /// `[0, horizon_s)`.
     pub horizon_s: f64,
     /// Enables work stealing (queue-drain steals and breaker-trip
-    /// migration). With stealing off, a tripped replica's queue is shed,
-    /// exactly like the single-server loop.
+    /// migration). With stealing off, a tripped replica's queue is shed.
     pub steal: bool,
     /// Seed of the power-of-two sampling hash.
     pub route_seed: u64,
@@ -860,9 +857,7 @@ struct Replica {
     breaker: Breaker,
     /// One lane per tenant, in tenant order.
     lanes: Vec<Lane>,
-    /// EWMA of the device slowdown this replica observes (1.0 = nominal).
-    slow_ewma: f64,
-    applied_required: f64,
+    ladder: Ladder,
     /// Crashed and not yet restarted.
     down: bool,
     /// Partitioned away from the router (still executing its own queue).
@@ -899,8 +894,7 @@ impl Replica {
             busy: None,
             breaker: Breaker::new(sp),
             lanes,
-            slow_ewma: 1.0,
-            applied_required: 1.0,
+            ladder: Ladder::new(sp),
             down: false,
             partitioned: false,
             eject: EjectState::Healthy,
@@ -971,16 +965,19 @@ pub fn run_fleet(
     device: &DisturbedDevice,
     params: &FleetParams,
 ) -> FleetReport {
-    let mut sim = FleetSim::new(tenants, executors, device, params);
-    while let Some((now, event)) = sim.next_event() {
-        match event {
-            Event::Completion(r) => sim.on_completion(r, now),
-            Event::Chaos => sim.on_chaos(now),
-            Event::Timer(ix) => sim.on_timer(ix, now),
-            Event::Arrival => sim.on_arrival(now),
-        }
-    }
-    sim.finish()
+    let arrivals = fleet_arrivals(tenants, params.horizon_s);
+    FleetSim::new(tenants, executors, device, params, arrivals)
+        .run()
+        .0
+}
+
+/// How one (replica, tenant) lane ended — what [`crate::serve`] reports of
+/// its single lane beyond the [`FleetReport`].
+pub(crate) struct LaneEnd {
+    /// Curve index the lane finished on (`None` = baseline).
+    pub final_rung: Option<usize>,
+    /// The lane guard's full report, carrying the curve as the run ended.
+    pub guard: GuardReport,
 }
 
 /// The next thing to happen, in same-instant precedence order.
@@ -1008,14 +1005,12 @@ struct FleetTimer {
 }
 
 /// The whole fleet's state, advanced one event at a time.
-struct FleetSim<'a> {
+pub(crate) struct FleetSim<'a> {
     device: &'a DisturbedDevice,
     params: &'a FleetParams,
     /// Per-tenant service-draw constants (device, executor, cost anchor).
     ctxs: Vec<ServiceCtx<'a>>,
     deadline: f64,
-    dead_band: f64,
-    drain_budget: f64,
     replicas: Vec<Replica>,
     tenant_acc: Vec<TenantAccum>,
     log: EventRing<FleetEvent>,
@@ -1033,11 +1028,17 @@ struct FleetSim<'a> {
 }
 
 impl<'a> FleetSim<'a> {
-    fn new(
+    /// A fleet about to serve `arrivals`, the merged `(time, tenant)`
+    /// stream sorted by time ([`fleet_arrivals`], or a caller's own trace).
+    /// The simulator reads a tenant's name, curve, baselines and guard;
+    /// [`TenantSpec::pattern`] and [`TenantSpec::arrival_seed`] are inputs
+    /// of [`fleet_arrivals`] only and inert here.
+    pub(crate) fn new(
         tenants: &'a [TenantSpec],
         executors: &'a [&'a dyn RequestExecutor],
         device: &'a DisturbedDevice,
         params: &'a FleetParams,
+        arrivals: Vec<(f64, usize)>,
     ) -> FleetSim<'a> {
         let n = params.replicas.max(1);
         let sp = &params.serve;
@@ -1070,7 +1071,6 @@ impl<'a> FleetSim<'a> {
                 .collect()
         };
         let replicas = (0..n).map(|_| Replica::new(sp, lanes())).collect();
-        let arrivals = fleet_arrivals(tenants, params.horizon_s);
         let mut tenant_acc: Vec<TenantAccum> = tenants
             .iter()
             .map(|spec| TenantAccum {
@@ -1090,8 +1090,6 @@ impl<'a> FleetSim<'a> {
             params,
             ctxs,
             deadline,
-            dead_band: sp.dead_band.clamp(0.0, 10.0),
-            drain_budget: deadline * sp.drain_fraction.clamp(0.05, 1.0),
             replicas,
             tenant_acc,
             log: EventRing::new(sp.event_limit),
@@ -1108,6 +1106,19 @@ impl<'a> FleetSim<'a> {
             timers: Vec::new(),
             recovery_times: Vec::new(),
         }
+    }
+
+    /// Runs the simulation to the last event.
+    pub(crate) fn run(mut self) -> (FleetReport, Vec<LaneEnd>) {
+        while let Some((now, event)) = self.next_event() {
+            match event {
+                Event::Completion(r) => self.on_completion(r, now),
+                Event::Chaos => self.on_chaos(now),
+                Event::Timer(ix) => self.on_timer(ix, now),
+                Event::Arrival => self.on_arrival(now),
+            }
+        }
+        self.finish()
     }
 
     fn log(&mut self, time_s: f64, kind: FleetEventKind) {
@@ -1173,8 +1184,10 @@ impl<'a> FleetSim<'a> {
 
     /// Starts the head-of-queue request on replica `r` if it is idle. The
     /// ladder re-selects the serving tenant's configuration for the
-    /// replica's applied pressure first, so escalation happens before the
-    /// service time is drawn.
+    /// replica's pressure first, so escalation happens before the service
+    /// time is drawn. Moves are counted, not logged: a ring flooded by a
+    /// few percent of all arrivals would evict the breaker, crash and SDC
+    /// events it exists for.
     fn start_next(&mut self, r: usize, now: f64) {
         let rep = &mut self.replicas[r];
         if rep.busy.is_some() {
@@ -1191,32 +1204,20 @@ impl<'a> FleetSim<'a> {
         let tk = lane.execs;
         lane.execs += 1;
 
-        // Ladder: required total speedup to drain the backlog within
-        // the ladder's share of the deadline, from the replica's
-        // observed slowdown and the serving tenant's baseline cost.
         let backlog = rep.queue.len() + 1;
-        let required =
-            (rep.slow_ewma * ctx.baseline_time_s * backlog as f64 / self.drain_budget).max(1e-6);
-        let up = required > rep.applied_required * (1.0 + self.dead_band);
-        let down = required < rep.applied_required * (1.0 - self.dead_band);
-        if up || down {
-            rep.applied_required = required;
-        }
-        let from = lane.tuner.current_index();
-        lane.tuner.adapt_to(rep.applied_required);
-        let to = lane.tuner.current_index();
-        if to != from {
-            if escalated(from, to) {
-                rep.stats.escalations += 1;
-            } else {
-                rep.stats.deescalations += 1;
-            }
+        match rep
+            .ladder
+            .reselect(&mut lane.tuner, ctx.baseline_time_s, backlog)
+        {
+            Some(LadderMove::Up) => rep.stats.escalations += 1,
+            Some(LadderMove::Down) => rep.stats.deescalations += 1,
+            None => {}
         }
 
         let chaos = &self.params.chaos;
         let inflation = chaos.gray_inflation_at(r, now);
-        let draw = ctx.draw(&lane.tuner, Some(&lane.guard), k, tk, inflation);
-        rep.slow_ewma = 0.7 * rep.slow_ewma + 0.3 * draw.slowdown;
+        let draw = ctx.draw(&lane.tuner, &lane.guard, k, tk, inflation);
+        rep.ladder.observe(draw.slowdown);
         if draw.rung.is_some() && fails_floor(draw.qos, lane.guard.params().qos_floor) {
             self.tenant_acc[t].report.planned_floor_breaches += 1;
         }
@@ -1458,7 +1459,7 @@ impl<'a> FleetSim<'a> {
             b,
             now,
             self.completed,
-            rep.applied_required,
+            rep.ladder.applied_required,
         );
         if let Some(c) = conviction {
             self.log(
@@ -1674,8 +1675,8 @@ impl<'a> FleetSim<'a> {
             version: REPLICA_CHECKPOINT_VERSION,
             replica: r,
             crashed_at_s: now,
-            applied_required: rep.applied_required,
-            slow_ewma: rep.slow_ewma,
+            applied_required: rep.ladder.applied_required,
+            slow_ewma: rep.ladder.slow_ewma,
             breaker,
             consecutive_failures,
             open_until,
@@ -1718,8 +1719,8 @@ impl<'a> FleetSim<'a> {
         if let Some(cp) = rep.checkpoint.take().filter(ReplicaCheckpoint::is_sealed) {
             rep.breaker
                 .restore(cp.breaker, cp.consecutive_failures, cp.open_until);
-            rep.applied_required = cp.applied_required;
-            rep.slow_ewma = cp.slow_ewma;
+            rep.ladder.applied_required = cp.applied_required;
+            rep.ladder.slow_ewma = cp.slow_ewma;
             for (t, tc) in cp.tenants.into_iter().enumerate().take(self.ctxs.len()) {
                 let mut tuner = self.ctxs[t].new_tuner(tc.curve, self.params.serve.seed);
                 // Re-apply the convictions instead of re-learning them:
@@ -1803,7 +1804,7 @@ impl<'a> FleetSim<'a> {
             return;
         }
         let est = |tenant: usize| -> f64 {
-            rep.slow_ewma * self.ctxs[tenant].baseline_time_s
+            rep.ladder.slow_ewma * self.ctxs[tenant].baseline_time_s
                 / rep.lanes[tenant].tuner.current_speedup().max(1e-9)
         };
         let mut wait = rep
@@ -1834,7 +1835,7 @@ impl<'a> FleetSim<'a> {
         self.start_next(r, now);
     }
 
-    fn finish(mut self) -> FleetReport {
+    fn finish(mut self) -> (FleetReport, Vec<LaneEnd>) {
         let (mean_latency_s, p99_latency_s) = latency_summary(&mut self.latencies);
 
         let mut tenant_reports: Vec<TenantReport> = self
@@ -1853,14 +1854,21 @@ impl<'a> FleetSim<'a> {
             .collect();
         // Aggregate guard outcomes per tenant across replicas.
         let mut replica_reports = Vec::with_capacity(self.replicas.len());
+        let mut lanes = Vec::with_capacity(self.replicas.len() * tenant_reports.len());
         for rep in self.replicas {
             for (lane, tr) in rep.lanes.into_iter().zip(&mut tenant_reports) {
                 tr.exact_fallback_replicas += usize::from(lane.guard.exact_fallback());
-                let grep = lane.guard.into_report(lane.tuner.curve().clone());
-                tr.canaries += grep.canaries;
-                tr.canary_misses += grep.misses;
-                tr.observed_floor_breaches += grep.floor_breaches;
-                tr.quarantined_points += grep.quarantined.len();
+                // The guard's report carries the curve as the run ended:
+                // every convicted point's promise repaired in place.
+                let guard = lane.guard.into_report(lane.tuner.curve().clone());
+                tr.canaries += guard.canaries;
+                tr.canary_misses += guard.misses;
+                tr.observed_floor_breaches += guard.floor_breaches;
+                tr.quarantined_points += guard.quarantined.len();
+                lanes.push(LaneEnd {
+                    final_rung: lane.tuner.current_index(),
+                    guard,
+                });
             }
             replica_reports.push(ReplicaReport {
                 final_breaker: rep.breaker.state(),
@@ -1874,7 +1882,7 @@ impl<'a> FleetSim<'a> {
         let shed =
             tsum(|t| t.shed_queue_full + t.shed_deadline + t.shed_breaker + t.shed_replica_lost);
         let (events, events_evicted) = self.log.into_parts();
-        FleetReport {
+        let report = FleetReport {
             policy: self.params.policy.name().to_string(),
             replicas: replica_reports.len(),
             scenario: self.device.scenario().name().to_string(),
@@ -1903,7 +1911,8 @@ impl<'a> FleetSim<'a> {
             replica_reports,
             events,
             events_evicted,
-        }
+        };
+        (report, lanes)
     }
 }
 

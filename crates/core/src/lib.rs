@@ -100,7 +100,7 @@ pub use qos::QosMetric;
 pub use serve::{
     generate_arrivals, serve, serve_guarded, ArrivalTrace, BreakerState, GraphExecutor,
     GuardedServeReport, NoFaultExecutor, RequestExecutor, RequestOutcome, ScriptedFaultExecutor,
-    ServeEvent, ServeEventKind, ServeParams, ServeReport, ShedReason, TrafficPattern,
+    ServeParams, ServeReport, ShedReason, TrafficPattern,
 };
 pub use ship::ShippedArtifact;
 pub use supervise::{EvalError, FaultStats, SupervisedEvaluator, SupervisionPolicy};

@@ -132,34 +132,19 @@ pub struct AdaptationEvent {
     pub kind: EventKind,
 }
 
-/// Records the dynamic tuner's decisions.
-///
-/// By default the log grows without bound — fine for bounded experiments,
-/// wrong for a long-running server. [`AdaptationLog::with_limit`] caps the
-/// retained event window ring-buffer style: old events are evicted from the
-/// front while the totals (`switches`, `breaches`) remain exact counters.
+/// Records the dynamic tuner's decisions, one event per control decision,
+/// with running totals of switches and QoS-floor breaches.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct AdaptationLog {
     events: Vec<AdaptationEvent>,
-    limit: Option<usize>,
     total_switches: usize,
     total_breaches: usize,
-    evicted: usize,
 }
 
 impl AdaptationLog {
-    /// A fresh, unbounded log.
+    /// A fresh log.
     pub fn new() -> AdaptationLog {
         AdaptationLog::default()
-    }
-
-    /// A log that retains at most `limit` events (ring buffer; totals keep
-    /// counting past the cap). A limit of 0 keeps counters only.
-    pub fn with_limit(limit: usize) -> AdaptationLog {
-        AdaptationLog {
-            limit: Some(limit),
-            ..AdaptationLog::default()
-        }
     }
 
     /// Appends a decision.
@@ -183,33 +168,20 @@ impl AdaptationLog {
             selected: selected.map(|p| (p.qos, p.perf)),
             kind,
         });
-        if let Some(limit) = self.limit {
-            // Caps are small in practice; front-removal keeps Vec (the
-            // vendored serde has no VecDeque support) and stays O(limit).
-            while self.events.len() > limit {
-                self.events.remove(0);
-                self.evicted += 1;
-            }
-        }
     }
 
-    /// The retained events (the most recent `limit` when capped).
+    /// The recorded events, oldest first.
     pub fn events(&self) -> &[AdaptationEvent] {
         &self.events
     }
 
-    /// Number of events evicted by the ring-buffer cap.
-    pub fn evicted(&self) -> usize {
-        self.evicted
-    }
-
     /// Number of configuration changes recorded (breach markers are state
-    /// transitions, not switches). Counts past the retention cap.
+    /// transitions, not switches).
     pub fn switches(&self) -> usize {
         self.total_switches
     }
 
-    /// Number of QoS-floor breaches recorded. Counts past the retention cap.
+    /// Number of QoS-floor breaches recorded.
     pub fn breaches(&self) -> usize {
         self.total_breaches
     }
@@ -312,24 +284,5 @@ mod tests {
     #[should_panic(expected = "window")]
     fn zero_window_rejected() {
         let _ = SystemMonitor::new(0);
-    }
-
-    #[test]
-    fn capped_log_evicts_but_counts() {
-        let mut log = AdaptationLog::with_limit(2);
-        for i in 0..5 {
-            log.push(i, 1.0, 1.0, None, EventKind::Feedback);
-        }
-        log.push(5, 4.0, 9.0, None, EventKind::QosFloorBreach);
-        assert_eq!(log.events().len(), 2, "ring buffer holds the cap");
-        assert_eq!(log.events()[1].kind, EventKind::QosFloorBreach);
-        assert_eq!(log.switches(), 5, "totals count past the cap");
-        assert_eq!(log.breaches(), 1);
-        assert_eq!(log.evicted(), 4);
-        // The capped log still serde-roundtrips.
-        let back: AdaptationLog = serde_json::from_str(&log.to_json()).unwrap();
-        assert_eq!(back.events().len(), 2);
-        assert_eq!(back.switches(), 5);
-        assert_eq!(back.evicted(), 4);
     }
 }

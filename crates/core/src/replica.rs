@@ -1,16 +1,11 @@
-//! The replica engine: the per-replica serving mechanisms that the
-//! single-server loop ([`crate::serve`]) and the fleet simulator
-//! ([`crate::fleet`]) agree on, implemented exactly once — the circuit
-//! breaker state machine, the capped event ring, the latency summary, the
-//! guard's floor pre-mask and canary conviction, the service draw (device
-//! state → watchdog → executor → shadow canary), the completion classifier
-//! and the queued / in-flight request pair.
-//!
-//! What is deliberately *not* here is the degradation ladder: the two loops
-//! run different ladder policies pinned by different golden sequences (the
-//! single server re-evaluates pressure on every admitted arrival and
-//! honours `min_dwell`; a fleet replica re-evaluates only at service
-//! start), so each keeps its own and they share only [`escalated`].
+//! The replica engine: the per-replica serving mechanisms behind the one
+//! serving loop ([`crate::fleet`], of which [`crate::serve`] is the
+//! 1-replica × 1-tenant projection), each implemented exactly once — the
+//! circuit breaker state machine, the degradation [`Ladder`], the capped
+//! event ring, the latency summary, the guard's floor pre-mask and canary
+//! conviction, the service draw (device state → watchdog → executor →
+//! shadow canary), the completion classifier and the queued / in-flight
+//! request pair.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -203,13 +198,96 @@ pub(crate) fn latency_summary(latencies: &mut [f64]) -> (f64, f64) {
     (mean(latencies), latencies.get(idx).copied().unwrap_or(0.0))
 }
 
-/// Whether a ladder move `from → to` (curve indices, `None` = the exact
-/// baseline) went towards more approximation.
-pub(crate) fn escalated(from: Option<usize>, to: Option<usize>) -> bool {
-    match (from, to) {
-        (_, None) => false,
-        (None, Some(_)) => true,
-        (Some(a), Some(b)) => b > a,
+// ---------------------------------------------------------------------------
+// Degradation ladder
+// ---------------------------------------------------------------------------
+
+/// Which way a [`Ladder::reselect`] moved the serving configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LadderMove {
+    /// Towards more approximation.
+    Up,
+    /// Towards the exact baseline.
+    Down,
+}
+
+/// One replica's accuracy-shedding degradation ladder: the only place
+/// queue pressure becomes a [`RuntimeTuner::adapt_to`] request.
+///
+/// Pressure is re-evaluated when a request starts service — the only
+/// instant a configuration is consumed — as the total speedup needed to
+/// drain the backlog within the ladder's share of the deadline. It is
+/// dimensionless (`slow_ewma × tenant baseline × backlog ÷ drain budget`),
+/// so one anchor serves every tenant lane of the replica, and it is damped
+/// by the ±dead-band only: the anchor moves when the pressure leaves the
+/// band around it, in either direction, and not otherwise.
+pub(crate) struct Ladder {
+    /// The pressure last anchored (centre of the dead-band).
+    pub applied_required: f64,
+    /// EWMA of the device slowdown this replica observes (1.0 = nominal):
+    /// tracks the environment without being fooled by the ladder's own
+    /// approximation, because each sample is normalised by the speedup it
+    /// ran at.
+    pub slow_ewma: f64,
+    dead_band: f64,
+    /// Seconds the ladder aims to drain the backlog within: the deadline ×
+    /// `drain_fraction`. Tighter than admission's budget (the deadline), so
+    /// accuracy is shed before requests are.
+    drain_budget: f64,
+}
+
+impl Ladder {
+    /// A ladder at nominal pressure with `p`'s dead-band and drain budget.
+    pub(crate) fn new(p: &ServeParams) -> Ladder {
+        Ladder {
+            applied_required: 1.0,
+            slow_ewma: 1.0,
+            dead_band: p.dead_band.clamp(0.0, 10.0),
+            drain_budget: p.deadline_s.max(1e-9) * p.drain_fraction.clamp(0.05, 1.0),
+        }
+    }
+
+    /// Re-selects `tuner`'s configuration for a request about to start with
+    /// `backlog` requests (itself included) on the replica. The anchor only
+    /// moves outside the dead-band, but `adapt_to` is issued on every
+    /// start: `tuner` is the serving tenant's lane, which may not be the
+    /// lane the anchor was last applied to.
+    pub(crate) fn reselect(
+        &mut self,
+        tuner: &mut RuntimeTuner,
+        baseline_time_s: f64,
+        backlog: usize,
+    ) -> Option<LadderMove> {
+        // `max` drops a NaN (`clamp` would keep it) and `min` an overflow,
+        // so the anchor stays finite whatever the inputs.
+        #[allow(clippy::manual_clamp)]
+        let required = (self.slow_ewma * baseline_time_s * backlog as f64 / self.drain_budget)
+            .max(1e-6)
+            .min(f64::MAX);
+        let up = required > self.applied_required * (1.0 + self.dead_band);
+        let down = required < self.applied_required * (1.0 - self.dead_band);
+        if up || down {
+            self.applied_required = required;
+        }
+        let from = tuner.current_index();
+        tuner.adapt_to(self.applied_required);
+        let to = tuner.current_index();
+        // `None` is the exact baseline, the bottom rung.
+        match (from, to) {
+            _ if from == to => None,
+            (None, Some(_)) => Some(LadderMove::Up),
+            (Some(a), Some(b)) if b > a => Some(LadderMove::Up),
+            _ => Some(LadderMove::Down),
+        }
+    }
+
+    /// Folds one execution's normalised slowdown ([`Draw::slowdown`]) into
+    /// the EWMA; a non-finite sample is dropped rather than poisoning every
+    /// later pressure estimate.
+    pub(crate) fn observe(&mut self, slowdown: f64) {
+        if slowdown.is_finite() {
+            self.slow_ewma = 0.7 * self.slow_ewma + 0.3 * slowdown;
+        }
     }
 }
 
@@ -292,7 +370,7 @@ pub(crate) fn verify_canary(
 
 /// A request waiting in a replica's queue.
 pub(crate) struct Queued {
-    /// Owning tenant (always 0 on a single server).
+    /// Owning tenant.
     pub tenant: usize,
     pub arrival_s: f64,
     pub deadline_s: f64,
@@ -305,8 +383,6 @@ pub(crate) struct Queued {
 pub(crate) struct Draw {
     /// Service time, clamped to the watchdog bound when `stalled`.
     pub svc_s: f64,
-    /// Speedup of the configuration the request ran on.
-    pub speedup: f64,
     /// Normalised slowdown of this execution (service × speedup ÷
     /// baseline): 1.0 under nominal conditions on an honest replica.
     pub slowdown: f64,
@@ -327,7 +403,7 @@ pub(crate) struct InFlight {
     pub finish_s: f64,
     pub draw: Draw,
     /// Ground-truth injected bit flip, when a chaos bit-flip window was
-    /// active at start and the seeded draw fired (fleet only).
+    /// active at start and the seeded draw fired.
     pub flip: Option<InjectedFlip>,
 }
 
@@ -378,16 +454,16 @@ impl ServiceCtx<'_> {
 
     /// Starts one execution under `tuner`'s current configuration: resolves
     /// the device state at `device_k`, applies the executor watchdog, runs
-    /// the executor as its `exec_k`-th request and — when a guard is active
-    /// and its deterministic sampler picks `exec_k` — performs the shadow
-    /// canary re-execution through the executor's hook. The two indices are
-    /// the same on a single server; a fleet replica counts executions per
-    /// replica for the device and per (replica, tenant) for the executor.
-    /// `inflation` is the chaos plan's gray-failure multiplier (1.0 = none).
+    /// the executor as its `exec_k`-th request and — when the guard's
+    /// deterministic sampler picks `exec_k` — performs the shadow canary
+    /// re-execution through the executor's hook. A replica counts
+    /// executions per replica for the device and per (replica, tenant) for
+    /// the executor; with one tenant the two indices coincide. `inflation`
+    /// is the chaos plan's gray-failure multiplier (1.0 = none).
     pub(crate) fn draw(
         &self,
         tuner: &RuntimeTuner,
-        guard: Option<&QosGuard>,
+        guard: &QosGuard,
         device_k: usize,
         exec_k: usize,
         inflation: f64,
@@ -415,15 +491,14 @@ impl ServiceCtx<'_> {
         let fault = self.executor.execute(exec_k).is_err();
         let rung = tuner.current_index();
         let point = tuner.current_point();
-        let canary = match (guard, rung, point) {
-            (Some(g), Some(r), Some(p)) if !stalled && !fault && g.is_canary(exec_k) => {
+        let canary = match (rung, point) {
+            (Some(r), Some(p)) if !stalled && !fault && guard.is_canary(exec_k) => {
                 self.executor.canary_qos(exec_k, r, p)
             }
             _ => None,
         };
         Draw {
             svc_s,
-            speedup,
             slowdown: svc_s * speedup / self.baseline_time_s,
             fault,
             stalled,
@@ -570,11 +645,102 @@ mod tests {
         assert_eq!(latency_summary(&mut hundred_one), (50.0, 99.0));
     }
 
+    fn ladder(dead_band: f64) -> Ladder {
+        // Drain budget 0.5 s: with a 0.1 s baseline, a backlog of n asks
+        // for 0.2·n× at nominal speed.
+        Ladder::new(&ServeParams {
+            deadline_s: 1.0,
+            drain_fraction: 0.5,
+            dead_band,
+            ..ServeParams::default()
+        })
+    }
+
+    fn tuner(perfs: &[f64]) -> RuntimeTuner {
+        let points = perfs
+            .iter()
+            .enumerate()
+            .map(|(i, &perf)| crate::pareto::TradeoffPoint {
+                qos: 98.0 - 2.0 * i as f64,
+                perf,
+                config: crate::config::Config::from_knobs(vec![]),
+            })
+            .collect();
+        RuntimeTuner::new(
+            TradeoffCurve::from_points(points),
+            Policy::EnforceEachInvocation,
+            1,
+            0.1,
+            7,
+        )
+    }
+
     #[test]
-    fn escalated_reads_baseline_as_the_bottom_rung() {
-        assert!(escalated(None, Some(0)));
-        assert!(escalated(Some(0), Some(2)));
-        assert!(!escalated(Some(2), Some(0)));
-        assert!(!escalated(Some(1), None));
+    fn ladder_re_anchors_only_outside_the_dead_band_in_both_directions() {
+        let mut l = ladder(0.25);
+        let mut t = tuner(&[1.3, 1.7, 2.2]);
+        // Backlog 5 asks for exactly 1.0×: on the anchor, nothing moves.
+        assert_eq!(l.reselect(&mut t, 0.1, 5), None);
+        assert_eq!(l.applied_required, 1.0);
+        // 1.2× is inside the +25 % band: the anchor holds, no escalation.
+        assert_eq!(l.reselect(&mut t, 0.1, 6), None);
+        assert_eq!(l.applied_required, 1.0);
+        assert_eq!(t.current_index(), None);
+        // 1.6× leaves the band: re-anchor and escalate onto a ≥ 1.6× rung.
+        assert_eq!(l.reselect(&mut t, 0.1, 8), Some(LadderMove::Up));
+        assert_eq!(l.applied_required, 1.6);
+        assert_eq!(t.current_index(), Some(1));
+        // Rung to rung is classified by index, each way: 2.2× climbs onto
+        // the top rung, 1.6× (below 2.2 − 25 %) steps back down one.
+        assert_eq!(l.reselect(&mut t, 0.1, 11), Some(LadderMove::Up));
+        assert_eq!(t.current_index(), Some(2));
+        assert_eq!(l.reselect(&mut t, 0.1, 8), Some(LadderMove::Down));
+        assert_eq!(l.applied_required, 1.6);
+        assert_eq!(t.current_index(), Some(1));
+        // 1.4× is inside the −25 % band of 1.6: nothing moves …
+        assert_eq!(l.reselect(&mut t, 0.1, 7), None);
+        assert_eq!(l.applied_required, 1.6);
+        // … 1.0× is outside it: re-anchor and return to the baseline.
+        assert_eq!(l.reselect(&mut t, 0.1, 5), Some(LadderMove::Down));
+        assert_eq!(l.applied_required, 1.0);
+        assert_eq!(t.current_index(), None);
+    }
+
+    #[test]
+    fn ladder_adapts_the_serving_lane_even_when_the_anchor_holds() {
+        let mut l = ladder(0.25);
+        let mut hot = tuner(&[1.3, 1.7, 2.2]);
+        assert_eq!(l.reselect(&mut hot, 0.1, 10), Some(LadderMove::Up));
+        assert_eq!(hot.current_index(), Some(2));
+        // Another tenant's lane starts under the same, unmoved anchor: it
+        // must be brought onto it, not left where it last ran.
+        let mut cold = tuner(&[1.5, 2.5]);
+        assert_eq!(l.reselect(&mut cold, 0.1, 10), Some(LadderMove::Up));
+        assert_eq!(l.applied_required, 2.0);
+        assert_eq!(cold.current_index(), Some(1));
+    }
+
+    #[test]
+    fn ladder_state_stays_finite_on_degenerate_inputs() {
+        for baseline in [0.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, 1e300] {
+            for sample in [0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+                let mut l = ladder(0.1);
+                let mut t = tuner(&[1.3, 2.2]);
+                l.observe(sample);
+                for backlog in [0usize, 1, usize::MAX] {
+                    l.reselect(&mut t, baseline, backlog);
+                    assert!(
+                        l.applied_required.is_finite() && l.applied_required > 0.0,
+                        "anchor {} (baseline {baseline}, sample {sample}, backlog {backlog})",
+                        l.applied_required
+                    );
+                }
+                assert!(l.slow_ewma.is_finite(), "ewma {}", l.slow_ewma);
+            }
+        }
+        // A finite sample is folded in at weight 0.3.
+        let mut l = ladder(0.1);
+        l.observe(2.0);
+        assert_eq!(l.slow_ewma, 0.7 + 0.3 * 2.0);
     }
 }

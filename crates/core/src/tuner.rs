@@ -111,7 +111,6 @@ pub(crate) fn run_supervised<E: AttemptEvaluator>(
         batch_size: params.batch_size,
         checkpoint: params.robustness.checkpoint.clone(),
         halt_after_rounds: params.robustness.halt_after_rounds,
-        telemetry_limit: None,
     };
     let resume = params.robustness.resume_from.as_ref();
     if let Some(cp) = resume {
