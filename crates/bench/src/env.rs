@@ -19,7 +19,7 @@
 /// knob of the harness lives in that family, so this is "the run was not
 /// sized by the defaults". The report writers use it to keep a down-sized
 /// smoke run from overwriting the committed full-scale artifacts.
-pub fn overridden() -> bool {
+pub(crate) fn overridden() -> bool {
     std::env::vars_os().any(|(k, _)| k.to_string_lossy().starts_with("AT_"))
 }
 
@@ -31,21 +31,21 @@ fn lookup(canonical: &str, aliases: &[&str]) -> Option<String> {
 }
 
 /// Reads a `usize` sizing variable: canonical name first, then aliases.
-pub fn usize_var(canonical: &str, aliases: &[&str], default: usize) -> usize {
+pub(crate) fn usize_var(canonical: &str, aliases: &[&str], default: usize) -> usize {
     lookup(canonical, aliases)
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(default)
 }
 
 /// Reads a `u64` sizing variable (seeds), same lookup order.
-pub fn u64_var(canonical: &str, aliases: &[&str], default: u64) -> u64 {
+pub(crate) fn u64_var(canonical: &str, aliases: &[&str], default: u64) -> u64 {
     lookup(canonical, aliases)
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(default)
 }
 
 /// Reads an `f64` sizing variable, same lookup order.
-pub fn f64_var(canonical: &str, aliases: &[&str], default: f64) -> f64 {
+pub(crate) fn f64_var(canonical: &str, aliases: &[&str], default: f64) -> f64 {
     lookup(canonical, aliases)
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(default)

@@ -30,7 +30,7 @@ use at_hw::{DisturbedDevice, Scenario};
 
 /// One phase (baseline or campaign) of the chaos bench.
 #[derive(serde::Serialize)]
-pub struct PhaseStats {
+pub(crate) struct PhaseStats {
     phase: String,
     arrivals: usize,
     admitted: usize,

@@ -54,7 +54,7 @@ use at_tensor::ops::{flip_bit, gemm_f32_abft, verify_gemm_f32, AbftTol};
 /// either detected or proven (against f64 ground truth) to perturb each
 /// output column by less than twice its checksum limit.
 #[derive(serde::Serialize)]
-pub struct KernelStats {
+pub(crate) struct KernelStats {
     /// GEMM shape used for injection, `MxKxN`.
     dims: String,
     /// Total flips injected (targets × bits 16..32 × trials).
@@ -79,7 +79,7 @@ pub struct KernelStats {
 
 /// ABFT wall-clock overhead at the benchmark dimension.
 #[derive(serde::Serialize)]
-pub struct OverheadStats {
+pub(crate) struct OverheadStats {
     /// Cubic GEMM dimension.
     dim: usize,
     /// Best-of-three unprotected GEMM time, milliseconds.
@@ -94,7 +94,7 @@ pub struct OverheadStats {
 
 /// One phase of the fleet flip-rate sweep.
 #[derive(serde::Serialize)]
-pub struct PhaseStats {
+pub(crate) struct PhaseStats {
     phase: String,
     /// Per-request flip probability inside active windows.
     flip_rate: f64,
@@ -229,7 +229,7 @@ fn escape_is_bounded(
 
 /// Injects `trials` flips per (target, bit ≥ 16) pair into a small GEMM
 /// and counts checksum detections against the golden operands.
-pub fn kernel_campaign(seed: u64, trials: usize) -> KernelStats {
+pub(crate) fn kernel_campaign(seed: u64, trials: usize) -> KernelStats {
     let (m, k, n) = (24, 40, 28);
     let tol = AbftTol::exact(m, k, n);
     let a = unit_stream(seed ^ 0xA0, m * k);
@@ -304,7 +304,7 @@ pub fn kernel_campaign(seed: u64, trials: usize) -> KernelStats {
 
 /// Times the unprotected vs checksummed GEMM at `dim`³ (best of three)
 /// and checks the protected output is bit-identical.
-pub fn overhead_campaign(seed: u64, dim: usize) -> OverheadStats {
+pub(crate) fn overhead_campaign(seed: u64, dim: usize) -> OverheadStats {
     let (m, k, n) = (dim, dim, dim);
     let a = unit_stream(seed ^ 0xA1, m * k);
     let b = unit_stream(seed ^ 0xB1, k * n);

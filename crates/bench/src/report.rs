@@ -107,7 +107,7 @@ impl Table {
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -146,7 +146,7 @@ pub fn write_json(name: &str, value: &impl serde::Serialize) {
 /// Writes a compact (single-line) JSON artifact under `results/` — for
 /// artifacts carrying per-invocation traces, where pretty-printing
 /// multiplies the size several-fold.
-pub fn write_json_compact(name: &str, value: &impl serde::Serialize) {
+pub(crate) fn write_json_compact(name: &str, value: &impl serde::Serialize) {
     write_artifact(&format!("results/{name}.json"), value, false);
 }
 
@@ -154,7 +154,7 @@ pub fn write_json_compact(name: &str, value: &impl serde::Serialize) {
 /// (the bench bins' working directory) — the measurable-perf-trajectory
 /// artifacts CI uploads alongside `results/`. Returns whether the file
 /// was written.
-pub fn write_bench_json(name: &str, value: &impl serde::Serialize) -> bool {
+pub(crate) fn write_bench_json(name: &str, value: &impl serde::Serialize) -> bool {
     write_artifact(&format!("BENCH_{name}.json"), value, true)
 }
 
@@ -205,7 +205,7 @@ fn write_artifact(relative: &str, value: &impl serde::Serialize, pretty: bool) -
 /// pool and reports whether the two outputs are byte-identical. Every fleet
 /// bench uses this as its determinism self-check: the simulated report must
 /// not depend on how many worker threads rayon happens to schedule.
-pub fn bit_identical_across_threads(render: impl Fn() -> String + Sync) -> bool {
+pub(crate) fn bit_identical_across_threads(render: impl Fn() -> String + Sync) -> bool {
     let under = |threads: usize| {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)

@@ -35,7 +35,7 @@ use at_models::BenchmarkId;
 
 /// Per-tenant slice of the benchmark artifact.
 #[derive(serde::Serialize)]
-pub struct TenantStats {
+pub(crate) struct TenantStats {
     name: String,
     arrivals: usize,
     on_time_pct: f64,
@@ -51,7 +51,7 @@ pub struct TenantStats {
 
 /// Per-policy slice of the benchmark artifact.
 #[derive(serde::Serialize)]
-pub struct PolicyStats {
+pub(crate) struct PolicyStats {
     policy: String,
     arrivals: usize,
     admitted: usize,

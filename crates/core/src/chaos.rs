@@ -13,15 +13,15 @@
 //!
 //! Gray failures are deliberately *not* delivered as stream events: a gray
 //! replica keeps accepting and completing work, just slower. The plan
-//! instead exposes [`ChaosPlan::gray_inflation_at`], a pure function of
+//! instead exposes `ChaosPlan::gray_inflation_at`, a pure function of
 //! `(replica, time)` that the fleet multiplies into raw service time, and
 //! detection is left entirely to the router's ejection logic — the
 //! simulation never tells the router a replica has gone gray.
 //!
 //! Bit-flip windows follow the same silent discipline: while a window is
-//! active ([`ChaosPlan::bitflip_at`]), each request started on the target
+//! active (`ChaosPlan::bitflip_at`), each request started on the target
 //! replica draws a flip with the window's per-request rate via
-//! [`ChaosPlan::draw_flip`] — pure in `(seed, replica, draw index)`, never
+//! `ChaosPlan::draw_flip` — pure in `(seed, replica, draw index)`, never
 //! in call order. The fleet is never told a flip happened; the ABFT layer
 //! has to *detect* it, and the injector's ground truth is what makes
 //! escapes measurable.
@@ -101,7 +101,7 @@ impl FlipTarget {
 
 /// An active bit-flip window's parameters, as seen by [`ChaosPlan::bitflip_at`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BitFlipWindow {
+pub(crate) struct BitFlipWindow {
     /// Per-request flip probability.
     pub rate: f64,
     /// Corrupted buffer.
@@ -113,7 +113,7 @@ pub struct BitFlipWindow {
 /// One injected flip, drawn by [`ChaosPlan::draw_flip`]: ground truth the
 /// fleet report uses to measure detection coverage and escapes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InjectedFlip {
+pub(crate) struct InjectedFlip {
     /// Corrupted buffer.
     pub target: FlipTarget,
     /// Flipped bit position (`min_bit..32`).
@@ -286,13 +286,8 @@ impl ChaosPlan {
         ChaosPlan::scripted(events)
     }
 
-    /// True when the plan contains no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// The sanitized, time-sorted events.
-    pub fn events(&self) -> &[ChaosEvent] {
+    pub(crate) fn events(&self) -> &[ChaosEvent] {
         &self.events
     }
 
@@ -308,14 +303,6 @@ impl ChaosPlan {
             }
         }
         c
-    }
-
-    /// Number of bit-flip windows in the plan.
-    pub fn bitflip_windows(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, ChaosKind::BitFlip { .. }))
-            .count()
     }
 
     /// Appends a seeded bit-flip campaign to the plan: `windows` corruption
@@ -355,7 +342,7 @@ impl ChaosPlan {
     /// The bit-flip window active for `replica` at time `t`, if any — the
     /// earliest-starting active window wins when windows overlap (a single
     /// flip per request is the modelled fault).
-    pub fn bitflip_at(&self, replica: usize, t: f64) -> Option<BitFlipWindow> {
+    pub(crate) fn bitflip_at(&self, replica: usize, t: f64) -> Option<BitFlipWindow> {
         for e in &self.events {
             if e.replica != replica {
                 continue;
@@ -383,7 +370,7 @@ impl ChaosPlan {
     /// flips a bit under `window`, and which bit. Pure in
     /// `(seed, replica, k)` — never in call order — so campaigns replay
     /// bit-identically at any thread count.
-    pub fn draw_flip(
+    pub(crate) fn draw_flip(
         seed: u64,
         replica: usize,
         k: u64,
@@ -403,7 +390,7 @@ impl ChaosPlan {
 
     /// The silent service-time multiplier for `replica` at time `t`:
     /// the product of all gray windows active there, `1.0` when none are.
-    pub fn gray_inflation_at(&self, replica: usize, t: f64) -> f64 {
+    pub(crate) fn gray_inflation_at(&self, replica: usize, t: f64) -> f64 {
         let mut factor = 1.0;
         for e in &self.events {
             if e.replica != replica {
@@ -422,6 +409,13 @@ impl ChaosPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bitflips(plan: &ChaosPlan) -> usize {
+        plan.events()
+            .iter()
+            .filter(|e| matches!(e.kind, ChaosKind::BitFlip { .. }))
+            .count()
+    }
 
     #[test]
     fn scripted_sorts_and_sanitizes() {
@@ -495,9 +489,13 @@ mod tests {
 
     #[test]
     fn campaign_degenerate_inputs_are_empty() {
-        assert!(ChaosPlan::campaign(1, f64::NAN, 8, 4, 2, 2).is_empty());
-        assert!(ChaosPlan::campaign(1, -5.0, 8, 4, 2, 2).is_empty());
-        assert!(ChaosPlan::campaign(1, 100.0, 0, 4, 2, 2).is_empty());
+        assert!(ChaosPlan::campaign(1, f64::NAN, 8, 4, 2, 2)
+            .events()
+            .is_empty());
+        assert!(ChaosPlan::campaign(1, -5.0, 8, 4, 2, 2).events().is_empty());
+        assert!(ChaosPlan::campaign(1, 100.0, 0, 4, 2, 2)
+            .events()
+            .is_empty());
     }
 
     #[test]
@@ -552,7 +550,7 @@ mod tests {
                 },
             },
         ]);
-        assert_eq!(plan.bitflip_windows(), 1);
+        assert_eq!(bitflips(&plan), 1);
         assert_eq!(plan.counts(), (0, 0, 0), "bit flips are counted apart");
         let w = plan.bitflip_at(2, 12.0).unwrap();
         assert_eq!(w.rate, 1.0);
@@ -591,7 +589,7 @@ mod tests {
         let b = base.clone().with_bitflip_campaign(7, 100.0, 8, 3, 0.2, 12);
         assert_eq!(a, b);
         assert_eq!(a.counts(), base.counts());
-        assert_eq!(a.bitflip_windows(), 3);
+        assert_eq!(bitflips(&a), 3);
         for e in a.events() {
             assert!(e.at_s >= 0.0 && e.at_s <= 100.0);
             assert!(e.replica < 8);

@@ -2,7 +2,7 @@
 //!
 //! Development-time tuning runs for hours (§4); a crash near the end of a
 //! campaign must not throw the whole run away. Every N rounds the batch
-//! driver ([`crate::evaluate::run_batched_search`]) serialises a
+//! driver (`crate::evaluate::run_batched_search`) serialises a
 //! [`SearchCheckpoint`] capturing *all* advancing state — bandit and RNG
 //! state ([`TunerState`]), the evaluation cache, the collected candidates
 //! and telemetry, and the supervision bookkeeping (quarantine, per-config

@@ -26,7 +26,7 @@ impl Config {
     }
 
     /// A uniformly random configuration over the allowed per-node knobs.
-    pub fn random<R: Rng + ?Sized>(node_knobs: &[Vec<KnobId>], rng: &mut R) -> Config {
+    pub(crate) fn random<R: Rng + ?Sized>(node_knobs: &[Vec<KnobId>], rng: &mut R) -> Config {
         Config {
             knobs: node_knobs
                 .iter()
@@ -94,25 +94,6 @@ impl Config {
             next.knobs[site] = ks[rng.gen_range(0..ks.len())];
         }
         next
-    }
-
-    /// Histogram of non-baseline knob labels (the rows of Table 3).
-    pub fn knob_histogram(&self, registry: &KnobRegistry, graph: &Graph) -> Vec<(String, usize)> {
-        let mut hist: Vec<(String, usize)> = Vec::new();
-        for (i, &k) in self.knobs.iter().enumerate() {
-            if k == KnobId::BASELINE {
-                continue;
-            }
-            let class = graph.node(at_ir::NodeId(i as u32)).op.class();
-            let label = registry.label(class, k).to_string();
-            if let Some(e) = hist.iter_mut().find(|(l, _)| *l == label) {
-                e.1 += 1;
-            } else {
-                hist.push((label, 1));
-            }
-        }
-        hist.sort_by_key(|e| std::cmp::Reverse(e.1));
-        hist
     }
 
     /// Coarser histogram grouping FP16 into one bucket and dropping offsets

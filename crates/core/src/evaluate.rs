@@ -1,4 +1,4 @@
-//! Shared candidate evaluation for the tuning loops: the [`Evaluator`]
+//! Shared candidate evaluation for the tuning loops: the `Evaluator`
 //! abstraction over predictive and measured (QoS, perf) scoring, a
 //! config-keyed memoisation cache, and the batch-synchronous parallel
 //! search driver used by both the predictive ([`crate::tuner`]) and
@@ -7,9 +7,9 @@
 //! # Batch-synchronous search
 //!
 //! Each round the AUC-bandit ensemble proposes a *batch* of candidates
-//! ([`crate::search::Autotuner::propose_batch`]); the batch is scored by an
-//! [`Evaluator`] — concurrently for configurations not already in the
-//! [`EvalCache`] — and the (fitness, config) results are reported back to
+//! (`crate::search::Autotuner::propose_batch`); the batch is scored by an
+//! `Evaluator` — concurrently for configurations not already in the
+//! `EvalCache` — and the (fitness, config) results are reported back to
 //! the bandit **in proposal order**. All bandit and RNG state advances only
 //! on the sequential propose/report path, and every evaluator is a pure
 //! function of the configuration, so a seeded run produces bit-identical
@@ -52,7 +52,7 @@ pub struct Evaluation {
 /// same evaluation — because results are memoised by the [`EvalCache`] and
 /// unseen configurations are evaluated concurrently (hence the `Sync`
 /// bound).
-pub trait Evaluator: Sync {
+pub(crate) trait Evaluator: Sync {
     /// Scores one configuration.
     fn evaluate(&self, config: &Config) -> Result<Evaluation, TensorError>;
 }
@@ -65,7 +65,7 @@ pub trait Evaluator: Sync {
 ///
 /// Every plain [`Evaluator`] is an `AttemptEvaluator` that ignores the
 /// attempt index (real evaluators are pure per config).
-pub trait AttemptEvaluator: Sync {
+pub(crate) trait AttemptEvaluator: Sync {
     /// Scores one configuration on the given attempt.
     fn evaluate_attempt(&self, config: &Config, attempt: u32) -> Result<Evaluation, TensorError>;
 }
@@ -80,7 +80,7 @@ impl<E: Evaluator> AttemptEvaluator for E {
 /// models, performance from the analytical model. Cheap enough that the
 /// cache mostly saves bookkeeping; parallelism still helps on Π1, which
 /// composes full output tensors.
-pub struct PredictiveEvaluator<'a> {
+pub(crate) struct PredictiveEvaluator<'a> {
     /// The (calibrated) QoS predictor.
     pub predictor: &'a Predictor<'a>,
     /// The analytical performance model.
@@ -101,7 +101,7 @@ impl Evaluator for PredictiveEvaluator<'_> {
 /// The conventional empirical path: QoS from actually running the program
 /// on the calibration inputs (expensive — this is where batching pays),
 /// performance from the analytical model.
-pub struct EmpiricalEvaluator<'a> {
+pub(crate) struct EmpiricalEvaluator<'a> {
     /// The program under tuning.
     pub graph: &'a Graph,
     /// The knob registry.
@@ -151,7 +151,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Total lookups served.
-    pub fn lookups(&self) -> usize {
+    pub(crate) fn lookups(&self) -> usize {
         self.hits + self.misses + self.dedup
     }
 
@@ -174,30 +174,20 @@ impl CacheStats {
 /// would re-run the whole program. The cache guarantees at most one
 /// evaluator invocation per distinct configuration.
 #[derive(Default)]
-pub struct EvalCache {
+pub(crate) struct EvalCache {
     map: HashMap<Config, Evaluation>,
     stats: CacheStats,
 }
 
 impl EvalCache {
     /// An empty cache.
-    pub fn new() -> EvalCache {
+    pub(crate) fn new() -> EvalCache {
         EvalCache::default()
     }
 
     /// The hit/miss/dedup counters so far.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Number of distinct configurations evaluated.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no configuration has been evaluated yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Scores a batch of configurations through a [`SupervisedEvaluator`],
@@ -207,7 +197,7 @@ impl EvalCache {
     /// successful (finite) evaluations enter the cache; failures are
     /// reported as typed [`EvalError`]s, and in-batch duplicates of a
     /// failed config share its error.
-    pub fn evaluate_batch_supervised<E: AttemptEvaluator>(
+    pub(crate) fn evaluate_batch_supervised<E: AttemptEvaluator>(
         &mut self,
         supervisor: &SupervisedEvaluator<'_, E>,
         configs: &[Config],
@@ -250,7 +240,7 @@ impl EvalCache {
 
     /// Serialisable snapshot of the cache: entries sorted by knob vector
     /// (so two identical runs snapshot identically) plus the counters.
-    pub fn snapshot(&self) -> CacheSnapshot {
+    pub(crate) fn snapshot(&self) -> CacheSnapshot {
         let mut entries: Vec<(Config, Evaluation)> =
             self.map.iter().map(|(c, e)| (c.clone(), *e)).collect();
         entries.sort_by_key(|(c, _)| c.knobs().to_vec());
@@ -261,7 +251,7 @@ impl EvalCache {
     }
 
     /// Rebuilds a cache from a [`EvalCache::snapshot`].
-    pub fn from_snapshot(snap: &CacheSnapshot) -> EvalCache {
+    pub(crate) fn from_snapshot(snap: &CacheSnapshot) -> EvalCache {
         EvalCache {
             map: snap.entries.iter().cloned().collect(),
             stats: snap.stats,
@@ -269,7 +259,7 @@ impl EvalCache {
     }
 }
 
-/// Serialised form of an [`EvalCache`], stored inside checkpoints.
+/// Serialised form of an `EvalCache`, stored inside checkpoints.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
     /// `(config, evaluation)` pairs, sorted by knob vector.
@@ -278,7 +268,7 @@ pub struct CacheSnapshot {
     pub stats: CacheStats,
 }
 
-/// One round of per-batch telemetry from [`run_batched_search`].
+/// One round of per-batch telemetry from `run_batched_search`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BatchTelemetry {
     /// Round index (0 = the seed-anchor round).
@@ -296,7 +286,7 @@ pub struct BatchTelemetry {
 }
 
 /// Everything the batched search loop produced.
-pub struct SearchOutcome {
+pub(crate) struct SearchOutcome {
     /// Constraint-satisfying candidates, in report order.
     pub candidates: Vec<TradeoffPoint>,
     /// Per-round telemetry.
@@ -312,11 +302,11 @@ pub struct SearchOutcome {
 /// supervision (errors/panics on every attempt, poisoned readings, or
 /// quarantine). Strongly negative so no failing technique looks good, yet
 /// finite so telemetry and checkpoints serialise exactly.
-pub const FAILED_FITNESS: f64 = -1.0e9;
+pub(crate) const FAILED_FITNESS: f64 = -1.0e9;
 
 /// Knobs of [`run_batched_search`] beyond the evaluator itself.
 #[derive(Clone, Debug)]
-pub struct SearchOptions {
+pub(crate) struct SearchOptions {
     /// The QoS constraint driving the fitness shape.
     pub qos_min: f64,
     /// Proposals per round (≥ 1).
@@ -326,18 +316,6 @@ pub struct SearchOptions {
     /// Stop (with `halted = true`) once this many total rounds have run —
     /// the hook the crash/resume tests use to kill a run mid-campaign.
     pub halt_after_rounds: Option<usize>,
-}
-
-impl SearchOptions {
-    /// Plain options: no checkpointing, no simulated crash.
-    pub fn new(qos_min: f64, batch_size: usize) -> SearchOptions {
-        SearchOptions {
-            qos_min,
-            batch_size,
-            checkpoint: None,
-            halt_after_rounds: None,
-        }
-    }
 }
 
 /// Runs the supervised batch-synchronous search loop shared by the
@@ -363,7 +341,7 @@ impl SearchOptions {
 /// `opts.checkpoint` is set, a [`SearchCheckpoint`] is written every N
 /// completed rounds (checkpoint I/O failures are logged and ignored — an
 /// unwritable disk must not kill a tuning campaign).
-pub fn run_batched_search<E: AttemptEvaluator>(
+pub(crate) fn run_batched_search<E: AttemptEvaluator>(
     tuner: &mut Autotuner,
     supervisor: &SupervisedEvaluator<'_, E>,
     cache: &mut EvalCache,
@@ -610,14 +588,19 @@ mod tests {
             &sup,
             &mut cache,
             &[],
-            &SearchOptions::new(90.0, 16),
+            &SearchOptions {
+                qos_min: 90.0,
+                batch_size: 16,
+                checkpoint: None,
+                halt_after_rounds: None,
+            },
             None,
         );
         let calls = evaluator.calls.load(Ordering::SeqCst);
         let stats = cache.stats();
         assert!(calls <= 9, "evaluator ran {calls} times for ≤ 9 configs");
         assert_eq!(calls, stats.misses, "misses must equal real invocations");
-        assert_eq!(calls, cache.len());
+        assert_eq!(calls, cache.map.len());
         assert!(stats.hits > 0, "300 iterations over 9 configs must hit");
         assert_eq!(stats.lookups(), tuner.iterations());
         assert!(!outcome.telemetry.is_empty());
@@ -712,7 +695,12 @@ mod tests {
                 &sup,
                 &mut cache,
                 &[],
-                &SearchOptions::new(90.0, batch),
+                &SearchOptions {
+                    qos_min: 90.0,
+                    batch_size: batch,
+                    checkpoint: None,
+                    halt_after_rounds: None,
+                },
                 None,
             );
             assert!(

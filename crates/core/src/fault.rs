@@ -5,7 +5,7 @@
 //! the pipeline most exposed to transient failures: flaky device
 //! measurements, simulator crashes, stragglers, and corrupted readings.
 //! This module provides the *test harness* side of that story: a seeded,
-//! replayable [`FaultPlan`] and a [`FaultyEvaluator`] wrapper that injects
+//! replayable [`FaultPlan`] and a `FaultyEvaluator` wrapper that injects
 //! faults into any evaluator so the supervision layer
 //! ([`crate::supervise`]) can be exercised — and the whole tuner proven
 //! fault-tolerant — without any real hardware misbehaving on cue.
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 /// One kind of injected fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// The evaluator returns a transient [`TensorError`] (retry-worthy).
     TransientError,
     /// The evaluator panics mid-evaluation.
@@ -39,15 +39,15 @@ pub enum FaultKind {
 /// Relative weights of the fault kinds within a plan.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct FaultMix {
-    /// Weight of [`FaultKind::TransientError`].
+    /// Weight of `FaultKind::TransientError`.
     pub error: f64,
-    /// Weight of [`FaultKind::Panic`].
+    /// Weight of `FaultKind::Panic`.
     pub panic: f64,
-    /// Weight of [`FaultKind::Stall`].
+    /// Weight of `FaultKind::Stall`.
     pub stall: f64,
-    /// Weight of [`FaultKind::PoisonQos`].
+    /// Weight of `FaultKind::PoisonQos`.
     pub poison_qos: f64,
-    /// Weight of [`FaultKind::PoisonPerf`].
+    /// Weight of `FaultKind::PoisonPerf`.
     pub poison_perf: f64,
 }
 
@@ -66,17 +66,6 @@ impl Default for FaultMix {
 }
 
 impl FaultMix {
-    /// A mix containing only transient errors.
-    pub fn errors_only() -> FaultMix {
-        FaultMix {
-            error: 1.0,
-            panic: 0.0,
-            stall: 0.0,
-            poison_qos: 0.0,
-            poison_perf: 0.0,
-        }
-    }
-
     fn total(&self) -> f64 {
         self.error + self.panic + self.stall + self.poison_qos + self.poison_perf
     }
@@ -119,21 +108,11 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Relative weights of the injected fault kinds.
     pub mix: FaultMix,
-    /// Simulated straggler delay for [`FaultKind::Stall`], milliseconds.
+    /// Simulated straggler delay for `FaultKind::Stall`, milliseconds.
     pub stall_ms: u64,
 }
 
 impl FaultPlan {
-    /// A plan injecting the default fault mix at `rate` per attempt.
-    pub fn new(rate: f64, seed: u64) -> FaultPlan {
-        FaultPlan {
-            rate: rate.clamp(0.0, 1.0),
-            seed,
-            mix: FaultMix::default(),
-            stall_ms: 5,
-        }
-    }
-
     /// SplitMix64-style finalizer over an FNV-1a hash of the triple.
     fn draw(&self, config: &Config, attempt: u32, stream: u64) -> f64 {
         const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -160,7 +139,7 @@ impl FaultPlan {
 
     /// The (pure, replayable) injection decision for one evaluation
     /// attempt: `None` means the attempt runs clean.
-    pub fn fault_for(&self, config: &Config, attempt: u32) -> Option<FaultKind> {
+    pub(crate) fn fault_for(&self, config: &Config, attempt: u32) -> Option<FaultKind> {
         if self.draw(config, attempt, 0) < self.rate {
             Some(self.mix.pick(self.draw(config, attempt, 1)))
         } else {
@@ -172,7 +151,7 @@ impl FaultPlan {
 /// The panic payload used by injected panics, so the supervision layer and
 /// the test panic hook can tell them apart from genuine bugs.
 #[derive(Debug)]
-pub struct InjectedPanic {
+pub(crate) struct InjectedPanic {
     /// The attempt index the panic was injected into.
     pub attempt: u32,
 }
@@ -182,7 +161,7 @@ pub struct InjectedPanic {
 /// every other panic still reports through the previously installed hook.
 /// Without this, a 20% fault-rate sweep floods the log with thousands of
 /// backtraces for panics that are part of the experiment.
-pub fn silence_injected_panics() {
+pub(crate) fn silence_injected_panics() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -201,7 +180,7 @@ pub fn silence_injected_panics() {
 /// because the injection decision depends on the attempt index: supervision
 /// retries see fresh draws, so transient faults actually behave
 /// transiently.
-pub struct FaultyEvaluator<'a, E: AttemptEvaluator> {
+pub(crate) struct FaultyEvaluator<'a, E: AttemptEvaluator> {
     inner: &'a E,
     plan: FaultPlan,
 }
@@ -209,14 +188,9 @@ pub struct FaultyEvaluator<'a, E: AttemptEvaluator> {
 impl<'a, E: AttemptEvaluator> FaultyEvaluator<'a, E> {
     /// Wraps `inner` with `plan`. Also installs the injected-panic hook
     /// filter — the injector knows its own panics are noise.
-    pub fn new(inner: &'a E, plan: FaultPlan) -> FaultyEvaluator<'a, E> {
+    pub(crate) fn new(inner: &'a E, plan: FaultPlan) -> FaultyEvaluator<'a, E> {
         silence_injected_panics();
         FaultyEvaluator { inner, plan }
-    }
-
-    /// The wrapped plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 }
 
@@ -278,13 +252,22 @@ mod tests {
         }
     }
 
+    fn plan_at(rate: f64, seed: u64) -> FaultPlan {
+        FaultPlan {
+            rate,
+            seed,
+            mix: FaultMix::default(),
+            stall_ms: 5,
+        }
+    }
+
     fn cfg(bits: u16) -> Config {
         Config::from_knobs(vec![KnobId(bits), KnobId(bits >> 3)])
     }
 
     #[test]
     fn decisions_are_pure_and_replayable() {
-        let plan = FaultPlan::new(0.3, 42);
+        let plan = plan_at(0.3, 42);
         for c in 0..200u16 {
             for attempt in 0..4 {
                 assert_eq!(
@@ -297,7 +280,7 @@ mod tests {
 
     #[test]
     fn rate_is_respected_roughly() {
-        let plan = FaultPlan::new(0.25, 7);
+        let plan = plan_at(0.25, 7);
         let n = 4000;
         let faults = (0..n)
             .filter(|&i| plan.fault_for(&cfg(i as u16), i as u32 % 3).is_some())
@@ -308,8 +291,8 @@ mod tests {
 
     #[test]
     fn zero_rate_injects_nothing_and_full_rate_everything() {
-        let none = FaultPlan::new(0.0, 1);
-        let all = FaultPlan::new(1.0, 1);
+        let none = plan_at(0.0, 1);
+        let all = plan_at(1.0, 1);
         for c in 0..100u16 {
             assert_eq!(none.fault_for(&cfg(c), 0), None);
             assert!(all.fault_for(&cfg(c), 0).is_some());
@@ -320,7 +303,7 @@ mod tests {
     fn attempts_draw_independently() {
         // A config that faults on attempt 0 must (at 30% rate) usually run
         // clean on some later attempt — that's what makes faults transient.
-        let plan = FaultPlan::new(0.3, 9);
+        let plan = plan_at(0.3, 9);
         let mut recovered = 0;
         let mut faulted = 0;
         for c in 0..500u16 {
@@ -351,7 +334,13 @@ mod tests {
                 },
             )
         };
-        let errors = mk(FaultMix::errors_only());
+        let errors = mk(FaultMix {
+            error: 1.0,
+            panic: 0.0,
+            stall: 0.0,
+            poison_qos: 0.0,
+            poison_perf: 0.0,
+        });
         assert!(matches!(
             errors.evaluate_attempt(&cfg(1), 0),
             Err(TensorError::Transient { .. })

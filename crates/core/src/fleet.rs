@@ -3,9 +3,9 @@
 //! The repo's one serving loop: a simulated *fleet* of N server replicas ×
 //! M tenant models, each tenant carrying its own shipped [`TradeoffCurve`],
 //! QoS floor, baseline cost and traffic profile (the
-//! Steady/Bursty/Diurnal/Spike arrival generators of [`crate::serve`],
+//! Steady/Bursty/Diurnal/Spike arrival generators of [`mod@crate::serve`],
 //! whose `serve()` is this loop at N = M = 1). On top of the per-replica
-//! machinery ([`crate::replica`]: admission, degradation ladder, breaker,
+//! machinery (`crate::replica`: admission, degradation ladder, breaker,
 //! guard) the fleet adds three distribution concerns:
 //!
 //! * **Front-door routing** — a pluggable, pure [`route`] function
@@ -39,7 +39,7 @@
 //! open breaker, with bounded message loss) into the same time-ordered
 //! event stream. The accounting invariant is absolute: every arrival ends
 //! up served, faulted, stalled, or shed with a typed
-//! [`crate::serve::ShedReason`] — `requests_unaccounted` in the report is
+//! `crate::serve::ShedReason` — `requests_unaccounted` in the report is
 //! arithmetic, not an estimate, and must be zero.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -168,7 +168,7 @@ impl Default for FleetParams {
 /// replica's ABFT-checksummed kernels report a corrupted result.
 ///
 /// The ground truth comes from the chaos plan's bit-flip windows
-/// ([`ChaosPlan::bitflip_at`] / [`ChaosPlan::draw_flip`]); the fleet models
+/// (`ChaosPlan::bitflip_at` / `ChaosPlan::draw_flip`); the fleet models
 /// the at-tensor ABFT layer's sensitivity with `detect_bit_floor`: a flip
 /// in bit ≥ floor perturbs the checksum beyond the NaN-safe tolerance and
 /// is *detected*, a lower flip stays under the noise floor and *escapes*
@@ -543,7 +543,7 @@ pub struct FleetEvent {
 
 impl FleetEvent {
     /// Compact, deterministic one-line rendering (golden-test unit).
-    pub fn compact(&self) -> String {
+    pub(crate) fn compact(&self) -> String {
         let body = match &self.kind {
             FleetEventKind::BreakerTripped {
                 replica,

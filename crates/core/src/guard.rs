@@ -2,7 +2,7 @@
 //!
 //! The shipped tradeoff curve is a set of *promises*: "this configuration
 //! loses at most so much QoS for so much speedup". The run-time phase (and
-//! the serving ladder built on it, [`crate::serve`]) selects knobs by
+//! the serving ladder built on it, [`mod@crate::serve`]) selects knobs by
 //! believing those promises — but approximate-kernel error is strongly
 //! input- and platform-dependent, so a curve calibrated at development time
 //! can silently lie on the deployed device. This module closes that gap
@@ -270,7 +270,7 @@ pub struct GuardEvent {
 
 impl GuardEvent {
     /// Compact, deterministic one-line rendering (golden-test unit).
-    pub fn compact(&self) -> String {
+    pub(crate) fn compact(&self) -> String {
         let body = match &self.kind {
             GuardEventKind::CanaryMiss {
                 rung,
@@ -393,8 +393,7 @@ pub struct GuardReport {
     /// Per-point accounts, indexed by curve rung.
     pub accounts: Vec<PointAccount>,
     /// The curve as the run ended — quarantined points carry their
-    /// repaired (honest) promises, ready for the shipped-artifact
-    /// round-trip ([`crate::ship::ShippedArtifact::with_repaired_curve`]).
+    /// repaired (honest) promises.
     pub repaired_curve: TradeoffCurve,
     /// Retained guard events (most recent `event_limit`).
     pub events: Vec<GuardEvent>,
@@ -484,30 +483,25 @@ impl QosGuard {
     }
 
     /// The configured parameters.
-    pub fn params(&self) -> &GuardParams {
+    pub(crate) fn params(&self) -> &GuardParams {
         &self.params
-    }
-
-    /// Rungs convicted so far, in order.
-    pub fn quarantined(&self) -> &[usize] {
-        &self.quarantined
     }
 
     /// Records that `rung` was excluded from selection before serving
     /// because its shipped promise was already below the QoS floor.
-    pub fn note_premask(&mut self, rung: usize) {
+    pub(crate) fn note_premask(&mut self, rung: usize) {
         self.premasked.push(rung);
     }
 
     /// Whether the exact-fallback safety net has engaged.
-    pub fn exact_fallback(&self) -> bool {
+    pub(crate) fn exact_fallback(&self) -> bool {
         self.exact_fallback
     }
 
     /// Marks the run unrecoverable: quarantine exhausted every point at or
     /// above the floor, so the caller clamped to the exact configuration.
     /// Idempotent; logs one typed event.
-    pub fn note_unrecoverable(&mut self, time_s: f64, completed: usize) {
+    pub(crate) fn note_unrecoverable(&mut self, time_s: f64, completed: usize) {
         if self.exact_fallback {
             return;
         }

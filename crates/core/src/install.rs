@@ -1,6 +1,9 @@
 //! Install-time tuning (§4): curve refinement with device measurements and
 //! distributed predictive tuning with hardware-specific knobs.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::config::Config;
 use crate::knobs::{KnobRegistry, KnobSet};
 use crate::pareto::{TradeoffCurve, TradeoffPoint};
@@ -45,7 +48,7 @@ pub enum InstallObjective {
 }
 
 /// Measures a config's install-time performance value on the device.
-pub fn device_perf(
+pub(crate) fn device_perf(
     perf: &PerfModel,
     device: &EdgeDevice,
     objective: InstallObjective,
@@ -83,7 +86,7 @@ pub fn measured_cpu_time_s(
         let (_, times) = at_ir::exec::execute_with_trace(graph, input, &opts)?;
         samples.push(times.iter().sum::<f64>());
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("kernel times are finite"));
+    samples.sort_by(f64::total_cmp);
     Ok(samples[samples.len() / 2])
 }
 
@@ -243,12 +246,12 @@ pub fn distributed_install_tune(
 
     let collect_tensors = params.model == crate::predict::PredictionModel::Pi1;
     let mut shard_profiles: Vec<Option<QosProfiles>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .iter()
             .map(|(i, shard)| {
                 let reference = reference_for_shard(*i, n_edge);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     collect_profiles(
                         graph,
                         registry,
@@ -264,10 +267,9 @@ pub fn distributed_install_tune(
             })
             .collect();
         for h in handles {
-            shard_profiles.push(h.join().expect("device thread panicked"));
+            shard_profiles.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
-    })
-    .expect("device scope");
+    });
     let merged =
         QosProfiles::merge(shard_profiles.into_iter().flatten().collect()).ok_or_else(|| {
             TensorError::ShapeMismatch {
@@ -298,7 +300,7 @@ pub fn distributed_install_tune(
     let perf = PerfModel::new(graph, registry, input_shape)?;
     let candidate_points: Vec<&TradeoffPoint> = result.curve.points().iter().collect();
     let mut validated: Vec<TradeoffPoint> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_edge.min(candidate_points.len().max(1)))
             .map(|i| {
                 let mine: Vec<&TradeoffPoint> = candidate_points
@@ -308,7 +310,7 @@ pub fn distributed_install_tune(
                     .map(|(_, p)| *p)
                     .collect();
                 let perf = &perf;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut out = Vec::new();
                     for p in mine {
                         if let Ok(q) = measure_config(
@@ -334,10 +336,9 @@ pub fn distributed_install_tune(
             })
             .collect();
         for h in handles {
-            validated.extend(h.join().expect("validation thread panicked"));
+            validated.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
-    })
-    .expect("validation scope");
+    });
 
     Ok(InstallResult {
         curve: TradeoffCurve::from_points(validated),

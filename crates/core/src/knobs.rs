@@ -15,7 +15,7 @@
 //!   levels at install time (PROMISE accelerates matrix multiplications)
 //!   and the 3 LUT-multiplier bitwidths: `12`.
 
-use at_ir::{ApproxChoice, Graph, NodeId, OpClass};
+use at_ir::{ApproxChoice, Graph, OpClass};
 use at_promise::VoltageLevel;
 use at_tensor::{ConvApprox, MulApprox, Precision, ReduceApprox};
 use serde::{Deserialize, Serialize};
@@ -243,7 +243,7 @@ impl KnobRegistry {
     }
 
     /// The label of a knob.
-    pub fn label(&self, class: OpClass, id: KnobId) -> &str {
+    pub(crate) fn label(&self, class: OpClass, id: KnobId) -> &str {
         self.table(class)
             .get(id.0 as usize)
             .map(|k| k.label.as_str())
@@ -275,7 +275,7 @@ impl KnobRegistry {
 
     /// Decodes a whole configuration (one knob per node) into per-node
     /// execution choices, coercing illegal ids to the baseline.
-    pub fn decode_config(&self, graph: &Graph, knobs: &[KnobId]) -> Vec<ApproxChoice> {
+    pub(crate) fn decode_config(&self, graph: &Graph, knobs: &[KnobId]) -> Vec<ApproxChoice> {
         graph
             .nodes()
             .iter()
@@ -288,17 +288,6 @@ impl KnobRegistry {
             })
             .collect()
     }
-}
-
-/// Ids of nodes whose knob table has more than one entry — the tunable
-/// dimensions of the search space.
-pub fn tunable_dims(registry: &KnobRegistry, graph: &Graph, set: KnobSet) -> Vec<NodeId> {
-    graph
-        .nodes()
-        .iter()
-        .filter(|n| registry.knobs(n.op.class(), set).len() > 1)
-        .map(|n| n.id)
-        .collect()
 }
 
 #[cfg(test)]

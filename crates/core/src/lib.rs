@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # at-core — ApproxTuner: three-phase predictive approximation tuning
 //!
@@ -21,7 +22,7 @@
 //!    [`closed_loop`] closes that loop against `at-hw`'s disturbed device
 //!    model (DVFS sweeps, thermal throttling, brownouts, load spikes,
 //!    sensor dropout) with feed-forward + feedback control, graceful
-//!    QoS-floor degradation and a structured adaptation report. [`serve`]
+//!    QoS-floor degradation and a structured adaptation report. [`mod@serve`]
 //!    lifts the same mechanism into an overload-resilient serving loop:
 //!    deadline-aware admission over a bounded queue, a degradation ladder
 //!    that sheds *accuracy* before it sheds requests, and a circuit
@@ -40,13 +41,13 @@
 //!
 //! Both tuners drive the search through [`evaluate`]: a batch-synchronous
 //! loop in which the bandit ensemble proposes a batch of candidates per
-//! round, an [`evaluate::Evaluator`] scores unseen ones concurrently
+//! round, an `evaluate::Evaluator` scores unseen ones concurrently
 //! through a config-keyed memoisation cache, and fitness is reported back
 //! in proposal order — so seeded runs are deterministic regardless of
 //! thread count.
 //!
 //! Long campaigns are fault-tolerant: every candidate runs under a
-//! [`supervise::SupervisedEvaluator`] (panic isolation, retry with bounded
+//! `supervise::SupervisedEvaluator` (panic isolation, retry with bounded
 //! backoff, quarantine, non-finite sanitisation), the driver checkpoints
 //! its full state every N rounds ([`checkpoint`]) so a crashed run resumes
 //! bit-identically, and [`fault`] provides deterministic fault injection to
@@ -84,24 +85,24 @@ pub use checkpoint::{
 };
 pub use closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport, TraceRow};
 pub use config::Config;
-pub use evaluate::{AttemptEvaluator, CacheStats, Evaluation, Evaluator};
-pub use fault::{FaultKind, FaultMix, FaultPlan, FaultyEvaluator};
+pub use evaluate::{CacheStats, Evaluation};
+pub use fault::{FaultMix, FaultPlan};
 pub use fleet::{
-    fleet_arrivals, route, run_fleet, EjectionParams, FleetEvent, FleetEventKind, FleetParams,
-    FleetReport, ReplicaReport, ReplicaView, RouteDecision, RouterPolicy, TenantReport, TenantSpec,
+    fleet_arrivals, route, run_fleet, FleetEventKind, FleetParams, FleetReport, ReplicaView,
+    RouteDecision, RouterPolicy, TenantReport, TenantSpec,
 };
 pub use guard::{
-    CanarySampler, GuardEvent, GuardEventKind, GuardParams, GuardReport, GuardVerdict,
-    MiscalibratedExecutor, PointTrust, QosGuard, ResidualWindow,
+    CanarySampler, GuardEventKind, GuardParams, GuardVerdict, MiscalibratedExecutor, PointTrust,
+    QosGuard, ResidualWindow,
 };
 pub use knobs::{Knob, KnobId, KnobRegistry, KnobSet};
 pub use pareto::{pareto_set, pareto_set_eps, TradeoffCurve, TradeoffPoint};
 pub use qos::QosMetric;
 pub use serve::{
     generate_arrivals, serve, serve_guarded, ArrivalTrace, BreakerState, GraphExecutor,
-    GuardedServeReport, NoFaultExecutor, RequestExecutor, RequestOutcome, ScriptedFaultExecutor,
-    ServeParams, ServeReport, ShedReason, TrafficPattern,
+    GuardedServeReport, NoFaultExecutor, RequestExecutor, ScriptedFaultExecutor, ServeParams,
+    ServeReport, TrafficPattern,
 };
 pub use ship::ShippedArtifact;
-pub use supervise::{EvalError, FaultStats, SupervisedEvaluator, SupervisionPolicy};
+pub use supervise::{FaultStats, SupervisionPolicy};
 pub use tuner::{PredictiveTuner, RobustnessParams, TunerParams};

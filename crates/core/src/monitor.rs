@@ -81,24 +81,6 @@ impl SystemMonitor {
             Some(sum / n as f64)
         }
     }
-
-    /// Detected frequency change: the latest sample's clock differs from
-    /// the window's oldest (a DVFS transition happened inside the window).
-    pub fn frequency_shift(&self) -> Option<(f64, f64)> {
-        let first = self.window.front()?.freq_mhz?;
-        let last = self.window.back()?.freq_mhz?;
-        if (first - last).abs() > 1e-9 {
-            Some((first, last))
-        } else {
-            None
-        }
-    }
-
-    /// Energy per invocation over the window, J (needs power readings).
-    pub fn mean_energy_j(&self) -> Option<f64> {
-        let t = self.mean_time_s()?;
-        Some(t * self.mean_power_w()?)
-    }
 }
 
 /// What kind of control decision an [`AdaptationEvent`] records.
@@ -143,12 +125,12 @@ pub struct AdaptationLog {
 
 impl AdaptationLog {
     /// A fresh log.
-    pub fn new() -> AdaptationLog {
+    pub(crate) fn new() -> AdaptationLog {
         AdaptationLog::default()
     }
 
     /// Appends a decision.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         invocation: usize,
         observed_time_s: f64,
@@ -175,25 +157,9 @@ impl AdaptationLog {
         &self.events
     }
 
-    /// Number of configuration changes recorded (breach markers are state
-    /// transitions, not switches).
-    pub fn switches(&self) -> usize {
-        self.total_switches
-    }
-
     /// Number of QoS-floor breaches recorded.
-    pub fn breaches(&self) -> usize {
+    pub(crate) fn breaches(&self) -> usize {
         self.total_breaches
-    }
-
-    /// Serialises the log (an artifact the fig6 harness can persist).
-    /// Serialisation failure degrades to a JSON error object rather than a
-    /// panic — a logging path must never take the process down.
-    pub fn to_json(&self) -> String {
-        match serde_json::to_string_pretty(self) {
-            Ok(s) => s,
-            Err(e) => format!("{{\"error\":\"log serialisation failed: {e}\"}}"),
-        }
     }
 }
 
@@ -220,20 +186,9 @@ mod tests {
         assert!(m.warm());
         assert_eq!(m.mean_time_s(), Some(2.0));
         assert_eq!(m.mean_power_w(), Some(5.0));
-        assert_eq!(m.mean_energy_j(), Some(10.0));
         // Window slides.
         m.record(s(5.0, 1300.0));
         assert_eq!(m.mean_time_s(), Some(10.0 / 3.0));
-    }
-
-    #[test]
-    fn frequency_shift_detected() {
-        let mut m = SystemMonitor::new(2);
-        m.record(s(1.0, 1300.0));
-        m.record(s(1.4, 943.0));
-        assert_eq!(m.frequency_shift(), Some((1300.0, 943.0)));
-        m.record(s(1.4, 943.0));
-        assert_eq!(m.frequency_shift(), None);
     }
 
     #[test]
@@ -250,8 +205,6 @@ mod tests {
             power_w: None,
         });
         assert_eq!(m.mean_power_w(), None);
-        assert_eq!(m.mean_energy_j(), None);
-        assert_eq!(m.frequency_shift(), None);
     }
 
     #[test]
@@ -270,9 +223,9 @@ mod tests {
             EventKind::FeedForward,
         );
         log.push(30, 4.2, 5.0, None, EventKind::QosFloorBreach);
-        assert_eq!(log.switches(), 2);
+        assert_eq!(log.total_switches, 2);
         assert_eq!(log.breaches(), 1);
-        let json = log.to_json();
+        let json = serde_json::to_string_pretty(&log).unwrap();
         let back: AdaptationLog = serde_json::from_str(&json).unwrap();
         assert_eq!(back.events().len(), 3);
         assert_eq!(back.events()[1].selected, Some((88.0, 1.5)));

@@ -29,7 +29,7 @@ impl TradeoffPoint {
 
     /// Euclidean distance in the (QoS, Perf) plane, used by the relaxed
     /// curve `PS_ε`.
-    pub fn dist(&self, other: &TradeoffPoint) -> f64 {
+    pub(crate) fn dist(&self, other: &TradeoffPoint) -> f64 {
         ((self.qos - other.qos).powi(2) + (self.perf - other.perf).powi(2)).sqrt()
     }
 }
@@ -61,7 +61,7 @@ pub fn pareto_set_eps(points: &[TradeoffPoint], eps: f64) -> Vec<TradeoffPoint> 
 /// limit the maximum number of configurations validated and shipped",
 /// §6.4). When even the strict Pareto set exceeds the budget, ε = 0 is
 /// returned and callers should additionally [`cap_points`].
-pub fn eps_for_budget(points: &[TradeoffPoint], max_points: usize) -> f64 {
+pub(crate) fn eps_for_budget(points: &[TradeoffPoint], max_points: usize) -> f64 {
     if points.is_empty() {
         return 0.0;
     }
@@ -132,7 +132,7 @@ impl TradeoffCurve {
 
     /// Builds a relaxed curve `PS_ε` (still sorted by performance; used for
     /// the development-time curve that is shipped, §2.2).
-    pub fn from_points_eps(points: Vec<TradeoffPoint>, eps: f64) -> TradeoffCurve {
+    pub(crate) fn from_points_eps(points: Vec<TradeoffPoint>, eps: f64) -> TradeoffCurve {
         TradeoffCurve {
             points: sort_strict(pareto_set_eps(&points, eps)),
         }
@@ -162,45 +162,12 @@ impl TradeoffCurve {
             .max_by(|a, b| a.perf.total_cmp(&b.perf))
     }
 
-    /// Policy 1 (§5): the *lowest-performance* point with `perf >=
-    /// target` — an `O(log |PS|)` binary search on the sorted curve. Returns
-    /// the fastest point when none reaches the target.
-    pub fn config_for_speedup(&self, target: f64) -> Option<&TradeoffPoint> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let idx = self.points.partition_point(|p| p.perf < target);
-        Some(if idx == self.points.len() {
-            &self.points[self.points.len() - 1]
-        } else {
-            &self.points[idx]
-        })
-    }
-
-    /// The two points bracketing `target` performance (below, above) for
-    /// Policy 2's probabilistic mix. When the target is outside the curve's
-    /// range both entries are the nearest endpoint.
-    pub fn bracket(&self, target: f64) -> Option<(&TradeoffPoint, &TradeoffPoint)> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let idx = self.points.partition_point(|p| p.perf < target);
-        if idx == 0 {
-            Some((&self.points[0], &self.points[0]))
-        } else if idx == self.points.len() {
-            let last = &self.points[self.points.len() - 1];
-            Some((last, last))
-        } else {
-            Some((&self.points[idx - 1], &self.points[idx]))
-        }
-    }
-
     /// Repairs one point's QoS promise in place to an observed estimate
     /// (the run-time guard's "online curve repair", [`crate::guard`]).
     /// Performance ordering is untouched, so the curve invariant holds by
     /// construction. Rejects non-finite estimates and out-of-range indices
     /// (returns `false`) instead of poisoning the curve.
-    pub fn repair_qos(&mut self, index: usize, observed_qos: f64) -> bool {
+    pub(crate) fn repair_qos(&mut self, index: usize, observed_qos: f64) -> bool {
         if !observed_qos.is_finite() {
             return false;
         }
@@ -289,25 +256,9 @@ mod tests {
             pt(80.0, 2.6),
         ]);
         assert_eq!(curve.len(), 4);
-        // Policy 1: need >= 1.4x → the 1.5x point.
-        let p = curve.config_for_speedup(1.4).unwrap();
-        assert_eq!(p.perf, 1.5);
-        // Beyond the curve: fastest point.
-        assert_eq!(curve.config_for_speedup(5.0).unwrap().perf, 2.6);
         // Static selection under a QoS bound.
         assert_eq!(curve.best_under_qos(84.0).unwrap().perf, 2.0);
         assert!(curve.best_under_qos(95.0).is_none());
-    }
-
-    #[test]
-    fn bracket_for_policy2() {
-        let curve = TradeoffCurve::from_points(vec![pt(90.0, 1.2), pt(85.0, 1.5)]);
-        let (lo, hi) = curve.bracket(1.3).unwrap();
-        assert_eq!((lo.perf, hi.perf), (1.2, 1.5));
-        let (lo, hi) = curve.bracket(1.0).unwrap();
-        assert_eq!((lo.perf, hi.perf), (1.2, 1.2));
-        let (lo, hi) = curve.bracket(9.9).unwrap();
-        assert_eq!((lo.perf, hi.perf), (1.5, 1.5));
     }
 
     #[test]
@@ -322,8 +273,6 @@ mod tests {
     #[test]
     fn empty_curve_queries() {
         let curve = TradeoffCurve::default();
-        assert!(curve.config_for_speedup(1.0).is_none());
-        assert!(curve.bracket(1.0).is_none());
         assert!(curve.best_under_qos(0.0).is_none());
     }
 }

@@ -83,11 +83,6 @@ impl<'a> PerfModel<'a> {
         })
     }
 
-    /// The baseline per-op counts.
-    pub fn counts(&self) -> &[OpCounts] {
-        &self.counts
-    }
-
     /// Eqn 3: hardware-agnostic predicted cost of a configuration (lower is
     /// better). PROMISE knobs — which should not appear at development
     /// time — are credited with their level's digital-relative speedup.
@@ -169,7 +164,7 @@ impl<'a> PerfModel<'a> {
     /// for digital ops (FP16 units draw a small power premium while active)
     /// plus PROMISE energy for offloaded ops, matching the paper's
     /// GPU+PROMISE energy accounting of Figure 4.
-    pub fn device_energy(
+    pub(crate) fn device_energy(
         &self,
         config: &Config,
         timing: &TimingModel,

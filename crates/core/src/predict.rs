@@ -70,7 +70,7 @@ impl<'p> Predictor<'p> {
     }
 
     /// Predicted QoS at an explicit α (used during calibration).
-    pub fn predict_at(&self, config: &Config, reference: &QosReference, alpha: f64) -> f64 {
+    pub(crate) fn predict_at(&self, config: &Config, reference: &QosReference, alpha: f64) -> f64 {
         match self.model {
             PredictionModel::Pi2 => {
                 let sum: f64 = config
@@ -108,7 +108,7 @@ impl<'p> Predictor<'p> {
     /// For Π2 the least-squares solution is closed-form; for Π1 the model
     /// is nonlinear in α, so a golden-section search over `[0, 2]` minimises
     /// the squared prediction error.
-    pub fn calibrate(&mut self, samples: &[(Config, f64)], reference: &QosReference) -> f64 {
+    pub(crate) fn calibrate(&mut self, samples: &[(Config, f64)], reference: &QosReference) -> f64 {
         if samples.is_empty() {
             return self.alpha;
         }

@@ -22,7 +22,7 @@ use rayon::ParallelSlice;
 
 /// Executes a configuration over all calibration batches, returning the
 /// program outputs per batch.
-pub fn run_config(
+pub(crate) fn run_config(
     graph: &Graph,
     registry: &KnobRegistry,
     config: &Config,
@@ -74,12 +74,12 @@ pub struct QosProfiles {
 
 impl QosProfiles {
     /// Index of a (node, knob) pair in the tables.
-    pub fn pair_index(&self, node: usize, knob: KnobId) -> Option<usize> {
+    pub(crate) fn pair_index(&self, node: usize, knob: KnobId) -> Option<usize> {
         self.pairs.iter().position(|&(n, k)| n == node && k == knob)
     }
 
     /// ΔQ for a pair; 0 for the baseline knob or unknown pairs.
-    pub fn delta_q(&self, node: usize, knob: KnobId) -> f64 {
+    pub(crate) fn delta_q(&self, node: usize, knob: KnobId) -> f64 {
         if knob == KnobId::BASELINE {
             return 0.0;
         }
@@ -87,7 +87,7 @@ impl QosProfiles {
     }
 
     /// ΔT batches for a pair (None for baseline/unknown).
-    pub fn delta_t(&self, node: usize, knob: KnobId) -> Option<&[Tensor]> {
+    pub(crate) fn delta_t(&self, node: usize, knob: KnobId) -> Option<&[Tensor]> {
         if knob == KnobId::BASELINE {
             return None;
         }
@@ -97,7 +97,7 @@ impl QosProfiles {
     }
 
     /// Whether tensor (Π1) profiles are available.
-    pub fn has_tensor_profiles(&self) -> bool {
+    pub(crate) fn has_tensor_profiles(&self) -> bool {
         !self.dt.is_empty() && self.dt.iter().all(|b| !b.is_empty())
     }
 
@@ -105,7 +105,7 @@ impl QosProfiles {
     /// calibration shards* (install-time distributed tuning, §4): ΔQ is
     /// averaged, ΔT batches are concatenated. All shards must have profiled
     /// the same pairs in the same order.
-    pub fn merge(shards: Vec<QosProfiles>) -> Option<QosProfiles> {
+    pub(crate) fn merge(shards: Vec<QosProfiles>) -> Option<QosProfiles> {
         let mut it = shards.into_iter();
         let mut acc = it.next()?;
         let mut n = 1usize;

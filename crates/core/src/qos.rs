@@ -60,7 +60,7 @@ pub fn accuracy(outputs: &[Tensor], labels: &[Vec<usize>]) -> f64 {
 
 /// Mean squared error of outputs against golden outputs, averaged over
 /// batches.
-pub fn mse(outputs: &[Tensor], golden: &[Tensor]) -> f64 {
+pub(crate) fn mse(outputs: &[Tensor], golden: &[Tensor]) -> f64 {
     let mut sum = 0.0;
     let mut n = 0usize;
     for (o, g) in outputs.iter().zip(golden) {
@@ -87,12 +87,12 @@ pub fn psnr_from_mse(mse: f64) -> f64 {
 }
 
 /// PSNR of outputs against golden outputs.
-pub fn psnr(outputs: &[Tensor], golden: &[Tensor]) -> f64 {
+pub(crate) fn psnr(outputs: &[Tensor], golden: &[Tensor]) -> f64 {
     psnr_from_mse(mse(outputs, golden))
 }
 
 /// Computes the configured metric.
-pub fn measure(metric: QosMetric, outputs: &[Tensor], reference: &QosReference) -> f64 {
+pub(crate) fn measure(metric: QosMetric, outputs: &[Tensor], reference: &QosReference) -> f64 {
     match (metric, reference) {
         (QosMetric::Accuracy, QosReference::Labels(labels)) => accuracy(outputs, labels),
         (QosMetric::Psnr, QosReference::Golden(golden)) => psnr(outputs, golden),

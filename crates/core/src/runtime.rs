@@ -34,7 +34,7 @@ pub enum Policy {
 
 impl Policy {
     /// Stable display name (used in reports and JSON artifacts).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Policy::EnforceEachInvocation => "enforce-each-invocation",
             Policy::AverageOverTime => "average-over-time",
@@ -103,7 +103,7 @@ impl RuntimeTuner {
     }
 
     /// The shipped curve the tuner selects from.
-    pub fn curve(&self) -> &TradeoffCurve {
+    pub(crate) fn curve(&self) -> &TradeoffCurve {
         &self.curve
     }
 
@@ -131,7 +131,7 @@ impl RuntimeTuner {
     /// immediately falls back to the exact baseline (the safe direction)
     /// until the next selection decision. Returns `false` for out-of-range
     /// or already-quarantined indices.
-    pub fn quarantine(&mut self, index: usize) -> bool {
+    pub(crate) fn quarantine(&mut self, index: usize) -> bool {
         match self.quarantined.get_mut(index) {
             Some(q) if !*q => {
                 *q = true;
@@ -146,20 +146,12 @@ impl RuntimeTuner {
     }
 
     /// Whether a point has been quarantined.
-    pub fn is_quarantined(&self, index: usize) -> bool {
+    pub(crate) fn is_quarantined(&self, index: usize) -> bool {
         self.quarantined.get(index).copied().unwrap_or(false)
     }
 
-    /// Indices of the points still in the selectable range, in curve
-    /// (increasing-performance) order.
-    pub fn active_indices(&self) -> Vec<usize> {
-        (0..self.curve.len())
-            .filter(|&i| !self.quarantined[i])
-            .collect()
-    }
-
     /// Number of points still selectable.
-    pub fn active_len(&self) -> usize {
+    pub(crate) fn active_len(&self) -> usize {
         self.quarantined.iter().filter(|&&q| !q).count()
     }
 
@@ -168,7 +160,7 @@ impl RuntimeTuner {
     /// degradation ladder, the closed loop, reports, the shipped-artifact
     /// round-trip) plans against honest numbers. Rejects non-finite
     /// estimates (returns `false`).
-    pub fn repair_qos(&mut self, index: usize, observed_qos: f64) -> bool {
+    pub(crate) fn repair_qos(&mut self, index: usize, observed_qos: f64) -> bool {
         self.curve.repair_qos(index, observed_qos)
     }
 
@@ -404,7 +396,7 @@ mod tests {
         assert!(!t.quarantine(99), "out of range is a no-op");
         assert!(t.is_quarantined(2));
         assert!(!t.is_quarantined(3));
-        assert_eq!(t.active_indices(), vec![0, 1, 3]);
+        assert!(!t.is_quarantined(0) && !t.is_quarantined(1));
         assert_eq!(t.active_len(), 3);
     }
 

@@ -45,16 +45,6 @@ impl SearchSpace {
         &self.node_knobs
     }
 
-    /// Indices of tunable nodes (more than one allowed knob).
-    pub fn tunable(&self) -> &[usize] {
-        &self.tunable
-    }
-
-    /// Number of tunable dimensions.
-    pub fn dims(&self) -> usize {
-        self.tunable.len()
-    }
-
     /// Converts a config to the tunable-dimension index vector.
     pub fn to_indices(&self, config: &Config) -> Vec<usize> {
         self.tunable
@@ -105,21 +95,21 @@ trait Technique {
 /// with the exact ensemble it stopped with.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum TechniqueState {
-    /// [`RandomSearch`] is stateless.
+    /// `RandomSearch` is stateless.
     Random,
-    /// [`GreedyMutation`]'s adaptive mutation strength.
+    /// `GreedyMutation`'s adaptive mutation strength.
     Evolutionary {
         /// Current mutation sites.
         sites: usize,
     },
-    /// [`TorczonHillclimber`]'s pattern state.
+    /// `TorczonHillclimber`'s pattern state.
     Torczon {
         /// Current search center on the index lattice, if established.
         center: Option<Vec<usize>>,
         /// Current step length.
         step: usize,
     },
-    /// [`NelderMead`]'s simplex.
+    /// `NelderMead`'s simplex.
     NelderMead {
         /// `(index vector, fitness)` vertices.
         simplex: Vec<(Vec<usize>, f64)>,
@@ -393,11 +383,10 @@ pub struct Iteration {
 
 /// A proposal from [`Autotuner::propose_batch`] awaiting its fitness
 /// report ([`Autotuner::report_proposal`]).
-pub struct Proposal {
+pub(crate) struct Proposal {
     /// The proposed configuration.
     pub config: Config,
-    /// Which technique proposed it.
-    pub technique: &'static str,
+    /// Which technique proposed it (index into the ensemble).
     technique_index: usize,
 }
 
@@ -406,8 +395,8 @@ pub struct Proposal {
 /// Usage: call [`Autotuner::next_config`], evaluate its fitness (higher is
 /// better), then call [`Autotuner::report`]; repeat while
 /// [`Autotuner::continue_tuning`]. For batch-synchronous (parallel)
-/// evaluation, use [`Autotuner::propose_batch`] and report every proposal
-/// in order with [`Autotuner::report_proposal`] — see [`crate::evaluate`].
+/// evaluation, use `Autotuner::propose_batch` and report every proposal
+/// in order with `Autotuner::report_proposal` — see [`crate::evaluate`].
 pub struct Autotuner {
     space: SearchSpace,
     techniques: Vec<Box<dyn Technique>>,
@@ -459,11 +448,6 @@ impl Autotuner {
         }
     }
 
-    /// The search space.
-    pub fn space(&self) -> &SearchSpace {
-        &self.space
-    }
-
     /// Whether tuning should continue (Algorithm 1's
     /// `autotuner.continueTuning()`).
     pub fn continue_tuning(&self) -> bool {
@@ -471,7 +455,7 @@ impl Autotuner {
     }
 
     /// Iterations executed so far.
-    pub fn iterations(&self) -> usize {
+    pub(crate) fn iterations(&self) -> usize {
         self.iterations
     }
 
@@ -519,7 +503,7 @@ impl Autotuner {
     /// seeded tuner is identical no matter how many threads later evaluate
     /// the batch. All proposals are generated against the incumbent best of
     /// the previous round (batch-synchronous semantics).
-    pub fn propose_batch(&mut self, k: usize) -> Vec<Proposal> {
+    pub(crate) fn propose_batch(&mut self, k: usize) -> Vec<Proposal> {
         let remaining = self.max_iterations.saturating_sub(self.iterations);
         let k = k.min(remaining);
         let mut in_batch = vec![0usize; self.techniques.len()];
@@ -531,7 +515,6 @@ impl Autotuner {
                 self.techniques[ti].propose(&self.space, self.best.as_ref(), &mut self.rng);
             proposals.push(Proposal {
                 config,
-                technique: self.techniques[ti].name(),
                 technique_index: ti,
             });
         }
@@ -548,7 +531,7 @@ impl Autotuner {
     /// Reports the fitness of one batch proposal. Callers must report every
     /// proposal of a batch, in proposal order, so seeded runs stay
     /// deterministic.
-    pub fn report_proposal(&mut self, proposal: &Proposal, fitness: f64) {
+    pub(crate) fn report_proposal(&mut self, proposal: &Proposal, fitness: f64) {
         self.record(Some(proposal.technique_index), &proposal.config, fitness);
     }
 
@@ -574,7 +557,7 @@ impl Autotuner {
     /// the iteration/convergence budgets are *not* captured — a resumed
     /// tuner must be constructed with the same parameters, which the tuning
     /// entry points derive deterministically from [`crate::tuner::TunerParams`].
-    pub fn snapshot(&self) -> TunerState {
+    pub(crate) fn snapshot(&self) -> TunerState {
         TunerState {
             rng: self.rng.state(),
             iterations: self.iterations,
@@ -594,7 +577,7 @@ impl Autotuner {
 
     /// Restores state captured by [`Autotuner::snapshot`]. The proposal
     /// stream continues bit-identically from the snapshot point.
-    pub fn restore(&mut self, state: &TunerState) {
+    pub(crate) fn restore(&mut self, state: &TunerState) {
         self.rng = StdRng::from_state(state.rng);
         self.iterations = state.iterations;
         self.since_improvement = state.since_improvement;
@@ -665,7 +648,7 @@ mod tests {
         let mut tuner = Autotuner::new(s, 4000, 1000, 42);
         while tuner.continue_tuning() {
             let it = tuner.next_config();
-            let f = fitness(&it.config, tuner.space());
+            let f = fitness(&it.config, &tuner.space);
             tuner.report(&it.config, f);
         }
         let (_, best_f) = tuner.best().unwrap();
@@ -693,7 +676,7 @@ mod tests {
             let mut tuner = Autotuner::new(s, budget, budget, 7);
             while tuner.continue_tuning() {
                 let it = tuner.next_config();
-                let f = fit(&it.config, tuner.space());
+                let f = fit(&it.config, &tuner.space);
                 tuner.report(&it.config, f);
             }
             ensemble_best = ensemble_best.max(tuner.best().unwrap().1);
@@ -738,13 +721,13 @@ mod tests {
         let mut seq = Autotuner::new(space(6, 5), 300, 300, 99);
         while seq.continue_tuning() {
             let it = seq.next_config();
-            let f = fit(&it.config, seq.space());
+            let f = fit(&it.config, &seq.space);
             seq.report(&it.config, f);
         }
         let mut bat = Autotuner::new(space(6, 5), 300, 300, 99);
         while bat.continue_tuning() {
             for p in bat.propose_batch(1) {
-                let f = fit(&p.config, bat.space());
+                let f = fit(&p.config, &bat.space);
                 bat.report_proposal(&p, f);
             }
         }
@@ -769,7 +752,8 @@ mod tests {
         // batch to one arm: in-batch uses count toward the bonus.
         let mut tuner = Autotuner::new(space(6, 5), 100, 100, 5);
         let batch = tuner.propose_batch(8);
-        let distinct: std::collections::HashSet<&str> = batch.iter().map(|p| p.technique).collect();
+        let distinct: std::collections::HashSet<usize> =
+            batch.iter().map(|p| p.technique_index).collect();
         assert!(distinct.len() >= 3, "batch used only {distinct:?}");
     }
 
@@ -790,7 +774,7 @@ mod tests {
                     break;
                 }
                 for p in batch {
-                    let f = fit(&p.config, tuner.space());
+                    let f = fit(&p.config, &tuner.space);
                     tuner.report_proposal(&p, f);
                 }
                 round += 1;

@@ -185,26 +185,6 @@ impl ShippedArtifact {
         }
     }
 
-    /// Re-ships this artifact with a runtime-repaired curve written back
-    /// into the variant a platform with `platform_has_fp16` would select —
-    /// the QoS guard's online-repair round-trip ([`crate::guard`]): tune →
-    /// ship → serve (the guard repairs lying promises in place) → re-ship,
-    /// so the next install on this platform class starts from honest
-    /// numbers instead of re-learning the same miscalibration.
-    pub fn with_repaired_curve(
-        &self,
-        repaired: TradeoffCurve,
-        platform_has_fp16: bool,
-    ) -> ShippedArtifact {
-        let mut next = self.clone();
-        if platform_has_fp16 && next.curve_fp16.is_some() {
-            next.curve_fp16 = Some(repaired);
-        } else {
-            next.curve_fp32_only = Some(repaired);
-        }
-        next
-    }
-
     /// Loads and checks an artifact on a device: schema version, program
     /// fingerprint, curve finiteness and strict speedup ordering, then
     /// picks the curve matching the platform's FP16 support. Strict: a
@@ -450,29 +430,5 @@ mod tests {
             ShippedArtifact::load("{not json", &g, true),
             Err(ShipError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn repaired_curve_roundtrips_into_the_selected_variant() {
-        let g = graph(1);
-        let art = ShippedArtifact::new(&g, QosMetric::Accuracy, 88.0, Some(curve()), Some(curve()));
-        // The guard observed the fp16 point lying: promise 90 → honest 84.
-        let mut repaired = curve();
-        assert!(repaired.repair_qos(0, 84.0));
-        let reshipped = art.with_repaired_curve(repaired, true);
-        let json = reshipped.to_json();
-        let fp16 = ShippedArtifact::load(&json, &g, true).unwrap();
-        assert!((fp16.points()[0].qos - 84.0).abs() < 1e-12, "fp16 repaired");
-        let fp32 = ShippedArtifact::load(&json, &g, false).unwrap();
-        assert!(
-            (fp32.points()[0].qos - 90.0).abs() < 1e-12,
-            "fp32 untouched"
-        );
-        // On an fp32-only platform the repair lands in the fp32 slot.
-        let mut repaired32 = curve();
-        assert!(repaired32.repair_qos(0, 86.5));
-        let reshipped32 = art.with_repaired_curve(repaired32, false);
-        let back = ShippedArtifact::load(&reshipped32.to_json(), &g, false).unwrap();
-        assert!((back.points()[0].qos - 86.5).abs() < 1e-12);
     }
 }

@@ -1,7 +1,7 @@
 //! Supervised candidate evaluation: isolation, retry, quarantine.
 //!
 //! The batch driver in [`crate::evaluate`] hands every candidate to a
-//! [`SupervisedEvaluator`] instead of calling the raw evaluator directly.
+//! `SupervisedEvaluator` instead of calling the raw evaluator directly.
 //! Supervision provides four guarantees the long-running tuning phases
 //! need (ISSUE 3):
 //!
@@ -14,8 +14,8 @@
 //!    quarantined and refused instantly on later proposals, so the bandit
 //!    cannot keep burning the budget on a poisoned corner of the space.
 //! 4. **Sanitisation** — non-finite QoS/perf readings become typed
-//!    [`EvalError::NonFinite`] values; they never enter the
-//!    [`crate::evaluate::EvalCache`] or the Pareto front.
+//!    `EvalError::NonFinite` values; they never enter the
+//!    `crate::evaluate::EvalCache` or the Pareto front.
 //!
 //! Determinism: attempt indices are tracked *per config* and persist in
 //! checkpoints, so a resumed campaign replays the same
@@ -35,7 +35,7 @@ use at_tensor::TensorError;
 
 /// Why a supervised evaluation failed for good.
 #[derive(Clone, Debug, PartialEq)]
-pub enum EvalError {
+pub(crate) enum EvalError {
     /// The underlying evaluator returned an error on every attempt; this
     /// is the last one.
     Tensor(TensorError),
@@ -164,7 +164,7 @@ struct SupState {
 /// Wraps an [`AttemptEvaluator`] with isolation, retry, quarantine and
 /// sanitisation. Shared across the batch driver's worker threads; the
 /// internal mutex guards only bookkeeping, never an in-flight evaluation.
-pub struct SupervisedEvaluator<'a, E: AttemptEvaluator> {
+pub(crate) struct SupervisedEvaluator<'a, E: AttemptEvaluator> {
     inner: &'a E,
     policy: SupervisionPolicy,
     state: Mutex<SupState>,
@@ -172,7 +172,7 @@ pub struct SupervisedEvaluator<'a, E: AttemptEvaluator> {
 
 impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
     /// Supervises `inner` under `policy`.
-    pub fn new(inner: &'a E, policy: SupervisionPolicy) -> Self {
+    pub(crate) fn new(inner: &'a E, policy: SupervisionPolicy) -> Self {
         SupervisedEvaluator {
             inner,
             policy,
@@ -185,15 +185,10 @@ impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> SupervisionPolicy {
-        self.policy
-    }
-
     /// Evaluates `config` under supervision: up to `max_attempts` isolated
     /// attempts with bounded backoff, refusing quarantined configs and
     /// rejecting non-finite readings.
-    pub fn evaluate(&self, config: &Config) -> Result<Evaluation, EvalError> {
+    pub(crate) fn evaluate(&self, config: &Config) -> Result<Evaluation, EvalError> {
         let base = {
             let mut st = self.state.lock().expect("supervision state poisoned");
             if st.quarantine.contains(config) {
@@ -267,7 +262,7 @@ impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
     }
 
     /// Accumulated counters (with `quarantined` set to the current level).
-    pub fn stats(&self) -> FaultStats {
+    pub(crate) fn stats(&self) -> FaultStats {
         let st = self.state.lock().expect("supervision state poisoned");
         let mut s = st.stats;
         s.quarantined = st.quarantine.len() as u64;
@@ -275,7 +270,7 @@ impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
     }
 
     /// Records `n` driver-level skips (candidates dropped from a round).
-    pub fn note_skipped(&self, n: u64) {
+    pub(crate) fn note_skipped(&self, n: u64) {
         self.state
             .lock()
             .expect("supervision state poisoned")
@@ -285,7 +280,7 @@ impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
 
     /// Serialisable snapshot of all supervision state (sorted, so two
     /// identical runs snapshot identically despite hash-map internals).
-    pub fn snapshot(&self) -> SupervisionSnapshot {
+    pub(crate) fn snapshot(&self) -> SupervisionSnapshot {
         let st = self.state.lock().expect("supervision state poisoned");
         let sort_key = |c: &Config| c.knobs().to_vec();
         let mut quarantine: Vec<Config> = st.quarantine.iter().cloned().collect();
@@ -310,7 +305,7 @@ impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
     }
 
     /// Restores state captured by [`SupervisedEvaluator::snapshot`].
-    pub fn restore(&self, snap: &SupervisionSnapshot) {
+    pub(crate) fn restore(&self, snap: &SupervisionSnapshot) {
         let mut st = self.state.lock().expect("supervision state poisoned");
         st.stats = snap.stats;
         st.quarantine = snap.quarantine.iter().cloned().collect();
@@ -462,7 +457,13 @@ mod tests {
         let plan = FaultPlan {
             rate: 0.4,
             seed: 11,
-            mix: FaultMix::errors_only(),
+            mix: FaultMix {
+                error: 1.0,
+                panic: 0.0,
+                stall: 0.0,
+                poison_qos: 0.0,
+                poison_perf: 0.0,
+            },
             stall_ms: 0,
         };
         let faulty = FaultyEvaluator::new(&Good, plan);

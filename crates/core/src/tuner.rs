@@ -336,7 +336,7 @@ impl<'a> PredictiveTuner<'a> {
 
 /// The search-seeding anchors: exact baseline and all-FP16 (the FP16 knob
 /// id differs per op class).
-pub fn seed_configs(graph: &Graph, registry: &KnobRegistry) -> Vec<Config> {
+pub(crate) fn seed_configs(graph: &Graph, registry: &KnobRegistry) -> Vec<Config> {
     let baseline = Config::baseline(graph);
     let mut fp16 = Config::baseline(graph);
     for node in graph.nodes() {

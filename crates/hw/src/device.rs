@@ -15,17 +15,6 @@ pub enum ComputeUnitKind {
     Promise,
 }
 
-impl ComputeUnitKind {
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ComputeUnitKind::Gpu => "gpu",
-            ComputeUnitKind::Cpu => "cpu",
-            ComputeUnitKind::Promise => "promise",
-        }
-    }
-}
-
 /// Performance descriptor for a digital compute unit.
 ///
 /// Throughput/bandwidth values are *effective* (peak × achievable

@@ -141,7 +141,7 @@ impl Scenario {
     }
 
     /// Adds several disturbances at once (builder style).
-    pub fn with_all(mut self, ds: impl IntoIterator<Item = Disturbance>) -> Scenario {
+    pub(crate) fn with_all(mut self, ds: impl IntoIterator<Item = Disturbance>) -> Scenario {
         self.disturbances.extend(ds);
         self
     }
@@ -208,19 +208,9 @@ impl Scenario {
         self.invocations
     }
 
-    /// The frequency ladder the governor steps over.
-    pub fn ladder(&self) -> &FrequencyLadder {
-        &self.ladder
-    }
-
     /// Nominal (highest-step) frequency in MHz.
     pub fn nominal_mhz(&self) -> f64 {
         self.ladder.max()
-    }
-
-    /// The scripted disturbances.
-    pub fn disturbances(&self) -> &[Disturbance] {
-        &self.disturbances
     }
 
     /// Resolves the device state at invocation `i`.

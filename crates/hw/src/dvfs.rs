@@ -59,22 +59,6 @@ impl FrequencyLadder {
     pub fn slowdown(&self, idx: usize) -> f64 {
         self.max() / self.mhz[idx]
     }
-
-    /// The ladder step whose frequency is closest to `mhz` (useful for
-    /// mapping a sensed clock — possibly offset by throttling or a
-    /// brownout — back onto a governor step).
-    pub fn nearest_index(&self, mhz: f64) -> usize {
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (i, &f) in self.mhz.iter().enumerate() {
-            let d = (f - mhz).abs();
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # at-hw — simulated edge-SoC compute units, DVFS, power and energy
 //!
@@ -6,7 +7,8 @@
 //! cores, 2 GPU SMs / 256 CUDA cores at 1.12–1.3 GHz, 8 GB DRAM) with power
 //! measured from on-board voltage rails over I2C at 1 kHz. No such board is
 //! available here, so this crate provides an analytical *device model* that
-//! plays the TX2's role:
+//! plays the TX2's role (energy is the closed form `power × modelled time`;
+//! nothing samples a rail):
 //!
 //! * [`DeviceSpec`] — peak throughput / bandwidth descriptors for the GPU
 //!   and CPU compute units (FP16 runs at double rate on the GPU; the ARM
@@ -17,8 +19,6 @@
 //!   by the runtime-adaptation experiments (Fig 5, Fig 6).
 //! * [`power`] — rail-level power model fitted to the *shape* of Figure 5
 //!   (GPU power drops ~7×, total system power ~1.9× across the ladder).
-//! * [`rails`] — a simulated 1 kHz rail sampler and integrating energy
-//!   meter, mirroring the paper's I2C profiler.
 //! * [`mulcell`] — per-bitwidth speed/energy benefit of the LUT-emulated
 //!   approximate-multiplier cells (their numerical semantics live in
 //!   `at-tensor::lut`; only the benefit is hardware-specific).
@@ -31,13 +31,11 @@ pub mod disturb;
 pub mod dvfs;
 pub mod mulcell;
 pub mod power;
-pub mod rails;
 pub mod timing;
 
-pub use device::{ComputeUnitKind, DeviceSpec};
+pub use device::DeviceSpec;
 pub use disturb::{DeviceState, Disturbance, DisturbedDevice, Scenario};
 pub use dvfs::FrequencyLadder;
-pub use mulcell::{LutMulPoint, LUT_MUL_POINTS};
-pub use power::{PowerModel, RailPower};
-pub use rails::{EnergyMeter, RailSampler};
+pub use mulcell::LutMulPoint;
+pub use power::PowerModel;
 pub use timing::TimingModel;

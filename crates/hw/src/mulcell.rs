@@ -34,7 +34,7 @@ pub struct LutMulPoint {
 }
 
 /// Calibration points for the supported knob bitwidths (8/6/4).
-pub const LUT_MUL_POINTS: [LutMulPoint; 3] = [
+pub(crate) const LUT_MUL_POINTS: [LutMulPoint; 3] = [
     LutMulPoint {
         bits: 8,
         compute_speedup: 2.0,

@@ -26,11 +26,6 @@ impl TimingModel {
         TimingModel { spec, freq_mhz: f }
     }
 
-    /// The device descriptor.
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
     /// Current frequency in MHz.
     pub fn frequency_mhz(&self) -> f64 {
         self.freq_mhz
@@ -71,15 +66,6 @@ impl TimingModel {
             / self.spec.mem_bw;
 
         self.spec.launch_overhead_s + compute_t.max(memory_t)
-    }
-
-    /// Time for a whole program: sum of op times plus nothing else (the
-    /// paper's invocations are sequential over the dataflow graph).
-    pub fn program_time(
-        &self,
-        ops: impl IntoIterator<Item = (OpCounts, ReductionFactors, Precision)>,
-    ) -> f64 {
-        ops.into_iter().map(|(c, a, p)| self.op_time(c, a, p)).sum()
     }
 }
 
@@ -150,15 +136,6 @@ mod tests {
             memory: 10.0,
         };
         let t = gpu.op_time(tiny, ReductionFactors::NONE, Precision::Fp32);
-        assert!(t >= gpu.spec().launch_overhead_s);
-    }
-
-    #[test]
-    fn program_time_is_sum() {
-        let gpu = TimingModel::new(DeviceSpec::tx2_gpu());
-        let counts = conv_counts();
-        let one = gpu.op_time(counts, ReductionFactors::NONE, Precision::Fp32);
-        let three = gpu.program_time(vec![(counts, ReductionFactors::NONE, Precision::Fp32); 3]);
-        assert!((three - 3.0 * one).abs() < 1e-12);
+        assert!(t >= gpu.spec.launch_overhead_s);
     }
 }

@@ -39,7 +39,7 @@ pub fn gaussian_kernel(k: usize, sigma: f32) -> Result<Tensor, TensorError> {
 
 /// The Sobel x/y operators as a single `[2, 1, 3, 3]` weight tensor
 /// (channel 0 = Gx, channel 1 = Gy).
-pub fn sobel_kernels() -> Result<Tensor, TensorError> {
+pub(crate) fn sobel_kernels() -> Result<Tensor, TensorError> {
     let gx = [-1.0f32, 0.0, 1.0, -2.0, 0.0, 2.0, -1.0, 0.0, 1.0];
     let gy = [-1.0f32, -2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 1.0];
     let mut data = Vec::with_capacity(18);

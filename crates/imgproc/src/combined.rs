@@ -89,7 +89,7 @@ impl CombinedApp {
     /// Splits a combined configuration into (CNN, Canny) halves. Fails when
     /// the configuration does not cover both graphs (instead of panicking
     /// on the slice).
-    pub fn split_config(
+    pub(crate) fn split_config(
         &self,
         config: &Config,
     ) -> Result<(Vec<ApproxChoice>, Vec<ApproxChoice>), TensorError> {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
@@ -20,5 +21,5 @@
 pub mod canny;
 pub mod combined;
 
-pub use canny::{build_canny_graph, canny_reference, gaussian_kernel, sobel_kernels};
+pub use canny::{build_canny_graph, canny_reference, gaussian_kernel};
 pub use combined::CombinedApp;

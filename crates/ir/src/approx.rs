@@ -75,15 +75,6 @@ impl ApproxChoice {
     pub fn is_exact(&self) -> bool {
         *self == ApproxChoice::BASELINE
     }
-
-    /// The precision of a digital choice (PROMISE has its own analog
-    /// precision and reports FP32 here for storage accounting).
-    pub fn precision(&self) -> Precision {
-        match self {
-            ApproxChoice::Digital { precision, .. } => *precision,
-            ApproxChoice::Promise(_) => Precision::Fp32,
-        }
-    }
 }
 
 impl Default for ApproxChoice {

@@ -52,16 +52,6 @@ impl<'r, R: Rng> GraphBuilder<'r, R> {
         self.current
     }
 
-    /// The inferred output shape of the current node.
-    pub fn shape(&self) -> Shape {
-        self.shape
-    }
-
-    /// The first error recorded by a failed step, if any.
-    pub fn error(&self) -> Option<&GraphError> {
-        self.err.as_ref()
-    }
-
     /// Runs a fallible step unless the builder is already poisoned; on
     /// failure records the error tagged with the step name.
     fn try_step(
@@ -106,7 +96,7 @@ impl<'r, R: Rng> GraphBuilder<'r, R> {
 
     /// Dense (grouped) convolution with bias; `kernel`×`kernel` filters,
     /// symmetric `pad`, `stride`.
-    pub fn conv_grouped(
+    pub(crate) fn conv_grouped(
         &mut self,
         out_channels: usize,
         kernel: usize,
@@ -411,11 +401,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut b = GraphBuilder::new("s", Shape::nchw(1, 3, 32, 32), &mut rng);
         b.conv(8, 3, (1, 1), (2, 2));
-        assert_eq!(b.shape(), Shape::nchw(1, 8, 16, 16));
+        assert_eq!(b.shape, Shape::nchw(1, 8, 16, 16));
         b.max_pool(2, 2);
-        assert_eq!(b.shape(), Shape::nchw(1, 8, 8, 8));
+        assert_eq!(b.shape, Shape::nchw(1, 8, 8, 8));
         b.flatten();
-        assert_eq!(b.shape(), Shape::mat(1, 8 * 64));
+        assert_eq!(b.shape, Shape::mat(1, 8 * 64));
     }
 
     #[test]
@@ -423,7 +413,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut b = GraphBuilder::new("bad", Shape::nchw(1, 3, 8, 8), &mut rng);
         b.conv_grouped(8, 3, (1, 1), (1, 1), 2); // 3 channels, 2 groups
-        assert!(b.error().is_some());
+        assert!(b.err.is_some());
         match b.finish() {
             Err(GraphError::Builder { op, .. }) => assert_eq!(op, "conv"),
             other => panic!("expected builder error, got {other:?}"),

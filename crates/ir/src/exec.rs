@@ -11,7 +11,7 @@
 
 use crate::approx::ApproxChoice;
 use crate::error::GraphError;
-use crate::graph::{Graph, Node, NodeId, OpClass, OpKind};
+use crate::graph::{Graph, Node, NodeId, OpKind};
 use crate::shapes::infer_shapes;
 use at_promise::{promise_conv2d, promise_matmul};
 use at_tensor::cost::{self, OpCounts};
@@ -51,7 +51,7 @@ impl ExecOptions {
     }
 
     /// The choice for a given node.
-    pub fn choice(&self, id: NodeId) -> ApproxChoice {
+    pub(crate) fn choice(&self, id: NodeId) -> ApproxChoice {
         self.config
             .get(id.0 as usize)
             .copied()
@@ -543,32 +543,6 @@ pub fn node_costs(graph: &Graph, input: Shape) -> Result<Vec<OpCounts>, GraphErr
     Ok(counts)
 }
 
-/// Total baseline cost of the program (sum over nodes).
-pub fn total_cost(graph: &Graph, input: Shape) -> Result<OpCounts, GraphError> {
-    Ok(node_costs(graph, input)?
-        .into_iter()
-        .fold(OpCounts::ZERO, OpCounts::plus))
-}
-
-/// Returns true when `choice` is legal for the node's op class (e.g.
-/// PROMISE only accepts convolutions and dense layers; perforation only
-/// applies to convolutions).
-pub fn choice_is_valid(graph: &Graph, id: NodeId, choice: ApproxChoice) -> bool {
-    let class = graph.node(id).op.class();
-    match choice {
-        ApproxChoice::Promise(_) => matches!(class, OpClass::Conv | OpClass::Dense),
-        ApproxChoice::Digital {
-            conv, reduce, mul, ..
-        } => {
-            let conv_ok = conv == at_tensor::ConvApprox::Exact || class == OpClass::Conv;
-            let reduce_ok = reduce == ReduceApprox::Exact || class == OpClass::Reduction;
-            let mul_ok = mul == MulApprox::Exact || matches!(class, OpClass::Conv | OpClass::Dense);
-            let not_input = class != OpClass::Input || choice == ApproxChoice::BASELINE;
-            conv_ok && reduce_ok && mul_ok && not_input
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,36 +640,6 @@ mod tests {
         let costs = node_costs(&g, Shape::nchw(2, 3, 8, 8)).unwrap();
         assert_eq!(costs[0], OpCounts::ZERO); // input
         assert!(costs[1].compute > 0.0); // conv
-        let total = total_cost(&g, Shape::nchw(2, 3, 8, 8)).unwrap();
-        assert!(total.compute >= costs[1].compute);
-    }
-
-    #[test]
-    fn validity_rules() {
-        let (g, _) = tiny_cnn();
-        // Node 1 = conv, node 2 = relu, node 5 = dense.
-        let perf = ApproxChoice::digital(
-            ConvApprox::Perforation {
-                dim: at_tensor::PerforationDim::Row,
-                k: 2,
-                offset: 0,
-            },
-            ReduceApprox::Exact,
-            Precision::Fp32,
-        );
-        assert!(choice_is_valid(&g, NodeId(1), perf));
-        assert!(!choice_is_valid(&g, NodeId(2), perf));
-        assert!(choice_is_valid(
-            &g,
-            NodeId(5),
-            ApproxChoice::Promise(at_promise::VoltageLevel::P1)
-        ));
-        assert!(!choice_is_valid(
-            &g,
-            NodeId(2),
-            ApproxChoice::Promise(at_promise::VoltageLevel::P1)
-        ));
-        assert!(choice_is_valid(&g, NodeId(2), ApproxChoice::FP16));
     }
 
     #[test]
@@ -787,21 +731,6 @@ mod tests {
             let again = execute(&g, &x, &opts).unwrap();
             assert_eq!(out.data(), again.data());
         }
-    }
-
-    #[test]
-    fn lut_multiplier_validity_follows_op_class() {
-        let (g, _) = tiny_cnn();
-        let lut = ApproxChoice::digital_mul(
-            ConvApprox::Exact,
-            ReduceApprox::Exact,
-            Precision::Fp32,
-            MulApprox::Lut { bits: 6 },
-        );
-        assert!(choice_is_valid(&g, NodeId(1), lut)); // conv
-        assert!(choice_is_valid(&g, NodeId(5), lut)); // dense
-        assert!(!choice_is_valid(&g, NodeId(2), lut)); // relu
-        assert!(!choice_is_valid(&g, NodeId(3), lut)); // pool
     }
 
     #[test]

@@ -246,33 +246,8 @@ impl Graph {
     }
 
     /// The final node (program output), if any.
-    pub fn output(&self) -> Option<NodeId> {
+    pub(crate) fn output(&self) -> Option<NodeId> {
         self.nodes.last().map(|n| n.id)
-    }
-
-    /// Ids of nodes that can carry approximation knobs (everything except
-    /// the input placeholder). These are the paper's "tensor operations in
-    /// the program" over which configurations are defined.
-    pub fn tunable_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.op.class() != OpClass::Input)
-            .map(|n| n.id)
-            .collect()
-    }
-
-    /// Counts nodes per class.
-    pub fn class_histogram(&self) -> Vec<(OpClass, usize)> {
-        let mut counts: Vec<(OpClass, usize)> = Vec::new();
-        for n in &self.nodes {
-            let c = n.op.class();
-            if let Some(e) = counts.iter_mut().find(|(k, _)| *k == c) {
-                e.1 += 1;
-            } else {
-                counts.push((c, 1));
-            }
-        }
-        counts
     }
 
     /// Structural validation:
@@ -402,34 +377,6 @@ impl Graph {
         }
         Ok(())
     }
-
-    /// Mutable access to the node list (for transformation passes).
-    pub(crate) fn nodes_mut(&mut self) -> &mut [Node] {
-        &mut self.nodes
-    }
-
-    /// Keeps nodes for which `f` returns a new id, renumbering nodes and
-    /// remapping inputs accordingly. `f` must be monotone on kept nodes
-    /// (passes compute it that way), preserving topological order. Fails if
-    /// a kept node would be left with a dangling input.
-    pub(crate) fn retain_and_remap(
-        &mut self,
-        f: impl Fn(NodeId) -> Option<NodeId>,
-    ) -> Result<(), GraphError> {
-        let old = std::mem::take(&mut self.nodes);
-        for mut n in old {
-            if let Some(new_id) = f(n.id) {
-                n.id = new_id;
-                for i in &mut n.inputs {
-                    *i = f(*i).ok_or_else(|| GraphError::Internal {
-                        detail: format!("pass kept node {:?} with a dangling input {:?}", n.id, *i),
-                    })?;
-                }
-                self.nodes.push(n);
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -507,22 +454,5 @@ mod tests {
             "conv",
         );
         assert!(g.validate().is_err());
-    }
-
-    #[test]
-    fn tunable_excludes_input() {
-        let g = tiny_graph();
-        let t = g.tunable_nodes();
-        assert_eq!(t.len(), 2);
-        assert!(!t.contains(&NodeId(0)));
-    }
-
-    #[test]
-    fn class_histogram_counts() {
-        let g = tiny_graph();
-        let h = g.class_histogram();
-        assert!(h.contains(&(OpClass::Conv, 1)));
-        assert!(h.contains(&(OpClass::Other, 1)));
-        assert!(h.contains(&(OpClass::Input, 1)));
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
@@ -22,15 +23,12 @@
 //! * [`exec`] — the reference executor: runs the graph on the tensor
 //!   substrate, applying each node's approximation choice; also computes
 //!   per-node cost descriptors for the timing/energy models.
-//! * [`schedule`] — op → compute-unit mapping.
 
 pub mod approx;
 pub mod builder;
 pub mod error;
 pub mod exec;
 pub mod graph;
-pub mod passes;
-pub mod schedule;
 pub mod shapes;
 
 pub use approx::ApproxChoice;
@@ -38,5 +36,3 @@ pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use exec::{execute, execute_all, execute_suffix, execute_with_trace, ExecOptions};
 pub use graph::{Graph, NodeId, OpClass, OpKind};
-pub use passes::{dead_node_elimination, fold_batchnorm, validate_choices};
-pub use schedule::Schedule;

@@ -103,7 +103,7 @@ impl Dataset {
 /// prototype; a sample is its class prototype plus i.i.d. noise. The
 /// class structure gives the (random-weight) networks consistent,
 /// margin-varied predictions.
-pub fn synthetic_inputs(
+pub(crate) fn synthetic_inputs(
     per_sample: Shape,
     classes: usize,
     samples: usize,
@@ -147,7 +147,7 @@ pub fn synthetic_inputs(
 /// Computes teacher-calibrated labels: runs the FP32 baseline on every
 /// batch and sets each label to the baseline prediction with probability
 /// `baseline_accuracy` (a fraction in (0, 1]), else a random other class.
-pub fn calibrated_labels(
+pub(crate) fn calibrated_labels(
     bench: &Benchmark,
     batches: &[Tensor],
     baseline_accuracy: f64,

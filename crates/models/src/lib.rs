@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # at-models — the CNN model zoo and synthetic datasets (Table 1)
 //!
@@ -24,5 +25,5 @@ pub mod data;
 pub mod prune;
 pub mod zoo;
 
-pub use data::{calibrated_labels, Dataset};
+pub use data::Dataset;
 pub use zoo::{build, Benchmark, BenchmarkId, ModelScale};

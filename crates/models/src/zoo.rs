@@ -140,7 +140,7 @@ impl BenchmarkId {
     }
 
     /// Number of classes in the (synthetic) dataset.
-    pub fn classes(self) -> usize {
+    pub(crate) fn classes(self) -> usize {
         match self {
             BenchmarkId::Vgg16Cifar100 => 100,
             // The paper uses 200 randomly selected ImageNet classes; we use

@@ -17,43 +17,12 @@ pub struct PromiseGeometry {
 
 impl PromiseGeometry {
     /// The paper's Table 2 configuration: 256 banks × 16 KB at 1 GHz.
-    pub fn paper() -> PromiseGeometry {
+    pub(crate) fn paper() -> PromiseGeometry {
         PromiseGeometry {
             banks: 256,
             bank_bytes: 16 * 1024,
             frequency_hz: 1.0e9,
             lane_width: 128,
         }
-    }
-
-    /// Total on-chip storage in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.banks * self.bank_bytes
-    }
-
-    /// MACs the chip can retire per second when fully utilised.
-    pub fn peak_macs_per_s(&self) -> f64 {
-        self.banks as f64 * self.lane_width as f64 * self.frequency_hz
-    }
-
-    /// Number of tiles a weight matrix of `bytes` occupies (tensors larger
-    /// than one bank must be tiled across banks/iterations).
-    pub fn tiles_for(&self, bytes: usize) -> usize {
-        bytes.div_ceil(self.bank_bytes).max(1)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn paper_geometry() {
-        let g = PromiseGeometry::paper();
-        assert_eq!(g.total_bytes(), 256 * 16 * 1024);
-        assert_eq!(g.tiles_for(1), 1);
-        assert_eq!(g.tiles_for(16 * 1024), 1);
-        assert_eq!(g.tiles_for(16 * 1024 + 1), 2);
-        assert!(g.peak_macs_per_s() > 1e12);
     }
 }

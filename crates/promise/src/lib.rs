@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # at-promise — simulator for the PROMISE analog in-memory accelerator
 //!
@@ -27,6 +28,5 @@ pub mod model;
 pub mod voltage;
 
 pub use functional::{promise_conv2d, promise_matmul};
-pub use geometry::PromiseGeometry;
 pub use model::PromiseModel;
 pub use voltage::VoltageLevel;

@@ -15,7 +15,7 @@ pub struct PromiseModel {
     /// Hardware geometry.
     pub geometry: PromiseGeometry,
     /// Energy per MAC of the *digital* comparison path, picojoules. The
-    /// per-level PROMISE MAC energies in [`VoltageLevel::energy_per_mac_pj`]
+    /// per-level PROMISE MAC energies in `VoltageLevel::energy_per_mac_pj`
     /// are calibrated against this.
     pub digital_mac_pj: f64,
     /// Effective digital MAC throughput (MAC/s) used as the speedup
@@ -52,11 +52,6 @@ impl PromiseModel {
     /// Energy of an op at `level`, joules.
     pub fn op_energy(&self, counts: OpCounts, level: VoltageLevel) -> f64 {
         Self::macs(counts) * level.energy_per_mac_pj() * 1e-12
-    }
-
-    /// Energy of the same op on the digital reference path, joules.
-    pub fn digital_energy(&self, counts: OpCounts) -> f64 {
-        Self::macs(counts) * self.digital_mac_pj * 1e-12
     }
 
     /// Energy advantage (digital / PROMISE) at a level.

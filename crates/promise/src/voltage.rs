@@ -42,11 +42,6 @@ impl VoltageLevel {
         self as usize + 1
     }
 
-    /// Builds from a 1-based index.
-    pub fn from_index(i: usize) -> Option<VoltageLevel> {
-        VoltageLevel::ALL.get(i.wrapping_sub(1)).copied()
-    }
-
     /// Relative standard deviation of the Gaussian output error at this
     /// level, expressed as a fraction of the exact output's RMS value.
     ///
@@ -64,7 +59,7 @@ impl VoltageLevel {
     /// Calibrated against the digital-baseline MAC energy in
     /// [`crate::model::PromiseModel`] so the accelerator-level energy
     /// advantage spans the 3.4–5.5× range reported by Srivastava et al.
-    pub fn energy_per_mac_pj(self) -> f64 {
+    pub(crate) fn energy_per_mac_pj(self) -> f64 {
         // Higher swing voltage costs more energy (~V²); ~15% per level.
         #[allow(clippy::approx_constant)] // measured energy table, not 1/π
         const PJ: [f64; 7] = [0.218, 0.245, 0.278, 0.318, 0.368, 0.428, 0.503];
@@ -86,10 +81,8 @@ mod tests {
     #[test]
     fn index_roundtrip() {
         for l in VoltageLevel::ALL {
-            assert_eq!(VoltageLevel::from_index(l.index()), Some(l));
+            assert_eq!(VoltageLevel::ALL[l.index() - 1], l);
         }
-        assert_eq!(VoltageLevel::from_index(0), None);
-        assert_eq!(VoltageLevel::from_index(8), None);
     }
 
     #[test]

@@ -30,14 +30,6 @@ impl OpCounts {
         compute: 0.0,
         memory: 0.0,
     };
-
-    /// Sums two counts.
-    pub fn plus(self, other: OpCounts) -> OpCounts {
-        OpCounts {
-            compute: self.compute + other.compute,
-            memory: self.memory + other.memory,
-        }
-    }
 }
 
 /// Reduction factors `(R_c, R_m)` applied by an approximation knob.
@@ -185,17 +177,6 @@ pub fn mul_reduction_factors(mul: MulApprox) -> ReductionFactors {
         MulApprox::Lut { bits } => ReductionFactors {
             compute: 1.0,
             memory: 32.0 / f64::from(bits),
-        },
-    }
-}
-
-/// Reduction factors for ops with only a precision knob.
-pub fn precision_reduction_factors(precision: Precision) -> ReductionFactors {
-    match precision {
-        Precision::Fp32 => ReductionFactors::NONE,
-        Precision::Fp16 => ReductionFactors {
-            compute: 1.0,
-            memory: 2.0,
         },
     }
 }

@@ -139,12 +139,12 @@ pub fn quantize(x: f32) -> f32 {
 }
 
 /// Quantises a slice in place through binary16.
-pub fn quantize_slice(xs: &mut [f32]) {
+pub(crate) fn quantize_slice(xs: &mut [f32]) {
     crate::par::map_in_place(xs, quantize);
 }
 
 /// Returns a quantised copy of the slice.
-pub fn quantized(xs: &[f32]) -> Vec<f32> {
+pub(crate) fn quantized(xs: &[f32]) -> Vec<f32> {
     crate::par::map(xs, quantize)
 }
 

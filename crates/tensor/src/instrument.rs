@@ -11,7 +11,7 @@
 //! all add to it, and the total for a fixed workload is deterministic
 //! because the amount of work is. Tests that read it must serialise the
 //! workloads they count (run them inside a single `#[test]`, or take the
-//! [`counting_lock`]) so unrelated kernels do not pollute the window.
+//! `counting_lock`) so unrelated kernels do not pollute the window.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -22,23 +22,18 @@ static COUNT_LOCK: Mutex<()> = Mutex::new(());
 /// Adds `n` multiplies to the global counter (relaxed; call once per
 /// kernel/panel, not per element).
 #[inline]
-pub fn add_muls(n: u64) {
+pub(crate) fn add_muls(n: u64) {
     MULS.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Current multiply count since process start (or the last [`reset_muls`]).
-pub fn muls() -> u64 {
+/// Current multiply count since process start.
+pub(crate) fn muls() -> u64 {
     MULS.load(Ordering::Relaxed)
 }
 
-/// Resets the multiply counter to zero.
-pub fn reset_muls() {
-    MULS.store(0, Ordering::Relaxed);
-}
-
 /// Serialises counting windows across tests in one process. Hold the guard
-/// around `reset_muls`/workload/`muls` sequences.
-pub fn counting_lock() -> std::sync::MutexGuard<'static, ()> {
+/// around `muls`/workload/`muls` sequences.
+pub(crate) fn counting_lock() -> std::sync::MutexGuard<'static, ()> {
     COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -56,14 +51,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates_and_resets() {
+    fn counter_accumulates() {
         let (_, n) = count_muls(|| {
             add_muls(3);
             add_muls(4);
         });
         assert_eq!(n, 7);
-        let _guard = counting_lock();
-        reset_muls();
-        assert_eq!(muls(), 0);
     }
 }

@@ -69,7 +69,7 @@ pub enum ConvApprox {
 
 impl ConvApprox {
     /// Validates the parameters (k ∈ {2,3,4}, offset ∈ 0..k).
-    pub fn validate(&self) -> Result<(), TensorError> {
+    pub(crate) fn validate(&self) -> Result<(), TensorError> {
         match *self {
             ConvApprox::Exact => Ok(()),
             ConvApprox::FilterSampling { k, offset }
@@ -158,7 +158,7 @@ impl MulApprox {
     ];
 
     /// Validates the bitwidth.
-    pub fn validate(&self) -> Result<(), TensorError> {
+    pub(crate) fn validate(&self) -> Result<(), TensorError> {
         match *self {
             MulApprox::Exact => Ok(()),
             MulApprox::Lut { bits } => {
@@ -176,19 +176,6 @@ impl MulApprox {
                 }
             }
         }
-    }
-
-    /// The operand bitwidth (`None` for exact).
-    pub fn bits(&self) -> Option<u8> {
-        match *self {
-            MulApprox::Exact => None,
-            MulApprox::Lut { bits } => Some(bits),
-        }
-    }
-
-    /// Whether this is the exact multiplier.
-    pub fn is_exact(&self) -> bool {
-        *self == MulApprox::Exact
     }
 }
 
@@ -210,11 +197,11 @@ pub enum ReduceApprox {
 
 impl ReduceApprox {
     /// 50% sampling (1 of 2).
-    pub const HALF: ReduceApprox = ReduceApprox::Sampling { num: 1, den: 2 };
+    pub(crate) const HALF: ReduceApprox = ReduceApprox::Sampling { num: 1, den: 2 };
     /// 40% sampling (2 of 5).
-    pub const FORTY: ReduceApprox = ReduceApprox::Sampling { num: 2, den: 5 };
+    pub(crate) const FORTY: ReduceApprox = ReduceApprox::Sampling { num: 2, den: 5 };
     /// 25% sampling (1 of 4).
-    pub const QUARTER: ReduceApprox = ReduceApprox::Sampling { num: 1, den: 4 };
+    pub(crate) const QUARTER: ReduceApprox = ReduceApprox::Sampling { num: 1, den: 4 };
 
     /// The paper's three sampling ratios, most to least accurate.
     pub const ALL_SAMPLING: [ReduceApprox; 3] = [
@@ -224,7 +211,7 @@ impl ReduceApprox {
     ];
 
     /// Validates the ratio.
-    pub fn validate(&self) -> Result<(), TensorError> {
+    pub(crate) fn validate(&self) -> Result<(), TensorError> {
         match *self {
             ReduceApprox::Exact => Ok(()),
             ReduceApprox::Sampling { num, den } => {
@@ -241,7 +228,7 @@ impl ReduceApprox {
     }
 
     /// Fraction of inputs used.
-    pub fn kept_fraction(&self) -> f64 {
+    pub(crate) fn kept_fraction(&self) -> f64 {
         match *self {
             ReduceApprox::Exact => 1.0,
             ReduceApprox::Sampling { num, den } => num as f64 / den as f64,
@@ -306,7 +293,5 @@ mod tests {
         assert!(MulApprox::Lut { bits: 8 }.validate().is_ok());
         assert!(MulApprox::Lut { bits: 1 }.validate().is_err());
         assert!(MulApprox::Lut { bits: 9 }.validate().is_err());
-        assert_eq!(MulApprox::Lut { bits: 6 }.bits(), Some(6));
-        assert!(MulApprox::Exact.is_exact());
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
@@ -50,6 +51,3 @@ pub use f16::F16;
 pub use knobs::{ConvApprox, MulApprox, PerforationDim, Precision, ReduceApprox};
 pub use shape::Shape;
 pub use tensor::Tensor;
-
-/// Convenient result alias for fallible tensor operations.
-pub type Result<T> = std::result::Result<T, TensorError>;

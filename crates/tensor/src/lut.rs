@@ -18,19 +18,19 @@
 use std::sync::OnceLock;
 
 /// Smallest supported operand bitwidth.
-pub const MIN_BITS: u8 = 2;
+pub(crate) const MIN_BITS: u8 = 2;
 /// Largest supported operand bitwidth (keeps every table ≤ 64 KiB).
-pub const MAX_BITS: u8 = 8;
+pub(crate) const MAX_BITS: u8 = 8;
 /// Entries per table row. Every table is laid out at the widest supported
 /// magnitude range whatever its bitwidth, so a row is a fixed-size array and
 /// an index masked to `ROW - 1` needs no bounds check — which is what lets
 /// the LUT GEMM's 32-lane lookup compile to vector gathers.
-pub const ROW: usize = 1 << (MAX_BITS - 1);
+pub(crate) const ROW: usize = 1 << (MAX_BITS - 1);
 
 /// A precomputed approximate-multiplier truth table over operand
 /// *magnitudes* `0..=qmax` (signs are applied outside the table; the
 /// emulated multiplier is sign-magnitude symmetric).
-pub struct LutTable {
+pub(crate) struct LutTable {
     /// Operand bitwidth.
     pub bits: u8,
     /// Largest representable magnitude, `2^(bits-1) - 1`.
@@ -56,7 +56,7 @@ impl LutTable {
 
     /// Approximate product of two magnitudes (`0..=qmax` each).
     #[inline(always)]
-    pub fn mul_mag(&self, a: usize, b: usize) -> i32 {
+    pub(crate) fn mul_mag(&self, a: usize, b: usize) -> i32 {
         self.tab[a][b]
     }
 
@@ -64,13 +64,13 @@ impl LutTable {
     /// `b ≤ qmax`), letting inner loops hoist the row lookup out of the `b`
     /// walk.
     #[inline]
-    pub fn row(&self, mag: usize) -> &[i32; ROW] {
+    pub(crate) fn row(&self, mag: usize) -> &[i32; ROW] {
         &self.tab[mag]
     }
 
     /// Approximate signed product of two quantised operands.
     #[inline(always)]
-    pub fn mul(&self, a: i16, b: i16) -> i32 {
+    pub(crate) fn mul(&self, a: i16, b: i16) -> i32 {
         let p = self.mul_mag(a.unsigned_abs() as usize, b.unsigned_abs() as usize);
         if (a < 0) != (b < 0) {
             -p
@@ -109,7 +109,7 @@ static LUTS: [OnceLock<LutTable>; (MAX_BITS - MIN_BITS + 1) as usize] =
     [const { OnceLock::new() }; (MAX_BITS - MIN_BITS + 1) as usize];
 
 /// The shared table for a bitwidth (built once per process).
-pub fn lut_for(bits: u8) -> &'static LutTable {
+pub(crate) fn lut_for(bits: u8) -> &'static LutTable {
     assert!(
         (MIN_BITS..=MAX_BITS).contains(&bits),
         "unsupported LUT multiplier bitwidth {bits}"
@@ -119,7 +119,7 @@ pub fn lut_for(bits: u8) -> &'static LutTable {
 
 /// A tensor quantised to signed `bits`-bit magnitudes with a per-tensor
 /// symmetric scale (`x ≈ q · scale`).
-pub struct QuantizedTensor {
+pub(crate) struct QuantizedTensor {
     /// Quantised values in `[-qmax, qmax]`.
     pub q: Vec<i16>,
     /// Dequantisation scale.
@@ -129,7 +129,7 @@ pub struct QuantizedTensor {
 /// Symmetric per-tensor quantisation: `scale = max|x| / qmax`, round to
 /// nearest, clamp. Deterministic and elementwise (rayon-partition
 /// independent).
-pub fn quantize_symmetric(data: &[f32], bits: u8) -> QuantizedTensor {
+pub(crate) fn quantize_symmetric(data: &[f32], bits: u8) -> QuantizedTensor {
     let qmax = (1i32 << (bits - 1)) - 1;
     let maxabs = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
     let scale = if maxabs > 0.0 && maxabs.is_finite() {

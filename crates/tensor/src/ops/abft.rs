@@ -21,7 +21,7 @@
 //!
 //! **Tolerance is scaled to the active knob's promised error.** The
 //! verified product is compared against independently accumulated f32
-//! reference checksums (see [`verify_raw`] for why f32 suffices), so the
+//! reference checksums (see `verify_raw` for why f32 suffices), so the
 //! legitimate discrepancy is the knob's own numerical contract:
 //!
 //! * `MulApprox::Exact` (FP32 and FP16 operands both accumulate in f32):
@@ -29,7 +29,7 @@
 //!   L2-style magnitude bound ([`AbftTol::exact`]).
 //! * `MulApprox::Lut`: the Mitchell logarithmic multiplier's promised
 //!   per-product relative error bound against an L1 magnitude bound
-//!   ([`AbftTol::lut`]).
+//!   (`AbftTol::lut`).
 //!
 //! Comparisons are NaN-safe by construction: every check is of the form
 //! `|actual − expected| ≤ limit`, which is *false* whenever corruption
@@ -38,7 +38,7 @@
 //!
 //! **Bit-exactness**: the verified paths run the production kernels with a
 //! raw epilogue, verify, then apply the epilogue element-wise. Because
-//! [`Epilogue::apply_row`] is a pure per-element function, outputs are
+//! `Epilogue::apply_row` is a pure per-element function, outputs are
 //! bit-identical to the unprotected fused kernels (the golden suite pins
 //! this).
 
@@ -84,7 +84,7 @@ impl AbftTol {
     /// multiplier promises ≤ ~11.1% relative error per product (plus table
     /// integer rounding), and per-product errors can correlate, so the
     /// bound is L1 with a slack factor. `dequant` is `scale_A · scale_B`.
-    pub fn lut(k: usize, dequant: f32) -> AbftTol {
+    pub(crate) fn lut(k: usize, dequant: f32) -> AbftTol {
         AbftTol {
             rel: 0.13,
             abs: f64::from(dequant.abs()) * 8.0 * k.max(1) as f64,
@@ -265,7 +265,7 @@ pub fn verify_gemm_f32(
 /// Verifies raw LUT-GEMM output (already dequantised by `Epilogue::Raw`)
 /// against checksums of the quantised operands.
 #[allow(clippy::too_many_arguments)]
-pub fn verify_gemm_lut(
+pub(crate) fn verify_gemm_lut(
     m: usize,
     k: usize,
     n: usize,
@@ -321,7 +321,7 @@ pub fn gemm_f32_abft(
 
 /// ABFT-protected LUT GEMM — integer twin of [`gemm_f32_abft`].
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_lut_abft(
+pub(crate) fn gemm_lut_abft(
     m: usize,
     k: usize,
     n: usize,
@@ -519,7 +519,7 @@ mod tests {
         ];
         for precision in Precision::ALL {
             for mul in muls {
-                if precision == Precision::Fp16 && !mul.is_exact() {
+                if precision == Precision::Fp16 && mul != MulApprox::Exact {
                     continue;
                 }
                 let plain = matmul_ex(&a, &b, Some(&bias), precision, mul).unwrap();

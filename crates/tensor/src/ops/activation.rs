@@ -3,7 +3,7 @@
 //! Every op is a pure, branch-free scalar function, and that purity is the
 //! determinism rule: the value written for element `i` depends on `xs[i]`
 //! alone — never on its SIMD lane, on whether it fell in a vector body or a
-//! scalar tail, or on where [`crate::par`] cut the range — because every
+//! scalar tail, or on where `crate::par` cut the range — because every
 //! lane runs the same IEEE operation sequence and Rust neither contracts
 //! nor reassociates floats. The compiler is therefore free to vectorise
 //! these loops while inference stays bit-identical at any thread count.
@@ -36,7 +36,7 @@ pub enum UnaryOp {
 impl UnaryOp {
     /// Applies the op to a scalar.
     #[inline]
-    pub fn apply(self, x: f32) -> f32 {
+    pub(crate) fn apply(self, x: f32) -> f32 {
         match self {
             UnaryOp::Relu => max0(x),
             // `f32::clamp` without its per-call `lo <= hi` assertion, which
@@ -211,11 +211,6 @@ pub fn clipped_relu(
     map_unary(input, UnaryOp::ClippedRelu(lo, hi), precision)
 }
 
-/// Tanh activation.
-pub fn tanh_op(input: &Tensor, precision: Precision) -> Result<Tensor, TensorError> {
-    map_unary(input, UnaryOp::Tanh, precision)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,7 +233,7 @@ mod tests {
     #[test]
     fn tanh_bounded() {
         let t = Tensor::from_vec(Shape::vec(3), vec![-100.0, 0.0, 100.0]).unwrap();
-        let r = tanh_op(&t, Precision::Fp32).unwrap();
+        let r = map_unary(&t, UnaryOp::Tanh, Precision::Fp32).unwrap();
         assert_eq!(r.data(), &[-1.0, 0.0, 1.0]);
     }
 

@@ -116,9 +116,9 @@ mod tests {
         .unwrap();
         assert_eq!(out.shape(), Shape::nchw(1, 1, 4, 4));
         // Centre element (1,1): sum of 3x3 window of the ramp = 0+1+2+4+5+6+8+9+10 = 45.
-        assert_eq!(out.at4(0, 0, 1, 1), 45.0);
+        assert_eq!(out.data()[out.shape().idx4(0, 0, 1, 1)], 45.0);
         // Corner (0,0): 0+1+4+5 = 10.
-        assert_eq!(out.at4(0, 0, 0, 0), 10.0);
+        assert_eq!(out.data()[out.shape().idx4(0, 0, 0, 0)], 10.0);
     }
 
     #[test]
@@ -127,8 +127,8 @@ mod tests {
         let weight = Tensor::full(Shape::nchw(2, 1, 1, 1), 1.0);
         let bias = Tensor::from_vec(Shape::vec(2), vec![10.0, 20.0]).unwrap();
         let out = conv2d(&input, &weight, Some(&bias), Conv2dParams::default()).unwrap();
-        assert_eq!(out.at4(0, 0, 0, 0), 10.0);
-        assert_eq!(out.at4(0, 1, 0, 0), 20.0);
+        assert_eq!(out.data()[out.shape().idx4(0, 0, 0, 0)], 10.0);
+        assert_eq!(out.data()[out.shape().idx4(0, 1, 0, 0)], 20.0);
     }
 
     #[test]

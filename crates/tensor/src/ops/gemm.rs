@@ -2,12 +2,12 @@
 //! the optimised matmul and the im2col-lowered convolutions.
 //!
 //! Layout: `C[M,N] = A[M,K] × B[K,N]`, all row-major. The inner microkernel
-//! computes an `R`×(2·[`LANES`]) output tile (8×32 at full height) held
+//! computes an `R`×(2·`LANES`) output tile (8×32 at full height) held
 //! entirely in registers: per `k` step it loads two 16-float groups of a
 //! packed B panel once, broadcasts one `A[i,k]` per tile row and issues 2·`R`
 //! independent fused-multiply–add chains, hiding FMA latency without
 //! reassociating any single output's sum. Sharing each B load across the
-//! tile's rows and packing B's panels contiguously ([`pack_b_panels`]) is
+//! tile's rows and packing B's panels contiguously (`pack_b_panels`) is
 //! what makes the kernel compute-bound instead of L2/TLB-bound — for every
 //! `M`: rows are covered in groups of 8, then 4, 2 and 1 over the same
 //! packed panels, so a 2–4-output-channel convolution runs the same
@@ -25,7 +25,7 @@
 //! sides must use it, and `mul_add` lowers to the same single-rounding
 //! operation whether the target has an FMA unit or falls back to libm.
 //!
-//! [`gemm_lut`] is the integer twin for the LUT approximate-multiplier
+//! `gemm_lut` is the integer twin for the LUT approximate-multiplier
 //! path: `i16`-quantised operands, table-served products gathered 32 lanes
 //! at a time over the same packed panels, exact integer accumulation
 //! (associative, hence trivially order-independent).
@@ -44,7 +44,7 @@ use rayon::prelude::*;
 
 /// SIMD lane count the microkernel is unrolled for (f32x16 ≙ AVX-512 zmm;
 /// lowers to a ymm pair on AVX2-only parts).
-pub const LANES: usize = 16;
+pub(crate) const LANES: usize = 16;
 /// Lane groups per packed B panel.
 const V: usize = 2;
 /// Columns per packed B panel.
@@ -99,7 +99,7 @@ impl Epilogue<'_> {
     /// row's bias, the flags) is resolved once, so each step is a
     /// branch-free pass the compiler vectorises; every element still goes
     /// through the same operations in the same order.
-    pub fn apply_row(&self, row: usize, orow: &mut [f32]) {
+    pub(crate) fn apply_row(&self, row: usize, orow: &mut [f32]) {
         let quantize = |orow: &mut [f32]| orow.iter_mut().for_each(|v| *v = f16::quantize(*v));
         match *self {
             Epilogue::Raw => {}
@@ -391,7 +391,7 @@ fn lut_row_group<const R: usize>(
 /// `table.qmax` (what [`lut::quantize_symmetric`] guarantees); it is
 /// checked here because the kernel masks its table index instead.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_lut(
+pub(crate) fn gemm_lut(
     m: usize,
     k: usize,
     n: usize,

@@ -498,7 +498,7 @@ fn run_lowered<T: PatchElem>(
 /// This is the kernel behind [`super::conv2d`] and
 /// [`super::conv::conv2d_fused`]; results are bit-identical to the direct
 /// reference kernel for every configuration.
-pub fn conv2d_lowered(
+pub(crate) fn conv2d_lowered(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
@@ -706,31 +706,6 @@ fn conv2d_lowered_impl(
     Tensor::from_vec(out_shape, out)
 }
 
-/// Convenience wrapper: exact, ungrouped im2col convolution (the historical
-/// entry point; approximations go through [`conv2d_lowered`] or the
-/// [`super::conv2d`] dispatcher).
-pub fn conv2d_im2col(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    pad: (usize, usize),
-    stride: (usize, usize),
-    precision: Precision,
-) -> Result<Tensor, TensorError> {
-    conv2d_lowered(
-        input,
-        weight,
-        bias,
-        Conv2dParams {
-            pad,
-            stride,
-            precision,
-            ..Default::default()
-        },
-        None,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -892,7 +867,12 @@ mod tests {
     fn bias_length_mismatch_rejected() {
         let (x, w, _) = fixtures();
         let bad = Tensor::zeros(Shape::vec(3));
-        assert!(conv2d_im2col(&x, &w, Some(&bad), (1, 1), (1, 1), Precision::Fp32).is_err());
+        let params = Conv2dParams {
+            pad: (1, 1),
+            stride: (1, 1),
+            ..Default::default()
+        };
+        assert!(conv2d_lowered(&x, &w, Some(&bad), params, None).is_err());
     }
 
     #[test]

@@ -16,12 +16,10 @@ pub mod reference;
 pub mod softmax;
 
 pub use abft::{
-    conv2d_abft, conv2d_fused_abft, flip_bit, gemm_f32_abft, gemm_lut_abft, matmul_abft,
-    verify_gemm_f32, verify_gemm_lut, AbftTol,
+    conv2d_abft, conv2d_fused_abft, flip_bit, gemm_f32_abft, matmul_abft, verify_gemm_f32, AbftTol,
 };
-pub use activation::{clipped_relu, map_unary, map_unary_in_place, relu, tanh_op, UnaryOp};
+pub use activation::{clipped_relu, map_unary, map_unary_in_place, relu, UnaryOp};
 pub use conv::{conv2d, conv2d_fused};
-pub use im2col::{conv2d_im2col, conv2d_lowered};
 pub use matmul::{bias_add_rows, matmul, matmul_ex};
 pub use norm::batchnorm2d;
 pub use pool::{avg_pool2d, max_pool2d};

@@ -90,7 +90,7 @@ mod tests {
             for (ch, m) in mean.iter_mut().enumerate() {
                 for y in 0..h {
                     for xx in 0..w {
-                        *m += x.at4(b, ch, y, xx);
+                        *m += x.data()[x.shape().idx4(b, ch, y, xx)];
                     }
                 }
             }
@@ -102,7 +102,7 @@ mod tests {
             for ch in 0..c {
                 for y in 0..h {
                     for xx in 0..w {
-                        let d = x.at4(b, ch, y, xx) - mean[ch];
+                        let d = x.data()[x.shape().idx4(b, ch, y, xx)] - mean[ch];
                         var[ch] += d * d;
                     }
                 }

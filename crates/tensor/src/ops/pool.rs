@@ -350,7 +350,7 @@ mod tests {
         // Mean is computed over the full window denominator, matching
         // count_include_pad=false semantics for the sum but fixed denom:
         // corner window sees one valid element of value 1 → 1/4.
-        assert_eq!(out.at4(0, 0, 0, 0), 0.25);
+        assert_eq!(out.data()[out.shape().idx4(0, 0, 0, 0)], 0.25);
     }
 
     /// The per-window fold the row-wise one replaced: each output element

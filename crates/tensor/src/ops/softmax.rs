@@ -60,7 +60,7 @@ mod tests {
     fn preserves_argmax() {
         let x = Tensor::from_vec(Shape::mat(1, 4), vec![0.1, 5.0, -2.0, 3.0]).unwrap();
         let y = softmax_rows(&x, Precision::Fp32).unwrap();
-        assert_eq!(y.argmax(), Some(1));
+        assert!(y.data().iter().all(|&v| v <= y.data()[1]));
     }
 
     #[test]

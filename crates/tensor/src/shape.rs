@@ -9,9 +9,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum tensor rank supported by the library (NCHW).
-pub const MAX_RANK: usize = 4;
+pub(crate) const MAX_RANK: usize = 4;
 
-/// A tensor shape: up to [`MAX_RANK`] dimensions stored inline.
+/// A tensor shape: up to `MAX_RANK` dimensions stored inline.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Shape {
     dims: [usize; MAX_RANK],
@@ -80,28 +80,11 @@ impl Shape {
         self.dims().iter().product()
     }
 
-    /// Row-major strides for this shape.
-    pub fn strides(&self) -> [usize; MAX_RANK] {
-        let mut s = [1usize; MAX_RANK];
-        let r = self.rank();
-        for i in (0..r.saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * self.dims[i + 1];
-        }
-        s
-    }
-
     /// Flat index of a 4-D NCHW coordinate. Only valid for rank-4 shapes.
     #[inline(always)]
-    pub fn idx4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
+    pub(crate) fn idx4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
         debug_assert_eq!(self.rank(), 4);
         ((n * self.dims[1] + c) * self.dims[2] + h) * self.dims[3] + w
-    }
-
-    /// Flat index of a 2-D coordinate. Only valid for rank-2 shapes.
-    #[inline(always)]
-    pub fn idx2(&self, r: usize, c: usize) -> usize {
-        debug_assert_eq!(self.rank(), 2);
-        r * self.dims[1] + c
     }
 
     /// Interprets the shape as NCHW, returning `(n, c, h, w)`.
@@ -159,7 +142,7 @@ pub fn conv_out_dim(input: usize, kernel: usize, pad: usize, stride: usize) -> u
 /// Full output shape of a 2-D convolution in NCHW layout.
 ///
 /// `input` is `[N, C, H, W]`, `weight` is `[K, C, R, S]`.
-pub fn conv2d_out_shape(
+pub(crate) fn conv2d_out_shape(
     input: Shape,
     weight: Shape,
     pad: (usize, usize),
@@ -195,8 +178,6 @@ mod tests {
     fn volume_and_strides() {
         let s = Shape::nchw(2, 3, 4, 5);
         assert_eq!(s.volume(), 120);
-        let st = s.strides();
-        assert_eq!(&st[..4], &[60, 20, 5, 1]);
         assert_eq!(s.idx4(1, 2, 3, 4), 60 + 40 + 15 + 4);
     }
 

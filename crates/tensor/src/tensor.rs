@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// All kernels in this crate compute in `f32`; FP16 execution is modelled by
 /// quantising operands and results through [`crate::F16`] (see
-/// [`Tensor::quantize_f16`]).
+/// `Tensor::quantize_f16`).
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     shape: Shape,
@@ -100,11 +100,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -135,12 +130,6 @@ impl Tensor {
         Tensor::from_vec(shape, self.data)
     }
 
-    /// Element at a 4-D NCHW coordinate.
-    #[inline(always)]
-    pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
-        self.data[self.shape.idx4(n, c, h, w)]
-    }
-
     /// Mutable element at a 4-D NCHW coordinate.
     #[inline(always)]
     pub fn at4_mut(&mut self, n: usize, c: usize, h: usize, w: usize) -> &mut f32 {
@@ -150,7 +139,7 @@ impl Tensor {
 
     /// Quantises every element through IEEE binary16 (round-trip), modelling
     /// FP16 storage semantics.
-    pub fn quantize_f16(&mut self) {
+    pub(crate) fn quantize_f16(&mut self) {
         f16::quantize_slice(&mut self.data);
     }
 
@@ -165,15 +154,6 @@ impl Tensor {
     /// Elementwise sum of absolute values (L1 norm).
     pub fn l1(&self) -> f64 {
         self.data.iter().map(|&x| x.abs() as f64).sum()
-    }
-
-    /// Euclidean (L2) norm.
-    pub fn l2(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Mean squared error against another tensor of the same shape.
@@ -259,20 +239,6 @@ impl Tensor {
         }
         Ok(())
     }
-
-    /// Index of the maximum element (first on ties); `None` when empty.
-    pub fn argmax(&self) -> Option<usize> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let mut best = 0usize;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
-        }
-        Some(best)
-    }
 }
 
 #[cfg(test)]
@@ -308,14 +274,6 @@ mod tests {
         let b = Tensor::from_vec(Shape::vec(4), vec![1.0, 2.0, 3.0, 6.0]).unwrap();
         assert_eq!(a.mse(&b).unwrap(), 1.0);
         assert_eq!(a.l1(), 10.0);
-        assert!((a.l2() - 30.0_f64.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn argmax() {
-        let t = Tensor::from_vec(Shape::vec(5), vec![0.1, 0.9, 0.3, 0.9, 0.2]).unwrap();
-        assert_eq!(t.argmax(), Some(1)); // first of the tie
-        assert_eq!(Tensor::zeros(Shape::new(&[])).argmax(), Some(0));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use approxtuner::core::config::Config;
 use approxtuner::core::pareto::{
     cap_points, pareto_set, pareto_set_eps, TradeoffCurve, TradeoffPoint,
 };
-use approxtuner::core::runtime::policy2_probabilities;
+use approxtuner::core::runtime::{policy2_probabilities, Policy, RuntimeTuner};
 use proptest::prelude::*;
 
 fn point_strategy() -> impl Strategy<Value = TradeoffPoint> {
@@ -80,14 +80,38 @@ proptest! {
     #[test]
     fn curve_query_returns_sufficient_speedup(
         pts in proptest::collection::vec(point_strategy(), 1..40),
-        target in 1.0f64..4.0,
+        target in 1.01f64..4.0,
     ) {
         let curve = TradeoffCurve::from_points(pts);
-        if let Some(p) = curve.config_for_speedup(target) {
-            let max_perf = curve.points().iter().map(|q| q.perf).fold(f64::NEG_INFINITY, f64::max);
-            // Either the point meets the target, or the target is beyond the
-            // curve and we got the fastest point.
-            prop_assert!(p.perf >= target || (p.perf - max_perf).abs() < 1e-12);
+        let max_perf = curve.points().iter().map(|q| q.perf).fold(f64::NEG_INFINITY, f64::max);
+        let mut tuner = RuntimeTuner::new(curve, Policy::EnforceEachInvocation, 1, 1.0, 0);
+        tuner.adapt_to(target);
+        // A required speedup ≤ 1.0 means "return to the exact baseline", so
+        // targets start above it. A non-empty curve then always yields a
+        // point: either it meets the target, or the target is beyond the
+        // curve and it is the fastest.
+        let p = tuner.current_point().expect("policy 1 selects a point above 1.0x");
+        prop_assert!(p.perf >= target || (p.perf - max_perf).abs() < 1e-12);
+    }
+
+    #[test]
+    fn policy2_query_stays_on_the_bracketing_points(
+        pts in proptest::collection::vec(point_strategy(), 1..40),
+        target in 1.01f64..4.0,
+        seed in 0u64..1000,
+    ) {
+        let curve = TradeoffCurve::from_points(pts);
+        let perfs: Vec<f64> = curve.points().iter().map(|q| q.perf).collect();
+        // The curve is sorted by performance: the slowest point meeting the
+        // target and its predecessor, clamped to the curve's ends.
+        let first_meeting = perfs.partition_point(|&p| p < target);
+        let above = first_meeting.min(perfs.len() - 1);
+        let below = first_meeting.saturating_sub(1);
+        let mut tuner = RuntimeTuner::new(curve, Policy::AverageOverTime, 1, 1.0, seed);
+        for _ in 0..16 {
+            tuner.adapt_to(target);
+            let i = tuner.current_index().expect("policy 2 selects a point above 1.0x");
+            prop_assert!(i == below || i == above, "picked {} outside [{}, {}]", i, below, above);
         }
     }
 
@@ -136,8 +160,10 @@ fn regression_single_point_curve_roundtrips_exactly() {
     assert_eq!(back.len(), 1);
     assert_eq!(back.points()[0].qos, 95.83474401824101);
     assert_eq!(back.points()[0].perf, 1.0);
-    // The point also survives the query paths.
-    assert!(curve.config_for_speedup(1.0).is_some());
+    // The point also survives the query path: a one-point curve is
+    // selectable.
+    let mut tuner = RuntimeTuner::new(curve, Policy::EnforceEachInvocation, 1, 1.0, 0);
+    assert!(tuner.adapt_to(1.5).is_some());
 }
 
 mod runtime_tuner {
