@@ -14,11 +14,10 @@
 //!   counter in `tests/skipwork.rs`).
 //!
 //! Sizing is env-tunable so CI can smoke-run it in seconds:
-//! `AT_BENCH_DIM` caps the largest matmul dimension (default 512),
-//! `AT_BENCH_REPS` the repetitions per measurement (default 7, best-of);
-//! the legacy `AT_KERNELS_*` names still work as aliases (see
-//! [`crate::env`]).
+//! `AT_BENCH_DIM` caps the largest matmul dimension, `AT_BENCH_REPS` the
+//! repetitions per measurement (best-of).
 
+use crate::env::Sizing;
 use crate::report;
 use at_tensor::ops::conv::Conv2dParams;
 use at_tensor::ops::{conv2d, matmul_ex, reference};
@@ -215,8 +214,8 @@ fn bench_conv(input: Shape, weight: Shape, reps: usize) -> ConvRow {
     }
 }
 
-/// Builds the full artifact (separated from [`run`] so the schema test can
-/// validate a freshly built small artifact without touching the filesystem).
+/// Builds the full artifact (separated from `run` so the schema test can
+/// validate a freshly built small artifact).
 pub fn build_artifact(max_dim: usize, reps: usize) -> Artifact {
     let dims: Vec<usize> = [128usize, 256, 512]
         .iter()
@@ -263,15 +262,9 @@ pub fn build_artifact(max_dim: usize, reps: usize) -> Artifact {
     }
 }
 
-/// Encodes an artifact as a JSON value tree (for validation in tests).
-pub fn artifact_value(artifact: &Artifact) -> serde::Value {
-    serde_json::to_value(artifact)
-}
-
-/// Runs the benchmark and writes `BENCH_kernels.json`.
-pub fn run() {
-    let max_dim = crate::env::usize_var("AT_BENCH_DIM", &["AT_KERNELS_DIM"], 512);
-    let reps = crate::env::usize_var("AT_BENCH_REPS", &["AT_KERNELS_REPS"], 7);
+/// The `bench_kernels` experiment, writer of `BENCH_kernels.json`.
+pub(crate) fn run(sizing: &Sizing) -> report::Artifact {
+    let (max_dim, reps) = (sizing.kernel_dim, sizing.kernel_reps);
     eprintln!("[kernels] max dim {max_dim}, {reps} reps (best-of)");
     let artifact = build_artifact(max_dim, reps);
 
@@ -302,7 +295,7 @@ pub fn run() {
         report::fx(artifact.headline_matmul_speedup),
         report::fx(artifact.headline_perforation_speedup),
     );
-    report::write_bench_json("kernels", &artifact);
+    report::Artifact::bench("kernels", &artifact)
 }
 
 #[cfg(test)]
@@ -319,7 +312,7 @@ mod tests {
             assert!(r.naive_s > 0.0 && r.exact_s > 0.0);
             assert_eq!(r.knobs.len(), 4);
         }
-        let tree = envelope(artifact_value(&a));
+        let tree = envelope(serde_json::to_value(&a));
         validate_artifact(&tree).expect("fresh kernels artifact must conform");
         let pairs = tree.as_object().unwrap();
         assert!(

@@ -7,8 +7,9 @@
 //! model Π2 is applied: the Canny output set depends on the CNN's routing
 //! decisions, so Π1's equal-shape ΔT requirement does not hold (§7.6 / §8).
 
-use at_bench::harness::{geomean, Sizing};
-use at_bench::report::{fx, Table};
+use crate::env::Sizing;
+use crate::harness::geomean;
+use crate::report::{fx, Artifact, Table};
 use at_core::config::{single_op_configs, Config};
 use at_core::install::EdgeDevice;
 use at_core::knobs::{KnobId, KnobSet};
@@ -18,12 +19,8 @@ use at_imgproc::combined::CombinedApp;
 use at_models::data::build_dataset;
 use at_models::ModelScale;
 
-struct It {
-    config: Config,
-}
-
-fn main() {
-    let sizing = Sizing::from_env();
+/// The `fig7` experiment.
+pub(crate) fn run(sizing: &Sizing) -> Artifact {
     let device = EdgeDevice::tx2();
     let mut app = CombinedApp::new(ModelScale::Tiny).expect("combined app builds");
     let ds = build_dataset(&app.cnn, sizing.samples.min(48), sizing.batch, 0xF16);
@@ -44,15 +41,10 @@ fn main() {
     // --- Π2-style joint profiles: (Δacc, Δmse) per (graph node, knob). ---
     eprintln!("[fig7] collecting joint profiles …");
     let n_cnn = app.cnn.graph.len();
-    let mut pairs: Vec<(usize, KnobId)> = Vec::new();
-    for (node, knob) in
-        single_op_configs(&app.cnn.graph, &app.registry, KnobSet::HardwareIndependent)
-    {
-        pairs.push((node, knob));
-    }
-    for (node, knob) in single_op_configs(&app.canny, &app.registry, KnobSet::HardwareIndependent) {
-        pairs.push((n_cnn + node, knob));
-    }
+    let set = KnobSet::HardwareIndependent;
+    let mut pairs = single_op_configs(&app.cnn.graph, &app.registry, set);
+    let canny_pairs = single_op_configs(&app.canny, &app.registry, set);
+    pairs.extend(canny_pairs.into_iter().map(|(n, k)| (n_cnn + n, k)));
     let mse_of = |psnr: f64| 10f64.powf(-psnr / 10.0);
     let mut dacc = vec![0.0f64; pairs.len()];
     let mut dmse = vec![0.0f64; pairs.len()];
@@ -72,34 +64,18 @@ fn main() {
     let cnn_perf = PerfModel::new(&app.cnn.graph, &app.registry, ds.batches[0].shape()).unwrap();
     let canny_input = at_tensor::Shape::nchw(1, 1, 32, 32);
     let canny_perf = PerfModel::new(&app.canny, &app.registry, canny_input).unwrap();
-    let split = |c: &Config| {
-        (
-            Config::from_knobs(c.knobs()[..n_cnn].to_vec()),
-            Config::from_knobs(c.knobs()[n_cnn..].to_vec()),
-        )
+    let joint = |c: &Config, cost: &dyn Fn(&PerfModel, &Config) -> f64| {
+        cost(&cnn_perf, &Config::from_knobs(c.knobs()[..n_cnn].to_vec()))
+            + cost(
+                &canny_perf,
+                &Config::from_knobs(c.knobs()[n_cnn..].to_vec()),
+            )
     };
-    let speedup = |c: &Config| {
-        let (cc, kc) = split(c);
-        let base = cnn_perf.predicted_cost(&Config::baseline(&app.cnn.graph))
-            + canny_perf.predicted_cost(&Config::baseline(&app.canny));
-        let cost = cnn_perf.predicted_cost(&cc) + canny_perf.predicted_cost(&kc);
-        base / cost.max(1e-12)
-    };
-    let device_speedup = |c: &Config| {
-        let (cc, kc) = split(c);
-        let base = cnn_perf.device_time(
-            &Config::baseline(&app.cnn.graph),
-            &device.timing,
-            &device.promise,
-        ) + canny_perf.device_time(
-            &Config::baseline(&app.canny),
-            &device.timing,
-            &device.promise,
-        );
-        let t = cnn_perf.device_time(&cc, &device.timing, &device.promise)
-            + canny_perf.device_time(&kc, &device.timing, &device.promise);
-        base / t.max(1e-30)
-    };
+    let predicted = |m: &PerfModel, c: &Config| m.predicted_cost(c);
+    let on_device = |m: &PerfModel, c: &Config| m.device_time(c, &device.timing, &device.promise);
+    let (base_cost, base_time) = (joint(&base_cfg, &predicted), joint(&base_cfg, &on_device));
+    let speedup = |c: &Config| base_cost / joint(c, &predicted).max(1e-12);
+    let device_speedup = |c: &Config| base_time / joint(c, &on_device).max(1e-30);
 
     // --- The 3×3 grid. ---
     let acc_drops = [1.0, 2.0, 3.0];
@@ -130,17 +106,16 @@ fn main() {
             }
             let mut pending: Vec<Config> = vec![base_cfg.clone(), fp16_cfg];
             loop {
-                let it_config = if let Some(c) = pending.pop() {
+                let config = if let Some(c) = pending.pop() {
                     c
                 } else if tuner.continue_tuning() {
                     tuner.next_config().config
                 } else {
                     break;
                 };
-                let it = It { config: it_config };
                 let mut pa = acc_base;
                 let mut pm = 0.0f64;
-                for (node, &k) in it.config.knobs().iter().enumerate() {
+                for (node, &k) in config.knobs().iter().enumerate() {
                     if k == KnobId::BASELINE {
                         continue;
                     }
@@ -152,17 +127,17 @@ fn main() {
                 let ppsnr = if pm <= 0.0 { 150.0 } else { -10.0 * pm.log10() };
                 let margin = CombinedApp::margin(pa, ppsnr, acc_min, psnr_min);
                 let fitness = if margin >= 0.0 {
-                    speedup(&it.config)
+                    speedup(&config)
                 } else {
                     margin
                 };
                 if margin >= 0.0 {
-                    candidates.push(it.config.clone());
+                    candidates.push(config.clone());
                 }
-                tuner.report(&it.config, fitness);
+                tuner.report(&config, fitness);
             }
             // Validate the most promising candidates for real.
-            candidates.sort_by(|a, b| speedup(b).partial_cmp(&speedup(a)).unwrap());
+            candidates.sort_by(|a, b| speedup(b).total_cmp(&speedup(a)));
             candidates.dedup();
             let mut best = 1.0f64;
             for c in candidates.iter().take(12) {
@@ -182,9 +157,7 @@ fn main() {
         }
         table.row(row);
     }
-    println!("Figure 7: combined CNN+Canny speedups over (accuracy, PSNR) thresholds");
-    println!("(speedup grows as either threshold is relaxed)\n");
     table.print();
     println!("\nGeomean over the grid: {}", fx(geomean(&all)));
-    at_bench::report::write_json("fig7", &json);
+    Artifact::results("fig7", &json)
 }

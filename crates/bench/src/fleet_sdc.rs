@@ -1,5 +1,5 @@
-//! Silent-data-corruption campaign — the body of the `fleet_sdc` binary
-//! and the writer of `BENCH_sdc.json`.
+//! Silent-data-corruption campaign — the `fleet_sdc` experiment and the
+//! writer of `BENCH_sdc.json`.
 //!
 //! Three experiments in one artifact:
 //!
@@ -18,28 +18,21 @@
 //!    unprotected kernel at `AT_BENCH_ABFT_DIM`³ (default 512³), plus a
 //!    bit-identity check of the protected output — the checksums must
 //!    cost ≤ 10% and change nothing.
-//! 3. **Fleet campaign**: the `serve_fleet` roster run under a sweep of
-//!    bit-flip windows — a clean baseline, two protected campaigns at
-//!    increasing flip rates, and a *stealth* phase whose flips land below
-//!    the modelled detection floor so escapes stay measurable. Detected
-//!    results never feed the QoS guard's residual window, so guard
-//!    quarantine convictions must not grow with the flip rate; every
-//!    phase must keep `requests_unaccounted = 0`, and the chaotic report
-//!    must be bit-identical across rayon thread counts.
-//!
-//! Environment: `AT_BENCH_REQUESTS` (default 1,200,000),
-//! `AT_BENCH_REPLICAS` (default 8), `AT_BENCH_SEED` (default 7),
-//! `AT_BENCH_SDC_TRIALS` (kernel injections per target/bit, default 8),
-//! `AT_BENCH_ABFT_DIM` (overhead GEMM dimension, default 512).
+//! 3. **Fleet campaign**: the [`FleetStorm`] roster on a steady device
+//!    under a sweep of bit-flip windows — a clean baseline, two protected
+//!    campaigns at increasing flip rates, and a *stealth* phase whose flips
+//!    land below the modelled detection floor so escapes stay measurable.
+//!    Detected results never feed the QoS guard's residual window, so guard
+//!    quarantine convictions must not grow with the flip rate; every phase
+//!    must keep `requests_unaccounted = 0`, and the chaotic report must be
+//!    bit-identical across rayon thread counts.
 
-use crate::report::{
-    bit_identical_across_threads, fx, pct, write_bench_json, Table, RESULTS_SCHEMA_VERSION,
-};
-use crate::serve_fleet::{executors, roster, LIAR};
+use crate::env::Sizing;
+use crate::fleet_storm::{FleetStorm, LIAR};
+use crate::report::{fx, pct, Artifact, Table};
 use at_core::chaos::{ChaosPlan, FlipTarget};
-use at_core::fleet::{run_fleet, FleetParams, FleetReport, RouterPolicy, SdcParams};
-use at_core::serve::{RequestExecutor, ServeParams};
-use at_hw::{DisturbedDevice, FrequencyLadder, Scenario};
+use at_core::fleet::{FleetReport, RouterPolicy, SdcParams};
+use at_hw::{FrequencyLadder, Scenario};
 use at_tensor::ops::gemm::{gemm_f32, Epilogue};
 use at_tensor::ops::{flip_bit, gemm_f32_abft, verify_gemm_f32, AbftTol};
 
@@ -54,7 +47,7 @@ use at_tensor::ops::{flip_bit, gemm_f32_abft, verify_gemm_f32, AbftTol};
 /// either detected or proven (against f64 ground truth) to perturb each
 /// output column by less than twice its checksum limit.
 #[derive(serde::Serialize)]
-pub(crate) struct KernelStats {
+struct KernelStats {
     /// GEMM shape used for injection, `MxKxN`.
     dims: String,
     /// Total flips injected (targets × bits 16..32 × trials).
@@ -79,7 +72,7 @@ pub(crate) struct KernelStats {
 
 /// ABFT wall-clock overhead at the benchmark dimension.
 #[derive(serde::Serialize)]
-pub(crate) struct OverheadStats {
+struct OverheadStats {
     /// Cubic GEMM dimension.
     dim: usize,
     /// Best-of-three unprotected GEMM time, milliseconds.
@@ -94,7 +87,7 @@ pub(crate) struct OverheadStats {
 
 /// One phase of the fleet flip-rate sweep.
 #[derive(serde::Serialize)]
-pub(crate) struct PhaseStats {
+struct PhaseStats {
     phase: String,
     /// Per-request flip probability inside active windows.
     flip_rate: f64,
@@ -126,17 +119,9 @@ pub(crate) struct PhaseStats {
     sim_rps: f64,
 }
 
-/// The whole `BENCH_sdc.json` artifact.
+/// What `BENCH_sdc.json` holds after the fleet header.
 #[derive(serde::Serialize)]
-pub struct Artifact {
-    schema_version: u32,
-    bench: String,
-    replicas: usize,
-    tenant_models: Vec<String>,
-    requests_target: usize,
-    seed: u64,
-    scenario: String,
-    horizon_s: f64,
+pub struct Body {
     /// Kernel-level injection coverage.
     kernel: KernelStats,
     /// ABFT wall-clock cost.
@@ -153,7 +138,7 @@ pub struct Artifact {
     /// injected corruption leaked into the guard's residual evidence and
     /// convicted an honest curve point.
     honest_convictions_over_baseline: usize,
-    /// Campaign accounting gap; the bin refuses to ship non-zero.
+    /// Campaign accounting gap; the experiment refuses to ship non-zero.
     requests_unaccounted: usize,
     /// 1-thread vs 8-thread campaign reports compared byte-for-byte.
     bit_identical_across_threads: bool,
@@ -229,7 +214,7 @@ fn escape_is_bounded(
 
 /// Injects `trials` flips per (target, bit ≥ 16) pair into a small GEMM
 /// and counts checksum detections against the golden operands.
-pub(crate) fn kernel_campaign(seed: u64, trials: usize) -> KernelStats {
+fn kernel_campaign(seed: u64, trials: usize) -> KernelStats {
     let (m, k, n) = (24, 40, 28);
     let tol = AbftTol::exact(m, k, n);
     let a = unit_stream(seed ^ 0xA0, m * k);
@@ -304,7 +289,7 @@ pub(crate) fn kernel_campaign(seed: u64, trials: usize) -> KernelStats {
 
 /// Times the unprotected vs checksummed GEMM at `dim`³ (best of three)
 /// and checks the protected output is bit-identical.
-pub(crate) fn overhead_campaign(seed: u64, dim: usize) -> OverheadStats {
+fn overhead_campaign(seed: u64, dim: usize) -> OverheadStats {
     let (m, k, n) = (dim, dim, dim);
     let a = unit_stream(seed ^ 0xA1, m * k);
     let b = unit_stream(seed ^ 0xB1, k * n);
@@ -344,8 +329,7 @@ fn phase_stats(
     phase: &str,
     flip_rate: f64,
     min_bit: u32,
-    report: &FleetReport,
-    wall_s: f64,
+    (report, wall_s, sim_rps): (FleetReport, f64, f64),
 ) -> PhaseStats {
     PhaseStats {
         phase: phase.to_string(),
@@ -374,24 +358,15 @@ fn phase_stats(
         requests_unaccounted: report.requests_unaccounted,
         mean_latency_ms: 1e3 * report.mean_latency_s,
         wall_s,
-        sim_rps: if wall_s > 0.0 {
-            report.arrivals as f64 / wall_s
-        } else {
-            0.0
-        },
+        sim_rps,
     }
 }
 
-/// Builds the artifact: kernel coverage, ABFT overhead, and the fleet
-/// flip-rate sweep. Exposed (sized-down) to the schema corpus test.
-pub fn build_artifact(
-    requests_target: usize,
-    replicas: usize,
-    seed: u64,
-    trials: usize,
-    abft_dim: usize,
-) -> Artifact {
-    let kernel = kernel_campaign(seed, trials);
+/// Runs the kernel coverage and ABFT overhead campaigns at `sizing`'s
+/// trial count and GEMM dimension, then the fleet flip-rate sweep.
+pub fn build(storm: &FleetStorm, sizing: &Sizing) -> Body {
+    let (seed, replicas, horizon_s) = (storm.seed, storm.replicas, storm.horizon_s);
+    let kernel = kernel_campaign(seed, sizing.sdc_trials);
     println!(
         "kernel: {}/{} flips detected ({}), {} bounded + {} material escapes \
          (coverage {}) over {} GEMM, clean false alarms {}",
@@ -404,7 +379,7 @@ pub fn build_artifact(
         kernel.dims,
         kernel.clean_false_alarms
     );
-    let overhead = overhead_campaign(seed, abft_dim);
+    let overhead = overhead_campaign(seed, sizing.abft_dim);
     println!(
         "abft overhead @ {}^3: plain {:.1}ms, abft {:.1}ms ({} overhead, outputs {})",
         overhead.dim,
@@ -418,19 +393,6 @@ pub fn build_artifact(
         }
     );
 
-    let rate_scale = replicas as f64 / 8.0;
-    let total_rate = 216.0 * rate_scale;
-    let horizon_s = (requests_target as f64 / total_rate).max(1.0);
-    let tenants = roster(horizon_s, rate_scale, seed);
-    let execs = executors();
-    let exec_refs: Vec<&dyn RequestExecutor> =
-        execs.iter().map(|e| e as &dyn RequestExecutor).collect();
-    let device = DisturbedDevice::tx2(Scenario::new(
-        "steady",
-        FrequencyLadder::tx2_gpu(),
-        usize::MAX / 2,
-        0,
-    ));
     let floor = SdcParams::default().detect_bit_floor;
     // (name, rate, min_bit): baseline → two protected campaigns → a
     // stealth phase whose flips land below the modelled detection floor.
@@ -454,22 +416,7 @@ pub fn build_artifact(
             )
         }
     };
-    let params_for = |chaos: &ChaosPlan| FleetParams {
-        replicas,
-        policy: RouterPolicy::PowerOfTwoChoices,
-        serve: ServeParams {
-            deadline_s: 0.25,
-            queue_cap: 16,
-            drain_fraction: 0.2,
-            seed,
-            ..ServeParams::default()
-        },
-        horizon_s,
-        steal: true,
-        route_seed: seed ^ 0xF1EE,
-        chaos: chaos.clone(),
-        ..FleetParams::default()
-    };
+    let policy = RouterPolicy::PowerOfTwoChoices;
 
     let mut table = Table::new(&[
         "phase", "rate", "arrivals", "on-time", "detect", "reexec", "escape", "eject", "quar",
@@ -477,11 +424,8 @@ pub fn build_artifact(
     ]);
     let mut phases = Vec::new();
     for (name, rate, min_bit) in sweep {
-        let chaos = plan_for(rate, min_bit);
-        let t0 = std::time::Instant::now();
-        let report = run_fleet(&tenants, &exec_refs, &device, &params_for(&chaos));
-        let wall_s = t0.elapsed().as_secs_f64();
-        let stats = phase_stats(name, rate, min_bit, &report, wall_s);
+        let run = storm.run(policy, &plan_for(rate, min_bit));
+        let stats = phase_stats(name, rate, min_bit, run);
         table.row(vec![
             stats.phase.clone(),
             format!("{:.0}%", 100.0 * rate),
@@ -500,20 +444,6 @@ pub fn build_artifact(
         phases.push(stats);
     }
     table.print();
-
-    // Determinism self-check on the heaviest protected campaign.
-    let chaos_again = plan_for(sweep[2].1, sweep[2].2);
-    let bit_identical = bit_identical_across_threads(|| {
-        run_fleet(&tenants, &exec_refs, &device, &params_for(&chaos_again)).to_json()
-    });
-    println!(
-        "determinism: 1-thread vs 8-thread campaign reports {}",
-        if bit_identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
 
     // Fleet-level detection coverage over the phases whose flips all land
     // at or above the modelled floor (the stealth phase measures escapes).
@@ -534,15 +464,7 @@ pub fn build_artifact(
         .map(|p| p.quarantined_points_honest)
         .max()
         .unwrap_or(0);
-    Artifact {
-        schema_version: RESULTS_SCHEMA_VERSION,
-        bench: "fleet_sdc".to_string(),
-        replicas,
-        tenant_models: tenants.iter().map(|t| t.name.clone()).collect(),
-        requests_target,
-        seed,
-        scenario: device.scenario().name().to_string(),
-        horizon_s,
+    Body {
         kernel,
         overhead,
         fleet_detection_pct,
@@ -550,29 +472,24 @@ pub fn build_artifact(
         availability_drop_pct: phases[0].on_time_pct - phases[2].on_time_pct,
         honest_convictions_over_baseline: campaign_q_max.saturating_sub(baseline_q),
         requests_unaccounted: phases.iter().map(|p| p.requests_unaccounted).sum(),
-        bit_identical_across_threads: bit_identical,
+        // Determinism self-check on the heaviest protected campaign.
+        bit_identical_across_threads: storm
+            .bit_identical_across_threads(policy, &plan_for(sweep[2].1, sweep[2].2)),
         phases,
     }
 }
 
-/// Serialises an artifact for validation in tests.
-pub fn artifact_value(artifact: &Artifact) -> serde::Value {
-    serde_json::to_value(artifact)
+/// The campaign's fixture: the fleet roster on an undisturbed device, so
+/// every anomaly in the sweep is an injected flip.
+pub fn storm(sizing: &Sizing) -> FleetStorm {
+    let steady = Scenario::new("steady", FrequencyLadder::tx2_gpu(), usize::MAX / 2, 0);
+    FleetStorm::new(sizing, steady)
 }
 
-/// Entry point of the `fleet_sdc` binary.
-pub fn run() {
-    let requests =
-        crate::env::usize_var("AT_BENCH_REQUESTS", &["AT_FLEET_REQUESTS"], 1_200_000).max(1);
-    let replicas = crate::env::usize_var("AT_BENCH_REPLICAS", &["AT_FLEET_REPLICAS"], 8).max(1);
-    let seed = crate::env::u64_var("AT_BENCH_SEED", &["AT_FLEET_SEED"], 7);
-    let trials = crate::env::usize_var("AT_BENCH_SDC_TRIALS", &[], 8).max(1);
-    let abft_dim = crate::env::usize_var("AT_BENCH_ABFT_DIM", &[], 512).max(16);
-    println!(
-        "fleet_sdc: {replicas} replicas × 6 tenants, target {requests} requests, seed {seed}, \
-         {trials} kernel trials, abft dim {abft_dim}"
-    );
-    let artifact = build_artifact(requests, replicas, seed, trials, abft_dim);
+/// The `fleet_sdc` experiment.
+pub(crate) fn run(sizing: &Sizing) -> Artifact {
+    let storm = storm(sizing);
+    let artifact = build(&storm, sizing);
     assert!(
         artifact.kernel.covered_pct >= 99.0,
         "kernel fault coverage {:.2}% below the 99% bar",
@@ -623,7 +540,5 @@ pub fn run() {
         pct(artifact.availability_pct),
         pct(artifact.availability_drop_pct)
     );
-    if !write_bench_json("sdc", &artifact) {
-        std::process::exit(1);
-    }
+    Artifact::bench("sdc", &storm.artifact("fleet_sdc", &artifact))
 }

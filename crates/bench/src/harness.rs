@@ -1,48 +1,28 @@
-//! Shared experiment setup: benchmarks, datasets, profiles and tuning runs.
+//! Shared experiment setup: a prepared benchmark (model, datasets, cached
+//! profiles and baselines, tuning and evaluation runs) and the
+//! per-benchmark `sweep` the paper's tables and figures are rows of.
 
+use crate::env::Sizing;
+use at_core::empirical::EmpiricalTuner;
+use at_core::install::EdgeDevice;
 use at_core::knobs::{KnobRegistry, KnobSet};
+use at_core::perf::PerfModel;
 use at_core::predict::PredictionModel;
-use at_core::profile::{collect_profiles, QosProfiles};
+use at_core::profile::{collect_profiles, measure_config, QosProfiles};
 use at_core::qos::{QosMetric, QosReference};
+use at_core::ship::{graph_fingerprint, weights_fingerprint};
 use at_core::tuner::{PredictiveTuner, TunerParams, TuningResult};
+use at_core::{Config, TradeoffCurve};
 use at_models::data::{build_dataset, Dataset};
+use at_models::prune::{prune_filters, PruneReport};
 use at_models::{build, Benchmark, BenchmarkId, ModelScale};
+use serde::Value;
+use std::cell::OnceCell;
+use std::hash::{Hash, Hasher};
 
-/// Harness-wide experiment sizing, controlled by `AT_SAMPLES` / `AT_BATCH`
-/// / `AT_ITERS` / `AT_CONV` environment variables so every figure binary
-/// can be scaled up without recompiling.
-#[derive(Clone, Copy, Debug)]
-pub struct Sizing {
-    /// Total synthetic samples per benchmark (split 50/50 calibration/test,
-    /// as in §6).
-    pub samples: usize,
-    /// Batch size.
-    pub batch: usize,
-    /// Maximum autotuning iterations.
-    pub max_iters: usize,
-    /// Convergence window (iterations without improvement).
-    pub convergence: usize,
-}
-
-impl Sizing {
-    /// Reads the sizing from the environment with quick defaults.
-    pub fn from_env() -> Sizing {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
-        Sizing {
-            samples: get("AT_SAMPLES", 64),
-            batch: get("AT_BATCH", 16),
-            max_iters: get("AT_ITERS", 400),
-            convergence: get("AT_CONV", 150),
-        }
-    }
-}
-
-/// A fully prepared benchmark: graph, calibration/test datasets, registry.
+/// A fully prepared benchmark: graph, calibration/test datasets, registry,
+/// and what is measured at most once per benchmark — the QoS profiles and
+/// the exact baseline's accuracy on either split.
 pub struct Prepared {
     /// The model.
     pub bench: Benchmark,
@@ -52,6 +32,10 @@ pub struct Prepared {
     pub test: Dataset,
     /// The knob registry.
     pub registry: KnobRegistry,
+    sizing: Sizing,
+    profiles: OnceCell<QosProfiles>,
+    baseline_cal: OnceCell<f64>,
+    baseline_test: OnceCell<f64>,
 }
 
 impl Prepared {
@@ -62,7 +46,7 @@ impl Prepared {
     /// When the sizing cannot fill both splits: the samples are cut into
     /// batches of `AT_BATCH` and the batches split 50/50, so fewer than two
     /// batches leaves the calibration split empty.
-    pub fn new(id: BenchmarkId, sizing: Sizing) -> Prepared {
+    pub fn new(id: BenchmarkId, sizing: &Sizing) -> Prepared {
         assert!(
             sizing.batch >= 1 && sizing.samples > sizing.batch,
             "AT_SAMPLES={} with AT_BATCH={} leaves the calibration split empty: the samples \
@@ -79,104 +63,140 @@ impl Prepared {
             cal,
             test,
             registry: KnobRegistry::new(),
+            sizing: sizing.clone(),
+            profiles: OnceCell::new(),
+            baseline_cal: OnceCell::new(),
+            baseline_test: OnceCell::new(),
         }
+    }
+
+    /// The benchmark of a single-model experiment: `AT_BENCH`, else the
+    /// experiment's `default`.
+    pub(crate) fn single(name: &str, sizing: &Sizing, default: BenchmarkId) -> Prepared {
+        let id = sizing.bench.unwrap_or(default);
+        eprintln!("[{name}] preparing {} …", id.name());
+        Prepared::new(id, sizing)
+    }
+
+    /// Magnitude-prunes the model's filters in place and forgets what was
+    /// measured on the unpruned weights.
+    pub(crate) fn prune(&mut self, fraction: f64) -> PruneReport {
+        (self.profiles, self.baseline_cal, self.baseline_test) = Default::default();
+        prune_filters(&mut self.bench.graph, fraction)
+    }
+
+    /// The benchmark's name as the paper's figures render it.
+    pub(crate) fn name(&self) -> &'static str {
+        self.bench.id.name()
+    }
+
+    /// Per-batch input shape, as the performance model wants it.
+    pub(crate) fn input_shape(&self) -> at_tensor::Shape {
+        self.cal.batches[0].shape()
     }
 
     /// QoS reference over the calibration labels.
-    pub fn cal_reference(&self) -> QosReference {
+    pub(crate) fn cal_reference(&self) -> QosReference {
         QosReference::Labels(self.cal.labels.clone())
     }
 
-    /// QoS reference over the test labels.
-    pub fn test_reference(&self) -> QosReference {
-        QosReference::Labels(self.test.labels.clone())
+    /// Measured accuracy (%) of a configuration on one of the splits.
+    pub(crate) fn accuracy(&self, config: &Config, split: &Dataset) -> f64 {
+        measure_config(
+            &self.bench.graph,
+            &self.registry,
+            config,
+            &split.batches,
+            QosMetric::Accuracy,
+            &QosReference::Labels(split.labels.clone()),
+            0,
+        )
+        .expect("the model runs on its own dataset")
     }
 
-    /// Measured baseline accuracy on the calibration split.
+    /// Exact-baseline accuracy on the calibration split, measured once.
     pub fn baseline_cal_accuracy(&self) -> f64 {
-        let reference = self.cal_reference();
-        at_core::profile::measure_config(
-            &self.bench.graph,
-            &self.registry,
-            &at_core::Config::baseline(&self.bench.graph),
-            &self.cal.batches,
-            QosMetric::Accuracy,
-            &reference,
-            0,
-        )
-        .expect("baseline runs")
+        *self
+            .baseline_cal
+            .get_or_init(|| self.accuracy(&Config::baseline(&self.bench.graph), &self.cal))
     }
 
-    /// Collects (or loads from the on-disk cache) the QoS profiles for a
-    /// knob set. Tensor (Π1) profiles are always collected so a single
-    /// cache entry serves both predictors.
-    pub fn profiles(&self, set: KnobSet) -> QosProfiles {
-        let tag = match set {
-            KnobSet::HardwareIndependent => "hwi",
-            KnobSet::WithHardware => "hw",
-        };
-        let dir = std::path::Path::new("target/at-profile-cache");
-        let path = dir.join(format!(
-            "{}-{}-{}x{}.json",
-            self.bench.id.name(),
-            tag,
-            self.cal.len(),
-            self.cal.classes,
-        ));
-        if let Ok(s) = std::fs::read_to_string(&path) {
-            if let Ok(p) = serde_json::from_str::<CachedProfiles>(&s) {
-                return p.into();
+    /// Exact-baseline accuracy on the test split, measured once.
+    pub(crate) fn baseline_test_accuracy(&self) -> f64 {
+        *self
+            .baseline_test
+            .get_or_init(|| self.accuracy(&Config::baseline(&self.bench.graph), &self.test))
+    }
+
+    /// The hardware-independent QoS profiles, collected once per process
+    /// and cached on disk across processes. Tensor (Π1) profiles are always
+    /// collected so a single cache entry serves both predictors. The file
+    /// name carries everything the tables depend on — the calibration
+    /// split's size *and* batching (Π1's `ΔT` is per batch), the graph, its
+    /// weights and the (node, knob) pairs the registry offers — so a stale
+    /// entry is never loaded, only left behind.
+    pub fn profiles(&self) -> &QosProfiles {
+        self.profiles.get_or_init(|| {
+            let (graph, set) = (&self.bench.graph, KnobSet::HardwareIndependent);
+            let mut key = std::collections::hash_map::DefaultHasher::new();
+            (
+                graph_fingerprint(graph),
+                weights_fingerprint(graph),
+                self.registry.node_knobs(graph, set),
+            )
+                .hash(&mut key);
+            let path = std::path::Path::new("target/at-profile-cache").join(format!(
+                "{}-hwi-{}x{}-b{}-{:016x}.json",
+                self.name(),
+                self.cal.len(),
+                self.cal.classes,
+                self.sizing.batch,
+                key.finish(),
+            ));
+            let cached = std::fs::read_to_string(&path).ok();
+            if let Some(p) = cached.and_then(|s| serde_json::from_str(&s).ok()) {
+                return p;
             }
-        }
-        let reference = self.cal_reference();
-        let profiles = collect_profiles(
-            &self.bench.graph,
-            &self.registry,
-            set,
-            &self.cal.batches,
-            QosMetric::Accuracy,
-            &reference,
-            true,
-            0,
-        )
-        .expect("profile collection succeeds");
-        let _ = std::fs::create_dir_all(dir);
-        if let Ok(s) = serde_json::to_string(&CachedProfiles::from(&profiles)) {
-            let _ = std::fs::write(&path, s);
-        }
-        profiles
+            let profiles = collect_profiles(
+                graph,
+                &self.registry,
+                set,
+                &self.cal.batches,
+                QosMetric::Accuracy,
+                &self.cal_reference(),
+                true,
+                0,
+            )
+            .expect("profile collection succeeds");
+            if let (Some(dir), Ok(s)) = (path.parent(), serde_json::to_string(&profiles)) {
+                let _ = std::fs::create_dir_all(dir);
+                let _ = std::fs::write(&path, s);
+            }
+            profiles
+        })
     }
 
     /// Default tuner parameters for a QoS-drop target (percentage points
     /// below the measured calibration baseline).
-    pub fn params(&self, qos_drop: f64, model: PredictionModel, sizing: Sizing) -> TunerParams {
+    pub fn params(&self, qos_drop: f64, model: PredictionModel) -> TunerParams {
         TunerParams {
             qos_min: self.baseline_cal_accuracy() - qos_drop,
             n_calibrate: 10,
-            max_iters: sizing.max_iters,
-            convergence_window: sizing.convergence,
-            max_validated: std::env::var("AT_MAXCFG")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(30),
-            max_shipped: std::env::var("AT_MAXCFG")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(30),
+            max_iters: self.sizing.max_iters,
+            convergence_window: self.sizing.convergence,
+            max_validated: self.sizing.max_cfg,
+            max_shipped: self.sizing.max_cfg,
             knob_set: KnobSet::HardwareIndependent,
             model,
             calibrate: true,
             seed: 0xA99 ^ self.bench.id as u64,
-            batch_size: std::env::var("AT_BATCH_SIZE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(16),
+            batch_size: self.sizing.batch_size,
             robustness: at_core::tuner::RobustnessParams::default(),
         }
     }
 
     /// Runs development-time predictive tuning.
-    pub fn tune(&self, profiles: &QosProfiles, params: &TunerParams) -> TuningResult {
+    pub fn tune(&self, params: &TunerParams) -> TuningResult {
         let reference = self.cal_reference();
         let tuner = PredictiveTuner {
             graph: &self.bench.graph,
@@ -184,128 +204,121 @@ impl Prepared {
             inputs: &self.cal.batches,
             metric: QosMetric::Accuracy,
             reference: &reference,
-            input_shape: self.cal.batches[0].shape(),
+            input_shape: self.input_shape(),
             promise_seed: 0,
         };
-        tuner.tune(profiles, params).expect("tuning succeeds")
+        tuner
+            .tune(self.profiles(), params)
+            .expect("tuning succeeds")
     }
-}
 
-/// Serialisable mirror of [`QosProfiles`] for the disk cache.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct CachedProfiles {
-    pairs: Vec<(usize, at_core::knobs::KnobId)>,
-    qos_base: f64,
-    t_base: Vec<at_tensor::Tensor>,
-    dq: Vec<f64>,
-    dt: Vec<Vec<at_tensor::Tensor>>,
-    collection_time_s: f64,
-}
-
-impl From<&QosProfiles> for CachedProfiles {
-    fn from(p: &QosProfiles) -> Self {
-        CachedProfiles {
-            pairs: p.pairs.clone(),
-            qos_base: p.qos_base,
-            t_base: p.t_base.clone(),
-            dq: p.dq.clone(),
-            dt: p.dt.clone(),
-            collection_time_s: p.collection_time_s,
-        }
+    /// Runs conventional empirical tuning: every iteration executes the
+    /// program on the calibration split (the `model` field is ignored).
+    pub(crate) fn tune_empirical(&self, params: &TunerParams) -> TuningResult {
+        let reference = self.cal_reference();
+        let tuner = EmpiricalTuner {
+            graph: &self.bench.graph,
+            registry: &self.registry,
+            inputs: &self.cal.batches,
+            metric: QosMetric::Accuracy,
+            reference: &reference,
+            input_shape: self.input_shape(),
+            promise_seed: 0,
+        };
+        tuner.tune(params).expect("empirical tuning succeeds")
     }
-}
 
-impl From<CachedProfiles> for QosProfiles {
-    fn from(c: CachedProfiles) -> Self {
-        QosProfiles {
-            pairs: c.pairs,
-            qos_base: c.qos_base,
-            t_base: c.t_base,
-            dq: c.dq,
-            dt: c.dt,
-            collection_time_s: c.collection_time_s,
-        }
+    /// The Eqn-3 performance model of the benchmark.
+    pub(crate) fn perf_model(&self) -> PerfModel<'_> {
+        PerfModel::new(&self.bench.graph, &self.registry, self.input_shape()).expect("perf model")
     }
-}
 
-/// A curve point evaluated on the simulated device and the test split.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct Evaluated {
-    /// Device-model speedup over the FP32 baseline.
-    pub speedup: f64,
-    /// Device-model energy-reduction factor.
-    pub energy_reduction: f64,
-    /// Accuracy on the held-out test split (%).
-    pub test_accuracy: f64,
-    /// Accuracy drop vs the test baseline (percentage points).
-    pub test_drop: f64,
-    /// Knob histogram of the selected configuration (Table 3 style).
-    pub histogram: Vec<(String, usize)>,
-}
+    /// Simulated per-batch time of the exact baseline on `device`.
+    pub(crate) fn base_time(&self, device: &EdgeDevice) -> f64 {
+        let baseline = Config::baseline(&self.bench.graph);
+        self.perf_model()
+            .device_time(&baseline, &device.timing, &device.promise)
+    }
 
-impl Prepared {
-    /// Picks the best point of a tradeoff curve under the calibration QoS
-    /// bound, then evaluates it on the device model (`device`) and the test
-    /// split. Returns `None` when no curve point satisfies the bound.
-    pub fn evaluate_best(
+    /// Picks the curve point with the best device speedup under the
+    /// calibration QoS bound, then evaluates it on the device model and the
+    /// test split. Returns `None` when no curve point satisfies the bound.
+    pub(crate) fn evaluate_best(
         &self,
-        curve: &at_core::TradeoffCurve,
+        curve: &TradeoffCurve,
         qos_min: f64,
-        device: &at_core::install::EdgeDevice,
+        device: &EdgeDevice,
     ) -> Option<Evaluated> {
-        let perf = at_core::perf::PerfModel::new(
-            &self.bench.graph,
-            &self.registry,
-            self.cal.batches[0].shape(),
-        )
-        .ok()?;
-        // Best device speedup among constraint-satisfying points.
-        let best = curve
+        let perf = self.perf_model();
+        let (best, speedup) = curve
             .points()
             .iter()
             .filter(|p| p.qos >= qos_min)
-            .max_by(|a, b| {
-                let sa = perf.device_speedup(&a.config, &device.timing, &device.promise);
-                let sb = perf.device_speedup(&b.config, &device.timing, &device.promise);
-                sa.partial_cmp(&sb).unwrap()
-            })?;
-        let speedup = perf.device_speedup(&best.config, &device.timing, &device.promise);
-        let energy_reduction = perf.device_energy_reduction(
-            &best.config,
-            &device.timing,
-            &device.promise,
-            &device.power,
-        );
-        let test_ref = self.test_reference();
-        let test_accuracy = at_core::profile::measure_config(
-            &self.bench.graph,
-            &self.registry,
-            &best.config,
-            &self.test.batches,
-            QosMetric::Accuracy,
-            &test_ref,
-            0,
-        )
-        .ok()?;
-        let base_test = at_core::profile::measure_config(
-            &self.bench.graph,
-            &self.registry,
-            &at_core::Config::baseline(&self.bench.graph),
-            &self.test.batches,
-            QosMetric::Accuracy,
-            &test_ref,
-            0,
-        )
-        .ok()?;
+            .map(|p| {
+                let s = perf.device_speedup(&p.config, &device.timing, &device.promise);
+                (p, s)
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1))?;
         Some(Evaluated {
             speedup,
-            energy_reduction,
-            test_accuracy,
-            test_drop: base_test - test_accuracy,
+            energy_reduction: perf.device_energy_reduction(
+                &best.config,
+                &device.timing,
+                &device.promise,
+                &device.power,
+            ),
+            test_drop: self.baseline_test_accuracy() - self.accuracy(&best.config, &self.test),
             histogram: best
                 .config
                 .coarse_histogram(&self.registry, &self.bench.graph),
         })
+    }
+
+    /// [`Prepared::evaluate_best`]'s device speedup, 1.0 when no point of
+    /// the curve meets the bound.
+    pub(crate) fn best_speedup(&self, curve: &TradeoffCurve, qos_min: f64, on: &EdgeDevice) -> f64 {
+        self.evaluate_best(curve, qos_min, on)
+            .map_or(1.0, |e| e.speedup)
+    }
+}
+
+/// A curve point evaluated on the simulated device and the test split.
+pub(crate) struct Evaluated {
+    /// Device-model speedup over the FP32 baseline.
+    pub(crate) speedup: f64,
+    /// Device-model energy-reduction factor.
+    pub(crate) energy_reduction: f64,
+    /// Accuracy drop vs the test baseline (percentage points).
+    pub(crate) test_drop: f64,
+    /// Knob histogram of the selected configuration (Table 3 style).
+    pub(crate) histogram: Vec<(String, usize)>,
+}
+
+/// Runs `row` once per benchmark of a sweep and concatenates the JSON rows
+/// it returns. The benchmarks are the ones `AT_ONLY` names, else all ten
+/// under `AT_FULL`, else the experiment's `default` subset.
+pub(crate) fn sweep(
+    name: &str,
+    sizing: &Sizing,
+    default: &[BenchmarkId],
+    mut row: impl FnMut(&mut Prepared) -> Vec<Value>,
+) -> Vec<Value> {
+    let mut rows = Vec::new();
+    for id in selected(sizing, default) {
+        eprintln!("[{name}] {} …", id.name());
+        rows.extend(row(&mut Prepared::new(id, sizing)));
+    }
+    rows
+}
+
+fn selected(sizing: &Sizing, default: &[BenchmarkId]) -> Vec<BenchmarkId> {
+    match &sizing.only {
+        Some(names) => BenchmarkId::ALL
+            .into_iter()
+            .filter(|id| names.contains(&id.name().to_lowercase()))
+            .collect(),
+        None if sizing.full => BenchmarkId::ALL.to_vec(),
+        None => default.to_vec(),
     }
 }
 
@@ -321,6 +334,16 @@ pub fn geomean(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    fn sized(samples: usize, batch: usize) -> Sizing {
+        Sizing {
+            samples,
+            batch,
+            max_iters: 30,
+            convergence: 30,
+            ..Sizing::default()
+        }
+    }
+
     #[test]
     fn geomean_of_equal_values() {
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
@@ -331,27 +354,46 @@ mod tests {
     #[test]
     #[should_panic(expected = "AT_SAMPLES=16 with AT_BATCH=16")]
     fn a_sizing_that_empties_the_calibration_split_is_refused_by_name() {
-        let sizing = Sizing {
-            samples: 16,
-            batch: 16,
-            max_iters: 30,
-            convergence: 30,
-        };
-        Prepared::new(BenchmarkId::LeNet, sizing);
+        Prepared::new(BenchmarkId::LeNet, &sized(16, 16));
     }
 
     #[test]
     fn prepared_lenet_smoke() {
-        let sizing = Sizing {
-            samples: 24,
-            batch: 12,
-            max_iters: 30,
-            convergence: 30,
-        };
-        let p = Prepared::new(BenchmarkId::LeNet, sizing);
+        let p = Prepared::new(BenchmarkId::LeNet, &sized(24, 12));
         assert_eq!(p.cal.len(), 12);
         assert_eq!(p.test.len(), 12);
         let acc = p.baseline_cal_accuracy();
         assert!(acc > 50.0, "calibrated baseline accuracy {acc}");
+    }
+
+    /// Both sizings leave 12 calibration samples, so a cache keyed on the
+    /// sample count alone hands the second run the first run's tables:
+    /// one `ΔT` batch of 12 rows for inputs that come as two batches of 6.
+    #[test]
+    fn profile_cache_is_not_reused_across_batch_sizes() {
+        for batch in [12, 6] {
+            let p = Prepared::new(BenchmarkId::LeNet, &sized(24, batch));
+            let profiles = p.profiles();
+            assert_eq!(p.cal.len(), 12);
+            assert_eq!(profiles.t_base.len(), p.cal.batches.len());
+            assert_eq!(profiles.t_base[0].shape().dims()[0], batch);
+            assert!(profiles.dt.iter().all(|dt| dt.len() == p.cal.batches.len()));
+        }
+    }
+
+    #[test]
+    fn sweeps_honour_only_then_full_then_the_default_subset() {
+        let default = [BenchmarkId::LeNet];
+        assert_eq!(selected(&Sizing::default(), &default), default);
+        let full = Sizing {
+            full: true,
+            ..Sizing::default()
+        };
+        assert_eq!(selected(&full, &default), BenchmarkId::ALL);
+        let only = Sizing {
+            only: Some(vec!["alexnet2".to_string()]),
+            ..full
+        };
+        assert_eq!(selected(&only, &default), [BenchmarkId::AlexNet2]);
     }
 }

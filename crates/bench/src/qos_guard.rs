@@ -1,10 +1,10 @@
-//! Trust-but-verify QoS guard under curve miscalibration — the body of the
-//! `qos_guard` binary.
+//! Trust-but-verify QoS guard under curve miscalibration — the `qos_guard`
+//! experiment.
 //!
 //! Tunes a tradeoff curve for the selected benchmark, ships its promises
 //! unchanged, then deploys it on a device where the aggressive (fast) half
 //! of the curve delivers *more* QoS loss than the dev-time calibration
-//! measured: for each severity `s` in the sweep a
+//! measured: for each severity `s` in [`SEVERITIES`] a
 //! [`MiscalibratedExecutor`] delivers `s×` the promised loss (at least two
 //! QoS points per severity unit, so the sweep is meaningful however tight
 //! the tuned curve is). A guarded serving run under sustained overload
@@ -14,15 +14,10 @@
 //! forced case degrades *every* point far below the floor, driving the
 //! exact-fallback safety net. All runs are seeded and deterministic;
 //! reports land in `results/qos_guard.json`.
-//!
-//! Environment: `AT_BENCH` selects the benchmark, `AT_GUARD_SEVERITIES`
-//! the sweep (comma-separated, default `1.0,1.5,2.0,3.0`),
-//! `AT_GUARD_CANARY` the canary fraction (default 0.25), plus the usual
-//! harness sizing variables (`AT_SAMPLES`, `AT_ITERS`, …).
 
-use crate::env;
-use crate::harness::{Prepared, Sizing};
-use crate::report::{pct, Table};
+use crate::env::Sizing;
+use crate::harness::Prepared;
+use crate::report::{pct, Artifact, Table};
 use at_core::guard::{GuardParams, MiscalibratedExecutor};
 use at_core::predict::PredictionModel;
 use at_core::serve::{
@@ -49,7 +44,7 @@ struct SeverityRow {
 
 /// The whole artifact written to `results/qos_guard.json`.
 #[derive(serde::Serialize)]
-struct Artifact {
+struct Report {
     schema_version: u32,
     benchmark: String,
     baseline_time_s: f64,
@@ -62,13 +57,8 @@ struct Artifact {
     forced_fallback: GuardedServeReport,
 }
 
-fn severities_from_env() -> Vec<f64> {
-    std::env::var("AT_GUARD_SEVERITIES")
-        .ok()
-        .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .filter(|v: &Vec<f64>| !v.is_empty())
-        .unwrap_or_else(|| vec![1.0, 1.5, 2.0, 3.0])
-}
+/// The miscalibration sweep; 1.0 is the honest control.
+const SEVERITIES: [f64; 4] = [1.0, 1.5, 2.0, 3.0];
 
 /// The aggressive half of the curve: the faster points, whose promises the
 /// sweep miscalibrates.
@@ -99,38 +89,22 @@ fn delivered_qos(shipped: &TradeoffCurve, baseline_qos: f64, severity: f64) -> V
         .collect()
 }
 
-/// Runs the whole experiment: tune a curve, sweep promise-inflation
+/// The `qos_guard` experiment: tune a curve, sweep promise-inflation
 /// severities through guarded overload serving, force the exact fallback,
-/// print the summary table and write the JSON artifact.
-pub fn run() {
-    let sizing = Sizing::from_env();
-    let id = match std::env::var("AT_BENCH").as_deref() {
-        Ok("alexnet") => BenchmarkId::AlexNetImageNet,
-        Ok("alexnet2") => BenchmarkId::AlexNet2,
-        _ => BenchmarkId::ResNet18,
-    };
-
-    eprintln!("[qos_guard] preparing {} …", id.name());
-    let p = Prepared::new(id, sizing);
-    let profiles = p.profiles(at_core::knobs::KnobSet::HardwareIndependent);
-    let params = p.params(3.0, PredictionModel::Pi1, sizing);
-    let dev_result = p.tune(&profiles, &params);
-    let honest_curve = dev_result.curve.clone();
+/// print the summary table.
+pub(crate) fn run(sizing: &Sizing) -> Artifact {
+    let p = Prepared::single("qos_guard", sizing, BenchmarkId::ResNet18);
+    let honest_curve = p.tune(&p.params(3.0, PredictionModel::Pi1)).curve;
     let baseline_qos = p.baseline_cal_accuracy();
-
-    let device = at_core::install::EdgeDevice::tx2();
-    let perf = at_core::perf::PerfModel::new(&p.bench.graph, &p.registry, p.cal.batches[0].shape())
-        .expect("perf model");
-    let baseline_cfg = at_core::Config::baseline(&p.bench.graph);
-    let base_time = perf.device_time(&baseline_cfg, &device.timing, &device.promise);
+    let base_time = p.base_time(&at_core::install::EdgeDevice::tx2());
     eprintln!(
         "[qos_guard] curve: {} points, baseline {base_time:.4}s, baseline QoS {baseline_qos:.2}",
         honest_curve.len()
     );
 
     // The per-rung QoS the shipped curve promises.
-    let promised_qos: Vec<f64> = honest_curve.points().iter().map(|q| q.qos).collect();
-    let worst_promised = promised_qos.iter().copied().fold(baseline_qos, f64::min);
+    let promised = honest_curve.points().iter().map(|q| q.qos);
+    let worst_promised = promised.fold(baseline_qos, f64::min);
 
     // Sustained 2× overload keeps the ladder on the aggressive rungs so
     // canaries reach every lie; all control timescales scale with the
@@ -164,7 +138,7 @@ pub fn run() {
     // breaches come from delivered drift, never from honest points
     // straddling the floor.
     let qos_floor = worst_promised - 5.0;
-    let canary_fraction = env::f64_var("AT_GUARD_CANARY", &[], 0.25);
+    let canary_fraction = 0.25;
     let guard_params = GuardParams {
         canary_fraction,
         canary_seed: 0xCA9A,
@@ -186,20 +160,14 @@ pub fn run() {
     ]);
     let mut sweep: Vec<SeverityRow> = Vec::new();
     let mut runs: Vec<GuardedServeReport> = Vec::new();
-
-    for severity in severities_from_env() {
-        let delivered = delivered_qos(&honest_curve, baseline_qos, severity);
-        let lying_points = if severity > 1.0 {
-            aggressive_indices(&honest_curve).len()
-        } else {
-            0
-        };
+    // One guarded run on a device whose rungs truly deliver `honest_qos`.
+    let guarded = |honest_qos: Vec<f64>| {
         let exec = MiscalibratedExecutor {
-            honest_qos: delivered.clone(),
+            honest_qos,
             jitter: 0.2,
             seed: 0xB0B,
         };
-        let r = serve_guarded(
+        serve_guarded(
             &honest_curve,
             base_time,
             &quiet,
@@ -207,7 +175,17 @@ pub fn run() {
             &exec,
             &serve_params,
             &guard_params,
-        );
+        )
+    };
+
+    for severity in SEVERITIES {
+        let delivered = delivered_qos(&honest_curve, baseline_qos, severity);
+        let lying_points = if severity > 1.0 {
+            aggressive_indices(&honest_curve).len()
+        } else {
+            0
+        };
+        let r = guarded(delivered.clone());
         let max_repair_error = r
             .guard
             .quarantined
@@ -241,20 +219,7 @@ pub fn run() {
     // Forced fallback: every rung truly delivers far below a floor set
     // directly under the baseline, while the promises still claim honesty —
     // quarantine must exhaust the curve and clamp to exact.
-    let forced_exec = MiscalibratedExecutor {
-        honest_qos: promised_qos.iter().map(|_| qos_floor - 10.0).collect(),
-        jitter: 0.2,
-        seed: 0xB0B,
-    };
-    let forced = serve_guarded(
-        &honest_curve,
-        base_time,
-        &quiet,
-        &trace,
-        &forced_exec,
-        &serve_params,
-        &guard_params,
-    );
+    let forced = guarded(vec![qos_floor - 10.0; honest_curve.len()]);
     println!("\nTrust-but-verify QoS guard — curve miscalibration sweep\n");
     table.print();
     println!(
@@ -264,11 +229,11 @@ pub fn run() {
         forced.guard.exact_fallback,
     );
 
-    crate::report::write_json_compact(
+    Artifact::results_compact(
         "qos_guard",
-        &Artifact {
+        &Report {
             schema_version: crate::report::RESULTS_SCHEMA_VERSION,
-            benchmark: id.name().to_string(),
+            benchmark: p.name().to_string(),
             baseline_time_s: base_time,
             baseline_qos,
             curve_points: honest_curve.len(),
@@ -278,5 +243,5 @@ pub fn run() {
             runs,
             forced_fallback: forced,
         },
-    );
+    )
 }

@@ -88,6 +88,8 @@ pub fn envelope(value: Value) -> Value {
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
+    /// Per column, the factors [`Table::factor_row`] recorded.
+    factors: Vec<Vec<f64>>,
 }
 
 impl Table {
@@ -96,6 +98,7 @@ impl Table {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            factors: vec![Vec::new(); header.len()],
         }
     }
 
@@ -106,11 +109,31 @@ impl Table {
         self
     }
 
-    /// Renders the table.
+    /// Appends a row of `lead` cells followed by `factors`, rendered like
+    /// `2.14x` and remembered per column for the closing `Geo-mean` row.
+    pub(crate) fn factor_row(&mut self, lead: Vec<String>, factors: &[f64]) {
+        for (i, &f) in factors.iter().enumerate() {
+            self.factors[lead.len() + i].push(f);
+        }
+        let cells = lead.into_iter().chain(factors.iter().map(|&f| fx(f)));
+        self.row(cells.collect());
+    }
+
+    /// Renders the table; one with factor columns closes with a `Geo-mean`
+    /// row holding each such column's geometric mean.
     pub(crate) fn render(&self) -> String {
+        let geomeans = self.factors.iter().any(|f| !f.is_empty()).then(|| {
+            let cell = |(i, f): (usize, &Vec<f64>)| match i {
+                0 => "Geo-mean".to_string(),
+                _ if f.is_empty() => String::new(),
+                _ => fx(crate::harness::geomean(f)),
+            };
+            self.factors.iter().enumerate().map(cell).collect()
+        });
+        let rows = || self.rows.iter().chain(&geomeans);
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
+        for row in rows() {
             for (i, c) in row.iter().enumerate() {
                 widths[i] = widths[i].max(c.len());
             }
@@ -126,7 +149,7 @@ impl Table {
         let total: usize = widths.iter().sum::<usize>() + 2 * cols;
         out.push_str(&"-".repeat(total));
         out.push('\n');
-        for row in &self.rows {
+        for row in rows() {
             line(&mut out, row);
         }
         out
@@ -138,24 +161,68 @@ impl Table {
     }
 }
 
-/// Writes a pretty-printed JSON artifact under `results/`.
-pub fn write_json(name: &str, value: &impl serde::Serialize) {
-    write_artifact(&format!("results/{name}.json"), value, true);
+/// What an experiment hands the `repro` driver: the enveloped JSON tree
+/// and where it belongs relative to the working directory.
+pub struct Artifact {
+    relative: String,
+    /// The payload, already wrapped by [`envelope`].
+    pub value: Value,
+    pretty: bool,
 }
 
-/// Writes a compact (single-line) JSON artifact under `results/` — for
-/// artifacts carrying per-invocation traces, where pretty-printing
-/// multiplies the size several-fold.
-pub(crate) fn write_json_compact(name: &str, value: &impl serde::Serialize) {
-    write_artifact(&format!("results/{name}.json"), value, false);
-}
+impl Artifact {
+    fn new(relative: String, value: &impl serde::Serialize, pretty: bool) -> Artifact {
+        Artifact {
+            relative,
+            value: envelope(serde_json::to_value(value)),
+            pretty,
+        }
+    }
 
-/// Writes a perf report as `BENCH_<name>.json` at the repository root
-/// (the bench bins' working directory) — the measurable-perf-trajectory
-/// artifacts CI uploads alongside `results/`. Returns whether the file
-/// was written.
-pub(crate) fn write_bench_json(name: &str, value: &impl serde::Serialize) -> bool {
-    write_artifact(&format!("BENCH_{name}.json"), value, true)
+    /// A pretty-printed artifact under `results/`.
+    pub(crate) fn results(name: &str, value: &impl serde::Serialize) -> Artifact {
+        Artifact::new(format!("results/{name}.json"), value, true)
+    }
+
+    /// A compact (single-line) artifact under `results/` — for artifacts
+    /// carrying per-invocation traces, where pretty-printing multiplies
+    /// the size several-fold.
+    pub(crate) fn results_compact(name: &str, value: &impl serde::Serialize) -> Artifact {
+        Artifact::new(format!("results/{name}.json"), value, false)
+    }
+
+    /// A perf report, `BENCH_<name>.json` at the repository root (the
+    /// driver's working directory) — the measurable-perf-trajectory
+    /// artifacts CI uploads alongside `results/`.
+    pub(crate) fn bench(name: &str, value: &impl serde::Serialize) -> Artifact {
+        Artifact::new(format!("BENCH_{name}.json"), value, true)
+    }
+
+    /// Validates, encodes and writes the artifact; returns whether the file
+    /// was written.
+    pub fn write(&self) -> bool {
+        let path = &artifact_path(&self.relative, crate::env::overridden());
+        if let Some(dir) = path.parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        if let Err(e) = validate_artifact(&self.value) {
+            eprintln!("[results] refusing to write {}: {e}", path.display());
+            return false;
+        }
+        let encoded = if self.pretty {
+            serde_json::to_string_pretty(&self.value)
+        } else {
+            serde_json::to_string(&self.value)
+        };
+        let written = encoded
+            .map_err(|e| e.to_string())
+            .and_then(|s| std::fs::write(path, s).map_err(|e| e.to_string()));
+        match &written {
+            Ok(()) => eprintln!("[results] wrote {}", path.display()),
+            Err(e) => eprintln!("[results] failed to write {}: {e}", path.display()),
+        }
+        written.is_ok()
+    }
 }
 
 /// Where an artifact named `relative` (to the working directory) goes: in
@@ -167,53 +234,6 @@ fn artifact_path(relative: &str, smoke: bool) -> PathBuf {
     } else {
         PathBuf::from(relative)
     }
-}
-
-fn write_artifact(relative: &str, value: &impl serde::Serialize, pretty: bool) -> bool {
-    let path = &artifact_path(relative, crate::env::overridden());
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let tree = envelope(serde_json::to_value(value));
-    if let Err(e) = validate_artifact(&tree) {
-        eprintln!("[results] refusing to write {}: {e}", path.display());
-        return false;
-    }
-    let encoded = if pretty {
-        serde_json::to_string_pretty(&tree)
-    } else {
-        serde_json::to_string(&tree)
-    };
-    match encoded {
-        Ok(s) => {
-            if std::fs::write(path, s).is_ok() {
-                eprintln!("[results] wrote {}", path.display());
-                true
-            } else {
-                eprintln!("[results] failed to write {}", path.display());
-                false
-            }
-        }
-        Err(e) => {
-            eprintln!("[results] failed to serialise {}: {e}", path.display());
-            false
-        }
-    }
-}
-
-/// Runs `render` under a 1-thread rayon pool and again under an 8-thread
-/// pool and reports whether the two outputs are byte-identical. Every fleet
-/// bench uses this as its determinism self-check: the simulated report must
-/// not depend on how many worker threads rayon happens to schedule.
-pub(crate) fn bit_identical_across_threads(render: impl Fn() -> String + Sync) -> bool {
-    let under = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map(|pool| pool.install(&render))
-            .unwrap_or_default()
-    };
-    under(1) == under(8)
 }
 
 /// Formats a factor like `2.14x`.
@@ -239,6 +259,14 @@ mod tests {
         assert!(s.contains("long-name"));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
+
+        // Factor columns close with their geometric mean; others stay blank.
+        let mut t = Table::new(&["name", "seconds", "gain"]);
+        t.factor_row(vec!["a".into(), "0.5".into()], &[1.0]);
+        t.factor_row(vec!["b".into(), "0.7".into()], &[4.0]);
+        let s = t.render();
+        let last: Vec<&str> = s.lines().last().unwrap().split_whitespace().collect();
+        assert_eq!(last, ["Geo-mean", "2.00x"]);
     }
 
     #[test]

@@ -1,28 +1,26 @@
-//! Closed-loop runtime adaptation under injected hardware disturbances
-//! (§5, evaluated in §6.4) — the body of the `runtime_adapt` binary.
+//! Runtime adaptation (§5, evaluated in §6.4): the `runtime_adapt`
+//! closed-loop experiment under injected hardware disturbances, and the
+//! paper's own `fig6` frequency sweep.
 //!
-//! Regenerates the paper's frequency-change adaptation figure with the
+//! `runtime_adapt` regenerates the paper's frequency-change adaptation figure with the
 //! `at_core::closed_loop` driver: a per-invocation time series of sensed
 //! frequency, selected configuration, achieved speedup and QoS, under four
 //! scripted scenarios against the simulated TX2 — the 12-step DVFS sweep,
 //! a thermal-throttling ramp, a brownout plus load spike, and a sensor
 //! dropout. Both control policies run over the same shipped curve; all
 //! traces are deterministic (seeded) and written to
-//! `results/runtime_adapt.json`.
-//!
-//! Environment: `AT_BENCH` selects the benchmark (`resnet18` default,
-//! `alexnet`, `alexnet2`), `AT_WINDOW` the sliding-window length (default
-//! 1 batch, as in the paper), `AT_DWELL` the feedback hysteresis dwell,
-//! plus the usual harness sizing variables (`AT_SAMPLES`, `AT_ITERS`, …).
+//! `results/runtime_adapt.json`. The sliding window is one batch, as in the
+//! paper, and the feedback hysteresis dwells three invocations.
 
-use crate::harness::{Prepared, Sizing};
-use crate::report::Table;
+use crate::env::Sizing;
+use crate::harness::{sweep, Prepared};
+use crate::report::{Artifact, Table};
 use at_core::closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport};
-use at_core::install::EdgeDevice;
-use at_core::perf::PerfModel;
+use at_core::install::{refine_software_only, EdgeDevice, InstallObjective};
 use at_core::predict::PredictionModel;
 use at_core::qos::QosMetric;
-use at_core::runtime::Policy;
+use at_core::runtime::{Policy, RuntimeTuner};
+use at_core::TradeoffCurve;
 use at_hw::{Disturbance, DisturbedDevice, FrequencyLadder, Scenario};
 use at_models::BenchmarkId;
 
@@ -40,7 +38,7 @@ struct SweepStepRow {
 
 /// The whole artifact written to `results/runtime_adapt.json`.
 #[derive(serde::Serialize)]
-struct Artifact {
+struct Report {
     schema_version: u32,
     benchmark: String,
     baseline_time_s: f64,
@@ -91,51 +89,38 @@ fn static_mean_norm(device: &DisturbedDevice, baseline: f64) -> f64 {
         / n.max(1) as f64
 }
 
-/// Runs the whole experiment: tune + refine a curve, replay every scenario
-/// under both policies, print the summary tables and write the JSON
-/// artifact.
-pub fn run() {
-    let sizing = Sizing::from_env();
-    let device = EdgeDevice::tx2();
-    let id = match std::env::var("AT_BENCH").as_deref() {
-        Ok("alexnet") => BenchmarkId::AlexNetImageNet,
-        Ok("alexnet2") => BenchmarkId::AlexNet2,
-        _ => BenchmarkId::ResNet18,
-    };
-    let window = std::env::var("AT_WINDOW")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let min_dwell = std::env::var("AT_DWELL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let batches_per_freq = 20usize;
+/// Batches the DVFS sweeps dwell on each ladder step.
+const BATCHES_PER_FREQ: usize = 20;
 
-    eprintln!("[runtime_adapt] preparing {} …", id.name());
-    let p = Prepared::new(id, sizing);
-    let profiles = p.profiles(at_core::knobs::KnobSet::HardwareIndependent);
-    let params = p.params(3.0, PredictionModel::Pi1, sizing);
-    let dev_result = p.tune(&profiles, &params);
-    let reference = p.cal_reference();
-    let curve = at_core::install::refine_software_only(
+/// Development-time tuning at ΔQoS 3% (Π1), then install-time software-only
+/// refinement: predicted performance is replaced by `device`-measured
+/// speedup.
+fn refined_curve(p: &Prepared, device: &EdgeDevice) -> TradeoffCurve {
+    let params = p.params(3.0, PredictionModel::Pi1);
+    refine_software_only(
         &p.bench.graph,
         &p.registry,
-        &device,
-        at_core::install::InstallObjective::Speedup,
-        &dev_result.curve,
+        device,
+        InstallObjective::Speedup,
+        &p.tune(&params).curve,
         &p.cal.batches,
         QosMetric::Accuracy,
-        &reference,
+        &p.cal_reference(),
         params.qos_min,
-        p.cal.batches[0].shape(),
+        p.input_shape(),
         0,
     )
-    .expect("refinement succeeds");
-    let baseline_qos = p.baseline_cal_accuracy();
+    .expect("refinement succeeds")
+}
 
-    let perf =
-        PerfModel::new(&p.bench.graph, &p.registry, p.cal.batches[0].shape()).expect("perf model");
+/// The `runtime_adapt` experiment: tune + refine a curve, replay every
+/// scenario under both policies, print the summary tables.
+pub(crate) fn run(sizing: &Sizing) -> Artifact {
+    let device = EdgeDevice::tx2();
+    let p = Prepared::single("runtime_adapt", sizing, BenchmarkId::ResNet18);
+    let curve = refined_curve(&p, &device);
+    let baseline_qos = p.baseline_cal_accuracy();
+    let perf = p.perf_model();
     let baseline_cfg = at_core::Config::baseline(&p.bench.graph);
     let base_time = perf.device_time(&baseline_cfg, &device.timing, &device.promise);
     let max_speedup = curve.points().iter().map(|q| q.perf).fold(1.0, f64::max);
@@ -155,7 +140,7 @@ pub fn run() {
         "Breaches",
         "QoS drop (pp)",
     ]);
-    for scenario in scenarios(batches_per_freq) {
+    for scenario in scenarios(BATCHES_PER_FREQ) {
         let disturbed = DisturbedDevice::new(scenario, device.power.clone());
         let static_norm = static_mean_norm(&disturbed, base_time);
         for policy in [Policy::EnforceEachInvocation, Policy::AverageOverTime] {
@@ -165,8 +150,8 @@ pub fn run() {
                 &disturbed,
                 &ClosedLoopParams {
                     policy,
-                    window,
-                    min_dwell,
+                    window: 1,
+                    min_dwell: 3,
                     seed: 7,
                     baseline_qos,
                 },
@@ -198,19 +183,18 @@ pub fn run() {
         "P1 QoS",
         "P2 QoS",
     ]);
-    let roofline_base = base_time;
     for step in 0..ladder.len() {
-        let lo = step * batches_per_freq;
-        let hi = lo + batches_per_freq;
+        let lo = step * BATCHES_PER_FREQ;
+        let hi = lo + BATCHES_PER_FREQ;
         let mean = |rows: &[at_core::closed_loop::TraceRow],
                     f: fn(&at_core::closed_loop::TraceRow) -> f64| {
-            rows[lo..hi].iter().map(f).sum::<f64>() / batches_per_freq as f64
+            rows[lo..hi].iter().map(f).sum::<f64>() / BATCHES_PER_FREQ as f64
         };
         // The roofline static time uses the full timing model at the step's
         // clock: memory-bound layers flatten the slowdown slightly below
         // the compute-bound `f_nominal / f` line.
         let throttled = device.timing.clone().with_frequency_mhz(ladder.at(step));
-        let roofline = perf.device_time(&baseline_cfg, &throttled, &device.promise) / roofline_base;
+        let roofline = perf.device_time(&baseline_cfg, &throttled, &device.promise) / base_time;
         let row = SweepStepRow {
             freq_mhz: ladder.at(step),
             static_norm_time: ladder.slowdown(step),
@@ -232,19 +216,16 @@ pub fn run() {
         sweep_figure.push(row);
     }
 
-    println!(
-        "\nRuntime adaptation ({}): closed loop under injected disturbances\n",
-        id.name()
-    );
+    println!("\n{}: closed loop under injected disturbances\n", p.name());
     summary.print();
     println!("\nDVFS sweep, per frequency step (dynamic stays near 1.0 while QoS degrades):\n");
     fig_table.print();
 
-    crate::report::write_json_compact(
+    Artifact::results_compact(
         "runtime_adapt",
-        &Artifact {
+        &Report {
             schema_version: crate::report::RESULTS_SCHEMA_VERSION,
-            benchmark: id.name().to_string(),
+            benchmark: p.name().to_string(),
             baseline_time_s: base_time,
             baseline_qos,
             curve_points: curve.len(),
@@ -252,5 +233,76 @@ pub fn run() {
             sweep_figure,
             runs,
         },
-    );
+    )
+}
+
+/// Figure 6: for ResNet-18, AlexNet-ImageNet and AlexNet2 the GPU frequency
+/// is swept down the 12-step ladder. Without dynamic approximation the
+/// normalized batch time grows like the slowdown; with the runtime tuner
+/// (`AT_POLICY`, sliding window of one batch) the time stays near 1.0 while
+/// inference accuracy degrades gracefully.
+pub(crate) fn fig6(sizing: &Sizing) -> Artifact {
+    let device = EdgeDevice::tx2();
+    let ladder = FrequencyLadder::tx2_gpu();
+    let default = [
+        BenchmarkId::ResNet18,
+        BenchmarkId::AlexNetImageNet,
+        BenchmarkId::AlexNet2,
+    ];
+    let rows = sweep("fig6", sizing, &default, |p| {
+        let curve = refined_curve(p, &device);
+        if curve.is_empty() {
+            eprintln!("[fig6] {}: empty curve, skipping", p.name());
+            return vec![];
+        }
+        // Test accuracy of every curve point, measured once.
+        let accuracies: Vec<f64> = curve
+            .points()
+            .iter()
+            .map(|pt| p.accuracy(&pt.config, &p.test))
+            .collect();
+        let base_acc = p.baseline_test_accuracy();
+        let base_time = p.base_time(&device);
+
+        let mut table = Table::new(&[
+            "Freq (MHz)",
+            "Static time (norm)",
+            "Dynamic time (norm)",
+            "Accuracy (%)",
+            "Acc drop (pp)",
+        ]);
+        let mut rows = Vec::new();
+        let mut tuner = RuntimeTuner::new(curve, sizing.policy, 1, base_time, 7);
+        for step in 0..ladder.len() {
+            let slowdown = ladder.slowdown(step);
+            let (mut dyn_time, mut acc) = (0.0, 0.0);
+            for _ in 0..BATCHES_PER_FREQ {
+                let t = base_time * slowdown / tuner.current_speedup();
+                dyn_time += t / base_time;
+                acc += tuner
+                    .current_index()
+                    .map_or(base_acc, |idx| accuracies[idx]);
+                tuner.record_invocation(t);
+            }
+            let avg_dyn = dyn_time / BATCHES_PER_FREQ as f64;
+            let avg_acc = acc / BATCHES_PER_FREQ as f64;
+            table.row(vec![
+                format!("{:.0}", ladder.at(step)),
+                format!("{slowdown:.2}"),
+                format!("{avg_dyn:.2}"),
+                format!("{avg_acc:.2}"),
+                format!("{:.2}", base_acc - avg_acc),
+            ]);
+            rows.push(serde_json::json!({
+                "benchmark": p.name(), "freq_mhz": ladder.at(step),
+                "static_norm_time": slowdown, "dynamic_norm_time": avg_dyn,
+                "accuracy": avg_acc, "accuracy_drop": base_acc - avg_acc,
+                "switches": tuner.switches,
+            }));
+        }
+        println!("\n{}:\n", p.name());
+        table.print();
+        rows
+    });
+    Artifact::results("fig6", &rows)
 }

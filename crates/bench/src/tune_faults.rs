@@ -1,24 +1,19 @@
-//! Fault-tolerance sweep over the development-time tuner — the body of the
-//! `tune_faults` binary.
+//! Fault-tolerance sweep over the development-time tuner — the
+//! `tune_faults` experiment.
 //!
 //! Injects deterministic faults (transient errors, panics, stalls,
-//! poisoned QoS/perf readings) into every candidate evaluation at a range
-//! of per-attempt fault rates, and reports how the supervised tuning
+//! poisoned QoS/perf readings) into every candidate evaluation at each of
+//! the per-attempt fault [`RATES`], and reports how the supervised tuning
 //! pipeline holds up: faults absorbed, retries spent, candidates
 //! quarantined or skipped, and how close the final curve stays to the
 //! zero-fault run. Also demonstrates crash recovery: the highest-rate run
 //! is repeated with a checkpoint + forced halt + resume, and the resumed
 //! result is compared bit-for-bit against the uninterrupted one. Results go
 //! to `results/fault_tolerance.json`.
-//!
-//! Environment: `AT_BENCH` selects the benchmark (`lenet` default,
-//! `alexnet`, `alexnet2`, `resnet18`), `AT_FAULT_RATES` a comma-separated
-//! rate list (default `0,0.05,0.1,0.2,0.3`), `AT_FAULT_SEED` the injection
-//! seed, plus the usual harness sizing variables (`AT_SAMPLES`,
-//! `AT_ITERS`, …).
 
-use crate::harness::{Prepared, Sizing};
-use crate::report::{fx, Table};
+use crate::env::Sizing;
+use crate::harness::Prepared;
+use crate::report::{fx, Artifact, Table};
 use at_core::checkpoint::{CheckpointPolicy, SearchCheckpoint};
 use at_core::fault::{FaultMix, FaultPlan};
 use at_core::predict::PredictionModel;
@@ -48,7 +43,7 @@ struct ResumeDemo {
 
 /// The whole artifact written to `results/fault_tolerance.json`.
 #[derive(serde::Serialize)]
-struct Artifact {
+struct Report {
     schema_version: u32,
     benchmark: String,
     qos_min: f64,
@@ -57,13 +52,9 @@ struct Artifact {
     resume: ResumeDemo,
 }
 
-fn rates_from_env() -> Vec<f64> {
-    std::env::var("AT_FAULT_RATES")
-        .ok()
-        .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .filter(|v: &Vec<f64>| !v.is_empty())
-        .unwrap_or_else(|| vec![0.0, 0.05, 0.1, 0.2, 0.3])
-}
+/// Per-attempt fault rates of the sweep; the last (highest) one also runs
+/// the crash-recovery demonstration.
+const RATES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.3];
 
 fn robustness(rate: f64, seed: u64) -> RobustnessParams {
     RobustnessParams {
@@ -85,38 +76,25 @@ fn best_speedup(r: &TuningResult) -> f64 {
     r.curve.points().iter().map(|p| p.perf).fold(1.0, f64::max)
 }
 
-/// Runs the sweep, prints the summary table, writes the JSON artifact.
-pub fn run() {
-    let sizing = Sizing::from_env();
-    let id = match std::env::var("AT_BENCH").as_deref() {
-        Ok("alexnet") => BenchmarkId::AlexNetImageNet,
-        Ok("alexnet2") => BenchmarkId::AlexNet2,
-        Ok("resnet18") => BenchmarkId::ResNet18,
-        _ => BenchmarkId::LeNet,
-    };
-    let fault_seed = std::env::var("AT_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xF417u64);
-    let rates = rates_from_env();
-
-    eprintln!("[tune_faults] preparing {} …", id.name());
-    let p = Prepared::new(id, sizing);
-    let profiles = p.profiles(at_core::knobs::KnobSet::HardwareIndependent);
-    let base_params = p.params(3.0, PredictionModel::Pi1, sizing);
+/// The `tune_faults` experiment: runs the sweep and the crash-recovery
+/// demonstration, prints the summary table.
+pub(crate) fn run(sizing: &Sizing) -> Artifact {
+    let fault_seed = sizing.fault_seed;
+    let p = Prepared::single("tune_faults", sizing, BenchmarkId::LeNet);
+    let base_params = p.params(3.0, PredictionModel::Pi1);
 
     let tune_at = |robust: RobustnessParams| -> TuningResult {
         let params = TunerParams {
             robustness: robust,
             ..base_params.clone()
         };
-        p.tune(&profiles, &params)
+        p.tune(&params)
     };
 
     // The sweep.
     let mut sweep = Vec::new();
     let mut clean_best = 1.0;
-    for &rate in &rates {
+    for rate in RATES {
         eprintln!("[tune_faults] tuning at fault rate {rate} …");
         let r = tune_at(robustness(rate, fault_seed));
         let best = best_speedup(&r);
@@ -136,7 +114,7 @@ pub fn run() {
 
     // Crash recovery at the highest rate: checkpoint, halt mid-search,
     // resume from disk, and compare against the uninterrupted run.
-    let demo_rate = rates.iter().cloned().fold(0.0, f64::max);
+    let demo_rate = RATES[RATES.len() - 1];
     let halt_after = 4usize;
     let ckpt_path = std::path::Path::new("target").join("tune_faults.ckpt.json");
     eprintln!("[tune_faults] crash-recovery demo at rate {demo_rate} …");
@@ -189,9 +167,9 @@ pub fn run() {
         resume_bit_identical
     );
 
-    let artifact = Artifact {
+    let report = Report {
         schema_version: crate::report::RESULTS_SCHEMA_VERSION,
-        benchmark: id.name().to_string(),
+        benchmark: p.name().to_string(),
         qos_min: base_params.qos_min,
         fault_seed,
         sweep,
@@ -201,5 +179,5 @@ pub fn run() {
             resume_bit_identical,
         },
     };
-    crate::report::write_json_compact("fault_tolerance", &artifact);
+    Artifact::results_compact("fault_tolerance", &report)
 }

@@ -55,7 +55,7 @@ pub fn measure_config(
 }
 
 /// The per-(op, knob) QoS profiles of Algorithm 1 (the `Q` and `T` tables).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct QosProfiles {
     /// The profiled (node index, knob) pairs, in collection order.
     pub pairs: Vec<(usize, KnobId)>,
