@@ -1,5 +1,5 @@
 //! Kernel micro-benchmark: wall-clock speed of the tiled/SIMD GEMM and
-//! im2col conv kernels against the frozen naive reference, per knob
+//! implicit-GEMM conv kernels against the frozen naive reference, per knob
 //! family, writing `BENCH_kernels.json` at the repo root.
 //!
 //! Two headline numbers back the fast-kernel claims:
@@ -9,9 +9,9 @@
 //!   the per-`k` output-row read-modify-write traffic, which is worth
 //!   several × even single-threaded);
 //! * k=2 column perforation vs the exact conv on the same shape (skipped
-//!   output columns are pruned from the patch matrix *before* the GEMM,
-//!   so the saving is real executed work, cross-checked by the multiply
-//!   counter in `tests/skipwork.rs`).
+//!   output columns are never staged, so they never reach the GEMM: the
+//!   saving is real executed work, cross-checked by the multiply counter
+//!   in `tests/skipwork.rs`).
 //!
 //! Sizing is env-tunable so CI can smoke-run it in seconds:
 //! `AT_BENCH_DIM` caps the largest matmul dimension, `AT_BENCH_REPS` the
@@ -225,15 +225,19 @@ pub fn build_artifact(max_dim: usize, reps: usize) -> Artifact {
         .collect();
     let matmul: Vec<MatmulRow> = dims.iter().map(|&d| bench_matmul(d, reps)).collect();
 
-    let scale = (max_dim >= 256) as usize;
-    let conv_shapes = if scale == 1 {
-        vec![
+    // First the layer the tuner actually searches — Alexnet2-Tiny's second
+    // convolution at batch 16, where staging and per-call costs weigh as
+    // much as the multiplies — then shapes where the multiplies dominate
+    // (the last one carries the perforation headline).
+    let mut conv_shapes = vec![(Shape::nchw(16, 4, 32, 32), Shape::nchw(4, 4, 3, 3))];
+    if max_dim >= 256 {
+        conv_shapes.extend([
             (Shape::nchw(1, 16, 32, 32), Shape::nchw(32, 16, 3, 3)),
             (Shape::nchw(1, 32, 56, 56), Shape::nchw(64, 32, 3, 3)),
-        ]
+        ]);
     } else {
-        vec![(Shape::nchw(1, 8, 16, 16), Shape::nchw(8, 8, 3, 3))]
-    };
+        conv_shapes.push((Shape::nchw(1, 8, 16, 16), Shape::nchw(8, 8, 3, 3)));
+    }
     let conv: Vec<ConvRow> = conv_shapes
         .iter()
         .map(|&(i, w)| bench_conv(i, w, reps))

@@ -126,22 +126,51 @@ pub(crate) struct QuantizedTensor {
     pub scale: f32,
 }
 
-/// Symmetric per-tensor quantisation: `scale = max|x| / qmax`, round to
-/// nearest, clamp. Deterministic and elementwise (rayon-partition
-/// independent).
+/// A per-tensor symmetric quantiser to signed `bits`-bit magnitudes.
+#[derive(Clone, Copy)]
+pub(crate) struct Symmetric {
+    /// Dequantisation scale.
+    pub scale: f32,
+    inv: f32,
+    qmax: f32,
+}
+
+impl Symmetric {
+    /// `scale = maxabs / qmax` (1 for an all-zero or non-finite tensor).
+    pub(crate) fn fit(maxabs: f32, bits: u8) -> Symmetric {
+        let qmax = ((1i32 << (bits - 1)) - 1) as f32;
+        let scale = if maxabs > 0.0 && maxabs.is_finite() {
+            maxabs / qmax
+        } else {
+            1.0
+        };
+        Symmetric {
+            scale,
+            inv: 1.0 / scale,
+            qmax,
+        }
+    }
+
+    /// Round to nearest, clamp to `[-qmax, qmax]`.
+    #[inline]
+    pub(crate) fn q(&self, x: f32) -> i16 {
+        (x * self.inv).round().clamp(-self.qmax, self.qmax) as i16
+    }
+}
+
+/// `max|x|` as the quantisers see it (NaNs ignored).
+pub(crate) fn max_abs(data: impl Iterator<Item = f32>) -> f32 {
+    data.fold(0.0f32, |m, x| m.max(x.abs()))
+}
+
+/// Symmetric per-tensor quantisation with `scale = max|x| / qmax`.
+/// Deterministic and elementwise (rayon-partition independent).
 pub(crate) fn quantize_symmetric(data: &[f32], bits: u8) -> QuantizedTensor {
-    let qmax = (1i32 << (bits - 1)) - 1;
-    let maxabs = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-    let scale = if maxabs > 0.0 && maxabs.is_finite() {
-        maxabs / qmax as f32
-    } else {
-        1.0
-    };
-    let inv = 1.0 / scale;
-    let q = crate::par::map(data, |x| {
-        (x * inv).round().clamp(-(qmax as f32), qmax as f32) as i16
-    });
-    QuantizedTensor { q, scale }
+    let sym = Symmetric::fit(max_abs(data.iter().copied()), bits);
+    QuantizedTensor {
+        q: crate::par::map(data, |x| sym.q(x)),
+        scale: sym.scale,
+    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ use crate::knobs::{MulApprox, Precision};
 use crate::lut::{self, LutTable};
 use crate::ops::activation::UnaryOp;
 use crate::ops::conv::Conv2dParams;
-use crate::ops::gemm::{self, Epilogue};
+use crate::ops::gemm::{self, Epilogue, Fma, LutMul, MulKernel, Panel, Windows};
 use crate::ops::im2col;
 use crate::tensor::Tensor;
 use crate::Shape;
@@ -107,10 +107,11 @@ pub fn flip_bit(data: &mut [f32], index: usize, bit: u32) {
 /// Column-checksum verification core over `f32` views of the operands.
 /// `c` holds the *raw* (pre-epilogue) accumulators, with the LUT path's
 /// dequantisation already applied (that is how `Epilogue::Raw` stores
-/// them). `b` is laid out in column slabs `pw` wide, each a row-major
-/// `K×pw` block: `pw = n` is plain row-major, `pw = PANEL` the packed panels
-/// the convolution lowering builds. Either way column `j`'s checksum folds
-/// its `K` terms in increasing `k`, so the layout changes no sum.
+/// them). `B` is read through `panels` exactly as a kernel reads it — row
+/// `kk` of a panel is `b[base + row_off[kk]..][..width]` — so a convolution's
+/// checksums fold over the very windows its multiply read, and a row-major
+/// `B` is one panel `n` wide. Either way column `j`'s checksum folds its `K`
+/// terms in increasing `k`, so the addressing changes no sum.
 ///
 /// Checksums accumulate in `f32`, not `f64`. The comparison limit is
 /// sized for the production kernel's own f32 accumulation noise
@@ -122,7 +123,7 @@ pub fn flip_bit(data: &mut [f32], index: usize, bit: u32) {
 /// inside the ≤10% overhead envelope. Only the final comparisons widen
 /// to f64 (they are O(N) and the subtraction must not round away).
 #[allow(clippy::too_many_arguments)]
-fn verify_raw<TA: Copy, TB: Copy>(
+fn verify_raw<'p, TA: Copy, TB: Copy>(
     op: &'static str,
     m: usize,
     k: usize,
@@ -130,7 +131,7 @@ fn verify_raw<TA: Copy, TB: Copy>(
     a: &[TA],
     fa: impl Fn(TA) -> f32,
     b: &[TB],
-    pw: usize,
+    panels: impl Iterator<Item = Panel<'p>>,
     fb: impl Fn(TB) -> f32,
     c: &[f32],
     tol: &AbftTol,
@@ -138,14 +139,14 @@ fn verify_raw<TA: Copy, TB: Copy>(
     // Monomorphise on the magnitude norm: a runtime `tol.l1` branch inside
     // the hot loops defeats the autovectoriser.
     if tol.l1 {
-        verify_raw_impl::<_, _, _, _, true>(op, m, k, n, a, fa, b, pw, fb, c, tol)
+        verify_raw_impl::<_, _, _, _, _, true>(op, m, k, n, a, fa, b, panels, fb, c, tol)
     } else {
-        verify_raw_impl::<_, _, _, _, false>(op, m, k, n, a, fa, b, pw, fb, c, tol)
+        verify_raw_impl::<_, _, _, _, _, false>(op, m, k, n, a, fa, b, panels, fb, c, tol)
     }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn verify_raw_impl<TA: Copy, TB: Copy, FA, FB, const L1: bool>(
+fn verify_raw_impl<'p, TA: Copy, TB: Copy, FA, FB, P, const L1: bool>(
     op: &'static str,
     m: usize,
     k: usize,
@@ -153,7 +154,7 @@ fn verify_raw_impl<TA: Copy, TB: Copy, FA, FB, const L1: bool>(
     a: &[TA],
     fa: FA,
     b: &[TB],
-    pw: usize,
+    panels: P,
     fb: FB,
     c: &[f32],
     tol: &AbftTol,
@@ -161,6 +162,7 @@ fn verify_raw_impl<TA: Copy, TB: Copy, FA, FB, const L1: bool>(
 where
     FA: Fn(TA) -> f32,
     FB: Fn(TB) -> f32,
+    P: Iterator<Item = Panel<'p>>,
 {
     if m == 0 || n == 0 {
         return Ok(());
@@ -204,12 +206,11 @@ where
             *g += sa * sa;
         }
     }
-    let slabs = expected_col
-        .chunks_mut(pw)
-        .zip(magnitude_col.chunks_mut(pw))
-        .zip(b.chunks((k * pw).max(1)));
-    for ((expected, magnitude), slab) in slabs {
-        for ((brow, &sa), &ma) in slab.chunks(pw).zip(&colsum_a).zip(&colmag_a) {
+    for panel in panels {
+        let expected = &mut expected_col[panel.col..][..panel.width];
+        let magnitude = &mut magnitude_col[panel.col..][..panel.width];
+        for ((&off, &sa), &ma) in panel.row_off.iter().zip(&colsum_a).zip(&colmag_a) {
+            let brow = &b[panel.base + off..][..panel.width];
             for ((e, g), &v) in expected.iter_mut().zip(magnitude.iter_mut()).zip(brow) {
                 let v = fb(v);
                 *e += sa * v;
@@ -259,7 +260,24 @@ pub fn verify_gemm_f32(
     c: &[f32],
     tol: &AbftTol,
 ) -> Result<(), TensorError> {
-    verify_raw("gemm", m, k, n, a, |x| x, b, n.max(1), |x| x, c, tol)
+    let row_off = row_major(k, n);
+    let rows = row_major_panel(n, &row_off);
+    verify_raw("gemm", m, k, n, a, |x| x, b, rows, |x| x, c, tol)
+}
+
+/// Offsets of the rows of a row-major `K×n` B.
+fn row_major(k: usize, n: usize) -> Vec<usize> {
+    (0..k).map(|kk| kk * n).collect()
+}
+
+/// A row-major B as the one `n`-wide panel a checksum pass streams.
+fn row_major_panel(n: usize, row_off: &[usize]) -> impl Iterator<Item = Panel<'_>> {
+    std::iter::once(Panel {
+        col: 0,
+        width: n,
+        base: 0,
+        row_off,
+    })
 }
 
 /// Verifies raw LUT-GEMM output (already dequantised by `Epilogue::Raw`)
@@ -275,26 +293,17 @@ pub(crate) fn verify_gemm_lut(
     c: &[f32],
     tol: &AbftTol,
 ) -> Result<(), TensorError> {
-    verify_raw(
-        "gemm_lut",
-        m,
-        k,
-        n,
-        a,
-        f32::from,
-        b,
-        n.max(1),
-        move |x| f32::from(x) * dequant,
-        c,
-        tol,
-    )
+    let row_off = row_major(k, n);
+    let rows = row_major_panel(n, &row_off);
+    let fb = move |x| f32::from(x) * dequant;
+    verify_raw("gemm_lut", m, k, n, a, f32::from, b, rows, fb, c, tol)
 }
 
 /// Applies an epilogue element-wise to a raw `[M,N]` accumulator buffer —
 /// bit-identical to the fused kernels because [`Epilogue::apply_row`] is a
 /// pure per-element function.
 fn apply_epilogue(out: &mut [f32], n: usize, epi: &Epilogue) {
-    for (i, orow) in out.chunks_mut(n).enumerate() {
+    for (i, orow) in out.chunks_mut(n.max(1)).enumerate() {
         epi.apply_row(i, orow);
     }
 }
@@ -339,68 +348,74 @@ pub(crate) fn gemm_lut_abft(
     Ok(())
 }
 
-/// [`gemm_f32_abft`] over a panel-major `B` (the convolution lowering's
-/// patches): the B-side checksums fold over the same panels the multiply
-/// read.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f32_abft_packed(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    packed: &[f32],
-    out: &mut [f32],
-    epi: &Epilogue,
-    tol: &AbftTol,
-) -> Result<(), TensorError> {
-    gemm::gemm_f32_packed(m, k, n, a, packed, out, &Epilogue::Raw);
-    verify_raw(
-        "gemm",
-        m,
-        k,
-        n,
-        a,
-        |x| x,
-        packed,
-        gemm::PANEL,
-        |x| x,
-        out,
-        tol,
-    )?;
-    apply_epilogue(out, n, epi);
-    Ok(())
+/// A [`MulKernel`] whose raw product can be checked against its operands.
+pub(crate) trait Verified: MulKernel {
+    /// Verifies raw accumulators `c = A × B` against checksums folded over
+    /// the same windows of `b` the multiply read.
+    fn check(
+        &self,
+        m: usize,
+        a: &[Self::Elem],
+        b: &Windows<Self::Elem>,
+        c: &[f32],
+    ) -> Result<(), TensorError>;
 }
 
-/// [`gemm_lut_abft`] over a panel-major `B`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_lut_abft_packed(
+impl Verified for Fma {
+    fn check(&self, m: usize, a: &[f32], b: &Windows<f32>, c: &[f32]) -> Result<(), TensorError> {
+        let (k, n) = (b.k, b.n());
+        let tol = AbftTol::exact(m, k, n);
+        verify_raw(
+            "gemm",
+            m,
+            k,
+            n,
+            a,
+            |x| x,
+            b.data,
+            b.panels(),
+            |x| x,
+            c,
+            &tol,
+        )
+    }
+}
+
+impl Verified for LutMul<'_> {
+    fn check(&self, m: usize, a: &[i16], b: &Windows<i16>, c: &[f32]) -> Result<(), TensorError> {
+        let (k, n, dequant) = (b.k, b.n(), self.dequant);
+        let tol = AbftTol::lut(k, dequant);
+        let fb = move |x| f32::from(x) * dequant;
+        verify_raw(
+            "gemm_lut",
+            m,
+            k,
+            n,
+            a,
+            f32::from,
+            b.data,
+            b.panels(),
+            fb,
+            c,
+            &tol,
+        )
+    }
+}
+
+/// ABFT-protected [`gemm::gemm_windows`] (the convolution lowering's GEMM):
+/// multiply with a raw epilogue, verify over the windows the multiply read,
+/// then apply `epi`.
+pub(crate) fn gemm_windows_abft<K: Verified>(
+    kern: &K,
     m: usize,
-    k: usize,
-    n: usize,
-    a: &[i16],
-    packed: &[i16],
-    table: &LutTable,
-    dequant: f32,
+    a: &[K::Elem],
+    b: &Windows<K::Elem>,
     out: &mut [f32],
     epi: &Epilogue,
-    tol: &AbftTol,
 ) -> Result<(), TensorError> {
-    gemm::gemm_lut_packed(m, k, n, a, packed, table, dequant, out, &Epilogue::Raw);
-    let fb = move |x| f32::from(x) * dequant;
-    verify_raw(
-        "gemm_lut",
-        m,
-        k,
-        n,
-        a,
-        f32::from,
-        packed,
-        gemm::PANEL,
-        fb,
-        out,
-        tol,
-    )?;
-    apply_epilogue(out, n, epi);
+    gemm::gemm_windows(kern, m, a, b, out, &Epilogue::Raw);
+    kern.check(m, a, b, out)?;
+    apply_epilogue(out, b.n(), epi);
     Ok(())
 }
 
@@ -470,7 +485,7 @@ pub fn conv2d_abft(
     bias: Option<&Tensor>,
     params: Conv2dParams,
 ) -> Result<Tensor, TensorError> {
-    im2col::conv2d_lowered_abft(input, weight, bias, params, None)
+    im2col::conv2d_lowered(input, weight, bias, params, None, true)
 }
 
 /// ABFT-protected fused conv+activation — twin of
@@ -482,7 +497,7 @@ pub fn conv2d_fused_abft(
     params: Conv2dParams,
     act: UnaryOp,
 ) -> Result<Tensor, TensorError> {
-    im2col::conv2d_lowered_abft(input, weight, bias, params, Some(act))
+    im2col::conv2d_lowered(input, weight, bias, params, Some(act), true)
 }
 
 #[cfg(test)]

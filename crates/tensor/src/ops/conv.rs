@@ -1,12 +1,12 @@
 //! 2-D convolution: exact, filter-sampled, perforated and LUT-multiplied
 //! variants, each in FP32 or FP16 semantics.
 //!
-//! Since the kernel-optimisation pass, every configuration executes through
-//! the im2col + tiled-GEMM lowering in [`super::im2col`] (the paper's §6.2
-//! cuBLAS formulation); the original direct seven-loop kernel survives as
-//! the oracle in [`super::reference`] and the differential suite pins the
-//! two bit-for-bit. This module owns the parameter struct and the public
-//! entry points.
+//! Every configuration executes through the implicit-GEMM lowering in
+//! [`super::im2col`] (the paper's §6.2 patch-matrix formulation, with the
+//! patches read in place instead of copied out); the original direct
+//! seven-loop kernel survives as the oracle in [`super::reference`] and the
+//! differential suite pins the two bit-for-bit. This module owns the
+//! parameter struct and the public entry points.
 
 use crate::error::TensorError;
 use crate::knobs::{ConvApprox, MulApprox, Precision};
@@ -59,7 +59,7 @@ pub fn conv2d(
     bias: Option<&Tensor>,
     params: Conv2dParams,
 ) -> Result<Tensor, TensorError> {
-    super::im2col::conv2d_lowered(input, weight, bias, params, None)
+    super::im2col::conv2d_lowered(input, weight, bias, params, None, false)
 }
 
 /// [`conv2d`] with the subsequent FP32 activation fused into the kernel's
@@ -76,7 +76,7 @@ pub fn conv2d_fused(
     params: Conv2dParams,
     act: UnaryOp,
 ) -> Result<Tensor, TensorError> {
-    super::im2col::conv2d_lowered(input, weight, bias, params, Some(act))
+    super::im2col::conv2d_lowered(input, weight, bias, params, Some(act), false)
 }
 
 #[cfg(test)]

@@ -1,39 +1,53 @@
-//! Tiled, register-blocked GEMM microkernels — the shared compute core of
-//! the optimised matmul and the im2col-lowered convolutions.
+//! Register-blocked GEMM microkernels over a **windowed** B operand — the
+//! shared compute core of the dense layers and of the implicit-GEMM
+//! convolutions.
 //!
-//! Layout: `C[M,N] = A[M,K] × B[K,N]`, all row-major. The inner microkernel
-//! computes an `R`×(2·`LANES`) output tile (8×32 at full height) held
-//! entirely in registers: per `k` step it loads two 16-float groups of a
-//! packed B panel once, broadcasts one `A[i,k]` per tile row and issues 2·`R`
-//! independent fused-multiply–add chains, hiding FMA latency without
-//! reassociating any single output's sum. Sharing each B load across the
-//! tile's rows and packing B's panels contiguously (`pack_b_panels`) is
-//! what makes the kernel compute-bound instead of L2/TLB-bound — for every
-//! `M`: rows are covered in groups of 8, then 4, 2 and 1 over the same
-//! packed panels, so a 2–4-output-channel convolution runs the same
-//! microkernel as a 512-row matmul. Build with
-//! `target-cpu=native` (see `.cargo/config.toml`) so each 16-lane group
-//! maps onto one 512-bit register (or a ymm pair on AVX2 parts).
+//! `C[M,N] = A[M,K] × B[K,N]`, `A` and `C` row-major. `B` is never handed
+//! over as a matrix: it is described (`Windows`) as a buffer plus, per
+//! `Run` of columns, a table `row_off` of `K` offsets, and row `kk` of the
+//! `PANEL` columns starting at a panel base is the contiguous window
+//! `data[base + row_off[kk]..][..PANEL]`. A dense layer's `B` is copied once
+//! into `K×PANEL` slabs (`pack_b_panels`) and its offsets are the
+//! arithmetic progression `kk·PANEL`; a convolution's are the tap offsets
+//! into an image staged once ([`super::im2col`]), so the patch matrix is
+//! read in place and never written. Both run the same microkernel.
+//!
+//! The microkernel computes an `R`×`PANEL` output tile (8×32 at full
+//! height) held entirely in registers: per `k` step it loads the panel's two
+//! 16-float lane groups once, broadcasts one `A[i,k]` per tile row and
+//! issues 2·`R` independent fused-multiply–add chains, hiding FMA latency
+//! without reassociating any single output's sum. Rows are covered in groups
+//! of 8, then 4, 2 and 1, so a 2–4-output-channel convolution runs the same
+//! kernel as a 512-row matmul. The loops run **panel-outer, row-group-inner**:
+//! a panel's `K` windows are brought into cache once and reused by every row
+//! group of the block, which is what keeps a 64-channel convolution's
+//! scattered windows from being re-fetched eight times. Build with
+//! `target-cpu=native` (see `.cargo/config.toml`) so each 16-lane group maps
+//! onto one 512-bit register (or a ymm pair on AVX2 parts).
+//!
+//! A run's last panel may be ragged: its surplus lanes are computed and
+//! dropped (lanes never interact, so the kept outputs are unaffected), which
+//! means a window may extend up to `PANEL − 1` elements past the run's last
+//! column — the dense packing zero-pads for that, the staged image keeps
+//! `PANEL` elements of slack behind it. Every window is an ordinary slice:
+//! a description that pointed outside `data` would be a bounds panic, never
+//! a stray read.
 //!
 //! **Bit-exactness contract**: every output element `C[i,j]` accumulates
 //! its `K` products in strictly increasing `k` order into a single `f32`
 //! accumulator via [`f32::mul_add`] (fused multiply–add, one rounding per
 //! product), exactly like the naive reference kernel — so exact-FP32
 //! results are bit-for-bit identical to [`super::reference`], for any tile
-//! boundary and any rayon thread count (parallel tasks own disjoint row
-//! blocks and never split a `k` loop). FMA is part of the contract: both
-//! sides must use it, and `mul_add` lowers to the same single-rounding
-//! operation whether the target has an FMA unit or falls back to libm.
+//! boundary, any loop order over tiles and any rayon thread count (parallel
+//! tasks own disjoint row blocks and never split a `k` loop). FMA is part of
+//! the contract: both sides must use it, and `mul_add` lowers to the same
+//! single-rounding operation whether the target has an FMA unit or falls
+//! back to libm. Where `B` lives changes no operand value, hence no bit.
 //!
-//! `gemm_lut` is the integer twin for the LUT approximate-multiplier
-//! path: `i16`-quantised operands, table-served products gathered 32 lanes
-//! at a time over the same packed panels, exact integer accumulation
-//! (associative, hence trivially order-independent).
-//!
-//! Both kernels come in two entries: the row-major-`B` one a dense layer
-//! calls (it packs `B` first), and the `_packed` one the convolution
-//! lowering calls with panels it built itself ([`super::im2col`] packs
-//! patches straight into this layout, so no row-major patch matrix exists).
+//! `LutMul` is the integer twin for the LUT approximate-multiplier path:
+//! `i16`-quantised operands, table-served products gathered 32 lanes at a
+//! time over the same windows, exact integer accumulation (associative,
+//! hence trivially order-independent).
 
 use crate::f16;
 use crate::instrument;
@@ -44,18 +58,14 @@ use rayon::prelude::*;
 
 /// SIMD lane count the microkernel is unrolled for (f32x16 ≙ AVX-512 zmm;
 /// lowers to a ymm pair on AVX2-only parts).
-pub(crate) const LANES: usize = 16;
-/// Lane groups per packed B panel.
+const LANES: usize = 16;
+/// Lane groups per panel.
 const V: usize = 2;
-/// Columns per packed B panel.
+/// Columns per panel: the width of every window a kernel reads.
 pub(crate) const PANEL: usize = V * LANES;
-/// Output rows per rayon task (fixed, so partitioning is deterministic).
-const ROW_BLOCK: usize = 8;
-/// Multiply–adds the packed microkernel retires in the time of one
-/// element-wise item of [`par::GRAIN`] (a `tanh`, a binary16 round-trip):
-/// ≈ 25 G/s against ≈ 3 G/s, so a GEMM forks from 1 Mi multiply–adds per
-/// thread.
-const MULS_PER_ITEM: usize = 8;
+/// Output rows per rayon task: eight full-height row groups share each panel
+/// they bring into cache.
+const ROW_BLOCK: usize = 64;
 
 /// What happens to each accumulated output element before it is stored.
 ///
@@ -134,74 +144,220 @@ impl Epilogue<'_> {
     }
 }
 
-/// `R` output rows (starting at row `i0` of `a`) over one packed
-/// [`PANEL`]-column panel, sharing each B vector load across all `R` rows'
-/// accumulator chains — the classic register-blocking trade: more
-/// independent FMA chains in flight per byte loaded. 8 rows × 2 vectors =
-/// 16 accumulator vectors + 2 B vectors + 1 broadcast, within the 32 SIMD
-/// registers of AVX-512. `panel` is a `K×PANEL` slab (see
-/// [`pack_b_panels`]), so the `k` loop walks memory purely sequentially and
-/// the hardware prefetcher keeps it fed.
-///
-/// Every output element accumulates its `K` products in strictly
-/// increasing `k` order into its own single `f32`, whatever `R`, so the
-/// result is bit-identical to the naive reference.
-// The `0..k` counter loop with `arows[r][kk]` indexing is deliberate: it is
-// the shape LLVM turns into the spill-free broadcast+FMA loop; the iterator
-// rewrite clippy suggests pessimises register allocation here.
-#[allow(clippy::needless_range_loop)]
-#[inline]
-fn panel_rows<const R: usize>(
-    a: &[f32],
-    k: usize,
-    i0: usize,
-    panel: &[f32],
-) -> [[[f32; LANES]; V]; R] {
-    let mut acc = [[[0.0f32; LANES]; V]; R];
-    // Whole-row slices of length k: the `arows[r][kk]` access below is then
-    // provably in bounds for every `kk` in `0..k`, so no checks survive in
-    // the hot loop.
-    let arows: [&[f32]; R] = core::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
-    for kk in 0..k {
-        let brow = &panel[kk * PANEL..(kk + 1) * PANEL];
-        let mut bv = [[0.0f32; LANES]; V];
-        for (c, bvc) in bv.iter_mut().enumerate() {
-            *bvc = match brow[c * LANES..(c + 1) * LANES].try_into() {
-                Ok(v) => v,
-                // The slice is exactly LANES long by construction; keep the
-                // zero-cost reinterpret without an unwrap in the hot loop.
-                Err(_) => unreachable!("panel slice is exactly LANES wide"),
-            };
-        }
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let av = arows[r][kk];
-            for (c, accv) in accr.iter_mut().enumerate() {
-                for (l, s) in accv.iter_mut().enumerate() {
-                    *s = av.mul_add(bv[c][l], *s);
+/// A run of GEMM columns whose windows advance linearly: column `j` of the
+/// run reads element `j % PANEL` of the panel based at `j / PANEL · step`.
+pub(crate) struct Run {
+    /// Columns in the run.
+    pub len: usize,
+    /// Distance between the bases of consecutive panels: [`PANEL`] where
+    /// consecutive columns are consecutive elements (a staged image),
+    /// `K·PANEL` for packed slabs.
+    pub step: usize,
+    /// Offset of each of the `K` rows' windows from a panel base.
+    pub row_off: Vec<usize>,
+}
+
+/// The B operand of a GEMM as the kernels address it; its columns are the
+/// runs' columns, concatenated.
+pub(crate) struct Windows<'a, T> {
+    pub data: &'a [T],
+    /// Rows of `B` (= length of every run's `row_off`).
+    pub k: usize,
+    pub runs: &'a [Run],
+}
+
+/// One panel of a [`Windows`]: output columns `col..col + width`, row `kk`
+/// read from `data[base + row_off[kk]..][..PANEL]`.
+pub(crate) struct Panel<'a> {
+    pub col: usize,
+    pub width: usize,
+    pub base: usize,
+    pub row_off: &'a [usize],
+}
+
+impl<T> Windows<'_, T> {
+    /// Columns of `B`.
+    pub(crate) fn n(&self) -> usize {
+        self.runs.iter().map(|run| run.len).sum()
+    }
+
+    /// Every panel, in column order.
+    pub(crate) fn panels(&self) -> impl Iterator<Item = Panel<'_>> {
+        let mut col = 0;
+        self.runs.iter().flat_map(move |run| {
+            let start = col;
+            col += run.len;
+            (0..run.len).step_by(PANEL).map(move |j| Panel {
+                col: start + j,
+                width: PANEL.min(run.len - j),
+                base: j / PANEL * run.step,
+                row_off: &run.row_off,
+            })
+        })
+    }
+}
+
+/// How products are formed and summed: the exact FMA chain or the
+/// table-served integer sum. One tile function each; everything around it
+/// (operand addressing, row cover, loop order, forking, epilogue) is shared.
+pub(crate) trait MulKernel: Sync {
+    type Elem: Copy + Default + Send + Sync;
+    /// Multiplies that cost as much as one element-wise item of
+    /// [`par::GRAIN`], for the fork-or-inline rule.
+    const MULS_PER_ITEM: usize;
+    /// Raw accumulators of rows `i0..i0 + R` of `a` against one panel of
+    /// `b` (all [`PANEL`] lanes, surplus ones included).
+    fn tile<const R: usize>(
+        &self,
+        a: &[Self::Elem],
+        i0: usize,
+        b: &[Self::Elem],
+        panel: &Panel,
+    ) -> [[f32; PANEL]; R];
+}
+
+/// The exact multiplier: ≈ 25 G multiply–adds/s against ≈ 3 G element-wise
+/// items/s (a `tanh`, a binary16 round-trip), so a GEMM forks from 1 Mi
+/// multiply–adds per thread.
+pub(crate) struct Fma;
+
+impl MulKernel for Fma {
+    type Elem = f32;
+    const MULS_PER_ITEM: usize = 8;
+
+    /// Shares each B vector load across all `R` rows' accumulator chains —
+    /// the classic register-blocking trade: more independent FMA chains in
+    /// flight per byte loaded. 8 rows × 2 vectors = 16 accumulator vectors
+    /// + 2 B vectors + 1 broadcast, within the 32 SIMD registers of AVX-512.
+    ///
+    /// Every output element accumulates its `K` products in strictly
+    /// increasing `k` order into its own single `f32`, whatever `R`, so the
+    /// result is bit-identical to the naive reference.
+    // The `0..k` counter loop with `arows[r][kk]` indexing is deliberate: it
+    // is the shape LLVM turns into the spill-free broadcast+FMA loop; the
+    // iterator rewrite clippy suggests pessimises register allocation here.
+    #[allow(clippy::needless_range_loop)]
+    #[inline]
+    fn tile<const R: usize>(
+        &self,
+        a: &[f32],
+        i0: usize,
+        b: &[f32],
+        panel: &Panel,
+    ) -> [[f32; PANEL]; R] {
+        let k = panel.row_off.len();
+        let mut acc = [[[0.0f32; LANES]; V]; R];
+        // Whole-row slices of length k: `arows[r][kk]` is then provably in
+        // bounds for every `kk` in `0..k`; the window slice is the one check
+        // left per step.
+        let arows: [&[f32]; R] = core::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
+        for kk in 0..k {
+            let brow = &b[panel.base + panel.row_off[kk]..][..PANEL];
+            let mut bv = [[0.0f32; LANES]; V];
+            for (c, bvc) in bv.iter_mut().enumerate() {
+                bvc.copy_from_slice(&brow[c * LANES..(c + 1) * LANES]);
+            }
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = arows[r][kk];
+                for (c, accv) in accr.iter_mut().enumerate() {
+                    for (l, s) in accv.iter_mut().enumerate() {
+                        *s = av.mul_add(bv[c][l], *s);
+                    }
                 }
             }
         }
+        acc.map(|accr| {
+            let mut row = [0.0f32; PANEL];
+            row.copy_from_slice(accr.as_flattened());
+            row
+        })
     }
-    acc
 }
 
-/// Length of the panel-major image of a `K×N` operand.
-pub(crate) fn packed_len(k: usize, n: usize) -> usize {
-    n.div_ceil(PANEL) * k * PANEL
+/// Products an `i32` lane can absorb before it is widened: table entries
+/// are at most `127²` (Mitchell never over-approximates, and [`lut::ROW`]
+/// caps the magnitudes), so `2¹⁶` of them stay below `2³⁰`.
+const LUT_BLOCK: usize = 1 << 16;
+
+/// The LUT approximate multiplier over operands from
+/// [`lut::quantize_symmetric`] at the table's bitwidth; sums are
+/// dequantised by `dequant` (= scale_A · scale_B). A table-served product
+/// costs about one element-wise item.
+pub(crate) struct LutMul<'a> {
+    pub table: &'a LutTable,
+    pub dequant: f32,
 }
 
-/// Reorders B into contiguous `K×PANEL` column slabs, panel-major, the last
-/// one zero-padded to full width (its surplus lanes are computed and
-/// dropped: lanes never interact, so the kept outputs are unaffected, and
-/// a ragged edge costs one vector step instead of a scalar loop per
-/// column). Row-major B is read with stride `n` inside the microkernel's
-/// `k` loop — at GEMM sizes that is a fresh cache line (and every other
-/// step a fresh page) per iteration, which stalls on L2/TLB because stride
+impl MulKernel for LutMul<'_> {
+    type Elem = i16;
+    const MULS_PER_ITEM: usize = 1;
+
+    /// Per `k` step the window's 32 magnitudes and sign masks are formed
+    /// once and shared by the `R` rows; each row then gathers its 32
+    /// products from its operand's table row and adds them, negated where
+    /// the signs differ (`(p ^ s) − s` with `s ∈ {0, −1}`: a mask, not a
+    /// branch), into an `R`×32 tile of `i32` partial sums held in registers.
+    /// Integer addition is exact and associative, and the tile is widened
+    /// into `i64` totals every [`LUT_BLOCK`] steps — before any lane can
+    /// overflow — so the result is the same integer the element-at-a-time
+    /// `i64` loop produces.
+    #[allow(clippy::needless_range_loop)]
+    #[inline]
+    fn tile<const R: usize>(
+        &self,
+        a: &[i16],
+        i0: usize,
+        b: &[i16],
+        panel: &Panel,
+    ) -> [[f32; PANEL]; R] {
+        let k = panel.row_off.len();
+        let mut total = [[0i64; PANEL]; R];
+        let arows: [&[i16]; R] = core::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
+        for k0 in (0..k).step_by(LUT_BLOCK) {
+            let mut acc = [[0i32; PANEL]; R];
+            for kk in k0..k.min(k0 + LUT_BLOCK) {
+                let window = &b[panel.base + panel.row_off[kk]..][..PANEL];
+                let brow: &[i16; PANEL] = match window.try_into() {
+                    Ok(v) => v,
+                    Err(_) => unreachable!("window is exactly PANEL wide"),
+                };
+                let bmag = brow.map(|v| u32::from(v.unsigned_abs()));
+                let bneg = brow.map(|v| i32::from(v >> 15));
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    let av = arows[r][kk];
+                    let row = self.table.row(usize::from(av.unsigned_abs()));
+                    let aneg = i32::from(av >> 15);
+                    // The lookup as its own loop, its index masked where it
+                    // is used: that is the shape that compiles to vector
+                    // gathers.
+                    let products: [i32; PANEL] =
+                        core::array::from_fn(|l| row[bmag[l] as usize & (lut::ROW - 1)]);
+                    for l in 0..PANEL {
+                        let s = bneg[l] ^ aneg;
+                        accr[l] += (products[l] ^ s) - s;
+                    }
+                }
+            }
+            for (t, accr) in total.iter_mut().zip(&acc) {
+                for (t, &v) in t.iter_mut().zip(accr) {
+                    *t += i64::from(v);
+                }
+            }
+        }
+        total.map(|sums| sums.map(|s| s as f32 * self.dequant))
+    }
+}
+
+/// Reorders a row-major B into contiguous `K×PANEL` column slabs,
+/// panel-major, the last one zero-padded to full width. Row-major B would be
+/// a valid [`Windows`] as it stands (`row_off[kk] = kk·n`), but its windows
+/// sit `n` floats apart — at GEMM sizes a fresh cache line (and every other
+/// step a fresh page) per `k` step, which stalls on L2/TLB because stride
 /// prefetchers give up at page boundaries. Packing costs one `O(K·N)` pass
 /// and turns the `O(M·K·N)` hot loop into sequential reads. Pure data
 /// movement: the arithmetic, and therefore every output bit, is unchanged.
 fn pack_b_panels<T: Copy + Default>(k: usize, n: usize, b: &[T]) -> Vec<T> {
-    let mut packed = Vec::with_capacity(packed_len(k, n));
+    let mut packed = Vec::with_capacity(n.div_ceil(PANEL) * k * PANEL);
     for j in (0..n).step_by(PANEL) {
         let width = PANEL.min(n - j);
         for kk in 0..k {
@@ -212,41 +368,107 @@ fn pack_b_panels<T: Copy + Default>(k: usize, n: usize, b: &[T]) -> Vec<T> {
     packed
 }
 
-/// Raw accumulators of `R` whole output rows (`orows` is `R·n` long, row
-/// `i0` of `a` first), one packed panel at a time.
-fn row_group<const R: usize>(
-    k: usize,
-    n: usize,
-    a: &[f32],
+/// `R` whole output rows (`orows` is `R·n` long, row `i0` of `a` first)
+/// against one panel.
+fn tile_into<K: MulKernel, const R: usize>(
+    kern: &K,
+    a: &[K::Elem],
     i0: usize,
-    packed: &[f32],
+    b: &[K::Elem],
+    panel: &Panel,
+    n: usize,
     orows: &mut [f32],
 ) {
-    for (p, j) in (0..n).step_by(PANEL).enumerate() {
-        let acc = panel_rows::<R>(a, k, i0, &packed[p * k * PANEL..(p + 1) * k * PANEL]);
-        let width = PANEL.min(n - j);
-        for (orow, accr) in orows.chunks_mut(n).zip(&acc) {
-            orow[j..j + width].copy_from_slice(&accr.as_flattened()[..width]);
+    let acc = kern.tile::<R>(a, i0, b, panel);
+    for (orow, accr) in orows.chunks_mut(n).zip(&acc) {
+        let dst = &mut orow[panel.col..][..panel.width];
+        // A full panel is two inline vector stores; only a ragged one pays
+        // for a run-time-length copy.
+        match <&mut [f32; PANEL]>::try_from(&mut *dst) {
+            Ok(full) => *full = *accr,
+            Err(_) => dst.copy_from_slice(&accr[..panel.width]),
         }
     }
 }
 
-/// Covers the `rows`-row block `ob` with row groups of 8, then 4, 2 and 1
-/// rows — full tiles first, then the largest that still fits what is left.
-/// `group(r, d, orows)` computes rows `d..d + r` of the block into `orows`.
-fn cover_rows(n: usize, ob: &mut [f32], mut group: impl FnMut(usize, usize, &mut [f32])) {
-    let rows = ob.len() / n;
-    let mut d = 0;
-    for r in [8, 4, 2, 1] {
-        while d + r <= rows {
-            group(r, d, &mut ob[d * n..(d + r) * n]);
-            d += r;
-        }
+/// `out[M,N] = epi(A[M,K] × B)` over a windowed `B`.
+///
+/// Parallelised over fixed [`ROW_BLOCK`]-row chunks (forked only when every
+/// thread gets [`par::GRAIN`] worth of multiplies). Inside a chunk the loop
+/// is panel-outer: each panel is covered by register-blocked row groups of
+/// 8, then 4, 2 and 1 rows — full tiles first, then the largest that still
+/// fits what is left — before the next panel is touched.
+pub(crate) fn gemm_windows<K: MulKernel>(
+    kern: &K,
+    m: usize,
+    a: &[K::Elem],
+    b: &Windows<K::Elem>,
+    out: &mut [f32],
+    epi: &Epilogue,
+) {
+    let (k, n) = (b.k, b.n());
+    assert_eq!(a.len(), m * k, "gemm A size");
+    assert_eq!(out.len(), m * n, "gemm C size");
+    if m == 0 || n == 0 {
+        return;
     }
+    instrument::add_muls((m * k * n) as u64);
+    out.par_chunks_mut(ROW_BLOCK * n)
+        .with_min_len(par::min_chunks(ROW_BLOCK * k * n / K::MULS_PER_ITEM))
+        .enumerate()
+        .for_each(|(blk, ob)| {
+            let (i0, rows) = (blk * ROW_BLOCK, ob.len() / n);
+            for panel in b.panels() {
+                let mut d = 0;
+                for r in [8, 4, 2, 1] {
+                    while d + r <= rows {
+                        let orows = &mut ob[d * n..(d + r) * n];
+                        match r {
+                            8 => tile_into::<K, 8>(kern, a, i0 + d, b.data, &panel, n, orows),
+                            4 => tile_into::<K, 4>(kern, a, i0 + d, b.data, &panel, n, orows),
+                            2 => tile_into::<K, 2>(kern, a, i0 + d, b.data, &panel, n, orows),
+                            _ => tile_into::<K, 1>(kern, a, i0 + d, b.data, &panel, n, orows),
+                        }
+                        d += r;
+                    }
+                }
+            }
+            for (di, orow) in ob.chunks_mut(n).enumerate() {
+                epi.apply_row(i0 + di, orow);
+            }
+        });
+}
+
+/// [`gemm_windows`] over a row-major `B`, packed here, once, into the slabs
+/// the kernel reads.
+#[allow(clippy::too_many_arguments)]
+fn gemm_dense<K: MulKernel>(
+    kern: &K,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[K::Elem],
+    b: &[K::Elem],
+    out: &mut [f32],
+    epi: &Epilogue,
+) {
+    assert_eq!(b.len(), k * n, "gemm B size");
+    let packed = pack_b_panels(k, n, b);
+    let runs = [Run {
+        len: n,
+        step: k * PANEL,
+        row_off: (0..k).map(|kk| kk * PANEL).collect(),
+    }];
+    let b = Windows {
+        data: &packed,
+        k,
+        runs: &runs,
+    };
+    gemm_windows(kern, m, a, &b, out, epi);
 }
 
 /// Tiled f32 GEMM with fused epilogue: `out[M,N] = epi(A[M,K] × B[K,N])`,
-/// `B` row-major (packed here, once, into the layout the microkernel reads).
+/// all row-major.
 pub fn gemm_f32(
     m: usize,
     k: usize,
@@ -256,133 +478,7 @@ pub fn gemm_f32(
     out: &mut [f32],
     epi: &Epilogue,
 ) {
-    assert_eq!(b.len(), k * n, "gemm B size");
-    // Shared read-only packed copy of B: the kernel never reads `b` again.
-    gemm_f32_packed(m, k, n, a, &pack_b_panels(k, n, b), out, epi);
-}
-
-/// [`gemm_f32`] over a `B` that is already panel-major: [`packed_len`]
-/// elements, one `K×PANEL` slab per panel (the surplus lanes of a ragged
-/// last panel are computed and dropped, whatever they hold).
-///
-/// Parallelised over fixed [`ROW_BLOCK`]-row chunks (forked only when every
-/// thread gets [`par::GRAIN`] worth of multiply–adds); inside a chunk the
-/// rows are covered by register-blocked groups of 8, then 4, 2 and 1 rows,
-/// so each B panel is loaded once per group instead of once per row.
-pub(crate) fn gemm_f32_packed(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    packed: &[f32],
-    out: &mut [f32],
-    epi: &Epilogue,
-) {
-    assert_eq!(a.len(), m * k, "gemm A size");
-    assert_eq!(packed.len(), packed_len(k, n), "gemm packed B size");
-    assert_eq!(out.len(), m * n, "gemm C size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    instrument::add_muls((m * k * n) as u64);
-    out.par_chunks_mut(ROW_BLOCK * n)
-        .with_min_len(par::min_chunks(ROW_BLOCK * k * n / MULS_PER_ITEM))
-        .enumerate()
-        .for_each(|(blk, ob)| {
-            let i0 = blk * ROW_BLOCK;
-            cover_rows(n, ob, |r, d, orows| match r {
-                8 => row_group::<8>(k, n, a, i0 + d, packed, orows),
-                4 => row_group::<4>(k, n, a, i0 + d, packed, orows),
-                2 => row_group::<2>(k, n, a, i0 + d, packed, orows),
-                _ => row_group::<1>(k, n, a, i0 + d, packed, orows),
-            });
-            for (di, orow) in ob.chunks_mut(n).enumerate() {
-                epi.apply_row(i0 + di, orow);
-            }
-        });
-}
-
-/// Products an `i32` lane can absorb before it is widened: table entries
-/// are at most `127²` (Mitchell never over-approximates, and [`lut::ROW`]
-/// caps the magnitudes), so `2¹⁶` of them stay below `2³⁰`.
-const LUT_BLOCK: usize = 1 << 16;
-
-/// Integer twin of [`panel_rows`]: the table-served products of `R` rows of
-/// `a` against one packed panel, as exact `i64` sums per lane.
-///
-/// Per `k` step the panel row's 32 magnitudes and sign masks are formed
-/// once and shared by the `R` rows; each row then gathers its 32 products
-/// from its operand's table row and adds them, negated where the signs
-/// differ (`(p ^ s) − s` with `s ∈ {0, −1}`: a mask, not a branch), into an
-/// `R`×32 tile of `i32` partial sums held in registers. Integer addition is
-/// exact and associative, and the tile is widened into the `i64` totals
-/// every [`LUT_BLOCK`] steps — before any lane can overflow — so the result
-/// is the same integer the element-at-a-time `i64` loop produces.
-#[allow(clippy::needless_range_loop)]
-#[inline]
-fn lut_panel_rows<const R: usize>(
-    a: &[i16],
-    k: usize,
-    i0: usize,
-    panel: &[i16],
-    table: &LutTable,
-) -> [[i64; PANEL]; R] {
-    let mut total = [[0i64; PANEL]; R];
-    let arows: [&[i16]; R] = core::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
-    for k0 in (0..k).step_by(LUT_BLOCK) {
-        let mut acc = [[0i32; PANEL]; R];
-        for kk in k0..k.min(k0 + LUT_BLOCK) {
-            let brow: &[i16; PANEL] = match panel[kk * PANEL..(kk + 1) * PANEL].try_into() {
-                Ok(v) => v,
-                Err(_) => unreachable!("panel slice is exactly PANEL wide"),
-            };
-            let bmag = brow.map(|v| u32::from(v.unsigned_abs()));
-            let bneg = brow.map(|v| i32::from(v >> 15));
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = arows[r][kk];
-                let row = table.row(usize::from(av.unsigned_abs()));
-                let aneg = i32::from(av >> 15);
-                // The lookup as its own loop, its index masked where it is
-                // used: that is the shape that compiles to vector gathers.
-                let products: [i32; PANEL] =
-                    core::array::from_fn(|l| row[bmag[l] as usize & (lut::ROW - 1)]);
-                for l in 0..PANEL {
-                    let s = bneg[l] ^ aneg;
-                    accr[l] += (products[l] ^ s) - s;
-                }
-            }
-        }
-        for (t, accr) in total.iter_mut().zip(&acc) {
-            for (t, &v) in t.iter_mut().zip(accr) {
-                *t += i64::from(v);
-            }
-        }
-    }
-    total
-}
-
-/// Dequantised sums of `R` whole output rows, one packed panel at a time.
-#[allow(clippy::too_many_arguments)]
-fn lut_row_group<const R: usize>(
-    k: usize,
-    n: usize,
-    a: &[i16],
-    i0: usize,
-    packed: &[i16],
-    table: &LutTable,
-    dequant: f32,
-    orows: &mut [f32],
-) {
-    for (p, j) in (0..n).step_by(PANEL).enumerate() {
-        let panel = &packed[p * k * PANEL..(p + 1) * k * PANEL];
-        let total = lut_panel_rows::<R>(a, k, i0, panel, table);
-        let width = PANEL.min(n - j);
-        for (orow, sums) in orows.chunks_mut(n).zip(&total) {
-            for (o, &s) in orow[j..j + width].iter_mut().zip(sums) {
-                *o = s as f32 * dequant;
-            }
-        }
-    }
+    gemm_dense(&Fma, m, k, n, a, b, out, epi);
 }
 
 /// Integer GEMM over LUT-quantised operands, `B` row-major: products served
@@ -402,7 +498,6 @@ pub(crate) fn gemm_lut(
     out: &mut [f32],
     epi: &Epilogue,
 ) {
-    assert_eq!(b.len(), k * n, "gemm_lut B size");
     let in_range = |xs: &[i16]| {
         let qmax = table.qmax as u16;
         xs.iter().fold(0, |m, v| v.unsigned_abs().max(m)) <= qmax
@@ -412,46 +507,7 @@ pub(crate) fn gemm_lut(
         "gemm_lut operand outside the {}-bit table",
         table.bits
     );
-    let packed = pack_b_panels(k, n, b);
-    gemm_lut_packed(m, k, n, a, &packed, table, dequant, out, epi);
-}
-
-/// [`gemm_lut`] over a panel-major `B`; operands come from
-/// [`lut::quantize_symmetric`] at the table's bitwidth.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_lut_packed(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[i16],
-    packed: &[i16],
-    table: &LutTable,
-    dequant: f32,
-    out: &mut [f32],
-    epi: &Epilogue,
-) {
-    assert_eq!(a.len(), m * k, "gemm_lut A size");
-    assert_eq!(packed.len(), packed_len(k, n), "gemm_lut packed B size");
-    assert_eq!(out.len(), m * n, "gemm_lut C size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    instrument::add_muls((m * k * n) as u64);
-    out.par_chunks_mut(ROW_BLOCK * n)
-        .with_min_len(par::min_chunks(ROW_BLOCK * k * n))
-        .enumerate()
-        .for_each(|(blk, ob)| {
-            let i0 = blk * ROW_BLOCK;
-            cover_rows(n, ob, |r, d, orows| match r {
-                8 => lut_row_group::<8>(k, n, a, i0 + d, packed, table, dequant, orows),
-                4 => lut_row_group::<4>(k, n, a, i0 + d, packed, table, dequant, orows),
-                2 => lut_row_group::<2>(k, n, a, i0 + d, packed, table, dequant, orows),
-                _ => lut_row_group::<1>(k, n, a, i0 + d, packed, table, dequant, orows),
-            });
-            for (di, orow) in ob.chunks_mut(n).enumerate() {
-                epi.apply_row(i0 + di, orow);
-            }
-        });
+    gemm_dense(&LutMul { table, dequant }, m, k, n, a, b, out, epi);
 }
 
 #[cfg(test)]

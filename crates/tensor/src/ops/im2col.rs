@@ -1,324 +1,304 @@
-//! im2col lowering: convolution as patch-matrix GEMM — for the exact
-//! kernel **and every approximation**.
+//! Implicit-GEMM lowering: convolution as a patch-matrix GEMM whose patch
+//! matrix is **never written** — for the exact kernel and every
+//! approximation.
 //!
-//! Each (image, group) pair builds a patch matrix `B[F, P]` whose rows are
-//! flattened filter elements and whose columns are output positions, then
-//! multiplies it by the group's weight matrix `A[K/g, F]` on the tiled GEMM
-//! core ([`super::gemm`]). `B` is never materialised row-major: patches are
-//! packed once, straight into the panel-major layout the microkernel reads,
-//! in a per-thread scratch that is reused across images and calls. The
-//! approximations *prune the lowering itself*, so skipped work is genuinely
-//! never computed:
+//! Per (image, group) a convolution is `A[K/g, F] × B[F, P]`: `A` the
+//! group's weights, `B`'s rows the flattened filter elements `(channel, ky,
+//! kx)`, its columns the output positions. Instead of copying each input
+//! value into up to `r·s` places of `B`, each (image, group) is **staged
+//! once** and the microkernels of [`super::gemm`] read their `B` windows out
+//! of the staged image in place.
 //!
-//! * **Filter sampling** drops the skipped filter elements' *rows* from
-//!   both `A` and `B` (the GEMM inner dimension shrinks by `1/k`).
-//! * **Perforation** drops the skipped output positions' *columns* from
-//!   `B` (the GEMM output shrinks by `1/k`); the missing outputs are
-//!   interpolated from computed neighbours after the GEMM, exactly like
-//!   the direct kernel.
-//! * **LUT multipliers** pack the patches over `i16`-quantised operands
-//!   and run the integer table-served GEMM.
+//! **What is staged.** One plane per `(kx, channel)`, `h + 2·pad_h` rows of
+//! `nx` values, `nx` the number of computed output columns: entry `xi` of row
+//! `iy` is the padded input at row `iy`, column `ox(xi)·stride_w + kx`. The
+//! horizontal tap offset and the width stride are resolved by the copy, so
+//! along a row consecutive output columns are consecutive elements — `s`
+//! copies of the image, not `r·s`. Padding is stored as zeros; FP16 and LUT
+//! operand quantisation are applied to each input row once, on its way in,
+//! so no quantised copy of the input tensor is allocated. The buffer lives
+//! in a per-thread scratch reused across images and calls, with `PANEL`
+//! elements of slack behind it for the surplus lanes of a ragged last panel.
 //!
-//! The bias/scale/FP16/activation epilogue is fused into the GEMM's output
-//! write ([`super::gemm::Epilogue`]), so no unbiased intermediate is
-//! materialised. Results are bit-identical to the direct reference kernel
-//! ([`super::reference`]) for every configuration: both sides accumulate
-//! each output in increasing flattened `(channel, ky, kx)` order, and
-//! padding contributes exact zeros.
+//! **The tap-offset table.** With unit row stride and every row computed,
+//! position `j = oy·nx + xi` under filter element `(c, ky, kx)` reads staged
+//! element `(kx·cpg + c)·plane + ky·nx + j`: a per-element constant — the
+//! element's entry in the GEMM's `row_off` table (`gemm::Run`) — plus the
+//! position, so a panel of 32 positions reads one contiguous 32-value window
+//! per filter element. **Filter sampling** drops the skipped elements'
+//! entries from the table (and their columns from `A`): the inner dimension
+//! shrinks by `1/k`. **Column perforation** drops columns from the staged
+//! planes: `nx` shrinks.
+//!
+//! **Runs.** When the computed rows are every `m`-th padded row (row stride
+//! `m`, or `k·stride` for the rows `≡ ρ mod k` a row perforation keeps),
+//! positions stay linear if the staged rows are stored *phase-major*: all
+//! rows `≡ 0 mod m`, then all `≡ 1`, …; tap `ky` of the class's `t`-th row
+//! then reads slot `slot(ρ·stride + ky) + t`. Each kept residue class `ρ` is
+//! one *run* of linear positions with its own table, and the GEMM's columns
+//! are the runs concatenated (the scatter behind a perforated GEMM puts each
+//! row where it belongs). Panels tile a run; only its last can be ragged.
+//!
+//! **Skipped work is never computed.** Perforation shrinks the GEMM's
+//! output; the missing outputs are interpolated from computed neighbours
+//! after it, exactly like the direct kernel. The bias/scale/FP16/activation
+//! epilogue is fused into the GEMM's output write ([`gemm::Epilogue`]).
+//!
+//! **Why every bit is unchanged.** Each output still accumulates its window
+//! in increasing flattened `(channel, ky, kx)` order through one `mul_add`
+//! chain (the table is built in that order), a padded tap still contributes
+//! an exact zero product, and where an operand is read from changes no
+//! operand value — so results are bit-identical to the direct reference
+//! kernel ([`super::reference`]) for every configuration. The panel-outer
+//! loop order and the split over images change *when* a chain runs, never
+//! what it adds.
 
 use crate::error::TensorError;
 use crate::f16;
 use crate::knobs::{ConvApprox, MulApprox, PerforationDim, Precision};
 use crate::lut;
+use crate::ops::abft::{self, Verified};
 use crate::ops::activation::UnaryOp;
 use crate::ops::conv::Conv2dParams;
-use crate::ops::gemm::{self, Epilogue, PANEL};
+use crate::ops::gemm::{self, Epilogue, Fma, LutMul, Run, Windows, PANEL};
+use crate::par;
 use crate::shape::{conv2d_out_shape, Shape};
 use crate::tensor::Tensor;
+use rayon::prelude::*;
 use std::cell::Cell;
+use std::sync::Mutex;
 
 /// What one thread's lowered convolutions borrow instead of allocating: the
-/// packed patch panels (one buffer per element type; a strided lowering's
-/// column-compacted rows sit behind them in the same buffer) and the plane
-/// a perforated GEMM computes its kept columns into. Each buffer grows to
-/// the largest (image, group) a thread has lowered and is freed with the
-/// thread; nothing else bounds or sizes it.
+/// staged image (one buffer per element type, slack and one input row of
+/// quantisation space behind it) and the plane a perforated GEMM computes
+/// its kept positions into. Each buffer grows to the largest (image, group)
+/// a thread has lowered and is freed with the thread; nothing else bounds
+/// or sizes it.
 #[derive(Default)]
 struct Scratch {
-    panels_f32: Vec<f32>,
-    panels_i16: Vec<i16>,
+    staged_f32: Vec<f32>,
+    staged_i16: Vec<i16>,
     kept_plane: Vec<f32>,
 }
 
 thread_local! {
-    /// Taken for the duration of a call and put back after it, so a
-    /// convolution entered while another holds the scratch (it cannot
-    /// happen with today's pool, which never runs a second job on a
-    /// blocked thread) would allocate its own instead of aliasing.
+    /// Taken for the duration of an image and put back after it, so a
+    /// convolution entered while another holds the scratch would allocate
+    /// its own instead of aliasing.
     static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
-/// Element type patches can be packed over (f32 exact path, i16
-/// LUT-quantised path). `ZERO` is the padding value.
-trait PatchElem: Copy + Send + Sync {
-    const ZERO: Self;
-    /// This element type's panel buffer, and the kept-columns plane.
+/// Element type an image can be staged as (f32 exact path, i16
+/// LUT-quantised path); `default()` is the padding value.
+trait StageElem: Copy + Default + Send + Sync {
+    /// This element type's staging buffer, and the kept-positions plane.
     fn buffers(scratch: &mut Scratch) -> (&mut Vec<Self>, &mut Vec<f32>);
 }
-impl PatchElem for f32 {
-    const ZERO: Self = 0.0;
+
+impl StageElem for f32 {
     fn buffers(scratch: &mut Scratch) -> (&mut Vec<f32>, &mut Vec<f32>) {
-        (&mut scratch.panels_f32, &mut scratch.kept_plane)
-    }
-}
-impl PatchElem for i16 {
-    const ZERO: Self = 0;
-    fn buffers(scratch: &mut Scratch) -> (&mut Vec<i16>, &mut Vec<f32>) {
-        (&mut scratch.panels_i16, &mut scratch.kept_plane)
+        (&mut scratch.staged_f32, &mut scratch.kept_plane)
     }
 }
 
-/// Resolved geometry and pruning decisions for one lowered convolution.
-struct LowerPlan<'a> {
-    n: usize,
-    c: usize,
+impl StageElem for i16 {
+    fn buffers(scratch: &mut Scratch) -> (&mut Vec<i16>, &mut Vec<f32>) {
+        (&mut scratch.staged_i16, &mut scratch.kept_plane)
+    }
+}
+
+/// Resolved geometry, pruning decisions and staged-image layout of one
+/// lowered convolution — computed once, then replayed for every image and
+/// group.
+struct Lowering {
+    /// Per group: input channels and output channels.
+    cpg: usize,
+    kpg: usize,
+    groups: usize,
     h: usize,
     w: usize,
-    k: usize,
-    cpg: usize,
-    r: usize,
-    s: usize,
     ho: usize,
     wo: usize,
-    pad: (usize, usize),
-    stride: (usize, usize),
-    groups: usize,
-    kpg: usize,
+    /// Filter columns (= staged planes per channel), width padding, width
+    /// stride.
+    s: usize,
+    pw: usize,
+    sw: usize,
     /// Kept flattened filter indices, increasing (= accumulation order).
-    kept: &'a [usize],
+    kept: Vec<usize>,
     /// Filter-sampling compensation factor.
     scale: f32,
-    /// Computed output rows (all rows unless row-perforated).
-    oys: &'a [usize],
-    /// Computed output columns (all columns unless column-perforated).
-    oxs: &'a [usize],
-    /// Perforation dimension if active.
-    perf: Option<PerforationDim>,
+    /// Computed output rows in GEMM column order (all rows unless
+    /// row-perforated) and computed output columns (all columns unless
+    /// column-perforated).
+    oys: Vec<usize>,
+    oxs: Vec<usize>,
+    /// Perforation dimension if active, with the skipped coordinates.
+    perf: Option<(PerforationDim, Vec<(usize, Fill)>)>,
     fp16: bool,
     /// FP32 activation fused behind the convolution.
     act: Option<UnaryOp>,
+    /// Staged row slot of each padded input row (phase-major), `None` for a
+    /// row of padding.
+    rows: Vec<(usize, Option<usize>)>,
+    /// The GEMM's B operand over the staged image.
+    runs: Vec<Run>,
 }
 
-/// Packs one group's kept weight elements into a dense `[kpg, kept]` GEMM
-/// A matrix.
-fn pack_weights<T: PatchElem>(
-    w_data: &[T],
-    g: usize,
-    kpg: usize,
-    total: usize,
-    kept: &[usize],
-) -> Vec<T> {
-    let mut a = Vec::with_capacity(kpg * kept.len());
-    for di in 0..kpg {
-        let base = (g * kpg + di) * total;
-        for &idx in kept {
-            a.push(w_data[base + idx]);
-        }
-    }
-    a
-}
-
-/// One kept filter element, resolved against the geometry: which plane of
-/// the source image its taps read and which computed output columns they
-/// land inside the input for.
-struct Tap {
-    /// Offset of the plane the tap reads inside the source image.
-    plane: usize,
-    ky: usize,
-    /// Indices into the computed columns whose tap is inside the input row:
-    /// `[x0, x1)`; the rest pad.
-    x0: usize,
-    x1: usize,
-    /// Source column read for index `x0`; consecutive indices read
-    /// consecutive columns.
-    first: usize,
-}
-
-/// A run of consecutive patch-matrix columns that share one computed output
-/// row and one panel: the unit a tap row is copied in.
-struct Segment {
-    /// Offset of the run's first lane in the panel buffer, filter row 0.
-    dst: usize,
-    /// Output row (a value of `oys`).
-    oy: usize,
-    /// The run's first index into the computed columns, and its length.
-    xi: usize,
-    len: usize,
-}
-
-/// The column gather of a strided or column-perforated lowering: the
-/// computed columns are not consecutive in the input, so each input row is
-/// first compacted, once per filter column `kx`, into the run of values its
-/// taps read — `s·C·H` row gathers instead of `r·s·C·Ho`, after which every
-/// tap row is a plain copy exactly as in the unit-stride case.
-struct Gather {
-    /// Input column offset `ox·stride` of each computed column.
-    cols: Vec<usize>,
-    /// `[x0, x1)` of each filter column.
-    ranges: Vec<(usize, usize)>,
-    /// Input rows some tap reads.
-    rows: Vec<usize>,
-}
-
-/// The patch packer of one call: which `(panel lane run, output row,
-/// column run)` segments tile the column space and where each kept tap
-/// reads — resolved once, then replayed for every image and group.
-struct Packer<'a> {
-    plan: &'a LowerPlan<'a>,
-    taps: Vec<Tap>,
-    segments: Vec<Segment>,
-    /// `None` with unit width-stride and every output column computed
-    /// (every zoo conv, filter sampling, row perforation): a tap row's run
-    /// is already contiguous in the input.
-    gather: Option<Gather>,
-    /// Row pitch of the source image the taps read (the input's, or the
-    /// compacted one's).
-    pitch: usize,
-}
-
-impl<'a> Packer<'a> {
-    fn new(plan: &'a LowerPlan<'a>) -> Self {
-        let (h, w) = (plan.h, plan.w);
-        let ((ph, pw), (sh, sw)) = (plan.pad, plan.stride);
-        let rows = plan.kept.len();
-        let nx = plan.oxs.len();
-        let contiguous = sw == 1 && nx == plan.wo;
-        let pitch = if contiguous { w } else { nx };
-        let cols: Vec<usize> = plan.oxs.iter().map(|&ox| ox * sw).collect();
-        let ranges: Vec<(usize, usize)> = (0..plan.s)
-            .map(|kx| {
-                (
-                    cols.partition_point(|&c| c + kx < pw),
-                    cols.partition_point(|&c| c + kx < w + pw),
-                )
-            })
-            .collect();
-        let taps = plan
-            .kept
-            .iter()
-            .map(|&idx| {
-                let (chan, rem) = (idx / (plan.r * plan.s), idx % (plan.r * plan.s));
-                let kx = rem % plan.s;
-                let (x0, x1) = ranges[kx];
-                let (plane, first) = if contiguous {
-                    (chan, (x0 + kx).saturating_sub(pw))
-                } else {
-                    (kx * plan.cpg + chan, x0)
-                };
-                Tap {
-                    plane: plane * h * pitch,
-                    ky: rem / plan.s,
-                    x0,
-                    x1,
-                    first,
-                }
-            })
-            .collect();
-        let mut segments = Vec::new();
-        let n_pos = plan.oys.len() * nx;
-        let mut j = 0;
-        while j < n_pos {
-            // Up to the end of the output row or of the panel, whichever
-            // comes first.
-            let (yi, xi) = (j / nx, j % nx);
-            let len = (nx - xi).min(PANEL - j % PANEL);
-            segments.push(Segment {
-                dst: (j / PANEL) * rows * PANEL + j % PANEL,
-                oy: plan.oys[yi],
-                xi,
-                len,
-            });
-            j += len;
-        }
-        let gather = (!contiguous).then(|| {
-            let mut read = vec![false; h];
-            for iy in plan.oys.iter().flat_map(|oy| oy * sh..oy * sh + plan.r) {
-                if (ph..h + ph).contains(&iy) {
-                    read[iy - ph] = true;
-                }
+impl Lowering {
+    fn new(
+        (h, w): (usize, usize),
+        (k, cpg, r, s): (usize, usize, usize, usize),
+        (ho, wo): (usize, usize),
+        params: Conv2dParams,
+        act: Option<UnaryOp>,
+    ) -> Lowering {
+        let ((ph, pw), (sh, sw)) = (params.pad, params.stride);
+        let groups = params.groups.max(1);
+        let total = cpg * r * s;
+        // Row pruning (filter sampling): kept filter indices + compensation.
+        let (kept, scale): (Vec<usize>, f32) = match params.approx {
+            ConvApprox::FilterSampling { k: kk, offset } => {
+                let kept: Vec<usize> = (0..total).filter(|i| i % kk != offset).collect();
+                let cnt = kept.len().max(1);
+                (kept, total as f32 / cnt as f32)
             }
-            Gather {
-                cols,
-                ranges,
-                rows: (0..h).filter(|&iy| read[iy]).collect(),
-            }
-        });
-        Packer {
-            plan,
-            taps,
-            segments,
-            gather,
-            pitch,
-        }
-    }
-
-    /// Elements of scratch [`Packer::pack`] needs behind the panels.
-    fn gathered_len(&self) -> usize {
-        let plan = self.plan;
-        self.gather
-            .as_ref()
-            .map_or(0, |_| plan.s * plan.cpg * plan.h * self.pitch)
-    }
-
-    /// Writes the panel-major patches of image `b`, group `g` into `panels`:
-    /// lane `j % PANEL` of row `kr` of panel `j / PANEL` is the input value
-    /// under filter element `kept[kr]` at computed position `j`. Positions
-    /// where the window pads are not written: which ones pad depends on the
-    /// geometry alone, so the caller zeroes `panels` once per call.
-    /// `gathered` is [`Packer::gathered_len`] elements of working space.
-    fn pack<T: PatchElem>(
-        &self,
-        in_data: &[T],
-        b: usize,
-        g: usize,
-        panels: &mut [T],
-        gathered: &mut [T],
-    ) {
-        let plan = self.plan;
-        let (h, w) = (plan.h, plan.w);
-        let (ph, pw) = plan.pad;
-        let sh = plan.stride.0;
-        let image = &in_data[(b * plan.c + g * plan.cpg) * h * w..][..plan.cpg * h * w];
-        let pitch = self.pitch;
-        let source: &[T] = match &self.gather {
-            None => image,
-            Some(gather) => {
-                for (kx, &(x0, x1)) in gather.ranges.iter().enumerate() {
-                    for chan in 0..plan.cpg {
-                        let dst = &mut gathered[(kx * plan.cpg + chan) * h * pitch..][..h * pitch];
-                        let src = &image[chan * h * w..][..h * w];
-                        for &iy in &gather.rows {
-                            let (dst, src) = (&mut dst[iy * pitch..][x0..x1], &src[iy * w..][..w]);
-                            for (d, &col) in dst.iter_mut().zip(&gather.cols[x0..x1]) {
-                                *d = src[col + kx - pw];
-                            }
-                        }
-                    }
-                }
-                gathered
-            }
+            _ => ((0..total).collect(), 1.0),
         };
-        for seg in &self.segments {
-            let (lo, hi) = (seg.xi, seg.xi + seg.len);
-            for (kr, tap) in self.taps.iter().enumerate() {
-                let iy = seg.oy * sh + tap.ky;
-                let (x0, x1) = (tap.x0.max(lo), tap.x1.min(hi));
-                if iy < ph || iy - ph >= h || x0 >= x1 {
-                    continue; // the whole run pads
+        // Column pruning (perforation): computed output positions. The
+        // computed rows are the residue classes modulo `row_k` other than
+        // the skipped one.
+        let keep = |extent: usize, k: usize, offset: usize| -> Vec<usize> {
+            (0..extent).filter(|c| c % k != offset).collect()
+        };
+        let (perf, row_k, classes, oxs) = match params.approx {
+            ConvApprox::Perforation { dim, k, offset } => match dim {
+                PerforationDim::Row => {
+                    let skipped = fills(ho, &keep(ho, k, offset));
+                    (
+                        Some((dim, skipped)),
+                        k,
+                        keep(k, k, offset),
+                        (0..wo).collect(),
+                    )
                 }
-                let src = &source[tap.plane + (iy - ph) * pitch..][..pitch];
-                panels[seg.dst + kr * PANEL + (x0 - lo)..][..x1 - x0]
-                    .copy_from_slice(&src[tap.first + (x0 - tap.x0)..][..x1 - x0]);
+                PerforationDim::Col => {
+                    let oxs = keep(wo, k, offset);
+                    (Some((dim, fills(wo, &oxs))), 1, vec![0], oxs)
+                }
+            },
+            _ => (None, 1, vec![0], (0..wo).collect()),
+        };
+
+        // Staged layout: padded rows phase-major modulo `m`, so the rows a
+        // class's taps read advance one slot per computed row.
+        let (hp, nx, m) = (h + 2 * ph, oxs.len(), sh * row_k);
+        let mut phase_base = vec![0; m];
+        for p in 1..m {
+            phase_base[p] = phase_base[p - 1] + (hp + m - p) / m;
+        }
+        let slot = |iy: usize| phase_base[iy % m] + iy / m;
+        let rows = (0..hp)
+            .map(|iy| (slot(iy), iy.checked_sub(ph).filter(|&y| y < h)))
+            .collect();
+
+        let mut oys = Vec::new();
+        let mut runs = Vec::new();
+        for rho in classes.into_iter().filter(|&rho| rho < ho) {
+            let before = oys.len();
+            oys.extend((rho..ho).step_by(row_k));
+            let row_off = kept
+                .iter()
+                .map(|&idx| {
+                    let (chan, ky, kx) = (idx / (r * s), idx % (r * s) / s, idx % s);
+                    ((kx * cpg + chan) * hp + slot(rho * sh + ky)) * nx
+                })
+                .collect();
+            runs.push(Run {
+                len: (oys.len() - before) * nx,
+                step: PANEL,
+                row_off,
+            });
+        }
+        Lowering {
+            cpg,
+            kpg: k / groups,
+            groups,
+            h,
+            w,
+            ho,
+            wo,
+            s,
+            pw,
+            sw,
+            kept,
+            scale,
+            oys,
+            oxs,
+            perf,
+            fp16: params.precision == Precision::Fp16,
+            act,
+            rows,
+            runs,
+        }
+    }
+
+    /// Elements of the staged image, slack included.
+    fn staged_len(&self) -> usize {
+        self.s * self.cpg * self.rows.len() * self.oxs.len() + PANEL
+    }
+
+    /// Writes the staged image of one (image, group) — `image` is its `cpg`
+    /// input planes — over whatever `staged` held: every element of every
+    /// plane, zeros where the window pads. `row` is one padded input row of
+    /// working space: each input row goes through `quant` into its middle
+    /// once, and the `s` planes' rows are that row read from `kx` on.
+    fn stage<T: StageElem>(
+        &self,
+        image: &[f32],
+        quant: impl Fn(&[f32], &mut [T]),
+        staged: &mut [T],
+        row: &mut [T],
+    ) {
+        // Unit width-stride with every column computed (every zoo conv,
+        // filter sampling, row perforation): a staged row is one copy.
+        if self.sw == 1 && self.oxs.len() == self.wo {
+            self.stage_rows(image, quant, staged, row, |dst, from_kx| {
+                dst.copy_from_slice(&from_kx[..dst.len()])
+            });
+        } else {
+            self.stage_rows(image, quant, staged, row, |dst, from_kx| {
+                for (d, &ox) in dst.iter_mut().zip(&self.oxs) {
+                    *d = from_kx[ox * self.sw];
+                }
+            });
+        }
+    }
+
+    /// [`Lowering::stage`] with the way one staged row is taken out of the
+    /// padded input row resolved: `place(dst, &row[kx..])`.
+    fn stage_rows<T: StageElem>(
+        &self,
+        image: &[f32],
+        quant: impl Fn(&[f32], &mut [T]),
+        staged: &mut [T],
+        row: &mut [T],
+        place: impl Fn(&mut [T], &[T]),
+    ) {
+        let (h, w, nx) = (self.h, self.w, self.oxs.len());
+        let plane = self.rows.len() * nx;
+        row.fill(T::default());
+        for chan in 0..self.cpg {
+            for &(slot, y) in &self.rows {
+                let middle = &mut row[self.pw..self.pw + w];
+                match y {
+                    Some(y) => quant(&image[(chan * h + y) * w..][..w], middle),
+                    None => middle.fill(T::default()),
+                }
+                for kx in 0..self.s {
+                    let at = (kx * self.cpg + chan) * plane + slot * nx;
+                    place(&mut staged[at..][..nx], &row[kx..]);
+                }
             }
         }
     }
@@ -353,23 +333,23 @@ fn fills(extent: usize, kept: &[usize]) -> Vec<(usize, Fill)> {
         .collect()
 }
 
-/// Spreads one output channel's computed positions (`kept`, row-major over
-/// `oys × oxs`) over its `ho × wo` plane and interpolates the perforated
+/// Spreads one output channel's computed positions (`kept`, in GEMM column
+/// order: `oys × oxs`) over its `ho × wo` plane and interpolates the perforated
 /// rows or columns — expression-identical to the direct reference kernel,
 /// one whole row (or one strided pass along a row) at a time.
 fn scatter_interpolate(
-    plan: &LowerPlan,
+    low: &Lowering,
     dim: PerforationDim,
     skipped: &[(usize, Fill)],
     kept: &[f32],
     bias_v: f32,
     op: &mut [f32],
 ) {
-    let wo = plan.wo;
-    let nx = plan.oxs.len();
+    let wo = low.wo;
+    let nx = low.oxs.len();
     match dim {
         PerforationDim::Row => {
-            for (krow, &oy) in kept.chunks(wo.max(1)).zip(plan.oys) {
+            for (krow, &oy) in kept.chunks(wo.max(1)).zip(&low.oys) {
                 op[oy * wo..][..wo].copy_from_slice(krow);
             }
             for &(oy, fill) in skipped {
@@ -393,7 +373,7 @@ fn scatter_interpolate(
         PerforationDim::Col => {
             for (oy, row) in op.chunks_mut(wo.max(1)).enumerate() {
                 if nx > 0 {
-                    for (&ox, &v) in plan.oxs.iter().zip(&kept[oy * nx..][..nx]) {
+                    for (&ox, &v) in low.oxs.iter().zip(&kept[oy * nx..][..nx]) {
                         row[ox] = v;
                     }
                 }
@@ -409,121 +389,152 @@ fn scatter_interpolate(
     }
 }
 
-/// Drives the pack → GEMM → epilogue/scatter pipeline over all
-/// (group, image) pairs. `gemm_call(m, k, n, a, panels, dst, epi)` runs the
-/// element-type-appropriate GEMM over the packed patches.
-#[allow(clippy::type_complexity)]
-fn run_lowered<T: PatchElem>(
-    plan: &LowerPlan,
-    in_data: &[T],
-    w_data: &[T],
-    bias_data: Option<&[f32]>,
+/// Drives stage → GEMM over the staged windows (checksum-verified if
+/// `verify`) → epilogue or scatter over every (image, group), images in
+/// parallel (forked only when every thread gets [`par::GRAIN`] worth of
+/// multiplies). `quant` turns one input row into staged elements.
+#[allow(clippy::too_many_arguments)]
+fn run_lowered<K: Verified>(
+    low: &Lowering,
+    kern: &K,
+    input: &[f32],
+    quant: impl Fn(&[f32], &mut [K::Elem]) + Sync,
+    w_data: &[K::Elem],
+    bias: Option<&[f32]>,
     out: &mut [f32],
-    gemm_call: &dyn Fn(usize, usize, usize, &[T], &[T], &mut [f32], &Epilogue),
-) {
-    let total = plan.cpg * plan.r * plan.s;
-    let n_pos = plan.oys.len() * plan.oxs.len();
-    let kk2 = plan.kept.len();
-    let plane = plan.ho * plan.wo;
-    let packer = Packer::new(plan);
-    let skipped = match plan.perf {
-        Some(PerforationDim::Row) => fills(plan.ho, plan.oys),
-        Some(PerforationDim::Col) => fills(plan.wo, plan.oxs),
-        None => Vec::new(),
+    verify: bool,
+) -> Result<(), TensorError>
+where
+    K::Elem: StageElem,
+{
+    let (kpg, kk2, plane) = (low.kpg, low.kept.len(), low.ho * low.wo);
+    let k = kpg * low.groups;
+    if k * plane == 0 {
+        return Ok(());
+    }
+    let n_pos = low.oys.len() * low.oxs.len();
+    // The kept weight elements of every output channel: group `g`'s GEMM A
+    // matrix is rows `g·kpg..(g + 1)·kpg`.
+    let total = w_data.len() / k;
+    let weights: Vec<K::Elem> = (0..k)
+        .flat_map(|oc| low.kept.iter().map(move |&idx| w_data[oc * total + idx]))
+        .collect();
+    let per_group = low.cpg * low.h * low.w;
+    let (staged_len, row_len) = (low.staged_len(), low.w + 2 * low.pw);
+    let gemm_call = |a: &[K::Elem], b: &Windows<K::Elem>, dst: &mut [f32], epi: &Epilogue| {
+        if verify {
+            abft::gemm_windows_abft(kern, kpg, a, b, dst, epi)
+        } else {
+            gemm::gemm_windows(kern, kpg, a, b, dst, epi);
+            Ok(())
+        }
     };
 
-    let mut scratch = SCRATCH.take();
-    let (panels, kept_plane) = T::buffers(&mut scratch);
-    let packed_len = gemm::packed_len(kk2, n_pos);
-    panels.clear();
-    panels.resize(packed_len + packer.gathered_len(), T::ZERO);
-    let (panels, gathered) = panels.split_at_mut(packed_len);
-    // Perforation computes only the kept columns into this plane.
-    let kept_len = plan.perf.map_or(0, |_| plan.kpg * n_pos);
-    if kept_plane.len() < kept_len {
-        kept_plane.resize(kept_len, 0.0);
-    }
-    let kept_plane = &mut kept_plane[..kept_len];
-
-    for g in 0..plan.groups {
-        let a_pack = pack_weights(w_data, g, plan.kpg, total, plan.kept);
-        let bias_slice = bias_data.map(|bd| &bd[g * plan.kpg..(g + 1) * plan.kpg]);
-        for bimg in 0..plan.n {
-            packer.pack(in_data, bimg, g, panels, gathered);
-            let out_base = (bimg * plan.k + g * plan.kpg) * plane;
-            let planes = &mut out[out_base..out_base + plan.kpg * plane];
-            let Some(dim) = plan.perf else {
+    let lower_image = |image: &[f32], oimg: &mut [f32], scratch: &mut Scratch| {
+        let (staged, kept_plane) = K::Elem::buffers(scratch);
+        if staged.len() < staged_len + row_len {
+            staged.resize(staged_len + row_len, K::Elem::default());
+        }
+        let (staged, row) = staged.split_at_mut(staged_len);
+        // Perforation computes only the kept positions into this plane.
+        let kept_len = low.perf.as_ref().map_or(0, |_| kpg * n_pos);
+        if kept_plane.len() < kept_len {
+            kept_plane.resize(kept_len, 0.0);
+        }
+        for g in 0..low.groups {
+            let group = &image[g * per_group..][..per_group];
+            low.stage(group, &quant, staged, &mut row[..row_len]);
+            let b = Windows {
+                data: staged,
+                k: kk2,
+                runs: &low.runs,
+            };
+            let a = &weights[g * kpg * kk2..][..kpg * kk2];
+            let bias_slice = bias.map(|bd| &bd[g * kpg..(g + 1) * kpg]);
+            let planes = &mut oimg[g * kpg * plane..][..kpg * plane];
+            let Some((dim, skipped)) = &low.perf else {
                 // Columns cover the full plane in row-major order, so the
                 // GEMM writes the group's output planes directly, epilogue
                 // fused.
                 let epi = Epilogue::Conv {
-                    scale: plan.scale,
+                    scale: low.scale,
                     bias: bias_slice,
-                    fp16: plan.fp16,
-                    act: plan.act,
+                    fp16: low.fp16,
+                    act: low.act,
                 };
-                gemm_call(plan.kpg, kk2, n_pos, &a_pack, panels, planes, &epi);
+                gemm_call(a, &b, planes, &epi)?;
                 continue;
             };
-            // Compute only the kept columns, then scatter and interpolate.
+            // Compute only the kept positions, then scatter and interpolate.
             // Quantisation and the activation must run *after*
             // interpolation (matching the reference kernel), so the GEMM
             // epilogue applies only scale and bias.
             let epi = Epilogue::Conv {
-                scale: plan.scale,
+                scale: low.scale,
                 bias: bias_slice,
                 fp16: false,
                 act: None,
             };
-            gemm_call(plan.kpg, kk2, n_pos, &a_pack, panels, kept_plane, &epi);
-            for (di, op) in planes.chunks_mut(plane.max(1)).enumerate() {
+            gemm_call(a, &b, &mut kept_plane[..kept_len], &epi)?;
+            for (di, op) in planes.chunks_mut(plane).enumerate() {
                 let bias_v = bias_slice.map_or(0.0, |bs| bs[di]);
                 let kept = &kept_plane[di * n_pos..(di + 1) * n_pos];
-                scatter_interpolate(plan, dim, &skipped, kept, bias_v, op);
-                if plan.fp16 {
+                scatter_interpolate(low, *dim, skipped, kept, bias_v, op);
+                if low.fp16 {
                     op.iter_mut().for_each(|v| *v = f16::quantize(*v));
                 }
-                if let Some(act) = plan.act {
+                if let Some(act) = low.act {
                     act.apply_slice(op);
                 }
             }
         }
-    }
-    SCRATCH.set(scratch);
+        Ok(())
+    };
+
+    // The failed checksum of the lowest image, so the report does not depend
+    // on which thread got there first; images behind it are skipped (the
+    // output is discarded anyway).
+    let failed = Mutex::new(None::<(usize, TensorError)>);
+    // A poisoned slot is still a whole `Option`: every update is one store.
+    let lock = || failed.lock().unwrap_or_else(|e| e.into_inner());
+    out.par_chunks_mut(k * plane)
+        .with_min_len(par::min_chunks(k * kk2 * n_pos / K::MULS_PER_ITEM))
+        .enumerate()
+        .for_each(|(bimg, oimg)| {
+            if verify && lock().as_ref().is_some_and(|(b, _)| *b < bimg) {
+                return;
+            }
+            let image = &input[bimg * low.groups * per_group..][..low.groups * per_group];
+            let mut scratch = SCRATCH.take();
+            let done = lower_image(image, oimg, &mut scratch);
+            SCRATCH.set(scratch);
+            if let Err(e) = done {
+                let mut slot = lock();
+                if slot.as_ref().is_none_or(|(b, _)| bimg < *b) {
+                    *slot = Some((bimg, e));
+                }
+            }
+        });
+    let first = failed.into_inner().unwrap_or_else(|e| e.into_inner());
+    first.map_or(Ok(()), |(_, e)| {
+        Err(TensorError::CorruptionDetected {
+            op: "conv2d",
+            detail: e.to_string(),
+        })
+    })
 }
 
 /// Lowers a convolution (any [`Conv2dParams`] setting, optionally with a
-/// fused trailing FP32 activation) through im2col onto the tiled GEMM.
+/// fused trailing FP32 activation) onto the windowed GEMM — the kernel behind
+/// [`super::conv2d`] and [`super::conv::conv2d_fused`]; results are
+/// bit-identical to the direct reference kernel for every configuration.
 ///
-/// This is the kernel behind [`super::conv2d`] and
-/// [`super::conv::conv2d_fused`]; results are bit-identical to the direct
-/// reference kernel for every configuration.
+/// With `verify` it is their ABFT twin: every lowered GEMM runs with a raw
+/// epilogue, its Huang–Abraham checksums are folded over the staged windows
+/// the multiply read ([`super::abft`]), and only then is the epilogue
+/// applied — so clean outputs stay bit-identical while corrupted
+/// accumulators surface as [`TensorError::CorruptionDetected`].
 pub(crate) fn conv2d_lowered(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    act: Option<UnaryOp>,
-) -> Result<Tensor, TensorError> {
-    conv2d_lowered_impl(input, weight, bias, params, act, false)
-}
-
-/// ABFT twin of [`conv2d_lowered`]: every lowered GEMM runs with a raw
-/// epilogue, its Huang–Abraham checksums are verified against the packed
-/// panels ([`super::abft`]), and only then is the epilogue applied — so
-/// clean outputs stay bit-identical while corrupted accumulators surface
-/// as [`TensorError::CorruptionDetected`].
-pub(crate) fn conv2d_lowered_abft(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    act: Option<UnaryOp>,
-) -> Result<Tensor, TensorError> {
-    conv2d_lowered_impl(input, weight, bias, params, act, true)
-}
-
-fn conv2d_lowered_impl(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
@@ -533,23 +544,20 @@ fn conv2d_lowered_impl(
 ) -> Result<Tensor, TensorError> {
     params.approx.validate()?;
     params.mul.validate()?;
-    let (_, c, _, _) = input.shape().as_nchw()?;
-    let (k, wc, _, _) = weight.shape().as_nchw()?;
+    let (n, c, h, w) = input.shape().as_nchw()?;
+    let (k, cpg, r, s) = weight.shape().as_nchw()?;
     let groups = params.groups.max(1);
-    if c % groups != 0 || k % groups != 0 || wc != c / groups {
+    if c % groups != 0 || k % groups != 0 || cpg != c / groups {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d",
             detail: format!(
-                "groups={groups} incompatible with input channels {c}, weight [{k},{wc},..]"
+                "groups={groups} incompatible with input channels {c}, weight [{k},{cpg},..]"
             ),
         });
     }
     // Shape algebra is the same as a dense conv with C/groups input
     // channels per filter.
-    let pseudo_input = {
-        let (n, _, h, w) = input.shape().as_nchw()?;
-        Shape::nchw(n, wc, h, w)
-    };
+    let pseudo_input = Shape::nchw(n, cpg, h, w);
     let out_shape = conv2d_out_shape(pseudo_input, weight.shape(), params.pad, params.stride)?;
     if let Some(b) = bias {
         if b.len() != k {
@@ -561,148 +569,53 @@ fn conv2d_lowered_impl(
     }
 
     // FP16 semantics: quantise operands, accumulate in f32, quantise result.
-    let (qin, qwt, qb);
-    let (input, weight, bias) = match params.precision {
-        Precision::Fp32 => (input, weight, bias),
-        Precision::Fp16 => {
-            qin = input.to_f16();
-            qwt = weight.to_f16();
-            qb = bias.map(|b| b.to_f16());
-            (&qin, &qwt, qb.as_ref())
-        }
+    // The input is quantised row by row as it is staged; weights and bias
+    // are small.
+    let fp16 = params.precision == Precision::Fp16;
+    let (qwt, qb);
+    let (weight, bias) = if fp16 {
+        qwt = weight.to_f16();
+        qb = bias.map(|b| b.to_f16());
+        (&qwt, qb.as_ref())
+    } else {
+        (weight, bias)
     };
 
-    let (n, _, h, w) = input.shape().as_nchw()?;
-    let (_, cpg, r, s) = weight.shape().as_nchw()?;
     let (_, _, ho, wo) = out_shape.as_nchw()?;
-    let total = cpg * r * s;
-
-    // Row pruning (filter sampling): kept filter indices + compensation.
-    let (kept, scale): (Vec<usize>, f32) = match params.approx {
-        ConvApprox::FilterSampling { k: kk, offset } => {
-            let kept: Vec<usize> = (0..total).filter(|i| i % kk != offset).collect();
-            let cnt = kept.len().max(1);
-            (kept, total as f32 / cnt as f32)
-        }
-        _ => ((0..total).collect(), 1.0),
-    };
-    // Column pruning (perforation): computed output positions.
-    let (perf, oys, oxs): (_, Vec<usize>, Vec<usize>) = match params.approx {
-        ConvApprox::Perforation { dim, k, offset } => {
-            let keep = |extent| (0..extent).filter(|c| c % k != offset).collect();
-            match dim {
-                PerforationDim::Row => (Some(dim), keep(ho), (0..wo).collect()),
-                PerforationDim::Col => (Some(dim), (0..ho).collect(), keep(wo)),
-            }
-        }
-        _ => (None, (0..ho).collect(), (0..wo).collect()),
-    };
-
-    let plan = LowerPlan {
-        n,
-        c,
-        h,
-        w,
-        k,
-        cpg,
-        r,
-        s,
-        ho,
-        wo,
-        pad: params.pad,
-        stride: params.stride,
-        groups,
-        kpg: k / groups,
-        kept: &kept,
-        scale,
-        oys: &oys,
-        oxs: &oxs,
-        perf,
-        fp16: params.precision == Precision::Fp16,
-        act,
-    };
-
+    let low = Lowering::new((h, w), (k, cpg, r, s), (ho, wo), params, act);
     let mut out = vec![0.0f32; n * k * ho * wo];
-    let bias_data = bias.map(|t| t.data());
-    // Set by the verifying gemm closures on a failed checksum: the closure
-    // signature cannot return an error, so detection is carried out-of-band
-    // (and remaining gemms are skipped — the output is discarded anyway).
-    let corrupt = std::cell::RefCell::new(None::<String>);
-    match params.mul {
-        MulApprox::Exact if verify => {
-            run_lowered::<f32>(
-                &plan,
-                input.data(),
-                weight.data(),
-                bias_data,
-                &mut out,
-                &|m, kd, nd, a, bm, dst, epi| {
-                    if corrupt.borrow().is_some() {
-                        return;
-                    }
-                    let tol = super::abft::AbftTol::exact(m, kd, nd);
-                    if let Err(e) =
-                        super::abft::gemm_f32_abft_packed(m, kd, nd, a, bm, dst, epi, &tol)
-                    {
-                        *corrupt.borrow_mut() = Some(e.to_string());
-                    }
-                },
-            );
+    let (x, w, b) = (input.data(), weight.data(), bias.map(|t| t.data()));
+    let through_f16 = |src: &[f32], dst: &mut [f32]| {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = f16::quantize(v);
         }
+    };
+    // One closure type per quantiser, so the plain FP32 staging loop carries
+    // none of the others' code.
+    match params.mul {
+        MulApprox::Exact if fp16 => run_lowered(&low, &Fma, x, through_f16, w, b, &mut out, verify),
         MulApprox::Exact => {
-            run_lowered::<f32>(
-                &plan,
-                input.data(),
-                weight.data(),
-                bias_data,
-                &mut out,
-                &|m, kd, nd, a, bm, dst, epi| gemm::gemm_f32_packed(m, kd, nd, a, bm, dst, epi),
-            );
+            let plain = |src: &[f32], dst: &mut [f32]| dst.copy_from_slice(src);
+            run_lowered(&low, &Fma, x, plain, w, b, &mut out, verify)
         }
         MulApprox::Lut { bits } => {
-            let table = lut::lut_for(bits);
-            let qi = lut::quantize_symmetric(input.data(), bits);
-            let qw = lut::quantize_symmetric(weight.data(), bits);
-            let dq = qi.scale * qw.scale;
-            if verify {
-                run_lowered::<i16>(
-                    &plan,
-                    &qi.q,
-                    &qw.q,
-                    bias_data,
-                    &mut out,
-                    &|m, kd, nd, a, bm, dst, epi| {
-                        if corrupt.borrow().is_some() {
-                            return;
-                        }
-                        let tol = super::abft::AbftTol::lut(kd, dq);
-                        if let Err(e) = super::abft::gemm_lut_abft_packed(
-                            m, kd, nd, a, bm, table, dq, dst, epi, &tol,
-                        ) {
-                            *corrupt.borrow_mut() = Some(e.to_string());
-                        }
-                    },
-                );
-            } else {
-                run_lowered::<i16>(
-                    &plan,
-                    &qi.q,
-                    &qw.q,
-                    bias_data,
-                    &mut out,
-                    &move |m, kd, nd, a, bm, dst, epi| {
-                        gemm::gemm_lut_packed(m, kd, nd, a, bm, table, dq, dst, epi)
-                    },
-                );
-            }
+            // Whole-tensor symmetric quantisation of both operands; the
+            // input's is fitted here and applied while staging.
+            let f16_first = |v: f32| if fp16 { f16::quantize(v) } else { v };
+            let sym = lut::Symmetric::fit(lut::max_abs(x.iter().map(|&v| f16_first(v))), bits);
+            let qw = lut::quantize_symmetric(w, bits);
+            let kern = LutMul {
+                table: lut::lut_for(bits),
+                dequant: sym.scale * qw.scale,
+            };
+            let quant = |src: &[f32], dst: &mut [i16]| {
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d = sym.q(f16_first(v));
+                }
+            };
+            run_lowered(&low, &kern, x, quant, &qw.q, b, &mut out, verify)
         }
-    }
-    if let Some(detail) = corrupt.into_inner() {
-        return Err(TensorError::CorruptionDetected {
-            op: "conv2d",
-            detail,
-        });
-    }
+    }?;
     Tensor::from_vec(out_shape, out)
 }
 
@@ -730,7 +643,7 @@ mod tests {
 
     fn check(params: Conv2dParams, ctx: &str) {
         let (x, w, b) = fixtures();
-        let lowered = conv2d_lowered(&x, &w, Some(&b), params, None).unwrap();
+        let lowered = conv2d_lowered(&x, &w, Some(&b), params, None, false).unwrap();
         let direct = conv2d_reference(&x, &w, Some(&b), params).unwrap();
         assert_bits_eq(&lowered, &direct, ctx);
     }
@@ -831,7 +744,7 @@ mod tests {
             groups: 4,
             ..Default::default()
         };
-        let lowered = conv2d_lowered(&x, &w, None, params, None).unwrap();
+        let lowered = conv2d_lowered(&x, &w, None, params, None, false).unwrap();
         let direct = conv2d_reference(&x, &w, None, params).unwrap();
         assert_bits_eq(&lowered, &direct, "depthwise");
     }
@@ -853,9 +766,10 @@ mod tests {
                 approx,
                 ..Default::default()
             };
-            let fused = conv2d_lowered(&x, &w, Some(&b), params, Some(UnaryOp::Relu)).unwrap();
+            let fused =
+                conv2d_lowered(&x, &w, Some(&b), params, Some(UnaryOp::Relu), false).unwrap();
             let unfused = crate::ops::relu(
-                &conv2d_lowered(&x, &w, Some(&b), params, None).unwrap(),
+                &conv2d_lowered(&x, &w, Some(&b), params, None, false).unwrap(),
                 Precision::Fp32,
             )
             .unwrap();
@@ -872,7 +786,7 @@ mod tests {
             stride: (1, 1),
             ..Default::default()
         };
-        assert!(conv2d_lowered(&x, &w, Some(&bad), params, None).is_err());
+        assert!(conv2d_lowered(&x, &w, Some(&bad), params, None, false).is_err());
     }
 
     #[test]
@@ -882,7 +796,7 @@ mod tests {
         let x = Tensor::uniform(Shape::nchw(1, 1, 3, 2), -1.0, 1.0, &mut rng);
         let w = Tensor::uniform(Shape::nchw(1, 1, 1, 1), -1.0, 1.0, &mut rng);
         let params = Conv2dParams::default();
-        let lowered = conv2d_lowered(&x, &w, None, params, None).unwrap();
+        let lowered = conv2d_lowered(&x, &w, None, params, None, false).unwrap();
         let direct = conv2d_reference(&x, &w, None, params).unwrap();
         assert_bits_eq(&lowered, &direct, "1x1");
     }

@@ -13,9 +13,18 @@
 //!   that drifts oracle and kernel together still trips the harness;
 //! * results must be identical across rayon thread counts (1/2/4), since
 //!   partitioning never splits one output element's accumulation chain.
+//!
+//! The convolution lowering reads its patch matrix in place, out of an image
+//! staged once ([`at_tensor::ops::im2col`]), through windows that are plain
+//! slices. In this (debug) profile a tap-offset table, run or slack that
+//! pointed outside the staged buffer is therefore a bounds panic here, never
+//! a stray read; CI runs the file again with `--release`, where the
+//! microkernel is actually vectorised.
 
 use at_tensor::ops::conv::Conv2dParams;
-use at_tensor::ops::{conv2d, matmul_ex, reference};
+use at_tensor::ops::{
+    conv2d, conv2d_abft, conv2d_fused, conv2d_fused_abft, map_unary, matmul_ex, reference, UnaryOp,
+};
 use at_tensor::{ConvApprox, MulApprox, PerforationDim, Precision, Shape, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -121,19 +130,32 @@ fn conv_case() -> impl Strategy<Value = ConvCase> {
     ))
 }
 
-/// [`conv_case`] with the geometry widened past what the zoo uses: padding
-/// at least as wide as the kernel (whole taps pad away), inputs narrower
-/// than the kernel, kernels up to 4×5.
-fn wide_conv_case() -> impl Strategy<Value = ConvCase> {
+/// Geometry aimed at the edges of the staged layout: `ho·wo` off the
+/// 32-column panel grid, `wo` below one lane group and down to 1 (strides up
+/// to 4 per dimension, independently), inputs shorter than the window (rows
+/// of the staged image that are all padding), padding up to 5, windows from
+/// 1×1 to 11×11, grouped and depthwise (`cpg` = 1) channels, and up to 9
+/// output channels per group so every row-group height occurs.
+fn staged_conv_case() -> impl Strategy<Value = ConvCase> {
+    let window = || proptest::sample::select(vec![1usize, 2, 3, 4, 5, 7, 11]);
     conv_cases((
-        (1usize..=2, 1usize..=2, 1usize..=2, 1usize..=5),
-        (1usize..=8, 1usize..=9, 1usize..=4, 1usize..=5),
+        (1usize..=2, 1usize..=3, 1usize..=3, 1usize..=9),
+        (1usize..=12, 1usize..=40, window(), window()),
         (
-            (0usize..=4, 0usize..=5),
-            (1usize..=2, 1usize..=2),
+            (0usize..=5, 0usize..=5),
+            (1usize..=4, 1usize..=4),
             0u64..1000,
         ),
     ))
+}
+
+/// Exact, then every filter-sampling `(k, offset)`, then every perforation
+/// `(dim, k, offset)`: 28 settings.
+fn conv_approximations() -> Vec<ConvApprox> {
+    let mut all = vec![ConvApprox::Exact];
+    all.extend(ConvApprox::all_filter_sampling());
+    all.extend(ConvApprox::all_perforation());
+    all
 }
 
 proptest! {
@@ -141,7 +163,7 @@ proptest! {
 
     /// Exact FP32 matmul: bit-for-bit against the naive oracle, across
     /// shapes that straddle every panel boundary (ragged and full 32-wide
-    /// panels, every row-group height, and the 8-row rayon blocks).
+    /// panels and every row-group height).
     #[test]
     fn matmul_fp32_bitwise(
         m in 1usize..40,
@@ -255,50 +277,58 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Both im2col paths against the oracle, bits only, over the widened
-    /// geometry and every approximation family: unit width-stride without
-    /// column perforation packs each (filter element, output row) as one
-    /// contiguous copy, anything else gathers element by element.
+    /// The staged-window lowering against the oracle, bits only: every
+    /// approximation (so filter-sampled offset tables, column-compacted
+    /// planes and the phase-major rows of strided or row-perforated runs all
+    /// occur, with run boundaries falling mid-panel) × FP32 / FP16 / LUT
+    /// 8, 6, 4 operands × the plain, fused-activation and ABFT entry points
+    /// × 1, 2 and 4 pool threads.
     #[test]
-    fn conv_lowering_bitwise_on_both_im2col_paths(
-        case in wide_conv_case(),
-        which in 0usize..6,
-        (pk, poff) in (2usize..=4, 0usize..4),
+    fn conv_lowering_bitwise_over_the_staged_layout(
+        case in staged_conv_case(),
+        approx in proptest::sample::select(conv_approximations()),
+        (precision, mul) in proptest::sample::select(vec![
+            (Precision::Fp32, MulApprox::Exact),
+            (Precision::Fp16, MulApprox::Exact),
+            (Precision::Fp32, MulApprox::Lut { bits: 8 }),
+            (Precision::Fp32, MulApprox::Lut { bits: 6 }),
+            (Precision::Fp32, MulApprox::Lut { bits: 4 }),
+        ]),
+        act in proptest::sample::select(vec![UnaryOp::Relu, UnaryOp::Tanh]),
     ) {
-        let offset = poff % pk;
-        let (approx, precision, mul) = match which {
-            0 => (ConvApprox::Exact, Precision::Fp32, MulApprox::Exact),
-            1 => (ConvApprox::FilterSampling { k: pk, offset }, Precision::Fp32, MulApprox::Exact),
-            2 => (
-                ConvApprox::Perforation { dim: PerforationDim::Row, k: pk, offset },
-                Precision::Fp32,
-                MulApprox::Exact,
-            ),
-            3 => (
-                ConvApprox::Perforation { dim: PerforationDim::Col, k: pk, offset },
-                Precision::Fp32,
-                MulApprox::Exact,
-            ),
-            4 => (ConvApprox::Exact, Precision::Fp16, MulApprox::Exact),
-            _ => (ConvApprox::Exact, Precision::Fp32, MulApprox::Lut { bits: 8 }),
-        };
         let (x, wt, b) = case.tensors();
         let p = case.params(approx, precision, mul);
-        let naive = reference::conv2d_reference(&x, &wt, Some(&b), p);
-        match conv2d(&x, &wt, Some(&b), p) {
-            Ok(fast) => prop_assert_eq!(bits(&fast), bits(&naive.unwrap())),
-            Err(_) => prop_assert!(naive.is_err(), "only the lowered kernel rejected {:?}", p),
+        // A knob invalid for the shape is rejected by both sides alike.
+        let naive = reference::conv2d_reference(&x, &wt, Some(&b), p).ok();
+        prop_assert_eq!(conv2d(&x, &wt, Some(&b), p).is_ok(), naive.is_some(), "{:?}", p);
+        let want = naive.map(|t| (bits(&t), bits(&map_unary(&t, act, Precision::Fp32).unwrap())));
+        for (threads, (plain, activated)) in [1usize, 2, 4].into_iter().zip(want.iter().cycle()) {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let got = pool.install(|| {
+                [
+                    conv2d(&x, &wt, Some(&b), p),
+                    conv2d_abft(&x, &wt, Some(&b), p),
+                    conv2d_fused(&x, &wt, Some(&b), p, act),
+                    conv2d_fused_abft(&x, &wt, Some(&b), p, act),
+                ]
+                .map(|out| bits(&out.unwrap()))
+            });
+            prop_assert_eq!(&got[0], plain, "conv2d at {} threads", threads);
+            prop_assert_eq!(&got[1], plain, "conv2d_abft at {} threads", threads);
+            prop_assert_eq!(&got[2], activated, "conv2d_fused at {} threads", threads);
+            prop_assert_eq!(&got[3], activated, "conv2d_fused_abft at {} threads", threads);
         }
     }
 }
 
-/// Every row-group height (8, 4, 2, 1 and their sums up to two row blocks)
+/// Every row-group height (8, 4, 2, 1, their sums, and the edges of the
+/// 64-row block a rayon task covers panel by panel)
 /// against every column regime — below one lane group, exactly one, a ragged
 /// and a full panel, several panels with a ragged edge — and the empty and
 /// single-step reductions: bit for bit against the naive oracle.
 #[test]
 fn gemm_bitwise_for_every_row_group_and_panel_edge() {
-    for m in 1..=17 {
+    for m in (1..=17).chain([63, 64, 65, 77]) {
         for n in [1, 15, 16, 31, 32, 33, 77, 128] {
             for k in [0, 1, 17] {
                 let a = tensor(Shape::mat(m, k), (m * 1000 + n * 10 + k) as u64);
@@ -344,27 +374,30 @@ fn degenerate_shapes_bitwise() {
 }
 
 /// The kernels must produce identical bits no matter how many rayon worker
-/// partitions execute them: partitioning is by whole output rows/planes, so
-/// no accumulation chain is ever split.
+/// partitions execute them: partitioning is by whole output rows (a GEMM) or
+/// whole images (a convolution), so no accumulation chain is ever split.
 #[test]
 fn deterministic_across_thread_counts() {
     // Large enough that regions really fork under the kernels' grain rule:
-    // 38 GEMM row blocks, 51 k-element conv operands for the FP16 and LUT
-    // quantisers, 16-row LUT GEMMs.
+    // 5 GEMM row blocks, 4 images of 1.3–1.7 M multiplies each (a thread
+    // forks from 1 Mi), a 51 k-element input for the LUT quantiser's scale.
     let a = tensor(Shape::mat(300, 96), 11);
     let b = tensor(Shape::mat(96, 165), 12);
     let x = tensor(Shape::nchw(4, 8, 40, 40), 13);
     let w = tensor(Shape::nchw(16, 8, 3, 3), 14);
+    let w_grouped = tensor(Shape::nchw(16, 4, 5, 5), 15);
+    let perforated = |dim| Conv2dParams {
+        approx: ConvApprox::Perforation {
+            dim,
+            k: 3,
+            offset: 1,
+        },
+        ..Default::default()
+    };
     let params = [
         Conv2dParams::default(),
-        Conv2dParams {
-            approx: ConvApprox::Perforation {
-                dim: PerforationDim::Row,
-                k: 2,
-                offset: 0,
-            },
-            ..Default::default()
-        },
+        perforated(PerforationDim::Row),
+        perforated(PerforationDim::Col),
         Conv2dParams {
             precision: Precision::Fp16,
             ..Default::default()
@@ -374,12 +407,23 @@ fn deterministic_across_thread_counts() {
             ..Default::default()
         },
     ];
+    let grouped = Conv2dParams {
+        pad: (2, 2),
+        stride: (2, 1),
+        groups: 2,
+        ..Default::default()
+    };
     let run = || {
         let mm = matmul_ex(&a, &b, None, Precision::Fp32, MulApprox::Exact).unwrap();
-        let convs: Vec<Vec<u32>> = params
-            .iter()
-            .map(|&p| bits(&conv2d(&x, &w, None, p).unwrap()))
-            .collect();
+        let mut convs: Vec<Vec<u32>> = Vec::new();
+        for &p in &params {
+            convs.push(bits(&conv2d(&x, &w, None, p).unwrap()));
+            convs.push(bits(&conv2d_abft(&x, &w, None, p).unwrap()));
+        }
+        convs.push(bits(&conv2d(&x, &w_grouped, None, grouped).unwrap()));
+        convs.push(bits(
+            &conv2d_fused(&x, &w_grouped, None, grouped, UnaryOp::Tanh).unwrap(),
+        ));
         (bits(&mm), convs)
     };
     let reference_run = run();

@@ -7,8 +7,14 @@
 //! allocator hands the same blocks back — and the counts repeat exactly from
 //! call to call, so they are asserted, not sampled.
 //!
+//! The `fp16` rung (that knob on every convolution) holds the same line for
+//! the FP16 lowering: the input is quantised row by row as it is staged, so
+//! no quantised copy of it is allocated.
+//!
 //! One `#[test]`: the counters are process-wide.
 
+use approxtuner::core::config::Config;
+use approxtuner::core::knobs::KnobRegistry;
 use approxtuner::ir::{execute, execute_all, execute_suffix, ExecOptions, NodeId, OpClass};
 use approxtuner::models::data::build_dataset;
 use approxtuner::models::{build, BenchmarkId, ModelScale};
@@ -120,4 +126,30 @@ fn exact_inference_allocates_only_its_large_outputs() {
             },
         );
     }
+
+    // Parent commit, same counter: 9 blocks, 1.507 MB — the 5 large outputs
+    // plus a binary16 copy of each of the four convolution inputs of 64 KiB
+    // or more (`input.to_f16()`), which staging now quantises in passing.
+    let bench = build(BenchmarkId::AlexNet2, ModelScale::Tiny);
+    let input = &build_dataset(&bench, 16, 16, 7).batches[0];
+    let registry = KnobRegistry::new();
+    let fp16 = registry
+        .table(OpClass::Conv)
+        .iter()
+        .find(|k| k.label == "fp16")
+        .expect("a conv knob labelled fp16")
+        .id;
+    let mut config = Config::baseline(&bench.graph);
+    for node in bench.graph.nodes() {
+        if node.op.class() == OpClass::Conv {
+            config.set_knob(node.id.0 as usize, fp16);
+        }
+    }
+    let opts = ExecOptions {
+        config: config.decode(&registry, &bench.graph),
+        promise_seed: 0,
+    };
+    assert_steady("Alexnet2 b16 fp16 execute", 5, 900_000, || {
+        execute(&bench.graph, input, &opts).expect("fp16 inference");
+    });
 }
