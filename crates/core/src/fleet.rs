@@ -260,13 +260,31 @@ impl Default for EjectionParams {
 /// over `[0, horizon_s)`, merged into one `(time, tenant)` sequence sorted
 /// by time with ties broken by tenant index. Pure in its inputs.
 pub fn fleet_arrivals(tenants: &[TenantSpec], horizon_s: f64) -> Vec<(f64, usize)> {
-    let mut all: Vec<(f64, usize)> = Vec::new();
-    for (t, spec) in tenants.iter().enumerate() {
-        let trace = generate_arrivals(&spec.pattern, horizon_s, spec.arrival_seed);
-        all.extend(trace.times.into_iter().map(|ts| (ts, t)));
+    let traces: Vec<Vec<f64>> = tenants
+        .iter()
+        .map(|spec| generate_arrivals(&spec.pattern, horizon_s, spec.arrival_seed).times)
+        .collect();
+    // Each trace is already ascending: merge the heads. Arrival times are
+    // finite (below the horizon), so `+∞` marks an exhausted trace.
+    let mut tails: Vec<_> = traces.iter().map(|trace| trace.iter().copied()).collect();
+    let mut next = |t: usize| tails[t].next().unwrap_or(f64::INFINITY);
+    let mut heads: Vec<f64> = (0..traces.len()).map(&mut next).collect();
+    let mut merged = Vec::with_capacity(traces.iter().map(Vec::len).sum());
+    loop {
+        // Strictly earlier wins, so a tie stays with the lower tenant index.
+        let (mut first, mut tenant) = (f64::INFINITY, 0);
+        for (t, &head) in heads.iter().enumerate() {
+            if head < first {
+                (first, tenant) = (head, t);
+            }
+        }
+        if first == f64::INFINITY {
+            break;
+        }
+        heads[tenant] = next(tenant);
+        merged.push((first, tenant));
     }
-    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    all
+    merged
 }
 
 // ---------------------------------------------------------------------------
@@ -310,77 +328,93 @@ pub struct RouteDecision {
     pub sampled: Vec<usize>,
 }
 
-/// Routes one arrival. A pure function of `(policy, views, cursor, key)`:
+/// Picks the replica for one arrival — the one selection rule, behind both
+/// [`route`] and the simulator's event loop. `n` is the replica count,
+/// `available(i)` whether a policy may select replica `i` (breaker admits,
+/// router can reach it), `view(i)` what the router observes of it — read for
+/// the replicas a policy actually compares, so nothing is built per arrival.
 /// `cursor` is the round-robin position (advanced in place), `key` the
-/// per-arrival hash input of power-of-two sampling. No policy ever selects
-/// a replica with an open breaker — or an unreachable one (crashed,
-/// partitioned, gray-ejected) — while an available replica exists; with
-/// none available the decision is `chosen: None`.
+/// per-arrival hash input of power-of-two sampling. `None` when no replica
+/// is available.
+pub fn select_replica(
+    policy: RouterPolicy,
+    n: usize,
+    available: impl Fn(usize) -> bool,
+    view: impl Fn(usize) -> ReplicaView,
+    cursor: &mut usize,
+    key: u64,
+) -> Option<usize> {
+    select_with_rival(policy, n, available, view, cursor, key).map(|(chosen, _)| chosen)
+}
+
+/// [`select_replica`], also naming the replica the choice was compared
+/// with: power-of-two's other sample — the chosen one again when both draws
+/// coincide, and under the other policies.
+fn select_with_rival(
+    policy: RouterPolicy,
+    n: usize,
+    available: impl Fn(usize) -> bool,
+    view: impl Fn(usize) -> ReplicaView,
+    cursor: &mut usize,
+    key: u64,
+) -> Option<(usize, usize)> {
+    match policy {
+        RouterPolicy::RoundRobin => {
+            let i = (0..n)
+                .map(|off| (*cursor + off) % n)
+                .find(|&i| available(i))?;
+            *cursor = (i + 1) % n;
+            Some((i, i))
+        }
+        RouterPolicy::JoinShortestQueue => (0..n)
+            .filter(|&i| available(i))
+            .min_by_key(|&i| {
+                let v = view(i);
+                (v.queue_len, usize::from(v.busy), i)
+            })
+            .map(|i| (i, i)),
+        RouterPolicy::PowerOfTwoChoices => {
+            // Two stateless hash draws (possibly the same replica) over the
+            // available replicas in index order.
+            let open = (0..n).filter(|&i| available(i)).count() as u64;
+            if open == 0 {
+                return None;
+            }
+            let nth = |hash: u64| (0..n).filter(|&i| available(i)).nth((hash % open) as usize);
+            let (a, b) = nth(splitmix64(key)).zip(nth(splitmix64(key ^ 0x9E37_79B9_7F4A_7C15)))?;
+            let score = |i: usize| {
+                let v = view(i);
+                (v.queue_len + v.degradation, usize::from(v.busy), i)
+            };
+            Some(if score(b) < score(a) { (b, a) } else { (a, b) })
+        }
+    }
+}
+
+/// Routes one arrival. A pure function of `(policy, views, cursor, key)`:
+/// [`select_replica`] over `views`, plus the replicas the policy examined.
+/// No policy ever selects a replica with an open breaker — or an
+/// unreachable one (crashed, partitioned, gray-ejected) — while an
+/// available replica exists; with none available the decision is
+/// `chosen: None`.
 pub fn route(
     policy: RouterPolicy,
     views: &[ReplicaView],
     cursor: &mut usize,
     key: u64,
 ) -> RouteDecision {
-    let closed: Vec<usize> = views
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.available())
-        .map(|(i, _)| i)
-        .collect();
-    if closed.is_empty() {
-        return RouteDecision {
-            chosen: None,
-            sampled: Vec::new(),
-        };
-    }
-    match policy {
-        RouterPolicy::RoundRobin => {
-            let n = views.len();
-            for off in 0..n {
-                let i = (*cursor + off) % n;
-                if views[i].available() {
-                    *cursor = (i + 1) % n;
-                    return RouteDecision {
-                        chosen: Some(i),
-                        sampled: closed,
-                    };
-                }
-            }
-            // Unreachable: `closed` is non-empty.
-            RouteDecision {
-                chosen: None,
-                sampled: closed,
-            }
-        }
-        RouterPolicy::JoinShortestQueue => {
-            let chosen = closed
-                .iter()
-                .copied()
-                .min_by_key(|&i| (views[i].queue_len, usize::from(views[i].busy), i));
-            RouteDecision {
-                chosen,
-                sampled: closed,
-            }
-        }
-        RouterPolicy::PowerOfTwoChoices => {
-            let n = closed.len() as u64;
-            let a = closed[(splitmix64(key) % n) as usize];
-            let b = closed[(splitmix64(key ^ 0x9E37_79B9_7F4A_7C15) % n) as usize];
-            let sampled = if a == b {
-                vec![a]
-            } else {
-                vec![a.min(b), a.max(b)]
-            };
-            let chosen = sampled.iter().copied().min_by_key(|&i| {
-                (
-                    views[i].queue_len + views[i].degradation,
-                    usize::from(views[i].busy),
-                    i,
-                )
-            });
-            RouteDecision { chosen, sampled }
-        }
+    let n = views.len();
+    let available = |i: usize| views[i].available();
+    let picked = select_with_rival(policy, n, available, |i| views[i], cursor, key);
+    let sampled = match (policy, picked) {
+        (_, None) => Vec::new(),
+        (RouterPolicy::PowerOfTwoChoices, Some((a, b))) if a == b => vec![a],
+        (RouterPolicy::PowerOfTwoChoices, Some((a, b))) => vec![a.min(b), a.max(b)],
+        _ => (0..n).filter(|&i| available(i)).collect(),
+    };
+    RouteDecision {
+        chosen: picked.map(|(chosen, _)| chosen),
+        sampled,
     }
 }
 
@@ -843,6 +877,80 @@ enum EjectState {
     Probing { left: usize, successes: usize },
 }
 
+/// What one completion's slowdown sample does to a replica's [`EjectState`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum GrayVerdict {
+    /// Nothing changes.
+    Hold,
+    /// A healthy replica's EWMA is `slow_ratio` × the healthy-peer median,
+    /// past the ejection threshold.
+    Eject { slow_ratio: f64 },
+    /// A probe came back slow.
+    ProbeFailed,
+    /// A probe came back fast; the probation round needs more.
+    ProbePassed,
+    /// The round's last probe came back fast.
+    Readmit,
+}
+
+/// The ejection / probation decision for a replica in `state` whose
+/// slowdown EWMA is `ewma` after `samples_since_up` completions, the newest
+/// sample being `slow_sample`. `peer_ewmas` are the EWMAs of its fully
+/// healthy peers (non-finite ones are ignored); `finite` is a scratch
+/// buffer. The peers are only gathered, and their median only taken, when
+/// the decision can depend on it.
+fn gray_verdict(
+    ej: &EjectionParams,
+    state: EjectState,
+    ewma: f64,
+    samples_since_up: usize,
+    slow_sample: f64,
+    peer_ewmas: impl Iterator<Item = f64>,
+    finite: &mut Vec<f64>,
+) -> GrayVerdict {
+    let decided = match state {
+        EjectState::Healthy => samples_since_up < ej.min_samples.max(1),
+        EjectState::Ejected { .. } => true,
+        EjectState::Probing { .. } => !slow_sample.is_finite(),
+    };
+    if decided {
+        return GrayVerdict::Hold;
+    }
+    finite.clear();
+    finite.extend(peer_ewmas.filter(|v| v.is_finite()));
+    // Never eject the last healthy replica: with no peer to compare
+    // against there is no relative signal.
+    if finite.is_empty() {
+        return GrayVerdict::Hold;
+    }
+    let eject_over = ej.eject_ratio.max(1.0);
+    if state == EjectState::Healthy {
+        // The median is at least the minimum, and scaling by a positive
+        // constant and flooring at 1e-9 are monotone even after rounding:
+        // an EWMA within the band of the fastest peer is within the
+        // median's, and almost every completion stops here.
+        let fastest = finite.iter().copied().fold(f64::INFINITY, f64::min);
+        if ewma <= eject_over * fastest.max(1e-9) {
+            return GrayVerdict::Hold;
+        }
+    }
+    finite.sort_by(f64::total_cmp);
+    let median = finite[finite.len() / 2].max(1e-9);
+    match state {
+        EjectState::Healthy if ewma > eject_over * median => GrayVerdict::Eject {
+            slow_ratio: ewma / median,
+        },
+        EjectState::Probing { .. } if slow_sample > ej.readmit_ratio.max(1.0) * median => {
+            GrayVerdict::ProbeFailed
+        }
+        EjectState::Probing { successes, .. } if successes + 1 < ej.probe_budget.max(1) => {
+            GrayVerdict::ProbePassed
+        }
+        EjectState::Probing { .. } => GrayVerdict::Readmit,
+        _ => GrayVerdict::Hold,
+    }
+}
+
 /// Per-(replica, tenant) state: the shipped-curve tuner, the guard, and the
 /// execution counter keying canary sampling and executor calls.
 struct Lane {
@@ -1012,6 +1120,15 @@ pub(crate) struct FleetSim<'a> {
     ctxs: Vec<ServiceCtx<'a>>,
     deadline: f64,
     replicas: Vec<Replica>,
+    /// Finish time of each replica's in-flight request, `+∞` when idle:
+    /// [`InFlight::finish_s`] again, packed so that picking the next event
+    /// reads one cache line instead of every replica's state.
+    finish: Vec<f64>,
+    /// Reused buffer of [`FleetSim::gray_defense`]'s healthy-peer EWMAs.
+    peer_ewmas: Vec<f64>,
+    /// Reused buffer of [`FleetSim::on_arrival`]: which replicas the router
+    /// may pick for the arrival at the door.
+    open: Vec<bool>,
     tenant_acc: Vec<TenantAccum>,
     log: EventRing<FleetEvent>,
     completed: usize,
@@ -1091,6 +1208,9 @@ impl<'a> FleetSim<'a> {
             ctxs,
             deadline,
             replicas,
+            finish: vec![f64::INFINITY; n],
+            peer_ewmas: Vec::with_capacity(n),
+            open: vec![false; n],
             tenant_acc,
             log: EventRing::new(sp.event_limit),
             completed: 0,
@@ -1133,13 +1253,17 @@ impl<'a> FleetSim<'a> {
     /// → chaos → timer → arrival (strict `<` against each later source),
     /// preserving the pre-chaos `completion <= arrival` discipline.
     fn next_event(&self) -> Option<(f64, Event)> {
+        let mut at = f64::INFINITY;
+        let mut event = None;
         // Earliest completion across replicas (ties: lowest replica index).
-        let mut choice: Option<(f64, Event)> = None;
-        for (r, rep) in self.replicas.iter().enumerate() {
-            if let Some(b) = &rep.busy {
-                if choice.as_ref().is_none_or(|(t0, _)| b.finish_s < *t0) {
-                    choice = Some((b.finish_s, Event::Completion(r)));
-                }
+        for (r, &finish_s) in self.finish.iter().enumerate() {
+            if finish_s < at {
+                (at, event) = (finish_s, Some(Event::Completion(r)));
+            }
+        }
+        if let Some(e) = self.params.chaos.events().get(self.next_chaos) {
+            if e.at_s < at {
+                (at, event) = (e.at_s, Some(Event::Chaos));
             }
         }
         // Earliest pending timer (ties: restarts before heals, then lowest
@@ -1153,19 +1277,21 @@ impl<'a> FleetSim<'a> {
                 .then_with(|| timers[a].kind.cmp(&timers[b].kind))
                 .then_with(|| timers[a].replica.cmp(&timers[b].replica))
         });
-        let chaos = self.params.chaos.events().get(self.next_chaos);
-        let arrival = self.arrivals.get(self.next_arrival);
-        let later = [
-            chaos.map(|e| (e.at_s, Event::Chaos)),
-            next_t.map(|ix| (timers[ix].at_s, Event::Timer(ix))),
-            arrival.map(|a| (a.0, Event::Arrival)),
-        ];
-        for (t, event) in later.into_iter().flatten() {
-            if choice.as_ref().is_none_or(|(t0, _)| t < *t0) {
-                choice = Some((t, event));
+        if let Some(ix) = next_t.filter(|&ix| timers[ix].at_s < at) {
+            (at, event) = (timers[ix].at_s, Some(Event::Timer(ix)));
+        }
+        if let Some(a) = self.arrivals.get(self.next_arrival) {
+            if a.0 < at {
+                (at, event) = (a.0, Some(Event::Arrival));
             }
         }
-        choice
+        // Nothing is due at a finite time, yet a request may be in flight
+        // whose service never ends (no watchdog bound, a zero-speedup
+        // point): it completes last, so that it is still accounted.
+        event.map(|e| (at, e)).or_else(|| {
+            let r = self.replicas.iter().position(|rep| rep.busy.is_some())?;
+            Some((self.finish[r], Event::Completion(r)))
+        })
     }
 
     /// The least-loaded fully healthy replica other than `except` that is
@@ -1232,9 +1358,11 @@ impl<'a> FleetSim<'a> {
             rep.flip_draws += 1;
             ChaosPlan::draw_flip(self.params.serve.seed, r, kd, &w)
         });
+        let finish_s = now + draw.svc_s;
+        self.finish[r] = finish_s;
         rep.busy = Some(InFlight {
             req,
-            finish_s: now + draw.svc_s,
+            finish_s,
             draw,
             flip,
         });
@@ -1257,11 +1385,11 @@ impl<'a> FleetSim<'a> {
     /// true`, the crash path). Either way every request is accounted.
     /// Returns `(migrated, shed)`.
     fn flush_queue(&mut self, r: usize, lost: bool) -> (usize, usize) {
-        let drained: Vec<Queued> = self.replicas[r].queue.drain(..).collect();
         let mut migrated = 0usize;
         let mut shed = 0usize;
         let steal = self.params.steal;
-        for q in drained {
+        // A migration target is never `r` itself, so its queue only shrinks.
+        while let Some(q) = self.replicas[r].queue.pop_front() {
             let target = steal.then(|| self.pick_peer_with_room(r)).flatten();
             if let Some(j) = target {
                 self.replicas[j].enqueue(q);
@@ -1284,12 +1412,13 @@ impl<'a> FleetSim<'a> {
         let Some(b) = self.replicas[r].busy.take() else {
             return;
         };
+        self.finish[r] = f64::INFINITY;
         self.completed += 1;
-        if self.sdc_tripped(r, &b, now) {
-            self.discard_corrupted(r, &b, now);
+        let moved_to_peers = if self.sdc_tripped(r, &b, now) {
+            self.discard_corrupted(r, &b, now)
         } else {
-            self.settle(r, &b, now);
-        }
+            self.settle(r, &b, now)
+        };
 
         // Crash recovery bookkeeping: the first completion after a
         // restart closes that crash's recovery window.
@@ -1299,7 +1428,11 @@ impl<'a> FleetSim<'a> {
         self.gray_defense(r, b.draw.slowdown, now);
         self.steal_into(r, now);
         self.start_next(r, now);
-        self.start_idle(now);
+        // Every other idle replica has an empty queue unless this
+        // completion just put work on one.
+        if moved_to_peers {
+            self.start_idle(now);
+        }
     }
 
     /// Silent-data-corruption verdict: ground truth from the chaos plan
@@ -1360,8 +1493,9 @@ impl<'a> FleetSim<'a> {
     /// a corruption verdict is not evidence about promises or failure
     /// rates. Re-execute on a healthy peer within budget; past it (or with
     /// no peer able to take the request) it is accounted as faulted,
-    /// keeping the arrival-accounting invariant exact.
-    fn discard_corrupted(&mut self, r: usize, b: &InFlight, now: f64) {
+    /// keeping the arrival-accounting invariant exact. Returns whether the
+    /// request was requeued on a peer.
+    fn discard_corrupted(&mut self, r: usize, b: &InFlight, now: f64) -> bool {
         let sdcp = self.params.sdc;
         let t = b.req.tenant;
         let in_budget = b.req.reexecs < sdcp.reexec_budget;
@@ -1405,12 +1539,14 @@ impl<'a> FleetSim<'a> {
                 },
             );
         }
+        target.is_some()
     }
 
     /// Accounts a verified completion, feeds the replica's breaker (a trip
     /// migrates the queue) and lets the guard verify the canaried promise
-    /// before anything re-selects.
-    fn settle(&mut self, r: usize, b: &InFlight, now: f64) {
+    /// before anything re-selects. Returns whether a trip migrated queued
+    /// requests onto peers.
+    fn settle(&mut self, r: usize, b: &InFlight, now: f64) -> bool {
         let t = b.req.tenant;
         let acc = &mut self.tenant_acc[t];
         let outcome = b.outcome();
@@ -1431,10 +1567,12 @@ impl<'a> FleetSim<'a> {
         }
 
         let failure = outcome != RequestOutcome::ServedOnTime;
+        let mut migrated_any = false;
         match self.replicas[r].breaker.on_result(failure, now) {
             Some(BreakerTransition::Tripped { failures }) => {
                 self.replicas[r].stats.breaker_trips += 1;
                 let (migrated, shed) = self.flush_queue(r, false);
+                migrated_any = migrated > 0;
                 self.log(
                     now,
                     FleetEventKind::BreakerTripped {
@@ -1481,6 +1619,7 @@ impl<'a> FleetSim<'a> {
                 );
             }
         }
+        migrated_any
     }
 
     /// Router-side gray defense: fold this completion's slowdown sample
@@ -1501,57 +1640,51 @@ impl<'a> FleetSim<'a> {
             rep.router_ewma = if next.is_finite() { next } else { slow_sample };
             rep.samples_since_up += 1;
         }
-        let mut peers: Vec<f64> = (0..n)
-            .filter(|&j| j != r && self.replicas[j].healthy_target())
-            .map(|j| self.replicas[j].router_ewma)
-            .filter(|v| v.is_finite())
-            .collect();
-        // Never eject the last healthy replica: with no peer to compare
-        // against there is no relative signal.
-        if peers.is_empty() {
-            return;
-        }
-        peers.sort_by(f64::total_cmp);
-        let median = peers[peers.len() / 2].max(1e-9);
+        let rep = &self.replicas[r];
+        let peers = self
+            .replicas
+            .iter()
+            .enumerate()
+            .filter(|&(j, peer)| j != r && peer.healthy_target())
+            .map(|(_, peer)| peer.router_ewma);
+        let verdict = gray_verdict(
+            &ej,
+            rep.eject,
+            rep.router_ewma,
+            rep.samples_since_up,
+            slow_sample,
+            peers,
+            &mut self.peer_ewmas,
+        );
         let rep = &mut self.replicas[r];
-        match rep.eject {
-            EjectState::Healthy => {
-                if rep.samples_since_up >= ej.min_samples.max(1)
-                    && rep.router_ewma > ej.eject_ratio.max(1.0) * median
-                {
-                    rep.eject = EjectState::Ejected { since: now };
-                    rep.stats.gray_ejections += 1;
-                    let slow_ratio = rep.router_ewma / median;
-                    self.log(
-                        now,
-                        FleetEventKind::GrayEjected {
-                            replica: r,
-                            slow_ratio,
-                        },
-                    );
+        match verdict {
+            GrayVerdict::Hold => {}
+            GrayVerdict::Eject { slow_ratio } => {
+                rep.eject = EjectState::Ejected { since: now };
+                rep.stats.gray_ejections += 1;
+                self.log(
+                    now,
+                    FleetEventKind::GrayEjected {
+                        replica: r,
+                        slow_ratio,
+                    },
+                );
+            }
+            // Back to the bench until the next probation round.
+            GrayVerdict::ProbeFailed => rep.eject = EjectState::Ejected { since: now },
+            GrayVerdict::ProbePassed => {
+                if let EjectState::Probing { successes, .. } = &mut rep.eject {
+                    *successes += 1;
                 }
             }
-            EjectState::Probing { .. } if !slow_sample.is_finite() => {}
-            EjectState::Probing { left, successes } => {
-                if slow_sample > ej.readmit_ratio.max(1.0) * median {
-                    // Failed probe: back to the bench until the next
-                    // probation round.
-                    rep.eject = EjectState::Ejected { since: now };
-                } else if successes + 1 < ej.probe_budget.max(1) {
-                    rep.eject = EjectState::Probing {
-                        left,
-                        successes: successes + 1,
-                    };
-                } else {
-                    rep.eject = EjectState::Healthy;
-                    // The EWMA is contaminated by the gray window;
-                    // restart trust fresh.
-                    rep.router_ewma = 1.0;
-                    rep.sdc_strikes = 0;
-                    self.log(now, FleetEventKind::GrayReadmitted { replica: r });
-                }
+            GrayVerdict::Readmit => {
+                rep.eject = EjectState::Healthy;
+                // The EWMA is contaminated by the gray window;
+                // restart trust fresh.
+                rep.router_ewma = 1.0;
+                rep.sdc_strikes = 0;
+                self.log(now, FleetEventKind::GrayReadmitted { replica: r });
             }
-            EjectState::Ejected { .. } => {}
         }
     }
 
@@ -1573,13 +1706,17 @@ impl<'a> FleetSim<'a> {
             })
             .max_by_key(|&j| (self.replicas[j].queue.len(), usize::MAX - j));
         let Some(v) = victim else { return };
-        let vlen = self.replicas[v].queue.len();
-        let moved = vlen / 2;
-        let mut taken = self.replicas[v].queue.split_off(vlen - moved);
+        let moved = self.replicas[v].queue.len() / 2;
+        // The thief's queue is empty: filling it from the front with the
+        // victim's back keeps the stolen requests in their order.
+        for _ in 0..moved {
+            if let Some(q) = self.replicas[v].queue.pop_back() {
+                self.replicas[r].queue.push_front(q);
+            }
+        }
         self.replicas[v].stats.steals_out += moved;
         let thief = &mut self.replicas[r];
         thief.stats.steals_in += moved;
-        thief.queue.append(&mut taken);
         thief.stats.max_queue_depth = thief.stats.max_queue_depth.max(thief.queue.len());
         self.steal_events += 1;
         self.log(
@@ -1605,6 +1742,7 @@ impl<'a> FleetSim<'a> {
                 // exact pre-crash control state (breaker, ladder,
                 // quarantine convictions).
                 self.replicas[r].checkpoint = Some(self.snapshot_replica(r, now));
+                self.finish[r] = f64::INFINITY;
                 let rep = &mut self.replicas[r];
                 let killed = match rep.busy.take() {
                     Some(victim) => {
@@ -1757,6 +1895,7 @@ impl<'a> FleetSim<'a> {
         for r in 0..self.replicas.len() {
             let rep = &mut self.replicas[r];
             if rep.down {
+                self.open[r] = false;
                 continue;
             }
             if rep.breaker.tick(now) {
@@ -1771,26 +1910,36 @@ impl<'a> FleetSim<'a> {
                     self.log(now, FleetEventKind::GrayProbing { replica: r });
                 }
             }
+            let rep = &self.replicas[r];
+            self.open[r] = rep.breaker.admits() && !rep.route_unreachable();
         }
 
-        let views: Vec<ReplicaView> = self
-            .replicas
-            .iter()
-            .map(|rep| ReplicaView {
+        let replicas = &self.replicas;
+        let view = |i: usize| {
+            let rep = &replicas[i];
+            ReplicaView {
                 queue_len: rep.queue.len(),
                 busy: rep.busy.is_some(),
                 breaker_open: !rep.breaker.admits(),
                 degradation: rep.lanes[t].tuner.current_index().map_or(0, |ix| ix + 1),
                 unreachable: rep.route_unreachable(),
-            })
-            .collect();
+            }
+        };
+        let open = &self.open;
         let key = splitmix64(
             self.params.route_seed ^ (self.next_arrival as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        let decision = route(self.params.policy, &views, &mut self.rr_cursor, key);
+        let chosen = select_replica(
+            self.params.policy,
+            replicas.len(),
+            |i| open[i],
+            view,
+            &mut self.rr_cursor,
+            key,
+        );
 
         let acc = &mut self.tenant_acc[t].report;
-        let Some(r) = decision.chosen else {
+        let Some(r) = chosen else {
             // Every breaker open: shed at the fleet door.
             acc.shed_breaker += 1;
             return;
@@ -1836,6 +1985,10 @@ impl<'a> FleetSim<'a> {
     }
 
     fn finish(mut self) -> (FleetReport, Vec<LaneEnd>) {
+        // Only the count is read from here on; the stream itself is the
+        // run's largest buffer, so release it before the sort touches the
+        // second largest.
+        let arrivals = std::mem::take(&mut self.arrivals).len();
         let (mean_latency_s, p99_latency_s) = latency_summary(&mut self.latencies);
 
         let mut tenant_reports: Vec<TenantReport> = self
@@ -1886,7 +2039,7 @@ impl<'a> FleetSim<'a> {
             policy: self.params.policy.name().to_string(),
             replicas: replica_reports.len(),
             scenario: self.device.scenario().name().to_string(),
-            arrivals: self.arrivals.len(),
+            arrivals,
             admitted,
             served_on_time: tsum(|t| t.served_on_time),
             served_late: tsum(|t| t.served_late),
@@ -1903,7 +2056,7 @@ impl<'a> FleetSim<'a> {
             sdc_escaped: tsum(|t| t.sdc_escaped),
             sdc_false_alarm: tsum(|t| t.sdc_false_alarm),
             sdc_ejections: rsum(|r| r.sdc_ejections),
-            requests_unaccounted: self.arrivals.len().abs_diff(admitted + shed),
+            requests_unaccounted: arrivals.abs_diff(admitted + shed),
             mean_recovery_s: mean(&self.recovery_times),
             mean_latency_s,
             p99_latency_s,
@@ -1976,6 +2129,165 @@ mod tests {
             .iter()
             .zip(m2.iter())
             .all(|(a, b)| a.0 == b.0 && a.1 == b.1));
+    }
+
+    #[test]
+    fn merged_arrivals_equal_the_concatenate_and_stable_sort_reference() {
+        // Tenants 0 and 2 share pattern and seed, so every one of their
+        // timestamps ties across tenants; tenant 1 never sends anything.
+        let roster = [
+            tenant("a", 40.0, 0.02, 5),
+            tenant("idle", 0.0, 0.02, 6),
+            tenant("twin", 40.0, 0.02, 5),
+            TenantSpec {
+                pattern: TrafficPattern::Spike {
+                    base_rps: 5.0,
+                    spike_rps: 80.0,
+                    at_s: 3.0,
+                    len_s: 1.0,
+                },
+                ..tenant("spiky", 0.0, 0.02, 7)
+            },
+        ];
+        for (tenants, horizon_s) in [
+            (&roster[..], 10.0),
+            (&roster[..], 0.0),
+            (&roster[..0], 10.0),
+        ] {
+            let mut reference: Vec<(f64, usize)> = Vec::new();
+            for (t, spec) in tenants.iter().enumerate() {
+                let trace = generate_arrivals(&spec.pattern, horizon_s, spec.arrival_seed);
+                reference.extend(trace.times.into_iter().map(|ts| (ts, t)));
+            }
+            reference.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let merged = fleet_arrivals(tenants, horizon_s);
+            assert_eq!(merged.len(), reference.len());
+            assert!(merged
+                .iter()
+                .zip(&reference)
+                .all(|(m, r)| m.0.to_bits() == r.0.to_bits() && m.1 == r.1));
+            if horizon_s > 0.0 && !tenants.is_empty() {
+                let ties = merged.windows(2).filter(|w| w[0].0 == w[1].0).count();
+                assert!(ties > 100, "the twins must tie: {ties}");
+                assert!(merged.iter().all(|&(_, t)| t != 1));
+            } else {
+                assert!(merged.is_empty());
+            }
+        }
+    }
+
+    /// The decision `gray_verdict` replaced: gather every finite healthy
+    /// peer, sort, compare against the median — whatever the state.
+    fn sort_and_median_verdict(
+        ej: &EjectionParams,
+        state: EjectState,
+        ewma: f64,
+        samples_since_up: usize,
+        slow_sample: f64,
+        peer_ewmas: &[f64],
+    ) -> GrayVerdict {
+        let mut peers: Vec<f64> = peer_ewmas
+            .iter()
+            .copied()
+            .filter(|v| v.is_finite())
+            .collect();
+        if peers.is_empty() {
+            return GrayVerdict::Hold;
+        }
+        peers.sort_by(f64::total_cmp);
+        let median = peers[peers.len() / 2].max(1e-9);
+        match state {
+            EjectState::Healthy
+                if samples_since_up >= ej.min_samples.max(1)
+                    && ewma > ej.eject_ratio.max(1.0) * median =>
+            {
+                GrayVerdict::Eject {
+                    slow_ratio: ewma / median,
+                }
+            }
+            EjectState::Probing { .. } if !slow_sample.is_finite() => GrayVerdict::Hold,
+            EjectState::Probing { .. } if slow_sample > ej.readmit_ratio.max(1.0) * median => {
+                GrayVerdict::ProbeFailed
+            }
+            EjectState::Probing { successes, .. } if successes + 1 < ej.probe_budget.max(1) => {
+                GrayVerdict::ProbePassed
+            }
+            EjectState::Probing { .. } => GrayVerdict::Readmit,
+            _ => GrayVerdict::Hold,
+        }
+    }
+
+    #[test]
+    fn gray_verdict_decides_what_the_sort_and_median_reference_decides() {
+        const VALUES: [f64; 16] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            0.0,
+            1e-12,
+            0.4,
+            0.9,
+            1.0,
+            1.1,
+            2.4,
+            2.6,
+            3.0,
+            7.5,
+            40.0,
+            1e300,
+        ];
+        let ej = EjectionParams::default();
+        let states = [
+            EjectState::Healthy,
+            EjectState::Ejected { since: 1.0 },
+            EjectState::Probing {
+                left: 2,
+                successes: 0,
+            },
+            EjectState::Probing {
+                left: 0,
+                successes: ej.probe_budget - 1,
+            },
+        ];
+        let mut scratch = Vec::new();
+        let mut seen = [0usize; 5];
+        for case in 0..40_000u64 {
+            let mut draws = (0..).map(|i| splitmix64(case.wrapping_mul(0x9E37_79B9) ^ i) as usize);
+            let mut draw = |n: usize| draws.next().unwrap_or(0) % n;
+            // No healthy peer, a single one, and up to seven.
+            let peers: Vec<f64> = (0..draw(8)).map(|_| VALUES[draw(16)]).collect();
+            let state = states[draw(4)];
+            let ewma = VALUES[draw(16)];
+            let slow_sample = VALUES[draw(16)];
+            let samples_since_up = ej.min_samples - 1 + draw(3);
+            let verdict = gray_verdict(
+                &ej,
+                state,
+                ewma,
+                samples_since_up,
+                slow_sample,
+                peers.iter().copied(),
+                &mut scratch,
+            );
+            let reference =
+                sort_and_median_verdict(&ej, state, ewma, samples_since_up, slow_sample, &peers);
+            assert_eq!(
+                verdict, reference,
+                "{state:?} ewma {ewma:e} after {samples_since_up}, sample {slow_sample}, peers {peers:?}"
+            );
+            seen[match verdict {
+                GrayVerdict::Hold => 0,
+                GrayVerdict::Eject { .. } => 1,
+                GrayVerdict::ProbeFailed => 2,
+                GrayVerdict::ProbePassed => 3,
+                GrayVerdict::Readmit => 4,
+            }] += 1;
+        }
+        assert!(
+            seen.iter().all(|&n| n > 100),
+            "every verdict is reached: {seen:?}"
+        );
     }
 
     #[test]
@@ -2209,6 +2521,30 @@ mod tests {
             },
         );
         assert_eq!(r.served_on_time, r.admitted);
+    }
+
+    #[test]
+    fn a_request_whose_service_never_ends_is_still_accounted() {
+        // No deadline, no watchdog bound and an unbounded exact cost: the
+        // one admitted request finishes at +∞, after every finite event.
+        let tenants = vec![tenant("endless", 5.0, f64::INFINITY, 31)];
+        let execs: Vec<&dyn RequestExecutor> = vec![&NoFaultExecutor];
+        let r = run_fleet(
+            &tenants,
+            &execs,
+            &idle_device(),
+            &FleetParams {
+                replicas: 2,
+                horizon_s: 4.0,
+                serve: ServeParams {
+                    deadline_s: f64::INFINITY,
+                    ..ServeParams::default()
+                },
+                ..FleetParams::default()
+            },
+        );
+        assert!(r.admitted > 0, "something must have started");
+        assert_eq!(r.requests_unaccounted, 0);
     }
 
     #[test]

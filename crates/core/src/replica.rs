@@ -190,9 +190,13 @@ pub(crate) fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Sorts `latencies` and returns `(mean, p99)`, the p99 being the sample at
-/// index `ceil(0.99·n) − 1`; `(0, 0)` when empty.
+/// index `ceil(0.99·n) − 1`; `(0, 0)` when empty. A full sort on purpose:
+/// the mean is summed in ascending order and pinned bit for bit, which a
+/// selection or a histogram would not reproduce. Keys that compare equal
+/// under `total_cmp` are bit-equal, so the unstable sort yields the same
+/// sequence as a stable one.
 pub(crate) fn latency_summary(latencies: &mut [f64]) -> (f64, f64) {
-    latencies.sort_by(f64::total_cmp);
+    latencies.sort_unstable_by(f64::total_cmp);
     let n = latencies.len();
     let idx = ((n as f64 * 0.99).ceil() as usize).saturating_sub(1);
     (mean(latencies), latencies.get(idx).copied().unwrap_or(0.0))

@@ -55,10 +55,11 @@ pub struct RuntimeTuner {
     rng: StdRng,
     /// Index of the currently selected curve point (None = baseline).
     current: Option<usize>,
-    /// Per-point quarantine mask ([`RuntimeTuner::quarantine`]): masked
-    /// points are skipped by selection, as if removed from the curve, while
-    /// indices stay stable for event logs and reports.
-    quarantined: Vec<bool>,
+    /// Curve indices still selectable, ascending — every index until
+    /// [`RuntimeTuner::quarantine`] removes it. Selection runs over this
+    /// list as if the quarantined points had left the curve, while indices
+    /// stay stable for event logs and reports.
+    active: Vec<usize>,
     /// Count of configuration switches (for overhead accounting).
     pub switches: usize,
 }
@@ -87,7 +88,7 @@ impl RuntimeTuner {
             baseline_time_s,
             rng: StdRng::seed_from_u64(seed),
             current: None,
-            quarantined: vec![false; n],
+            active: (0..n).collect(),
             switches: 0,
         }
     }
@@ -132,27 +133,32 @@ impl RuntimeTuner {
     /// until the next selection decision. Returns `false` for out-of-range
     /// or already-quarantined indices.
     pub(crate) fn quarantine(&mut self, index: usize) -> bool {
-        match self.quarantined.get_mut(index) {
-            Some(q) if !*q => {
-                *q = true;
-                if self.current == Some(index) {
-                    self.current = None;
-                    self.switches += 1;
-                }
-                true
-            }
-            _ => false,
+        let Ok(pos) = self.active.binary_search(&index) else {
+            return false;
+        };
+        self.active.remove(pos);
+        if self.current == Some(index) {
+            self.fall_back_to_exact();
         }
+        true
     }
 
     /// Whether a point has been quarantined.
     pub(crate) fn is_quarantined(&self, index: usize) -> bool {
-        self.quarantined.get(index).copied().unwrap_or(false)
+        index < self.curve.len() && self.active.binary_search(&index).is_err()
     }
 
     /// Number of points still selectable.
     pub(crate) fn active_len(&self) -> usize {
-        self.quarantined.iter().filter(|&&q| !q).count()
+        self.active.len()
+    }
+
+    /// Returns to the exact baseline, counting a switch when that moves the
+    /// selection.
+    fn fall_back_to_exact(&mut self) {
+        if self.current.take().is_some() {
+            self.switches += 1;
+        }
     }
 
     /// Repairs a curve point's QoS promise in place to an observed
@@ -213,25 +219,14 @@ impl RuntimeTuner {
     /// point quarantined it clamps to the exact baseline (the guard's
     /// exact-fallback safety net) instead of picking a distrusted config.
     fn select_for_speedup(&mut self, required: f64) -> Option<&TradeoffPoint> {
-        if required <= 1.0 {
-            // Environment recovered: fall back to the exact baseline.
-            let switched = self.current.is_some();
-            if switched {
-                self.current = None;
-                self.switches += 1;
-            }
+        // Environment recovered, or an empty (or fully quarantined) curve:
+        // the exact baseline.
+        if required <= 1.0 || self.active.is_empty() {
+            self.fall_back_to_exact();
             return None;
         }
         let pts = self.curve.points();
-        let active: Vec<usize> = (0..pts.len()).filter(|&i| !self.quarantined[i]).collect();
-        if active.is_empty() {
-            // Empty (or fully quarantined) curve: clamp to exact.
-            if self.current.is_some() {
-                self.current = None;
-                self.switches += 1;
-            }
-            return None;
-        }
+        let active = &self.active;
         // Position of the first active point meeting the target (active is
         // sorted by performance because the curve is).
         let i = active.partition_point(|&j| pts[j].perf < required);

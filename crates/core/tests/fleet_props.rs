@@ -5,9 +5,12 @@
 //! minimum, power-of-two-choices only ever picks from its sampled pair,
 //! round-robin cycles through the available replicas permutation-fairly,
 //! and *no* policy routes to an open-breaker or unreachable (crashed /
-//! partitioned / gray-ejected) replica while an available one exists.
+//! partitioned / gray-ejected) replica while an available one exists. The
+//! simulator does not call `route` but [`select_replica`], the selection
+//! rule underneath it; one property holds the two to the same choice.
 
-use at_core::fleet::{route, ReplicaView, RouteDecision, RouterPolicy};
+use at_core::fleet::{route, select_replica, ReplicaView, RouteDecision, RouterPolicy};
+use at_core::guard::splitmix64;
 use proptest::prelude::*;
 
 /// An arbitrary replica view: bounded queue depth, busy flag, breaker
@@ -43,6 +46,20 @@ fn views_s() -> impl Strategy<Value = Vec<ReplicaView>> {
 fn views_closed_s(k: usize) -> impl Strategy<Value = Vec<ReplicaView>> {
     prop::collection::vec(view_s(), 1..12).prop_filter("needs available replicas", move |vs| {
         vs.iter().filter(|v| available(v)).count() >= k
+    })
+}
+
+/// Views with the corners forced often: nobody available, or exactly one.
+fn views_with_corners_s() -> impl Strategy<Value = Vec<ReplicaView>> {
+    (views_s(), 0usize..4, 0usize..12).prop_map(|(mut views, corner, keep)| {
+        if corner < 2 {
+            let keep = (corner == 1).then_some(keep % views.len());
+            for (i, v) in views.iter_mut().enumerate() {
+                v.breaker_open = keep != Some(i);
+                v.unreachable &= keep != Some(i);
+            }
+        }
+        views
     })
 }
 
@@ -187,5 +204,48 @@ proptest! {
             .unwrap();
         prop_assert_ne!(first, second,
             "consecutive round-robin choices must differ with ≥2 available replicas");
+    }
+
+    /// The event loop's [`select_replica`] and the public [`route`] are one
+    /// rule: same choice, same cursor advance, for every policy — nobody
+    /// available and a single available replica included. What `route`
+    /// adds, the examined set, is the hash-sampled pair (sorted, collapsed
+    /// when both draws coincide) for power-of-two and every available
+    /// replica otherwise.
+    #[test]
+    fn select_replica_and_route_agree(
+        views in views_with_corners_s(),
+        cursor0 in 0usize..32,
+        key in 0u64..u64::MAX,
+        policy_ix in 0usize..3,
+    ) {
+        let policy = RouterPolicy::ALL[policy_ix];
+        let mut route_cursor = cursor0;
+        let RouteDecision { chosen, sampled } = route(policy, &views, &mut route_cursor, key);
+        let mut cursor = cursor0;
+        let selected = select_replica(
+            policy,
+            views.len(),
+            |i| available(&views[i]),
+            |i| views[i],
+            &mut cursor,
+            key,
+        );
+        prop_assert_eq!(selected, chosen);
+        prop_assert_eq!(cursor, route_cursor);
+
+        let closed = closed_of(&views);
+        let expected = if policy != RouterPolicy::PowerOfTwoChoices {
+            closed
+        } else if closed.is_empty() {
+            Vec::new()
+        } else {
+            let draw = |k: u64| closed[(splitmix64(k) % closed.len() as u64) as usize];
+            let (a, b) = (draw(key), draw(key ^ 0x9E37_79B9_7F4A_7C15));
+            let mut pair = vec![a.min(b), a.max(b)];
+            pair.dedup();
+            pair
+        };
+        prop_assert_eq!(sampled, expected);
     }
 }
