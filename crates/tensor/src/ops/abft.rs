@@ -44,7 +44,7 @@
 
 use crate::error::TensorError;
 use crate::knobs::{MulApprox, Precision};
-use crate::lut::{self, LutTable};
+use crate::lut;
 use crate::ops::activation::UnaryOp;
 use crate::ops::conv::Conv2dParams;
 use crate::ops::gemm::{self, Epilogue, Fma, LutMul, MulKernel, Panel, Windows};
@@ -104,10 +104,10 @@ pub fn flip_bit(data: &mut [f32], index: usize, bit: u32) {
     }
 }
 
-/// Column-checksum verification core over `f32` views of the operands.
-/// `c` holds the *raw* (pre-epilogue) accumulators, with the LUT path's
-/// dequantisation already applied (that is how `Epilogue::Raw` stores
-/// them). `B` is read through `panels` exactly as a kernel reads it — row
+/// Column-checksum verification core. `c` holds the *raw* (pre-epilogue)
+/// accumulators, with the LUT path's dequantisation already applied (that
+/// is how `Epilogue::Raw` stores them), and `fb` maps a `B` element to the
+/// value the checksums fold (the LUT path folds `q · dequant`). `B` is read through `panels` exactly as a kernel reads it — row
 /// `kk` of a panel is `b[base + row_off[kk]..][..width]` — so a convolution's
 /// checksums fold over the very windows its multiply read, and a row-major
 /// `B` is one panel `n` wide. Either way column `j`'s checksum folds its `K`
@@ -123,45 +123,42 @@ pub fn flip_bit(data: &mut [f32], index: usize, bit: u32) {
 /// inside the ≤10% overhead envelope. Only the final comparisons widen
 /// to f64 (they are O(N) and the subtraction must not round away).
 #[allow(clippy::too_many_arguments)]
-fn verify_raw<'p, TA: Copy, TB: Copy>(
+fn verify_raw<'p>(
     op: &'static str,
     m: usize,
     k: usize,
     n: usize,
-    a: &[TA],
-    fa: impl Fn(TA) -> f32,
-    b: &[TB],
+    a: &[f32],
+    b: &[f32],
     panels: impl Iterator<Item = Panel<'p>>,
-    fb: impl Fn(TB) -> f32,
+    fb: impl Fn(f32) -> f32,
     c: &[f32],
     tol: &AbftTol,
 ) -> Result<(), TensorError> {
     // Monomorphise on the magnitude norm: a runtime `tol.l1` branch inside
     // the hot loops defeats the autovectoriser.
     if tol.l1 {
-        verify_raw_impl::<_, _, _, _, _, true>(op, m, k, n, a, fa, b, panels, fb, c, tol)
+        verify_raw_impl::<_, _, true>(op, m, k, n, a, b, panels, fb, c, tol)
     } else {
-        verify_raw_impl::<_, _, _, _, _, false>(op, m, k, n, a, fa, b, panels, fb, c, tol)
+        verify_raw_impl::<_, _, false>(op, m, k, n, a, b, panels, fb, c, tol)
     }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn verify_raw_impl<'p, TA: Copy, TB: Copy, FA, FB, P, const L1: bool>(
+fn verify_raw_impl<'p, FB, P, const L1: bool>(
     op: &'static str,
     m: usize,
     k: usize,
     n: usize,
-    a: &[TA],
-    fa: FA,
-    b: &[TB],
+    a: &[f32],
+    b: &[f32],
     panels: P,
     fb: FB,
     c: &[f32],
     tol: &AbftTol,
 ) -> Result<(), TensorError>
 where
-    FA: Fn(TA) -> f32,
-    FB: Fn(TB) -> f32,
+    FB: Fn(f32) -> f32,
     P: Iterator<Item = Panel<'p>>,
 {
     if m == 0 || n == 0 {
@@ -187,7 +184,6 @@ where
             .zip(colmag_a.iter_mut())
             .zip(&a[i * k..(i + 1) * k])
         {
-            let v = fa(v);
             *s += v;
             *g += mag(v);
         }
@@ -262,7 +258,7 @@ pub fn verify_gemm_f32(
 ) -> Result<(), TensorError> {
     let row_off = row_major(k, n);
     let rows = row_major_panel(n, &row_off);
-    verify_raw("gemm", m, k, n, a, |x| x, b, rows, |x| x, c, tol)
+    verify_raw("gemm", m, k, n, a, b, rows, |x| x, c, tol)
 }
 
 /// Offsets of the rows of a row-major `K×n` B.
@@ -287,16 +283,15 @@ pub(crate) fn verify_gemm_lut(
     m: usize,
     k: usize,
     n: usize,
-    a: &[i16],
-    b: &[i16],
+    a: &[f32],
+    b: &[f32],
     dequant: f32,
     c: &[f32],
     tol: &AbftTol,
 ) -> Result<(), TensorError> {
     let row_off = row_major(k, n);
     let rows = row_major_panel(n, &row_off);
-    let fb = move |x| f32::from(x) * dequant;
-    verify_raw("gemm_lut", m, k, n, a, f32::from, b, rows, fb, c, tol)
+    verify_raw("gemm_lut", m, k, n, a, b, rows, |x| x * dequant, c, tol)
 }
 
 /// Applies an epilogue element-wise to a raw `[M,N]` accumulator buffer —
@@ -328,21 +323,22 @@ pub fn gemm_f32_abft(
     Ok(())
 }
 
-/// ABFT-protected LUT GEMM — integer twin of [`gemm_f32_abft`].
+/// ABFT-protected LUT GEMM — approximate-multiplier twin of
+/// [`gemm_f32_abft`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_lut_abft(
     m: usize,
     k: usize,
     n: usize,
-    a: &[i16],
-    b: &[i16],
-    table: &LutTable,
+    a: &[f32],
+    b: &[f32],
+    bits: u8,
     dequant: f32,
     out: &mut [f32],
     epi: &Epilogue,
     tol: &AbftTol,
 ) -> Result<(), TensorError> {
-    gemm::gemm_lut(m, k, n, a, b, table, dequant, out, &Epilogue::Raw);
+    gemm::gemm_lut(m, k, n, a, b, bits, dequant, out, &Epilogue::Raw);
     verify_gemm_lut(m, k, n, a, b, dequant, out, tol)?;
     apply_epilogue(out, n, epi);
     Ok(())
@@ -352,53 +348,23 @@ pub(crate) fn gemm_lut_abft(
 pub(crate) trait Verified: MulKernel {
     /// Verifies raw accumulators `c = A × B` against checksums folded over
     /// the same windows of `b` the multiply read.
-    fn check(
-        &self,
-        m: usize,
-        a: &[Self::Elem],
-        b: &Windows<Self::Elem>,
-        c: &[f32],
-    ) -> Result<(), TensorError>;
+    fn check(&self, m: usize, a: &[f32], b: &Windows, c: &[f32]) -> Result<(), TensorError>;
 }
 
 impl Verified for Fma {
-    fn check(&self, m: usize, a: &[f32], b: &Windows<f32>, c: &[f32]) -> Result<(), TensorError> {
+    fn check(&self, m: usize, a: &[f32], b: &Windows, c: &[f32]) -> Result<(), TensorError> {
         let (k, n) = (b.k, b.n());
         let tol = AbftTol::exact(m, k, n);
-        verify_raw(
-            "gemm",
-            m,
-            k,
-            n,
-            a,
-            |x| x,
-            b.data,
-            b.panels(),
-            |x| x,
-            c,
-            &tol,
-        )
+        verify_raw("gemm", m, k, n, a, b.data, b.panels(), |x| x, c, &tol)
     }
 }
 
-impl Verified for LutMul<'_> {
-    fn check(&self, m: usize, a: &[i16], b: &Windows<i16>, c: &[f32]) -> Result<(), TensorError> {
+impl Verified for LutMul {
+    fn check(&self, m: usize, a: &[f32], b: &Windows, c: &[f32]) -> Result<(), TensorError> {
         let (k, n, dequant) = (b.k, b.n(), self.dequant);
         let tol = AbftTol::lut(k, dequant);
-        let fb = move |x| f32::from(x) * dequant;
-        verify_raw(
-            "gemm_lut",
-            m,
-            k,
-            n,
-            a,
-            f32::from,
-            b.data,
-            b.panels(),
-            fb,
-            c,
-            &tol,
-        )
+        let fb = |x| x * dequant;
+        verify_raw("gemm_lut", m, k, n, a, b.data, b.panels(), fb, c, &tol)
     }
 }
 
@@ -408,8 +374,8 @@ impl Verified for LutMul<'_> {
 pub(crate) fn gemm_windows_abft<K: Verified>(
     kern: &K,
     m: usize,
-    a: &[K::Elem],
-    b: &Windows<K::Elem>,
+    a: &[f32],
+    b: &Windows,
     out: &mut [f32],
     epi: &Epilogue,
 ) -> Result<(), TensorError> {
@@ -465,12 +431,11 @@ pub fn matmul_abft(
             gemm_f32_abft(m, ka, n, a.data(), b.data(), &mut out, &epi, &tol)?;
         }
         MulApprox::Lut { bits } => {
-            let table = lut::lut_for(bits);
             let aq = lut::quantize_symmetric(a.data(), bits);
             let bq = lut::quantize_symmetric(b.data(), bits);
             let dq = aq.scale * bq.scale;
             let tol = AbftTol::lut(ka, dq);
-            gemm_lut_abft(m, ka, n, &aq.q, &bq.q, table, dq, &mut out, &epi, &tol)?;
+            gemm_lut_abft(m, ka, n, &aq.q, &bq.q, bits, dq, &mut out, &epi, &tol)?;
         }
     }
     Tensor::from_vec(Shape::mat(m, n), out)
@@ -649,6 +614,55 @@ mod tests {
         let mut nan = c;
         nan[5 * n + 5] = f32::NAN;
         assert!(verify_gemm_f32(m, k, n, a.data(), b.data(), &nan, &tol).is_err());
+    }
+
+    #[test]
+    fn lut_accumulator_corruption_is_detected_on_dense_and_windowed_paths() {
+        let (a, b, _) = mats(16, 40, 24, 13);
+        let (m, k, n) = (16, 40, 24);
+        let aq = lut::quantize_symmetric(a.data(), 8);
+        let bq = lut::quantize_symmetric(b.data(), 8);
+        let dq = aq.scale * bq.scale;
+        let tol = AbftTol::lut(k, dq);
+        let flipped = |c: &[f32], idx: usize| {
+            assert_ne!(c[idx], 0.0, "flip a non-zero accumulator");
+            let mut bad = c.to_vec();
+            flip_bit(&mut bad, idx, 30);
+            bad
+        };
+
+        // Row-major B, as `matmul_abft` verifies it.
+        let mut c = vec![0.0f32; m * n];
+        gemm::gemm_lut(m, k, n, &aq.q, &bq.q, 8, dq, &mut c, &Epilogue::Raw);
+        verify_gemm_lut(m, k, n, &aq.q, &bq.q, dq, &c, &tol).unwrap();
+        let bad = flipped(&c, 3 * n + 4);
+        assert!(matches!(
+            verify_gemm_lut(m, k, n, &aq.q, &bq.q, dq, &bad, &tol),
+            Err(TensorError::CorruptionDetected { .. })
+        ));
+
+        // Overlapping windows into one buffer, as a convolution's taps read
+        // its staged image: `Verified for LutMul` folds the same windows.
+        let data = lut::quantize_symmetric(&b.data()[..3 * k + gemm::PANEL], 8).q;
+        let runs = [gemm::Run {
+            len: n,
+            step: gemm::PANEL,
+            row_off: (0..k).map(|kk| kk * 3).collect(),
+        }];
+        let win = Windows {
+            data: &data,
+            k,
+            runs: &runs,
+        };
+        let kern = LutMul { dequant: dq };
+        let mut c = vec![0.0f32; m * n];
+        gemm::gemm_windows(&kern, m, &aq.q, &win, &mut c, &Epilogue::Raw);
+        kern.check(m, &aq.q, &win, &c).unwrap();
+        let bad = flipped(&c, 5 * n + 7);
+        assert!(matches!(
+            kern.check(m, &aq.q, &win, &bad),
+            Err(TensorError::CorruptionDetected { .. })
+        ));
     }
 
     #[test]

@@ -44,14 +44,17 @@
 //! single-rounding operation whether the target has an FMA unit or falls
 //! back to libm. Where `B` lives changes no operand value, hence no bit.
 //!
-//! `LutMul` is the integer twin for the LUT approximate-multiplier path:
-//! `i16`-quantised operands, table-served products gathered 32 lanes at a
-//! time over the same windows, exact integer accumulation (associative,
-//! hence trivially order-independent).
+//! `LutMul` is the twin for the approximate-multiplier knobs: operands are
+//! quantised integers held as `f32`, and each product is Mitchell's, in
+//! closed form — one integer add on the two bit patterns ([`lut`]), zero
+//! operands masked — over the same windows and tiles. The products are
+//! integers below 2¹⁴, so their sums are exact and hence order-independent;
+//! the multiplier's truth table (`lut::LutTable`) is only the tests'
+//! oracle.
 
 use crate::f16;
 use crate::instrument;
-use crate::lut::{self, LutTable};
+use crate::lut;
 use crate::ops::activation::UnaryOp;
 use crate::par;
 use rayon::prelude::*;
@@ -159,8 +162,8 @@ pub(crate) struct Run {
 
 /// The B operand of a GEMM as the kernels address it; its columns are the
 /// runs' columns, concatenated.
-pub(crate) struct Windows<'a, T> {
-    pub data: &'a [T],
+pub(crate) struct Windows<'a> {
+    pub data: &'a [f32],
     /// Rows of `B` (= length of every run's `row_off`).
     pub k: usize,
     pub runs: &'a [Run],
@@ -175,7 +178,7 @@ pub(crate) struct Panel<'a> {
     pub row_off: &'a [usize],
 }
 
-impl<T> Windows<'_, T> {
+impl Windows<'_> {
     /// Columns of `B`.
     pub(crate) fn n(&self) -> usize {
         self.runs.iter().map(|run| run.len).sum()
@@ -197,11 +200,10 @@ impl<T> Windows<'_, T> {
     }
 }
 
-/// How products are formed and summed: the exact FMA chain or the
-/// table-served integer sum. One tile function each; everything around it
+/// How products are formed and summed: the exact FMA chain or the exact
+/// sum of Mitchell products. One tile function each; everything around it
 /// (operand addressing, row cover, loop order, forking, epilogue) is shared.
 pub(crate) trait MulKernel: Sync {
-    type Elem: Copy + Default + Send + Sync;
     /// Multiplies that cost as much as one element-wise item of
     /// [`par::GRAIN`], for the fork-or-inline rule.
     const MULS_PER_ITEM: usize;
@@ -209,9 +211,9 @@ pub(crate) trait MulKernel: Sync {
     /// `b` (all [`PANEL`] lanes, surplus ones included).
     fn tile<const R: usize>(
         &self,
-        a: &[Self::Elem],
+        a: &[f32],
         i0: usize,
-        b: &[Self::Elem],
+        b: &[f32],
         panel: &Panel,
     ) -> [[f32; PANEL]; R];
 }
@@ -222,7 +224,6 @@ pub(crate) trait MulKernel: Sync {
 pub(crate) struct Fma;
 
 impl MulKernel for Fma {
-    type Elem = f32;
     const MULS_PER_ITEM: usize = 8;
 
     /// Shares each B vector load across all `R` rows' accumulator chains —
@@ -274,77 +275,144 @@ impl MulKernel for Fma {
     }
 }
 
-/// Products an `i32` lane can absorb before it is widened: table entries
-/// are at most `127²` (Mitchell never over-approximates, and [`lut::ROW`]
-/// caps the magnitudes), so `2¹⁶` of them stay below `2³⁰`.
-const LUT_BLOCK: usize = 1 << 16;
+/// Steps an `f32` accumulator takes before it is widened: a product is a
+/// Mitchell product of magnitudes ≤ 127, which never exceeds the exact one,
+/// so `|p| ≤ 127² < 2¹⁴`, and every partial sum of `2¹⁰` of them is an
+/// integer below `2²⁴` — exactly representable, whatever the order.
+const LUT_BLOCK: usize = 1 << 10;
 
-/// The LUT approximate multiplier over operands from
-/// [`lut::quantize_symmetric`] at the table's bitwidth; sums are
-/// dequantised by `dequant` (= scale_A · scale_B). A table-served product
-/// costs about one element-wise item.
-pub(crate) struct LutMul<'a> {
-    pub table: &'a LutTable,
+/// The approximate multiplier over operands from
+/// [`lut::quantize_symmetric`]: integers `|q| ≤ 127` held as `f32`. Sums are
+/// dequantised by `dequant` (= scale_A · scale_B).
+pub(crate) struct LutMul {
     pub dequant: f32,
 }
 
-impl MulKernel for LutMul<'_> {
-    type Elem = i16;
-    const MULS_PER_ITEM: usize = 1;
-
-    /// Per `k` step the window's 32 magnitudes and sign masks are formed
-    /// once and shared by the `R` rows; each row then gathers its 32
-    /// products from its operand's table row and adds them, negated where
-    /// the signs differ (`(p ^ s) − s` with `s ∈ {0, −1}`: a mask, not a
-    /// branch), into an `R`×32 tile of `i32` partial sums held in registers.
-    /// Integer addition is exact and associative, and the tile is widened
-    /// into `i64` totals every [`LUT_BLOCK`] steps — before any lane can
-    /// overflow — so the result is the same integer the element-at-a-time
-    /// `i64` loop produces.
+impl LutMul {
+    /// Exact `f32` sums of the products of steps `ks` (at most
+    /// [`LUT_BLOCK`] of them) for rows `arows` against one panel.
+    ///
+    /// Per `k` step the window's two 16-lane groups are loaded once, their
+    /// patterns offset by [`lut::ONE_BITS`] and their zero lanes turned into
+    /// a zero mask; each row then adds its operand's pattern — one integer
+    /// add, the signed Mitchell product in every lane ([`lut`]) — masks, and
+    /// accumulates with a fused multiply–add by `min(|a|, 1)`, 1 for a
+    /// non-zero operand and 0 for a zero one (`p·1 + s` and `p·0 + s` round
+    /// to `s + p` and `s`). Both zero tests are data, not branches: `0 × b`
+    /// and `a × 0` give garbage patterns, and even a tiny one would make an
+    /// all-zero sum non-zero. A sum is never `−0.0`, so adding a masked
+    /// `+0.0` leaves its bits alone.
+    // The FMA tile's counter loops and `[[[f32; LANES]; V]; R]` layout on
+    // purpose: with the zero tests as `if`s or `bool` arrays LLVM branches
+    // per row or falls back to scalar code.
     #[allow(clippy::needless_range_loop)]
-    #[inline]
-    fn tile<const R: usize>(
-        &self,
-        a: &[i16],
-        i0: usize,
-        b: &[i16],
+    #[inline(always)]
+    fn block<const R: usize>(
+        arows: &[&[f32]; R],
+        b: &[f32],
         panel: &Panel,
-    ) -> [[f32; PANEL]; R] {
-        let k = panel.row_off.len();
-        let mut total = [[0i64; PANEL]; R];
-        let arows: [&[i16]; R] = core::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
-        for k0 in (0..k).step_by(LUT_BLOCK) {
-            let mut acc = [[0i32; PANEL]; R];
-            for kk in k0..k.min(k0 + LUT_BLOCK) {
-                let window = &b[panel.base + panel.row_off[kk]..][..PANEL];
-                let brow: &[i16; PANEL] = match window.try_into() {
-                    Ok(v) => v,
-                    Err(_) => unreachable!("window is exactly PANEL wide"),
-                };
-                let bmag = brow.map(|v| u32::from(v.unsigned_abs()));
-                let bneg = brow.map(|v| i32::from(v >> 15));
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = arows[r][kk];
-                    let row = self.table.row(usize::from(av.unsigned_abs()));
-                    let aneg = i32::from(av >> 15);
-                    // The lookup as its own loop, its index masked where it
-                    // is used: that is the shape that compiles to vector
-                    // gathers.
-                    let products: [i32; PANEL] =
-                        core::array::from_fn(|l| row[bmag[l] as usize & (lut::ROW - 1)]);
-                    for l in 0..PANEL {
-                        let s = bneg[l] ^ aneg;
-                        accr[l] += (products[l] ^ s) - s;
+        ks: core::ops::Range<usize>,
+    ) -> [[[f32; LANES]; V]; R] {
+        let mut acc = [[[0.0f32; LANES]; V]; R];
+        for kk in ks {
+            let brow = &b[panel.base + panel.row_off[kk]..][..PANEL];
+            let mut boff = [[0u32; LANES]; V];
+            let mut bmask = [[0u32; LANES]; V];
+            for c in 0..V {
+                for l in 0..LANES {
+                    let v = brow[c * LANES + l];
+                    boff[c][l] = v.to_bits().wrapping_sub(lut::ONE_BITS);
+                    bmask[c][l] = u32::from(v != 0.0).wrapping_neg();
+                }
+            }
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = arows[r][kk];
+                let (abits, ascale) = (av.to_bits(), av.abs().min(1.0));
+                for (c, accv) in accr.iter_mut().enumerate() {
+                    for (l, s) in accv.iter_mut().enumerate() {
+                        let p = f32::from_bits(abits.wrapping_add(boff[c][l]) & bmask[c][l]);
+                        *s = p.mul_add(ascale, *s);
                     }
                 }
             }
-            for (t, accr) in total.iter_mut().zip(&acc) {
-                for (t, &v) in t.iter_mut().zip(accr) {
-                    *t += i64::from(v);
-                }
-            }
         }
-        total.map(|sums| sums.map(|s| s as f32 * self.dequant))
+        acc
+    }
+
+    /// `sum · dequant` per lane, rows flattened to panel width.
+    #[inline(always)]
+    fn dequantised<const R: usize>(&self, mut sums: [[[f32; LANES]; V]; R]) -> [[f32; PANEL]; R] {
+        for s in sums.as_flattened_mut().as_flattened_mut() {
+            *s *= self.dequant;
+        }
+        sums.map(|accr| {
+            let mut row = [0.0f32; PANEL];
+            row.copy_from_slice(accr.as_flattened());
+            row
+        })
+    }
+}
+
+impl MulKernel for LutMul {
+    /// Measured like [`par::GRAIN`] (2-vCPU Xeon VM, one thread, `matmul_ex`
+    /// at 128 vs 64 × 512 × 512, min of 8 × 10): a product costs 0.042–0.052
+    /// ns at the margin (an FMA: 0.010–0.014 ns), against 0.10 (ReLU) to 0.60
+    /// (`tanh` under FP16) ns per element-wise item. So `GRAIN` items' worth is 512 Ki products, ≈ 24
+    /// µs, and the 6–8 µs hand-off stays under a third of each thread's
+    /// share, GRAIN's own margin. Forking Alexnet2-Tiny LUT convolutions
+    /// across two threads broke even at ≈ 0.2 M products per thread and won
+    /// 6–24 % at 0.3–0.45 M when the sibling vCPU was idle, and lost at
+    /// every size when a neighbour kept it busy.
+    const MULS_PER_ITEM: usize = 4;
+
+    /// The FMA tile with the multiply replaced by Mitchell's closed form
+    /// ([`LutMul::block`]). Sums of up to [`LUT_BLOCK`] products are
+    /// integers below `2²⁴`, hence exact, and for `k ≤ LUT_BLOCK` (every zoo
+    /// layer) the one block is the result; a longer `k` widens each block
+    /// into `f64` totals, also exact. Either way `sum as f32 · dequant` is
+    /// the float that the reference's table-served `i64` sum gives.
+    #[inline]
+    fn tile<const R: usize>(
+        &self,
+        a: &[f32],
+        i0: usize,
+        b: &[f32],
+        panel: &Panel,
+    ) -> [[f32; PANEL]; R] {
+        let k = panel.row_off.len();
+        let arows: [&[f32]; R] = core::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
+        if k <= LUT_BLOCK {
+            return self.dequantised(Self::block(&arows, b, panel, 0..k));
+        }
+        let mut total = [[0.0f64; PANEL]; R];
+        for k0 in (0..k).step_by(LUT_BLOCK) {
+            let acc = Self::block(&arows, b, panel, k0..k.min(k0 + LUT_BLOCK));
+            widen(total.as_flattened_mut(), acc.as_flattened().as_flattened());
+        }
+        let mut sums = [[[0.0f32; LANES]; V]; R];
+        narrow(
+            sums.as_flattened_mut().as_flattened_mut(),
+            total.as_flattened(),
+        );
+        self.dequantised(sums)
+    }
+}
+
+/// `total += sums`, lane by lane, in `f64`. A slice loop of its own, and not
+/// inlined: written over the tile's fixed-size arrays, the widening
+/// compiles to gathers and scatters.
+#[inline(never)]
+fn widen(total: &mut [f64], sums: &[f32]) {
+    for (t, &s) in total.iter_mut().zip(sums) {
+        *t += f64::from(s);
+    }
+}
+
+/// `sums = total as f32`, lane by lane (see [`widen`]).
+#[inline(never)]
+fn narrow(sums: &mut [f32], total: &[f64]) {
+    for (s, &t) in sums.iter_mut().zip(total) {
+        *s = t as f32;
     }
 }
 
@@ -356,13 +424,13 @@ impl MulKernel for LutMul<'_> {
 /// prefetchers give up at page boundaries. Packing costs one `O(K·N)` pass
 /// and turns the `O(M·K·N)` hot loop into sequential reads. Pure data
 /// movement: the arithmetic, and therefore every output bit, is unchanged.
-fn pack_b_panels<T: Copy + Default>(k: usize, n: usize, b: &[T]) -> Vec<T> {
+fn pack_b_panels(k: usize, n: usize, b: &[f32]) -> Vec<f32> {
     let mut packed = Vec::with_capacity(n.div_ceil(PANEL) * k * PANEL);
     for j in (0..n).step_by(PANEL) {
         let width = PANEL.min(n - j);
         for kk in 0..k {
             packed.extend_from_slice(&b[kk * n + j..][..width]);
-            packed.resize(packed.len() + PANEL - width, T::default());
+            packed.resize(packed.len() + PANEL - width, 0.0);
         }
     }
     packed
@@ -372,9 +440,9 @@ fn pack_b_panels<T: Copy + Default>(k: usize, n: usize, b: &[T]) -> Vec<T> {
 /// against one panel.
 fn tile_into<K: MulKernel, const R: usize>(
     kern: &K,
-    a: &[K::Elem],
+    a: &[f32],
     i0: usize,
-    b: &[K::Elem],
+    b: &[f32],
     panel: &Panel,
     n: usize,
     orows: &mut [f32],
@@ -401,8 +469,8 @@ fn tile_into<K: MulKernel, const R: usize>(
 pub(crate) fn gemm_windows<K: MulKernel>(
     kern: &K,
     m: usize,
-    a: &[K::Elem],
-    b: &Windows<K::Elem>,
+    a: &[f32],
+    b: &Windows,
     out: &mut [f32],
     epi: &Epilogue,
 ) {
@@ -447,8 +515,8 @@ fn gemm_dense<K: MulKernel>(
     m: usize,
     k: usize,
     n: usize,
-    a: &[K::Elem],
-    b: &[K::Elem],
+    a: &[f32],
+    b: &[f32],
     out: &mut [f32],
     epi: &Epilogue,
 ) {
@@ -481,33 +549,35 @@ pub fn gemm_f32(
     gemm_dense(&Fma, m, k, n, a, b, out, epi);
 }
 
-/// Integer GEMM over LUT-quantised operands, `B` row-major: products served
-/// from `table`, summed exactly, dequantised by `dequant` (= scale_A ·
-/// scale_B) before the epilogue. Operand magnitudes must not exceed
-/// `table.qmax` (what [`lut::quantize_symmetric`] guarantees); it is
-/// checked here because the kernel masks its table index instead.
+/// Approximate-multiplier GEMM over quantised operands, `B` row-major:
+/// Mitchell products summed exactly, dequantised by `dequant` (= scale_A ·
+/// scale_B) before the epilogue. Operands must be integers of magnitude at
+/// most `qmax` at `bits` (what [`lut::quantize_symmetric`] produces), and
+/// that is checked here, once per call, because the kernel does not check
+/// per element: its closed form is Mitchell's product only on such
+/// operands, and its sums are exact only while products stay below 2¹⁴.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_lut(
     m: usize,
     k: usize,
     n: usize,
-    a: &[i16],
-    b: &[i16],
-    table: &LutTable,
+    a: &[f32],
+    b: &[f32],
+    bits: u8,
     dequant: f32,
     out: &mut [f32],
     epi: &Epilogue,
 ) {
-    let in_range = |xs: &[i16]| {
-        let qmax = table.qmax as u16;
-        xs.iter().fold(0, |m, v| v.unsigned_abs().max(m)) <= qmax
+    let qmax = lut::qmax(bits) as f32;
+    let in_range = |xs: &[f32]| {
+        xs.iter()
+            .fold(true, |ok, v| ok & (v.abs() <= qmax) & (v.trunc() == *v))
     };
     assert!(
         in_range(a) && in_range(b),
-        "gemm_lut operand outside the {}-bit table",
-        table.bits
+        "gemm_lut operand outside the {bits}-bit range"
     );
-    gemm_dense(&LutMul { table, dequant }, m, k, n, a, b, out, epi);
+    gemm_dense(&LutMul { dequant }, m, k, n, a, b, out, epi);
 }
 
 #[cfg(test)]
@@ -578,103 +648,167 @@ mod tests {
         let m = 2;
         let k = 9;
         let n = 13;
-        let a: Vec<i16> = (0..m * k).map(|i| (i as i16 % 11) - 5).collect();
-        let b: Vec<i16> = (0..k * n).map(|i| (i as i16 % 9) - 4).collect();
-        let table = crate::lut::lut_for(4);
+        let a: Vec<f32> = (0..m * k).map(|i| (i % 11) as f32 - 5.0).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i % 9) as f32 - 4.0).collect();
         let dq = 0.25f32;
         let mut c = vec![0.0f32; m * n];
-        gemm_lut(m, k, n, &a, &b, table, dq, &mut c, &Epilogue::Raw);
-        for i in 0..m {
-            for j in 0..n {
-                let mut s = 0i64;
-                for kk in 0..k {
-                    s += i64::from(table.mul(a[i * k + kk], b[kk * n + j]));
-                }
-                assert_eq!(c[i * n + j], s as f32 * dq, "({i},{j})");
-            }
+        gemm_lut(m, k, n, &a, &b, 4, dq, &mut c, &Epilogue::Raw);
+        for (idx, &got) in c.iter().enumerate() {
+            let want = lut_scalar(4, &a, &b, k, n, idx / n, idx % n, dq);
+            assert_eq!(got.to_bits(), want.to_bits(), "({}, {})", idx / n, idx % n);
         }
     }
 
-    /// `out[i,j]` as the scalar `i64` sum of `LutTable::mul` products.
-    fn lut_scalar(a: &[i16], b: &[i16], k: usize, n: usize, i: usize, j: usize, dq: f32) -> f32 {
-        let table = crate::lut::lut_for(8);
+    /// `out[i,j]` as the reference computes it: the `i64` sum of
+    /// `LutTable::mul` products, rounded once to `f32`, times `dq`.
+    #[allow(clippy::too_many_arguments)]
+    fn lut_scalar(
+        bits: u8,
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        i: usize,
+        j: usize,
+        dq: f32,
+    ) -> f32 {
+        let table = crate::lut::lut_for(bits);
         let sum: i64 = (0..k)
-            .map(|kk| i64::from(table.mul(a[i * k + kk], b[kk * n + j])))
+            .map(|kk| i64::from(table.mul(a[i * k + kk] as i16, b[kk * n + j] as i16)))
             .sum();
         sum as f32 * dq
     }
 
+    /// Runs `gemm_lut` and compares every output with [`lut_scalar`] by bits.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_lut_gemm_bits(bits: u8, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], dq: f32) {
+        let mut c = vec![0.0f32; m * n];
+        gemm_lut(m, k, n, a, b, bits, dq, &mut c, &Epilogue::Raw);
+        for (idx, &got) in c.iter().enumerate() {
+            let want = lut_scalar(bits, a, b, k, n, idx / n, idx % n, dq);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "bits={bits} m={m} k={k} n={n} ({}, {}): {got} vs {want}",
+                idx / n,
+                idx % n
+            );
+        }
+    }
+
+    #[test]
+    fn closed_form_equals_the_table_for_every_pair_and_bitwidth() {
+        // An outer product (k = 1) of every quantised value with every
+        // other: each output is one kernel product, zeros included, and
+        // must be the table's integer to the bit (`+0.0` where an operand
+        // is zero).
+        for bits in crate::lut::MIN_BITS..=crate::lut::MAX_BITS {
+            let q = crate::lut::qmax(bits);
+            let vals: Vec<f32> = (-q..=q).map(|v| v as f32).collect();
+            let n = vals.len();
+            let mut c = vec![0.0f32; n * n];
+            gemm_lut(n, 1, n, &vals, &vals, bits, 1.0, &mut c, &Epilogue::Raw);
+            let table = crate::lut::lut_for(bits);
+            for (idx, &got) in c.iter().enumerate() {
+                let (a, b) = (vals[idx / n], vals[idx % n]);
+                let want = table.mul(a as i16, b as i16) as f32;
+                assert_eq!(got.to_bits(), want.to_bits(), "{bits} bits: {a} × {b}");
+                assert_eq!(got.fract(), 0.0, "{bits} bits: {a} × {b} = {got}");
+            }
+        }
+    }
+
+    #[test]
+    fn lut_gemm_zero_rows_columns_and_cancelling_sums_are_plus_zero() {
+        // Row 0 of A and column 1 of B are all zero (a `−0.0` among them);
+        // row 1 against column 0 cancels exactly (x·y, then −x·y); row 2
+        // pairs `±0` with non-zero operands and non-zero operands with
+        // zeros. Every output with no non-zero product, or with products
+        // that cancel, must be `+0.0`: the bits of `0i64 as f32 · dq`.
+        let (m, k, n) = (3, 6, 3);
+        let a = [
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, //
+            5.0, -5.0, 7.0, 7.0, -3.0, 3.0, //
+            -0.0, 9.0, 0.0, 127.0, 1.0, -2.0,
+        ];
+        let b = [
+            3.0, 0.0, 0.0, //
+            3.0, 0.0, 4.0, //
+            11.0, 0.0, -2.0, //
+            -11.0, 0.0, 0.0, //
+            6.0, -0.0, 0.0, //
+            6.0, 0.0, 0.0,
+        ];
+        assert_lut_gemm_bits(8, m, k, n, &a, &b, 0.5);
+        let mut c = vec![f32::NAN; m * n];
+        gemm_lut(m, k, n, &a, &b, 8, 0.5, &mut c, &Epilogue::Raw);
+        for idx in [0, 1, 2, 3, 4, 7] {
+            assert_eq!(c[idx].to_bits(), 0.0f32.to_bits(), "output {idx}");
+        }
+    }
+
     #[test]
     fn lut_gemm_is_exact_across_the_widening_boundary() {
-        // Three `i32` blocks and one step, every operand at ±qmax: row 0's
-        // products are all +127·127-ish, row 1's all negative, so a lane
-        // that was not widened after 2¹⁶ steps would pass ±2³¹ and wrap.
-        // m = 3 covers the 2- and 1-row groups, n = 33 a full panel and a
-        // one-lane ragged one.
-        let (m, k, n) = (3, 3 * LUT_BLOCK + 1, 33);
+        // Operands at ±qmax with a ±1 in every fifth step, so products are
+        // ±16128 and ±127 and the sums pass 2²⁵ with odd terms in
+        // them: a block that ran past LUT_BLOCK steps, or totals kept in
+        // `f32`, would round where the `i64` reference does not. k walks
+        // both sides of one block and three blocks and a step; m = 3 covers
+        // the 2- and 1-row groups, n = 33 a full panel and a one-lane
+        // ragged one.
         let table = crate::lut::lut_for(8);
-        assert!(i64::from(table.mul(127, 127)) * k as i64 > i64::from(i32::MAX));
-        let a: Vec<i16> = (0..m * k)
-            .map(|idx| match idx / k {
-                0 => 127,
-                1 => -127,
-                _ => [127, -127][idx % 2],
-            })
-            .collect();
-        let b: Vec<i16> = (0..k * n)
-            .map(|idx| {
-                if idx % n < 20 || idx / n % 3 == 0 {
-                    127
-                } else {
-                    -127
-                }
-            })
-            .collect();
-        let mut c = vec![0.0f32; m * n];
-        gemm_lut(m, k, n, &a, &b, table, 0.5, &mut c, &Epilogue::Raw);
-        for (idx, &got) in c.iter().enumerate() {
-            let want = lut_scalar(&a, &b, k, n, idx / n, idx % n, 0.5);
-            assert_eq!(got.to_bits(), want.to_bits(), "({}, {})", idx / n, idx % n);
+        assert!(i64::from(table.mul(127, 127)) * (3 * LUT_BLOCK as i64) > 1 << 24);
+        let (m, n) = (3, 33);
+        for k in [LUT_BLOCK - 1, LUT_BLOCK, LUT_BLOCK + 1, 3 * LUT_BLOCK + 1] {
+            let a: Vec<f32> = (0..m * k)
+                .map(|idx| match idx / k {
+                    0 => 127.0,
+                    1 => -127.0,
+                    _ => [127.0, -127.0][idx % 2],
+                })
+                .collect();
+            let b: Vec<f32> = (0..k * n)
+                .map(|idx| {
+                    let (kk, j) = (idx / n, idx % n);
+                    if kk % 5 == 1 {
+                        [1.0, -1.0][j % 2]
+                    } else if j < 20 || kk % 3 == 0 {
+                        127.0
+                    } else {
+                        -127.0
+                    }
+                })
+                .collect();
+            assert_lut_gemm_bits(8, m, k, n, &a, &b, 0.5);
         }
     }
 
     #[test]
     fn lut_gemm_ragged_widths_match_scalar() {
         let (m, k) = (5, 19);
-        let table = crate::lut::lut_for(8);
         for n in [1, 31, 33, 77] {
-            let a: Vec<i16> = (0..m * k).map(|i| ((i * 37) % 255) as i16 - 127).collect();
-            let b: Vec<i16> = (0..k * n).map(|i| ((i * 91) % 255) as i16 - 127).collect();
-            let mut c = vec![0.0f32; m * n];
-            gemm_lut(m, k, n, &a, &b, table, 0.125, &mut c, &Epilogue::Raw);
-            for (idx, &got) in c.iter().enumerate() {
-                let want = lut_scalar(&a, &b, k, n, idx / n, idx % n, 0.125);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "n={n} ({}, {})",
-                    idx / n,
-                    idx % n
-                );
-            }
+            let a: Vec<f32> = (0..m * k)
+                .map(|i| ((i * 37) % 255) as f32 - 127.0)
+                .collect();
+            let b: Vec<f32> = (0..k * n)
+                .map(|i| ((i * 91) % 255) as f32 - 127.0)
+                .collect();
+            assert_lut_gemm_bits(8, m, k, n, &a, &b, 0.125);
         }
     }
 
     #[test]
-    #[should_panic(expected = "outside the 4-bit table")]
+    #[should_panic(expected = "outside the 4-bit range")]
     fn lut_gemm_rejects_operands_past_the_table() {
         let mut c = [0.0f32];
-        gemm_lut(
-            1,
-            1,
-            1,
-            &[8],
-            &[1],
-            crate::lut::lut_for(4),
-            1.0,
-            &mut c,
-            &Epilogue::Raw,
-        );
+        gemm_lut(1, 1, 1, &[8.0], &[1.0], 4, 1.0, &mut c, &Epilogue::Raw);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 8-bit range")]
+    fn lut_gemm_rejects_fractional_operands() {
+        let mut c = [0.0f32];
+        gemm_lut(1, 1, 1, &[2.0], &[1.5], 8, 1.0, &mut c, &Epilogue::Raw);
     }
 
     #[test]

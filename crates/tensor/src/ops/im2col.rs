@@ -69,15 +69,13 @@ use std::cell::Cell;
 use std::sync::Mutex;
 
 /// What one thread's lowered convolutions borrow instead of allocating: the
-/// staged image (one buffer per element type, slack and one input row of
-/// quantisation space behind it) and the plane a perforated GEMM computes
-/// its kept positions into. Each buffer grows to the largest (image, group)
-/// a thread has lowered and is freed with the thread; nothing else bounds
-/// or sizes it.
+/// staged image (slack and one input row of quantisation space behind it)
+/// and the plane a perforated GEMM computes its kept positions into. Each
+/// buffer grows to the largest (image, group) a thread has lowered and is
+/// freed with the thread; nothing else bounds or sizes it.
 #[derive(Default)]
 struct Scratch {
-    staged_f32: Vec<f32>,
-    staged_i16: Vec<i16>,
+    staged: Vec<f32>,
     kept_plane: Vec<f32>,
 }
 
@@ -86,25 +84,6 @@ thread_local! {
     /// convolution entered while another holds the scratch would allocate
     /// its own instead of aliasing.
     static SCRATCH: Cell<Scratch> = Cell::default();
-}
-
-/// Element type an image can be staged as (f32 exact path, i16
-/// LUT-quantised path); `default()` is the padding value.
-trait StageElem: Copy + Default + Send + Sync {
-    /// This element type's staging buffer, and the kept-positions plane.
-    fn buffers(scratch: &mut Scratch) -> (&mut Vec<Self>, &mut Vec<f32>);
-}
-
-impl StageElem for f32 {
-    fn buffers(scratch: &mut Scratch) -> (&mut Vec<f32>, &mut Vec<f32>) {
-        (&mut scratch.staged_f32, &mut scratch.kept_plane)
-    }
-}
-
-impl StageElem for i16 {
-    fn buffers(scratch: &mut Scratch) -> (&mut Vec<i16>, &mut Vec<f32>) {
-        (&mut scratch.staged_i16, &mut scratch.kept_plane)
-    }
 }
 
 /// Resolved geometry, pruning decisions and staged-image layout of one
@@ -253,12 +232,12 @@ impl Lowering {
     /// plane, zeros where the window pads. `row` is one padded input row of
     /// working space: each input row goes through `quant` into its middle
     /// once, and the `s` planes' rows are that row read from `kx` on.
-    fn stage<T: StageElem>(
+    fn stage(
         &self,
         image: &[f32],
-        quant: impl Fn(&[f32], &mut [T]),
-        staged: &mut [T],
-        row: &mut [T],
+        quant: impl Fn(&[f32], &mut [f32]),
+        staged: &mut [f32],
+        row: &mut [f32],
     ) {
         // Unit width-stride with every column computed (every zoo conv,
         // filter sampling, row perforation): a staged row is one copy.
@@ -277,23 +256,23 @@ impl Lowering {
 
     /// [`Lowering::stage`] with the way one staged row is taken out of the
     /// padded input row resolved: `place(dst, &row[kx..])`.
-    fn stage_rows<T: StageElem>(
+    fn stage_rows(
         &self,
         image: &[f32],
-        quant: impl Fn(&[f32], &mut [T]),
-        staged: &mut [T],
-        row: &mut [T],
-        place: impl Fn(&mut [T], &[T]),
+        quant: impl Fn(&[f32], &mut [f32]),
+        staged: &mut [f32],
+        row: &mut [f32],
+        place: impl Fn(&mut [f32], &[f32]),
     ) {
         let (h, w, nx) = (self.h, self.w, self.oxs.len());
         let plane = self.rows.len() * nx;
-        row.fill(T::default());
+        row.fill(0.0);
         for chan in 0..self.cpg {
             for &(slot, y) in &self.rows {
                 let middle = &mut row[self.pw..self.pw + w];
                 match y {
                     Some(y) => quant(&image[(chan * h + y) * w..][..w], middle),
-                    None => middle.fill(T::default()),
+                    None => middle.fill(0.0),
                 }
                 for kx in 0..self.s {
                     let at = (kx * self.cpg + chan) * plane + slot * nx;
@@ -398,15 +377,12 @@ fn run_lowered<K: Verified>(
     low: &Lowering,
     kern: &K,
     input: &[f32],
-    quant: impl Fn(&[f32], &mut [K::Elem]) + Sync,
-    w_data: &[K::Elem],
+    quant: impl Fn(&[f32], &mut [f32]) + Sync,
+    w_data: &[f32],
     bias: Option<&[f32]>,
     out: &mut [f32],
     verify: bool,
-) -> Result<(), TensorError>
-where
-    K::Elem: StageElem,
-{
+) -> Result<(), TensorError> {
     let (kpg, kk2, plane) = (low.kpg, low.kept.len(), low.ho * low.wo);
     let k = kpg * low.groups;
     if k * plane == 0 {
@@ -416,12 +392,12 @@ where
     // The kept weight elements of every output channel: group `g`'s GEMM A
     // matrix is rows `g·kpg..(g + 1)·kpg`.
     let total = w_data.len() / k;
-    let weights: Vec<K::Elem> = (0..k)
+    let weights: Vec<f32> = (0..k)
         .flat_map(|oc| low.kept.iter().map(move |&idx| w_data[oc * total + idx]))
         .collect();
     let per_group = low.cpg * low.h * low.w;
     let (staged_len, row_len) = (low.staged_len(), low.w + 2 * low.pw);
-    let gemm_call = |a: &[K::Elem], b: &Windows<K::Elem>, dst: &mut [f32], epi: &Epilogue| {
+    let gemm_call = |a: &[f32], b: &Windows, dst: &mut [f32], epi: &Epilogue| {
         if verify {
             abft::gemm_windows_abft(kern, kpg, a, b, dst, epi)
         } else {
@@ -431,9 +407,9 @@ where
     };
 
     let lower_image = |image: &[f32], oimg: &mut [f32], scratch: &mut Scratch| {
-        let (staged, kept_plane) = K::Elem::buffers(scratch);
+        let Scratch { staged, kept_plane } = scratch;
         if staged.len() < staged_len + row_len {
-            staged.resize(staged_len + row_len, K::Elem::default());
+            staged.resize(staged_len + row_len, 0.0);
         }
         let (staged, row) = staged.split_at_mut(staged_len);
         // Perforation computes only the kept positions into this plane.
@@ -605,10 +581,9 @@ pub(crate) fn conv2d_lowered(
             let sym = lut::Symmetric::fit(lut::max_abs(x.iter().map(|&v| f16_first(v))), bits);
             let qw = lut::quantize_symmetric(w, bits);
             let kern = LutMul {
-                table: lut::lut_for(bits),
                 dequant: sym.scale * qw.scale,
             };
-            let quant = |src: &[f32], dst: &mut [i16]| {
+            let quant = |src: &[f32], dst: &mut [f32]| {
                 for (d, &v) in dst.iter_mut().zip(src) {
                     *d = sym.q(f16_first(v));
                 }

@@ -28,8 +28,8 @@ pub fn matmul(a: &Tensor, b: &Tensor, precision: Precision) -> Result<Tensor, Te
 /// Bit-compatibility contract: with `MulApprox::Exact` this equals the
 /// unfused `matmul` → [`bias_add_rows`] sequence exactly (same quantisation
 /// points, same accumulation order). With `MulApprox::Lut`, operands are
-/// symmetric-quantised per tensor and every product is served from the
-/// bitwidth's Mitchell table, accumulating in `i64`.
+/// symmetric-quantised per tensor and every product is Mitchell's (the
+/// bitwidth's table as a closed form), summed exactly.
 pub fn matmul_ex(
     a: &Tensor,
     b: &Tensor,
@@ -75,20 +75,10 @@ pub fn matmul_ex(
             gemm::gemm_f32(m, ka, n, a.data(), b.data(), &mut out, &epi);
         }
         MulApprox::Lut { bits } => {
-            let table = lut::lut_for(bits);
             let aq = lut::quantize_symmetric(a.data(), bits);
             let bq = lut::quantize_symmetric(b.data(), bits);
-            gemm::gemm_lut(
-                m,
-                ka,
-                n,
-                &aq.q,
-                &bq.q,
-                table,
-                aq.scale * bq.scale,
-                &mut out,
-                &epi,
-            );
+            let dq = aq.scale * bq.scale;
+            gemm::gemm_lut(m, ka, n, &aq.q, &bq.q, bits, dq, &mut out, &epi);
         }
     }
     Tensor::from_vec(Shape::mat(m, n), out)

@@ -125,7 +125,7 @@ pub fn matmul_ex_reference(
         for j in 0..n {
             let mut s = 0i64;
             for kk in 0..ka {
-                s += i64::from(table.mul(aq.q[i * ka + kk], bq.q[kk * n + j]));
+                s += i64::from(table.mul(aq.q[i * ka + kk] as i16, bq.q[kk * n + j] as i16));
             }
             let mut v = s as f32 * dq;
             if fp16 {
@@ -310,9 +310,10 @@ fn compute_direct(
                                         continue;
                                     }
                                 }
-                                acc += i64::from(
-                                    table.mul(qi.q[row_base + ix as usize], qw.q[wrow + kx]),
-                                );
+                                acc += i64::from(table.mul(
+                                    qi.q[row_base + ix as usize] as i16,
+                                    qw.q[wrow + kx] as i16,
+                                ));
                             }
                         }
                     }
