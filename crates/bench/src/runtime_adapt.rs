@@ -1,25 +1,27 @@
 //! Runtime adaptation (§5, evaluated in §6.4): the `runtime_adapt`
 //! closed-loop experiment under injected hardware disturbances, and the
-//! paper's own `fig6` frequency sweep.
+//! paper's own `fig6` frequency sweep. Both drive the
+//! `at_core::closed_loop` driver, one invocation per batch, with the
+//! run-time controller every serving replica runs: feed-forward on the
+//! sensed clock, EWMA feedback under a ±10 % dead-band.
 //!
-//! `runtime_adapt` regenerates the paper's frequency-change adaptation figure with the
-//! `at_core::closed_loop` driver: a per-invocation time series of sensed
-//! frequency, selected configuration, achieved speedup and QoS, under four
-//! scripted scenarios against the simulated TX2 — the 12-step DVFS sweep,
-//! a thermal-throttling ramp, a brownout plus load spike, and a sensor
+//! `runtime_adapt` regenerates the paper's frequency-change adaptation
+//! figure: a per-invocation time series of sensed frequency, selected
+//! configuration, achieved speedup and QoS, under four scripted scenarios
+//! against the simulated TX2 — the 12-step DVFS sweep, a
+//! thermal-throttling ramp, a brownout plus load spike, and a sensor
 //! dropout. Both control policies run over the same shipped curve; all
 //! traces are deterministic (seeded) and written to
-//! `results/runtime_adapt.json`. The sliding window is one batch, as in the
-//! paper, and the feedback hysteresis dwells three invocations.
+//! `results/runtime_adapt.json`.
 
 use crate::env::Sizing;
 use crate::harness::{sweep, Prepared};
 use crate::report::{Artifact, Table};
-use at_core::closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport};
+use at_core::closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport, TraceRow};
 use at_core::install::{refine_software_only, EdgeDevice, InstallObjective};
 use at_core::predict::PredictionModel;
 use at_core::qos::QosMetric;
-use at_core::runtime::{Policy, RuntimeTuner};
+use at_core::runtime::Policy;
 use at_core::TradeoffCurve;
 use at_hw::{Disturbance, DisturbedDevice, FrequencyLadder, Scenario};
 use at_models::BenchmarkId;
@@ -89,6 +91,11 @@ fn static_mean_norm(device: &DisturbedDevice, baseline: f64) -> f64 {
         / n.max(1) as f64
 }
 
+/// Mean of `f` over a run of trace rows (one ladder step's invocations).
+fn mean(rows: &[TraceRow], f: impl Fn(&TraceRow) -> f64) -> f64 {
+    rows.iter().map(f).sum::<f64>() / rows.len().max(1) as f64
+}
+
 /// Batches the DVFS sweeps dwell on each ladder step.
 const BATCHES_PER_FREQ: usize = 20;
 
@@ -150,8 +157,6 @@ pub(crate) fn run(sizing: &Sizing) -> Artifact {
                 &disturbed,
                 &ClosedLoopParams {
                     policy,
-                    window: 1,
-                    min_dwell: 3,
                     seed: 7,
                     baseline_qos,
                 },
@@ -186,10 +191,6 @@ pub(crate) fn run(sizing: &Sizing) -> Artifact {
     for step in 0..ladder.len() {
         let lo = step * BATCHES_PER_FREQ;
         let hi = lo + BATCHES_PER_FREQ;
-        let mean = |rows: &[at_core::closed_loop::TraceRow],
-                    f: fn(&at_core::closed_loop::TraceRow) -> f64| {
-            rows[lo..hi].iter().map(f).sum::<f64>() / BATCHES_PER_FREQ as f64
-        };
         // The roofline static time uses the full timing model at the step's
         // clock: memory-bound layers flatten the slowdown slightly below
         // the compute-bound `f_nominal / f` line.
@@ -199,10 +200,10 @@ pub(crate) fn run(sizing: &Sizing) -> Artifact {
             freq_mhz: ladder.at(step),
             static_norm_time: ladder.slowdown(step),
             static_norm_time_roofline: roofline,
-            dynamic_norm_time_p1: mean(&p1.trace, |r| r.norm_time),
-            dynamic_norm_time_p2: mean(&p2.trace, |r| r.norm_time),
-            qos_p1: mean(&p1.trace, |r| r.qos),
-            qos_p2: mean(&p2.trace, |r| r.qos),
+            dynamic_norm_time_p1: mean(&p1.trace[lo..hi], |r| r.norm_time),
+            dynamic_norm_time_p2: mean(&p2.trace[lo..hi], |r| r.norm_time),
+            qos_p1: mean(&p1.trace[lo..hi], |r| r.qos),
+            qos_p2: mean(&p2.trace[lo..hi], |r| r.qos),
         };
         fig_table.row(vec![
             format!("{:.0}", row.freq_mhz),
@@ -238,12 +239,16 @@ pub(crate) fn run(sizing: &Sizing) -> Artifact {
 
 /// Figure 6: for ResNet-18, AlexNet-ImageNet and AlexNet2 the GPU frequency
 /// is swept down the 12-step ladder. Without dynamic approximation the
-/// normalized batch time grows like the slowdown; with the runtime tuner
-/// (`AT_POLICY`, sliding window of one batch) the time stays near 1.0 while
+/// normalized batch time grows like the slowdown; with the closed loop
+/// (`AT_POLICY`, one invocation per batch) the time stays near 1.0 while
 /// inference accuracy degrades gracefully.
 pub(crate) fn fig6(sizing: &Sizing) -> Artifact {
     let device = EdgeDevice::tx2();
     let ladder = FrequencyLadder::tx2_gpu();
+    let swept = DisturbedDevice::new(
+        Scenario::tx2_dvfs_sweep(BATCHES_PER_FREQ),
+        device.power.clone(),
+    );
     let default = [
         BenchmarkId::ResNet18,
         BenchmarkId::AlexNetImageNet,
@@ -262,7 +267,16 @@ pub(crate) fn fig6(sizing: &Sizing) -> Artifact {
             .map(|pt| p.accuracy(&pt.config, &p.test))
             .collect();
         let base_acc = p.baseline_test_accuracy();
-        let base_time = p.base_time(&device);
+        let run = run_closed_loop(
+            &curve,
+            p.base_time(&device),
+            &swept,
+            &ClosedLoopParams {
+                policy: sizing.policy,
+                seed: 7,
+                baseline_qos: base_acc,
+            },
+        );
 
         let mut table = Table::new(&[
             "Freq (MHz)",
@@ -272,20 +286,17 @@ pub(crate) fn fig6(sizing: &Sizing) -> Artifact {
             "Acc drop (pp)",
         ]);
         let mut rows = Vec::new();
-        let mut tuner = RuntimeTuner::new(curve, sizing.policy, 1, base_time, 7);
-        for step in 0..ladder.len() {
+        // Switches so far: rows whose selection differs from the previous
+        // row's (the run starts on the baseline).
+        let (mut switches, mut prev) = (0usize, None);
+        for (step, batches) in run.trace.chunks(BATCHES_PER_FREQ).enumerate() {
             let slowdown = ladder.slowdown(step);
-            let (mut dyn_time, mut acc) = (0.0, 0.0);
-            for _ in 0..BATCHES_PER_FREQ {
-                let t = base_time * slowdown / tuner.current_speedup();
-                dyn_time += t / base_time;
-                acc += tuner
-                    .current_index()
-                    .map_or(base_acc, |idx| accuracies[idx]);
-                tuner.record_invocation(t);
+            let avg_dyn = mean(batches, |r| r.norm_time);
+            let avg_acc = mean(batches, |r| r.selected.map_or(base_acc, |i| accuracies[i]));
+            for r in batches {
+                switches += usize::from(r.selected != prev);
+                prev = r.selected;
             }
-            let avg_dyn = dyn_time / BATCHES_PER_FREQ as f64;
-            let avg_acc = acc / BATCHES_PER_FREQ as f64;
             table.row(vec![
                 format!("{:.0}", ladder.at(step)),
                 format!("{slowdown:.2}"),
@@ -297,7 +308,7 @@ pub(crate) fn fig6(sizing: &Sizing) -> Artifact {
                 "benchmark": p.name(), "freq_mhz": ladder.at(step),
                 "static_norm_time": slowdown, "dynamic_norm_time": avg_dyn,
                 "accuracy": avg_acc, "accuracy_drop": base_acc - avg_acc,
-                "switches": tuner.switches,
+                "switches": switches,
             }));
         }
         println!("\n{}:\n", p.name());

@@ -2,24 +2,26 @@
 //! (§5, evaluated in §6.4).
 //!
 //! [`run_closed_loop`] drives a program invocation-by-invocation over an
-//! `at_hw` [`DisturbedDevice`], closing the loop the paper describes: the
-//! [`SystemMonitor`] collects each invocation's wall time and sensor
-//! readings, a controller estimates the *required speedup* to hold the
-//! performance target, and the [`RuntimeTuner`] re-selects a configuration
-//! from the shipped tradeoff curve under the chosen [`Policy`].
+//! `at_hw` [`DisturbedDevice`] with the run-time controller every serving
+//! replica runs: before each invocation it reads the frequency sensor and
+//! re-estimates the *required speedup*, the [`RuntimeTuner`] re-selects a
+//! configuration from the shipped tradeoff curve under the chosen
+//! [`Policy`], and after it the invocation's slowdown is fed back.
 //!
-//! The controller combines two paths:
+//! The required speedup is `clock × feedback`:
 //!
-//! * **Feed-forward** — when the frequency sensor reports a clock change
-//!   (a DVFS governor step), the frequency-slowdown estimate updates
-//!   *before* the next invocation runs. This is why Policy 1 can hold the
-//!   per-invocation target at every step of the §6.4 sweep: the switch
-//!   happens at the step boundary, not one window later.
-//! * **Feedback** — the residual slowdown that the clock cannot explain
-//!   (co-running load, or any disturbance during a sensor dropout) is
-//!   estimated from a sliding window of frequency-corrected residuals,
-//!   with a ±2 % dead-band and a minimum dwell between updates so
-//!   single-sample noise never thrashes switches.
+//! * **Feed-forward** — the sensed clock (nominal ÷ sensed MHz) moves the
+//!   selection on the invocation a DVFS governor steps, before it runs.
+//!   This is why Policy 1 holds the per-invocation target at every step of
+//!   the §6.4 sweep. While the sensors are dark the clock holds its last
+//!   reading.
+//! * **Feedback** — a 0.7/0.3 EWMA of the slowdown the clock cannot explain
+//!   (co-running load, or any disturbance during a sensor dropout),
+//!   re-anchored only when it leaves a ±10 % dead-band, so noise never
+//!   thrashes switches.
+//!
+//! A lone invocation is the serving controller at backlog 1 draining within
+//! its own baseline time, so the serving pressure term is exactly 1.
 //!
 //! Degradation is graceful by construction: when the required speedup
 //! exceeds every curve point, selection clamps to the fastest point and a
@@ -27,24 +29,21 @@
 //! [`AdaptationLog`] — never a panic, including on empty or one-point
 //! curves and under total sensor dropout.
 
-use crate::monitor::{AdaptationLog, EventKind, InvocationSample, SystemMonitor};
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::pareto::TradeoffCurve;
+pub use crate::replica::Move;
+use crate::replica::{sensed_clock, Controller, DEAD_BAND};
 use crate::runtime::{Policy, RuntimeTuner};
 use at_hw::DisturbedDevice;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Controller parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ClosedLoopParams {
     /// Configuration-selection policy (§5).
     pub policy: Policy,
-    /// Sliding-window length in invocations (the paper's runtime
-    /// experiments use one batch).
-    pub window: usize,
-    /// Minimum invocations between feedback-driven re-estimations (switch
-    /// hysteresis; feed-forward sensor events are exempt).
-    pub min_dwell: usize,
     /// Seed for Policy 2's probabilistic mixing.
     pub seed: u64,
     /// QoS of the unapproximated baseline configuration, reported in the
@@ -56,8 +55,6 @@ impl Default for ClosedLoopParams {
     fn default() -> ClosedLoopParams {
         ClosedLoopParams {
             policy: Policy::EnforceEachInvocation,
-            window: 1,
-            min_dwell: 3,
             seed: 7,
             baseline_qos: 100.0,
         }
@@ -87,6 +84,47 @@ pub struct TraceRow {
     pub selected: Option<usize>,
 }
 
+/// What an [`AdaptationEvent`] records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum EventKind {
+    /// The selection moved on the invocation the sensed clock stepped (the
+    /// feed-forward path).
+    Clock(Move),
+    /// The selection moved under an unchanged clock: the feedback anchor
+    /// left its dead-band, or Policy 2 re-rolled its mix.
+    Feedback(Move),
+    /// Graceful degradation: the required speedup first exceeds every
+    /// curve point, so selection clamps to the fastest point and the QoS
+    /// floor is breached (one event per excursion, never a panic).
+    QosFloorBreach,
+}
+
+/// One control decision, as recorded for offline analysis.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct AdaptationEvent {
+    /// Invocation index at which the decision was taken (before it ran).
+    pub invocation: usize,
+    /// The required total speedup the controller asked for.
+    pub required_speedup: f64,
+    /// The (qos, perf) of the selected point; None = the baseline.
+    pub selected: Option<(f64, f64)>,
+    /// What the decision was.
+    pub kind: EventKind,
+}
+
+/// Every control decision of one run, oldest first.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+pub struct AdaptationLog {
+    events: Vec<AdaptationEvent>,
+}
+
+impl AdaptationLog {
+    /// The recorded events, oldest first.
+    pub fn events(&self) -> &[AdaptationEvent] {
+        &self.events
+    }
+}
+
 /// The structured result of one closed-loop run: the full per-invocation
 /// trace, the control-decision log, and summary statistics.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -95,13 +133,11 @@ pub struct ClosedLoopReport {
     pub scenario: String,
     /// Policy display name.
     pub policy: String,
-    /// Sliding-window length used.
-    pub window: usize,
     /// Baseline invocation time the target is normalised to, seconds.
     pub baseline_time_s: f64,
     /// Per-invocation trace.
     pub trace: Vec<TraceRow>,
-    /// Every control decision (switches and QoS-floor breaches).
+    /// Every control decision (moves and QoS-floor breaches).
     pub log: AdaptationLog,
     /// Total configuration switches (including Policy 2's re-rolls).
     pub switches: usize,
@@ -116,7 +152,10 @@ pub struct ClosedLoopReport {
 impl ClosedLoopReport {
     /// Serialises the report (the artifact `runtime_adapt` persists).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialises")
+        match serde_json::to_string_pretty(self) {
+            Ok(s) => s,
+            Err(e) => format!("{{\"error\":\"report serialisation failed: {e}\"}}"),
+        }
     }
 
     /// Fraction of invocations meeting the target within `tol` (e.g.
@@ -145,147 +184,70 @@ pub fn run_closed_loop(
     params: &ClosedLoopParams,
 ) -> ClosedLoopReport {
     let baseline = baseline_time_s.max(1e-12);
-    let window = params.window.max(1);
-    let nominal = device.scenario().nominal_mhz();
-    let mut tuner = RuntimeTuner::new(curve.clone(), params.policy, window, baseline, params.seed);
-    let mut monitor = SystemMonitor::new(window);
-    let mut log = AdaptationLog::new();
-    let mut trace = Vec::with_capacity(device.scenario().invocations());
-
-    // Frequency-slowdown estimate (feed-forward path; holds its last value
-    // through sensor dropouts) and residual-load estimate (feedback path).
-    let mut fs_est = 1.0f64;
-    let mut load_est = 1.0f64;
-    let mut residuals: VecDeque<f64> = VecDeque::with_capacity(window);
-    let mut since_load_update = usize::MAX;
+    let invocations = device.scenario().invocations();
+    let mut tuner = RuntimeTuner::new(curve.clone(), params.policy, 1, baseline, params.seed);
+    // Backlog 1 against a drain budget of one baseline: pressure 1.
+    let mut controller = Controller::new(DEAD_BAND, baseline);
+    let mut events = Vec::new();
+    let mut trace = Vec::with_capacity(invocations);
     let mut in_breach = false;
-    let mut last_time = baseline;
 
-    // Re-selects for `required`, returning the event to log (if any):
-    // a breach transition takes precedence over a plain switch.
-    let decide = |tuner: &mut RuntimeTuner,
-                  log: &mut AdaptationLog,
-                  in_breach: &mut bool,
-                  invocation: usize,
-                  observed: f64,
-                  required: f64,
-                  kind: EventKind| {
-        let switched = tuner.adapt_to(required).is_some();
-        let exceeded = required > tuner.max_speedup() * (1.0 + 1e-9) && required > 1.0 + 1e-9;
-        if exceeded && !*in_breach {
-            *in_breach = true;
-            log.push(
-                invocation,
-                observed,
-                required,
-                tuner.current_point(),
-                EventKind::QosFloorBreach,
-            );
-        } else if switched {
-            log.push(invocation, observed, required, tuner.current_point(), kind);
-        }
-        if !exceeded {
-            *in_breach = false;
-        }
-    };
-
-    for i in 0..device.scenario().invocations() {
+    for i in 0..invocations {
         let state = device.state_at(i);
-        let (freq_sensor, power_sensor) = device.sensors(&state);
-
-        // Feed-forward: a sensed clock change updates the frequency
-        // estimate before the invocation runs.
-        if let Some(f) = freq_sensor {
-            let new_fs = nominal / f.max(1.0);
-            if (new_fs - fs_est).abs() > 1e-9 {
-                fs_est = new_fs;
-                let observed = monitor.mean_time_s().unwrap_or(last_time);
-                decide(
-                    &mut tuner,
-                    &mut log,
-                    &mut in_breach,
-                    i,
-                    observed,
-                    fs_est * load_est,
-                    EventKind::FeedForward,
-                );
-            }
-        }
-        // Policy 2 re-rolls its probabilistic mix on every invocation —
-        // that alternation is what achieves the average target (§5).
-        if params.policy == Policy::AverageOverTime {
-            tuner.adapt_to(fs_est * load_est);
+        let (freq_mhz, power_w) = device.sensors(&state);
+        let clock = controller.clock;
+        let moved = controller.reselect(&mut tuner, sensed_clock(device, &state), baseline, 1);
+        let required = controller.required();
+        // A breach transition takes precedence over the move it forced.
+        let exceeded = required > tuner.max_speedup() * (1.0 + 1e-9) && required > 1.0 + 1e-9;
+        let kind = if exceeded && !in_breach {
+            Some(EventKind::QosFloorBreach)
+        } else if controller.clock != clock {
+            moved.map(EventKind::Clock)
+        } else {
+            moved.map(EventKind::Feedback)
+        };
+        in_breach = exceeded;
+        let point = tuner.current_point();
+        if let Some(kind) = kind {
+            events.push(AdaptationEvent {
+                invocation: i,
+                required_speedup: required,
+                selected: point.map(|p| (p.qos, p.perf)),
+                kind,
+            });
         }
 
-        // Run the invocation on the disturbed device.
+        // Run the invocation on the disturbed device and feed its slowdown
+        // back.
         let speedup = tuner.current_speedup();
         let time_s = device.invocation_time(&state, baseline, speedup);
-        last_time = time_s;
-        monitor.record(InvocationSample {
-            time_s,
-            freq_mhz: freq_sensor,
-            power_w: power_sensor,
-        });
-        let (qos, selected) = match tuner.current_index() {
-            Some(idx) => (curve.points()[idx].qos, Some(idx)),
-            None => (params.baseline_qos, None),
-        };
+        controller.observe(time_s * speedup / baseline);
         trace.push(TraceRow {
             invocation: i,
-            freq_mhz: freq_sensor,
-            power_w: power_sensor,
+            freq_mhz,
+            power_w,
             time_s,
             norm_time: time_s / baseline,
             speedup,
-            qos,
-            selected,
+            qos: point.map_or(params.baseline_qos, |p| p.qos),
+            selected: tuner.current_index(),
         });
-
-        // Feedback: the residual is the slowdown the (estimated) clock
-        // cannot explain — exactly the external load when sensors are up,
-        // and the whole disturbance when they are down.
-        let fs_actual = match freq_sensor {
-            Some(f) => nominal / f.max(1.0),
-            None => fs_est,
-        };
-        let r = (time_s * speedup / (baseline * fs_actual)).max(1e-3);
-        residuals.push_back(r);
-        if residuals.len() > window {
-            residuals.pop_front();
-        }
-        since_load_update = since_load_update.saturating_add(1);
-        if residuals.len() == window && since_load_update >= params.min_dwell {
-            let mean_r = residuals.iter().sum::<f64>() / window as f64;
-            // Dead-band: only re-estimate when the window mean leaves the
-            // ±2 % hysteresis band around the current estimate.
-            if (mean_r - load_est).abs() > 0.02 * load_est {
-                load_est = mean_r.max(1e-3);
-                since_load_update = 0;
-                let observed = monitor.mean_time_s().unwrap_or(time_s);
-                decide(
-                    &mut tuner,
-                    &mut log,
-                    &mut in_breach,
-                    i,
-                    observed,
-                    fs_est * load_est,
-                    EventKind::Feedback,
-                );
-            }
-        }
     }
 
     let n = trace.len().max(1) as f64;
     let mean_norm_time = trace.iter().map(|r| r.norm_time).sum::<f64>() / n;
     let mean_qos = trace.iter().map(|r| r.qos).sum::<f64>() / n;
-    let breaches = log.breaches();
+    let breaches = events
+        .iter()
+        .filter(|e| e.kind == EventKind::QosFloorBreach)
+        .count();
     ClosedLoopReport {
         scenario: device.scenario().name().to_string(),
         policy: params.policy.name().to_string(),
-        window,
         baseline_time_s: baseline,
         trace,
-        log,
+        log: AdaptationLog { events },
         switches: tuner.switches,
         breaches,
         mean_norm_time,
@@ -345,7 +307,7 @@ mod tests {
         // not one window later.
         let first = r.log.events().first().expect("an adaptation happened");
         assert_eq!(first.invocation, 10);
-        assert_eq!(first.kind, EventKind::FeedForward);
+        assert_eq!(first.kind, EventKind::Clock(Move::Up));
         assert!(r.trace[10].norm_time <= 1.0 + 1e-9, "step-boundary miss");
     }
 
@@ -380,19 +342,44 @@ mod tests {
             &curve(&[1.2, 1.5, 2.0, 2.6]),
             1.0,
             &DisturbedDevice::tx2(s),
-            &ClosedLoopParams {
-                window: 3,
-                ..ClosedLoopParams::default()
-            },
+            &ClosedLoopParams::default(),
         );
         // The spike is invisible to the frequency sensor, so the log must
         // contain a feedback event and the loop must recover the target.
-        assert!(r.log.events().iter().any(|e| e.kind == EventKind::Feedback));
+        assert!(r
+            .log
+            .events()
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::Feedback(_))));
         let during: Vec<&TraceRow> = r.trace.iter().filter(|t| t.invocation >= 30).collect();
         let hit = during
             .iter()
             .filter(|t| t.norm_time <= 1.02 && t.invocation < 50)
             .count();
         assert!(hit > 10, "feedback never recovered the target");
+    }
+
+    #[test]
+    fn log_roundtrip() {
+        let event = |invocation, selected, kind| AdaptationEvent {
+            invocation,
+            required_speedup: 1.5,
+            selected,
+            kind,
+        };
+        let log = AdaptationLog {
+            events: vec![
+                event(10, None, EventKind::Feedback(Move::Down)),
+                event(20, Some((88.0, 1.5)), EventKind::Clock(Move::Up)),
+                event(30, Some((86.0, 2.0)), EventKind::QosFloorBreach),
+            ],
+        };
+        let json = serde_json::to_string_pretty(&log).unwrap();
+        let back: AdaptationLog = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.events().len(), 3);
+        assert_eq!(back.events()[1].selected, Some((88.0, 1.5)));
+        assert_eq!(back.events()[0].kind, EventKind::Feedback(Move::Down));
+        assert_eq!(back.events()[1].kind, EventKind::Clock(Move::Up));
+        assert_eq!(back.events()[2].kind, EventKind::QosFloorBreach);
     }
 }

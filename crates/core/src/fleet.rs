@@ -5,7 +5,7 @@
 //! QoS floor, baseline cost and traffic profile (the
 //! Steady/Bursty/Diurnal/Spike arrival generators of [`mod@crate::serve`],
 //! whose `serve()` is this loop at N = M = 1). On top of the per-replica
-//! machinery (`crate::replica`: admission, degradation ladder, breaker,
+//! machinery (`crate::replica`: admission, the run-time controller, breaker,
 //! guard) the fleet adds three distribution concerns:
 //!
 //! * **Front-door routing** — a pluggable, pure [`route`] function
@@ -50,8 +50,8 @@ use crate::checkpoint::{ReplicaCheckpoint, TenantCheckpoint, REPLICA_CHECKPOINT_
 use crate::guard::{fails_floor, splitmix64, GuardParams, GuardReport, QosGuard};
 use crate::pareto::TradeoffCurve;
 use crate::replica::{
-    latency_summary, mean, premask_below_floor, verify_canary, Breaker, BreakerTransition,
-    EventRing, InFlight, Ladder, LadderMove, Queued, ServiceCtx,
+    latency_summary, mean, premask_below_floor, sensed_clock, verify_canary, Breaker,
+    BreakerTransition, Controller, EventRing, InFlight, Move, Queued, ServiceCtx,
 };
 use crate::runtime::RuntimeTuner;
 use crate::serve::{
@@ -119,7 +119,7 @@ impl RouterPolicy {
 }
 
 /// Fleet-level parameters. Per-replica control behaviour (deadline, queue
-/// cap, ladder dead-band and drain fraction, breaker thresholds, stall
+/// cap, controller dead-band and drain fraction, breaker thresholds, stall
 /// watchdog, event cap) comes from [`ServeParams`].
 #[derive(Clone, Debug)]
 pub struct FleetParams {
@@ -216,7 +216,7 @@ impl Default for SdcParams {
 ///
 /// The router keeps a per-replica EWMA of the *observed slowdown* of each
 /// completion (service time × configured speedup ÷ tenant baseline — the
-/// same normalised unit as the ladder's `slow_ewma`). A replica whose EWMA
+/// same normalised unit as the controller's slowdown). A replica whose EWMA
 /// exceeds `eject_ratio` × the median EWMA of its healthy peers is ejected
 /// from routing candidacy; after `probe_after_s` it is re-probed with a
 /// bounded number of requests and readmitted only when the probes come
@@ -965,7 +965,7 @@ struct Replica {
     breaker: Breaker,
     /// One lane per tenant, in tenant order.
     lanes: Vec<Lane>,
-    ladder: Ladder,
+    controller: Controller,
     /// Crashed and not yet restarted.
     down: bool,
     /// Partitioned away from the router (still executing its own queue).
@@ -973,7 +973,7 @@ struct Replica {
     /// Router-side gray-failure state.
     eject: EjectState,
     /// Router-side slowdown EWMA (gray detection; separate from the
-    /// ladder's `slow_ewma`, which the replica itself owns).
+    /// controller's, which the replica itself owns).
     router_ewma: f64,
     /// Completions since start or last restart (ejection warm-up gate).
     samples_since_up: usize,
@@ -1002,7 +1002,7 @@ impl Replica {
             busy: None,
             breaker: Breaker::new(sp),
             lanes,
-            ladder: Ladder::new(sp),
+            controller: Controller::for_replica(sp),
             down: false,
             partitioned: false,
             eject: EjectState::Healthy,
@@ -1309,11 +1309,12 @@ impl<'a> FleetSim<'a> {
     }
 
     /// Starts the head-of-queue request on replica `r` if it is idle. The
-    /// ladder re-selects the serving tenant's configuration for the
-    /// replica's pressure first, so escalation happens before the service
-    /// time is drawn. Moves are counted, not logged: a ring flooded by a
-    /// few percent of all arrivals would evict the breaker, crash and SDC
-    /// events it exists for.
+    /// device state is resolved once: the controller re-selects the serving
+    /// tenant's configuration for the sensed clock and the replica's
+    /// pressure first, so escalation happens before the service time is
+    /// drawn from the same state. Moves are counted, not logged: a ring
+    /// flooded by a few percent of all arrivals would evict the breaker,
+    /// crash and SDC events it exists for.
     fn start_next(&mut self, r: usize, now: f64) {
         let rep = &mut self.replicas[r];
         if rep.busy.is_some() {
@@ -1330,20 +1331,23 @@ impl<'a> FleetSim<'a> {
         let tk = lane.execs;
         lane.execs += 1;
 
+        let state = ctx.device.state_at(k);
         let backlog = rep.queue.len() + 1;
-        match rep
-            .ladder
-            .reselect(&mut lane.tuner, ctx.baseline_time_s, backlog)
-        {
-            Some(LadderMove::Up) => rep.stats.escalations += 1,
-            Some(LadderMove::Down) => rep.stats.deescalations += 1,
+        match rep.controller.reselect(
+            &mut lane.tuner,
+            sensed_clock(ctx.device, &state),
+            ctx.baseline_time_s,
+            backlog,
+        ) {
+            Some(Move::Up) => rep.stats.escalations += 1,
+            Some(Move::Down) => rep.stats.deescalations += 1,
             None => {}
         }
 
         let chaos = &self.params.chaos;
         let inflation = chaos.gray_inflation_at(r, now);
-        let draw = ctx.draw(&lane.tuner, &lane.guard, k, tk, inflation);
-        rep.ladder.observe(draw.slowdown);
+        let draw = ctx.draw(&state, &lane.tuner, &lane.guard, tk, inflation);
+        rep.controller.observe(draw.slowdown);
         if draw.rung.is_some() && fails_floor(draw.qos, lane.guard.params().qos_floor) {
             self.tenant_acc[t].report.planned_floor_breaches += 1;
         }
@@ -1597,7 +1601,7 @@ impl<'a> FleetSim<'a> {
             b,
             now,
             self.completed,
-            rep.ladder.applied_required,
+            rep.controller.required(),
         );
         if let Some(c) = conviction {
             self.log(
@@ -1739,7 +1743,7 @@ impl<'a> FleetSim<'a> {
         match ev.kind {
             ChaosKind::Crash { restart_after_s } => {
                 // Checkpoint first: the warm restart resumes from the
-                // exact pre-crash control state (breaker, ladder,
+                // exact pre-crash control state (breaker, controller,
                 // quarantine convictions).
                 self.replicas[r].checkpoint = Some(self.snapshot_replica(r, now));
                 self.finish[r] = f64::INFINITY;
@@ -1804,7 +1808,7 @@ impl<'a> FleetSim<'a> {
     }
 
     /// Snapshots a replica's full control state for warm restart: breaker,
-    /// ladder position, slowdown EWMA, and every tenant's (possibly
+    /// controller anchor, slowdown EWMA, and every tenant's (possibly
     /// repaired) curve, quarantine mask and guard.
     fn snapshot_replica(&self, r: usize, now: f64) -> ReplicaCheckpoint {
         let rep = &self.replicas[r];
@@ -1813,8 +1817,8 @@ impl<'a> FleetSim<'a> {
             version: REPLICA_CHECKPOINT_VERSION,
             replica: r,
             crashed_at_s: now,
-            applied_required: rep.ladder.applied_required,
-            slow_ewma: rep.ladder.slow_ewma,
+            applied_required: rep.controller.applied_required,
+            slow_ewma: rep.controller.slow_ewma,
             breaker,
             consecutive_failures,
             open_until,
@@ -1857,8 +1861,8 @@ impl<'a> FleetSim<'a> {
         if let Some(cp) = rep.checkpoint.take().filter(ReplicaCheckpoint::is_sealed) {
             rep.breaker
                 .restore(cp.breaker, cp.consecutive_failures, cp.open_until);
-            rep.ladder.applied_required = cp.applied_required;
-            rep.ladder.slow_ewma = cp.slow_ewma;
+            rep.controller.applied_required = cp.applied_required;
+            rep.controller.slow_ewma = cp.slow_ewma;
             for (t, tc) in cp.tenants.into_iter().enumerate().take(self.ctxs.len()) {
                 let mut tuner = self.ctxs[t].new_tuner(tc.curve, self.params.serve.seed);
                 // Re-apply the convictions instead of re-learning them:
@@ -1870,7 +1874,7 @@ impl<'a> FleetSim<'a> {
                         inherited += 1;
                     }
                 }
-                tuner.adapt_to(cp.applied_required);
+                tuner.adapt_to(rep.controller.required());
                 rep.lanes[t].tuner = tuner;
                 rep.lanes[t].guard = tc.guard;
             }
@@ -1953,7 +1957,7 @@ impl<'a> FleetSim<'a> {
             return;
         }
         let est = |tenant: usize| -> f64 {
-            rep.ladder.slow_ewma * self.ctxs[tenant].baseline_time_s
+            rep.controller.slowdown() * self.ctxs[tenant].baseline_time_s
                 / rep.lanes[tenant].tuner.current_speedup().max(1e-9)
         };
         let mut wait = rep

@@ -16,22 +16,25 @@
 //!    refined with real device measurements; when hardware-specific knobs
 //!    (PROMISE voltage levels) exist, a fresh distributed predictive-tuning
 //!    round runs across simulated edge devices.
-//! 3. **Run-time tuning** (§5, [`runtime`]): a sliding-window performance
-//!    monitor picks configurations off the shipped curve to counteract
-//!    slowdowns (e.g. DVFS low-power modes), with two selection policies.
-//!    [`closed_loop`] closes that loop against `at-hw`'s disturbed device
-//!    model (DVFS sweeps, thermal throttling, brownouts, load spikes,
-//!    sensor dropout) with feed-forward + feedback control, graceful
-//!    QoS-floor degradation and a structured adaptation report. [`mod@serve`]
-//!    lifts the same mechanism into an overload-resilient serving loop:
-//!    deadline-aware admission over a bounded queue, a degradation ladder
-//!    that sheds *accuracy* before it sheds requests, and a circuit
-//!    breaker around execution — all deterministic and seeded. [`fleet`]
-//!    scales that loop out to N replicas × M tenant models with pluggable
-//!    front-door routing, per-replica breaker + per-tenant guard state,
-//!    and work stealing across replica queues. Both loops drive one
-//!    private replica engine (breaker, event ring, service draw, guard
-//!    wiring), so those mechanisms exist exactly once.
+//! 3. **Run-time tuning** (§5, [`runtime`]): the run-time tuner picks a
+//!    configuration off the shipped curve for a required speedup, with two
+//!    selection policies. One run-time controller computes that speedup:
+//!    the sensed clock (feed-forward) times an EWMA of the slowdown the
+//!    clock does not explain (feedback) times the backlog pressure, under
+//!    a ±dead-band. [`closed_loop`] drives it invocation by invocation
+//!    against `at-hw`'s disturbed device model (DVFS sweeps, thermal
+//!    throttling, brownouts, load spikes, sensor dropout) with graceful
+//!    QoS-floor degradation and a structured adaptation report.
+//!    [`mod@serve`] lifts the same controller into an overload-resilient
+//!    serving loop: deadline-aware admission over a bounded queue, a
+//!    degradation ladder that sheds *accuracy* before it sheds requests,
+//!    and a circuit breaker around execution — all deterministic and
+//!    seeded. [`fleet`] scales that loop out to N replicas × M tenant
+//!    models with pluggable front-door routing, per-replica breaker +
+//!    per-tenant guard state, and work stealing across replica queues.
+//!    Every loop drives one private replica engine (controller, breaker,
+//!    event ring, service draw, guard wiring), so those mechanisms exist
+//!    exactly once.
 //!
 //! [`knobs`] defines the integer knob registry (63 per convolution, 8 per
 //! reduction, 2 per other op — §2.3); [`config`] the per-program
@@ -64,7 +67,6 @@ pub mod fleet;
 pub mod guard;
 pub mod install;
 pub mod knobs;
-pub mod monitor;
 pub mod pareto;
 pub mod perf;
 pub mod predict;

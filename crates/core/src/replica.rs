@@ -1,8 +1,9 @@
 //! The replica engine: the per-replica serving mechanisms behind the one
 //! serving loop ([`crate::fleet`], of which [`crate::serve`] is the
-//! 1-replica × 1-tenant projection), each implemented exactly once — the
-//! circuit breaker state machine, the degradation [`Ladder`], the capped
-//! event ring, the latency summary, the guard's floor pre-mask and canary
+//! 1-replica × 1-tenant projection) and of the closed loop
+//! ([`crate::closed_loop`]), each implemented exactly once — the circuit
+//! breaker state machine, the run-time [`Controller`], the capped event
+//! ring, the latency summary, the guard's floor pre-mask and canary
 //! conviction, the service draw (device state → watchdog → executor →
 //! shadow canary), the completion classifier and the queued / in-flight
 //! request pair.
@@ -15,7 +16,8 @@ use crate::guard::{fails_floor, GuardVerdict, QosGuard};
 use crate::pareto::TradeoffCurve;
 use crate::runtime::{Policy, RuntimeTuner};
 use crate::serve::{BreakerState, RequestExecutor, RequestOutcome, ServeParams};
-use at_hw::DisturbedDevice;
+use at_hw::{DeviceState, DisturbedDevice};
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------------
@@ -203,96 +205,148 @@ pub(crate) fn latency_summary(latencies: &mut [f64]) -> (f64, f64) {
 }
 
 // ---------------------------------------------------------------------------
-// Degradation ladder
+// Run-time controller
 // ---------------------------------------------------------------------------
 
-/// Which way a [`Ladder::reselect`] moved the serving configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum LadderMove {
+/// The default ± dead-band of the [`Controller`] ([`ServeParams::dead_band`]
+/// and the closed loop's band).
+pub(crate) const DEAD_BAND: f64 = 0.1;
+
+/// Which way the run-time controller moved the selected configuration
+/// (by curve index; the exact baseline is the bottom).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Move {
     /// Towards more approximation.
     Up,
     /// Towards the exact baseline.
     Down,
 }
 
-/// One replica's accuracy-shedding degradation ladder: the only place
-/// queue pressure becomes a [`RuntimeTuner::adapt_to`] request.
+/// The paper's §5 run-time controller, and the only place observations
+/// become a [`RuntimeTuner::adapt_to`] request: a state estimate (the
+/// required speedup), then the curve's thresholds, then a configuration.
 ///
-/// Pressure is re-evaluated when a request starts service — the only
-/// instant a configuration is consumed — as the total speedup needed to
-/// drain the backlog within the ladder's share of the deadline. It is
-/// dimensionless (`slow_ewma × tenant baseline × backlog ÷ drain budget`),
-/// so one anchor serves every tenant lane of the replica, and it is damped
-/// by the ±dead-band only: the anchor moves when the pressure leaves the
-/// band around it, in either direction, and not otherwise.
-pub(crate) struct Ladder {
+/// The required speedup is `clock × anchor`:
+///
+/// * `clock` is the feed-forward term, `nominal ÷ sensed` clock. It moves
+///   on the start the frequency sensor reports a step, so a DVFS governor
+///   step re-selects before the slowed execution runs, and it holds its
+///   last value while the sensors are dark.
+/// * the anchor is the feedback term: the pressure `slow_ewma × baseline ×
+///   backlog ÷ drain budget`, damped by the ±dead-band only — it moves when
+///   the pressure leaves the band around it, in either direction, and not
+///   otherwise. The EWMA folds each execution's slowdown divided by the
+///   clock, so it tracks what the clock does not explain (load, or every
+///   disturbance while the sensors are dark) without being fooled by the
+///   controller's own approximation.
+///
+/// Re-evaluated when an execution starts — the only instant a
+/// configuration is consumed. The pressure is dimensionless, so one
+/// controller serves every tenant lane of a replica; a lone invocation
+/// (backlog 1, drain budget = its baseline) has pressure 1 and is driven by
+/// the slowdown estimate alone.
+pub(crate) struct Controller {
+    /// Feed-forward clock slowdown (1.0 = nominal clock).
+    pub clock: f64,
     /// The pressure last anchored (centre of the dead-band).
     pub applied_required: f64,
-    /// EWMA of the device slowdown this replica observes (1.0 = nominal):
-    /// tracks the environment without being fooled by the ladder's own
-    /// approximation, because each sample is normalised by the speedup it
-    /// ran at.
+    /// EWMA of the clock-normalised slowdown this replica observes (1.0 =
+    /// nominal).
     pub slow_ewma: f64,
     dead_band: f64,
-    /// Seconds the ladder aims to drain the backlog within: the deadline ×
-    /// `drain_fraction`. Tighter than admission's budget (the deadline), so
-    /// accuracy is shed before requests are.
+    /// Seconds the backlog is to drain within. A replica's is its deadline
+    /// × `drain_fraction`, tighter than admission's budget (the deadline),
+    /// so accuracy is shed before requests are.
     drain_budget: f64,
 }
 
-impl Ladder {
-    /// A ladder at nominal pressure with `p`'s dead-band and drain budget.
-    pub(crate) fn new(p: &ServeParams) -> Ladder {
-        Ladder {
+impl Controller {
+    /// A controller at nominal clock and pressure.
+    pub(crate) fn new(dead_band: f64, drain_budget_s: f64) -> Controller {
+        Controller {
+            clock: 1.0,
             applied_required: 1.0,
             slow_ewma: 1.0,
-            dead_band: p.dead_band.clamp(0.0, 10.0),
-            drain_budget: p.deadline_s.max(1e-9) * p.drain_fraction.clamp(0.05, 1.0),
+            dead_band: dead_band.clamp(0.0, 10.0),
+            drain_budget: drain_budget_s,
         }
     }
 
-    /// Re-selects `tuner`'s configuration for a request about to start with
-    /// `backlog` requests (itself included) on the replica. The anchor only
-    /// moves outside the dead-band, but `adapt_to` is issued on every
+    /// A serving replica's controller: `p`'s dead-band, draining within
+    /// `drain_fraction` of the deadline.
+    pub(crate) fn for_replica(p: &ServeParams) -> Controller {
+        Controller::new(
+            p.dead_band,
+            p.deadline_s.max(1e-9) * p.drain_fraction.clamp(0.05, 1.0),
+        )
+    }
+
+    /// The required speedup the tuner is asked for.
+    pub(crate) fn required(&self) -> f64 {
+        self.clock * self.applied_required
+    }
+
+    /// Estimated device slowdown (clock × feedback EWMA, 1.0 = nominal).
+    pub(crate) fn slowdown(&self) -> f64 {
+        self.clock * self.slow_ewma
+    }
+
+    /// Re-selects `tuner`'s configuration for an execution about to start
+    /// with `backlog` requests (itself included) queued, given the clock
+    /// the sensor reads ([`sensed_clock`]; `None` while dark). The anchor
+    /// only moves outside the dead-band, but `adapt_to` is issued on every
     /// start: `tuner` is the serving tenant's lane, which may not be the
-    /// lane the anchor was last applied to.
+    /// lane the anchor was last applied to, and Policy 2 re-rolls its mix.
     pub(crate) fn reselect(
         &mut self,
         tuner: &mut RuntimeTuner,
+        sensed: Option<f64>,
         baseline_time_s: f64,
         backlog: usize,
-    ) -> Option<LadderMove> {
+    ) -> Option<Move> {
+        if let Some(clock) = sensed.filter(|c| c.is_finite() && *c > 0.0) {
+            self.clock = clock;
+        }
         // `max` drops a NaN (`clamp` would keep it) and `min` an overflow,
         // so the anchor stays finite whatever the inputs.
         #[allow(clippy::manual_clamp)]
-        let required = (self.slow_ewma * baseline_time_s * backlog as f64 / self.drain_budget)
+        let pressure = (self.slow_ewma * baseline_time_s * backlog as f64 / self.drain_budget)
             .max(1e-6)
             .min(f64::MAX);
-        let up = required > self.applied_required * (1.0 + self.dead_band);
-        let down = required < self.applied_required * (1.0 - self.dead_band);
+        let up = pressure > self.applied_required * (1.0 + self.dead_band);
+        let down = pressure < self.applied_required * (1.0 - self.dead_band);
         if up || down {
-            self.applied_required = required;
+            self.applied_required = pressure;
         }
         let from = tuner.current_index();
-        tuner.adapt_to(self.applied_required);
+        tuner.adapt_to(self.required());
         let to = tuner.current_index();
         // `None` is the exact baseline, the bottom rung.
         match (from, to) {
             _ if from == to => None,
-            (None, Some(_)) => Some(LadderMove::Up),
-            (Some(a), Some(b)) if b > a => Some(LadderMove::Up),
-            _ => Some(LadderMove::Down),
+            (None, Some(_)) => Some(Move::Up),
+            (Some(a), Some(b)) if b > a => Some(Move::Up),
+            _ => Some(Move::Down),
         }
     }
 
-    /// Folds one execution's normalised slowdown ([`Draw::slowdown`]) into
-    /// the EWMA; a non-finite sample is dropped rather than poisoning every
-    /// later pressure estimate.
+    /// Folds one execution's normalised slowdown ([`Draw::slowdown`]),
+    /// divided by the clock it ran at, into the EWMA; a non-finite sample
+    /// is dropped rather than poisoning every later estimate.
     pub(crate) fn observe(&mut self, slowdown: f64) {
-        if slowdown.is_finite() {
-            self.slow_ewma = 0.7 * self.slow_ewma + 0.3 * slowdown;
+        let residual = slowdown / self.clock;
+        if residual.is_finite() {
+            self.slow_ewma = 0.7 * self.slow_ewma + 0.3 * residual;
         }
     }
+}
+
+/// The clock slowdown the frequency sensor reports in `state` (nominal ÷
+/// sensed MHz), or `None` while the sensors are dark. Reads no rail power.
+pub(crate) fn sensed_clock(device: &DisturbedDevice, state: &DeviceState) -> Option<f64> {
+    state
+        .sensors_ok
+        .then(|| device.scenario().nominal_mhz() / state.freq_mhz.max(1.0))
 }
 
 // ---------------------------------------------------------------------------
@@ -456,27 +510,26 @@ impl ServiceCtx<'_> {
         )
     }
 
-    /// Starts one execution under `tuner`'s current configuration: resolves
-    /// the device state at `device_k`, applies the executor watchdog, runs
-    /// the executor as its `exec_k`-th request and — when the guard's
-    /// deterministic sampler picks `exec_k` — performs the shadow canary
-    /// re-execution through the executor's hook. A replica counts
-    /// executions per replica for the device and per (replica, tenant) for
-    /// the executor; with one tenant the two indices coincide. `inflation`
-    /// is the chaos plan's gray-failure multiplier (1.0 = none).
+    /// Starts one execution under `tuner`'s current configuration on the
+    /// device in `state`: applies the executor watchdog, runs the executor
+    /// as its `exec_k`-th request and — when the guard's deterministic
+    /// sampler picks `exec_k` — performs the shadow canary re-execution
+    /// through the executor's hook. A replica counts executions per replica
+    /// for the device state and per (replica, tenant) for the executor;
+    /// with one tenant the two indices coincide. `inflation` is the chaos
+    /// plan's gray-failure multiplier (1.0 = none).
     pub(crate) fn draw(
         &self,
+        state: &DeviceState,
         tuner: &RuntimeTuner,
         guard: &QosGuard,
-        device_k: usize,
         exec_k: usize,
         inflation: f64,
     ) -> Draw {
-        let state = self.device.state_at(device_k);
         let speedup = tuner.current_speedup();
         let mut raw_svc = self
             .device
-            .invocation_time(&state, self.baseline_time_s, speedup);
+            .invocation_time(state, self.baseline_time_s, speedup);
         // Gray failure: silent service-time inflation. The branch keeps
         // the chaos-free service time bit-identical to the pre-chaos
         // code path.
@@ -649,10 +702,10 @@ mod tests {
         assert_eq!(latency_summary(&mut hundred_one), (50.0, 99.0));
     }
 
-    fn ladder(dead_band: f64) -> Ladder {
+    fn ladder(dead_band: f64) -> Controller {
         // Drain budget 0.5 s: with a 0.1 s baseline, a backlog of n asks
         // for 0.2·n× at nominal speed.
-        Ladder::new(&ServeParams {
+        Controller::for_replica(&ServeParams {
             deadline_s: 1.0,
             drain_fraction: 0.5,
             dead_band,
@@ -684,28 +737,28 @@ mod tests {
         let mut l = ladder(0.25);
         let mut t = tuner(&[1.3, 1.7, 2.2]);
         // Backlog 5 asks for exactly 1.0×: on the anchor, nothing moves.
-        assert_eq!(l.reselect(&mut t, 0.1, 5), None);
+        assert_eq!(l.reselect(&mut t, None, 0.1, 5), None);
         assert_eq!(l.applied_required, 1.0);
         // 1.2× is inside the +25 % band: the anchor holds, no escalation.
-        assert_eq!(l.reselect(&mut t, 0.1, 6), None);
+        assert_eq!(l.reselect(&mut t, None, 0.1, 6), None);
         assert_eq!(l.applied_required, 1.0);
         assert_eq!(t.current_index(), None);
         // 1.6× leaves the band: re-anchor and escalate onto a ≥ 1.6× rung.
-        assert_eq!(l.reselect(&mut t, 0.1, 8), Some(LadderMove::Up));
+        assert_eq!(l.reselect(&mut t, None, 0.1, 8), Some(Move::Up));
         assert_eq!(l.applied_required, 1.6);
         assert_eq!(t.current_index(), Some(1));
         // Rung to rung is classified by index, each way: 2.2× climbs onto
         // the top rung, 1.6× (below 2.2 − 25 %) steps back down one.
-        assert_eq!(l.reselect(&mut t, 0.1, 11), Some(LadderMove::Up));
+        assert_eq!(l.reselect(&mut t, None, 0.1, 11), Some(Move::Up));
         assert_eq!(t.current_index(), Some(2));
-        assert_eq!(l.reselect(&mut t, 0.1, 8), Some(LadderMove::Down));
+        assert_eq!(l.reselect(&mut t, None, 0.1, 8), Some(Move::Down));
         assert_eq!(l.applied_required, 1.6);
         assert_eq!(t.current_index(), Some(1));
         // 1.4× is inside the −25 % band of 1.6: nothing moves …
-        assert_eq!(l.reselect(&mut t, 0.1, 7), None);
+        assert_eq!(l.reselect(&mut t, None, 0.1, 7), None);
         assert_eq!(l.applied_required, 1.6);
         // … 1.0× is outside it: re-anchor and return to the baseline.
-        assert_eq!(l.reselect(&mut t, 0.1, 5), Some(LadderMove::Down));
+        assert_eq!(l.reselect(&mut t, None, 0.1, 5), Some(Move::Down));
         assert_eq!(l.applied_required, 1.0);
         assert_eq!(t.current_index(), None);
     }
@@ -714,12 +767,12 @@ mod tests {
     fn ladder_adapts_the_serving_lane_even_when_the_anchor_holds() {
         let mut l = ladder(0.25);
         let mut hot = tuner(&[1.3, 1.7, 2.2]);
-        assert_eq!(l.reselect(&mut hot, 0.1, 10), Some(LadderMove::Up));
+        assert_eq!(l.reselect(&mut hot, None, 0.1, 10), Some(Move::Up));
         assert_eq!(hot.current_index(), Some(2));
         // Another tenant's lane starts under the same, unmoved anchor: it
         // must be brought onto it, not left where it last ran.
         let mut cold = tuner(&[1.5, 2.5]);
-        assert_eq!(l.reselect(&mut cold, 0.1, 10), Some(LadderMove::Up));
+        assert_eq!(l.reselect(&mut cold, None, 0.1, 10), Some(Move::Up));
         assert_eq!(l.applied_required, 2.0);
         assert_eq!(cold.current_index(), Some(1));
     }
@@ -732,7 +785,7 @@ mod tests {
                 let mut t = tuner(&[1.3, 2.2]);
                 l.observe(sample);
                 for backlog in [0usize, 1, usize::MAX] {
-                    l.reselect(&mut t, baseline, backlog);
+                    l.reselect(&mut t, None, baseline, backlog);
                     assert!(
                         l.applied_required.is_finite() && l.applied_required > 0.0,
                         "anchor {} (baseline {baseline}, sample {sample}, backlog {backlog})",
@@ -746,5 +799,192 @@ mod tests {
         let mut l = ladder(0.1);
         l.observe(2.0);
         assert_eq!(l.slow_ewma, 0.7 + 0.3 * 2.0);
+    }
+
+    #[test]
+    fn a_sensed_clock_step_moves_the_selection_on_the_step_and_holds_while_dark() {
+        // Backlog 5 is pressure 1.0: only the clock asks for speed.
+        let mut l = ladder(0.1);
+        let mut t = tuner(&[1.3, 1.7, 2.2]);
+        assert_eq!(l.reselect(&mut t, Some(1.0), 0.1, 5), None);
+        // The sensor reads a 1.6× clock step: escalate on this start, with
+        // no slowdown observed yet.
+        assert_eq!(l.reselect(&mut t, Some(1.6), 0.1, 5), Some(Move::Up));
+        assert_eq!(t.current_index(), Some(1));
+        assert_eq!((l.clock, l.applied_required), (1.6, 1.0));
+        assert_eq!(l.required(), 1.6);
+        // The slowed execution is explained by the clock: the EWMA stays
+        // at nominal, the admission estimate carries the clock.
+        l.observe(1.6);
+        assert_eq!(l.slow_ewma, 1.0);
+        assert_eq!(l.slowdown(), 1.6);
+        // Dark sensors hold the last reading; junk readings are ignored.
+        for sensed in [None, Some(f64::NAN), Some(0.0), Some(f64::INFINITY)] {
+            assert_eq!(l.reselect(&mut t, sensed, 0.1, 5), None);
+            assert_eq!(l.clock, 1.6);
+        }
+        // The clock multiplies the anchor outside the band: pressure 2.0
+        // asks for 3.2× and clamps to the fastest rung.
+        assert_eq!(l.reselect(&mut t, None, 0.1, 10), Some(Move::Up));
+        assert_eq!(l.required(), 1.6 * 2.0);
+        assert_eq!(t.current_index(), Some(2));
+        // The clock recovers: back down with it.
+        assert_eq!(l.reselect(&mut t, Some(1.0), 0.1, 5), Some(Move::Down));
+        assert_eq!(t.current_index(), None);
+    }
+
+    #[test]
+    fn sensed_clock_reads_the_frequency_sensor_only() {
+        use at_hw::{Disturbance, FrequencyLadder, Scenario};
+        let ladder = FrequencyLadder::tx2_gpu();
+        let device = DisturbedDevice::tx2(
+            Scenario::new("step", ladder.clone(), 10, 0)
+                .with(Disturbance::GovernorStep {
+                    at: 2,
+                    ladder_idx: 6,
+                })
+                .with(Disturbance::SensorDropout { at: 4, len: 2 }),
+        );
+        let clock = |k| sensed_clock(&device, &device.state_at(k));
+        assert_eq!(clock(0), Some(1.0));
+        assert_eq!(clock(2), Some(ladder.slowdown(6)));
+        assert_eq!(clock(4), None);
+        assert_eq!(clock(6), Some(ladder.slowdown(6)));
+    }
+
+    /// The degradation ladder as it was before the clock feed-forward,
+    /// kept verbatim as the reference the controller must reproduce bit for
+    /// bit whenever the clock reads nominal or the sensors are dark — the
+    /// only clocks a committed fleet ever senses.
+    struct Ladder {
+        applied_required: f64,
+        slow_ewma: f64,
+        dead_band: f64,
+        drain_budget: f64,
+    }
+
+    impl Ladder {
+        fn new(p: &ServeParams) -> Ladder {
+            Ladder {
+                applied_required: 1.0,
+                slow_ewma: 1.0,
+                dead_band: p.dead_band.clamp(0.0, 10.0),
+                drain_budget: p.deadline_s.max(1e-9) * p.drain_fraction.clamp(0.05, 1.0),
+            }
+        }
+
+        fn reselect(
+            &mut self,
+            tuner: &mut RuntimeTuner,
+            baseline_time_s: f64,
+            backlog: usize,
+        ) -> Option<Move> {
+            #[allow(clippy::manual_clamp)]
+            let required = (self.slow_ewma * baseline_time_s * backlog as f64 / self.drain_budget)
+                .max(1e-6)
+                .min(f64::MAX);
+            let up = required > self.applied_required * (1.0 + self.dead_band);
+            let down = required < self.applied_required * (1.0 - self.dead_band);
+            if up || down {
+                self.applied_required = required;
+            }
+            let from = tuner.current_index();
+            tuner.adapt_to(self.applied_required);
+            let to = tuner.current_index();
+            match (from, to) {
+                _ if from == to => None,
+                (None, Some(_)) => Some(Move::Up),
+                (Some(a), Some(b)) if b > a => Some(Move::Up),
+                _ => Some(Move::Down),
+            }
+        }
+
+        fn observe(&mut self, slowdown: f64) {
+            if slowdown.is_finite() {
+                self.slow_ewma = 0.7 * self.slow_ewma + 0.3 * slowdown;
+            }
+        }
+    }
+
+    /// One step of a generated controller trace.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Observe(f64),
+        Start {
+            sensed: Option<f64>,
+            baseline: f64,
+            backlog: usize,
+        },
+    }
+
+    /// Either a draw from `x` or one of the values that break arithmetic.
+    fn or_degenerate(x: f64, pick: usize) -> f64 {
+        [
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            f64::MAX,
+        ]
+        .get(pick)
+        .copied()
+        .unwrap_or(x)
+    }
+
+    fn step() -> impl proptest::Strategy<Value = Step> {
+        use proptest::Strategy;
+        (
+            0usize..3,
+            (0usize..12, 0.0f64..8.0),
+            proptest::bool::ANY,
+            (0usize..12, 1e-3f64..1.0),
+            (0usize..6, 0usize..20),
+        )
+            .prop_map(|(kind, (pick, x), dark, (bpick, b), (lpick, l))| {
+                if kind == 0 {
+                    return Step::Observe(or_degenerate(x, pick));
+                }
+                Step::Start {
+                    sensed: (!dark).then_some(1.0),
+                    baseline: or_degenerate(b, bpick),
+                    backlog: [0, 1, usize::MAX].get(lpick).copied().unwrap_or(l),
+                }
+            })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn controller_equals_the_old_ladder_bit_for_bit_at_the_nominal_clock(
+            (band_pick, band) in (0usize..4, 0.0f64..10.0),
+            deadline_s in 1e-3f64..5.0,
+            drain_fraction in 0.0f64..1.5,
+            steps in proptest::collection::vec(step(), 1..60),
+        ) {
+            let dead_band = [0.0, 10.0].get(band_pick).copied().unwrap_or(band);
+            let p = ServeParams { deadline_s, drain_fraction, dead_band, ..ServeParams::default() };
+            let mut old = Ladder::new(&p);
+            let mut new = Controller::for_replica(&p);
+            let mut t_old = tuner(&[1.3, 1.7, 2.2, 3.1]);
+            let mut t_new = tuner(&[1.3, 1.7, 2.2, 3.1]);
+            for s in steps {
+                match s {
+                    Step::Observe(x) => {
+                        old.observe(x);
+                        new.observe(x);
+                    }
+                    Step::Start { sensed, baseline, backlog } => {
+                        let a = old.reselect(&mut t_old, baseline, backlog);
+                        let b = new.reselect(&mut t_new, sensed, baseline, backlog);
+                        proptest::prop_assert_eq!(a, b);
+                        proptest::prop_assert_eq!(t_old.current_index(), t_new.current_index());
+                    }
+                }
+                proptest::prop_assert_eq!(old.applied_required.to_bits(), new.applied_required.to_bits());
+                proptest::prop_assert_eq!(old.applied_required.to_bits(), new.required().to_bits());
+                proptest::prop_assert_eq!(old.slow_ewma.to_bits(), new.slow_ewma.to_bits());
+                proptest::prop_assert_eq!(old.slow_ewma.to_bits(), new.slowdown().to_bits());
+            }
+        }
     }
 }

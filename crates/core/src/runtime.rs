@@ -1,9 +1,13 @@
 //! Run-time approximation tuning (§5).
 //!
-//! A system monitor measures the execution time of each *invocation* (one
-//! batch) over a sliding window of the `N` most recent invocations. When
-//! the window average falls below the performance target, the dynamic
-//! tuner picks a new configuration from the shipped tradeoff curve:
+//! The dynamic tuner picks a configuration from the shipped tradeoff curve
+//! for a required speedup ([`RuntimeTuner::adapt_to`]). The run-time
+//! controller that computes that speedup from the sensed clock, the
+//! observed slowdown and the backlog drives it for every serving replica
+//! and for [`crate::closed_loop`]. ([`RuntimeTuner::record_invocation`]
+//! is an older self-contained entry point: a sliding window of measured
+//! invocation times with a fixed 2 % hysteresis.) Selection follows one of
+//! two policies:
 //!
 //! * **Policy 1 — enforce the required speedup in each invocation**: the
 //!   smallest curve point with performance ≥ the target (`O(log |PS|)`
@@ -238,19 +242,10 @@ impl RuntimeTuner {
                 } else if i >= active.len() {
                     Some(active[active.len() - 1])
                 } else {
-                    // Mix the bracketing points: p1·perf1 + p2·perf2 =
-                    // required with p1 + p2 = 1.
-                    let (lo, hi) = (&pts[active[i - 1]], &pts[active[i]]);
-                    let p1 = if (hi.perf - lo.perf).abs() < 1e-12 {
-                        1.0
-                    } else {
-                        (hi.perf - required) / (hi.perf - lo.perf)
-                    };
-                    if self.rng.gen_bool(p1.clamp(0.0, 1.0)) {
-                        Some(active[i - 1])
-                    } else {
-                        Some(active[i])
-                    }
+                    // Mix the bracketing points.
+                    let (lo, hi) = (active[i - 1], active[i]);
+                    let (p_lo, _) = policy2_probabilities(pts[lo].perf, pts[hi].perf, required);
+                    Some(if self.rng.gen_bool(p_lo) { lo } else { hi })
                 }
             }
         };
