@@ -100,7 +100,6 @@ struct PhaseStats {
     sdc_detected: usize,
     sdc_reexecuted: usize,
     sdc_escaped: usize,
-    sdc_false_alarm: usize,
     sdc_ejections: usize,
     /// Guard quarantine convictions of the roster's one *lying* tenant —
     /// these are honest guard work (the lie is real) and may grow as SDC
@@ -341,7 +340,6 @@ fn phase_stats(
         sdc_detected: report.sdc_detected,
         sdc_reexecuted: report.sdc_reexecuted,
         sdc_escaped: report.sdc_escaped,
-        sdc_false_alarm: report.sdc_false_alarm,
         sdc_ejections: report.sdc_ejections,
         quarantined_points_liar: report
             .tenants

@@ -17,7 +17,7 @@ use crate::report::{fx, Artifact, Table};
 use at_core::checkpoint::{CheckpointPolicy, SearchCheckpoint};
 use at_core::fault::{FaultMix, FaultPlan};
 use at_core::predict::PredictionModel;
-use at_core::supervise::{FaultStats, SupervisionPolicy};
+use at_core::supervise::FaultStats;
 use at_core::tuner::{RobustnessParams, TunerParams, TuningResult};
 use at_models::BenchmarkId;
 
@@ -64,10 +64,6 @@ fn robustness(rate: f64, seed: u64) -> RobustnessParams {
             mix: FaultMix::default(),
             stall_ms: 0,
         }),
-        supervision: SupervisionPolicy {
-            backoff_ms: 0,
-            ..SupervisionPolicy::default()
-        },
         ..RobustnessParams::default()
     }
 }

@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 pub enum ChaosKind {
     /// The replica process dies: its in-flight request is lost, its queue
     /// is redistributed or shed, and a warm restart from the replica's
-    /// checkpoint is scheduled `restart_after_s` later.
+    /// snapshot is scheduled `restart_after_s` later.
     Crash {
         /// Delay between the crash and the warm restart, in seconds.
         restart_after_s: f64,
@@ -145,8 +145,8 @@ pub struct ChaosEvent {
 
 /// A time-sorted, sanitized script of chaos events.
 ///
-/// The default plan is empty: a fleet run with `ChaosPlan::default()` is
-/// bit-identical to one that predates the chaos layer.
+/// The default plan is empty: a fleet run with `ChaosPlan::default()`
+/// injects no failure.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChaosPlan {
     events: Vec<ChaosEvent>,

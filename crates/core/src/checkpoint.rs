@@ -11,8 +11,11 @@
 //!
 //! The on-disk format is versioned JSON, written atomically (temp file +
 //! rename) so a crash mid-write can never leave a truncated checkpoint in
-//! place of a good one. Loading is strict: version, structure, and float
-//! finiteness are all validated into typed [`CheckpointError`]s.
+//! place of a good one. Loading is strict: version, structure, float
+//! finiteness and the content fingerprint are all validated into typed
+//! [`CheckpointError`]s. This is the one state the repo writes to disk to
+//! resume from; a crashed fleet replica's warm-restart state never leaves
+//! memory (`crate::fleet`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -20,20 +23,13 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::evaluate::{BatchTelemetry, CacheSnapshot};
-use crate::guard::QosGuard;
-use crate::pareto::{TradeoffCurve, TradeoffPoint};
+use crate::pareto::TradeoffPoint;
 use crate::search::TunerState;
-use crate::serve::BreakerState;
 use crate::supervise::SupervisionSnapshot;
 
 /// Current checkpoint schema version; bumped on any layout change.
 /// Version 2 added the content fingerprint.
 pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// Current per-replica checkpoint schema version (independent of the
-/// search-checkpoint schema — the two evolve separately). Version 2 added
-/// the content fingerprint.
-pub const REPLICA_CHECKPOINT_VERSION: u32 = 2;
 
 /// When and where the batch driver writes checkpoints.
 #[derive(Clone, Debug)]
@@ -102,7 +98,7 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 // ---------------------------------------------------------------------------
-// The sealed envelope shared by both checkpoint types
+// The sealed envelope
 // ---------------------------------------------------------------------------
 
 /// FNV-1a over a checkpoint's canonical JSON — the content fingerprint.
@@ -120,94 +116,6 @@ fn fnv1a64(s: &str) -> u64 {
 #[derive(Deserialize)]
 struct VersionProbe {
     version: u32,
-}
-
-/// Atomic file write: serialise to `<path>.tmp`, then rename over `path`,
-/// so a crash mid-write never leaves a truncated file where a good
-/// checkpoint used to be.
-fn atomic_write(path: &Path, json: &str) -> Result<(), CheckpointError> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json).map_err(|e| CheckpointError::Io(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(e.to_string()))
-}
-
-/// Gives a checkpoint type its sealed, versioned JSON envelope: the one
-/// implementation of serialise / fingerprint / seal / strict parse / atomic
-/// save / load. The type brings a `version: u32` field written as
-/// `$version`, a `fingerprint: u64` field, and a private
-/// `validate(&self) -> Result<(), CheckpointError>` for its own fields.
-macro_rules! sealed_envelope {
-    ($ty:ident, $version:expr) => {
-        impl $ty {
-            /// Serialises the checkpoint to JSON.
-            pub fn to_json(&self) -> String {
-                serde_json::to_string(self).expect("checkpoint state contains only finite floats")
-            }
-
-            /// Recomputes the content fingerprint from everything but the
-            /// fingerprint field itself.
-            fn content_fingerprint(&self) -> u64 {
-                let mut z = self.clone();
-                z.fingerprint = 0;
-                fnv1a64(&z.to_json())
-            }
-
-            /// Stamps the content fingerprint. A checkpoint must be sealed
-            /// before its JSON can pass [`Self::from_json`].
-            pub fn seal(&mut self) {
-                self.fingerprint = self.content_fingerprint();
-            }
-
-            /// Whether the stored fingerprint matches the contents.
-            pub fn is_sealed(&self) -> bool {
-                self.fingerprint == self.content_fingerprint()
-            }
-
-            /// Parses and validates a checkpoint from JSON: schema version,
-            /// structure, the type's own field checks, then the content
-            /// fingerprint — a corrupted file is refused with a typed error
-            /// instead of silently resuming wrong.
-            pub fn from_json(s: &str) -> Result<$ty, CheckpointError> {
-                // Peek at the version first so an old-format file reports
-                // a version mismatch, not an opaque structural error.
-                if let Ok(v) = serde_json::from_str::<VersionProbe>(s) {
-                    if v.version != $version {
-                        return Err(CheckpointError::VersionMismatch { found: v.version });
-                    }
-                }
-                let cp: $ty = serde_json::from_str(s)
-                    .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-                if cp.version != $version {
-                    return Err(CheckpointError::VersionMismatch { found: cp.version });
-                }
-                cp.validate()?;
-                let expected = cp.content_fingerprint();
-                if cp.fingerprint != expected {
-                    return Err(CheckpointError::FingerprintMismatch {
-                        expected,
-                        found: cp.fingerprint,
-                    });
-                }
-                Ok(cp)
-            }
-
-            /// Writes the checkpoint atomically (temp file + rename), so a
-            /// crash mid-write never corrupts an existing good checkpoint.
-            /// The written copy is always sealed.
-            pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-                let mut cp = self.clone();
-                cp.seal();
-                atomic_write(path, &cp.to_json())
-            }
-
-            /// Loads and validates a checkpoint from disk.
-            pub fn load(path: &Path) -> Result<$ty, CheckpointError> {
-                let json = std::fs::read_to_string(path)
-                    .map_err(|e| CheckpointError::Io(e.to_string()))?;
-                $ty::from_json(&json)
-            }
-        }
-    };
 }
 
 // ---------------------------------------------------------------------------
@@ -242,14 +150,72 @@ pub struct SearchCheckpoint {
     pub fingerprint: u64,
 }
 
-sealed_envelope!(SearchCheckpoint, CHECKPOINT_VERSION);
-
 impl SearchCheckpoint {
-    fn validate(&self) -> Result<(), CheckpointError> {
-        if !self.qos_min.is_finite() {
+    /// Serialises the checkpoint to JSON.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("checkpoint state contains only finite floats")
+    }
+
+    /// Recomputes the content fingerprint from everything but the
+    /// fingerprint field itself.
+    fn content_fingerprint(&self) -> u64 {
+        let mut z = self.clone();
+        z.fingerprint = 0;
+        fnv1a64(&z.to_json())
+    }
+
+    /// Stamps the content fingerprint. A checkpoint must be sealed before
+    /// its JSON can pass [`Self::from_json`].
+    pub fn seal(&mut self) {
+        self.fingerprint = self.content_fingerprint();
+    }
+
+    /// Parses and validates a checkpoint from JSON: schema version,
+    /// structure, finiteness, then the content fingerprint — a corrupted
+    /// file is refused with a typed error instead of silently resuming
+    /// wrong.
+    pub fn from_json(s: &str) -> Result<SearchCheckpoint, CheckpointError> {
+        // Peek at the version first so an old-format file reports a version
+        // mismatch, not an opaque structural error.
+        if let Ok(v) = serde_json::from_str::<VersionProbe>(s) {
+            if v.version != CHECKPOINT_VERSION {
+                return Err(CheckpointError::VersionMismatch { found: v.version });
+            }
+        }
+        let cp: SearchCheckpoint =
+            serde_json::from_str(s).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        if cp.version != CHECKPOINT_VERSION {
+            return Err(CheckpointError::VersionMismatch { found: cp.version });
+        }
+        if !cp.qos_min.is_finite() {
             return Err(CheckpointError::Malformed("non-finite qos_min".into()));
         }
-        Ok(())
+        let expected = cp.content_fingerprint();
+        if cp.fingerprint != expected {
+            return Err(CheckpointError::FingerprintMismatch {
+                expected,
+                found: cp.fingerprint,
+            });
+        }
+        Ok(cp)
+    }
+
+    /// Writes the checkpoint atomically: serialise to `<path>.tmp`, then
+    /// rename over `path`, so a crash mid-write never leaves a truncated
+    /// file where a good checkpoint used to be. The written copy is always
+    /// sealed.
+    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+        let mut cp = self.clone();
+        cp.seal();
+        let tmp = path.with_extension("tmp");
+        std::fs::write(&tmp, cp.to_json()).map_err(|e| CheckpointError::Io(e.to_string()))?;
+        std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(e.to_string()))
+    }
+
+    /// Loads and validates a checkpoint from disk.
+    pub fn load(path: &Path) -> Result<SearchCheckpoint, CheckpointError> {
+        let json = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
+        SearchCheckpoint::from_json(&json)
     }
 
     /// Checks that this checkpoint belongs to a run with the given
@@ -267,75 +233,6 @@ impl SearchCheckpoint {
                 "checkpoint batch_size {} vs run batch_size {}",
                 self.batch_size, batch_size
             )));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-replica fleet checkpoints
-// ---------------------------------------------------------------------------
-
-/// Per-tenant slice of a replica checkpoint: the tenant's shipped curve,
-/// the tuner's quarantine mask over it, and the full guard state. Restoring
-/// the guard is what keeps convictions across a crash — a restored
-/// `Quarantined` point is never re-canaried back through Suspect.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TenantCheckpoint {
-    /// The tenant's shipped tradeoff curve as the tuner held it.
-    pub curve: TradeoffCurve,
-    /// Per-point quarantine mask (`quarantined[i]` ⇔ point `i` masked).
-    pub quarantined: Vec<bool>,
-    /// The tenant's QoS guard, convictions and canary cursors included.
-    pub guard: QosGuard,
-}
-
-/// Everything a crashed fleet replica needs for a warm restart: breaker
-/// state, degradation-ladder position, and per-tenant tuner + guard state.
-/// Written with the same atomic temp-file-then-rename discipline as
-/// [`SearchCheckpoint`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ReplicaCheckpoint {
-    /// Schema version ([`REPLICA_CHECKPOINT_VERSION`] at write time).
-    pub version: u32,
-    /// Replica index within its fleet.
-    pub replica: usize,
-    /// Simulation time at which the replica crashed.
-    pub crashed_at_s: f64,
-    /// The degradation-ladder requirement last applied (dead-band anchor).
-    pub applied_required: f64,
-    /// The replica's service-time slowdown EWMA.
-    pub slow_ewma: f64,
-    /// Circuit-breaker state at crash time.
-    pub breaker: BreakerState,
-    /// Consecutive-failure counter feeding the breaker.
-    pub consecutive_failures: usize,
-    /// When an open breaker's cooldown elapses.
-    pub open_until: f64,
-    /// Per-tenant tuner + guard state, indexed like the fleet's tenants.
-    pub tenants: Vec<TenantCheckpoint>,
-    /// Content fingerprint: FNV-1a over the canonical JSON with this field
-    /// zeroed (see [`SearchCheckpoint::seal`] for the discipline).
-    pub fingerprint: u64,
-}
-
-sealed_envelope!(ReplicaCheckpoint, REPLICA_CHECKPOINT_VERSION);
-
-impl ReplicaCheckpoint {
-    fn validate(&self) -> Result<(), CheckpointError> {
-        if !self.crashed_at_s.is_finite() || !self.applied_required.is_finite() {
-            return Err(CheckpointError::Malformed(
-                "non-finite replica checkpoint timing".into(),
-            ));
-        }
-        for (t, tc) in self.tenants.iter().enumerate() {
-            if tc.quarantined.len() != tc.curve.len() {
-                return Err(CheckpointError::Malformed(format!(
-                    "tenant {t}: quarantine mask length {} vs curve length {}",
-                    tc.quarantined.len(),
-                    tc.curve.len()
-                )));
-            }
         }
         Ok(())
     }
@@ -481,83 +378,12 @@ mod tests {
         assert!(matches!(err, CheckpointError::Io(_)));
     }
 
-    fn replica_sample() -> ReplicaCheckpoint {
-        use crate::guard::GuardParams;
-        let curve = TradeoffCurve::from_points(vec![
-            TradeoffPoint {
-                qos: 90.0,
-                perf: 1.0,
-                config: Config::from_knobs(vec![KnobId(0)]),
-            },
-            TradeoffPoint {
-                qos: 85.0,
-                perf: 2.0,
-                config: Config::from_knobs(vec![KnobId(1)]),
-            },
-        ]);
-        let guard = QosGuard::new(&GuardParams::default(), &curve);
-        let mut cp = ReplicaCheckpoint {
-            version: REPLICA_CHECKPOINT_VERSION,
-            replica: 3,
-            crashed_at_s: 12.5,
-            applied_required: 1.25,
-            slow_ewma: 1.125,
-            breaker: BreakerState::HalfOpen,
-            consecutive_failures: 2,
-            open_until: 13.0,
-            tenants: vec![TenantCheckpoint {
-                quarantined: vec![false; curve.len()],
-                curve,
-                guard,
-            }],
-            fingerprint: 0,
-        };
-        cp.seal();
-        cp
-    }
-
-    #[test]
-    fn replica_checkpoint_disk_roundtrip_is_exact_and_atomic() {
-        let dir = std::env::temp_dir().join("at_replica_checkpoint_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("replica3.json");
-        let cp = replica_sample();
-        cp.save(&path).unwrap();
-        assert!(!path.with_extension("tmp").exists());
-        // No PartialEq on QosGuard: exactness is compared via canonical JSON.
-        let back = ReplicaCheckpoint::load(&path).unwrap();
-        assert_eq!(back.to_json(), cp.to_json());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn replica_checkpoint_version_mismatch_is_typed() {
-        let mut cp = replica_sample();
-        cp.version = REPLICA_CHECKPOINT_VERSION + 7;
-        let err = ReplicaCheckpoint::from_json(&cp.to_json()).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::VersionMismatch {
-                found: REPLICA_CHECKPOINT_VERSION + 7
-            }
-        );
-    }
-
-    #[test]
-    fn replica_checkpoint_rejects_mask_length_drift() {
-        let mut cp = replica_sample();
-        cp.tenants[0].quarantined.push(true);
-        let err = ReplicaCheckpoint::from_json(&cp.to_json()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
-    }
-
     #[test]
     fn tampered_contents_are_a_typed_fingerprint_mismatch() {
         // Structurally valid, version intact, but a field changed after
         // sealing: the fingerprint no longer matches the contents.
         let mut cp = sample();
         cp.qos_min = 90.0;
-        assert!(!cp.is_sealed());
         let err = SearchCheckpoint::from_json(&cp.to_json()).unwrap_err();
         assert!(
             matches!(err, CheckpointError::FingerprintMismatch { .. }),
@@ -579,24 +405,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn replica_checkpoint_tamper_is_a_typed_fingerprint_mismatch() {
-        let mut cp = replica_sample();
-        cp.slow_ewma += 0.5;
-        assert!(!cp.is_sealed());
-        let err = ReplicaCheckpoint::from_json(&cp.to_json()).unwrap_err();
-        assert!(
-            matches!(err, CheckpointError::FingerprintMismatch { .. }),
-            "{err}"
-        );
-        cp.seal();
-        assert!(cp.is_sealed());
-        assert!(ReplicaCheckpoint::from_json(&cp.to_json()).is_ok());
-    }
-
-    /// Fixtures: `sample()` and `replica_sample()` as sealed version-2 JSON,
-    /// captured as strings. The format and the fingerprint discipline are a
-    /// compatibility surface: these files must keep loading.
+    /// Fixture: `sample()` as sealed version-2 JSON, captured as a string.
+    /// The format and the fingerprint discipline are a compatibility
+    /// surface: such files must keep loading.
     #[test]
     fn sealed_v2_checkpoint_fixtures_still_load() {
         let search = concat!(
@@ -613,24 +424,6 @@ mod tests {
             r#"":[],"attempt_base":[[{"knobs":[2,0]},4]]},"fingerprint":786458776996160725}"#
         );
         assert_eq!(SearchCheckpoint::from_json(search).unwrap(), sample());
-        let replica = concat!(
-            r#"{"version":2,"replica":3,"crashed_at_s":12.5,"applied_required":1.25,"slow_ewma":1.1"#,
-            r#"25,"breaker":"HalfOpen","consecutive_failures":2,"open_until":13,"tenants":[{"curve""#,
-            r#":{"points":[{"qos":90,"perf":1,"config":{"knobs":[0]}},{"qos":85,"perf":2,"config":{"#,
-            r#""knobs":[1]}}]},"quarantined":[false,false],"guard":{"params":{"canary_fraction":0.0"#,
-            r#"5,"canary_seed":51866,"tolerance":1,"strikes_to_quarantine":3,"residual_window":32,""#,
-            r#"qos_floor":0,"event_limit":4096},"sampler":{"seed":51866,"fraction":0.05},"accounts""#,
-            r#":[{"trust":"Trusted","canaries":0,"strikes":0,"window":{"values":[],"cap":32,"total""#,
-            r#":0,"poisoned":0,"evicted":0},"shipped_qos":90},{"trust":"Trusted","canaries":0,"stri"#,
-            r#"kes":0,"window":{"values":[],"cap":32,"total":0,"poisoned":0,"evicted":0},"shipped_q"#,
-            r#"os":85}],"quarantined":[],"events":[],"events_evicted":0,"canaries":0,"misses":0,"po"#,
-            r#"isoned":0,"floor_breaches":0,"repairs":0,"premasked":[],"exact_fallback":false}}],"f"#,
-            r#"ingerprint":2428269634744071688}"#
-        );
-        let back = ReplicaCheckpoint::from_json(replica).unwrap();
-        assert!(back.is_sealed());
-        assert_eq!(back.to_json(), replica_sample().to_json());
-        assert_eq!(back.to_json(), replica);
     }
 
     #[test]

@@ -555,13 +555,11 @@ mod tests {
         }
     }
 
-    /// One attempt, no backoff, no quarantine: supervision as a pass-through
-    /// for evaluators that never fail.
+    /// One attempt, no quarantine: supervision as a pass-through for
+    /// evaluators that never fail.
     fn pass_through() -> SupervisionPolicy {
         SupervisionPolicy {
             max_attempts: 1,
-            backoff_ms: 0,
-            max_backoff_ms: 0,
             quarantine_threshold: u32::MAX,
         }
     }

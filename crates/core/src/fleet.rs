@@ -32,21 +32,21 @@
 //! simulated-requests/sec in `BENCH_serve.json`.
 //!
 //! On top of load the fleet also survives *failure*: a seeded
-//! [`ChaosPlan`] merges replica crashes (with warm restart from a
-//! [`ReplicaCheckpoint`]), silent gray failures (service-time inflation
-//! the router must detect itself via per-replica EWMA ejection —
-//! [`EjectionParams`]), and router↔replica partitions (treated like an
-//! open breaker, with bounded message loss) into the same time-ordered
-//! event stream. The accounting invariant is absolute: every arrival ends
-//! up served, faulted, stalled, or shed with a typed
-//! `crate::serve::ShedReason` — `requests_unaccounted` in the report is
-//! arithmetic, not an estimate, and must be zero.
+//! [`ChaosPlan`] merges replica crashes (with warm restart from an
+//! in-memory snapshot of the replica's control state), silent gray
+//! failures (service-time inflation the router must detect itself via
+//! per-replica EWMA ejection, with the fixed thresholds `EJECT_*` below),
+//! and router↔replica partitions (treated like an open breaker, with
+//! bounded message loss) into the same time-ordered event stream. The
+//! accounting invariant is absolute: every arrival ends up served,
+//! faulted, stalled, or shed with a typed `crate::serve::ShedReason` —
+//! `requests_unaccounted` in the report is arithmetic, not an estimate,
+//! and must be zero.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::chaos::{ChaosKind, ChaosPlan};
-use crate::checkpoint::{ReplicaCheckpoint, TenantCheckpoint, REPLICA_CHECKPOINT_VERSION};
 use crate::guard::{fails_floor, splitmix64, GuardParams, GuardReport, QosGuard};
 use crate::pareto::TradeoffCurve;
 use crate::replica::{
@@ -56,7 +56,7 @@ use crate::replica::{
 use crate::runtime::RuntimeTuner;
 use crate::serve::{
     generate_arrivals, BreakerState, NoFaultExecutor, RequestExecutor, RequestOutcome, ServeParams,
-    TrafficPattern,
+    TrafficPattern, EVENT_LIMIT,
 };
 use at_hw::DisturbedDevice;
 use serde::{Deserialize, Serialize};
@@ -120,7 +120,7 @@ impl RouterPolicy {
 
 /// Fleet-level parameters. Per-replica control behaviour (deadline, queue
 /// cap, controller dead-band and drain fraction, breaker thresholds, stall
-/// watchdog, event cap) comes from [`ServeParams`].
+/// watchdog) comes from [`ServeParams`].
 #[derive(Clone, Debug)]
 pub struct FleetParams {
     /// Number of server replicas (≥ 1).
@@ -139,12 +139,10 @@ pub struct FleetParams {
     pub steal: bool,
     /// Seed of the power-of-two sampling hash.
     pub route_seed: u64,
-    /// Scripted failure injection (empty by default: a chaos-free run is
-    /// bit-identical to one that predates the chaos layer).
+    /// Scripted failure injection (empty by default: no crash, gray
+    /// window, partition or bit flip).
     pub chaos: ChaosPlan,
-    /// Gray-failure ejection knobs for the router.
-    pub ejection: EjectionParams,
-    /// Silent-data-corruption defense knobs.
+    /// Silent-data-corruption defense.
     pub sdc: SdcParams,
 }
 
@@ -158,14 +156,13 @@ impl Default for FleetParams {
             steal: true,
             route_seed: 0xF1EE7,
             chaos: ChaosPlan::default(),
-            ejection: EjectionParams::default(),
             sdc: SdcParams::default(),
         }
     }
 }
 
-/// Silent-data-corruption defense knobs: how the fleet reacts when a
-/// replica's ABFT-checksummed kernels report a corrupted result.
+/// Silent-data-corruption defense: how the fleet reacts when a replica's
+/// ABFT-checksummed kernels report a corrupted result.
 ///
 /// The ground truth comes from the chaos plan's bit-flip windows
 /// (`ChaosPlan::bitflip_at` / `ChaosPlan::draw_flip`); the fleet models
@@ -174,87 +171,62 @@ impl Default for FleetParams {
 /// is *detected*, a lower flip stays under the noise floor and *escapes*
 /// (it is served silently and counted in `sdc_escaped`). A detected result
 /// is discarded — it never reaches the tenant, the guard's residual window
-/// or the breaker — and the request is re-executed on a healthy peer
-/// within `reexec_budget`; past the budget (or with no healthy peer) it is
-/// accounted as faulted. `eject_after` consecutive-style detection strikes
-/// hand the replica to the existing gray-failure eject → probe → readmit
-/// machinery. Every default keeps a corruption-free run bit-identical to
-/// the pre-SDC code path.
+/// or the breaker — and the request is re-executed on a healthy peer at
+/// most once (`SDC_REEXEC_BUDGET`); past the budget (or with no healthy
+/// peer) it is accounted as faulted. Three detection strikes
+/// (`SDC_EJECT_AFTER`) hand the replica to the gray-failure eject → probe
+/// → readmit machinery.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SdcParams {
     /// Whether replicas run the ABFT-protected kernels. Unprotected
     /// replicas never detect anything: every injected flip escapes.
     pub protected: bool,
-    /// Times one request may be re-executed after a detection before it is
-    /// accounted as faulted.
-    pub reexec_budget: usize,
-    /// Detection strikes on one replica before the router ejects it
-    /// (reset by readmission and by warm restart).
-    pub eject_after: usize,
     /// Lowest flipped bit the modelled ABFT check can see: flips in bits
     /// `>= detect_bit_floor` are detected, lower flips escape.
     pub detect_bit_floor: u32,
-    /// Per-completion probability that verification trips with no real
-    /// flip (checksum round-off pessimism). 0 disables the draw entirely.
-    pub false_alarm_rate: f64,
 }
 
 impl Default for SdcParams {
     fn default() -> SdcParams {
         SdcParams {
             protected: true,
-            reexec_budget: 1,
-            eject_after: 3,
             detect_bit_floor: 16,
-            false_alarm_rate: 0.0,
         }
     }
 }
 
-/// Gray-failure defense knobs: how the router spots a slow-but-alive
-/// replica and when it lets it back in.
-///
-/// The router keeps a per-replica EWMA of the *observed slowdown* of each
-/// completion (service time × configured speedup ÷ tenant baseline — the
-/// same normalised unit as the controller's slowdown). A replica whose EWMA
-/// exceeds `eject_ratio` × the median EWMA of its healthy peers is ejected
-/// from routing candidacy; after `probe_after_s` it is re-probed with a
-/// bounded number of requests and readmitted only when the probes come
-/// back fast. Detection is *relative*, so a fleet-wide disturbance (every
-/// replica slowed by the same brownout) never ejects anyone.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct EjectionParams {
-    /// Master switch; off = the router never ejects.
-    pub enabled: bool,
-    /// EWMA smoothing factor in `(0, 1]` (weight of the newest sample).
-    pub alpha: f64,
-    /// Completions a replica must serve (since start or restart) before it
-    /// can be ejected — protects cold replicas from noisy first samples.
-    pub min_samples: usize,
-    /// Ejection threshold: EWMA > `eject_ratio` × healthy-peer median.
-    pub eject_ratio: f64,
-    /// Seconds an ejected replica sits out before probing begins.
-    pub probe_after_s: f64,
-    /// Probe requests admitted per probation round.
-    pub probe_budget: usize,
-    /// A probe succeeds when its slowdown sample is ≤ `readmit_ratio` ×
-    /// the healthy-peer median.
-    pub readmit_ratio: f64,
-}
+/// Times one request may be re-executed after a detection before it is
+/// accounted as faulted.
+const SDC_REEXEC_BUDGET: usize = 1;
+/// Detection strikes on one replica before the router ejects it (reset by
+/// readmission and by warm restart).
+const SDC_EJECT_AFTER: usize = 3;
 
-impl Default for EjectionParams {
-    fn default() -> EjectionParams {
-        EjectionParams {
-            enabled: true,
-            alpha: 0.2,
-            min_samples: 32,
-            eject_ratio: 2.5,
-            probe_after_s: 1.0,
-            probe_budget: 3,
-            readmit_ratio: 1.5,
-        }
-    }
-}
+// Gray-failure defense: how the router spots a slow-but-alive replica and
+// when it lets it back in. The router keeps a per-replica EWMA of the
+// *observed slowdown* of each completion (service time × configured
+// speedup ÷ tenant baseline — the same normalised unit as the controller's
+// slowdown). A replica whose EWMA exceeds `EJECT_RATIO` × the median EWMA
+// of its healthy peers is ejected from routing candidacy; after
+// `EJECT_PROBE_AFTER_S` it is re-probed with `EJECT_PROBE_BUDGET` requests
+// and readmitted only when they come back fast. Detection is *relative*,
+// so a fleet-wide disturbance (every replica slowed by the same brownout)
+// never ejects anyone.
+
+/// EWMA smoothing factor (weight of the newest slowdown sample).
+const EJECT_ALPHA: f64 = 0.2;
+/// Completions a replica must serve (since start or restart) before it can
+/// be ejected — protects cold replicas from noisy first samples.
+const EJECT_MIN_SAMPLES: usize = 32;
+/// Ejection threshold: EWMA > `EJECT_RATIO` × healthy-peer median.
+const EJECT_RATIO: f64 = 2.5;
+/// Seconds an ejected replica sits out before probing begins.
+const EJECT_PROBE_AFTER_S: f64 = 1.0;
+/// Probe requests admitted per probation round.
+const EJECT_PROBE_BUDGET: usize = 3;
+/// A probe succeeds when its slowdown sample is ≤ `EJECT_READMIT_RATIO` ×
+/// the healthy-peer median.
+const EJECT_READMIT_RATIO: f64 = 1.5;
 
 /// Builds the fleet's merged arrival stream: every tenant's seeded trace
 /// over `[0, horizon_s)`, merged into one `(time, tenant)` sequence sorted
@@ -488,11 +460,11 @@ pub enum FleetEventKind {
         /// Queued requests shed as `ReplicaLost`.
         shed: usize,
     },
-    /// A crashed replica warm-restarted from its checkpoint.
+    /// A crashed replica warm-restarted from its snapshot.
     ReplicaRestarted {
         /// The restarted replica.
         replica: usize,
-        /// Quarantine convictions inherited from the checkpoint (summed
+        /// Quarantine convictions inherited from the snapshot (summed
         /// over tenants) — the points it does *not* have to re-learn.
         inherited_quarantined: usize,
     },
@@ -536,14 +508,6 @@ pub enum FleetEventKind {
         tenant: usize,
         /// Flipped bit position of the injected fault.
         bit: u32,
-    },
-    /// Verification tripped with no injected flip (checksum round-off
-    /// pessimism); the good result was discarded anyway.
-    SdcFalseAlarm {
-        /// The replica whose check tripped.
-        replica: usize,
-        /// The affected tenant.
-        tenant: usize,
     },
     /// A corruption-detected request was re-executed on a healthy peer.
     SdcReexecuted {
@@ -632,9 +596,6 @@ impl FleetEvent {
                 tenant,
                 bit,
             } => format!("r{replica} sdc-detected tenant={tenant} bit={bit}"),
-            FleetEventKind::SdcFalseAlarm { replica, tenant } => {
-                format!("r{replica} sdc-false-alarm tenant={tenant}")
-            }
             FleetEventKind::SdcReexecuted {
                 replica,
                 target,
@@ -701,8 +662,6 @@ pub struct TenantReport {
     /// Injected flips served silently (below the detection floor, or the
     /// replica ran unprotected kernels).
     pub sdc_escaped: usize,
-    /// Verification trips with no injected flip.
-    pub sdc_false_alarm: usize,
     /// Mean latency of served (on-time + late) requests, seconds.
     pub mean_latency_s: f64,
     /// Mean planned QoS over served requests.
@@ -803,8 +762,6 @@ pub struct FleetReport {
     pub sdc_reexecuted: usize,
     /// Injected flips served silently.
     pub sdc_escaped: usize,
-    /// Verification trips with no injected flip.
-    pub sdc_false_alarm: usize,
     /// Replicas ejected for repeated corruption detections (event count).
     pub sdc_ejections: usize,
     /// |arrivals − (admitted + shed)| — the request-accounting invariant.
@@ -822,7 +779,7 @@ pub struct FleetReport {
     pub tenants: Vec<TenantReport>,
     /// Per-replica accounts, in replica order.
     pub replica_reports: Vec<ReplicaReport>,
-    /// Retained fleet events (most recent `event_limit`).
+    /// Retained fleet events (the most recent [`EVENT_LIMIT`]).
     pub events: Vec<FleetEvent>,
     /// Events dropped by the ring cap.
     pub events_evicted: usize,
@@ -900,7 +857,6 @@ enum GrayVerdict {
 /// buffer. The peers are only gathered, and their median only taken, when
 /// the decision can depend on it.
 fn gray_verdict(
-    ej: &EjectionParams,
     state: EjectState,
     ewma: f64,
     samples_since_up: usize,
@@ -909,7 +865,7 @@ fn gray_verdict(
     finite: &mut Vec<f64>,
 ) -> GrayVerdict {
     let decided = match state {
-        EjectState::Healthy => samples_since_up < ej.min_samples.max(1),
+        EjectState::Healthy => samples_since_up < EJECT_MIN_SAMPLES,
         EjectState::Ejected { .. } => true,
         EjectState::Probing { .. } => !slow_sample.is_finite(),
     };
@@ -923,32 +879,53 @@ fn gray_verdict(
     if finite.is_empty() {
         return GrayVerdict::Hold;
     }
-    let eject_over = ej.eject_ratio.max(1.0);
     if state == EjectState::Healthy {
         // The median is at least the minimum, and scaling by a positive
         // constant and flooring at 1e-9 are monotone even after rounding:
         // an EWMA within the band of the fastest peer is within the
         // median's, and almost every completion stops here.
         let fastest = finite.iter().copied().fold(f64::INFINITY, f64::min);
-        if ewma <= eject_over * fastest.max(1e-9) {
+        if ewma <= EJECT_RATIO * fastest.max(1e-9) {
             return GrayVerdict::Hold;
         }
     }
     finite.sort_by(f64::total_cmp);
     let median = finite[finite.len() / 2].max(1e-9);
     match state {
-        EjectState::Healthy if ewma > eject_over * median => GrayVerdict::Eject {
+        EjectState::Healthy if ewma > EJECT_RATIO * median => GrayVerdict::Eject {
             slow_ratio: ewma / median,
         },
-        EjectState::Probing { .. } if slow_sample > ej.readmit_ratio.max(1.0) * median => {
+        EjectState::Probing { .. } if slow_sample > EJECT_READMIT_RATIO * median => {
             GrayVerdict::ProbeFailed
         }
-        EjectState::Probing { successes, .. } if successes + 1 < ej.probe_budget.max(1) => {
+        EjectState::Probing { successes, .. } if successes + 1 < EJECT_PROBE_BUDGET => {
             GrayVerdict::ProbePassed
         }
         EjectState::Probing { .. } => GrayVerdict::Readmit,
         _ => GrayVerdict::Hold,
     }
+}
+
+/// A crashed replica's control state, kept in memory for its warm restart.
+struct ReplicaSnapshot {
+    /// Breaker state, consecutive failures and cooldown end.
+    breaker: (BreakerState, usize, f64),
+    /// The controller's anchor.
+    applied_required: f64,
+    /// The controller's slowdown EWMA.
+    slow_ewma: f64,
+    /// One entry per tenant, in tenant order.
+    lanes: Vec<LaneSnapshot>,
+}
+
+/// One tenant's slice of a [`ReplicaSnapshot`]: the (possibly repaired)
+/// curve, the tuner's quarantine mask over it, and the guard. Restoring
+/// the guard keeps convictions across a crash — a restored `Quarantined`
+/// point is never re-canaried back through Suspect.
+struct LaneSnapshot {
+    curve: TradeoffCurve,
+    quarantined: Vec<bool>,
+    guard: QosGuard,
 }
 
 /// Per-(replica, tenant) state: the shipped-curve tuner, the guard, and the
@@ -981,13 +958,10 @@ struct Replica {
     /// first completion after restart.
     recovering_since: Option<f64>,
     /// Control state snapshotted at crash time for the warm restart.
-    checkpoint: Option<ReplicaCheckpoint>,
+    snapshot: Option<ReplicaSnapshot>,
     /// Requests started while a bit-flip window was active (keys the
     /// seeded flip draw; only advances inside a window).
     flip_draws: usize,
-    /// Completions that consumed a false-alarm draw (only advances with a
-    /// non-zero false-alarm rate).
-    fa_draws: usize,
     /// Detection strikes since the replica last earned trust (readmission
     /// or restart resets it).
     sdc_strikes: usize,
@@ -1009,9 +983,8 @@ impl Replica {
             router_ewma: 1.0,
             samples_since_up: 0,
             recovering_since: None,
-            checkpoint: None,
+            snapshot: None,
             flip_draws: 0,
-            fa_draws: 0,
             sdc_strikes: 0,
             stats: ReplicaReport::default(),
         }
@@ -1212,7 +1185,7 @@ impl<'a> FleetSim<'a> {
             peer_ewmas: Vec::with_capacity(n),
             open: vec![false; n],
             tenant_acc,
-            log: EventRing::new(sp.event_limit),
+            log: EventRing::new(EVENT_LIMIT),
             completed: 0,
             // An arrival is served at most once: sized up front, the buffer
             // never regrows, which keeps peak memory independent of how the
@@ -1251,7 +1224,7 @@ impl<'a> FleetSim<'a> {
 
     /// Merges the four event sources. Same-instant ties resolve completion
     /// → chaos → timer → arrival (strict `<` against each later source),
-    /// preserving the pre-chaos `completion <= arrival` discipline.
+    /// so a request finishing at an arrival's instant frees its slot first.
     fn next_event(&self) -> Option<(f64, Event)> {
         let mut at = f64::INFINITY;
         let mut event = None;
@@ -1352,11 +1325,10 @@ impl<'a> FleetSim<'a> {
             self.tenant_acc[t].report.planned_floor_breaches += 1;
         }
         // Silent corruption: inside an active bit-flip window each
-        // started request consumes one seeded draw. Outside a window
-        // no draw state advances, keeping chaos-free runs
-        // bit-identical to the pre-SDC code path. The serve seed keys the
-        // draws, so the whole simulation stays a function of the existing
-        // parameter set.
+        // started request consumes one seeded draw; outside a window no
+        // draw state advances. The serve seed keys the draws, so the
+        // whole simulation stays a function of the existing parameter
+        // set.
         let flip = chaos.bitflip_at(r, now).and_then(|w| {
             let kd = rep.flip_draws as u64;
             rep.flip_draws += 1;
@@ -1440,56 +1412,31 @@ impl<'a> FleetSim<'a> {
     }
 
     /// Silent-data-corruption verdict: ground truth from the chaos plan
-    /// meets the modelled ABFT sensitivity. Strictly gated: with no
-    /// injected flip and a zero false-alarm rate nothing here mutates any
-    /// state, so corruption-free runs stay bit-identical to the pre-SDC
-    /// code path. Returns whether verification tripped.
+    /// meets the modelled ABFT sensitivity. A request that drew no flip
+    /// touches no state here. Returns whether verification tripped.
     fn sdc_tripped(&mut self, r: usize, b: &InFlight, now: f64) -> bool {
+        let Some(flip) = b.flip else {
+            return false;
+        };
         let sdcp = self.params.sdc;
         let t = b.req.tenant;
-        if let Some(flip) = b.flip {
-            if !(sdcp.protected && flip.bit >= sdcp.detect_bit_floor) {
-                // Below the detection floor (or unprotected kernels):
-                // the corrupted result is served silently.
-                self.tenant_acc[t].report.sdc_escaped += 1;
-                return false;
-            }
-            self.tenant_acc[t].report.sdc_detected += 1;
-            self.replicas[r].stats.sdc_detections += 1;
-            self.log(
-                now,
-                FleetEventKind::SdcDetected {
-                    replica: r,
-                    tenant: t,
-                    bit: flip.bit,
-                },
-            );
-            return true;
-        }
-        if !(sdcp.protected && sdcp.false_alarm_rate > 0.0) {
+        if !(sdcp.protected && flip.bit >= sdcp.detect_bit_floor) {
+            // Below the detection floor (or unprotected kernels): the
+            // corrupted result is served silently.
+            self.tenant_acc[t].report.sdc_escaped += 1;
             return false;
         }
-        let kd = self.replicas[r].fa_draws as u64;
-        self.replicas[r].fa_draws += 1;
-        let h = splitmix64(
-            self.params.serve.seed
-                ^ 0x5DC_FA11
-                ^ (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ kd.wrapping_mul(0xBF58_476D_1CE4_E5B9),
+        self.tenant_acc[t].report.sdc_detected += 1;
+        self.replicas[r].stats.sdc_detections += 1;
+        self.log(
+            now,
+            FleetEventKind::SdcDetected {
+                replica: r,
+                tenant: t,
+                bit: flip.bit,
+            },
         );
-        let alarm = (h as f64) / (u64::MAX as f64) < sdcp.false_alarm_rate;
-        if alarm {
-            self.tenant_acc[t].report.sdc_false_alarm += 1;
-            self.replicas[r].stats.sdc_detections += 1;
-            self.log(
-                now,
-                FleetEventKind::SdcFalseAlarm {
-                    replica: r,
-                    tenant: t,
-                },
-            );
-        }
-        alarm
+        true
     }
 
     /// Handles a result verification rejected. The discarded result reaches
@@ -1500,9 +1447,8 @@ impl<'a> FleetSim<'a> {
     /// keeping the arrival-accounting invariant exact. Returns whether the
     /// request was requeued on a peer.
     fn discard_corrupted(&mut self, r: usize, b: &InFlight, now: f64) -> bool {
-        let sdcp = self.params.sdc;
         let t = b.req.tenant;
-        let in_budget = b.req.reexecs < sdcp.reexec_budget;
+        let in_budget = b.req.reexecs < SDC_REEXEC_BUDGET;
         let target = in_budget.then(|| self.pick_peer_with_room(r)).flatten();
         if let Some(j) = target {
             self.replicas[j].enqueue(Queued {
@@ -1526,8 +1472,7 @@ impl<'a> FleetSim<'a> {
         // healthy replica.
         self.replicas[r].sdc_strikes += 1;
         let strikes = self.replicas[r].sdc_strikes;
-        if self.params.ejection.enabled
-            && strikes >= sdcp.eject_after.max(1)
+        if strikes >= SDC_EJECT_AFTER
             && self.replicas[r].eject == EjectState::Healthy
             && (0..self.replicas.len()).any(|j| j != r && self.replicas[j].healthy_target())
         {
@@ -1632,15 +1577,12 @@ impl<'a> FleetSim<'a> {
     /// is relative, so fleet-wide disturbances (which slow every replica
     /// together) never eject anyone.
     fn gray_defense(&mut self, r: usize, slow_sample: f64, now: f64) {
-        let ej = self.params.ejection;
-        let n = self.replicas.len();
-        if !ej.enabled || n < 2 {
+        if self.replicas.len() < 2 {
             return;
         }
         if slow_sample.is_finite() {
             let rep = &mut self.replicas[r];
-            let alpha = ej.alpha.clamp(1e-6, 1.0);
-            let next = (1.0 - alpha) * rep.router_ewma + alpha * slow_sample;
+            let next = (1.0 - EJECT_ALPHA) * rep.router_ewma + EJECT_ALPHA * slow_sample;
             rep.router_ewma = if next.is_finite() { next } else { slow_sample };
             rep.samples_since_up += 1;
         }
@@ -1652,7 +1594,6 @@ impl<'a> FleetSim<'a> {
             .filter(|&(j, peer)| j != r && peer.healthy_target())
             .map(|(_, peer)| peer.router_ewma);
         let verdict = gray_verdict(
-            &ej,
             rep.eject,
             rep.router_ewma,
             rep.samples_since_up,
@@ -1742,10 +1683,10 @@ impl<'a> FleetSim<'a> {
         }
         match ev.kind {
             ChaosKind::Crash { restart_after_s } => {
-                // Checkpoint first: the warm restart resumes from the
-                // exact pre-crash control state (breaker, controller,
-                // quarantine convictions).
-                self.replicas[r].checkpoint = Some(self.snapshot_replica(r, now));
+                // Snapshot first: the warm restart resumes from the exact
+                // pre-crash control state (breaker, controller, quarantine
+                // convictions).
+                self.replicas[r].snapshot = Some(self.snapshot_replica(r));
                 self.finish[r] = f64::INFINITY;
                 let rep = &mut self.replicas[r];
                 let killed = match rep.busy.take() {
@@ -1810,22 +1751,16 @@ impl<'a> FleetSim<'a> {
     /// Snapshots a replica's full control state for warm restart: breaker,
     /// controller anchor, slowdown EWMA, and every tenant's (possibly
     /// repaired) curve, quarantine mask and guard.
-    fn snapshot_replica(&self, r: usize, now: f64) -> ReplicaCheckpoint {
+    fn snapshot_replica(&self, r: usize) -> ReplicaSnapshot {
         let rep = &self.replicas[r];
-        let (breaker, consecutive_failures, open_until) = rep.breaker.checkpoint();
-        let mut cp = ReplicaCheckpoint {
-            version: REPLICA_CHECKPOINT_VERSION,
-            replica: r,
-            crashed_at_s: now,
+        ReplicaSnapshot {
+            breaker: rep.breaker.snapshot(),
             applied_required: rep.controller.applied_required,
             slow_ewma: rep.controller.slow_ewma,
-            breaker,
-            consecutive_failures,
-            open_until,
-            tenants: rep
+            lanes: rep
                 .lanes
                 .iter()
-                .map(|lane| TenantCheckpoint {
+                .map(|lane| LaneSnapshot {
                     quarantined: (0..lane.tuner.curve().len())
                         .map(|ix| lane.tuner.is_quarantined(ix))
                         .collect(),
@@ -1833,10 +1768,7 @@ impl<'a> FleetSim<'a> {
                     guard: lane.guard.clone(),
                 })
                 .collect(),
-            fingerprint: 0,
-        };
-        cp.seal();
-        cp
+        }
     }
 
     fn on_timer(&mut self, ix: usize, now: f64) {
@@ -1854,21 +1786,18 @@ impl<'a> FleetSim<'a> {
         rep.samples_since_up = 0;
         rep.sdc_strikes = 0;
         let mut inherited = 0usize;
-        // A checkpoint whose content fingerprint no longer matches was
-        // corrupted between crash and restart: refuse the warm restore and
-        // restart cold instead (as with no checkpoint at all, which is
-        // unreachable for scripted crashes).
-        if let Some(cp) = rep.checkpoint.take().filter(ReplicaCheckpoint::is_sealed) {
-            rep.breaker
-                .restore(cp.breaker, cp.consecutive_failures, cp.open_until);
-            rep.controller.applied_required = cp.applied_required;
-            rep.controller.slow_ewma = cp.slow_ewma;
-            for (t, tc) in cp.tenants.into_iter().enumerate().take(self.ctxs.len()) {
-                let mut tuner = self.ctxs[t].new_tuner(tc.curve, self.params.serve.seed);
+        // The crash that scheduled this restart took the snapshot.
+        if let Some(snap) = rep.snapshot.take() {
+            let (state, failures, open_until) = snap.breaker;
+            rep.breaker.restore(state, failures, open_until);
+            rep.controller.applied_required = snap.applied_required;
+            rep.controller.slow_ewma = snap.slow_ewma;
+            for (t, ls) in snap.lanes.into_iter().enumerate() {
+                let mut tuner = self.ctxs[t].new_tuner(ls.curve, self.params.serve.seed);
                 // Re-apply the convictions instead of re-learning them:
                 // the restored guard's Quarantined trust keeps `observe`
                 // from ever re-convicting these points.
-                for (ix2, &q) in tc.quarantined.iter().enumerate() {
+                for (ix2, &q) in ls.quarantined.iter().enumerate() {
                     if q {
                         tuner.quarantine(ix2);
                         inherited += 1;
@@ -1876,7 +1805,7 @@ impl<'a> FleetSim<'a> {
                 }
                 tuner.adapt_to(rep.controller.required());
                 rep.lanes[t].tuner = tuner;
-                rep.lanes[t].guard = tc.guard;
+                rep.lanes[t].guard = ls.guard;
             }
         }
         self.log(
@@ -1891,7 +1820,6 @@ impl<'a> FleetSim<'a> {
     fn on_arrival(&mut self, now: f64) {
         let t = self.arrivals[self.next_arrival].1;
         self.next_arrival += 1;
-        let ej = self.params.ejection;
 
         // Cooldowns elapse on arrival ticks, in replica order; crashed
         // replicas are frozen until their restart timer fires. Ejected
@@ -1906,9 +1834,9 @@ impl<'a> FleetSim<'a> {
                 self.log(now, FleetEventKind::BreakerHalfOpen { replica: r });
             }
             if let EjectState::Ejected { since } = self.replicas[r].eject {
-                if ej.enabled && now >= since + ej.probe_after_s.max(0.0) {
+                if now >= since + EJECT_PROBE_AFTER_S {
                     self.replicas[r].eject = EjectState::Probing {
-                        left: ej.probe_budget.max(1),
+                        left: EJECT_PROBE_BUDGET,
                         successes: 0,
                     };
                     self.log(now, FleetEventKind::GrayProbing { replica: r });
@@ -2058,7 +1986,6 @@ impl<'a> FleetSim<'a> {
             sdc_detected: tsum(|t| t.sdc_detected),
             sdc_reexecuted: tsum(|t| t.sdc_reexecuted),
             sdc_escaped: tsum(|t| t.sdc_escaped),
-            sdc_false_alarm: tsum(|t| t.sdc_false_alarm),
             sdc_ejections: rsum(|r| r.sdc_ejections),
             requests_unaccounted: arrivals.abs_diff(admitted + shed),
             mean_recovery_s: mean(&self.recovery_times),
@@ -2076,7 +2003,9 @@ impl<'a> FleetSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosEvent;
     use crate::config::Config;
+    use crate::guard::GuardVerdict;
     use crate::pareto::TradeoffPoint;
     use crate::serve::ScriptedFaultExecutor;
     use at_hw::{FrequencyLadder, Scenario};
@@ -2180,10 +2109,9 @@ mod tests {
         }
     }
 
-    /// The decision `gray_verdict` replaced: gather every finite healthy
-    /// peer, sort, compare against the median — whatever the state.
+    /// The reference decision: gather every finite healthy peer, sort,
+    /// compare against the median — whatever the state.
     fn sort_and_median_verdict(
-        ej: &EjectionParams,
         state: EjectState,
         ewma: f64,
         samples_since_up: usize,
@@ -2202,18 +2130,17 @@ mod tests {
         let median = peers[peers.len() / 2].max(1e-9);
         match state {
             EjectState::Healthy
-                if samples_since_up >= ej.min_samples.max(1)
-                    && ewma > ej.eject_ratio.max(1.0) * median =>
+                if samples_since_up >= EJECT_MIN_SAMPLES && ewma > EJECT_RATIO * median =>
             {
                 GrayVerdict::Eject {
                     slow_ratio: ewma / median,
                 }
             }
             EjectState::Probing { .. } if !slow_sample.is_finite() => GrayVerdict::Hold,
-            EjectState::Probing { .. } if slow_sample > ej.readmit_ratio.max(1.0) * median => {
+            EjectState::Probing { .. } if slow_sample > EJECT_READMIT_RATIO * median => {
                 GrayVerdict::ProbeFailed
             }
-            EjectState::Probing { successes, .. } if successes + 1 < ej.probe_budget.max(1) => {
+            EjectState::Probing { successes, .. } if successes + 1 < EJECT_PROBE_BUDGET => {
                 GrayVerdict::ProbePassed
             }
             EjectState::Probing { .. } => GrayVerdict::Readmit,
@@ -2241,7 +2168,6 @@ mod tests {
             40.0,
             1e300,
         ];
-        let ej = EjectionParams::default();
         let states = [
             EjectState::Healthy,
             EjectState::Ejected { since: 1.0 },
@@ -2251,7 +2177,7 @@ mod tests {
             },
             EjectState::Probing {
                 left: 0,
-                successes: ej.probe_budget - 1,
+                successes: EJECT_PROBE_BUDGET - 1,
             },
         ];
         let mut scratch = Vec::new();
@@ -2264,9 +2190,8 @@ mod tests {
             let state = states[draw(4)];
             let ewma = VALUES[draw(16)];
             let slow_sample = VALUES[draw(16)];
-            let samples_since_up = ej.min_samples - 1 + draw(3);
+            let samples_since_up = EJECT_MIN_SAMPLES - 1 + draw(3);
             let verdict = gray_verdict(
-                &ej,
                 state,
                 ewma,
                 samples_since_up,
@@ -2275,7 +2200,7 @@ mod tests {
                 &mut scratch,
             );
             let reference =
-                sort_and_median_verdict(&ej, state, ewma, samples_since_up, slow_sample, &peers);
+                sort_and_median_verdict(state, ewma, samples_since_up, slow_sample, &peers);
             assert_eq!(
                 verdict, reference,
                 "{state:?} ewma {ewma:e} after {samples_since_up}, sample {slow_sample}, peers {peers:?}"
@@ -2292,6 +2217,75 @@ mod tests {
             seen.iter().all(|&n| n > 100),
             "every verdict is reached: {seen:?}"
         );
+    }
+
+    #[test]
+    fn warm_restart_restores_breaker_convictions_and_controller() {
+        let tenants = vec![tenant("a", 5.0, 0.02, 41)];
+        let execs: Vec<&dyn RequestExecutor> = vec![&NoFaultExecutor];
+        let params = FleetParams {
+            replicas: 2,
+            chaos: ChaosPlan::scripted([ChaosEvent {
+                at_s: 1.0,
+                replica: 0,
+                kind: ChaosKind::Crash {
+                    restart_after_s: 0.5,
+                },
+            }]),
+            ..FleetParams::default()
+        };
+        let device = idle_device();
+        let mut sim = FleetSim::new(&tenants, &execs, &device, &params, Vec::new());
+        // Before the crash: breaker open, point 1 convicted, controller
+        // escalated.
+        let rep = &mut sim.replicas[0];
+        rep.breaker.restore(BreakerState::Open, 3, 9.0);
+        let lane = &mut rep.lanes[0];
+        for k in 0..3 {
+            let promised = lane.tuner.curve().points()[1].qos;
+            if let GuardVerdict::Quarantine { rung, .. } =
+                lane.guard.observe(0.5, k, 1, promised, promised - 10.0)
+            {
+                lane.tuner.quarantine(rung);
+            }
+        }
+        assert!(lane.tuner.is_quarantined(1));
+        rep.controller.applied_required = 1.75;
+        rep.controller.slow_ewma = 1.5;
+
+        sim.on_chaos(1.0);
+        assert!(sim.replicas[0].down);
+        // A real crash loses the process's memory; the simulator keeps it,
+        // so wipe it to prove the restart reads the snapshot.
+        let rep = &mut sim.replicas[0];
+        rep.breaker = Breaker::new(&params.serve);
+        rep.controller = Controller::for_replica(&params.serve);
+        let ctx = &sim.ctxs[0];
+        rep.lanes[0].tuner = ctx.new_tuner(tenants[0].curve.clone(), params.serve.seed);
+        rep.lanes[0].guard = QosGuard::new(&tenants[0].guard, &tenants[0].curve);
+        assert_eq!(sim.timers.len(), 1, "the crash schedules one restart");
+        sim.on_timer(0, 1.5);
+
+        let rep = &sim.replicas[0];
+        assert!(!rep.down);
+        assert_eq!(rep.breaker.state(), BreakerState::Open);
+        assert!(!rep.breaker.admits());
+        assert!(rep.lanes[0].tuner.is_quarantined(1));
+        assert!(!rep.lanes[0].tuner.is_quarantined(0));
+        assert_eq!(rep.controller.applied_required, 1.75);
+        assert_eq!(rep.controller.slow_ewma, 1.5);
+        let (events, _) = sim.log.into_parts();
+        assert!(matches!(
+            events.last().map(|e| &e.kind),
+            Some(FleetEventKind::ReplicaRestarted {
+                replica: 0,
+                inherited_quarantined: 1,
+            })
+        ));
+        // The restored guard still holds the conviction: more misses on the
+        // point are inert.
+        let mut guard = sim.replicas[0].lanes[0].guard.clone();
+        assert_eq!(guard.observe(2.0, 9, 1, 96.0, 50.0), GuardVerdict::Ok);
     }
 
     #[test]

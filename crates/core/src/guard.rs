@@ -24,8 +24,9 @@
 //!   [`crate::runtime::RuntimeTuner`]'s selectable range) and its QoS
 //!   promise is repaired in place to the observed estimate, so the
 //!   degradation ladder and closed loop immediately plan against honest
-//!   numbers. Every transition is a typed, logged [`GuardEvent`], mirroring
-//!   the serve breaker's state machine.
+//!   numbers. Every transition is a typed [`GuardEvent`] in a log capped at
+//!   [`crate::serve::EVENT_LIMIT`] events, mirroring the serve breaker's
+//!   state machine.
 //! * **Exact-fallback safety net** — when quarantine exhausts every point
 //!   at or above the QoS floor, the guard clamps to the exact configuration
 //!   and emits a typed [`GuardEventKind::QosFloorUnrecoverable`] event
@@ -39,7 +40,8 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::pareto::{TradeoffCurve, TradeoffPoint};
-use crate::serve::RequestExecutor;
+use crate::replica::EventRing;
+use crate::serve::{RequestExecutor, EVENT_LIMIT};
 use at_tensor::TensorError;
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +68,7 @@ pub fn splitmix64(x: u64) -> u64 {
 }
 
 /// Seeded, deterministic Bernoulli sampler over request indices.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CanarySampler {
     seed: u64,
     /// Sampled fraction, clamped to [0, 1].
@@ -304,7 +306,7 @@ impl GuardEvent {
 // ---------------------------------------------------------------------------
 
 /// Guard configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GuardParams {
     /// Fraction of served requests shadow-canaried (0–1).
     pub canary_fraction: f64,
@@ -320,8 +322,6 @@ pub struct GuardParams {
     pub residual_window: usize,
     /// The QoS floor served requests must not be planned below.
     pub qos_floor: f64,
-    /// Ring-buffer cap on the retained guard-event log.
-    pub event_limit: usize,
 }
 
 impl Default for GuardParams {
@@ -333,7 +333,6 @@ impl Default for GuardParams {
             strikes_to_quarantine: 3,
             residual_window: 32,
             qos_floor: 0.0,
-            event_limit: 4096,
         }
     }
 }
@@ -395,7 +394,7 @@ pub struct GuardReport {
     /// The curve as the run ended — quarantined points carry their
     /// repaired (honest) promises.
     pub repaired_curve: TradeoffCurve,
-    /// Retained guard events (most recent `event_limit`).
+    /// Retained guard events (the most recent [`EVENT_LIMIT`]).
     pub events: Vec<GuardEvent>,
     /// Events dropped by the ring cap.
     pub events_evicted: usize,
@@ -412,7 +411,7 @@ impl GuardReport {
 // The guard
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct Account {
     trust: PointTrust,
     canaries: usize,
@@ -424,19 +423,13 @@ struct Account {
 /// The trust-but-verify QoS guard. Owns the canary sampler, the per-point
 /// error accounts and the event log; the caller (the serving loop) owns the
 /// [`crate::runtime::RuntimeTuner`] and applies [`GuardVerdict`]s to it.
-///
-/// Serializable so a replica checkpoint can carry its guards across a
-/// crash: a restored guard keeps its convictions (a `Quarantined` point
-/// stays quarantined — `observe` short-circuits on it), its strike
-/// counters, and its canary cursor state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QosGuard {
     params: GuardParams,
     sampler: CanarySampler,
     accounts: Vec<Account>,
     quarantined: Vec<usize>,
-    events: Vec<GuardEvent>,
-    events_evicted: usize,
+    events: EventRing<GuardEvent>,
     canaries: usize,
     misses: usize,
     poisoned: usize,
@@ -465,8 +458,7 @@ impl QosGuard {
             params: params.clone(),
             accounts,
             quarantined: Vec::new(),
-            events: Vec::new(),
-            events_evicted: 0,
+            events: EventRing::new(EVENT_LIMIT),
             canaries: 0,
             misses: 0,
             poisoned: 0,
@@ -649,16 +641,13 @@ impl QosGuard {
             completed,
             kind,
         });
-        while self.events.len() > self.params.event_limit {
-            self.events.remove(0);
-            self.events_evicted += 1;
-        }
     }
 
     /// Finalises the guard into its report. `repaired_curve` is the curve
     /// the run ended with (promises repaired in place by the caller's
     /// tuner).
     pub fn into_report(self, repaired_curve: TradeoffCurve) -> GuardReport {
+        let (events, events_evicted) = self.events.into_parts();
         GuardReport {
             canaries: self.canaries,
             misses: self.misses,
@@ -680,8 +669,8 @@ impl QosGuard {
                 })
                 .collect(),
             repaired_curve,
-            events: self.events,
-            events_evicted: self.events_evicted,
+            events,
+            events_evicted,
         }
     }
 }
@@ -929,20 +918,26 @@ mod tests {
         let c = curve(&[98.0]);
         let mut g = QosGuard::new(
             &GuardParams {
-                event_limit: 4,
                 strikes_to_quarantine: usize::MAX,
                 qos_floor: -1.0e9,
                 ..GuardParams::default()
             },
             &c,
         );
-        for k in 0..20 {
+        // One canary miss per observation: 16 more than the ring holds.
+        let n = EVENT_LIMIT + 16;
+        for k in 0..n {
             let _ = g.observe(k as f64, k, 0, 98.0, 50.0);
         }
         let r = g.into_report(c);
-        assert_eq!(r.events.len(), 4);
+        assert_eq!(r.events.len(), EVENT_LIMIT);
         assert_eq!(r.events_evicted, 16);
-        assert_eq!(r.misses, 20);
+        assert_eq!(r.misses, n);
+        // The oldest events went: the first retained one is the 17th miss.
+        assert!(matches!(
+            r.events[0].kind,
+            GuardEventKind::CanaryMiss { strikes: 17, .. }
+        ));
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //! thread count.
 //!
 //! Long campaigns are fault-tolerant: every candidate runs under a
-//! `supervise::SupervisedEvaluator` (panic isolation, retry with bounded
-//! backoff, quarantine, non-finite sanitisation), the driver checkpoints
+//! `supervise::SupervisedEvaluator` (panic isolation, immediate retry,
+//! quarantine, non-finite sanitisation), the driver checkpoints
 //! its full state every N rounds ([`checkpoint`]) so a crashed run resumes
 //! bit-identically, and [`fault`] provides deterministic fault injection to
 //! prove all of it under test.
@@ -81,10 +81,7 @@ pub mod supervise;
 pub mod tuner;
 
 pub use chaos::{ChaosEvent, ChaosKind, ChaosPlan};
-pub use checkpoint::{
-    CheckpointError, CheckpointPolicy, ReplicaCheckpoint, SearchCheckpoint, TenantCheckpoint,
-    CHECKPOINT_VERSION, REPLICA_CHECKPOINT_VERSION,
-};
+pub use checkpoint::{CheckpointError, CheckpointPolicy, SearchCheckpoint, CHECKPOINT_VERSION};
 pub use closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport, TraceRow};
 pub use config::Config;
 pub use evaluate::{CacheStats, Evaluation};

@@ -133,12 +133,12 @@ impl Breaker {
     }
 
     /// `(state, consecutive failures, open-until)` — the part of the breaker
-    /// a replica checkpoint persists.
-    pub(crate) fn checkpoint(&self) -> (BreakerState, usize, f64) {
+    /// a crashed replica's snapshot keeps for its warm restart.
+    pub(crate) fn snapshot(&self) -> (BreakerState, usize, f64) {
         (self.state, self.consecutive_failures, self.open_until)
     }
 
-    /// Restores a checkpointed breaker; probe accounting starts fresh.
+    /// Restores a snapshotted breaker; probe accounting starts fresh.
     pub(crate) fn restore(&mut self, state: BreakerState, failures: usize, open_until: f64) {
         self.state = state;
         self.consecutive_failures = failures;
@@ -153,7 +153,9 @@ impl Breaker {
 // ---------------------------------------------------------------------------
 
 /// A capped event log: keeps the most recent `limit` events and counts what
-/// the cap dropped.
+/// the cap dropped. The fleet's log and every guard's are rings of
+/// [`crate::serve::EVENT_LIMIT`] events.
+#[derive(Clone, Debug)]
 pub(crate) struct EventRing<E> {
     events: VecDeque<E>,
     limit: usize,
@@ -433,7 +435,7 @@ pub(crate) struct Queued {
     pub arrival_s: f64,
     pub deadline_s: f64,
     /// Times this request was already re-executed after a corruption
-    /// detection (bounded by `SdcParams::reexec_budget`).
+    /// detection (bounded by the fleet's re-execution budget).
     pub reexecs: usize,
 }
 
@@ -530,9 +532,8 @@ impl ServiceCtx<'_> {
         let mut raw_svc = self
             .device
             .invocation_time(state, self.baseline_time_s, speedup);
-        // Gray failure: silent service-time inflation. The branch keeps
-        // the chaos-free service time bit-identical to the pre-chaos
-        // code path.
+        // Gray failure: silent service-time inflation (1 outside a gray
+        // window).
         if inflation != 1.0 {
             raw_svc *= inflation;
         }
@@ -591,11 +592,11 @@ mod tests {
         );
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.admits());
-        assert_eq!(b.checkpoint(), (BreakerState::Open, 3, 8.0));
+        assert_eq!(b.snapshot(), (BreakerState::Open, 3, 8.0));
         // Completions while open change nothing.
         assert_eq!(b.on_result(true, 3.5), None);
         assert_eq!(b.on_result(false, 3.6), None);
-        assert_eq!(b.checkpoint(), (BreakerState::Open, 3, 8.0));
+        assert_eq!(b.snapshot(), (BreakerState::Open, 3, 8.0));
     }
 
     #[test]
@@ -642,7 +643,7 @@ mod tests {
             b.on_result(true, 5.2),
             Some(BreakerTransition::Tripped { failures: 1 })
         );
-        assert_eq!(b.checkpoint(), (BreakerState::Open, 1, 6.2));
+        assert_eq!(b.snapshot(), (BreakerState::Open, 1, 6.2));
     }
 
     #[test]

@@ -52,9 +52,8 @@ pub struct RuntimeTuner {
     policy: Policy,
     window: VecDeque<f64>,
     window_size: usize,
-    /// Target per-invocation time in seconds.
-    target_time_s: f64,
-    /// Baseline (no-approximation, nominal-frequency) invocation time.
+    /// Baseline (no-approximation, nominal-frequency) invocation time, and
+    /// the performance target.
     baseline_time_s: f64,
     rng: StdRng,
     /// Index of the currently selected curve point (None = baseline).
@@ -88,7 +87,6 @@ impl RuntimeTuner {
             policy,
             window: VecDeque::with_capacity(window_size),
             window_size,
-            target_time_s: baseline_time_s,
             baseline_time_s,
             rng: StdRng::seed_from_u64(seed),
             current: None,
@@ -121,12 +119,6 @@ impl RuntimeTuner {
             .iter()
             .map(|p| p.perf)
             .fold(1.0, f64::max)
-    }
-
-    /// Clears the sliding window, e.g. after a sensed frequency change
-    /// invalidates samples measured under the old clock.
-    pub fn reset_window(&mut self) {
-        self.window.clear();
     }
 
     /// Removes a curve point from the selectable range (the QoS guard's
@@ -189,11 +181,6 @@ impl RuntimeTuner {
         self.current_point().map_or(1.0, |p| p.perf)
     }
 
-    /// The performance target (seconds per invocation).
-    pub fn target_time_s(&self) -> f64 {
-        self.target_time_s
-    }
-
     /// Records one invocation's measured time and, if the sliding-window
     /// average misses the target, re-selects a configuration. Returns the
     /// new point when a switch happened.
@@ -207,14 +194,16 @@ impl RuntimeTuner {
         }
         let avg = self.window.iter().sum::<f64>() / self.window.len() as f64;
         // Within 2% of target: leave the configuration alone (hysteresis).
-        if avg <= self.target_time_s * 1.02 && avg >= self.target_time_s * 0.7 {
+        if avg <= self.baseline_time_s * 1.02 && avg >= self.baseline_time_s * 0.7 {
             return None;
         }
         // The measured time reflects the current config's speedup; the
         // *environment slowdown* is what remains. Required total speedup to
-        // hit the target:
+        // hit the target, which is the baseline time itself (written out as
+        // slowdown × baseline ÷ target: in floating point that is not
+        // always the slowdown, and selections depend on the rounding):
         let env_slowdown = avg * self.current_speedup() / self.baseline_time_s;
-        let required = env_slowdown * self.baseline_time_s / self.target_time_s;
+        let required = env_slowdown * self.baseline_time_s / self.baseline_time_s;
         self.select_for_speedup(required)
     }
 

@@ -448,6 +448,11 @@ impl RequestExecutor for GraphExecutor<'_> {
 // Parameters and report
 // ---------------------------------------------------------------------------
 
+/// Ring-buffer cap on every retained event log — the serving and fleet
+/// reports' and each guard's. Totals keep counting past it; the reports'
+/// `events_evicted` records what the cap dropped.
+pub const EVENT_LIMIT: usize = 4096;
+
 /// Serving-loop parameters.
 #[derive(Clone, Debug)]
 pub struct ServeParams {
@@ -472,8 +477,6 @@ pub struct ServeParams {
     pub cooldown_s: f64,
     /// Probe requests that must all succeed to close a half-open breaker.
     pub half_open_probes: usize,
-    /// Ring-buffer cap on the retained event log (totals keep counting).
-    pub event_limit: usize,
     /// Seed for the runtime tuner (only Policy 2 would consume it; the
     /// ladder runs Policy 1, but the seed keeps the constructor total).
     pub seed: u64,
@@ -497,7 +500,6 @@ impl Default for ServeParams {
             breaker_threshold: 3,
             cooldown_s: 2.0,
             half_open_probes: 3,
-            event_limit: 4096,
             seed: 7,
             baseline_qos: 100.0,
             stall_bound_s: f64::INFINITY,
@@ -506,9 +508,9 @@ impl Default for ServeParams {
 }
 
 /// Everything one serving run produced. All counters are exact; the event
-/// log is capped at [`ServeParams::event_limit`] with `events_evicted`
-/// recording what the cap dropped. Ladder moves and watchdog cut-offs are
-/// counted (`escalations`, `deescalations`, `stalled`), not logged.
+/// log is capped at [`EVENT_LIMIT`] with `events_evicted` recording what
+/// the cap dropped. Ladder moves and watchdog cut-offs are counted
+/// (`escalations`, `deescalations`, `stalled`), not logged.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Arrival-pattern name.
@@ -554,7 +556,7 @@ pub struct ServeReport {
     pub final_rung: Option<usize>,
     /// Breaker state the run finished in.
     pub final_breaker: BreakerState,
-    /// Retained control-plane events (most recent `event_limit`), in the
+    /// Retained control-plane events (the most recent [`EVENT_LIMIT`]), in the
     /// fleet's vocabulary with `replica` and `tenant` always 0.
     pub events: Vec<FleetEvent>,
     /// Events dropped by the ring-buffer cap.
@@ -1014,26 +1016,27 @@ mod tests {
     #[test]
     fn event_log_cap_evicts_but_counts() {
         // Every execution faults: the breaker trips, half-opens after each
-        // cooldown, fails its probe and re-trips for the whole minute —
-        // far more transitions than a 3-slot ring holds.
-        let p = TrafficPattern::Steady { rate_rps: 5.0 };
-        let trace = generate_arrivals(&p, 60.0, 2);
+        // cooldown, fails its probe and re-trips for the whole trace —
+        // more transitions than the event ring holds.
+        let p = TrafficPattern::Steady { rate_rps: 40.0 };
+        let trace = generate_arrivals(&p, 1200.0, 2);
         let exec = ScriptedFaultExecutor {
             windows: vec![(0, usize::MAX)],
         };
         let params = ServeParams {
-            event_limit: 3,
+            cooldown_s: 0.1,
             ..ServeParams::default()
         };
         let r = serve(
             &curve(&[1.3, 1.7, 2.2]),
             0.1,
-            &idle_device(10_000),
+            &idle_device(usize::MAX / 2),
             &trace,
             &exec,
             &params,
         );
-        assert_eq!(r.events.len(), 3);
+        assert_eq!(r.events.len(), EVENT_LIMIT);
+        assert!(r.events_evicted > 0);
         assert!(
             r.breaker_trips > r.events.len(),
             "totals must keep counting past the cap"

@@ -7,9 +7,9 @@
 //!
 //! 1. **Isolation** — a panicking evaluation is caught per candidate
 //!    (`catch_unwind`), so one bad measurement cannot abort a round.
-//! 2. **Retry with bounded backoff** — transient failures are retried up
-//!    to an attempt budget; backoff doubles but is capped so a fault storm
-//!    cannot stall the campaign.
+//! 2. **Retry** — transient failures are retried at once, up to an attempt
+//!    budget. There is no backoff: an attempt's outcome depends only on
+//!    `(config, attempt)`, so waiting between attempts could not change it.
 //! 3. **Quarantine** — configs that exhaust their budget repeatedly are
 //!    quarantined and refused instantly on later proposals, so the bandit
 //!    cannot keep burning the budget on a poisoned corner of the space.
@@ -77,10 +77,6 @@ impl std::error::Error for EvalError {}
 pub struct SupervisionPolicy {
     /// Attempts per candidate per round (≥ 1).
     pub max_attempts: u32,
-    /// Initial retry backoff, milliseconds (doubles per retry).
-    pub backoff_ms: u64,
-    /// Backoff cap, milliseconds.
-    pub max_backoff_ms: u64,
     /// Rounds of budget exhaustion before a config is quarantined.
     pub quarantine_threshold: u32,
 }
@@ -89,8 +85,6 @@ impl Default for SupervisionPolicy {
     fn default() -> Self {
         SupervisionPolicy {
             max_attempts: 4,
-            backoff_ms: 1,
-            max_backoff_ms: 8,
             quarantine_threshold: 1,
         }
     }
@@ -186,8 +180,8 @@ impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
     }
 
     /// Evaluates `config` under supervision: up to `max_attempts` isolated
-    /// attempts with bounded backoff, refusing quarantined configs and
-    /// rejecting non-finite readings.
+    /// attempts, refusing quarantined configs and rejecting non-finite
+    /// readings.
     pub(crate) fn evaluate(&self, config: &Config) -> Result<Evaluation, EvalError> {
         let base = {
             let mut st = self.state.lock().expect("supervision state poisoned");
@@ -200,7 +194,6 @@ impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
 
         // Run the attempts without holding the lock; accumulate locally.
         let mut local = FaultStats::default();
-        let mut backoff = self.policy.backoff_ms;
         let mut outcome = Err(EvalError::Panicked {
             detail: "no attempts executed".into(),
         });
@@ -208,10 +201,6 @@ impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
         for i in 0..attempts {
             if i > 0 {
                 local.retries += 1;
-                if backoff > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                }
-                backoff = (backoff.saturating_mul(2)).min(self.policy.max_backoff_ms);
             }
             local.attempts += 1;
             let attempt = base + i;
@@ -376,16 +365,9 @@ mod tests {
         Config::from_knobs(vec![KnobId(x)])
     }
 
-    fn quiet_policy() -> SupervisionPolicy {
-        SupervisionPolicy {
-            backoff_ms: 0,
-            ..SupervisionPolicy::default()
-        }
-    }
-
     #[test]
     fn clean_evaluator_passes_through() {
-        let sup = SupervisedEvaluator::new(&Good, quiet_policy());
+        let sup = SupervisedEvaluator::new(&Good, SupervisionPolicy::default());
         let e = sup.evaluate(&cfg(1)).unwrap();
         assert_eq!(e.qos, 95.0);
         let s = sup.stats();
@@ -400,7 +382,7 @@ mod tests {
             fail_first: 2,
             calls: AtomicU64::new(0),
         };
-        let sup = SupervisedEvaluator::new(&flaky, quiet_policy());
+        let sup = SupervisedEvaluator::new(&flaky, SupervisionPolicy::default());
         let e = sup.evaluate(&cfg(1)).unwrap();
         assert_eq!(e.perf, 1.2);
         let s = sup.stats();
@@ -412,7 +394,7 @@ mod tests {
 
     #[test]
     fn panics_are_contained_and_budget_respected() {
-        let sup = SupervisedEvaluator::new(&AlwaysPanics, quiet_policy());
+        let sup = SupervisedEvaluator::new(&AlwaysPanics, SupervisionPolicy::default());
         let err = sup.evaluate(&cfg(1)).unwrap_err();
         assert!(matches!(err, EvalError::Panicked { .. }), "{err}");
         let s = sup.stats();
@@ -423,7 +405,7 @@ mod tests {
 
     #[test]
     fn exhausted_configs_are_quarantined_and_refused() {
-        let sup = SupervisedEvaluator::new(&AlwaysPanics, quiet_policy());
+        let sup = SupervisedEvaluator::new(&AlwaysPanics, SupervisionPolicy::default());
         assert!(sup.evaluate(&cfg(7)).is_err());
         // Default threshold quarantines after one exhausted round.
         let err = sup.evaluate(&cfg(7)).unwrap_err();
@@ -446,7 +428,7 @@ mod tests {
                 })
             }
         }
-        let sup = SupervisedEvaluator::new(&Poison, quiet_policy());
+        let sup = SupervisedEvaluator::new(&Poison, SupervisionPolicy::default());
         let err = sup.evaluate(&cfg(1)).unwrap_err();
         assert!(matches!(err, EvalError::NonFinite { .. }), "{err}");
         assert_eq!(sup.stats().poisoned, 4);
@@ -467,7 +449,7 @@ mod tests {
             stall_ms: 0,
         };
         let faulty = FaultyEvaluator::new(&Good, plan);
-        let sup = SupervisedEvaluator::new(&faulty, quiet_policy());
+        let sup = SupervisedEvaluator::new(&faulty, SupervisionPolicy::default());
         let mut ok = 0;
         for x in 0..100u16 {
             if sup.evaluate(&cfg(x)).is_ok() {
@@ -485,12 +467,12 @@ mod tests {
             fail_first: 2,
             calls: AtomicU64::new(0),
         };
-        let sup = SupervisedEvaluator::new(&flaky, quiet_policy());
+        let sup = SupervisedEvaluator::new(&flaky, SupervisionPolicy::default());
         sup.evaluate(&cfg(1)).unwrap();
         let snap = sup.snapshot();
         assert_eq!(snap.attempt_base, vec![(cfg(1), 3)]);
 
-        let sup2 = SupervisedEvaluator::new(&Good, quiet_policy());
+        let sup2 = SupervisedEvaluator::new(&Good, SupervisionPolicy::default());
         sup2.restore(&snap);
         assert_eq!(sup2.snapshot(), snap);
         assert_eq!(sup2.stats(), sup.stats());

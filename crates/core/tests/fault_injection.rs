@@ -8,7 +8,6 @@ use at_core::fault::{FaultMix, FaultPlan};
 use at_core::knobs::{KnobRegistry, KnobSet};
 use at_core::predict::PredictionModel;
 use at_core::qos::{QosMetric, QosReference};
-use at_core::supervise::SupervisionPolicy;
 use at_core::tuner::{PredictiveTuner, RobustnessParams, TunerParams, TuningResult};
 use at_ir::{execute, ExecOptions, Graph, GraphBuilder};
 use at_tensor::{Shape, Tensor};
@@ -74,13 +73,6 @@ fn plan_20pct() -> FaultPlan {
     }
 }
 
-fn fast_supervision() -> SupervisionPolicy {
-    SupervisionPolicy {
-        backoff_ms: 0,
-        ..SupervisionPolicy::default()
-    }
-}
-
 fn run(robustness: RobustnessParams) -> TuningResult {
     let (g, inputs, reference) = setup();
     let registry = KnobRegistry::new();
@@ -108,10 +100,7 @@ fn best_perf(r: &TuningResult) -> f64 {
 
 #[test]
 fn clean_run_reports_zero_faults() {
-    let r = run(RobustnessParams {
-        supervision: fast_supervision(),
-        ..RobustnessParams::default()
-    });
+    let r = run(RobustnessParams::default());
     assert!(!r.curve.is_empty());
     assert_eq!(r.faults.faults_absorbed(), 0);
     assert_eq!(r.faults.retries, 0);
@@ -124,13 +113,9 @@ fn clean_run_reports_zero_faults() {
 
 #[test]
 fn survives_20pct_mixed_faults_and_stays_accurate() {
-    let clean = run(RobustnessParams {
-        supervision: fast_supervision(),
-        ..RobustnessParams::default()
-    });
+    let clean = run(RobustnessParams::default());
     let faulty = run(RobustnessParams {
         fault_plan: Some(plan_20pct()),
-        supervision: fast_supervision(),
         ..RobustnessParams::default()
     });
 
@@ -169,7 +154,6 @@ fn survives_20pct_mixed_faults_and_stays_accurate() {
 fn faulted_runs_are_deterministic() {
     let robustness = || RobustnessParams {
         fault_plan: Some(plan_20pct()),
-        supervision: fast_supervision(),
         ..RobustnessParams::default()
     };
     let a = run(robustness());
@@ -201,7 +185,6 @@ fn empirical_tuner_survives_faults_too() {
         max_shipped: 8,
         robustness: RobustnessParams {
             fault_plan: Some(plan_20pct()),
-            supervision: fast_supervision(),
             ..RobustnessParams::default()
         },
         ..TunerParams::default()

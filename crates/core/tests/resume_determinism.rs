@@ -64,13 +64,6 @@ fn base_params() -> TunerParams {
     }
 }
 
-fn fast_supervision() -> SupervisionPolicy {
-    SupervisionPolicy {
-        backoff_ms: 0,
-        ..SupervisionPolicy::default()
-    }
-}
-
 fn run(robustness: RobustnessParams) -> TuningResult {
     let (g, inputs, reference) = setup();
     let registry = KnobRegistry::new();
@@ -110,7 +103,7 @@ fn crash_and_resume(name: &str, k: usize, fault_plan: Option<FaultPlan>) {
     let path = scratch(name);
     let robustness = |ckpt, halt, resume| RobustnessParams {
         fault_plan: fault_plan.clone(),
-        supervision: fast_supervision(),
+        supervision: SupervisionPolicy::default(),
         checkpoint: ckpt,
         halt_after_rounds: halt,
         resume_from: resume,
@@ -171,7 +164,6 @@ fn checkpoint_survives_process_boundary_shape() {
     // is lossless, which is what a fresh process would observe.
     let path = scratch("roundtrip");
     let robustness = RobustnessParams {
-        supervision: fast_supervision(),
         checkpoint: Some(CheckpointPolicy::new(1, &path)),
         halt_after_rounds: Some(2),
         ..RobustnessParams::default()

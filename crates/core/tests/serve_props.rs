@@ -9,6 +9,7 @@ use at_core::config::Config;
 use at_core::pareto::{TradeoffCurve, TradeoffPoint};
 use at_core::serve::{
     generate_arrivals, serve, ScriptedFaultExecutor, ServeParams, ServeReport, TrafficPattern,
+    EVENT_LIMIT,
 };
 use at_hw::{DisturbedDevice, Scenario};
 use proptest::prelude::*;
@@ -69,13 +70,13 @@ fn params_s() -> impl Strategy<Value = ServeParams> {
     (
         (0.01f64..0.5, 0usize..12, 0.0f64..0.6, 0.0f64..1.3),
         (0usize..5, 0.0f64..2.0, 0usize..4),
-        (0usize..40, 0.005f64..0.2, prop::bool::ANY),
+        (0.005f64..0.2, prop::bool::ANY),
     )
         .prop_map(
             |(
                 (deadline_s, queue_cap, dead_band, drain_fraction),
                 (breaker_threshold, cooldown_s, half_open_probes),
-                (event_limit, stall_s, watchdog),
+                (stall_s, watchdog),
             )| ServeParams {
                 deadline_s,
                 queue_cap,
@@ -84,7 +85,6 @@ fn params_s() -> impl Strategy<Value = ServeParams> {
                 breaker_threshold,
                 cooldown_s,
                 half_open_probes,
-                event_limit,
                 seed: 7,
                 baseline_qos: 100.0,
                 stall_bound_s: if watchdog { stall_s } else { f64::INFINITY },
@@ -142,7 +142,7 @@ proptest! {
             r.admitted,
             r.served_on_time + r.served_late + r.faulted + r.stalled
         );
-        prop_assert!(r.events.len() <= params.event_limit);
+        prop_assert!(r.events.len() <= EVENT_LIMIT);
         prop_assert!(r.max_queue_depth <= params.queue_cap.max(1));
         prop_assert!(r.mean_latency_s.is_finite() && r.p99_latency_s.is_finite());
         prop_assert!(r.mean_qos.is_finite());
