@@ -1,39 +1,19 @@
 //! Max and average pooling. Average pooling is a *reduction* in the paper's
 //! taxonomy and therefore supports reduction sampling.
+//!
+//! Each output folds its own window's in-bounds taps in `(ky, kx)` order,
+//! the walk `reference::pool2d_reference` freezes. Padding is clipped once
+//! per output row and once per border column. Interior windows that are 2
+//! wide at stride 2 over two whole rows (every zoo max-pool) fold in one
+//! zipped, vectorised pass; other interiors in runs of `RUN` side by side.
 
 use crate::error::TensorError;
+use crate::f16;
 use crate::knobs::{Precision, ReduceApprox};
 use crate::par;
-use crate::shape::{conv_out_dim, Shape};
+use crate::shape::pool2d_out_shape;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
-
-fn pool_out_shape(
-    input: Shape,
-    window: (usize, usize),
-    pad: (usize, usize),
-    stride: (usize, usize),
-) -> Result<Shape, TensorError> {
-    let (n, c, h, w) = input.as_nchw()?;
-    if window.0 == 0 || window.1 == 0 || stride.0 == 0 || stride.1 == 0 {
-        return Err(TensorError::InvalidKnob {
-            op: "pool2d",
-            detail: "window and stride must be positive".into(),
-        });
-    }
-    if window.0 > h + 2 * pad.0 || window.1 > w + 2 * pad.1 {
-        return Err(TensorError::ShapeMismatch {
-            op: "pool2d",
-            detail: format!("window {window:?} larger than padded input {h}x{w}"),
-        });
-    }
-    Ok(Shape::nchw(
-        n,
-        c,
-        conv_out_dim(h, window.0, pad.0, stride.0),
-        conv_out_dim(w, window.1, pad.1, stride.1),
-    ))
-}
 
 /// What a pooling window's valid taps are folded into, one tap at a time:
 /// every output element starts at `init`, takes its in-bounds taps in
@@ -120,102 +100,129 @@ impl WindowReduce for SampledMean {
     }
 }
 
-/// The output columns whose tap `kx` lands inside an input row, `[lo, hi)`,
-/// and the input column the first of them reads.
-struct TapColumns {
-    lo: usize,
-    hi: usize,
-    first: usize,
-}
-
-/// Folds every `sw`-th element of `src` into `acc`, element for element.
-/// `S` is `sw` when that is known at compile time, 0 otherwise.
-#[inline]
-fn fold_row<const S: usize, R: WindowReduce>(r: &R, acc: &mut [R::Acc], src: &[f32], sw: usize) {
-    let step = if S == 0 { sw } else { S };
-    // Sliced to the last tap read, so the indexed loop below carries no
-    // bounds check and vectorises (an iterator `step_by` does not).
-    let src = &src[..(acc.len() * step).saturating_sub(step - 1)];
-    for (i, a) in acc.iter_mut().enumerate() {
-        *a = r.fold(*a, src[i * step]);
+/// Reads every tap through binary16 before `R` folds it: FP16 pooling of
+/// the quantised input, without a quantised copy of it.
+struct Fp16Taps<R>(R);
+impl<R: WindowReduce> WindowReduce for Fp16Taps<R> {
+    type Acc = R::Acc;
+    fn init(&self) -> R::Acc {
+        self.0.init()
+    }
+    #[inline]
+    fn fold(&self, acc: R::Acc, tap: f32) -> R::Acc {
+        self.0.fold(acc, f16::quantize(tap))
+    }
+    fn finish(&self, acc: R::Acc) -> f32 {
+        self.0.finish(acc)
     }
 }
+
+/// One output element: its in-bounds taps in `(ky, kx)` order.
+#[inline]
+fn fold_taps<'a, R: WindowReduce>(r: &R, taps: impl Iterator<Item = &'a f32>) -> f32 {
+    r.finish(taps.fold(r.init(), |acc, &tap| r.fold(acc, tap)))
+}
+
+/// How many windows `fold_run` folds side by side.
+const RUN: usize = 8;
+
+/// `RUN` whole windows side by side, window `j` reading columns from
+/// `x + j·sw` of `n` rows of width `w`. Each keeps its own accumulator and
+/// meets its taps in `(ky, kx)` order; the windows are the innermost loop.
+#[inline]
+fn fold_run<R: WindowReduce>(r: &R, out: &mut [f32], rows: &[f32], x: usize, dims: [usize; 4]) {
+    let [w, n, kw, sw] = dims;
+    let mut acc = [r.init(); RUN];
+    for y in 0..n {
+        for kx in 0..kw {
+            let src = &rows[y * w + x + kx..][..(RUN - 1) * sw + 1];
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a = r.fold(*a, src[j * sw]);
+            }
+        }
+    }
+    for (o, a) in out.iter_mut().zip(acc) {
+        *o = r.finish(a);
+    }
+}
+
+/// A pooling window's size, its symmetric padding and its stride.
+type Geometry = [(usize, usize); 3];
 
 fn pool2d_impl<R: WindowReduce>(
     input: &Tensor,
-    window: (usize, usize),
-    pad: (usize, usize),
-    stride: (usize, usize),
+    g: Geometry,
     precision: Precision,
     reducer: R,
 ) -> Result<Tensor, TensorError> {
-    let out_shape = pool_out_shape(input.shape(), window, pad, stride)?;
+    // FP16 quantises every input once: as the tap is read when each input
+    // is read at most once (the windows tile, as in every zoo pool), and
+    // ahead of the fold when overlapping windows would read it again.
+    let [window, _, stride] = g;
+    let overlap = window.0 > stride.0 || window.1 > stride.1;
+    let mut t = match precision {
+        Precision::Fp32 => return fold_windows(input, g, reducer),
+        Precision::Fp16 if overlap => fold_windows(&input.to_f16(), g, reducer)?,
+        Precision::Fp16 => fold_windows(input, g, Fp16Taps(reducer))?,
+    };
+    t.quantize_f16();
+    Ok(t)
+}
+
+/// Every output element folds its own window. The taps a padded border
+/// drops are exactly the ones outside the input, so clipping a window's
+/// row range (once per output row) and column range (once per border
+/// column) visits the same taps as testing every tap.
+fn fold_windows<R: WindowReduce>(input: &Tensor, g: Geometry, r: R) -> Result<Tensor, TensorError> {
+    let [window, pad, stride] = g;
+    let out_shape = pool2d_out_shape(input.shape(), window, pad, stride)?;
     let (_, _, h, w) = input.shape().as_nchw()?;
     let (_, _, ho, wo) = out_shape.as_nchw()?;
-
-    let qin;
-    let input = match precision {
-        Precision::Fp32 => input,
-        Precision::Fp16 => {
-            qin = input.to_f16();
-            &qin
-        }
-    };
+    let ((kh, kw), (sh, sw)) = (window, stride);
+    // Output columns `[lo, hi)` need no clipping: their windows start at or
+    // after the left padding and end at or before the right one.
+    let lo = pad.1.div_ceil(sw).min(wo);
+    let hi = ((w + pad.1 + sw).saturating_sub(kw) / sw).clamp(lo, wo);
+    let (x0, m) = ((lo * sw).saturating_sub(pad.1), hi - lo);
     let data = input.data();
-    let plane_out = ho * wo;
     let mut out = vec![0.0f32; out_shape.volume()];
-    // The taps a padded border drops are exactly the ones outside the
-    // input, so clipping each tap's row and column range once visits the
-    // same taps as testing every tap.
-    let (sh, sw) = stride;
-    let columns: Vec<TapColumns> = (0..window.1)
-        .map(|kx| {
-            let lo = pad.1.saturating_sub(kx).div_ceil(sw).min(wo);
-            let hi = (w + pad.1).saturating_sub(kx).div_ceil(sw).clamp(lo, wo);
-            TapColumns {
-                lo,
-                hi,
-                first: (lo * sw + kx).saturating_sub(pad.1),
-            }
-        })
-        .filter(|c| c.lo < c.hi)
-        .collect();
-    out.par_chunks_mut(plane_out.max(1))
-        .with_min_len(par::min_chunks(plane_out * window.0 * window.1))
+    out.par_chunks_mut((ho * wo).max(1))
+        .with_min_len(par::min_chunks(ho * wo * kh * kw))
         .enumerate()
-        .for_each(|(idx, op)| {
+        .for_each(move |(idx, out)| {
             let plane = &data[idx * h * w..(idx + 1) * h * w];
-            let mut acc = vec![reducer.init(); wo];
-            for (oy, orow) in op.chunks_mut(wo).enumerate() {
-                acc.fill(reducer.init());
-                let y_end = (oy * sh + window.0).saturating_sub(pad.0).min(h);
-                let y_start = (oy * sh).saturating_sub(pad.0).min(y_end);
-                // `ky` outer, `kx` next, `ox` innermost: whole input rows
-                // fold into the output row, and each output still meets its
-                // taps in `(ky, kx)` order.
-                for src in plane[y_start * w..y_end * w].chunks(w) {
-                    for c in &columns {
-                        let (acc, src) = (&mut acc[c.lo..c.hi], &src[c.first..]);
-                        // A width stride known at compile time lets the
-                        // strided fold vectorise; the zoo pools at 1 and 2.
-                        match sw {
-                            1 => fold_row::<1, R>(&reducer, acc, src, sw),
-                            2 => fold_row::<2, R>(&reducer, acc, src, sw),
-                            _ => fold_row::<0, R>(&reducer, acc, src, sw),
-                        }
+            for (oy, orow) in out.chunks_mut(wo).enumerate() {
+                let y1 = (oy * sh + kh).saturating_sub(pad.0).min(h);
+                let y0 = (oy * sh).saturating_sub(pad.0).min(y1);
+                let (rows, n) = (&plane[y0 * w..], y1 - y0);
+                let interior = &mut orow[lo..hi];
+                let done = if (kw, sw, n) == (2, 2, 2) {
+                    // Every zoo max-pool: 2-wide windows at stride 2 over
+                    // two whole rows, zipped so the windows vectorise.
+                    let r0 = rows[x0..][..2 * m].chunks_exact(2);
+                    let r1 = rows[w + x0..][..2 * m].chunks_exact(2);
+                    for ((o, a), b) in interior.iter_mut().zip(r0).zip(r1) {
+                        *o = fold_taps(&r, a.iter().chain(b));
                     }
-                }
-                for (o, &a) in orow.iter_mut().zip(&acc) {
-                    *o = reducer.finish(a);
+                    hi
+                } else if m >= RUN {
+                    // Runs of RUN windows; the last overlaps its neighbour.
+                    for i in (0..m - RUN).step_by(RUN).chain([m - RUN]) {
+                        let run = &mut interior[i..i + RUN];
+                        fold_run(&r, run, rows, x0 + i * sw, [w, n, kw, sw]);
+                    }
+                    hi
+                } else {
+                    lo
+                };
+                for ox in (0..lo).chain(done..wo) {
+                    let x1 = (ox * sw + kw).saturating_sub(pad.1).min(w);
+                    let x = (ox * sw).saturating_sub(pad.1).min(x1);
+                    orow[ox] = fold_taps(&r, (0..n).flat_map(|y| &rows[y * w..][x..x1]));
                 }
             }
         });
-
-    let mut t = Tensor::from_vec(out_shape, out)?;
-    if precision == Precision::Fp16 {
-        t.quantize_f16();
-    }
-    Ok(t)
+    Tensor::from_vec(out_shape, out)
 }
 
 /// Max pooling over `window` with `stride` and symmetric `pad`.
@@ -226,7 +233,7 @@ pub fn max_pool2d(
     stride: (usize, usize),
     precision: Precision,
 ) -> Result<Tensor, TensorError> {
-    pool2d_impl(input, window, pad, stride, precision, Max)
+    pool2d_impl(input, [window, pad, stride], precision, Max)
 }
 
 /// Average pooling with optional reduction sampling.
@@ -244,28 +251,22 @@ pub fn avg_pool2d(
     precision: Precision,
 ) -> Result<Tensor, TensorError> {
     approx.validate()?;
-    match approx {
+    let (num, den) = match approx {
         ReduceApprox::Exact => {
             let denom = (window.0 * window.1) as f32;
-            pool2d_impl(input, window, pad, stride, precision, Mean { denom })
+            return pool2d_impl(input, [window, pad, stride], precision, Mean { denom });
         }
-        ReduceApprox::Sampling { num, den } => pool2d_impl(
-            input,
-            window,
-            pad,
-            stride,
-            precision,
-            SampledMean {
-                num: num as u32,
-                den: den as u32,
-            },
-        ),
-    }
+        ReduceApprox::Sampling { num, den } => (num as u32, den as u32),
+    };
+    let sampled = SampledMean { num, den };
+    pool2d_impl(input, [window, pad, stride], precision, sampled)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::reference::{pool2d_reference, Pooling};
+    use crate::shape::Shape;
 
     fn ramp(n: usize, c: usize, h: usize, w: usize) -> Tensor {
         Tensor::from_vec(
@@ -353,40 +354,13 @@ mod tests {
         assert_eq!(out.data()[out.shape().idx4(0, 0, 0, 0)], 0.25);
     }
 
-    /// The per-window fold the row-wise one replaced: each output element
-    /// on its own, its in-bounds taps in `(ky, kx)` order.
-    fn per_window<R: WindowReduce>(
-        input: &Tensor,
-        window: (usize, usize),
-        pad: (usize, usize),
-        stride: (usize, usize),
-        reducer: &R,
-    ) -> Vec<f32> {
-        let (n, c, h, w) = input.shape().as_nchw().unwrap();
-        let out = pool_out_shape(input.shape(), window, pad, stride).unwrap();
-        let (_, _, ho, wo) = out.as_nchw().unwrap();
-        let mut result = Vec::with_capacity(out.volume());
-        for plane in input.data().chunks(h * w).take(n * c) {
-            for (oy, ox) in (0..ho).flat_map(|oy| (0..wo).map(move |ox| (oy, ox))) {
-                let mut acc = reducer.init();
-                for (ky, kx) in (0..window.0).flat_map(|ky| (0..window.1).map(move |kx| (ky, kx))) {
-                    let (iy, ix) = (oy * stride.0 + ky, ox * stride.1 + kx);
-                    if (pad.0..h + pad.0).contains(&iy) && (pad.1..w + pad.1).contains(&ix) {
-                        acc = reducer.fold(acc, plane[(iy - pad.0) * w + ix - pad.1]);
-                    }
-                }
-                result.push(reducer.finish(acc));
-            }
-        }
-        result
-    }
-
     #[test]
-    fn row_wise_fold_equals_per_window_fold_by_bits() {
-        // Padded, overlapping (stride < window) and non-square geometries,
-        // over values that separate fold orders and tie rules: both zeros,
-        // both infinities, NaN, and magnitudes whose sums round differently
-        // in a different order.
+    fn window_fold_equals_reference_by_bits() {
+        // Padded, overlapping (stride < window), non-square, odd (the last
+        // row and column under 2×2/2 in no window), 1-wide and
+        // window-larger-than-input geometries, over values that separate
+        // fold orders and tie rules: both zeros, both infinities, NaN, and
+        // magnitudes whose sums round differently in a different order.
         let specials = [
             -0.0,
             0.0,
@@ -398,12 +372,20 @@ mod tests {
         ];
         let cases = [
             ((6, 6), (2, 2), (0, 0), (2, 2)),
+            ((7, 5), (2, 2), (0, 0), (2, 2)),
             ((7, 5), (3, 3), (1, 1), (2, 2)),
             ((5, 8), (3, 3), (1, 1), (1, 1)),
             ((5, 7), (2, 3), (0, 1), (1, 2)),
             ((4, 9), (3, 2), (1, 0), (3, 1)),
             ((3, 3), (5, 5), (2, 2), (1, 3)),
+            ((5, 1), (2, 1), (0, 0), (2, 1)),
+            ((1, 6), (1, 2), (0, 1), (1, 2)),
+            ((6, 1), (3, 3), (1, 1), (1, 1)),
         ];
+        let pools = [Pooling::Max, Pooling::Avg(ReduceApprox::Exact)]
+            .into_iter()
+            .chain(ReduceApprox::ALL_SAMPLING.map(Pooling::Avg));
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         for ((h, w), window, pad, stride) in cases {
             let data: Vec<f32> = (0..2 * 3 * h * w)
                 .map(|i| match (i * 7) % 11 {
@@ -412,27 +394,24 @@ mod tests {
                 })
                 .collect();
             let input = Tensor::from_vec(Shape::nchw(2, 3, h, w), data).unwrap();
-            let geometry = (window, pad, stride);
-            assert_same_bits("max", &input, geometry, Max);
-            let denom = (window.0 * window.1) as f32;
-            assert_same_bits("mean", &input, geometry, Mean { denom });
-            assert_same_bits("sampled", &input, geometry, SampledMean { num: 1, den: 2 });
+            for (pooling, precision) in pools
+                .clone()
+                .flat_map(|p| [(p, Precision::Fp32), (p, Precision::Fp16)])
+            {
+                let got = match pooling {
+                    Pooling::Max => max_pool2d(&input, window, pad, stride, precision),
+                    Pooling::Avg(a) => avg_pool2d(&input, window, pad, stride, a, precision),
+                };
+                let want = pool2d_reference(&input, pooling, window, pad, stride, precision);
+                assert_eq!(
+                    bits(got.unwrap()),
+                    bits(want.unwrap()),
+                    "{pooling:?} {precision:?} {} {:?}",
+                    input.shape(),
+                    (window, pad, stride)
+                );
+            }
         }
-    }
-
-    type Geometry = ((usize, usize), (usize, usize), (usize, usize));
-
-    fn assert_same_bits<R: WindowReduce>(name: &str, input: &Tensor, geometry: Geometry, r: R) {
-        let (window, pad, stride) = geometry;
-        let want = per_window(input, window, pad, stride, &r);
-        let got = pool2d_impl(input, window, pad, stride, Precision::Fp32, r).unwrap();
-        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        assert_eq!(
-            bits(got.data()),
-            bits(&want),
-            "{name} {} {geometry:?}",
-            input.shape()
-        );
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Naive reference kernels — the oracle for the differential test harness.
 //!
 //! These are the original straightforward implementations (triple-loop
-//! matmul, direct seven-loop convolution), kept verbatim when the optimised
-//! tiled/im2col kernels replaced them on the hot path. The optimised
-//! kernels are required to match these **bit-for-bit** for exact-FP32 and
-//! LUT-multiplier configurations (see `tests/differential.rs`), which only
-//! works because both sides accumulate each output element in the same
-//! order; do not "clean up" loop orders here without updating that
-//! contract.
+//! matmul, direct seven-loop convolution, per-window pooling), kept
+//! verbatim when the optimised kernels replaced them on the hot path. The
+//! optimised kernels are required to match these **bit-for-bit** for
+//! exact-FP32 and LUT-multiplier configurations, and pooling for every
+//! reducer and precision (see `tests/differential.rs`), which only works
+//! because both sides accumulate each output element in the same order; do
+//! not "clean up" loop orders here without updating that contract.
 
 use crate::error::TensorError;
-use crate::knobs::{ConvApprox, MulApprox, PerforationDim, Precision};
+use crate::knobs::{ConvApprox, MulApprox, PerforationDim, Precision, ReduceApprox};
 use crate::lut;
 use crate::ops::conv::Conv2dParams;
-use crate::shape::{conv2d_out_shape, Shape};
+use crate::shape::{conv2d_out_shape, pool2d_out_shape, Shape};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -393,6 +393,89 @@ fn compute_direct(
     });
 
     Tensor::from_vec(out_shape, out)
+}
+
+/// Which pooling [`pool2d_reference`] computes: `max_pool2d`, or
+/// `avg_pool2d` under the given reduction knob.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Pooling {
+    /// Largest valid tap.
+    Max,
+    /// Mean of the valid taps (or of a sampled subset of them).
+    Avg(ReduceApprox),
+}
+
+/// Naive pooling: each output element on its own, its in-bounds taps
+/// gathered in `(ky, kx)` order by testing every tap against the padding,
+/// then reduced. FP16 reads a quantised copy of the input and quantises the
+/// result.
+///
+/// *Max* is the select `tap > acc ? tap : acc` from `−∞` (a NaN tap never
+/// wins; of `−0` and `+0` the first stays). *Mean* sums from `−0` and
+/// divides by the full window size. *Sampled mean* sums from `+0` the taps
+/// whose position among the valid ones is `< num (mod den)` and divides by
+/// their count (0 when none).
+pub fn pool2d_reference(
+    input: &Tensor,
+    pooling: Pooling,
+    window: (usize, usize),
+    pad: (usize, usize),
+    stride: (usize, usize),
+    precision: Precision,
+) -> Result<Tensor, TensorError> {
+    if let Pooling::Avg(approx) = pooling {
+        approx.validate()?;
+    }
+    let out_shape = pool2d_out_shape(input.shape(), window, pad, stride)?;
+    let (n, c, h, w) = input.shape().as_nchw()?;
+    let (_, _, ho, wo) = out_shape.as_nchw()?;
+    let input = match precision {
+        Precision::Fp32 => input.clone(),
+        Precision::Fp16 => input.to_f16(),
+    };
+    let mut out = Vec::with_capacity(out_shape.volume());
+    for plane in input.data().chunks(h * w).take(n * c) {
+        for oy in 0..ho {
+            for ox in 0..wo {
+                let mut taps = Vec::new();
+                for ky in 0..window.0 {
+                    for kx in 0..window.1 {
+                        let (iy, ix) = (oy * stride.0 + ky, ox * stride.1 + kx);
+                        if (pad.0..h + pad.0).contains(&iy) && (pad.1..w + pad.1).contains(&ix) {
+                            taps.push(plane[(iy - pad.0) * w + ix - pad.1]);
+                        }
+                    }
+                }
+                out.push(match pooling {
+                    Pooling::Max => {
+                        taps.iter()
+                            .fold(f32::NEG_INFINITY, |acc, &t| if t > acc { t } else { acc })
+                    }
+                    Pooling::Avg(ReduceApprox::Exact) => {
+                        taps.iter().fold(-0.0f32, |acc, &t| acc + t) / (window.0 * window.1) as f32
+                    }
+                    Pooling::Avg(ReduceApprox::Sampling { num, den }) => {
+                        let kept: Vec<f32> = taps
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| i % den < num)
+                            .map(|(_, &t)| t)
+                            .collect();
+                        if kept.is_empty() {
+                            0.0
+                        } else {
+                            kept.iter().fold(0.0f32, |acc, &t| acc + t) / kept.len() as f32
+                        }
+                    }
+                });
+            }
+        }
+    }
+    let mut t = Tensor::from_vec(out_shape, out)?;
+    if precision == Precision::Fp16 {
+        t.quantize_f16();
+    }
+    Ok(t)
 }
 
 #[cfg(test)]

@@ -170,6 +170,35 @@ pub(crate) fn conv2d_out_shape(
     ))
 }
 
+/// Full output shape of 2-D pooling in NCHW layout: `window` over `input`
+/// with symmetric `pad` and `stride`.
+pub(crate) fn pool2d_out_shape(
+    input: Shape,
+    window: (usize, usize),
+    pad: (usize, usize),
+    stride: (usize, usize),
+) -> Result<Shape, TensorError> {
+    let (n, c, h, w) = input.as_nchw()?;
+    if window.0 == 0 || window.1 == 0 || stride.0 == 0 || stride.1 == 0 {
+        return Err(TensorError::InvalidKnob {
+            op: "pool2d",
+            detail: "window and stride must be positive".into(),
+        });
+    }
+    if window.0 > h + 2 * pad.0 || window.1 > w + 2 * pad.1 {
+        return Err(TensorError::ShapeMismatch {
+            op: "pool2d",
+            detail: format!("window {window:?} larger than padded input {h}x{w}"),
+        });
+    }
+    Ok(Shape::nchw(
+        n,
+        c,
+        conv_out_dim(h, window.0, pad.0, stride.0),
+        conv_out_dim(w, window.1, pad.1, stride.1),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,9 @@
 //! Differential kernel test harness.
 //!
 //! The optimized tiled/SIMD kernels (`ops::matmul_ex`, `ops::conv2d` via
-//! im2col+GEMM) are checked against the frozen naive oracle in
-//! `ops::reference` under proptest-fuzzed shapes and knob settings:
+//! im2col+GEMM, the pooling folds) are checked against the frozen naive
+//! oracle in `ops::reference` under proptest-fuzzed shapes and knob
+//! settings:
 //!
 //! * exact FP32 paths must match the oracle **bit for bit** — the fast
 //!   kernels accumulate every output element in the same strictly
@@ -22,10 +23,12 @@
 //! microkernel is actually vectorised.
 
 use at_tensor::ops::conv::Conv2dParams;
+use at_tensor::ops::reference::Pooling;
 use at_tensor::ops::{
-    conv2d, conv2d_abft, conv2d_fused, conv2d_fused_abft, map_unary, matmul_ex, reference, UnaryOp,
+    avg_pool2d, conv2d, conv2d_abft, conv2d_fused, conv2d_fused_abft, map_unary, matmul_ex,
+    max_pool2d, reference, UnaryOp,
 };
-use at_tensor::{ConvApprox, MulApprox, PerforationDim, Precision, Shape, Tensor};
+use at_tensor::{ConvApprox, MulApprox, PerforationDim, Precision, ReduceApprox, Shape, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -317,6 +320,94 @@ proptest! {
             prop_assert_eq!(&got[1], plain, "conv2d_abft at {} threads", threads);
             prop_assert_eq!(&got[2], activated, "conv2d_fused at {} threads", threads);
             prop_assert_eq!(&got[3], activated, "conv2d_fused_abft at {} threads", threads);
+        }
+    }
+}
+
+/// A pooling input: uniform in `[−4, 4)`, one element in four replaced by
+/// a value that separates fold orders and tie rules — both zeros, both
+/// infinities, NaN, magnitudes whose sums round differently in another
+/// order, and values binary16 flushes, overflows or rounds.
+fn pooling_input(shape: Shape, seed: u64) -> Tensor {
+    use rand::Rng;
+    let specials = [
+        0.0f32,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        1e-8,
+        -3.0e7,
+        7.0e4,
+        1.0 + 1.0 / 4096.0,
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let values = (0..shape.volume())
+        .map(|_| match rng.gen_range(0..4 * specials.len()) {
+            i if i < specials.len() => specials[i],
+            _ => rng.gen_range(-4.0f32..4.0),
+        })
+        .collect();
+    Tensor::from_vec(shape, values).unwrap()
+}
+
+/// Input dims, then window, padding and stride, each up to 4 a side so that
+/// windows overlap, leave gaps, exceed the input and have corner windows of
+/// padding only.
+type PoolCase = (
+    (usize, usize, usize, usize),
+    ((usize, usize), (usize, usize), (usize, usize)),
+);
+
+fn pool_case() -> impl Strategy<Value = PoolCase> {
+    (
+        (1usize..=2, 1usize..=3, 1usize..=12, 1usize..=19),
+        (
+            (1usize..=4, 1usize..=4),
+            (0usize..=3, 0usize..=3),
+            (1usize..=4, 1usize..=4),
+        ),
+    )
+        .prop_filter(
+            "window fits the padded input",
+            |((_, _, h, w), (k, p, _))| k.0 <= h + 2 * p.0 && k.1 <= w + 2 * p.1,
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Max, mean and every sampled mean, FP32 and FP16, at 1, 2 and 4 pool
+    /// threads: bit for bit against the per-window oracle.
+    #[test]
+    fn pooling_bitwise_against_the_per_window_oracle(
+        ((n, c, h, w), (window, pad, stride)) in pool_case(),
+        pooling in proptest::sample::select(
+            [Pooling::Max, Pooling::Avg(ReduceApprox::Exact)]
+                .into_iter()
+                .chain(ReduceApprox::ALL_SAMPLING.map(Pooling::Avg))
+                .collect::<Vec<_>>(),
+        ),
+        precision in proptest::sample::select(vec![Precision::Fp32, Precision::Fp16]),
+        seed in 0u64..1000,
+    ) {
+        let x = pooling_input(Shape::nchw(n, c, h, w), seed);
+        let want = reference::pool2d_reference(&x, pooling, window, pad, stride, precision);
+        let want = bits(&want.unwrap());
+        for threads in [1usize, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let got = pool.install(|| match pooling {
+                Pooling::Max => max_pool2d(&x, window, pad, stride, precision),
+                Pooling::Avg(a) => avg_pool2d(&x, window, pad, stride, a, precision),
+            });
+            prop_assert_eq!(
+                &bits(&got.unwrap()),
+                &want,
+                "{:?} {:?} at {} threads",
+                pooling,
+                precision,
+                threads
+            );
         }
     }
 }
