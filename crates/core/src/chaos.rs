@@ -13,13 +13,14 @@
 //!
 //! Gray failures are deliberately *not* delivered as stream events: a gray
 //! replica keeps accepting and completing work, just slower. The plan
-//! instead exposes `ChaosPlan::gray_inflation_at`, a pure function of
-//! `(replica, time)` that the fleet multiplies into raw service time, and
+//! instead hands each replica its windows (`ChaosPlan::silent_windows`),
+//! and `SilentWindows::gray_inflation_at` is a pure function of the time
+//! that the fleet multiplies into raw service time, and
 //! detection is left entirely to the router's ejection logic — the
 //! simulation never tells the router a replica has gone gray.
 //!
 //! Bit-flip windows follow the same silent discipline: while a window is
-//! active (`ChaosPlan::bitflip_at`), each request started on the target
+//! active (`SilentWindows::bitflip_at`), each request started on the target
 //! replica draws a flip with the window's per-request rate via
 //! `ChaosPlan::draw_flip` — pure in `(seed, replica, draw index)`, never
 //! in call order. The fleet is never told a flip happened; the ABFT layer
@@ -34,7 +35,7 @@ use serde::{Deserialize, Serialize};
 pub enum ChaosKind {
     /// The replica process dies: its in-flight request is lost, its queue
     /// is redistributed or shed, and a warm restart from the replica's
-    /// snapshot is scheduled `restart_after_s` later.
+    /// pre-crash control state is scheduled `restart_after_s` later.
     Crash {
         /// Delay between the crash and the warm restart, in seconds.
         restart_after_s: f64,
@@ -99,7 +100,7 @@ impl FlipTarget {
     ];
 }
 
-/// An active bit-flip window's parameters, as seen by [`ChaosPlan::bitflip_at`].
+/// An active bit-flip window's parameters, as seen by `SilentWindows::bitflip_at`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct BitFlipWindow {
     /// Per-request flip probability.
@@ -339,31 +340,35 @@ impl ChaosPlan {
         ChaosPlan::scripted(events)
     }
 
-    /// The bit-flip window active for `replica` at time `t`, if any — the
-    /// earliest-starting active window wins when windows overlap (a single
-    /// flip per request is the modelled fault).
-    pub(crate) fn bitflip_at(&self, replica: usize, t: f64) -> Option<BitFlipWindow> {
+    /// The plan's gray and bit-flip windows grouped by target replica, one
+    /// entry per replica in `0..replicas`, each in plan order. Windows aimed
+    /// past the fleet are dropped, as the fleet ignores them.
+    pub(crate) fn silent_windows(&self, replicas: usize) -> Vec<SilentWindows> {
+        let mut by_replica = vec![SilentWindows::default(); replicas];
         for e in &self.events {
-            if e.replica != replica {
+            let Some(w) = by_replica.get_mut(e.replica) else {
                 continue;
-            }
-            if let ChaosKind::BitFlip {
-                len_s,
-                rate,
-                target,
-                min_bit,
-            } = e.kind
-            {
-                if t >= e.at_s && t < e.at_s + len_s {
-                    return Some(BitFlipWindow {
+            };
+            match e.kind {
+                ChaosKind::Gray { len_s, inflation } => w.grays.push((e.at_s, len_s, inflation)),
+                ChaosKind::BitFlip {
+                    len_s,
+                    rate,
+                    target,
+                    min_bit,
+                } => w.flips.push((
+                    e.at_s,
+                    len_s,
+                    BitFlipWindow {
                         rate,
                         target,
                         min_bit,
-                    });
-                }
+                    },
+                )),
+                ChaosKind::Crash { .. } | ChaosKind::Partition { .. } => {}
             }
         }
-        None
+        by_replica
     }
 
     /// Draws whether the `k`-th corruption-eligible request on `replica`
@@ -387,22 +392,39 @@ impl ChaosPlan {
             bit,
         })
     }
+}
 
-    /// The silent service-time multiplier for `replica` at time `t`:
-    /// the product of all gray windows active there, `1.0` when none are.
-    pub(crate) fn gray_inflation_at(&self, replica: usize, t: f64) -> f64 {
+/// One replica's silent windows, which a started request queries: gray
+/// inflation and bit-flip windows, each list in plan order.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SilentWindows {
+    /// `(start, length, inflation)` of each gray window.
+    grays: Vec<(f64, f64, f64)>,
+    /// `(start, length, parameters)` of each bit-flip window.
+    flips: Vec<(f64, f64, BitFlipWindow)>,
+}
+
+impl SilentWindows {
+    /// The silent service-time multiplier at time `t`: the product of all
+    /// gray windows active there, `1.0` when none are.
+    pub(crate) fn gray_inflation_at(&self, t: f64) -> f64 {
         let mut factor = 1.0;
-        for e in &self.events {
-            if e.replica != replica {
-                continue;
-            }
-            if let ChaosKind::Gray { len_s, inflation } = e.kind {
-                if t >= e.at_s && t < e.at_s + len_s {
-                    factor *= inflation;
-                }
+        for &(at_s, len_s, inflation) in &self.grays {
+            if t >= at_s && t < at_s + len_s {
+                factor *= inflation;
             }
         }
         factor
+    }
+
+    /// The bit-flip window active at time `t`, if any — the
+    /// earliest-starting active window wins when windows overlap (a single
+    /// flip per request is the modelled fault).
+    pub(crate) fn bitflip_at(&self, t: f64) -> Option<BitFlipWindow> {
+        self.flips
+            .iter()
+            .find(|&&(at_s, len_s, _)| t >= at_s && t < at_s + len_s)
+            .map(|&(_, _, window)| window)
     }
 }
 
@@ -518,12 +540,20 @@ mod tests {
                 },
             },
         ]);
-        assert_eq!(plan.gray_inflation_at(3, 9.9), 1.0);
-        assert_eq!(plan.gray_inflation_at(3, 10.0), 4.0);
-        assert_eq!(plan.gray_inflation_at(3, 13.0), 8.0);
-        assert_eq!(plan.gray_inflation_at(3, 15.5), 2.0);
-        assert_eq!(plan.gray_inflation_at(2, 13.0), 1.0);
-        assert_eq!(ChaosPlan::none().gray_inflation_at(0, 1.0), 1.0);
+        let windows = plan.silent_windows(4);
+        assert_eq!(windows[3].gray_inflation_at(9.9), 1.0);
+        assert_eq!(windows[3].gray_inflation_at(10.0), 4.0);
+        assert_eq!(windows[3].gray_inflation_at(13.0), 8.0);
+        assert_eq!(windows[3].gray_inflation_at(15.5), 2.0);
+        assert_eq!(windows[2].gray_inflation_at(13.0), 1.0);
+        assert_eq!(
+            ChaosPlan::none().silent_windows(1)[0].gray_inflation_at(1.0),
+            1.0
+        );
+        assert!(plan
+            .silent_windows(3)
+            .iter()
+            .all(|w| w.gray_inflation_at(13.0) == 1.0));
     }
 
     #[test]
@@ -552,11 +582,15 @@ mod tests {
         ]);
         assert_eq!(bitflips(&plan), 1);
         assert_eq!(plan.counts(), (0, 0, 0), "bit flips are counted apart");
-        let w = plan.bitflip_at(2, 12.0).unwrap();
+        let windows = plan.silent_windows(3);
+        let w = windows[2].bitflip_at(12.0).unwrap();
         assert_eq!(w.rate, 1.0);
         assert_eq!(w.min_bit, 31);
-        assert!(plan.bitflip_at(2, 15.0).is_none(), "window end exclusive");
-        assert!(plan.bitflip_at(1, 12.0).is_none(), "other replica clean");
+        assert!(
+            windows[2].bitflip_at(15.0).is_none(),
+            "window end exclusive"
+        );
+        assert!(windows[1].bitflip_at(12.0).is_none(), "other replica clean");
 
         // Draws are pure in (seed, replica, k): rate 1.0 always flips, the
         // same key always draws the same bit, different keys vary.
@@ -580,6 +614,74 @@ mod tests {
         // Rate 0 never flips.
         let off = BitFlipWindow { rate: 0.0, ..lo };
         assert!(ChaosPlan::draw_flip(42, 2, 0, &off).is_none());
+    }
+
+    #[test]
+    fn per_replica_windows_answer_what_the_plan_walk_answers() {
+        // The walk over every plan event that the per-replica index
+        // replaced: the gray product in plan order, the first active flip
+        // window in plan order.
+        fn gray_walk(plan: &ChaosPlan, replica: usize, t: f64) -> f64 {
+            let mut factor = 1.0;
+            for e in plan.events() {
+                if let ChaosKind::Gray { len_s, inflation } = e.kind {
+                    if e.replica == replica && t >= e.at_s && t < e.at_s + len_s {
+                        factor *= inflation;
+                    }
+                }
+            }
+            factor
+        }
+        fn flip_walk(plan: &ChaosPlan, replica: usize, t: f64) -> Option<BitFlipWindow> {
+            plan.events().iter().find_map(|e| match e.kind {
+                ChaosKind::BitFlip {
+                    len_s,
+                    rate,
+                    target,
+                    min_bit,
+                } if e.replica == replica && t >= e.at_s && t < e.at_s + len_s => {
+                    Some(BitFlipWindow {
+                        rate,
+                        target,
+                        min_bit,
+                    })
+                }
+                _ => None,
+            })
+        }
+        // Few replicas and many windows, so windows overlap on a replica;
+        // distinct rates tell overlapping flip windows apart.
+        let mut plan = ChaosPlan::campaign(3, 50.0, 3, 4, 12, 4);
+        for (i, rate) in [0.1, 0.2, 0.3].into_iter().enumerate() {
+            plan = plan.with_bitflip_campaign(30 + i as u64, 50.0, 3, 6, rate, 8 + i as u32);
+        }
+        let windows = plan.silent_windows(3);
+        let (mut stacked, mut overlapping_flips) = (0, 0);
+        for k in 0..2000 {
+            let t = k as f64 * 0.025;
+            for (r, w) in windows.iter().enumerate() {
+                let gray = w.gray_inflation_at(t);
+                assert_eq!(
+                    gray.to_bits(),
+                    gray_walk(&plan, r, t).to_bits(),
+                    "r{r} t{t}"
+                );
+                assert_eq!(w.bitflip_at(t), flip_walk(&plan, r, t), "r{r} t{t}");
+                let active = |e: &&ChaosEvent| {
+                    e.replica == r
+                        && matches!(e.kind, ChaosKind::BitFlip { len_s, .. }
+                            if t >= e.at_s && t < e.at_s + len_s)
+                };
+                stacked += usize::from(gray > 8.0);
+                overlapping_flips += usize::from(plan.events().iter().filter(active).count() > 1);
+            }
+        }
+        assert!(
+            stacked > 0 && overlapping_flips > 0,
+            "{stacked} {overlapping_flips}"
+        );
+        // Windows aimed past the fleet are dropped.
+        assert!(plan.silent_windows(0).is_empty());
     }
 
     #[test]

@@ -132,17 +132,9 @@ impl Breaker {
         })
     }
 
-    /// `(state, consecutive failures, open-until)` — the part of the breaker
-    /// a crashed replica's snapshot keeps for its warm restart.
-    pub(crate) fn snapshot(&self) -> (BreakerState, usize, f64) {
-        (self.state, self.consecutive_failures, self.open_until)
-    }
-
-    /// Restores a snapshotted breaker; probe accounting starts fresh.
-    pub(crate) fn restore(&mut self, state: BreakerState, failures: usize, open_until: f64) {
-        self.state = state;
-        self.consecutive_failures = failures;
-        self.open_until = open_until;
+    /// Warm restart after a crash: state, failure streak and cooldown carry
+    /// over; probe accounting starts fresh.
+    pub(crate) fn restart(&mut self) {
         self.probes_admitted = 0;
         self.probe_successes = 0;
     }
@@ -580,6 +572,11 @@ mod tests {
         })
     }
 
+    /// `(state, consecutive failures, open-until)`.
+    fn parts(b: &Breaker) -> (BreakerState, usize, f64) {
+        (b.state, b.consecutive_failures, b.open_until)
+    }
+
     #[test]
     fn breaker_trips_at_exactly_the_threshold() {
         let mut b = breaker(3, 2, 5.0);
@@ -592,11 +589,11 @@ mod tests {
         );
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.admits());
-        assert_eq!(b.snapshot(), (BreakerState::Open, 3, 8.0));
+        assert_eq!(parts(&b), (BreakerState::Open, 3, 8.0));
         // Completions while open change nothing.
         assert_eq!(b.on_result(true, 3.5), None);
         assert_eq!(b.on_result(false, 3.6), None);
-        assert_eq!(b.snapshot(), (BreakerState::Open, 3, 8.0));
+        assert_eq!(parts(&b), (BreakerState::Open, 3, 8.0));
     }
 
     #[test]
@@ -643,7 +640,7 @@ mod tests {
             b.on_result(true, 5.2),
             Some(BreakerTransition::Tripped { failures: 1 })
         );
-        assert_eq!(b.snapshot(), (BreakerState::Open, 1, 6.2));
+        assert_eq!(parts(&b), (BreakerState::Open, 1, 6.2));
     }
 
     #[test]
@@ -656,15 +653,17 @@ mod tests {
         assert!(b.admits());
         b.note_admitted();
         assert!(!b.admits(), "both probes are out; the door is shut");
+        // A warm restart keeps the state and starts probe accounting fresh.
+        b.restart();
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert!(b.admits());
         assert_eq!(b.on_result(false, 1.1), None);
         assert_eq!(b.state(), BreakerState::HalfOpen);
         assert_eq!(b.on_result(false, 1.2), Some(BreakerTransition::Closed));
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.admits());
-        // Admissions on a closed breaker spend no probes, and a restore
-        // starts probe accounting fresh.
+        // Admissions on a closed breaker spend no probes.
         b.note_admitted();
-        b.restore(BreakerState::HalfOpen, 0, 0.0);
         assert!(b.admits());
     }
 

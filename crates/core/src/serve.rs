@@ -34,7 +34,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::fleet::{FleetEvent, FleetParams, FleetSim, TenantSpec};
+use crate::fleet::{Arrivals, FleetEvent, FleetParams, FleetReport, FleetSim, LaneEnd, TenantSpec};
 use crate::guard::{GuardParams, GuardReport};
 use crate::knobs::KnobRegistry;
 use crate::pareto::{TradeoffCurve, TradeoffPoint};
@@ -187,28 +187,58 @@ pub struct ArrivalTrace {
 /// thinning a homogeneous Poisson process at the pattern's peak rate. Same
 /// inputs, same trace — bit-identical, on any machine and thread count.
 pub fn generate_arrivals(pattern: &TrafficPattern, horizon_s: f64, seed: u64) -> ArrivalTrace {
-    let peak = pattern.peak_rate();
-    let mut times = Vec::new();
-    if peak > 0.0 && horizon_s > 0.0 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = 0.0f64;
-        loop {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            // Exponential inter-arrival at the peak rate; the floor keeps
-            // times strictly increasing even on a u == 0 draw.
-            t += (-(1.0 - u).ln() / peak).max(1e-12);
-            if t >= horizon_s {
-                break;
-            }
-            let accept: f64 = rng.gen_range(0.0..1.0);
-            if accept * peak < pattern.rate_at(t) {
-                times.push(t);
-            }
-        }
-    }
     ArrivalTrace {
         pattern: pattern.name().to_string(),
-        times,
+        times: ArrivalStream::new(pattern, horizon_s, seed).collect(),
+    }
+}
+
+/// [`generate_arrivals`]'s thinning loop as an iterator: the same seeded
+/// arrival times, one per `next`, holding a generator instead of a trace.
+pub(crate) struct ArrivalStream {
+    pattern: TrafficPattern,
+    peak: f64,
+    horizon_s: f64,
+    rng: StdRng,
+    t: f64,
+    /// Cleared once an inter-arrival gap crosses the horizon (or at
+    /// construction, when the pattern or the horizon admits no arrival).
+    live: bool,
+}
+
+impl ArrivalStream {
+    pub(crate) fn new(pattern: &TrafficPattern, horizon_s: f64, seed: u64) -> ArrivalStream {
+        let peak = pattern.peak_rate();
+        ArrivalStream {
+            pattern: pattern.clone(),
+            peak,
+            horizon_s,
+            rng: StdRng::seed_from_u64(seed),
+            t: 0.0,
+            live: peak > 0.0 && horizon_s > 0.0,
+        }
+    }
+}
+
+impl Iterator for ArrivalStream {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        while self.live {
+            let u: f64 = self.rng.gen_range(0.0..1.0);
+            // Exponential inter-arrival at the peak rate; the floor keeps
+            // times strictly increasing even on a u == 0 draw.
+            self.t += (-(1.0 - u).ln() / self.peak).max(1e-12);
+            if self.t >= self.horizon_s {
+                self.live = false;
+                break;
+            }
+            let accept: f64 = self.rng.gen_range(0.0..1.0);
+            if accept * self.peak < self.pattern.rate_at(self.t) {
+                return Some(self.t);
+            }
+        }
+        None
     }
 }
 
@@ -654,10 +684,11 @@ pub fn serve(
 /// the curve clamps to the exact configuration instead of breaching the QoS
 /// floor.
 ///
-/// The run is a one-replica, one-tenant fleet ([`crate::fleet`]) fed
-/// `trace` instead of a generated arrival stream: work stealing is off, no
-/// chaos is scripted, and gray ejection needs a peer to compare against, so
-/// what remains is one replica's admission, ladder, breaker and guard.
+/// The run is a one-replica, one-tenant fleet ([`crate::fleet`]) that
+/// reads `trace` in place instead of a generated arrival stream: work
+/// stealing is off, no chaos is scripted, and gray ejection needs a peer to
+/// compare against, so what remains is one replica's admission, ladder,
+/// breaker and guard.
 pub fn serve_guarded(
     curve: &TradeoffCurve,
     baseline_time_s: f64,
@@ -667,12 +698,32 @@ pub fn serve_guarded(
     params: &ServeParams,
     guard_params: &GuardParams,
 ) -> GuardedServeReport {
+    let (tenants, fleet_params) = single_server(curve, baseline_time_s, params, guard_params);
+    let run = FleetSim::new(
+        &tenants,
+        &[executor],
+        device,
+        &fleet_params,
+        Arrivals::trace(&trace.times),
+    )
+    .run();
+    single_server_report(&trace.pattern, run)
+}
+
+/// The one tenant and the one-replica fleet parameters [`serve_guarded`]
+/// runs its trace through.
+fn single_server(
+    curve: &TradeoffCurve,
+    baseline_time_s: f64,
+    params: &ServeParams,
+    guard_params: &GuardParams,
+) -> ([TenantSpec; 1], FleetParams) {
     let tenants = [TenantSpec {
         name: String::new(),
         curve: curve.clone(),
         baseline_time_s,
         baseline_qos: params.baseline_qos,
-        // Not read: `trace` is the arrival stream.
+        // Not read: the caller's trace is the arrival stream.
         pattern: TrafficPattern::Steady { rate_rps: 0.0 },
         arrival_seed: 0,
         guard: guard_params.clone(),
@@ -683,15 +734,20 @@ pub fn serve_guarded(
         steal: false,
         ..FleetParams::default()
     };
-    let arrivals = trace.times.iter().map(|&t| (t, 0)).collect();
-    let (mut fleet, mut lanes) =
-        FleetSim::new(&tenants, &[executor], device, &fleet_params, arrivals).run();
+    (tenants, fleet_params)
+}
+
+/// Projects a [`single_server`] run onto the single server's report.
+fn single_server_report(
+    pattern: &str,
+    (mut fleet, mut lanes): (FleetReport, Vec<LaneEnd>),
+) -> GuardedServeReport {
     // Exactly one tenant, one replica and one lane, by construction.
     let tenant = &fleet.tenants[0];
     let replica = &fleet.replica_reports[0];
     let lane = lanes.swap_remove(0);
     let serve = ServeReport {
-        pattern: trace.pattern.clone(),
+        pattern: pattern.to_string(),
         scenario: std::mem::take(&mut fleet.scenario),
         arrivals: fleet.arrivals,
         admitted: fleet.admitted,
@@ -1070,5 +1126,120 @@ mod tests {
         let back: ServeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.to_json(), json, "lossless roundtrip");
         assert_eq!(back.event_log(), r.event_log());
+    }
+
+    #[test]
+    fn generated_traces_are_pinned() {
+        // `(length, fingerprint)` of each pattern's trace as the
+        // materialising generator drew it: the iterator form must draw the
+        // same times, bit for bit.
+        let fingerprint = |times: &[f64]| {
+            times
+                .iter()
+                .fold(0u64, |h, t| crate::guard::splitmix64(h ^ t.to_bits()))
+        };
+        let patterns = [
+            TrafficPattern::Steady { rate_rps: 40.0 },
+            TrafficPattern::Bursty {
+                base_rps: 10.0,
+                burst_rps: 70.0,
+                period_s: 12.0,
+                duty: 0.25,
+            },
+            TrafficPattern::Diurnal {
+                min_rps: 5.0,
+                max_rps: 45.0,
+                period_s: 30.0,
+            },
+            TrafficPattern::Spike {
+                base_rps: 8.0,
+                spike_rps: 120.0,
+                at_s: 50.0,
+                len_s: 4.0,
+            },
+        ];
+        let got: Vec<(usize, u64)> = patterns
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let trace = generate_arrivals(p, 120.0, 0x5EED + i as u64);
+                (trace.times.len(), fingerprint(&trace.times))
+            })
+            .collect();
+        const PINNED: [(usize, u64); 4] = [
+            (4759, 1890142127655674306),
+            (3024, 9247641786209590107),
+            (3038, 17656791210866746685),
+            (1466, 8864677488338514748),
+        ];
+        assert_eq!(got, PINNED);
+    }
+
+    #[test]
+    fn serve_guarded_reads_its_trace_in_place_bit_identically() {
+        // Against the copy the single server used to make of its trace:
+        // every time paired with tenant 0 in one materialised stream.
+        let c = curve(&[1.3, 1.7, 2.2]);
+        let exec = crate::guard::MiscalibratedExecutor {
+            honest_qos: vec![97.0, 96.0, 88.0],
+            jitter: 0.3,
+            seed: 0x5E7,
+        };
+        let params = ServeParams {
+            deadline_s: 0.15,
+            queue_cap: 8,
+            ..ServeParams::default()
+        };
+        let guard = GuardParams {
+            qos_floor: 90.0,
+            canary_fraction: 0.2,
+            ..GuardParams::default()
+        };
+        let device = idle_device(usize::MAX / 2);
+        // Alternating 2 s bursts above and lulls below the 100 rps the
+        // baseline serves, so the ladder climbs, sheds and recovers.
+        let times: Vec<f64> = (0..12_000)
+            .scan(0.0, |t, i| {
+                *t += if (i / 400) % 2 == 0 {
+                    1.0 / 180.0
+                } else {
+                    1.0 / 40.0
+                };
+                Some(*t)
+            })
+            .collect();
+        // A time no event ordering reaches still counts as offered.
+        let mut stuck = times[..3_000].to_vec();
+        stuck.push(f64::NAN);
+        stuck.extend_from_slice(&times[3_000..3_100]);
+        for times in [times, stuck, Vec::new()] {
+            let trace = ArrivalTrace {
+                pattern: "hand-built".to_string(),
+                times,
+            };
+            let in_place = serve_guarded(&c, 0.01, &device, &trace, &exec, &params, &guard);
+            let (tenants, fleet_params) = single_server(&c, 0.01, &params, &guard);
+            let copied = single_server_report(
+                &trace.pattern,
+                FleetSim::new(
+                    &tenants,
+                    &[&exec],
+                    &device,
+                    &fleet_params,
+                    Arrivals::materialised(trace.times.iter().map(|&t| (t, 0)).collect()),
+                )
+                .run(),
+            );
+            assert_eq!(in_place.to_json(), copied.to_json());
+            assert_eq!(in_place.serve.arrivals, trace.times.len());
+            let r = &in_place.serve;
+            assert!(
+                trace.times.is_empty()
+                    || (r.escalations > 0
+                        && r.shed_deadline + r.shed_queue_full > 0
+                        && !in_place.guard.quarantined.is_empty()),
+                "the trace must exercise the ladder, admission and guard"
+            );
+        }
     }
 }
