@@ -48,10 +48,11 @@
 
 use crate::chaos::{ChaosKind, ChaosPlan, SilentWindows};
 use crate::guard::{fails_floor, splitmix64, GuardParams, GuardReport, QosGuard};
+use crate::obs::LatencySummary;
 use crate::pareto::TradeoffCurve;
 use crate::replica::{
-    latency_summary, mean, premask_below_floor, sensed_clock, verify_canary, Breaker,
-    BreakerTransition, Controller, EventRing, InFlight, Move, Queued, ServiceCtx,
+    mean, premask_below_floor, sensed_clock, verify_canary, Breaker, BreakerTransition, Controller,
+    EventRing, InFlight, Move, Queued, ServiceCtx,
 };
 use crate::runtime::RuntimeTuner;
 use crate::serve::{
@@ -1195,9 +1196,13 @@ pub(crate) struct FleetSim<'a> {
     tenant_acc: Vec<TenantAccum>,
     log: EventRing<FleetEvent>,
     completed: usize,
-    /// Every served request's latency, grown by doubling: O(log n)
-    /// reallocations, ≤ 16 B per served request with the slack.
-    latencies: Vec<f64>,
+    /// Every served request's latency, summarised in fixed memory:
+    /// allocated once here in `new`, never grown, whatever the run's length.
+    latency: LatencySummary,
+    /// Every served request's latency as well, when a test holds the
+    /// summary to the sorted latencies.
+    #[cfg(test)]
+    raw_latencies: Option<Vec<f64>>,
     steal_events: usize,
     rr_cursor: usize,
     arrivals: Arrivals<'a>,
@@ -1282,9 +1287,11 @@ impl<'a> FleetSim<'a> {
             peer_ewmas: Vec::with_capacity(n),
             open: vec![false; n],
             tenant_acc,
-            log: EventRing::new(EVENT_LIMIT),
+            log: EventRing::preallocated(EVENT_LIMIT),
             completed: 0,
-            latencies: Vec::new(),
+            latency: LatencySummary::new(),
+            #[cfg(test)]
+            raw_latencies: None,
             steal_events: 0,
             rr_cursor: 0,
             arrivals,
@@ -1293,6 +1300,15 @@ impl<'a> FleetSim<'a> {
             timers: Vec::new(),
             recovery_times: Vec::new(),
         }
+    }
+
+    /// Also keeps every served latency and reports their sort-based
+    /// summary instead of the histogram's: the reference the histogram is
+    /// held to.
+    #[cfg(test)]
+    pub(crate) fn keeping_raw_latencies(mut self) -> FleetSim<'a> {
+        self.raw_latencies = Some(Vec::new());
+        self
     }
 
     /// Runs the simulation to the last event.
@@ -1604,7 +1620,11 @@ impl<'a> FleetSim<'a> {
                 let latency = b.latency();
                 acc.latency_sum += latency;
                 acc.qos_sum += b.draw.qos;
-                self.latencies.push(latency);
+                self.latency.record(latency);
+                #[cfg(test)]
+                if let Some(raw) = &mut self.raw_latencies {
+                    raw.push(latency);
+                }
             }
         }
 
@@ -1989,7 +2009,12 @@ impl<'a> FleetSim<'a> {
             tenant_acc[t].report.arrivals += 1;
             arrivals += 1;
         });
-        let (mean_latency_s, p99_latency_s) = latency_summary(&mut self.latencies);
+        let (mean_latency_s, p99_latency_s) = (self.latency.mean(), self.latency.p99());
+        #[cfg(test)]
+        let (mean_latency_s, p99_latency_s) = match &mut self.raw_latencies {
+            Some(raw) => crate::obs::sorted_summary(raw),
+            None => (mean_latency_s, p99_latency_s),
+        };
 
         let mut tenant_reports: Vec<TenantReport> = self
             .tenant_acc
@@ -2285,6 +2310,79 @@ mod tests {
             seen.iter().all(|&n| n > 100),
             "every verdict is reached: {seen:?}"
         );
+    }
+
+    #[test]
+    fn histogram_summary_matches_the_sorted_latencies() {
+        let horizon_s = 60.0;
+        let tenants = vec![tenant("a", 70.0, 0.02, 31), tenant("b", 50.0, 0.03, 32)];
+        let execs: Vec<MiscalibratedExecutor> = [[97.0, 96.0, 94.0], [97.0, 96.0, 85.0]]
+            .iter()
+            .enumerate()
+            .map(|(t, honest)| MiscalibratedExecutor {
+                honest_qos: honest.to_vec(),
+                jitter: 0.3,
+                seed: 0x0B5 ^ t as u64,
+            })
+            .collect();
+        let refs: Vec<&dyn RequestExecutor> =
+            execs.iter().map(|e| e as &dyn RequestExecutor).collect();
+        let device = idle_device();
+        let chaos = ChaosPlan::campaign(6, horizon_s, 4, 3, 2, 2).with_bitflip_campaign(
+            7,
+            horizon_s,
+            4,
+            4,
+            0.05,
+            SdcParams::default().detect_bit_floor,
+        );
+        for policy in RouterPolicy::ALL {
+            let params = FleetParams {
+                replicas: 4,
+                policy,
+                horizon_s,
+                serve: ServeParams {
+                    deadline_s: 0.3,
+                    queue_cap: 16,
+                    ..ServeParams::default()
+                },
+                chaos: chaos.clone(),
+                ..FleetParams::default()
+            };
+            let mut histogram = run_fleet(&tenants, &refs, &device, &params);
+            let sorted = FleetSim::new(
+                &tenants,
+                &refs,
+                &device,
+                &params,
+                Arrivals::generated(&tenants, horizon_s),
+            )
+            .keeping_raw_latencies()
+            .run()
+            .0;
+            assert!(
+                histogram.served_on_time + histogram.served_late > 5000
+                    && histogram.crashes > 0
+                    && histogram.sdc_detected + histogram.sdc_escaped > 0,
+                "{policy:?}: the run must serve under the chaos paths"
+            );
+            let (mean, p99) = (histogram.mean_latency_s, histogram.p99_latency_s);
+            assert!(
+                (mean - sorted.mean_latency_s).abs() <= 1e-9 * sorted.mean_latency_s,
+                "{policy:?}: mean {mean} against {}",
+                sorted.mean_latency_s
+            );
+            assert!(
+                sorted.p99_latency_s <= p99 && p99 <= sorted.p99_latency_s * (1.0 + 1.0 / 1024.0),
+                "{policy:?}: p99 {p99} against {}",
+                sorted.p99_latency_s
+            );
+            // A bucket edge is almost never a sample: the reference is the sort.
+            assert_ne!(p99, sorted.p99_latency_s, "{policy:?}");
+            histogram.mean_latency_s = sorted.mean_latency_s;
+            histogram.p99_latency_s = sorted.p99_latency_s;
+            assert_eq!(histogram.to_json(), sorted.to_json(), "{policy:?}");
+        }
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub mod fleet;
 pub mod guard;
 pub mod install;
 pub mod knobs;
+mod obs;
 pub mod pareto;
 pub mod perf;
 pub mod predict;

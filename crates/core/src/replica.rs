@@ -3,10 +3,9 @@
 //! 1-replica × 1-tenant projection) and of the closed loop
 //! ([`crate::closed_loop`]), each implemented exactly once — the circuit
 //! breaker state machine, the run-time [`Controller`], the capped event
-//! ring, the latency summary, the guard's floor pre-mask and canary
-//! conviction, the service draw (device state → watchdog → executor →
-//! shadow canary), the completion classifier and the queued / in-flight
-//! request pair.
+//! ring, the guard's floor pre-mask and canary conviction, the service
+//! draw (device state → watchdog → executor → shadow canary), the
+//! completion classifier and the queued / in-flight request pair.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -141,7 +140,7 @@ impl Breaker {
 }
 
 // ---------------------------------------------------------------------------
-// Event ring and latency summary
+// Event ring
 // ---------------------------------------------------------------------------
 
 /// A capped event log: keeps the most recent `limit` events and counts what
@@ -163,12 +162,27 @@ impl<E> EventRing<E> {
         }
     }
 
-    pub(crate) fn push(&mut self, event: E) {
-        self.events.push_back(event);
-        while self.events.len() > self.limit {
-            self.events.pop_front();
-            self.evicted += 1;
+    /// A ring that holds its whole capacity from the start, so that it
+    /// never reallocates.
+    pub(crate) fn preallocated(limit: usize) -> EventRing<E> {
+        EventRing {
+            events: VecDeque::with_capacity(limit),
+            limit,
+            evicted: 0,
         }
+    }
+
+    /// Appends `event`, evicting the oldest first when the ring is full, so
+    /// the buffer never holds more than `limit` events.
+    pub(crate) fn push(&mut self, event: E) {
+        if self.events.len() == self.limit {
+            self.evicted += 1;
+            if self.events.pop_front().is_none() {
+                // A ring of limit 0 keeps nothing.
+                return;
+            }
+        }
+        self.events.push_back(event);
     }
 
     /// The retained events, oldest first, and the eviction count.
@@ -183,19 +197,6 @@ pub(crate) fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Sorts `latencies` and returns `(mean, p99)`, the p99 being the sample at
-/// index `ceil(0.99·n) − 1`; `(0, 0)` when empty. A full sort on purpose:
-/// the mean is summed in ascending order and pinned bit for bit, which a
-/// selection or a histogram would not reproduce. Keys that compare equal
-/// under `total_cmp` are bit-equal, so the unstable sort yields the same
-/// sequence as a stable one.
-pub(crate) fn latency_summary(latencies: &mut [f64]) -> (f64, f64) {
-    latencies.sort_unstable_by(f64::total_cmp);
-    let n = latencies.len();
-    let idx = ((n as f64 * 0.99).ceil() as usize).saturating_sub(1);
-    (mean(latencies), latencies.get(idx).copied().unwrap_or(0.0))
 }
 
 // ---------------------------------------------------------------------------
@@ -689,17 +690,6 @@ mod tests {
             ring.push(e);
         }
         assert_eq!(ring.into_parts(), (vec![5, 6, 7], 5));
-    }
-
-    #[test]
-    fn latency_summary_picks_the_ceil_099n_minus_one_sample() {
-        assert_eq!(latency_summary(&mut []), (0.0, 0.0));
-        assert_eq!(latency_summary(&mut [0.25]), (0.25, 0.25));
-        // Unsorted input; sample i has value i, so the p99 value is its index.
-        let mut hundred: Vec<f64> = (0..100).rev().map(f64::from).collect();
-        assert_eq!(latency_summary(&mut hundred), (49.5, 98.0));
-        let mut hundred_one: Vec<f64> = (0..101).rev().map(f64::from).collect();
-        assert_eq!(latency_summary(&mut hundred_one), (50.0, 99.0));
     }
 
     fn ladder(dead_band: f64) -> Controller {
