@@ -14,7 +14,7 @@ use at_core::config::{single_op_configs, Config};
 use at_core::install::EdgeDevice;
 use at_core::knobs::{KnobId, KnobSet};
 use at_core::perf::PerfModel;
-use at_core::search::{Autotuner, SearchSpace};
+use at_core::search::{Autotuner, Proposal, SearchSpace};
 use at_imgproc::combined::CombinedApp;
 use at_models::data::build_dataset;
 use at_models::ModelScale;
@@ -104,15 +104,15 @@ pub(crate) fn run(sizing: &Sizing) -> Artifact {
                     fp16_cfg.set_knob(node, KnobId(1));
                 }
             }
-            let mut pending: Vec<Config> = vec![base_cfg.clone(), fp16_cfg];
+            let mut pending = vec![Proposal::seed(base_cfg.clone()), Proposal::seed(fp16_cfg)];
             loop {
-                let config = if let Some(c) = pending.pop() {
-                    c
-                } else if tuner.continue_tuning() {
-                    tuner.next_config().config
-                } else {
+                if pending.is_empty() && tuner.continue_tuning() {
+                    pending = tuner.propose_batch(1);
+                }
+                let Some(proposal) = pending.pop() else {
                     break;
                 };
+                let config = &proposal.config;
                 let mut pa = acc_base;
                 let mut pm = 0.0f64;
                 for (node, &k) in config.knobs().iter().enumerate() {
@@ -127,14 +127,14 @@ pub(crate) fn run(sizing: &Sizing) -> Artifact {
                 let ppsnr = if pm <= 0.0 { 150.0 } else { -10.0 * pm.log10() };
                 let margin = CombinedApp::margin(pa, ppsnr, acc_min, psnr_min);
                 let fitness = if margin >= 0.0 {
-                    speedup(&config)
+                    speedup(config)
                 } else {
                     margin
                 };
                 if margin >= 0.0 {
                     candidates.push(config.clone());
                 }
-                tuner.report(&config, fitness);
+                tuner.report_proposal(&proposal, fitness);
             }
             // Validate the most promising candidates for real.
             candidates.sort_by(|a, b| speedup(b).total_cmp(&speedup(a)));

@@ -1,8 +1,8 @@
 //! Versioned checkpoints for long tuning campaigns.
 //!
 //! Development-time tuning runs for hours (§4); a crash near the end of a
-//! campaign must not throw the whole run away. Every N rounds the batch
-//! driver (`crate::evaluate::run_batched_search`) serialises a
+//! campaign must not throw the whole run away. Every N rounds the search
+//! driver (`crate::evaluate::search`) serialises a
 //! [`SearchCheckpoint`] capturing *all* advancing state — bandit and RNG
 //! state ([`TunerState`]), the evaluation cache, the collected candidates
 //! and telemetry, and the supervision bookkeeping (quarantine, per-config

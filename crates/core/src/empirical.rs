@@ -7,13 +7,13 @@
 //! predictive tuner; only the QoS estimate differs: every iteration runs
 //! the program on the calibration inputs.
 
-use crate::evaluate::{EmpiricalEvaluator, EvalCache};
+use crate::evaluate::{search, select, EmpiricalEvaluator};
 use crate::knobs::KnobRegistry;
-use crate::pareto::{cap_points, eps_for_budget, pareto_set_eps, TradeoffCurve};
+use crate::pareto::TradeoffCurve;
 use crate::perf::PerfModel;
 use crate::qos::{QosMetric, QosReference};
-use crate::search::{Autotuner, SearchSpace};
-use crate::tuner::{TunerParams, TuningResult};
+use crate::search::SearchSpace;
+use crate::tuner::{seed_configs, TunerParams, TuningResult};
 use at_ir::Graph;
 use at_tensor::{Shape, Tensor, TensorError};
 
@@ -43,12 +43,6 @@ impl<'a> EmpiricalTuner<'a> {
         let started = std::time::Instant::now();
         let perf = PerfModel::new(self.graph, self.registry, self.input_shape)?;
         let space = SearchSpace::new(self.registry.node_knobs(self.graph, params.knob_set));
-        let mut tuner = Autotuner::new(
-            space,
-            params.max_iters,
-            params.convergence_window,
-            params.seed,
-        );
         // Empirical: run the program for the QoS of every distinct
         // configuration. This is where batched evaluation pays — the
         // per-candidate program runs of one round execute concurrently, and
@@ -62,34 +56,19 @@ impl<'a> EmpiricalTuner<'a> {
             perf: &perf,
             promise_seed: self.promise_seed,
         };
-        let mut cache = EvalCache::new();
         // Same feasible anchors as the predictive tuner (baseline, all-FP16).
-        let seeds = crate::tuner::seed_configs(self.graph, self.registry);
-        let outcome =
-            crate::tuner::run_supervised(&mut tuner, &evaluator, &mut cache, &seeds, params)?;
-        let candidates = outcome.candidates;
+        let outcome = search(
+            space,
+            &evaluator,
+            &seed_configs(self.graph, self.registry),
+            params,
+        )?;
         let search_time_s = started.elapsed().as_secs_f64();
 
         // QoS already measured — only curve selection remains.
-        let eps = eps_for_budget(&candidates, params.max_shipped);
-        let mut kept = pareto_set_eps(&candidates, eps);
-        kept.sort_by(|a, b| a.perf.total_cmp(&b.perf));
-        kept.dedup_by(|a, b| a.config == b.config);
-        let kept = cap_points(kept, params.max_shipped);
+        let kept = select(&outcome.candidates, params.max_shipped);
         let curve = TradeoffCurve::from_points_eps(kept, f64::INFINITY);
-
-        Ok(TuningResult {
-            curve,
-            search_time_s,
-            validation_time_s: 0.0,
-            iterations: tuner.iterations(),
-            candidates: tuner.iterations(),
-            alpha: 1.0,
-            cache: cache.stats(),
-            telemetry: outcome.telemetry,
-            faults: outcome.faults,
-            halted: outcome.halted,
-        })
+        Ok(outcome.into_result(curve, search_time_s, 0.0, 1.0))
     }
 }
 

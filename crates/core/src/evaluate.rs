@@ -1,14 +1,16 @@
-//! Shared candidate evaluation for the tuning loops: the `Evaluator`
+//! Step 3 of Algorithm 1 and the selection after it: the `Evaluator`
 //! abstraction over predictive and measured (QoS, perf) scoring, a
-//! config-keyed memoisation cache, and the batch-synchronous parallel
-//! search driver used by both the predictive ([`crate::tuner`]) and
-//! empirical ([`crate::empirical`]) tuners.
+//! config-keyed memoisation cache, `search` — the one batch-synchronous
+//! search driver of both the predictive ([`crate::tuner`]) and empirical
+//! ([`crate::empirical`]) tuners — and `select`, the ε-Pareto cut both
+//! apply to what the search found.
 //!
 //! # Batch-synchronous search
 //!
-//! Each round the AUC-bandit ensemble proposes a *batch* of candidates
-//! (`crate::search::Autotuner::propose_batch`); the batch is scored by an
-//! `Evaluator` — concurrently for configurations not already in the
+//! Round 0 reports the seed anchors; every later round the AUC-bandit
+//! ensemble proposes a *batch* of candidates
+//! ([`crate::search::Autotuner::propose_batch`]). Each round is scored by
+//! an `Evaluator` — concurrently for configurations not already in the
 //! `EvalCache` — and the (fitness, config) results are reported back to
 //! the bandit **in proposal order**. All bandit and RNG state advances only
 //! on the sequential propose/report path, and every evaluator is a pure
@@ -21,16 +23,18 @@
 //! than per iteration (so a run can overshoot the window by at most one
 //! batch).
 
-use crate::checkpoint::{CheckpointPolicy, SearchCheckpoint, CHECKPOINT_VERSION};
+use crate::checkpoint::{SearchCheckpoint, CHECKPOINT_VERSION};
 use crate::config::Config;
+use crate::fault::FaultyEvaluator;
 use crate::knobs::KnobRegistry;
-use crate::pareto::TradeoffPoint;
+use crate::pareto::{cap_points, eps_for_budget, pareto_set_eps, TradeoffCurve, TradeoffPoint};
 use crate::perf::PerfModel;
 use crate::predict::Predictor;
 use crate::profile::measure_config;
 use crate::qos::{QosMetric, QosReference};
-use crate::search::Autotuner;
+use crate::search::{Autotuner, Proposal, SearchSpace};
 use crate::supervise::{EvalError, FaultStats, SupervisedEvaluator};
+use crate::tuner::{TunerParams, TuningResult};
 use at_ir::Graph;
 use at_tensor::{Tensor, TensorError};
 use rayon::ParallelSlice;
@@ -48,32 +52,17 @@ pub struct Evaluation {
 
 /// Anything that can score a configuration with a (QoS, perf) pair.
 ///
-/// Implementations must be pure — the same configuration always yields the
-/// same evaluation — because results are memoised by the [`EvalCache`] and
+/// `attempt` counts the supervisor's retries of one configuration
+/// ([`crate::supervise`]). Real evaluators are pure per configuration —
+/// the same configuration always yields the same evaluation — and ignore
+/// it; the fault injector ([`crate::fault`]) draws from it, so an injected
+/// transient fault can clear on retry while staying a pure function of
+/// `(config, attempt)`. Results are memoised by the [`EvalCache`] and
 /// unseen configurations are evaluated concurrently (hence the `Sync`
 /// bound).
 pub(crate) trait Evaluator: Sync {
-    /// Scores one configuration.
-    fn evaluate(&self, config: &Config) -> Result<Evaluation, TensorError>;
-}
-
-/// An evaluator that may answer differently per *attempt* — the seam the
-/// fault-injection layer ([`crate::fault`]) and the supervision layer
-/// ([`crate::supervise`]) meet at. Retrying a failed evaluation passes a
-/// fresh attempt index, so an injected transient fault can clear on retry
-/// while staying a pure function of `(config, attempt)`.
-///
-/// Every plain [`Evaluator`] is an `AttemptEvaluator` that ignores the
-/// attempt index (real evaluators are pure per config).
-pub(crate) trait AttemptEvaluator: Sync {
     /// Scores one configuration on the given attempt.
-    fn evaluate_attempt(&self, config: &Config, attempt: u32) -> Result<Evaluation, TensorError>;
-}
-
-impl<E: Evaluator> AttemptEvaluator for E {
-    fn evaluate_attempt(&self, config: &Config, _attempt: u32) -> Result<Evaluation, TensorError> {
-        self.evaluate(config)
-    }
+    fn evaluate(&self, config: &Config, attempt: u32) -> Result<Evaluation, TensorError>;
 }
 
 /// The predictive path of Algorithm 1: QoS from the Π1/Π2 error-composition
@@ -90,7 +79,7 @@ pub(crate) struct PredictiveEvaluator<'a> {
 }
 
 impl Evaluator for PredictiveEvaluator<'_> {
-    fn evaluate(&self, config: &Config) -> Result<Evaluation, TensorError> {
+    fn evaluate(&self, config: &Config, _attempt: u32) -> Result<Evaluation, TensorError> {
         Ok(Evaluation {
             qos: self.predictor.predict(config, self.reference),
             perf: self.perf.predicted_speedup(config),
@@ -119,7 +108,7 @@ pub(crate) struct EmpiricalEvaluator<'a> {
 }
 
 impl Evaluator for EmpiricalEvaluator<'_> {
-    fn evaluate(&self, config: &Config) -> Result<Evaluation, TensorError> {
+    fn evaluate(&self, config: &Config, _attempt: u32) -> Result<Evaluation, TensorError> {
         let qos = measure_config(
             self.graph,
             self.registry,
@@ -197,9 +186,9 @@ impl EvalCache {
     /// successful (finite) evaluations enter the cache; failures are
     /// reported as typed [`EvalError`]s, and in-batch duplicates of a
     /// failed config share its error.
-    pub(crate) fn evaluate_batch_supervised<E: AttemptEvaluator>(
+    pub(crate) fn evaluate_batch_supervised(
         &mut self,
-        supervisor: &SupervisedEvaluator<'_, E>,
+        supervisor: &SupervisedEvaluator<'_>,
         configs: &[Config],
     ) -> Vec<Result<Evaluation, EvalError>> {
         let mut fresh: Vec<Config> = Vec::new();
@@ -268,7 +257,7 @@ pub struct CacheSnapshot {
     pub stats: CacheStats,
 }
 
-/// One round of per-batch telemetry from `run_batched_search`.
+/// One round of per-batch telemetry from `search`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BatchTelemetry {
     /// Round index (0 = the seed-anchor round).
@@ -285,7 +274,7 @@ pub struct BatchTelemetry {
     pub best_fitness: f64,
 }
 
-/// Everything the batched search loop produced.
+/// Everything the search produced.
 pub(crate) struct SearchOutcome {
     /// Constraint-satisfying candidates, in report order.
     pub candidates: Vec<TradeoffPoint>,
@@ -296,6 +285,35 @@ pub(crate) struct SearchOutcome {
     /// `true` if the loop stopped early at `halt_after_rounds` (a
     /// simulated crash) rather than by convergence or budget.
     pub halted: bool,
+    /// Configurations reported to the bandit, seeds included.
+    pub iterations: usize,
+    /// The evaluation cache's counters.
+    pub cache: CacheStats,
+}
+
+impl SearchOutcome {
+    /// Packages the outcome with the curve a tuner built from it.
+    pub(crate) fn into_result(
+        self,
+        curve: TradeoffCurve,
+        search_time_s: f64,
+        validation_time_s: f64,
+        alpha: f64,
+    ) -> TuningResult {
+        TuningResult {
+            curve,
+            search_time_s,
+            validation_time_s,
+            iterations: self.iterations,
+            // §7.3 "configurations generated": every iteration proposes one.
+            candidates: self.iterations,
+            alpha,
+            cache: self.cache,
+            telemetry: self.telemetry,
+            faults: self.faults,
+            halted: self.halted,
+        }
+    }
 }
 
 /// The fitness reported to the bandit for a candidate that failed
@@ -304,61 +322,67 @@ pub(crate) struct SearchOutcome {
 /// finite so telemetry and checkpoints serialise exactly.
 pub(crate) const FAILED_FITNESS: f64 = -1.0e9;
 
-/// Knobs of [`run_batched_search`] beyond the evaluator itself.
-#[derive(Clone, Debug)]
-pub(crate) struct SearchOptions {
-    /// The QoS constraint driving the fitness shape.
-    pub qos_min: f64,
-    /// Proposals per round (≥ 1).
-    pub batch_size: usize,
-    /// Write a checkpoint every N rounds, if set.
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// Stop (with `halted = true`) once this many total rounds have run —
-    /// the hook the crash/resume tests use to kill a run mid-campaign.
-    pub halt_after_rounds: Option<usize>,
-}
-
-/// Runs the supervised batch-synchronous search loop shared by the
-/// predictive and empirical tuners (step 3 of Algorithm 1).
+/// Step 3 of Algorithm 1, the search loop of both tuners.
 ///
-/// `seeds` are evaluated first (through the same cache path) and reported
-/// without technique attribution, exactly like the sequential loop's
-/// anchors. Then, while [`Autotuner::continue_tuning`], the bandit proposes
-/// up to `batch_size` candidates, the supervised cache path scores them,
-/// and the fitness `perf if qos ≥ qos_min else qos − qos_min` is reported
-/// back in proposal order. Candidates with `qos > qos_min` are collected as
-/// tradeoff points.
+/// `seeds` are round 0: scored through the same cache path as every
+/// proposal batch and reported without technique attribution. Then, while
+/// [`Autotuner::continue_tuning`], the bandit proposes up to
+/// `params.batch_size` candidates per round, the supervised cache path
+/// scores them, and the fitness `perf if qos ≥ qos_min else qos − qos_min`
+/// is reported back in proposal order. Candidates with `qos > qos_min` are
+/// collected as tradeoff points.
 ///
-/// Every candidate runs under the supervisor's isolation/retry/quarantine
-/// envelope: a candidate that fails for good is *skipped* — it is reported
-/// to the bandit as [`FAILED_FITNESS`] (so bandit and RNG state advance
-/// identically on every replay) but never enters the cache or the
-/// candidate set, and the round continues.
-///
-/// When `resume` is given, tuner/cache/supervision state is restored from
-/// the checkpoint and the loop continues from the following round; a
-/// resumed run is bit-identical to one that never stopped. When
-/// `opts.checkpoint` is set, a [`SearchCheckpoint`] is written every N
-/// completed rounds (checkpoint I/O failures are logged and ignored — an
-/// unwritable disk must not kill a tuning campaign).
-pub(crate) fn run_batched_search<E: AttemptEvaluator>(
-    tuner: &mut Autotuner,
-    supervisor: &SupervisedEvaluator<'_, E>,
-    cache: &mut EvalCache,
+/// `params.robustness` wires in everything else. The optional fault plan
+/// wraps the evaluator, and every candidate runs under the supervision
+/// policy's isolation/retry/quarantine envelope: a candidate that fails for
+/// good is *skipped* — it is reported to the bandit as [`FAILED_FITNESS`]
+/// (so bandit and RNG state advance identically on every replay) but never
+/// enters the cache or the candidate set, and the round continues. A
+/// checkpoint policy writes a [`SearchCheckpoint`] every N completed rounds
+/// (I/O failures are logged and ignored — an unwritable disk must not kill
+/// a tuning campaign), and `halt_after_rounds` stops the loop there with
+/// `halted = true`. `resume_from` is checked against the run's parameters
+/// and restores tuner, cache and supervision state, and the loop continues
+/// from the following round; a resumed run is bit-identical to one that
+/// never stopped.
+pub(crate) fn search(
+    space: SearchSpace,
+    evaluator: &dyn Evaluator,
     seeds: &[Config],
-    opts: &SearchOptions,
-    resume: Option<&SearchCheckpoint>,
-) -> SearchOutcome {
-    let qos_min = opts.qos_min;
-    let batch_size = opts.batch_size.max(1);
+    params: &TunerParams,
+) -> Result<SearchOutcome, TensorError> {
+    let qos_min = params.qos_min;
+    let batch_size = params.batch_size.max(1);
+    let robustness = &params.robustness;
+    let resume = robustness.resume_from.as_ref();
+    if let Some(cp) = resume {
+        cp.validate_run(qos_min, batch_size)
+            .map_err(|e| TensorError::Transient {
+                detail: e.to_string(),
+            })?;
+    }
+    let faulty;
+    let evaluator: &dyn Evaluator = match &robustness.fault_plan {
+        Some(plan) => {
+            faulty = FaultyEvaluator::new(evaluator, plan.clone());
+            &faulty
+        }
+        None => evaluator,
+    };
+    let supervisor = SupervisedEvaluator::new(evaluator, robustness.supervision);
+    let mut tuner = Autotuner::new(
+        space,
+        params.max_iters,
+        params.convergence_window,
+        params.seed,
+    );
+    let mut cache = EvalCache::new();
     let mut candidates: Vec<TradeoffPoint> = Vec::new();
     // One entry per completed round, so its length is the round count.
     let mut telemetry: Vec<BatchTelemetry> = Vec::new();
-    let mut halted = false;
-
     if let Some(cp) = resume {
         tuner.restore(&cp.tuner);
-        *cache = EvalCache::from_snapshot(&cp.cache);
+        cache = EvalCache::from_snapshot(&cp.cache);
         supervisor.restore(&cp.supervision);
         candidates = cp.candidates.clone();
         telemetry = cp.telemetry.clone();
@@ -368,7 +392,7 @@ pub(crate) fn run_batched_search<E: AttemptEvaluator>(
                            cache: &EvalCache,
                            candidates: &[TradeoffPoint],
                            telemetry: &[BatchTelemetry]| {
-        if let Some(policy) = &opts.checkpoint {
+        if let Some(policy) = &robustness.checkpoint {
             let cp = SearchCheckpoint {
                 version: CHECKPOINT_VERSION,
                 qos_min,
@@ -391,40 +415,36 @@ pub(crate) fn run_batched_search<E: AttemptEvaluator>(
         }
     };
 
-    if telemetry.is_empty() && !seeds.is_empty() {
-        let before = cache.stats();
-        let results = cache.evaluate_batch_supervised(supervisor, seeds);
-        let mut failed = 0usize;
-        for (config, result) in seeds.iter().zip(&results) {
-            let fitness = supervised_fitness(config, result, qos_min, &mut candidates, &mut failed);
-            tuner.report(config, fitness);
-        }
-        supervisor.note_skipped(failed as u64);
-        telemetry.push(round_entry(
-            0,
-            seeds.len(),
-            failed,
-            before,
-            cache.stats(),
-            tuner,
-        ));
-        if checkpoint_due(&opts.checkpoint, telemetry.len()) {
-            save_checkpoint(tuner, cache, &candidates, &telemetry);
-        }
-    }
-
-    while tuner.continue_tuning() {
-        if opts.halt_after_rounds.is_some_and(|h| telemetry.len() >= h) {
-            halted = true;
-            break;
-        }
-        let proposals = tuner.propose_batch(batch_size);
+    let mut halted = false;
+    let mut proposals: Vec<Proposal> = if telemetry.is_empty() {
+        seeds.iter().cloned().map(Proposal::seed).collect()
+    } else {
+        Vec::new()
+    };
+    loop {
         if proposals.is_empty() {
-            break;
+            if !tuner.continue_tuning() {
+                break;
+            }
+            if robustness
+                .halt_after_rounds
+                .is_some_and(|h| telemetry.len() >= h)
+            {
+                // A simulated crash still leaves a checkpoint at the exact
+                // halt round so resume tests have a well-defined restart
+                // point.
+                halted = true;
+                save_checkpoint(&tuner, &cache, &candidates, &telemetry);
+                break;
+            }
+            proposals = tuner.propose_batch(batch_size);
+            if proposals.is_empty() {
+                break;
+            }
         }
         let configs: Vec<Config> = proposals.iter().map(|p| p.config.clone()).collect();
         let before = cache.stats();
-        let results = cache.evaluate_batch_supervised(supervisor, &configs);
+        let results = cache.evaluate_batch_supervised(&supervisor, &configs);
         let mut failed = 0usize;
         for (proposal, result) in proposals.iter().zip(&results) {
             let fitness = supervised_fitness(
@@ -443,31 +463,37 @@ pub(crate) fn run_batched_search<E: AttemptEvaluator>(
             failed,
             before,
             cache.stats(),
-            tuner,
+            &tuner,
         ));
-        if checkpoint_due(&opts.checkpoint, telemetry.len()) {
-            save_checkpoint(tuner, cache, &candidates, &telemetry);
+        if robustness
+            .checkpoint
+            .as_ref()
+            .is_some_and(|p| telemetry.len().is_multiple_of(p.every_rounds.max(1)))
+        {
+            save_checkpoint(&tuner, &cache, &candidates, &telemetry);
         }
+        proposals.clear();
     }
 
-    if halted {
-        // A simulated crash still leaves a checkpoint at the exact halt
-        // round so resume tests have a well-defined restart point.
-        save_checkpoint(tuner, cache, &candidates, &telemetry);
-    }
-
-    SearchOutcome {
+    Ok(SearchOutcome {
         candidates,
         telemetry,
         faults: supervisor.stats(),
         halted,
-    }
+        iterations: tuner.iterations(),
+        cache: cache.stats(),
+    })
 }
 
-fn checkpoint_due(policy: &Option<CheckpointPolicy>, rounds: usize) -> bool {
-    policy
-        .as_ref()
-        .is_some_and(|p| rounds.is_multiple_of(p.every_rounds.max(1)))
+/// Step 4 of Algorithm 1: the configurations within ε of the Pareto set of
+/// `candidates`, with ε chosen per benchmark so at most `budget` survive,
+/// each configuration once, capped at `budget`.
+pub(crate) fn select(candidates: &[TradeoffPoint], budget: usize) -> Vec<TradeoffPoint> {
+    let eps = eps_for_budget(candidates, budget);
+    let mut kept = pareto_set_eps(candidates, eps);
+    kept.sort_by(|a, b| a.perf.total_cmp(&b.perf));
+    kept.dedup_by(|a, b| a.config == b.config);
+    cap_points(kept, budget)
 }
 
 /// The shared fitness shape: maximise speedup subject to the QoS
@@ -528,7 +554,6 @@ fn round_entry(
 mod tests {
     use super::*;
     use crate::knobs::KnobId;
-    use crate::search::SearchSpace;
     use crate::supervise::SupervisionPolicy;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -538,7 +563,7 @@ mod tests {
     }
 
     impl Evaluator for CountingEvaluator {
-        fn evaluate(&self, config: &Config) -> Result<Evaluation, TensorError> {
+        fn evaluate(&self, config: &Config, _attempt: u32) -> Result<Evaluation, TensorError> {
             self.calls.fetch_add(1, Ordering::SeqCst);
             // A deterministic, position-weighted landscape so distinct
             // knob vectors score distinctly.
@@ -572,37 +597,47 @@ mod tests {
         ])
     }
 
+    fn search_params(max_iters: usize, batch_size: usize, seed: u64) -> TunerParams {
+        TunerParams {
+            qos_min: 90.0,
+            max_iters,
+            convergence_window: max_iters,
+            batch_size,
+            seed,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn cache_bounds_evaluator_invocations_by_space_size() {
-        let space = tiny_space();
-        let mut tuner = Autotuner::new(space, 300, 300, 11);
         let evaluator = CountingEvaluator {
             calls: AtomicUsize::new(0),
         };
-        let mut cache = EvalCache::new();
-        let sup = SupervisedEvaluator::new(&evaluator, SupervisionPolicy::default());
-        let outcome = run_batched_search(
-            &mut tuner,
-            &sup,
-            &mut cache,
-            &[],
-            &SearchOptions {
-                qos_min: 90.0,
-                batch_size: 16,
-                checkpoint: None,
-                halt_after_rounds: None,
-            },
-            None,
-        );
+        let outcome = search(tiny_space(), &evaluator, &[], &search_params(300, 16, 11)).unwrap();
         let calls = evaluator.calls.load(Ordering::SeqCst);
-        let stats = cache.stats();
+        let stats = outcome.cache;
         assert!(calls <= 9, "evaluator ran {calls} times for ≤ 9 configs");
         assert_eq!(calls, stats.misses, "misses must equal real invocations");
-        assert_eq!(calls, cache.map.len());
         assert!(stats.hits > 0, "300 iterations over 9 configs must hit");
-        assert_eq!(stats.lookups(), tuner.iterations());
+        assert_eq!(stats.lookups(), outcome.iterations);
         assert!(!outcome.telemetry.is_empty());
         assert!(stats.hit_rate() > 0.9, "hit rate {}", stats.hit_rate());
+    }
+
+    #[test]
+    fn seeds_are_round_zero_of_the_same_loop() {
+        let evaluator = CountingEvaluator {
+            calls: AtomicUsize::new(0),
+        };
+        let seed = Config::from_knobs(vec![KnobId(0), KnobId(0)]);
+        let seeds = vec![seed.clone(), seed];
+        let outcome = search(tiny_space(), &evaluator, &seeds, &search_params(20, 4, 3)).unwrap();
+        let round0 = outcome.telemetry[0];
+        assert_eq!((round0.round, round0.proposed), (0, 2));
+        assert_eq!((round0.evaluated, round0.cached), (1, 1));
+        // Seeds count against the iteration budget like any proposal.
+        assert_eq!(outcome.iterations, 20);
+        assert_eq!(outcome.cache.lookups(), 20);
     }
 
     #[test]
@@ -645,7 +680,7 @@ mod tests {
         // because the latency, not the CPU, is the bottleneck.
         struct Sleepy;
         impl Evaluator for Sleepy {
-            fn evaluate(&self, config: &Config) -> Result<Evaluation, TensorError> {
+            fn evaluate(&self, config: &Config, _attempt: u32) -> Result<Evaluation, TensorError> {
                 std::thread::sleep(std::time::Duration::from_millis(10));
                 Ok(Evaluation {
                     qos: f64::from(config.knobs()[0].0),
@@ -680,32 +715,37 @@ mod tests {
     #[test]
     fn batched_search_matches_sequential_iteration_budget() {
         // batch_size 1 must behave like the classic loop: the iteration
-        // count respects max_iterations exactly.
+        // count respects max_iters exactly.
         for batch in [1usize, 7, 16] {
             let evaluator = CountingEvaluator {
                 calls: AtomicUsize::new(0),
             };
-            let mut tuner = Autotuner::new(tiny_space(), 50, 50, 3);
-            let mut cache = EvalCache::new();
-            let sup = SupervisedEvaluator::new(&evaluator, SupervisionPolicy::default());
-            run_batched_search(
-                &mut tuner,
-                &sup,
-                &mut cache,
-                &[],
-                &SearchOptions {
-                    qos_min: 90.0,
-                    batch_size: batch,
-                    checkpoint: None,
-                    halt_after_rounds: None,
-                },
-                None,
-            );
+            let outcome =
+                search(tiny_space(), &evaluator, &[], &search_params(50, batch, 3)).unwrap();
             assert!(
-                tuner.iterations() <= 50,
+                outcome.iterations <= 50,
                 "batch {batch}: iterations {} exceed the budget",
-                tuner.iterations()
+                outcome.iterations
             );
+        }
+    }
+
+    #[test]
+    fn select_dedups_and_honours_the_budget() {
+        let point = |k: u16, qos: f64, perf: f64| TradeoffPoint {
+            qos,
+            perf,
+            config: Config::from_knobs(vec![KnobId(k)]),
+        };
+        let candidates: Vec<TradeoffPoint> = (0..40u16)
+            .map(|k| point(k, 100.0 - f64::from(k), 1.0 + 0.1 * f64::from(k)))
+            .chain((0..40u16).map(|k| point(k, 100.0 - f64::from(k), 1.0 + 0.1 * f64::from(k))))
+            .collect();
+        let kept = select(&candidates, 12);
+        assert!(!kept.is_empty() && kept.len() <= 12, "{} kept", kept.len());
+        for pair in kept.windows(2) {
+            assert!(pair[0].perf <= pair[1].perf, "not sorted by perf");
+            assert_ne!(pair[0].config, pair[1].config, "duplicate config kept");
         }
     }
 }

@@ -17,7 +17,7 @@
 //! crash/resume tests reproducible.
 
 use crate::config::Config;
-use crate::evaluate::{AttemptEvaluator, Evaluation};
+use crate::evaluate::{Evaluation, Evaluator};
 use at_tensor::TensorError;
 use serde::{Deserialize, Serialize};
 
@@ -176,28 +176,27 @@ pub(crate) fn silence_injected_panics() {
 
 /// Wraps any evaluator with the faults of a [`FaultPlan`].
 ///
-/// Implements [`AttemptEvaluator`] (not [`crate::evaluate::Evaluator`])
-/// because the injection decision depends on the attempt index: supervision
+/// The injection decision depends on the attempt index: supervision
 /// retries see fresh draws, so transient faults actually behave
 /// transiently.
-pub(crate) struct FaultyEvaluator<'a, E: AttemptEvaluator> {
-    inner: &'a E,
+pub(crate) struct FaultyEvaluator<'a> {
+    inner: &'a dyn Evaluator,
     plan: FaultPlan,
 }
 
-impl<'a, E: AttemptEvaluator> FaultyEvaluator<'a, E> {
+impl<'a> FaultyEvaluator<'a> {
     /// Wraps `inner` with `plan`. Also installs the injected-panic hook
     /// filter — the injector knows its own panics are noise.
-    pub(crate) fn new(inner: &'a E, plan: FaultPlan) -> FaultyEvaluator<'a, E> {
+    pub(crate) fn new(inner: &'a dyn Evaluator, plan: FaultPlan) -> FaultyEvaluator<'a> {
         silence_injected_panics();
         FaultyEvaluator { inner, plan }
     }
 }
 
-impl<E: AttemptEvaluator> AttemptEvaluator for FaultyEvaluator<'_, E> {
-    fn evaluate_attempt(&self, config: &Config, attempt: u32) -> Result<Evaluation, TensorError> {
+impl Evaluator for FaultyEvaluator<'_> {
+    fn evaluate(&self, config: &Config, attempt: u32) -> Result<Evaluation, TensorError> {
         match self.plan.fault_for(config, attempt) {
-            None => self.inner.evaluate_attempt(config, attempt),
+            None => self.inner.evaluate(config, attempt),
             Some(FaultKind::TransientError) => Err(TensorError::Transient {
                 detail: format!("injected fault (attempt {attempt})"),
             }),
@@ -206,10 +205,10 @@ impl<E: AttemptEvaluator> AttemptEvaluator for FaultyEvaluator<'_, E> {
                 // A straggler, not a failure: the answer arrives late but
                 // correct. Keeps the batch driver's latency overlap honest.
                 std::thread::sleep(std::time::Duration::from_millis(self.plan.stall_ms));
-                self.inner.evaluate_attempt(config, attempt)
+                self.inner.evaluate(config, attempt)
             }
             Some(FaultKind::PoisonQos) => {
-                let mut e = self.inner.evaluate_attempt(config, attempt)?;
+                let mut e = self.inner.evaluate(config, attempt)?;
                 e.qos = if self.draw_bit(config, attempt) {
                     f64::NAN
                 } else {
@@ -218,7 +217,7 @@ impl<E: AttemptEvaluator> AttemptEvaluator for FaultyEvaluator<'_, E> {
                 Ok(e)
             }
             Some(FaultKind::PoisonPerf) => {
-                let mut e = self.inner.evaluate_attempt(config, attempt)?;
+                let mut e = self.inner.evaluate(config, attempt)?;
                 e.perf = if self.draw_bit(config, attempt) {
                     f64::NAN
                 } else {
@@ -230,7 +229,7 @@ impl<E: AttemptEvaluator> AttemptEvaluator for FaultyEvaluator<'_, E> {
     }
 }
 
-impl<E: AttemptEvaluator> FaultyEvaluator<'_, E> {
+impl FaultyEvaluator<'_> {
     fn draw_bit(&self, config: &Config, attempt: u32) -> bool {
         self.plan.draw(config, attempt, 2) < 0.5
     }
@@ -239,12 +238,11 @@ impl<E: AttemptEvaluator> FaultyEvaluator<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::Evaluator;
     use crate::knobs::KnobId;
 
     struct Const;
     impl Evaluator for Const {
-        fn evaluate(&self, _: &Config) -> Result<Evaluation, TensorError> {
+        fn evaluate(&self, _: &Config, _: u32) -> Result<Evaluation, TensorError> {
             Ok(Evaluation {
                 qos: 90.0,
                 perf: 1.5,
@@ -342,7 +340,7 @@ mod tests {
             poison_perf: 0.0,
         });
         assert!(matches!(
-            errors.evaluate_attempt(&cfg(1), 0),
+            errors.evaluate(&cfg(1), 0),
             Err(TensorError::Transient { .. })
         ));
         let poison = mk(FaultMix {
@@ -352,7 +350,7 @@ mod tests {
             poison_qos: 1.0,
             poison_perf: 0.0,
         });
-        let e = poison.evaluate_attempt(&cfg(1), 0).unwrap();
+        let e = poison.evaluate(&cfg(1), 0).unwrap();
         assert!(!e.qos.is_finite());
         assert!(e.perf.is_finite());
         let stall = mk(FaultMix {
@@ -362,7 +360,7 @@ mod tests {
             poison_qos: 0.0,
             poison_perf: 0.0,
         });
-        let e = stall.evaluate_attempt(&cfg(1), 0).unwrap();
+        let e = stall.evaluate(&cfg(1), 0).unwrap();
         assert_eq!(e.qos, 90.0);
     }
 
@@ -383,9 +381,8 @@ mod tests {
                 stall_ms: 0,
             },
         );
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            panics.evaluate_attempt(&cfg(1), 2)
-        }));
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| panics.evaluate(&cfg(1), 2)));
         let payload = caught.expect_err("must panic");
         let injected = payload
             .downcast_ref::<InjectedPanic>()

@@ -8,7 +8,7 @@ use crate::config::Config;
 use crate::knobs::{KnobRegistry, KnobSet};
 use crate::pareto::{TradeoffCurve, TradeoffPoint};
 use crate::perf::PerfModel;
-use crate::profile::{collect_profiles, measure_config, QosProfiles};
+use crate::profile::{collect_profiles, validate, QosProfiles};
 use crate::qos::{QosMetric, QosReference};
 use crate::tuner::{PredictiveTuner, TunerParams};
 use at_hw::{PowerModel, TimingModel};
@@ -47,21 +47,6 @@ pub enum InstallObjective {
     EnergyReduction,
 }
 
-/// Measures a config's install-time performance value on the device.
-pub(crate) fn device_perf(
-    perf: &PerfModel,
-    device: &EdgeDevice,
-    objective: InstallObjective,
-    config: &Config,
-) -> f64 {
-    match objective {
-        InstallObjective::Speedup => perf.device_speedup(config, &device.timing, &device.promise),
-        InstallObjective::EnergyReduction => {
-            perf.device_energy_reduction(config, &device.timing, &device.promise, &device.power)
-        }
-    }
-}
-
 /// Empirical wall-clock time of one program invocation under a
 /// configuration on the host CPU: the median over `reps` runs of the summed
 /// per-node kernel times from [`at_ir::exec::execute_with_trace`]. This is
@@ -93,7 +78,8 @@ pub fn measured_cpu_time_s(
 /// Install-time refinement against the *host CPU itself* as the target
 /// device: each shipped configuration keeps its re-measured QoS, and its
 /// performance axis becomes the measured wall-clock speedup over the
-/// measured FP32 baseline (median of `reps` runs each).
+/// measured FP32 baseline (median of `reps` runs each). The survivors are
+/// timed one at a time, after all QoS measurement has finished.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_measured_cpu(
     graph: &Graph,
@@ -107,36 +93,56 @@ pub fn refine_measured_cpu(
     promise_seed: u64,
 ) -> Result<TradeoffCurve, TensorError> {
     assert!(!inputs.is_empty(), "need at least one calibration input");
-    let base = measured_cpu_time_s(
+    let kept = validate(
         graph,
         registry,
-        &Config::baseline(graph),
-        &inputs[0],
-        reps,
+        shipped.points(),
+        inputs,
+        metric,
+        reference,
+        qos_min,
         promise_seed,
     )?;
-    let mut measured = Vec::new();
-    for p in shipped.points() {
-        let real_qos = measure_config(
-            graph,
-            registry,
-            &p.config,
-            inputs,
-            metric,
-            reference,
-            promise_seed,
-        )?;
-        if real_qos > qos_min {
-            let t =
-                measured_cpu_time_s(graph, registry, &p.config, &inputs[0], reps, promise_seed)?;
-            measured.push(TradeoffPoint {
-                qos: real_qos,
+    let time = |config: &Config| {
+        measured_cpu_time_s(graph, registry, config, &inputs[0], reps, promise_seed)
+    };
+    let base = time(&Config::baseline(graph))?;
+    let measured = kept
+        .into_iter()
+        .map(|p| {
+            let t = time(&p.config)?;
+            Ok(TradeoffPoint {
                 perf: if t > 0.0 { base / t } else { 1.0 },
-                config: p.config.clone(),
-            });
-        }
-    }
+                ..p
+            })
+        })
+        .collect::<Result<Vec<_>, TensorError>>()?;
     Ok(TradeoffCurve::from_points(measured))
+}
+
+/// The strict Pareto curve of `points` with the performance axis replaced
+/// by the device's value of each configuration under `objective`.
+fn device_curve(
+    points: Vec<TradeoffPoint>,
+    perf: &PerfModel,
+    device: &EdgeDevice,
+    objective: InstallObjective,
+) -> TradeoffCurve {
+    let price = |config: &Config| match objective {
+        InstallObjective::Speedup => perf.device_speedup(config, &device.timing, &device.promise),
+        InstallObjective::EnergyReduction => {
+            perf.device_energy_reduction(config, &device.timing, &device.promise, &device.power)
+        }
+    };
+    TradeoffCurve::from_points(
+        points
+            .into_iter()
+            .map(|p| TradeoffPoint {
+                perf: price(&p.config),
+                ..p
+            })
+            .collect(),
+    )
 }
 
 /// Software-only install-time refinement: runs the shipped development-time
@@ -158,35 +164,27 @@ pub fn refine_software_only(
     promise_seed: u64,
 ) -> Result<TradeoffCurve, TensorError> {
     let perf = PerfModel::new(graph, registry, input_shape)?;
-    let mut measured = Vec::new();
-    for p in shipped.points() {
-        let real_qos = measure_config(
-            graph,
-            registry,
-            &p.config,
-            inputs,
-            metric,
-            reference,
-            promise_seed,
-        )?;
-        if real_qos > qos_min {
-            measured.push(TradeoffPoint {
-                qos: real_qos,
-                perf: device_perf(&perf, device, objective, &p.config),
-                config: p.config.clone(),
-            });
-        }
-    }
-    Ok(TradeoffCurve::from_points(measured))
+    let kept = validate(
+        graph,
+        registry,
+        shipped.points(),
+        inputs,
+        metric,
+        reference,
+        qos_min,
+        promise_seed,
+    )?;
+    Ok(device_curve(kept, &perf, device, objective))
 }
 
 /// Result of a distributed install-time tuning round.
 #[derive(Clone, Debug)]
 pub struct InstallResult {
-    /// The final device curve `PS(S*_1 ∪ … ∪ S*_n)`.
+    /// The final device curve: the strict Pareto set of the server's
+    /// validated points, priced on the device.
     pub curve: TradeoffCurve,
-    /// Largest per-device profile-collection time (devices work in
-    /// parallel), seconds.
+    /// Largest per-device profile-collection time, seconds: each device
+    /// works on its own shard, so the slowest one bounds the phase.
     pub device_profile_time_s: f64,
     /// Server-side autotuning time, seconds.
     pub server_tuning_time_s: f64,
@@ -198,14 +196,15 @@ pub struct InstallResult {
 /// knobs):
 ///
 /// 1. each of `n_edge` devices collects QoS profiles on its shard of the
-///    calibration inputs (simulated with scoped threads);
+///    calibration inputs (simulated one device after another, each
+///    collection parallel on the pool);
 /// 2. the server merges the profiles (mean ΔQ, concatenated ΔT) and runs a
 ///    fresh predictive-tuning round over the *combined*
 ///    software + hardware knob space (approximation choices cannot be
-///    decoupled, so the development-time curve is not reused);
-/// 3. validation of the candidate configurations is sharded across the
-///    devices; the server unions the surviving sets and builds the final
-///    Pareto curve with device-measured performance.
+///    decoupled, so the development-time curve is not reused); its step 5
+///    validates every candidate on the full calibration set;
+/// 3. the validated curve is re-priced with device performance on the
+///    install objective, and its strict Pareto set is the device curve.
 #[allow(clippy::too_many_arguments)]
 pub fn distributed_install_tune(
     graph: &Graph,
@@ -228,55 +227,30 @@ pub fn distributed_install_tune(
     };
 
     // Step 1: per-device profile collection over input shards.
-    let shards: Vec<(usize, Vec<Tensor>)> = (0..n_edge)
-        .map(|i| {
-            (
-                i,
-                inputs
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| j % n_edge == i)
-                    .map(|(_, b)| b.clone())
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .filter(|(_, s)| !s.is_empty())
-        .collect();
-    let active_devices = shards.len();
-
     let collect_tensors = params.model == crate::predict::PredictionModel::Pi1;
-    let mut shard_profiles: Vec<Option<QosProfiles>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|(i, shard)| {
-                let reference = reference_for_shard(*i, n_edge);
-                scope.spawn(move || {
-                    collect_profiles(
-                        graph,
-                        registry,
-                        KnobSet::WithHardware,
-                        shard,
-                        metric,
-                        &reference,
-                        collect_tensors,
-                        promise_seed ^ (*i as u64),
-                    )
-                    .ok()
-                })
-            })
-            .collect();
-        for h in handles {
-            shard_profiles.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
-    let merged =
-        QosProfiles::merge(shard_profiles.into_iter().flatten().collect()).ok_or_else(|| {
-            TensorError::ShapeMismatch {
-                op: "install::merge",
-                detail: "no device produced profiles".into(),
-            }
-        })?;
+    // Device `i` holds batches i, i + n_edge, …; devices past the last
+    // batch hold none and sit out.
+    let active_devices = n_edge.min(inputs.len());
+    let shard_profiles = (0..active_devices)
+        .filter_map(|i| {
+            let shard: Vec<Tensor> = inputs.iter().skip(i).step_by(n_edge).cloned().collect();
+            collect_profiles(
+                graph,
+                registry,
+                KnobSet::WithHardware,
+                &shard,
+                metric,
+                &reference_for_shard(i, n_edge),
+                collect_tensors,
+                promise_seed ^ (i as u64),
+            )
+            .ok()
+        })
+        .collect();
+    let merged = QosProfiles::merge(shard_profiles).ok_or_else(|| TensorError::ShapeMismatch {
+        op: "install::merge",
+        detail: "no device produced profiles".into(),
+    })?;
     let device_profile_time_s = merged.collection_time_s;
 
     // Step 2: fresh server-side predictive tuning over software + hardware
@@ -294,54 +268,12 @@ pub fn distributed_install_tune(
     let result = tuner.tune(&merged, &params)?;
     let server_tuning_time_s = server_started.elapsed().as_secs_f64();
 
-    // Step 3: validation sharded across devices (each device validates an
-    // equal fraction of the configurations on the full calibration set),
-    // with device-measured performance on the install objective.
+    // Step 3: the server's step 5 already measured every point's QoS on
+    // these inputs with this reference and seed; only the performance axis
+    // changes.
     let perf = PerfModel::new(graph, registry, input_shape)?;
-    let candidate_points: Vec<&TradeoffPoint> = result.curve.points().iter().collect();
-    let mut validated: Vec<TradeoffPoint> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_edge.min(candidate_points.len().max(1)))
-            .map(|i| {
-                let mine: Vec<&TradeoffPoint> = candidate_points
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| j % n_edge == i)
-                    .map(|(_, p)| *p)
-                    .collect();
-                let perf = &perf;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for p in mine {
-                        if let Ok(q) = measure_config(
-                            graph,
-                            registry,
-                            &p.config,
-                            inputs,
-                            metric,
-                            reference_full,
-                            promise_seed,
-                        ) {
-                            if q > params.qos_min {
-                                out.push(TradeoffPoint {
-                                    qos: q,
-                                    perf: device_perf(perf, device, objective, &p.config),
-                                    config: p.config.clone(),
-                                });
-                            }
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            validated.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
-
     Ok(InstallResult {
-        curve: TradeoffCurve::from_points(validated),
+        curve: device_curve(result.curve.points().to_vec(), &perf, device, objective),
         device_profile_time_s,
         server_tuning_time_s,
         active_devices,

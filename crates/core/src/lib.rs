@@ -42,12 +42,15 @@
 //! [`empirical`] the conventional measurement-based tuner used as the
 //! paper's comparison baseline.
 //!
-//! Both tuners drive the search through [`evaluate`]: a batch-synchronous
-//! loop in which the bandit ensemble proposes a batch of candidates per
-//! round, an `evaluate::Evaluator` scores unseen ones concurrently
-//! through a config-keyed memoisation cache, and fitness is reported back
-//! in proposal order — so seeded runs are deterministic regardless of
-//! thread count.
+//! Both tuners drive the search through one function, `evaluate::search`:
+//! a batch-synchronous loop whose round 0 is the seed anchors and whose
+//! later rounds are batches the bandit ensemble proposes; an
+//! `evaluate::Evaluator` scores unseen candidates concurrently through a
+//! config-keyed memoisation cache, and fitness is reported back in
+//! proposal order — so seeded runs are deterministic regardless of thread
+//! count. `evaluate::select` makes the ε-Pareto cut after it, and
+//! `profile::validate` is the one pass that measures the QoS of tuned
+//! points, for Algorithm 1's step 5 and for install-time refinement alike.
 //!
 //! Long campaigns are fault-tolerant: every candidate runs under a
 //! `supervise::SupervisedEvaluator` (panic isolation, immediate retry,

@@ -1,5 +1,5 @@
-//! Profile collection (Algorithm 1, lines 12–15) and configuration
-//! execution helpers.
+//! Profile collection (Algorithm 1, lines 12–15), configuration execution
+//! helpers, and QoS validation of tuned points (step 5 and install time).
 //!
 //! "QoS profiles are gathered for each unique pair of tensor operation and
 //! approximation knob. … The profiles are collected by running the entire
@@ -15,6 +15,7 @@
 
 use crate::config::{single_op_configs, Config};
 use crate::knobs::{KnobId, KnobRegistry, KnobSet};
+use crate::pareto::TradeoffPoint;
 use crate::qos::{measure, QosMetric, QosReference};
 use at_ir::{execute, execute_all, execute_suffix, ExecOptions, Graph, NodeId};
 use at_tensor::{Tensor, TensorError};
@@ -52,6 +53,57 @@ pub fn measure_config(
 ) -> Result<f64, TensorError> {
     let outs = run_config(graph, registry, config, inputs, promise_seed)?;
     Ok(measure(metric, &outs, reference))
+}
+
+/// Step 5 of Algorithm 1, and the QoS half of install-time refinement:
+/// measures the real QoS of every point's configuration, concurrently on
+/// the pool, and keeps, in input order, the points whose QoS is finite and
+/// above `qos_min`, with the measured QoS and the point's own `perf`. The
+/// first error in input order is returned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn validate(
+    graph: &Graph,
+    registry: &KnobRegistry,
+    points: &[TradeoffPoint],
+    inputs: &[Tensor],
+    metric: QosMetric,
+    reference: &QosReference,
+    qos_min: f64,
+    promise_seed: u64,
+) -> Result<Vec<TradeoffPoint>, TensorError> {
+    keep_valid(points, qos_min, |config| {
+        measure_config(
+            graph,
+            registry,
+            config,
+            inputs,
+            metric,
+            reference,
+            promise_seed,
+        )
+    })
+}
+
+/// [`validate`] over any QoS measurement.
+fn keep_valid(
+    points: &[TradeoffPoint],
+    qos_min: f64,
+    measure: impl Fn(&Config) -> Result<f64, TensorError> + Sync,
+) -> Result<Vec<TradeoffPoint>, TensorError> {
+    let measured: Vec<Result<f64, TensorError>> =
+        points.par_iter().map(|p| measure(&p.config)).collect();
+    let mut kept = Vec::new();
+    for (p, qos) in points.iter().zip(measured) {
+        let qos = qos?;
+        if qos.is_finite() && qos > qos_min {
+            kept.push(TradeoffPoint {
+                qos,
+                perf: p.perf,
+                config: p.config.clone(),
+            });
+        }
+    }
+    Ok(kept)
 }
 
 /// The per-(op, knob) QoS profiles of Algorithm 1 (the `Q` and `T` tables).
@@ -216,7 +268,7 @@ pub fn collect_profiles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use at_ir::GraphBuilder;
+    use at_ir::{GraphBuilder, OpClass};
     use at_tensor::Shape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -310,6 +362,120 @@ mod tests {
         assert!(
             (p.delta_q(node, knob) - (q - p.qos_base)).abs() < 1e-9,
             "suffix ΔQ mismatch"
+        );
+    }
+
+    #[test]
+    fn validate_keeps_order_floor_and_perf() {
+        let (g, inputs, reference) = setup();
+        let r = KnobRegistry::new();
+        let measured = |c: &Config| {
+            measure_config(&g, &r, c, &inputs, QosMetric::Accuracy, &reference, 0).unwrap()
+        };
+        // Every knob of the conv, each tagged with its position as its perf.
+        let conv = g
+            .nodes()
+            .iter()
+            .position(|n| n.op.class() == OpClass::Conv)
+            .unwrap();
+        let points: Vec<TradeoffPoint> = r
+            .table(OpClass::Conv)
+            .iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let mut config = Config::baseline(&g);
+                config.set_knob(conv, k.id);
+                TradeoffPoint {
+                    qos: f64::NAN,
+                    perf: i as f64,
+                    config,
+                }
+            })
+            .collect();
+        let qos: Vec<f64> = points.iter().map(|p| measured(&p.config)).collect();
+        // A floor equal to the best QoS below the baseline's 100 %: the
+        // points measuring exactly the floor are dropped with those below.
+        let floor = qos
+            .iter()
+            .copied()
+            .filter(|&q| q < 100.0)
+            .fold(f64::MIN, f64::max);
+        assert!(floor > f64::MIN, "no approximate config loses accuracy");
+        let kept = validate(
+            &g,
+            &r,
+            &points,
+            &inputs,
+            QosMetric::Accuracy,
+            &reference,
+            floor,
+            0,
+        )
+        .unwrap();
+        let expected: Vec<TradeoffPoint> = points
+            .iter()
+            .zip(&qos)
+            .filter(|(_, &q)| q > floor)
+            .map(|(p, &q)| TradeoffPoint {
+                qos: q,
+                ..p.clone()
+            })
+            .collect();
+        assert_eq!(kept, expected);
+        assert!(kept.len() < points.len(), "the floor dropped nothing");
+        // At or below: a floor equal to the baseline's 100 % keeps nothing.
+        assert!(validate(
+            &g,
+            &r,
+            &points,
+            &inputs,
+            QosMetric::Accuracy,
+            &reference,
+            100.0,
+            0
+        )
+        .unwrap()
+        .is_empty());
+    }
+
+    #[test]
+    fn kept_points_skip_non_finite_qos_and_report_the_first_error() {
+        let points: Vec<TradeoffPoint> = (0..6u16)
+            .map(|k| TradeoffPoint {
+                qos: 0.0,
+                perf: f64::from(k),
+                config: Config::from_knobs(vec![KnobId(k)]),
+            })
+            .collect();
+        let qos = [f64::NAN, 95.0, f64::INFINITY, 90.0, f64::NEG_INFINITY, 91.0];
+        let kept = keep_valid(&points, 90.0, |c| Ok(qos[c.knobs()[0].0 as usize])).unwrap();
+        let kept: Vec<(f64, f64)> = kept.iter().map(|p| (p.qos, p.perf)).collect();
+        assert_eq!(kept, vec![(95.0, 1.0), (91.0, 5.0)]);
+
+        // Whichever measurement fails first on a four-thread pool, the
+        // error reported is the one of the earliest failing point.
+        let failing = |c: &Config| {
+            let k = c.knobs()[0].0;
+            if k >= 2 {
+                Err(TensorError::Transient {
+                    detail: format!("point {k}"),
+                })
+            } else {
+                Ok(99.0)
+            }
+        };
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        let err = pool
+            .install(|| keep_valid(&points, 90.0, failing))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TensorError::Transient {
+                detail: "point 2".into()
+            }
         );
     }
 

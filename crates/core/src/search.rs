@@ -78,7 +78,6 @@ impl SearchSpace {
 
 /// One search technique of the ensemble.
 trait Technique {
-    fn name(&self) -> &'static str;
     fn propose(
         &mut self,
         space: &SearchSpace,
@@ -140,9 +139,6 @@ fn technique_from_state(state: &TechniqueState) -> Box<dyn Technique> {
 struct RandomSearch;
 
 impl Technique for RandomSearch {
-    fn name(&self) -> &'static str {
-        "random"
-    }
     fn propose(
         &mut self,
         space: &SearchSpace,
@@ -163,9 +159,6 @@ struct GreedyMutation {
 }
 
 impl Technique for GreedyMutation {
-    fn name(&self) -> &'static str {
-        "evolutionary"
-    }
     fn propose(
         &mut self,
         space: &SearchSpace,
@@ -198,9 +191,6 @@ struct TorczonHillclimber {
 }
 
 impl Technique for TorczonHillclimber {
-    fn name(&self) -> &'static str {
-        "torczon"
-    }
     fn propose(
         &mut self,
         space: &SearchSpace,
@@ -247,9 +237,6 @@ struct NelderMead {
 }
 
 impl Technique for NelderMead {
-    fn name(&self) -> &'static str {
-        "nelder-mead"
-    }
     fn propose(
         &mut self,
         space: &SearchSpace,
@@ -373,30 +360,35 @@ pub struct TunerState {
     pub techniques: Vec<TechniqueState>,
 }
 
-/// Outcome of one autotuning iteration.
-pub struct Iteration {
+/// A configuration awaiting its fitness report
+/// ([`Autotuner::report_proposal`]).
+pub struct Proposal {
     /// The proposed configuration.
     pub config: Config,
-    /// Which technique proposed it.
-    pub technique: &'static str,
+    /// Which technique proposed it (index into the ensemble); `None` for a
+    /// seed.
+    technique_index: Option<usize>,
 }
 
-/// A proposal from [`Autotuner::propose_batch`] awaiting its fitness
-/// report ([`Autotuner::report_proposal`]).
-pub(crate) struct Proposal {
-    /// The proposed configuration.
-    pub config: Config,
-    /// Which technique proposed it (index into the ensemble).
-    technique_index: usize,
+impl Proposal {
+    /// A configuration supplied from outside the ensemble (a seed anchor):
+    /// its report moves the incumbent and the budget but credits no
+    /// technique.
+    pub fn seed(config: Config) -> Proposal {
+        Proposal {
+            config,
+            technique_index: None,
+        }
+    }
 }
 
 /// The ensemble autotuner.
 ///
-/// Usage: call [`Autotuner::next_config`], evaluate its fitness (higher is
-/// better), then call [`Autotuner::report`]; repeat while
-/// [`Autotuner::continue_tuning`]. For batch-synchronous (parallel)
-/// evaluation, use `Autotuner::propose_batch` and report every proposal
-/// in order with `Autotuner::report_proposal` — see [`crate::evaluate`].
+/// Usage: while [`Autotuner::continue_tuning`], take a batch from
+/// [`Autotuner::propose_batch`] (one proposal reproduces the classic
+/// one-at-a-time loop), evaluate each configuration's fitness (higher is
+/// better) and report every proposal, in order, with
+/// [`Autotuner::report_proposal`] — see [`crate::evaluate`].
 pub struct Autotuner {
     space: SearchSpace,
     techniques: Vec<Box<dyn Technique>>,
@@ -407,7 +399,6 @@ pub struct Autotuner {
     max_iterations: usize,
     since_improvement: usize,
     convergence_window: usize,
-    pending: Option<usize>, // technique index of the outstanding proposal
 }
 
 impl Autotuner {
@@ -444,7 +435,6 @@ impl Autotuner {
             max_iterations,
             since_improvement: 0,
             convergence_window,
-            pending: None,
         }
     }
 
@@ -484,26 +474,15 @@ impl Autotuner {
         best_i
     }
 
-    /// Algorithm 1's `autotuner.nextConfig()`.
-    pub fn next_config(&mut self) -> Iteration {
-        let ti = self.select_technique_with(&vec![0; self.arms.len()], 0);
-        self.pending = Some(ti);
-        let config = self.techniques[ti].propose(&self.space, self.best.as_ref(), &mut self.rng);
-        Iteration {
-            config,
-            technique: self.techniques[ti].name(),
-        }
-    }
-
-    /// Proposes up to `k` configurations for batch-synchronous evaluation,
-    /// capped at the remaining iteration budget.
+    /// Algorithm 1's `autotuner.nextConfig()`, `k` at a time: proposes up to
+    /// `k` configurations, capped at the remaining iteration budget.
     ///
     /// Technique selection and proposal advance only sequential state (the
     /// bandit statistics and the shared RNG), so the proposal stream of a
     /// seeded tuner is identical no matter how many threads later evaluate
     /// the batch. All proposals are generated against the incumbent best of
     /// the previous round (batch-synchronous semantics).
-    pub(crate) fn propose_batch(&mut self, k: usize) -> Vec<Proposal> {
+    pub fn propose_batch(&mut self, k: usize) -> Vec<Proposal> {
         let remaining = self.max_iterations.saturating_sub(self.iterations);
         let k = k.min(remaining);
         let mut in_batch = vec![0usize; self.techniques.len()];
@@ -515,27 +494,18 @@ impl Autotuner {
                 self.techniques[ti].propose(&self.space, self.best.as_ref(), &mut self.rng);
             proposals.push(Proposal {
                 config,
-                technique_index: ti,
+                technique_index: Some(ti),
             });
         }
         proposals
     }
 
     /// Algorithm 1's `autotuner.setConfigFitness(...)`: reports the fitness
-    /// (higher is better) of the last proposal.
-    pub fn report(&mut self, config: &Config, fitness: f64) {
-        let ti = self.pending.take();
-        self.record(ti, config, fitness);
-    }
-
-    /// Reports the fitness of one batch proposal. Callers must report every
+    /// (higher is better) of one proposal. Callers must report every
     /// proposal of a batch, in proposal order, so seeded runs stay
     /// deterministic.
-    pub(crate) fn report_proposal(&mut self, proposal: &Proposal, fitness: f64) {
-        self.record(Some(proposal.technique_index), &proposal.config, fitness);
-    }
-
-    fn record(&mut self, ti: Option<usize>, config: &Config, fitness: f64) {
+    pub fn report_proposal(&mut self, proposal: &Proposal, fitness: f64) {
+        let config = &proposal.config;
         self.iterations += 1;
         let improved = match &self.best {
             Some((_, f)) => fitness > *f,
@@ -547,7 +517,7 @@ impl Autotuner {
         } else {
             self.since_improvement += 1;
         }
-        if let Some(ti) = ti {
+        if let Some(ti) = proposal.technique_index {
             self.arms[ti].record(improved);
             self.techniques[ti].feedback(&self.space, config, fitness, improved);
         }
@@ -591,7 +561,6 @@ impl Autotuner {
             })
             .collect();
         self.techniques = state.techniques.iter().map(technique_from_state).collect();
-        self.pending = None;
     }
 }
 
@@ -606,6 +575,16 @@ mod tests {
                 .map(|_| (0..knobs as u16).map(KnobId).collect())
                 .collect(),
         )
+    }
+
+    /// The classic loop: one proposal per round until the tuner stops.
+    fn run_one_at_a_time(tuner: &mut Autotuner, fit: impl Fn(&Config, &SearchSpace) -> f64) {
+        while tuner.continue_tuning() {
+            for p in tuner.propose_batch(1) {
+                let f = fit(&p.config, &tuner.space);
+                tuner.report_proposal(&p, f);
+            }
+        }
     }
 
     #[test]
@@ -646,11 +625,7 @@ mod tests {
         // Budget sized for the vendored deterministic RNG stream (the
         // paper runs 30 K iterations; 4 K is ample for 8 dimensions).
         let mut tuner = Autotuner::new(s, 4000, 1000, 42);
-        while tuner.continue_tuning() {
-            let it = tuner.next_config();
-            let f = fitness(&it.config, &tuner.space);
-            tuner.report(&it.config, f);
-        }
+        run_one_at_a_time(&mut tuner, fitness);
         let (_, best_f) = tuner.best().unwrap();
         assert!(
             *best_f >= -2.0,
@@ -674,11 +649,7 @@ mod tests {
         {
             let s = space(10, 6);
             let mut tuner = Autotuner::new(s, budget, budget, 7);
-            while tuner.continue_tuning() {
-                let it = tuner.next_config();
-                let f = fit(&it.config, &tuner.space);
-                tuner.report(&it.config, f);
-            }
+            run_one_at_a_time(&mut tuner, fit);
             ensemble_best = ensemble_best.max(tuner.best().unwrap().1);
         }
         let mut random_best = f64::NEG_INFINITY;
@@ -701,38 +672,8 @@ mod tests {
         let s = space(4, 3);
         let mut tuner = Autotuner::new(s, 10_000, 50, 1);
         // Constant fitness: no improvement after the first report.
-        let mut iters = 0;
-        while tuner.continue_tuning() {
-            let it = tuner.next_config();
-            tuner.report(&it.config, 0.0);
-            iters += 1;
-            assert!(iters < 200, "did not converge");
-        }
-        assert!(iters <= 52);
-    }
-
-    #[test]
-    fn batch_of_one_matches_sequential_api() {
-        // propose_batch(1)/report_proposal must walk the exact state
-        // trajectory of next_config/report under the same seed.
-        let fit = |c: &Config, s: &SearchSpace| -> f64 {
-            -(s.to_indices(c).iter().sum::<usize>() as f64)
-        };
-        let mut seq = Autotuner::new(space(6, 5), 300, 300, 99);
-        while seq.continue_tuning() {
-            let it = seq.next_config();
-            let f = fit(&it.config, &seq.space);
-            seq.report(&it.config, f);
-        }
-        let mut bat = Autotuner::new(space(6, 5), 300, 300, 99);
-        while bat.continue_tuning() {
-            for p in bat.propose_batch(1) {
-                let f = fit(&p.config, &bat.space);
-                bat.report_proposal(&p, f);
-            }
-        }
-        assert_eq!(seq.iterations(), bat.iterations());
-        assert_eq!(seq.best().unwrap(), bat.best().unwrap());
+        run_one_at_a_time(&mut tuner, |_, _| 0.0);
+        assert!(tuner.iterations() <= 52, "did not converge");
     }
 
     #[test]
@@ -747,13 +688,26 @@ mod tests {
     }
 
     #[test]
+    fn seeds_move_the_incumbent_but_credit_no_technique() {
+        let mut tuner = Autotuner::new(space(3, 3), 10, 10, 1);
+        let seed = Proposal::seed(Config::from_knobs(vec![KnobId(1); 3]));
+        tuner.report_proposal(&seed, 5.0);
+        assert_eq!(tuner.iterations(), 1);
+        assert_eq!(tuner.best(), Some(&(seed.config.clone(), 5.0)));
+        assert!(tuner
+            .arms
+            .iter()
+            .all(|a| a.uses == 0 && a.history.is_empty()));
+    }
+
+    #[test]
     fn batch_spreads_across_techniques() {
         // With no history, the exploration bonus must not hand the whole
         // batch to one arm: in-batch uses count toward the bonus.
         let mut tuner = Autotuner::new(space(6, 5), 100, 100, 5);
         let batch = tuner.propose_batch(8);
         let distinct: std::collections::HashSet<usize> =
-            batch.iter().map(|p| p.technique_index).collect();
+            batch.iter().filter_map(|p| p.technique_index).collect();
         assert!(distinct.len() >= 3, "batch used only {distinct:?}");
     }
 

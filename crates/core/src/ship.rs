@@ -234,9 +234,12 @@ impl ShippedArtifact {
         Ok((repaired, report))
     }
 
-    /// Parses the JSON and checks the header invariants shared by
-    /// [`ShippedArtifact::load`] and [`ShippedArtifact::load_repaired`].
-    fn parse_checked(json: &str, graph: &Graph) -> Result<ShippedArtifact, ShipError> {
+    /// Parses an artifact and checks the header invariants that do not
+    /// depend on the program: a schema version this library understands
+    /// and a finite `qos_min`. Curves are not checked here; loading them
+    /// for a program goes through [`ShippedArtifact::load`] or
+    /// [`ShippedArtifact::load_repaired`], which start with this.
+    pub fn from_json(json: &str) -> Result<ShippedArtifact, ShipError> {
         let art: ShippedArtifact =
             serde_json::from_str(json).map_err(|e| ShipError::Malformed(e.to_string()))?;
         if art.version > ARTIFACT_VERSION {
@@ -248,6 +251,14 @@ impl ShippedArtifact {
                 art.qos_min
             )));
         }
+        Ok(art)
+    }
+
+    /// [`ShippedArtifact::from_json`] plus the program fingerprint check
+    /// shared by [`ShippedArtifact::load`] and
+    /// [`ShippedArtifact::load_repaired`].
+    fn parse_checked(json: &str, graph: &Graph) -> Result<ShippedArtifact, ShipError> {
+        let art = Self::from_json(json)?;
         let got = graph_fingerprint(graph);
         if art.fingerprint != got {
             return Err(ShipError::WrongProgram {

@@ -29,7 +29,7 @@ use std::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::config::Config;
-use crate::evaluate::{AttemptEvaluator, Evaluation};
+use crate::evaluate::{Evaluation, Evaluator};
 use crate::fault::InjectedPanic;
 use at_tensor::TensorError;
 
@@ -155,18 +155,18 @@ struct SupState {
     attempt_base: HashMap<Config, u32>,
 }
 
-/// Wraps an [`AttemptEvaluator`] with isolation, retry, quarantine and
-/// sanitisation. Shared across the batch driver's worker threads; the
-/// internal mutex guards only bookkeeping, never an in-flight evaluation.
-pub(crate) struct SupervisedEvaluator<'a, E: AttemptEvaluator> {
-    inner: &'a E,
+/// Wraps an evaluator with isolation, retry, quarantine and sanitisation.
+/// Shared across the batch driver's worker threads; the internal mutex
+/// guards only bookkeeping, never an in-flight evaluation.
+pub(crate) struct SupervisedEvaluator<'a> {
+    inner: &'a dyn Evaluator,
     policy: SupervisionPolicy,
     state: Mutex<SupState>,
 }
 
-impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
+impl<'a> SupervisedEvaluator<'a> {
     /// Supervises `inner` under `policy`.
-    pub(crate) fn new(inner: &'a E, policy: SupervisionPolicy) -> Self {
+    pub(crate) fn new(inner: &'a dyn Evaluator, policy: SupervisionPolicy) -> Self {
         SupervisedEvaluator {
             inner,
             policy,
@@ -204,9 +204,7 @@ impl<'a, E: AttemptEvaluator> SupervisedEvaluator<'a, E> {
             }
             local.attempts += 1;
             let attempt = base + i;
-            match catch_unwind(AssertUnwindSafe(|| {
-                self.inner.evaluate_attempt(config, attempt)
-            })) {
+            match catch_unwind(AssertUnwindSafe(|| self.inner.evaluate(config, attempt))) {
                 Ok(Ok(e)) if e.qos.is_finite() && e.perf.is_finite() => {
                     outcome = Ok(e);
                     break;
@@ -318,14 +316,13 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::Evaluator;
     use crate::fault::{FaultMix, FaultPlan, FaultyEvaluator};
     use crate::knobs::KnobId;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     struct Good;
     impl Evaluator for Good {
-        fn evaluate(&self, _: &Config) -> Result<Evaluation, TensorError> {
+        fn evaluate(&self, _: &Config, _: u32) -> Result<Evaluation, TensorError> {
             Ok(Evaluation {
                 qos: 95.0,
                 perf: 2.0,
@@ -339,7 +336,7 @@ mod tests {
         calls: AtomicU64,
     }
     impl Evaluator for FlakyN {
-        fn evaluate(&self, _: &Config) -> Result<Evaluation, TensorError> {
+        fn evaluate(&self, _: &Config, _: u32) -> Result<Evaluation, TensorError> {
             let n = self.calls.fetch_add(1, Ordering::SeqCst);
             if n < self.fail_first {
                 Err(TensorError::Transient {
@@ -356,7 +353,7 @@ mod tests {
 
     struct AlwaysPanics;
     impl Evaluator for AlwaysPanics {
-        fn evaluate(&self, _: &Config) -> Result<Evaluation, TensorError> {
+        fn evaluate(&self, _: &Config, _: u32) -> Result<Evaluation, TensorError> {
             panic!("genuine bug");
         }
     }
@@ -421,7 +418,7 @@ mod tests {
     fn non_finite_evaluations_become_typed_errors() {
         struct Poison;
         impl Evaluator for Poison {
-            fn evaluate(&self, _: &Config) -> Result<Evaluation, TensorError> {
+            fn evaluate(&self, _: &Config, _: u32) -> Result<Evaluation, TensorError> {
                 Ok(Evaluation {
                     qos: f64::NAN,
                     perf: 1.0,

@@ -2,22 +2,18 @@
 
 use crate::checkpoint::{CheckpointPolicy, SearchCheckpoint};
 use crate::config::Config;
-use crate::evaluate::{
-    run_batched_search, AttemptEvaluator, BatchTelemetry, CacheStats, EvalCache,
-    PredictiveEvaluator, SearchOptions, SearchOutcome,
-};
-use crate::fault::{FaultPlan, FaultyEvaluator};
+use crate::evaluate::{search, select, BatchTelemetry, CacheStats, PredictiveEvaluator};
+use crate::fault::FaultPlan;
 use crate::knobs::{KnobRegistry, KnobSet};
-use crate::pareto::{cap_points, eps_for_budget, pareto_set_eps, TradeoffCurve, TradeoffPoint};
+use crate::pareto::{cap_points, eps_for_budget, pareto_set_eps, TradeoffCurve};
 use crate::perf::PerfModel;
 use crate::predict::{PredictionModel, Predictor};
-use crate::profile::{collect_profiles, measure_config, QosProfiles};
+use crate::profile::{collect_profiles, measure_config, validate, QosProfiles};
 use crate::qos::{QosMetric, QosReference};
-use crate::search::{Autotuner, SearchSpace};
-use crate::supervise::{FaultStats, SupervisedEvaluator, SupervisionPolicy};
+use crate::search::SearchSpace;
+use crate::supervise::{FaultStats, SupervisionPolicy};
 use at_ir::Graph;
 use at_tensor::{Shape, Tensor, TensorError};
-use rayon::ParallelSlice;
 
 /// Inputs of Algorithm 1 (plus engineering knobs).
 #[derive(Clone, Debug)]
@@ -92,45 +88,6 @@ impl Default for TunerParams {
             robustness: RobustnessParams::default(),
         }
     }
-}
-
-/// Runs the supervised batched search shared by the predictive and
-/// empirical tuners, wiring in the run's [`RobustnessParams`]: optional
-/// fault injection around the evaluator, the supervision policy,
-/// checkpointing, simulated crashes, and resume (validated against the
-/// run's parameters first).
-pub(crate) fn run_supervised<E: AttemptEvaluator>(
-    tuner: &mut Autotuner,
-    evaluator: &E,
-    cache: &mut EvalCache,
-    seeds: &[Config],
-    params: &TunerParams,
-) -> Result<SearchOutcome, TensorError> {
-    let opts = SearchOptions {
-        qos_min: params.qos_min,
-        batch_size: params.batch_size,
-        checkpoint: params.robustness.checkpoint.clone(),
-        halt_after_rounds: params.robustness.halt_after_rounds,
-    };
-    let resume = params.robustness.resume_from.as_ref();
-    if let Some(cp) = resume {
-        cp.validate_run(opts.qos_min, opts.batch_size)
-            .map_err(|e| TensorError::Transient {
-                detail: e.to_string(),
-            })?;
-    }
-    let policy = params.robustness.supervision;
-    Ok(match &params.robustness.fault_plan {
-        Some(plan) => {
-            let faulty = FaultyEvaluator::new(evaluator, plan.clone());
-            let sup = SupervisedEvaluator::new(&faulty, policy);
-            run_batched_search(tuner, &sup, cache, seeds, &opts, resume)
-        }
-        None => {
-            let sup = SupervisedEvaluator::new(evaluator, policy);
-            run_batched_search(tuner, &sup, cache, seeds, &opts, resume)
-        }
-    })
 }
 
 /// Everything Algorithm 1 produced, plus timing breakdowns for Table 4.
@@ -258,79 +215,42 @@ impl<'a> PredictiveTuner<'a> {
         // 56-knobs-per-conv space are almost surely infeasible, so without
         // anchors the ensemble spends its whole budget walking back to the
         // feasible region.
-        let mut tuner = Autotuner::new(
-            space,
-            params.max_iters,
-            params.convergence_window,
-            params.seed,
-        );
         let evaluator = PredictiveEvaluator {
             predictor: &predictor,
             perf: &perf,
             reference: self.reference,
         };
-        let mut cache = EvalCache::new();
-        let seeds = seed_configs(self.graph, self.registry);
-        let outcome = run_supervised(&mut tuner, &evaluator, &mut cache, &seeds, params)?;
-        let candidates = outcome.candidates;
+        let outcome = search(
+            space,
+            &evaluator,
+            &seed_configs(self.graph, self.registry),
+            params,
+        )?;
 
         // Step 4: keep configs within ε1 of the Pareto set, with ε1 chosen
         // per benchmark to bound validation work.
-        let eps1 = eps_for_budget(&candidates, params.max_validated);
-        let mut pareto_configs = pareto_set_eps(&candidates, eps1);
-        // Deduplicate identical configs to avoid redundant validations.
-        pareto_configs.sort_by(|a, b| a.perf.total_cmp(&b.perf));
-        pareto_configs.dedup_by(|a, b| a.config == b.config);
-        let pareto_configs = cap_points(pareto_configs, params.max_validated);
+        let pareto_configs = select(&outcome.candidates, params.max_validated);
         let search_time_s = search_started.elapsed().as_secs_f64();
 
         // Step 5: validate — measure the real QoS of every retained config
-        // concurrently (each measurement is an independent program run),
-        // then filter violators. Order is preserved, so the shipped curve
-        // is identical to the sequential loop's.
+        // and drop the violators.
         let validation_started = std::time::Instant::now();
-        let measured: Result<Vec<(f64, TradeoffPoint)>, TensorError> = pareto_configs
-            .par_iter()
-            .map(|p| {
-                let real_qos = measure_config(
-                    self.graph,
-                    self.registry,
-                    &p.config,
-                    self.inputs,
-                    self.metric,
-                    self.reference,
-                    self.promise_seed,
-                )?;
-                Ok((real_qos, p.clone()))
-            })
-            .collect();
-        let validated: Vec<TradeoffPoint> = measured?
-            .into_iter()
-            .filter(|(real_qos, _)| real_qos.is_finite() && *real_qos > params.qos_min)
-            .map(|(real_qos, p)| TradeoffPoint {
-                qos: real_qos,
-                perf: p.perf,
-                config: p.config,
-            })
-            .collect();
+        let validated = validate(
+            self.graph,
+            self.registry,
+            &pareto_configs,
+            self.inputs,
+            self.metric,
+            self.reference,
+            params.qos_min,
+            self.promise_seed,
+        )?;
         let eps2 = eps_for_budget(&validated, params.max_shipped);
         let shipped = cap_points(pareto_set_eps(&validated, eps2), params.max_shipped);
         let curve = TradeoffCurve::from_points_eps(shipped, f64::INFINITY);
         let validation_time_s = validation_started.elapsed().as_secs_f64();
 
-        Ok(TuningResult {
-            curve,
-            search_time_s,
-            validation_time_s,
-            iterations: tuner.iterations(),
-            // §7.3 "configurations generated": every iteration proposes one.
-            candidates: tuner.iterations(),
-            alpha: predictor.alpha,
-            cache: cache.stats(),
-            telemetry: outcome.telemetry,
-            faults: outcome.faults,
-            halted: outcome.halted,
-        })
+        Ok(outcome.into_result(curve, search_time_s, validation_time_s, predictor.alpha))
     }
 }
 

@@ -44,12 +44,13 @@ proptest! {
         let mut best_seen = f64::NEG_INFINITY;
         let mut iters = 0usize;
         while tuner.continue_tuning() {
-            let it = tuner.next_config();
-            // Arbitrary deterministic fitness.
-            let f = it.config.knobs().iter().map(|k| k.0 as f64).sum::<f64>();
-            best_seen = best_seen.max(f);
-            tuner.report(&it.config, f);
-            iters += 1;
+            for p in tuner.propose_batch(1) {
+                // Arbitrary deterministic fitness.
+                let f = p.config.knobs().iter().map(|k| k.0 as f64).sum::<f64>();
+                best_seen = best_seen.max(f);
+                tuner.report_proposal(&p, f);
+                iters += 1;
+            }
             prop_assert!(iters <= budget + 1);
         }
         // The incumbent equals the best fitness ever reported.

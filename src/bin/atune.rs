@@ -244,10 +244,10 @@ fn cmd_inspect(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let art: ShippedArtifact = match serde_json::from_str(&json) {
+    let art = match ShippedArtifact::from_json(&json) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("malformed artifact: {e}");
+            eprintln!("artifact rejected: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -289,14 +289,16 @@ fn cmd_install(name: &str, path: &str, flags: Flags) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let curve = match ShippedArtifact::load(&json, &bench.graph, flags.fp16) {
-        Ok(c) => c,
+    let loaded = ShippedArtifact::from_json(&json).and_then(|art| {
+        ShippedArtifact::load(&json, &bench.graph, flags.fp16).map(|c| (art.qos_min, c))
+    });
+    let (qos_min, curve) = match loaded {
+        Ok(l) => l,
         Err(e) => {
             eprintln!("artifact rejected: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let art: ShippedArtifact = serde_json::from_str(&json).expect("validated above");
     let ds = build_dataset(&bench, flags.samples, 16, 0xC11 ^ id as u64);
     let (cal, _) = ds.split();
     let registry = KnobRegistry::new();
@@ -318,7 +320,7 @@ fn cmd_install(name: &str, path: &str, flags: Flags) -> ExitCode {
         &cal.batches,
         QosMetric::Accuracy,
         &reference,
-        art.qos_min,
+        qos_min,
         cal.batches[0].shape(),
         0,
     )

@@ -74,3 +74,29 @@ fn tuned_artifact_installs_with_and_without_fp16() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn inspect_refuses_an_artifact_install_would_refuse() {
+    // A header from a newer schema: `install` rejects it, so `inspect`
+    // must not present it as a valid artifact.
+    let path: PathBuf =
+        std::env::temp_dir().join(format!("atune-cli-v99-{}.json", std::process::id()));
+    std::fs::write(
+        &path,
+        r#"{"version":99,"program":"lenet","fingerprint":0,"metric":"Accuracy",
+            "qos_min":88.0,"curve_fp16":null,"curve_fp32_only":null}"#,
+    )
+    .expect("write the artifact");
+    let inspect = atune(&["inspect", path.to_str().expect("utf-8 temp path")]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&inspect.stderr);
+    assert!(
+        !inspect.status.success(),
+        "inspect accepted a v99 artifact:\n{}",
+        stdout(&inspect)
+    );
+    assert!(
+        stderr.contains("v99"),
+        "inspect did not name the version: {stderr}"
+    );
+}

@@ -10,6 +10,9 @@
 use approxtuner::core::closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport};
 use approxtuner::core::config::Config;
 use approxtuner::core::empirical::EmpiricalTuner;
+use approxtuner::core::install::{
+    distributed_install_tune, refine_software_only, EdgeDevice, InstallObjective,
+};
 use approxtuner::core::knobs::KnobRegistry;
 use approxtuner::core::pareto::{TradeoffCurve, TradeoffPoint};
 use approxtuner::core::predict::PredictionModel;
@@ -117,6 +120,64 @@ fn empirical_tuning_identical_across_thread_counts() {
     let single = empirical_run(&s, 1);
     let multi = empirical_run(&s, 4);
     assert_identical(&single, &multi);
+}
+
+/// Install-time refinement of `dev` and a three-device distributed round:
+/// both measure QoS on the pool.
+fn install_curves(s: &Setup, dev: &TradeoffCurve, threads: usize) -> [TradeoffCurve; 2] {
+    let reference = QosReference::Labels(s.cal.labels.clone());
+    let shard_ref = |i: usize, n: usize| {
+        QosReference::Labels(s.cal.labels.iter().skip(i).step_by(n).cloned().collect())
+    };
+    let device = EdgeDevice::tx2();
+    let shape = s.cal.batches[0].shape();
+    in_pool(threads, || {
+        let refined = refine_software_only(
+            &s.bench.graph,
+            &s.registry,
+            &device,
+            InstallObjective::Speedup,
+            dev,
+            &s.cal.batches,
+            QosMetric::Accuracy,
+            &reference,
+            85.0,
+            shape,
+            0,
+        )
+        .expect("refinement");
+        let installed = distributed_install_tune(
+            &s.bench.graph,
+            &s.registry,
+            &device,
+            InstallObjective::EnergyReduction,
+            &s.cal.batches,
+            QosMetric::Accuracy,
+            &shard_ref,
+            &reference,
+            3,
+            &params(PredictionModel::Pi2, 60),
+            shape,
+            0,
+        )
+        .expect("distributed install");
+        [refined, installed.curve]
+    })
+}
+
+#[test]
+fn install_time_curves_identical_across_thread_counts() {
+    let s = setup();
+    let dev = predictive_run(&s, 1).curve;
+    let single = install_curves(&s, &dev, 1);
+    let multi = install_curves(&s, &dev, 4);
+    for (what, a, b) in [
+        ("refine_software_only", &single[0], &multi[0]),
+        ("distributed_install_tune", &single[1], &multi[1]),
+    ] {
+        assert!(!a.is_empty(), "{what} produced no curve");
+        assert_eq!(a.to_json(), b.to_json(), "{what} curves differ");
+    }
 }
 
 /// A kitchen-sink scenario exercising every disturbance class at once.
