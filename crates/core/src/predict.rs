@@ -14,7 +14,7 @@
 
 use crate::config::Config;
 use crate::knobs::KnobId;
-use crate::profile::QosProfiles;
+use crate::profile::{PairIndex, QosProfiles};
 use crate::qos::{measure, QosMetric, QosReference};
 use at_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -41,6 +41,7 @@ impl PredictionModel {
 /// A QoS predictor bound to collected profiles.
 pub struct Predictor<'p> {
     profiles: &'p QosProfiles,
+    index: PairIndex,
     model: PredictionModel,
     metric: QosMetric,
     /// The calibrated coefficient (1.0 until calibrated).
@@ -58,6 +59,7 @@ impl<'p> Predictor<'p> {
         }
         Predictor {
             profiles,
+            index: PairIndex::new(&profiles.pairs),
             model,
             metric,
             alpha: 1.0,
@@ -77,7 +79,7 @@ impl<'p> Predictor<'p> {
                     .knobs()
                     .iter()
                     .enumerate()
-                    .map(|(node, &k)| self.profiles.delta_q(node, k))
+                    .map(|(node, &k)| self.delta_q(node, k))
                     .sum();
                 self.profiles.qos_base + alpha * sum
             }
@@ -90,7 +92,7 @@ impl<'p> Predictor<'p> {
                     if k == KnobId::BASELINE {
                         continue;
                     }
-                    if let Some(dts) = self.profiles.delta_t(node, k) {
+                    if let Some(dts) = self.delta_t(node, k) {
                         for (b, dt) in dts.iter().enumerate().take(n_batches) {
                             // Shapes match by construction of the profiles.
                             let _ = predicted[b].axpy(alpha as f32, dt);
@@ -100,6 +102,21 @@ impl<'p> Predictor<'p> {
                 measure(self.metric, &predicted, reference)
             }
         }
+    }
+
+    /// ΔQ for a pair; 0 for the baseline knob or unknown pairs.
+    fn delta_q(&self, node: usize, knob: KnobId) -> f64 {
+        self.index
+            .get(node, knob)
+            .map_or(0.0, |i| self.profiles.dq[i])
+    }
+
+    /// ΔT batches for a pair (None for baseline/unknown).
+    fn delta_t(&self, node: usize, knob: KnobId) -> Option<&[Tensor]> {
+        self.index
+            .get(node, knob)
+            .and_then(|i| self.profiles.dt.get(i))
+            .map(|v| v.as_slice())
     }
 
     /// Calibrates α against measured (config, real QoS) samples
@@ -122,7 +139,7 @@ impl<'p> Predictor<'p> {
                         .knobs()
                         .iter()
                         .enumerate()
-                        .map(|(node, &k)| self.profiles.delta_q(node, k))
+                        .map(|(node, &k)| self.delta_q(node, k))
                         .sum();
                     let y = real - self.profiles.qos_base;
                     num += x * y;

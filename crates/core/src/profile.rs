@@ -125,29 +125,6 @@ pub struct QosProfiles {
 }
 
 impl QosProfiles {
-    /// Index of a (node, knob) pair in the tables.
-    pub(crate) fn pair_index(&self, node: usize, knob: KnobId) -> Option<usize> {
-        self.pairs.iter().position(|&(n, k)| n == node && k == knob)
-    }
-
-    /// ΔQ for a pair; 0 for the baseline knob or unknown pairs.
-    pub(crate) fn delta_q(&self, node: usize, knob: KnobId) -> f64 {
-        if knob == KnobId::BASELINE {
-            return 0.0;
-        }
-        self.pair_index(node, knob).map_or(0.0, |i| self.dq[i])
-    }
-
-    /// ΔT batches for a pair (None for baseline/unknown).
-    pub(crate) fn delta_t(&self, node: usize, knob: KnobId) -> Option<&[Tensor]> {
-        if knob == KnobId::BASELINE {
-            return None;
-        }
-        self.pair_index(node, knob)
-            .and_then(|i| self.dt.get(i))
-            .map(|v| v.as_slice())
-    }
-
     /// Whether tensor (Π1) profiles are available.
     pub(crate) fn has_tensor_profiles(&self) -> bool {
         !self.dt.is_empty() && self.dt.iter().all(|b| !b.is_empty())
@@ -181,6 +158,44 @@ impl QosProfiles {
             *a /= n as f64;
         }
         Some(acc)
+    }
+}
+
+/// Where each profiled (node, knob) pair sits in the [`QosProfiles`] tables:
+/// a dense node × knob table of positions built once from `pairs`, so a
+/// lookup is one index instead of a scan of every pair.
+pub(crate) struct PairIndex {
+    knobs: usize,
+    /// `slot[node · knobs + knob]`: the pair's position, `u32::MAX` if it
+    /// was not profiled.
+    slot: Vec<u32>,
+}
+
+impl PairIndex {
+    pub(crate) fn new(pairs: &[(usize, KnobId)]) -> PairIndex {
+        let nodes = pairs.iter().map(|&(n, _)| n + 1).max().unwrap_or(0);
+        let knobs = pairs
+            .iter()
+            .map(|&(_, k)| usize::from(k.0) + 1)
+            .max()
+            .unwrap_or(0);
+        let mut slot = vec![u32::MAX; nodes * knobs];
+        // Reversed, so a pair profiled twice resolves to its first position.
+        for (i, &(n, k)) in pairs.iter().enumerate().rev() {
+            slot[n * knobs + usize::from(k.0)] = i as u32;
+        }
+        PairIndex { knobs, slot }
+    }
+
+    /// Position of a (node, knob) pair in the tables; `None` for the
+    /// baseline knob and for pairs that were not profiled.
+    pub(crate) fn get(&self, node: usize, knob: KnobId) -> Option<usize> {
+        let k = usize::from(knob.0);
+        if knob == KnobId::BASELINE || k >= self.knobs {
+            return None;
+        }
+        let i = *self.slot.get(node * self.knobs + k)?;
+        (i != u32::MAX).then_some(i as usize)
     }
 }
 
@@ -339,6 +354,24 @@ mod tests {
     }
 
     #[test]
+    fn pair_index_agrees_with_a_scan_of_the_pairs() {
+        let pairs: Vec<(usize, KnobId)> = [(3, 4), (0, 2), (7, 1), (3, 9), (0, 2), (5, 4)]
+            .into_iter()
+            .map(|(n, k)| (n, KnobId(k)))
+            .collect();
+        let index = PairIndex::new(&pairs);
+        for node in 0..10 {
+            for k in 0..12 {
+                let knob = KnobId(k);
+                let scan = pairs.iter().position(|&p| p == (node, knob));
+                let want = scan.filter(|_| knob != KnobId::BASELINE);
+                assert_eq!(index.get(node, knob), want, "({node}, {k})");
+            }
+        }
+        assert_eq!(PairIndex::new(&[]).get(0, KnobId(1)), None);
+    }
+
+    #[test]
     fn suffix_profiles_match_full_execution() {
         let (g, inputs, reference) = setup();
         let r = KnobRegistry::new();
@@ -360,7 +393,7 @@ mod tests {
         let q =
             measure_config(&g, &r, &config, &inputs, QosMetric::Accuracy, &reference, 0).unwrap();
         assert!(
-            (p.delta_q(node, knob) - (q - p.qos_base)).abs() < 1e-9,
+            (p.dq[10] - (q - p.qos_base)).abs() < 1e-9,
             "suffix ΔQ mismatch"
         );
     }

@@ -15,10 +15,20 @@
 //! horizontal tap offset and the width stride are resolved by the copy, so
 //! along a row consecutive output columns are consecutive elements — `s`
 //! copies of the image, not `r·s`. Padding is stored as zeros; FP16 and LUT
-//! operand quantisation are applied to each input row once, on its way in,
-//! so no quantised copy of the input tensor is allocated. The buffer lives
-//! in a per-thread scratch reused across images and calls, with `PANEL`
-//! elements of slack behind it for the surplus lanes of a ragged last panel.
+//! operand quantisation are applied to each input element once, on its way
+//! in, so no quantised copy of the input tensor is allocated. With unit
+//! width stride, every column computed and "same" width padding
+//! (`2·pad_w + 1 == s`, so `nx == w`: every zoo conv, filter sampling, row
+//! perforation) only the centre plane `kx == pad_w` is filled from the
+//! input — one quantiser call per channel, or per row when the rows are
+//! phase-major — and plane `kx` is one flat copy of the centre block moved
+//! by `kx − pad_w` columns, the columns the move carried across a row
+//! boundary set back to the padding's zero. Otherwise (strided,
+//! column-perforated, "valid"-padded) each input row is quantised into the
+//! middle of a zero-bordered row and the `s` planes' rows gather their
+//! computed columns out of it. The buffer lives in a per-thread scratch
+//! reused across images and calls, with `PANEL` elements of slack behind it
+//! for the surplus lanes of a ragged last panel.
 //!
 //! **The tap-offset table.** With unit row stride and every row computed,
 //! position `j = oy·nx + xi` under filter element `(c, ky, kx)` reads staged
@@ -38,6 +48,11 @@
 //! one *run* of linear positions with its own table, and the GEMM's columns
 //! are the runs concatenated (the scatter behind a perforated GEMM puts each
 //! row where it belongs). Panels tile a run; only its last can be ragged.
+//! When a computed row is a whole number of panels (`nx` a multiple of
+//! `PANEL`) no panel can straddle two rows, so each computed row is a run of
+//! its own and the staged rows keep their natural order: a row-perforated
+//! image is then staged exactly like an unperforated one, one quantiser call
+//! per channel instead of one per row.
 //!
 //! **Skipped work is never computed.** Perforation shrinks the GEMM's
 //! output; the missing outputs are interpolated from computed neighbours
@@ -65,6 +80,7 @@ use crate::par;
 use crate::shape::{conv2d_out_shape, Shape};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::Mutex;
 
@@ -98,9 +114,10 @@ struct Lowering {
     w: usize,
     ho: usize,
     wo: usize,
-    /// Filter columns (= staged planes per channel), width padding, width
-    /// stride.
+    /// Filter columns (= staged planes per channel), height and width
+    /// padding, width stride.
     s: usize,
+    ph: usize,
     pw: usize,
     sw: usize,
     /// Kept flattened filter indices, increasing (= accumulation order).
@@ -118,8 +135,10 @@ struct Lowering {
     /// FP32 activation fused behind the convolution.
     act: Option<UnaryOp>,
     /// Staged row slot of each padded input row (phase-major), `None` for a
-    /// row of padding.
+    /// row of padding, and whether every row sits in its own slot (unit row
+    /// stride without row perforation, or rows of whole panels).
     rows: Vec<(usize, Option<usize>)>,
+    natural_rows: bool,
     /// The GEMM's B operand over the staged image.
     runs: Vec<Run>,
 }
@@ -170,8 +189,13 @@ impl Lowering {
         };
 
         // Staged layout: padded rows phase-major modulo `m`, so the rows a
-        // class's taps read advance one slot per computed row.
-        let (hp, nx, m) = (h + 2 * ph, oxs.len(), sh * row_k);
+        // class's taps read advance one slot per computed row. When every
+        // computed row is whole panels, each computed row is a run of its own
+        // instead and the rows keep their natural order, so they are staged
+        // like an unperforated image's.
+        let (hp, nx) = (h + 2 * ph, oxs.len());
+        let row_runs = sh * row_k > 1 && nx > 0 && nx % PANEL == 0;
+        let m = if row_runs { 1 } else { sh * row_k };
         let mut phase_base = vec![0; m];
         for p in 1..m {
             phase_base[p] = phase_base[p - 1] + (hp + m - p) / m;
@@ -181,23 +205,37 @@ impl Lowering {
             .map(|iy| (slot(iy), iy.checked_sub(ph).filter(|&y| y < h)))
             .collect();
 
+        // The offset table of a run whose first position is output row `oy`.
+        let table = |oy: usize| -> Vec<usize> {
+            kept.iter()
+                .map(|&idx| {
+                    let (chan, ky, kx) = (idx / (r * s), idx % (r * s) / s, idx % s);
+                    ((kx * cpg + chan) * hp + slot(oy * sh + ky)) * nx
+                })
+                .collect()
+        };
+        // In natural order row `oy`'s table is row 0's moved by `oy·sh` rows
+        // (built once: the divisions above cost more than the whole staging
+        // of a small image when repeated per row).
+        let first = if row_runs { table(0) } else { Vec::new() };
         let mut oys = Vec::new();
         let mut runs = Vec::new();
         for rho in classes.into_iter().filter(|&rho| rho < ho) {
             let before = oys.len();
             oys.extend((rho..ho).step_by(row_k));
-            let row_off = kept
-                .iter()
-                .map(|&idx| {
-                    let (chan, ky, kx) = (idx / (r * s), idx % (r * s) / s, idx % s);
-                    ((kx * cpg + chan) * hp + slot(rho * sh + ky)) * nx
-                })
-                .collect();
-            runs.push(Run {
-                len: (oys.len() - before) * nx,
-                step: PANEL,
-                row_off,
-            });
+            if row_runs {
+                runs.extend(oys[before..].iter().map(|&oy| Run {
+                    len: nx,
+                    step: PANEL,
+                    row_off: first.iter().map(|&o| o + oy * sh * nx).collect(),
+                }));
+            } else {
+                runs.push(Run {
+                    len: (oys.len() - before) * nx,
+                    step: PANEL,
+                    row_off: table(rho),
+                });
+            }
         }
         Lowering {
             cpg,
@@ -208,6 +246,7 @@ impl Lowering {
             ho,
             wo,
             s,
+            ph,
             pw,
             sw,
             kept,
@@ -218,6 +257,7 @@ impl Lowering {
             fp16: params.precision == Precision::Fp16,
             act,
             rows,
+            natural_rows: m == 1,
             runs,
         }
     }
@@ -230,8 +270,7 @@ impl Lowering {
     /// Writes the staged image of one (image, group) — `image` is its `cpg`
     /// input planes — over whatever `staged` held: every element of every
     /// plane, zeros where the window pads. `row` is one padded input row of
-    /// working space: each input row goes through `quant` into its middle
-    /// once, and the `s` planes' rows are that row read from `kx` on.
+    /// working space for the per-row path.
     fn stage(
         &self,
         image: &[f32],
@@ -239,30 +278,85 @@ impl Lowering {
         staged: &mut [f32],
         row: &mut [f32],
     ) {
-        // Unit width-stride with every column computed (every zoo conv,
-        // filter sampling, row perforation): a staged row is one copy.
-        if self.sw == 1 && self.oxs.len() == self.wo {
-            self.stage_rows(image, quant, staged, row, |dst, from_kx| {
-                dst.copy_from_slice(&from_kx[..dst.len()])
-            });
+        if self.shifts_planes() {
+            self.stage_shifted(image, quant, staged);
         } else {
-            self.stage_rows(image, quant, staged, row, |dst, from_kx| {
-                for (d, &ox) in dst.iter_mut().zip(&self.oxs) {
-                    *d = from_kx[ox * self.sw];
-                }
-            });
+            self.stage_rows(image, quant, staged, row);
         }
     }
 
-    /// [`Lowering::stage`] with the way one staged row is taken out of the
-    /// padded input row resolved: `place(dst, &row[kx..])`.
+    /// Whether the tap planes are shifted copies of the centre plane: unit
+    /// width stride, every column computed and "same" width padding, so
+    /// `nx == w` and plane `kx` is plane `pw` moved by `kx − pw` columns
+    /// (every zoo conv, filter sampling, row perforation).
+    fn shifts_planes(&self) -> bool {
+        self.sw == 1 && self.oxs.len() == self.wo && 2 * self.pw + 1 == self.s
+    }
+
+    /// [`Lowering::stage`] by shifted copy: each input element goes through
+    /// `quant` once, into the centre plane (`kx == pw`) — one call per
+    /// channel when the rows are in natural order, one per row when they are
+    /// phase-major — and every other plane is one flat copy of the centre
+    /// block moved by `d = kx − pw` with the `|d|` columns the move brought
+    /// in from the neighbouring row set to the padding's zero.
+    fn stage_shifted(&self, image: &[f32], quant: impl Fn(&[f32], &mut [f32]), staged: &mut [f32]) {
+        let (h, w) = (self.h, self.w);
+        let plane = self.rows.len() * w;
+        let block = self.cpg * plane;
+        let (before, rest) = staged.split_at_mut(self.pw * block);
+        let (centre, after) = rest.split_at_mut(block);
+        for (chan, dst) in centre.chunks_exact_mut(plane.max(1)).enumerate() {
+            let src = &image[chan * h * w..][..h * w];
+            if self.natural_rows {
+                let (top, rest) = dst.split_at_mut(self.ph * w);
+                let (middle, bottom) = rest.split_at_mut(h * w);
+                top.fill(0.0);
+                quant(src, middle);
+                bottom.fill(0.0);
+            } else {
+                for &(slot, y) in &self.rows {
+                    let to = &mut dst[slot * w..][..w];
+                    match y {
+                        Some(y) => quant(&src[y * w..][..w], to),
+                        None => to.fill(0.0),
+                    }
+                }
+            }
+        }
+        let centre = &*centre;
+        let left = before
+            .chunks_exact_mut(block.max(1))
+            .zip((1..=self.pw).rev());
+        for (dst, e) in left {
+            // Plane `pw − e`: column `xi` holds centre column `xi − e`.
+            if e >= w {
+                dst.fill(0.0);
+                continue;
+            }
+            dst[e..].copy_from_slice(&centre[..block - e]);
+            zero_columns(dst, w, 0..e);
+        }
+        for (dst, e) in after.chunks_exact_mut(block.max(1)).zip(1..=self.pw) {
+            // Plane `pw + e`: column `xi` holds centre column `xi + e`.
+            if e >= w {
+                dst.fill(0.0);
+                continue;
+            }
+            dst[..block - e].copy_from_slice(&centre[e..]);
+            zero_columns(dst, w, w - e..w);
+        }
+    }
+
+    /// [`Lowering::stage`] one input row at a time, for strided,
+    /// column-perforated and "valid"-padded convolutions: each input row goes
+    /// through `quant` into the middle of the zero-bordered `row`, and plane
+    /// `kx`'s staged row gathers its computed columns out of `row[kx..]`.
     fn stage_rows(
         &self,
         image: &[f32],
         quant: impl Fn(&[f32], &mut [f32]),
         staged: &mut [f32],
         row: &mut [f32],
-        place: impl Fn(&mut [f32], &[f32]),
     ) {
         let (h, w, nx) = (self.h, self.w, self.oxs.len());
         let plane = self.rows.len() * nx;
@@ -276,10 +370,22 @@ impl Lowering {
                 }
                 for kx in 0..self.s {
                     let at = (kx * self.cpg + chan) * plane + slot * nx;
-                    place(&mut staged[at..][..nx], &row[kx..]);
+                    let from_kx = &row[kx..];
+                    for (d, &ox) in staged[at..][..nx].iter_mut().zip(&self.oxs) {
+                        *d = from_kx[ox * self.sw];
+                    }
                 }
             }
         }
+    }
+}
+
+/// Sets `columns` of every `w`-wide row of `rows` to zero, one strided pass
+/// per column: the few edge columns of a shifted plane, without a `memset`
+/// call per row.
+fn zero_columns(rows: &mut [f32], w: usize, columns: std::ops::Range<usize>) {
+    for col in columns {
+        rows[col..].iter_mut().step_by(w).for_each(|v| *v = 0.0);
     }
 }
 
@@ -390,11 +496,16 @@ fn run_lowered<K: Verified>(
     }
     let n_pos = low.oys.len() * low.oxs.len();
     // The kept weight elements of every output channel: group `g`'s GEMM A
-    // matrix is rows `g·kpg..(g + 1)·kpg`.
+    // matrix is rows `g·kpg..(g + 1)·kpg`. Without filter sampling that is
+    // the weight tensor itself.
     let total = w_data.len() / k;
-    let weights: Vec<f32> = (0..k)
-        .flat_map(|oc| low.kept.iter().map(move |&idx| w_data[oc * total + idx]))
-        .collect();
+    let weights: Cow<[f32]> = if kk2 == total {
+        Cow::Borrowed(w_data)
+    } else {
+        (0..k)
+            .flat_map(|oc| low.kept.iter().map(move |&idx| w_data[oc * total + idx]))
+            .collect()
+    };
     let per_group = low.cpg * low.h * low.w;
     let (staged_len, row_len) = (low.staged_len(), low.w + 2 * low.pw);
     let gemm_call = |a: &[f32], b: &Windows, dst: &mut [f32], epi: &Epilogue| {
@@ -577,21 +688,28 @@ pub(crate) fn conv2d_lowered(
         MulApprox::Lut { bits } => {
             // Whole-tensor symmetric quantisation of both operands; the
             // input's is fitted here and applied while staging.
-            let f16_first = |v: f32| if fp16 { f16::quantize(v) } else { v };
-            let sym = lut::Symmetric::fit(lut::max_abs(x.iter().map(|&v| f16_first(v))), bits);
+            let as_staged = x.iter().map(|&v| if fp16 { f16::quantize(v) } else { v });
+            let sym = lut::Symmetric::fit(lut::max_abs(as_staged), bits);
             let qw = lut::quantize_symmetric(w, bits);
             let kern = LutMul {
                 dequant: sym.scale * qw.scale,
             };
-            let quant = |src: &[f32], dst: &mut [f32]| {
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    *d = sym.q(f16_first(v));
-                }
-            };
+            let quant = |src: &[f32], dst: &mut [f32]| quantize_lut(sym, fp16, src, dst);
             run_lowered(&low, &kern, x, quant, &qw.q, b, &mut out, verify)
         }
     }?;
     Tensor::from_vec(out_shape, out)
+}
+
+/// The LUT multiplier's input quantiser over one staged row or plane:
+/// binary16 first under FP16, then the symmetric integer grid. Kept out of
+/// line: inlined into the staging loops, this loop compiled to code ten
+/// times slower than the function on its own.
+#[inline(never)]
+fn quantize_lut(sym: lut::Symmetric, fp16: bool, src: &[f32], dst: &mut [f32]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = sym.q(if fp16 { f16::quantize(v) } else { v });
+    }
 }
 
 #[cfg(test)]
@@ -762,6 +880,94 @@ mod tests {
             ..Default::default()
         };
         assert!(conv2d_lowered(&x, &w, Some(&bad), params, None, false).is_err());
+    }
+
+    /// Stages `image` through the shifted-copy path and through the per-row
+    /// path into differently poisoned buffers, so an element either path
+    /// leaves unwritten shows as a difference, and compares them bit for bit.
+    fn assert_shifted_staging_matches(
+        low: &Lowering,
+        image: &[f32],
+        quant: impl Fn(&[f32], &mut [f32]),
+        ctx: &str,
+    ) {
+        let len = low.staged_len() - PANEL;
+        let mut shifted = vec![f32::from_bits(0x7FC0_0001); len + PANEL];
+        let mut per_row = vec![f32::from_bits(0x7FC0_0002); len + PANEL];
+        let mut row = vec![0.0; low.w + 2 * low.pw];
+        low.stage_shifted(image, &quant, &mut shifted);
+        low.stage_rows(image, &quant, &mut per_row, &mut row);
+        for (i, (a, b)) in shifted[..len].iter().zip(&per_row[..len]).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{ctx}: staged elem {i}: {a} vs {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn shifted_staging_matches_per_row_staging_bitwise() {
+        let mut rng = StdRng::seed_from_u64(80);
+        let specials = [-0.0, 0.0, f32::NAN, f32::INFINITY, -1e-40, 7e4, -3.0e38];
+        let sym = lut::Symmetric::fit(2.0, 6);
+        let plain = |src: &[f32], dst: &mut [f32]| dst.copy_from_slice(src);
+        let through_f16 = |src: &[f32], dst: &mut [f32]| {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = f16::quantize(v);
+            }
+        };
+        let lut = |src: &[f32], dst: &mut [f32]| quantize_lut(sym, false, src, dst);
+        let lut_f16 = |src: &[f32], dst: &mut [f32]| quantize_lut(sym, true, src, dst);
+        let mut approxes = vec![
+            ConvApprox::Exact,
+            ConvApprox::FilterSampling { k: 2, offset: 1 },
+            ConvApprox::FilterSampling { k: 3, offset: 0 },
+        ];
+        for k in [2, 3] {
+            approxes.extend((0..k).map(|offset| ConvApprox::Perforation {
+                dim: PerforationDim::Row,
+                k,
+                offset,
+            }));
+        }
+        let (cpg, h) = (2, 5);
+        // Widths down to below the window, and one row of whole panels,
+        // where row perforation keeps the rows in natural order.
+        for s in [1, 3, 5, 7] {
+            for w in (1..=9).chain([PANEL]) {
+                let mut image = Tensor::uniform(Shape::nchw(1, cpg, h, w), -2.0, 2.0, &mut rng)
+                    .data()
+                    .to_vec();
+                for (v, &special) in image.iter_mut().step_by(5).zip(specials.iter().cycle()) {
+                    *v = special;
+                }
+                for &approx in &approxes {
+                    let params = Conv2dParams {
+                        pad: (s / 2, s / 2),
+                        approx,
+                        ..Default::default()
+                    };
+                    let low = Lowering::new((h, w), (3, cpg, s, s), (h, w), params, None);
+                    assert!(low.shifts_planes());
+                    let ctx = format!("s={s} w={w} {approx:?}");
+                    assert_shifted_staging_matches(&low, &image, plain, &format!("{ctx} fp32"));
+                    assert_shifted_staging_matches(
+                        &low,
+                        &image,
+                        through_f16,
+                        &format!("{ctx} fp16"),
+                    );
+                    assert_shifted_staging_matches(&low, &image, lut, &format!("{ctx} lut"));
+                    assert_shifted_staging_matches(
+                        &low,
+                        &image,
+                        lut_f16,
+                        &format!("{ctx} lut+fp16"),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

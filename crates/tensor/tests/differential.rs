@@ -139,9 +139,13 @@ fn conv_case() -> impl Strategy<Value = ConvCase> {
 /// of the staged image that are all padding), padding up to 5, windows from
 /// 1×1 to 11×11, grouped and depthwise (`cpg` = 1) channels, and up to 9
 /// output channels per group so every row-group height occurs.
+///
+/// Half the draws are `same_width_conv_case`s, the geometry whose tap
+/// planes are staged as shifted copies of one centre plane; drawn freely,
+/// only about 3 % of cases meet it.
 fn staged_conv_case() -> impl Strategy<Value = ConvCase> {
     let window = || proptest::sample::select(vec![1usize, 2, 3, 4, 5, 7, 11]);
-    conv_cases((
+    let free = conv_cases((
         (1usize..=2, 1usize..=3, 1usize..=3, 1usize..=9),
         (1usize..=12, 1usize..=40, window(), window()),
         (
@@ -149,7 +153,34 @@ fn staged_conv_case() -> impl Strategy<Value = ConvCase> {
             (1usize..=4, 1usize..=4),
             0u64..1000,
         ),
-    ))
+    ));
+    (prop::bool::ANY, free, same_width_conv_case()).prop_map(
+        |(same, free, same_width)| {
+            if same {
+                same_width
+            } else {
+                free
+            }
+        },
+    )
+}
+
+/// Odd window widths with "same" width padding and unit width stride, so
+/// the output is as wide as the input — widths from 1 up, narrower than the
+/// window included — with the rows free: any window height, row padding and
+/// row stride (phase-major staged rows), under the same channel and group
+/// ranges as the free draws.
+fn same_width_conv_case() -> impl Strategy<Value = ConvCase> {
+    let odd = || proptest::sample::select(vec![1usize, 3, 5, 7, 11]);
+    let window = proptest::sample::select(vec![1usize, 2, 3, 4, 5, 7, 11]);
+    let raw = (
+        (1usize..=2, 1usize..=3, 1usize..=3, 1usize..=9),
+        (1usize..=12, 1usize..=40, window, odd()),
+        (0usize..=5, 1usize..=4, 0u64..1000),
+    );
+    conv_cases(raw.prop_map(|(counts, (h, w, r, s), (ph, sh, seed))| {
+        (counts, (h, w, r, s), ((ph, s / 2), (sh, 1), seed))
+    }))
 }
 
 /// Exact, then every filter-sampling `(k, offset)`, then every perforation
