@@ -18,6 +18,7 @@ use crate::profile::{PairIndex, QosProfiles};
 use crate::qos::{measure, QosMetric, QosReference};
 use at_tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Which composition model to use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -36,6 +37,12 @@ impl PredictionModel {
             PredictionModel::Pi2 => "Predictive-Π2",
         }
     }
+}
+
+thread_local! {
+    /// Π1's predicted outputs: overwritten with `T_base` by each prediction
+    /// on this thread, so no prediction allocates them.
+    static PREDICTED: RefCell<Vec<Tensor>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A QoS predictor bound to collected profiles.
@@ -83,24 +90,36 @@ impl<'p> Predictor<'p> {
                     .sum();
                 self.profiles.qos_base + alpha * sum
             }
-            PredictionModel::Pi1 => {
-                // Accumulate Σ ΔT per batch, then measure the QoS of
-                // T_base + α·Σ ΔT.
-                let n_batches = self.profiles.t_base.len();
-                let mut predicted: Vec<Tensor> = self.profiles.t_base.clone();
+            // Accumulate T_base + α·Σ ΔT per batch, node by node, in this
+            // thread's buffer, then measure its QoS.
+            PredictionModel::Pi1 => PREDICTED.with_borrow_mut(|predicted| {
+                let base = &self.profiles.t_base;
+                let same = |p: &[Tensor]| {
+                    p.iter()
+                        .map(Tensor::shape)
+                        .eq(base.iter().map(Tensor::shape))
+                };
+                if same(predicted) {
+                    for (p, b) in predicted.iter_mut().zip(base) {
+                        p.data_mut().copy_from_slice(b.data());
+                    }
+                } else {
+                    predicted.clone_from(base);
+                }
                 for (node, &k) in config.knobs().iter().enumerate() {
                     if k == KnobId::BASELINE {
                         continue;
                     }
-                    if let Some(dts) = self.delta_t(node, k) {
-                        for (b, dt) in dts.iter().enumerate().take(n_batches) {
-                            // Shapes match by construction of the profiles.
-                            let _ = predicted[b].axpy(alpha as f32, dt);
-                        }
+                    for (p, dt) in predicted
+                        .iter_mut()
+                        .zip(self.delta_t(node, k).unwrap_or(&[]))
+                    {
+                        // Shapes match by construction of the profiles.
+                        let _ = p.axpy(alpha as f32, dt);
                     }
                 }
-                measure(self.metric, &predicted, reference)
-            }
+                measure(self.metric, predicted, reference)
+            }),
         }
     }
 
@@ -346,6 +365,66 @@ mod tests {
         let mut pred = Predictor::new(&p, PredictionModel::Pi1, QosMetric::Accuracy);
         let a = pred.calibrate(&samples, &reference);
         assert!((0.05..=2.0).contains(&a));
+    }
+
+    /// Π1 as it was computed before the per-thread buffer: a clone of
+    /// every `T_base` tensor, then each ΔT added in node order.
+    fn pi1_by_clone(p: &Predictor, config: &Config, reference: &QosReference, alpha: f64) -> f64 {
+        let mut predicted = p.profiles.t_base.clone();
+        for (node, &k) in config.knobs().iter().enumerate() {
+            if let Some(dts) = p.delta_t(node, k).filter(|_| k != KnobId::BASELINE) {
+                for (t, dt) in predicted.iter_mut().zip(dts) {
+                    t.axpy(alpha as f32, dt).unwrap();
+                }
+            }
+        }
+        measure(p.metric, &predicted, reference)
+    }
+
+    /// Over every (node, knob) pair of Alexnet2's and LeNet's spaces, with
+    /// random ΔT profiles (Π1's arithmetic is all this compares, so nothing
+    /// is executed), 1,000 random configurations at three α each predict
+    /// the same bits through the reused buffer as through fresh clones —
+    /// the buffer carrying the other model's, or another batch count's,
+    /// leftovers from the previous prediction.
+    #[test]
+    fn pi1_buffer_matches_the_clone_path_bitwise() {
+        use crate::config::single_op_configs;
+        use at_models::{build, BenchmarkId, ModelScale};
+        let r = KnobRegistry::new();
+        let mut rng = StdRng::seed_from_u64(21);
+        for (id, batches) in [(BenchmarkId::AlexNet2, 2), (BenchmarkId::LeNet, 3)] {
+            let graph = build(id, ModelScale::Tiny).graph;
+            let pairs = single_op_configs(&graph, &r, KnobSet::HardwareIndependent);
+            let out = |rng: &mut StdRng, s: f32| Tensor::uniform(Shape::mat(16, 10), -s, s, rng);
+            let t_base: Vec<Tensor> = (0..batches).map(|_| out(&mut rng, 4.0)).collect();
+            let dt = pairs
+                .iter()
+                .map(|_| (0..batches).map(|_| out(&mut rng, 0.5)).collect())
+                .collect();
+            // PSNR against a golden output reads every bit of the
+            // prediction, where accuracy reads only each row's argmax.
+            let golden = (0..batches).map(|_| out(&mut rng, 4.0)).collect();
+            let reference = QosReference::Golden(golden);
+            let p = QosProfiles {
+                dq: vec![0.0; pairs.len()],
+                pairs,
+                qos_base: 0.0,
+                t_base,
+                dt,
+                collection_time_s: 0.0,
+            };
+            let pred = Predictor::new(&p, PredictionModel::Pi1, QosMetric::Psnr);
+            let nk = r.node_knobs(&graph, KnobSet::HardwareIndependent);
+            for i in 0..1000 {
+                let c = Config::random(&nk, &mut rng);
+                for alpha in [1.0, 0.37, 1.61] {
+                    let got = pred.predict_at(&c, &reference, alpha);
+                    let want = pi1_by_clone(&pred, &c, &reference, alpha);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{} config {i}", id.name());
+                }
+            }
+        }
     }
 
     #[test]

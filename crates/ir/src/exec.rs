@@ -15,10 +15,11 @@ use crate::graph::{Graph, Node, NodeId, OpKind};
 use crate::shapes::infer_shapes;
 use at_promise::{promise_conv2d, promise_matmul};
 use at_tensor::cost::{self, OpCounts};
-use at_tensor::ops::{self, conv::Conv2dParams, UnaryOp};
-use at_tensor::{MulApprox, Precision, ReduceApprox, Shape, Tensor};
+use at_tensor::ops::{self, conv::Conv2dParams, Pooling, UnaryOp};
+use at_tensor::{MulApprox, Precision, ReduceApprox, Shape, Tensor, View};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 
 /// Options controlling one execution of a graph.
 #[derive(Clone, Debug, Default)]
@@ -59,23 +60,6 @@ impl ExecOptions {
     }
 }
 
-/// A node's first operand: borrowed from wherever the value lives, or — when
-/// this node is its last consumer and the executor owns it — the tensor
-/// itself, to overwrite or move.
-enum Operand<'a> {
-    Shared(&'a Tensor),
-    Owned(Tensor),
-}
-
-impl Operand<'_> {
-    fn get(&self) -> &Tensor {
-        match self {
-            Operand::Shared(t) => t,
-            Operand::Owned(t) => t,
-        }
-    }
-}
-
 /// The element-wise ops that may overwrite their operand, as the tensor
 /// crate's map.
 fn unary_op(op: &OpKind) -> Option<UnaryOp> {
@@ -88,18 +72,23 @@ fn unary_op(op: &OpKind) -> Option<UnaryOp> {
     }
 }
 
-/// Evaluates a single non-`Input` node. `first` is operand 0 and `arg(i)`
-/// any operand; `fused` is the activation a convolution applies in its
-/// epilogue on behalf of its only consumer (see [`Plan`]).
+/// Evaluates a single non-`Input` node into `out`, which has the node's
+/// output shape and receives every element. `arg(i)` reads operand `i`;
+/// with `in_place`, `out` already holds operand 0 (its last read), and an
+/// element-wise map overwrites it, `Flatten` leaves it as it is. `fused` is
+/// the activation a convolution applies in its epilogue on behalf of its
+/// only consumer (see [`Plan`]).
+#[allow(clippy::too_many_arguments)]
 fn eval_node<'a>(
     graph: &Graph,
     node: &Node,
-    first: Operand<'_>,
-    arg: impl Fn(usize) -> Result<&'a Tensor, GraphError>,
+    arg: impl Fn(usize) -> Result<View<'a>, GraphError>,
     choice: ApproxChoice,
     promise_seed: u64,
     fused: Option<UnaryOp>,
-) -> Result<Tensor, GraphError> {
+    in_place: bool,
+    out: &mut [f32],
+) -> Result<(), GraphError> {
     let (conv_approx, reduce_approx, precision, mul_approx) = match choice {
         ApproxChoice::Digital {
             conv,
@@ -114,8 +103,8 @@ fn eval_node<'a>(
             MulApprox::Exact,
         ),
     };
-    let x = first.get();
-    let out = match &node.op {
+    let promise_rng = || StdRng::seed_from_u64(promise_seed ^ ((node.id.0 as u64) << 17));
+    match &node.op {
         OpKind::Input => {
             return Err(GraphError::Internal {
                 detail: format!("Input node {} reached the kernel dispatch", node.id.0),
@@ -128,8 +117,7 @@ fn eval_node<'a>(
             stride,
             groups,
         } => {
-            let w = graph.param(*weight);
-            let b = bias.map(|p| graph.param(p));
+            let (x, w, b) = (arg(0)?, graph.param(*weight), bias.map(|p| graph.param(p)));
             let params = Conv2dParams {
                 pad: *pad,
                 stride: *stride,
@@ -138,112 +126,86 @@ fn eval_node<'a>(
                 precision,
                 mul: mul_approx,
             };
-            match (choice, fused) {
+            match choice {
                 // PROMISE path (dense convolutions only; grouped convs fall
                 // back to the digital exact kernel).
-                (ApproxChoice::Promise(level), _) if *groups == 1 => {
-                    let mut rng = StdRng::seed_from_u64(promise_seed ^ ((node.id.0 as u64) << 17));
-                    promise_conv2d(x, w, b, *pad, *stride, level, &mut rng)?
+                ApproxChoice::Promise(level) if *groups == 1 => {
+                    let x = x.to_tensor();
+                    let t = promise_conv2d(&x, w, b, *pad, *stride, level, &mut promise_rng())?;
+                    out.copy_from_slice(t.data());
                 }
-                (_, Some(act)) => ops::conv2d_fused(x, w, b, params, act)?,
-                (_, None) => ops::conv2d(x, w, b, params)?,
+                _ => ops::conv2d_into(x, w, b, params, fused, out)?,
             }
         }
         OpKind::Dense { weight, bias } => {
-            let w = graph.param(*weight);
+            let (x, w, b) = (arg(0)?, graph.param(*weight), bias.map(|p| graph.param(p)));
             if let ApproxChoice::Promise(level) = choice {
-                let mut rng = StdRng::seed_from_u64(promise_seed ^ ((node.id.0 as u64) << 17));
-                let out = promise_matmul(x, w, level, &mut rng)?;
-                match bias {
-                    Some(b) => ops::bias_add_rows(&out, graph.param(*b), precision)?,
-                    None => out,
-                }
+                let t = promise_matmul(&x.to_tensor(), w, level, &mut promise_rng())?;
+                let t = match b {
+                    Some(b) => ops::bias_add_rows(&t, b, precision)?,
+                    None => t,
+                };
+                out.copy_from_slice(t.data());
             } else {
                 // Fused GEMM+bias epilogue; bit-identical to the unfused
                 // matmul → bias_add_rows pair at every precision.
-                let b = bias.map(|p| graph.param(p));
-                ops::matmul_ex(x, w, b, precision, mul_approx)?
+                ops::matmul_into(x, w, b, precision, mul_approx, out)?;
             }
         }
         OpKind::Relu | OpKind::ClippedRelu { .. } | OpKind::Tanh | OpKind::Abs => {
             let op = unary_op(&node.op).ok_or_else(|| GraphError::Internal {
                 detail: format!("node {} is not an element-wise map", node.id.0),
             })?;
-            match first {
-                Operand::Owned(mut t) => {
-                    ops::map_unary_in_place(&mut t, op, precision);
-                    t
-                }
-                Operand::Shared(t) => ops::map_unary(t, op, precision)?,
+            if in_place {
+                ops::map_unary_in_place(out, op, precision);
+            } else {
+                ops::map_unary_into(arg(0)?, op, precision, out)?;
             }
         }
         OpKind::MaxPool2d {
             window,
             pad,
             stride,
-        } => ops::max_pool2d(x, *window, *pad, *stride, precision)?,
+        } => ops::pool2d_into(
+            arg(0)?,
+            [*window, *pad, *stride],
+            Pooling::Max,
+            precision,
+            out,
+        )?,
         OpKind::AvgPool2d {
             window,
             pad,
             stride,
-        } => ops::avg_pool2d(x, *window, *pad, *stride, reduce_approx, precision)?,
+        } => {
+            let pool = Pooling::Avg(reduce_approx);
+            ops::pool2d_into(arg(0)?, [*window, *pad, *stride], pool, precision, out)?
+        }
         OpKind::BatchNorm {
             gamma,
             beta,
             mean,
             var,
             eps,
-        } => ops::batchnorm2d(
-            x,
-            graph.param(*gamma),
-            graph.param(*beta),
-            graph.param(*mean),
-            graph.param(*var),
-            *eps,
-            precision,
-        )?,
-        OpKind::Softmax => ops::softmax_rows(x, precision)?,
-        OpKind::Add => {
-            let sum = x.add(arg(1)?)?;
-            if precision == Precision::Fp16 {
-                sum.to_f16()
-            } else {
-                sum
-            }
+        } => {
+            let stats = [gamma, beta, mean, var].map(|p| graph.param(*p));
+            ops::batchnorm2d_into(arg(0)?, stats, *eps, precision, out)?
         }
-        OpKind::Flatten => {
-            let d = x.shape();
-            let d = d.dims();
-            let flat = Shape::mat(d[0], d[1..].iter().product());
-            match first {
-                Operand::Owned(t) => t.into_reshaped(flat)?,
-                Operand::Shared(t) => t.reshape(flat)?,
-            }
+        OpKind::Softmax => ops::softmax_rows_into(arg(0)?, precision, out)?,
+        OpKind::Add => ops::add_into(arg(0)?, arg(1)?, precision, out)?,
+        OpKind::Flatten if in_place => {}
+        OpKind::Flatten => out.copy_from_slice(arg(0)?.data()),
+        OpKind::Reduce { axis, kind } => {
+            ops::reduce_into(arg(0)?, *axis, *kind, reduce_approx, precision, out)?
         }
-        OpKind::Reduce { axis, kind } => ops::reduce(x, *axis, *kind, reduce_approx, precision)?,
-    };
-    Ok(out)
+    }
+    Ok(())
 }
 
 /// Executes the graph on `input`, returning the output tensor of the final
 /// node.
 pub fn execute(graph: &Graph, input: &Tensor, opts: &ExecOptions) -> Result<Tensor, GraphError> {
-    graph.validate()?;
-    let values = run(graph, input, opts, &[], 0, Keep::Live, None)?;
-    take_output(graph, values)
-}
-
-/// Where a node's output is while the graph runs.
-enum Value<'a> {
-    /// Not computed yet, released after its last consumer, or moved into
-    /// the node that consumed it.
-    Gone,
-    /// Produced by this run: the executor may release it, overwrite it or
-    /// move it.
-    Owned(Tensor),
-    /// The program input or an entry of the caller's cache: read, never
-    /// written, whatever the plan says.
-    Shared(&'a Tensor),
+    run_live(graph, input, opts, &[], 0, None)
 }
 
 /// Whether a run keeps every node's output or only what is still to be
@@ -251,21 +213,39 @@ enum Value<'a> {
 #[derive(Clone, Copy, PartialEq)]
 enum Keep {
     /// [`execute_all`]: every output survives the run untouched, so nothing
-    /// is released, overwritten, moved or fused.
+    /// is released, overwritten, moved or fused, and no two values share a
+    /// slot.
     All,
-    /// Release each value after its last consumer.
+    /// Release each value's slot after its last consumer.
     Live,
 }
 
-/// What one run may do with each value, decided from the graph and the
-/// configuration before any kernel runs.
+/// Slot buffers, with the input shape and first node they were last sized
+/// for.
+type Arena = (Option<(Shape, usize)>, Vec<Vec<f32>>);
+
+thread_local! {
+    /// The slot buffers of this thread's live-value runs, kept between
+    /// calls. A run takes them and puts them back, so one entered while
+    /// another holds them starts from empty ones instead of aliasing.
+    static ARENA: Cell<Arena> = Cell::default();
+}
+
+/// Bytes this thread's arena holds between calls.
+pub fn arena_bytes() -> usize {
+    let arena = ARENA.take();
+    let bytes = arena.1.iter().map(|b| b.len() * 4).sum();
+    ARENA.set(arena);
+    bytes
+}
+
+/// What one run may do with each value and where it lives, decided from
+/// the graph, the input shape and the configuration before any kernel runs.
 struct Plan {
-    /// `last_use[v]`: the last node that reads `v`, if any node does. The
-    /// program output has none — it is the last node — and is never
-    /// released.
-    last_use: Vec<Option<usize>>,
+    /// Every node's output shape.
+    shapes: Vec<Shape>,
     /// `fused[c]`: the activation convolution `c` applies in its epilogue,
-    /// its only consumer then being a move.
+    /// its only consumer then keeping `c`'s slot without running a kernel.
     ///
     /// Fusion is bit-invisible (the epilogue applies the node's own scalar
     /// function exactly where the standalone FP32 node would), so it is
@@ -273,24 +253,43 @@ struct Plan {
     /// digitally-executed convolution of this run that nobody else reads,
     /// and the activation itself runs digitally at FP32.
     fused: Vec<Option<UnaryOp>>,
+    /// `in_place[v]`: node `v` takes over its first operand's slot at that
+    /// operand's last read — as a fused activation, as an element-wise map
+    /// that overwrites it, or as a `Flatten` that renames it.
+    in_place: Vec<bool>,
+    /// `slot[v]`: the arena slot holding `v` from its producer to its last
+    /// reader; `None` for what this run does not produce (the program input
+    /// and the caller's cache).
+    slot: Vec<Option<usize>>,
+    /// Elements of each slot: the largest value it holds.
+    slot_len: Vec<usize>,
+    /// The most elements live at once.
+    peak_live: usize,
 }
 
 impl Plan {
-    /// Plans the run of nodes `start..`.
-    fn new(graph: &Graph, opts: &ExecOptions, start: usize, keep: Keep) -> Plan {
-        let mut last_use = vec![None; graph.len()];
-        let mut fused = vec![None; graph.len()];
-        if keep == Keep::All {
-            return Plan { last_use, fused };
-        }
-        let mut readers = vec![0usize; graph.len()];
-        for node in &graph.nodes()[start..] {
+    /// Plans the run of nodes `start..`. In node order, a value that does
+    /// not take over its operand's slot gets the smallest free slot that
+    /// fits it, else the largest free one (grown), else a new one; a slot
+    /// is free again once its value's last reader has run, at once if no
+    /// node reads it. Under [`Keep::All`] no slot is ever freed.
+    fn new(
+        graph: &Graph,
+        opts: &ExecOptions,
+        start: usize,
+        keep: Keep,
+        shapes: Vec<Shape>,
+    ) -> Plan {
+        let n = graph.len();
+        let (mut last_use, mut fused, mut readers) = (vec![None; n], vec![None; n], vec![0; n]);
+        let nodes = &graph.nodes()[start..];
+        for node in nodes.iter().filter(|_| keep == Keep::Live) {
             for inp in &node.inputs {
                 last_use[inp.0 as usize] = Some(node.id.0 as usize);
                 readers[inp.0 as usize] += 1;
             }
         }
-        for node in &graph.nodes()[start..] {
+        for node in nodes.iter().filter(|_| keep == Keep::Live) {
             let (Some(act), Some(&cid)) = (unary_op(&node.op), node.inputs.first()) else {
                 continue;
             };
@@ -311,114 +310,198 @@ impl Plan {
                 fused[c] = Some(act);
             }
         }
-        Plan { last_use, fused }
+        let (mut in_place, mut slot) = (vec![false; n], vec![None; n]);
+        let (mut slot_len, mut free, mut live, mut peak_live) = (vec![], vec![], 0, 0);
+        for node in nodes {
+            let (i, len) = (node.id.0 as usize, shapes[node.id.0 as usize].volume());
+            let Some(v0) = node.inputs.first().map(|v| v.0 as usize) else {
+                continue; // the program input
+            };
+            let renames = fused[v0].is_some()
+                || unary_op(&node.op).is_some()
+                || matches!(node.op, OpKind::Flatten);
+            in_place[i] = renames && last_use[v0] == Some(i) && slot[v0].is_some();
+            if in_place[i] {
+                slot[i] = slot[v0];
+            } else {
+                let fits = free
+                    .iter()
+                    .filter(|&&s| slot_len[s] >= len)
+                    .min_by_key(|&&s| slot_len[s]);
+                let s = match fits.or_else(|| free.iter().max_by_key(|&&s| slot_len[s])) {
+                    Some(&s) => {
+                        free.retain(|&f| f != s);
+                        s
+                    }
+                    None => {
+                        slot_len.push(0);
+                        slot_len.len() - 1
+                    }
+                };
+                slot_len[s] = slot_len[s].max(len);
+                slot[i] = Some(s);
+                live += len;
+            }
+            peak_live = peak_live.max(live);
+            let unread = keep == Keep::Live && last_use[i].is_none() && i + 1 < n;
+            let dead = node.inputs.iter().map(|v| v.0 as usize);
+            let dead = dead.filter(|&v| last_use[v] == Some(i) && !(in_place[i] && v == v0));
+            for v in dead.chain(unread.then_some(i)) {
+                if let Some(s) = slot[v].filter(|s| !free.contains(s)) {
+                    free.push(s);
+                    live -= shapes[v].volume();
+                }
+            }
+        }
+        Plan {
+            shapes,
+            fused,
+            in_place,
+            slot,
+            slot_len,
+            peak_live,
+        }
     }
 }
 
-/// The one node-evaluation loop behind every entry point: runs nodes
-/// `start..` in order, reading earlier nodes from `cache`, and returns
-/// where every value ended up. With `times`, each node's wall-clock seconds
-/// are recorded.
-///
-/// A value produced here is released the moment its last consumer has run;
-/// an element-wise node or `Flatten` whose operand dies there takes the
-/// tensor and overwrites or moves it; an activation fused into its
-/// convolution reduces to that move. `input` and `cache` are only ever
-/// borrowed.
-fn run<'a>(
+/// The bytes of the values a whole-graph [`execute`] holds at once at its
+/// fullest: what [`arena_bytes`] reads after that run on a thread whose
+/// previous run had another input shape or first node.
+pub fn peak_live_bytes(
     graph: &Graph,
-    input: &'a Tensor,
+    input: Shape,
     opts: &ExecOptions,
-    cache: &'a [Tensor],
+) -> Result<usize, GraphError> {
+    let shapes = infer_shapes(graph, input)?;
+    Ok(Plan::new(graph, opts, 0, Keep::Live, shapes).peak_live * 4)
+}
+
+/// The one node-evaluation loop behind every entry point: runs nodes
+/// `start..` in order, reading earlier nodes from `cache`, and returns the
+/// plan it followed. With `times`, each node's wall-clock seconds are
+/// recorded.
+///
+/// Every value produced here is written into its plan slot of `arena`
+/// (grown first where the plan needs more), so a run whose plan fits the
+/// arena allocates no output and fills none twice. `input` and `cache` are
+/// only ever read.
+#[allow(clippy::too_many_arguments)]
+fn run(
+    graph: &Graph,
+    input: &Tensor,
+    opts: &ExecOptions,
+    cache: &[Tensor],
     start: usize,
     keep: Keep,
+    arena: &mut Vec<Vec<f32>>,
     mut times: Option<&mut [f64]>,
-) -> Result<Vec<Value<'a>>, GraphError> {
-    let plan = Plan::new(graph, opts, start, keep);
-    let mut values: Vec<Value<'a>> = cache[..start].iter().map(Value::Shared).collect();
-    values.resize_with(graph.len(), || Value::Gone);
+) -> Result<Plan, GraphError> {
+    let shapes = infer_shapes(graph, input.shape())?;
+    let plan = Plan::new(graph, opts, start, keep, shapes);
+    arena.resize_with(arena.len().max(plan.slot_len.len()), Vec::new);
+    for (buf, &len) in arena.iter_mut().zip(&plan.slot_len) {
+        if buf.len() < len {
+            *buf = Vec::new();
+            buf.resize(len, 0.0);
+        }
+    }
     for node in &graph.nodes()[start..] {
         let started = times.is_some().then(std::time::Instant::now);
         let idx = node.id.0 as usize;
-        values[idx] = if matches!(node.op, OpKind::Input) {
-            Value::Shared(input)
-        } else {
-            let operand = |i: usize| {
-                node.inputs
-                    .get(i)
-                    .map(|id| id.0 as usize)
-                    .ok_or_else(|| GraphError::Internal {
-                        detail: format!("node {idx} has no input #{i}"),
-                    })
+        // A fused activation's convolution already applied it.
+        let fused_away = node
+            .inputs
+            .first()
+            .is_some_and(|c| plan.fused[c.0 as usize].is_some());
+        if let (Some(s), false) = (plan.slot[idx], fused_away) {
+            let mut out = std::mem::take(&mut arena[s]);
+            let operand = |i: usize| match node.inputs.get(i) {
+                Some(v) => read(&plan, input, cache, start, arena, v.0 as usize),
+                None => Err(internal(format!("node {idx} has no input #{i}"))),
             };
-            let v0 = operand(0)?;
-            // Taking the operand is what lets the node write it: only a
-            // value this run produced, at its last read, by a node that
-            // can use the storage (or whose work the producer already did).
-            let reuses = plan.fused[v0].is_some()
-                || unary_op(&node.op).is_some()
-                || matches!(node.op, OpKind::Flatten);
-            let take = reuses && plan.last_use[v0] == Some(idx);
-            let taken = match &mut values[v0] {
-                slot @ Value::Owned(_) if take => std::mem::replace(slot, Value::Gone),
-                _ => Value::Gone,
-            };
-            let read = |v: usize| match &values[v] {
-                Value::Owned(t) => Ok(t),
-                Value::Shared(t) => Ok(*t),
-                Value::Gone => Err(GraphError::Internal {
-                    detail: format!("input {v} of node {idx} is not available"),
-                }),
-            };
-            let first = match taken {
-                Value::Owned(t) => Operand::Owned(t),
-                _ => Operand::Shared(read(v0)?),
-            };
-            let out = match (plan.fused[v0], first) {
-                // The producing convolution already applied this node.
-                (Some(_), Operand::Owned(t)) => t,
-                (Some(_), Operand::Shared(_)) => {
-                    return Err(GraphError::Internal {
-                        detail: format!("fused convolution {v0} is not node {idx}'s to take"),
-                    })
-                }
-                (None, first) => eval_node(
+            let done = match out.get_mut(..plan.shapes[idx].volume()) {
+                Some(dst) => eval_node(
                     graph,
                     node,
-                    first,
-                    |i| read(operand(i)?),
+                    operand,
                     opts.choice(node.id),
                     opts.promise_seed,
                     plan.fused[idx],
-                )?,
+                    plan.in_place[idx],
+                    dst,
+                ),
+                None => Err(internal(format!("slot {s} is too short for node {idx}"))),
             };
-            Value::Owned(out)
-        };
-        for inp in &node.inputs {
-            let v = inp.0 as usize;
-            if plan.last_use[v] == Some(idx) {
-                values[v] = Value::Gone;
-            }
+            arena[s] = out;
+            done?;
         }
         if let (Some(times), Some(started)) = (times.as_deref_mut(), started) {
             times[idx] = started.elapsed().as_secs_f64();
         }
     }
-    Ok(values)
+    Ok(plan)
 }
 
-/// The program output of a finished run (cloned when it is the caller's own
-/// tensor: a graph that is only its input, or a suffix that starts past the
-/// output).
-fn take_output(graph: &Graph, mut values: Vec<Value<'_>>) -> Result<Tensor, GraphError> {
-    let out = graph.output().ok_or(GraphError::EmptyGraph)?.0 as usize;
-    match values.swap_remove(out) {
-        Value::Owned(t) => Ok(t),
-        Value::Shared(t) => Ok(t.clone()),
-        Value::Gone => Err(GraphError::Internal {
-            detail: "output node was not computed".into(),
-        }),
+fn internal(detail: String) -> GraphError {
+    GraphError::Internal { detail }
+}
+
+/// Value `v` of a run that followed `plan`: in its arena slot, or, if the
+/// run did not produce it, the program input or the cache entry.
+fn read<'a>(
+    plan: &Plan,
+    input: &'a Tensor,
+    cache: &'a [Tensor],
+    start: usize,
+    arena: &'a [Vec<f32>],
+    v: usize,
+) -> Result<View<'a>, GraphError> {
+    match plan.slot.get(v) {
+        Some(&Some(s)) => {
+            let data = arena[s].get(..plan.shapes[v].volume());
+            Ok(View::new(
+                plan.shapes[v],
+                data.ok_or_else(|| internal(format!("value {v} is not in its slot")))?,
+            )?)
+        }
+        Some(None) if v < start => Ok(cache[v].view()),
+        Some(None) => Ok(input.view()),
+        None => Err(internal(format!("no value {v}"))),
     }
+}
+
+/// [`run`] under [`Keep::Live`] on this thread's arena, returning a copy
+/// of the program output (the arena's next run overwrites the original).
+fn run_live(
+    graph: &Graph,
+    input: &Tensor,
+    opts: &ExecOptions,
+    cache: &[Tensor],
+    start: usize,
+    times: Option<&mut [f64]>,
+) -> Result<Tensor, GraphError> {
+    let out = graph.output().ok_or(GraphError::EmptyGraph)?.0 as usize;
+    let (sized_for, mut arena) = ARENA.take();
+    // Slots only grow while the thread keeps running inputs of one shape
+    // from one first node; another model, batch size or suffix start
+    // begins from its own plan's slots instead of keeping the largest any
+    // earlier plan needed.
+    if sized_for != Some((input.shape(), start)) {
+        arena.clear();
+    }
+    let plan = run(
+        graph,
+        input,
+        opts,
+        cache,
+        start,
+        Keep::Live,
+        &mut arena,
+        times,
+    );
+    let t = plan.and_then(|p| Ok(read(&p, input, cache, start, &arena, out)?.to_tensor()));
+    ARENA.set((Some((input.shape(), start)), arena));
+    t
 }
 
 /// Executes the graph and additionally returns per-node wall-clock kernel
@@ -430,31 +513,29 @@ pub fn execute_with_trace(
     input: &Tensor,
     opts: &ExecOptions,
 ) -> Result<(Tensor, Vec<f64>), GraphError> {
-    graph.validate()?;
     let mut times = vec![0.0f64; graph.len()];
-    let values = run(graph, input, opts, &[], 0, Keep::Live, Some(&mut times))?;
-    Ok((take_output(graph, values)?, times))
+    let out = run_live(graph, input, opts, &[], 0, Some(&mut times))?;
+    Ok((out, times))
 }
 
 /// Executes the graph and returns *all* node outputs — the cache consumed by
-/// [`execute_suffix`].
+/// [`execute_suffix`]. They outlive the call, so this run writes into a
+/// fresh arena with a slot per value, and each slot becomes a tensor.
 pub fn execute_all(
     graph: &Graph,
     input: &Tensor,
     opts: &ExecOptions,
 ) -> Result<Vec<Tensor>, GraphError> {
-    graph.validate()?;
-    run(graph, input, opts, &[], 0, Keep::All, None)?
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| match v {
-            Value::Owned(t) => Ok(t),
-            Value::Shared(t) => Ok(t.clone()),
-            Value::Gone => Err(GraphError::Internal {
-                detail: format!("node {i} was not computed"),
-            }),
-        })
-        .collect()
+    let mut arena = Vec::new();
+    let plan = run(graph, input, opts, &[], 0, Keep::All, &mut arena, None)?;
+    let tensor = |(v, slot): (usize, &Option<usize>)| match slot {
+        Some(s) => Ok(Tensor::from_vec(
+            plan.shapes[v],
+            std::mem::take(&mut arena[*s]),
+        )?),
+        None => Ok(input.clone()),
+    };
+    plan.slot.iter().enumerate().map(tensor).collect()
 }
 
 /// Recomputes only the nodes at positions `from..` of the graph, reading
@@ -470,7 +551,6 @@ pub fn execute_suffix(
     from: NodeId,
     opts: &ExecOptions,
 ) -> Result<Tensor, GraphError> {
-    graph.validate()?;
     if cache.len() != graph.len() {
         return Err(GraphError::CacheMismatch {
             expected: graph.len(),
@@ -478,10 +558,7 @@ pub fn execute_suffix(
         });
     }
     let start = (from.0 as usize).min(graph.len());
-    take_output(
-        graph,
-        run(graph, input, opts, cache, start, Keep::Live, None)?,
-    )
+    run_live(graph, input, opts, cache, start, None)
 }
 
 /// Baseline analytical cost of every node (paper §3.4), given the program
@@ -648,7 +725,7 @@ mod tests {
         // execute() fuses conv→relu; execute_all() never does. The program
         // output must stay bitwise identical under every digital conv knob.
         assert_eq!(
-            Plan::new(&g, &ExecOptions::baseline(), 0, Keep::Live).fused[1],
+            Plan::new(&g, &ExecOptions::baseline(), 0, Keep::Live, shapes(&g, &x)).fused[1],
             Some(UnaryOp::Relu)
         );
         let conv_choices = [
@@ -766,6 +843,10 @@ mod tests {
         assert_eq!(out.data(), cache[last.0 as usize].data());
     }
 
+    fn shapes(g: &Graph, x: &Tensor) -> Vec<Shape> {
+        infer_shapes(g, x.shape()).unwrap()
+    }
+
     /// A random DAG over one `[2, 8]` value: element-wise maps, `Flatten`
     /// (a no-op reshape here) and `Add`, each reading any earlier node —
     /// so values fan out, die at different times, and some are never read.
@@ -810,16 +891,30 @@ mod tests {
             let all = execute_all(&g, &x, &opts).unwrap();
             let want: Vec<u32> = all.last().unwrap().data().iter().map(|v| v.to_bits()).collect();
             for start in 0..g.len() {
-                let plan = Plan::new(&g, &opts, start, Keep::Live);
-                for node in &g.nodes()[start..] {
-                    let i = node.id.0 as usize;
-                    for v in node.inputs.iter().map(|id| id.0 as usize) {
-                        let later = g.nodes()[i + 1..].iter().any(|n| n.inputs.contains(&NodeId(v as u32)));
-                        if plan.last_use[v] == Some(i) {
-                            proptest::prop_assert!(!later, "node {i} takes {v}, read again later");
-                        } else {
-                            proptest::prop_assert!(later, "{v} outlives its last reader {i}");
-                        }
+                let plan = Plan::new(&g, &opts, start, Keep::Live, shapes(&g, &x));
+                // `v` is live from its producer to its last reader (to the
+                // end for the program output, only while it is produced if
+                // nothing reads it).
+                let end = |v: usize| {
+                    let last = (v + 1..g.len()).rev().find(|&i| g.nodes()[i].inputs.contains(&NodeId(v as u32)));
+                    last.unwrap_or(if v + 1 == g.len() { g.len() } else { v })
+                };
+                for v in start..g.len() {
+                    let Some(sv) = plan.slot[v] else { continue };
+                    proptest::prop_assert!(plan.slot_len[sv] >= plan.shapes[v].volume());
+                    let v0 = g.nodes()[v].inputs[0].0 as usize;
+                    if plan.in_place[v] {
+                        proptest::prop_assert!(end(v0) == v, "node {v} takes {v0}, read again later");
+                    }
+                    // Two values share a slot only if one is dead before the
+                    // other is produced, or the later one takes the slot
+                    // over at the earlier one's last read.
+                    for u in (start..v).filter(|&u| plan.slot[u] == Some(sv)) {
+                        let handoff = plan.in_place[v] && v0 == u;
+                        proptest::prop_assert!(
+                            end(u) < v || (end(u) == v && handoff),
+                            "from {start}: {u} (live to {}) and {v} share slot {sv}", end(u)
+                        );
                     }
                 }
                 let out = execute_suffix(&g, &x, &all, NodeId(start as u32), &opts).unwrap();

@@ -50,4 +50,4 @@ pub use error::TensorError;
 pub use f16::F16;
 pub use knobs::{ConvApprox, MulApprox, PerforationDim, Precision, ReduceApprox};
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{Tensor, View};

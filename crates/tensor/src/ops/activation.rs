@@ -10,7 +10,7 @@
 
 use crate::error::TensorError;
 use crate::knobs::Precision;
-use crate::tensor::Tensor;
+use crate::tensor::{check_len, Tensor, View};
 use crate::{f16, par};
 
 /// Elementwise unary operations supported as `map` ops.
@@ -165,24 +165,37 @@ fn through_f16(f: impl Fn(f32) -> f32 + Sync) -> impl Fn(f32) -> f32 + Sync {
 /// Applies a unary map over the tensor into a new one, honouring FP16
 /// semantics.
 pub fn map_unary(input: &Tensor, op: UnaryOp, precision: Precision) -> Result<Tensor, TensorError> {
-    struct IntoVec<'a>(&'a [f32], Precision);
-    impl ElementLoop for IntoVec<'_> {
-        type Out = Vec<f32>;
-        fn run(self, f: impl Fn(f32) -> f32 + Sync) -> Vec<f32> {
-            match self.1 {
-                Precision::Fp32 => par::map(self.0, f),
-                Precision::Fp16 => par::map(self.0, through_f16(f)),
+    Tensor::written_by(input.shape(), |out| {
+        map_unary_into(input.view(), op, precision, out)
+    })
+}
+
+/// [`map_unary`] into `out`, which must be as long as `input`.
+pub fn map_unary_into(
+    input: View,
+    op: UnaryOp,
+    precision: Precision,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    struct IntoSlice<'a>(&'a [f32], &'a mut [f32], Precision);
+    impl ElementLoop for IntoSlice<'_> {
+        type Out = ();
+        fn run(self, f: impl Fn(f32) -> f32 + Sync) {
+            match self.2 {
+                Precision::Fp32 => par::map_into(self.0, self.1, f),
+                Precision::Fp16 => par::map_into(self.0, self.1, through_f16(f)),
             }
         }
     }
-    // The map preserves length; shape unchanged.
-    Tensor::from_vec(input.shape(), op.with_fn(IntoVec(input.data(), precision)))
+    check_len(input.shape(), out.len())?;
+    op.with_fn(IntoSlice(input.data(), out, precision));
+    Ok(())
 }
 
 /// [`map_unary`] overwriting its operand: the same value for every element,
-/// without the second tensor. For a caller that owns `t` and has no other
+/// without the second buffer. For a caller that owns `xs` and has no other
 /// reader of it (the graph executor, once a value's last consumer runs).
-pub fn map_unary_in_place(t: &mut Tensor, op: UnaryOp, precision: Precision) {
+pub fn map_unary_in_place(xs: &mut [f32], op: UnaryOp, precision: Precision) {
     struct InPlace<'a>(&'a mut [f32], Precision);
     impl ElementLoop for InPlace<'_> {
         type Out = ();
@@ -193,28 +206,45 @@ pub fn map_unary_in_place(t: &mut Tensor, op: UnaryOp, precision: Precision) {
             }
         }
     }
-    op.with_fn(InPlace(t.data_mut(), precision))
+    op.with_fn(InPlace(xs, precision))
 }
 
-/// ReLU activation.
-pub fn relu(input: &Tensor, precision: Precision) -> Result<Tensor, TensorError> {
-    map_unary(input, UnaryOp::Relu, precision)
-}
-
-/// Clipped ReLU (e.g. ReLU6 in MobileNet).
-pub fn clipped_relu(
-    input: &Tensor,
-    lo: f32,
-    hi: f32,
+/// `out = a + b` element-wise, rounded through binary16 under FP16: the
+/// graph's `Add` node.
+pub fn add_into(
+    a: View,
+    b: View,
     precision: Precision,
-) -> Result<Tensor, TensorError> {
-    map_unary(input, UnaryOp::ClippedRelu(lo, hi), precision)
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    if a.shape() != b.shape() {
+        return Err(TensorError::ShapeMismatch {
+            op: "add",
+            detail: format!("{} vs {}", a.shape(), b.shape()),
+        });
+    }
+    check_len(a.shape(), out.len())?;
+    for ((o, &x), &y) in out.iter_mut().zip(a.data()).zip(b.data()) {
+        *o = x + y;
+    }
+    if precision == Precision::Fp16 {
+        f16::quantize_slice(out);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Shape;
+
+    fn relu(t: &Tensor, precision: Precision) -> Result<Tensor, TensorError> {
+        map_unary(t, UnaryOp::Relu, precision)
+    }
+
+    fn clipped_relu(t: &Tensor, lo: f32, hi: f32, p: Precision) -> Result<Tensor, TensorError> {
+        map_unary(t, UnaryOp::ClippedRelu(lo, hi), p)
+    }
 
     #[test]
     fn relu_clamps_negatives() {

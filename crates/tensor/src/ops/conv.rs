@@ -11,7 +11,7 @@
 use crate::error::TensorError;
 use crate::knobs::{ConvApprox, MulApprox, Precision};
 use crate::ops::activation::UnaryOp;
-use crate::tensor::Tensor;
+use crate::tensor::{Tensor, View};
 
 /// Configuration of a convolution call.
 #[derive(Clone, Copy, Debug)]
@@ -77,6 +77,19 @@ pub fn conv2d_fused(
     act: UnaryOp,
 ) -> Result<Tensor, TensorError> {
     super::im2col::conv2d_lowered(input, weight, bias, params, Some(act), false)
+}
+
+/// [`conv2d`], or [`conv2d_fused`] with `act`, into `out`, which must hold
+/// the output shape; every element is written.
+pub fn conv2d_into(
+    input: View,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    params: Conv2dParams,
+    act: Option<UnaryOp>,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    super::im2col::lower_into(input, weight, bias, params, act, false, out)
 }
 
 #[cfg(test)]

@@ -424,16 +424,21 @@ fn narrow(sums: &mut [f32], total: &[f64]) {
 /// prefetchers give up at page boundaries. Packing costs one `O(K·N)` pass
 /// and turns the `O(M·K·N)` hot loop into sequential reads. Pure data
 /// movement: the arithmetic, and therefore every output bit, is unchanged.
-fn pack_b_panels(k: usize, n: usize, b: &[f32]) -> Vec<f32> {
-    let mut packed = Vec::with_capacity(n.div_ceil(PANEL) * k * PANEL);
+fn pack_b_panels(k: usize, n: usize, b: &[f32], quant: impl Fn(f32) -> f32, packed: &mut Vec<f32>) {
+    packed.clear();
     for j in (0..n).step_by(PANEL) {
         let width = PANEL.min(n - j);
         for kk in 0..k {
-            packed.extend_from_slice(&b[kk * n + j..][..width]);
+            packed.extend(b[kk * n + j..][..width].iter().map(|&v| quant(v)));
             packed.resize(packed.len() + PANEL - width, 0.0);
         }
     }
-    packed
+}
+
+thread_local! {
+    /// The packed `B` of this thread's last dense GEMM: taken for the call
+    /// and put back, so the buffer is reused once it has grown.
+    static PACKED: std::cell::Cell<Vec<f32>> = Default::default();
 }
 
 /// `R` whole output rows (`orows` is `R·n` long, row `i0` of `a` first)
@@ -508,20 +513,23 @@ pub(crate) fn gemm_windows<K: MulKernel>(
 }
 
 /// [`gemm_windows`] over a row-major `B`, packed here, once, into the slabs
-/// the kernel reads.
+/// the kernel reads, each element through `quant` on its way in (so an FP16
+/// or LUT operand needs no quantised copy of its own).
 #[allow(clippy::too_many_arguments)]
-fn gemm_dense<K: MulKernel>(
+pub(crate) fn gemm_dense<K: MulKernel>(
     kern: &K,
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
+    quant: impl Fn(f32) -> f32,
     out: &mut [f32],
     epi: &Epilogue,
 ) {
     assert_eq!(b.len(), k * n, "gemm B size");
-    let packed = pack_b_panels(k, n, b);
+    let mut packed = PACKED.take();
+    pack_b_panels(k, n, b, quant, &mut packed);
     let runs = [Run {
         len: n,
         step: k * PANEL,
@@ -533,6 +541,7 @@ fn gemm_dense<K: MulKernel>(
         runs: &runs,
     };
     gemm_windows(kern, m, a, &b, out, epi);
+    PACKED.set(packed);
 }
 
 /// Tiled f32 GEMM with fused epilogue: `out[M,N] = epi(A[M,K] × B[K,N])`,
@@ -546,7 +555,7 @@ pub fn gemm_f32(
     out: &mut [f32],
     epi: &Epilogue,
 ) {
-    gemm_dense(&Fma, m, k, n, a, b, out, epi);
+    gemm_dense(&Fma, m, k, n, a, b, |v| v, out, epi);
 }
 
 /// Approximate-multiplier GEMM over quantised operands, `B` row-major:
@@ -577,7 +586,7 @@ pub(crate) fn gemm_lut(
         in_range(a) && in_range(b),
         "gemm_lut operand outside the {bits}-bit range"
     );
-    gemm_dense(&LutMul { dequant }, m, k, n, a, b, out, epi);
+    gemm_dense(&LutMul { dequant }, m, k, n, a, b, |v| v, out, epi);
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ use crate::ops::conv::Conv2dParams;
 use crate::ops::gemm::{self, Epilogue, Fma, LutMul, Run, Windows, PANEL};
 use crate::par;
 use crate::shape::{conv2d_out_shape, Shape};
-use crate::tensor::Tensor;
+use crate::tensor::{check_len, Tensor, View};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -629,10 +629,16 @@ pub(crate) fn conv2d_lowered(
     act: Option<UnaryOp>,
     verify: bool,
 ) -> Result<Tensor, TensorError> {
-    params.approx.validate()?;
-    params.mul.validate()?;
-    let (n, c, h, w) = input.shape().as_nchw()?;
-    let (k, cpg, r, s) = weight.shape().as_nchw()?;
+    let shape = conv_out_shape(input.shape(), weight.shape(), params)?;
+    Tensor::written_by(shape, |out| {
+        lower_into(input.view(), weight, bias, params, act, verify, out)
+    })
+}
+
+/// The output shape of a (possibly grouped) convolution.
+fn conv_out_shape(input: Shape, weight: Shape, params: Conv2dParams) -> Result<Shape, TensorError> {
+    let (n, c, h, w) = input.as_nchw()?;
+    let (k, cpg, _, _) = weight.as_nchw()?;
     let groups = params.groups.max(1);
     if c % groups != 0 || k % groups != 0 || cpg != c / groups {
         return Err(TensorError::ShapeMismatch {
@@ -644,8 +650,26 @@ pub(crate) fn conv2d_lowered(
     }
     // Shape algebra is the same as a dense conv with C/groups input
     // channels per filter.
-    let pseudo_input = Shape::nchw(n, cpg, h, w);
-    let out_shape = conv2d_out_shape(pseudo_input, weight.shape(), params.pad, params.stride)?;
+    conv2d_out_shape(Shape::nchw(n, cpg, h, w), weight, params.pad, params.stride)
+}
+
+/// [`conv2d_lowered`] into `out`, which must hold the output shape and
+/// whose every element is written.
+pub(crate) fn lower_into(
+    input: View,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    params: Conv2dParams,
+    act: Option<UnaryOp>,
+    verify: bool,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    params.approx.validate()?;
+    params.mul.validate()?;
+    let (_, _, h, w) = input.shape().as_nchw()?;
+    let (k, cpg, r, s) = weight.shape().as_nchw()?;
+    let out_shape = conv_out_shape(input.shape(), weight.shape(), params)?;
+    check_len(out_shape, out.len())?;
     if let Some(b) = bias {
         if b.len() != k {
             return Err(TensorError::ShapeMismatch {
@@ -670,7 +694,6 @@ pub(crate) fn conv2d_lowered(
 
     let (_, _, ho, wo) = out_shape.as_nchw()?;
     let low = Lowering::new((h, w), (k, cpg, r, s), (ho, wo), params, act);
-    let mut out = vec![0.0f32; n * k * ho * wo];
     let (x, w, b) = (input.data(), weight.data(), bias.map(|t| t.data()));
     let through_f16 = |src: &[f32], dst: &mut [f32]| {
         for (d, &v) in dst.iter_mut().zip(src) {
@@ -680,10 +703,10 @@ pub(crate) fn conv2d_lowered(
     // One closure type per quantiser, so the plain FP32 staging loop carries
     // none of the others' code.
     match params.mul {
-        MulApprox::Exact if fp16 => run_lowered(&low, &Fma, x, through_f16, w, b, &mut out, verify),
+        MulApprox::Exact if fp16 => run_lowered(&low, &Fma, x, through_f16, w, b, out, verify),
         MulApprox::Exact => {
             let plain = |src: &[f32], dst: &mut [f32]| dst.copy_from_slice(src);
-            run_lowered(&low, &Fma, x, plain, w, b, &mut out, verify)
+            run_lowered(&low, &Fma, x, plain, w, b, out, verify)
         }
         MulApprox::Lut { bits } => {
             // Whole-tensor symmetric quantisation of both operands; the
@@ -695,10 +718,9 @@ pub(crate) fn conv2d_lowered(
                 dequant: sym.scale * qw.scale,
             };
             let quant = |src: &[f32], dst: &mut [f32]| quantize_lut(sym, fp16, src, dst);
-            run_lowered(&low, &kern, x, quant, &qw.q, b, &mut out, verify)
+            run_lowered(&low, &kern, x, quant, &qw.q, b, out, verify)
         }
-    }?;
-    Tensor::from_vec(out_shape, out)
+    }
 }
 
 /// The LUT multiplier's input quantiser over one staged row or plane:
@@ -861,8 +883,9 @@ mod tests {
             };
             let fused =
                 conv2d_lowered(&x, &w, Some(&b), params, Some(UnaryOp::Relu), false).unwrap();
-            let unfused = crate::ops::relu(
+            let unfused = crate::ops::map_unary(
                 &conv2d_lowered(&x, &w, Some(&b), params, None, false).unwrap(),
+                UnaryOp::Relu,
                 Precision::Fp32,
             )
             .unwrap();

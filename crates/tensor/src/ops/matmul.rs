@@ -8,10 +8,11 @@
 //! materialising the unbiased product.
 
 use crate::error::TensorError;
+use crate::f16;
 use crate::knobs::{MulApprox, Precision};
 use crate::lut;
-use crate::ops::gemm::{self, Epilogue};
-use crate::tensor::Tensor;
+use crate::ops::gemm::{self, Epilogue, Fma, LutMul};
+use crate::tensor::{check_len, Tensor, View};
 use crate::Shape;
 
 /// `C = A × B` for `A: [M,K]`, `B: [K,N]` on the register-blocked kernel.
@@ -37,9 +38,25 @@ pub fn matmul_ex(
     precision: Precision,
     mul: MulApprox,
 ) -> Result<Tensor, TensorError> {
+    let shape = Shape::mat(a.shape().as_mat()?.0, b.shape().as_mat()?.1);
+    Tensor::written_by(shape, |out| {
+        matmul_into(a.view(), b, bias, precision, mul, out)
+    })
+}
+
+/// [`matmul_ex`] into `out`, which must hold `[M, N]`.
+pub fn matmul_into(
+    a: View,
+    b: &Tensor,
+    bias: Option<&Tensor>,
+    precision: Precision,
+    mul: MulApprox,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
     mul.validate()?;
     let (m, ka) = a.shape().as_mat()?;
     let (kb, n) = b.shape().as_mat()?;
+    check_len(Shape::mat(m, n), out.len())?;
     if ka != kb {
         return Err(TensorError::ShapeMismatch {
             op: "matmul",
@@ -55,33 +72,35 @@ pub fn matmul_ex(
         }
     }
 
-    let (qa, qb);
-    let (a, b) = match precision {
-        Precision::Fp32 => (a, b),
-        Precision::Fp16 => {
-            qa = a.to_f16();
-            qb = b.to_f16();
-            (&qa, &qb)
-        }
-    };
+    // FP16 and LUT quantise `B` as it is packed, one closure type per
+    // quantiser so the plain FP32 packing stays a copy.
+    let fp16 = precision == Precision::Fp16;
+    let qa = fp16.then(|| a.to_f16());
+    let a = qa.as_ref().map_or(a, Tensor::view);
     let epi = Epilogue::Dense {
         bias: bias.map(|t| t.data()),
-        fp16: precision == Precision::Fp16,
+        fp16,
     };
-
-    let mut out = vec![0.0f32; m * n];
+    let (a, b) = (a.data(), b.data());
     match mul {
-        MulApprox::Exact => {
-            gemm::gemm_f32(m, ka, n, a.data(), b.data(), &mut out, &epi);
+        MulApprox::Exact if fp16 => {
+            gemm::gemm_dense(&Fma, m, ka, n, a, b, f16::quantize, out, &epi)
         }
+        MulApprox::Exact => gemm::gemm_dense(&Fma, m, ka, n, a, b, |v| v, out, &epi),
         MulApprox::Lut { bits } => {
-            let aq = lut::quantize_symmetric(a.data(), bits);
-            let bq = lut::quantize_symmetric(b.data(), bits);
-            let dq = aq.scale * bq.scale;
-            gemm::gemm_lut(m, ka, n, &aq.q, &bq.q, bits, dq, &mut out, &epi);
+            // Both operands come out of the quantiser, so they are in
+            // `gemm_lut`'s range by construction.
+            let b16 = |v| if fp16 { f16::quantize(v) } else { v };
+            let aq = lut::quantize_symmetric(a, bits);
+            let bs = lut::Symmetric::fit(lut::max_abs(b.iter().map(|&v| b16(v))), bits);
+            let kern = LutMul {
+                dequant: aq.scale * bs.scale,
+            };
+            let quant = |v| bs.q(b16(v));
+            gemm::gemm_dense(&kern, m, ka, n, &aq.q, b, quant, out, &epi);
         }
     }
-    Tensor::from_vec(Shape::mat(m, n), out)
+    Ok(())
 }
 
 /// Adds a bias row-vector `[N]` to every row of `x: [M,N]`.

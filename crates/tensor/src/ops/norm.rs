@@ -2,22 +2,22 @@
 
 use crate::error::TensorError;
 use crate::knobs::Precision;
-use crate::par;
-use crate::tensor::Tensor;
+use crate::tensor::{check_len, Tensor, View};
+use crate::{f16, par};
 use rayon::prelude::*;
 
-/// Inference batch normalisation over NCHW input with per-channel
-/// `gamma`, `beta`, running `mean` and `var` (each of length `C`).
-pub fn batchnorm2d(
-    input: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    mean: &Tensor,
-    var: &Tensor,
+/// Inference batch normalisation over NCHW input into `out`, which must be
+/// as long as `input`, with per-channel `[gamma, beta, mean, var]` (each of
+/// length `C`; `mean` and `var` the running statistics).
+pub fn batchnorm2d_into(
+    input: View,
+    [gamma, beta, mean, var]: [&Tensor; 4],
     eps: f32,
     precision: Precision,
-) -> Result<Tensor, TensorError> {
+    out: &mut [f32],
+) -> Result<(), TensorError> {
     let (_, c, h, w) = input.shape().as_nchw()?;
+    check_len(input.shape(), out.len())?;
     for (name, t) in [
         ("gamma", gamma),
         ("beta", beta),
@@ -37,7 +37,7 @@ pub fn batchnorm2d(
         Precision::Fp32 => input,
         Precision::Fp16 => {
             qin = input.to_f16();
-            &qin
+            qin.view()
         }
     };
 
@@ -51,8 +51,7 @@ pub fn batchnorm2d(
 
     let plane = h * w;
     let data = input_t.data();
-    let mut out = vec![0.0f32; data.len()];
-    out.par_chunks_mut(plane)
+    out.par_chunks_mut(plane.max(1))
         .with_min_len(par::min_chunks(plane))
         .enumerate()
         .for_each(|(idx, op)| {
@@ -63,16 +62,29 @@ pub fn batchnorm2d(
             }
         });
 
-    let mut t = Tensor::from_vec(input.shape(), out)?;
     if precision == Precision::Fp16 {
-        t.quantize_f16();
+        f16::quantize_slice(out);
     }
-    Ok(t)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn batchnorm2d(
+        x: &Tensor,
+        gamma: &Tensor,
+        beta: &Tensor,
+        mean: &Tensor,
+        var: &Tensor,
+        eps: f32,
+        precision: Precision,
+    ) -> Result<Tensor, TensorError> {
+        Tensor::written_by(x.shape(), |out| {
+            batchnorm2d_into(x.view(), [gamma, beta, mean, var], eps, precision, out)
+        })
+    }
     use crate::Shape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -12,7 +12,7 @@ use crate::f16;
 use crate::knobs::{Precision, ReduceApprox};
 use crate::par;
 use crate::shape::pool2d_out_shape;
-use crate::tensor::Tensor;
+use crate::tensor::{check_len, Tensor, View};
 use rayon::prelude::*;
 
 /// What a pooling window's valid taps are folded into, one tap at a time:
@@ -150,32 +150,39 @@ fn fold_run<R: WindowReduce>(r: &R, out: &mut [f32], rows: &[f32], x: usize, dim
 type Geometry = [(usize, usize); 3];
 
 fn pool2d_impl<R: WindowReduce>(
-    input: &Tensor,
+    input: View,
     g: Geometry,
     precision: Precision,
     reducer: R,
-) -> Result<Tensor, TensorError> {
+    out: &mut [f32],
+) -> Result<(), TensorError> {
     // FP16 quantises every input once: as the tap is read when each input
     // is read at most once (the windows tile, as in every zoo pool), and
     // ahead of the fold when overlapping windows would read it again.
     let [window, _, stride] = g;
     let overlap = window.0 > stride.0 || window.1 > stride.1;
-    let mut t = match precision {
-        Precision::Fp32 => return fold_windows(input, g, reducer),
-        Precision::Fp16 if overlap => fold_windows(&input.to_f16(), g, reducer)?,
-        Precision::Fp16 => fold_windows(input, g, Fp16Taps(reducer))?,
+    match precision {
+        Precision::Fp32 => return fold_windows(input, g, reducer, out),
+        Precision::Fp16 if overlap => fold_windows(input.to_f16().view(), g, reducer, out)?,
+        Precision::Fp16 => fold_windows(input, g, Fp16Taps(reducer), out)?,
     };
-    t.quantize_f16();
-    Ok(t)
+    f16::quantize_slice(out);
+    Ok(())
 }
 
 /// Every output element folds its own window. The taps a padded border
 /// drops are exactly the ones outside the input, so clipping a window's
 /// row range (once per output row) and column range (once per border
 /// column) visits the same taps as testing every tap.
-fn fold_windows<R: WindowReduce>(input: &Tensor, g: Geometry, r: R) -> Result<Tensor, TensorError> {
+fn fold_windows<R: WindowReduce>(
+    input: View,
+    g: Geometry,
+    r: R,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
     let [window, pad, stride] = g;
     let out_shape = pool2d_out_shape(input.shape(), window, pad, stride)?;
+    check_len(out_shape, out.len())?;
     let (_, _, h, w) = input.shape().as_nchw()?;
     let (_, _, ho, wo) = out_shape.as_nchw()?;
     let ((kh, kw), (sh, sw)) = (window, stride);
@@ -185,7 +192,6 @@ fn fold_windows<R: WindowReduce>(input: &Tensor, g: Geometry, r: R) -> Result<Te
     let hi = ((w + pad.1 + sw).saturating_sub(kw) / sw).clamp(lo, wo);
     let (x0, m) = ((lo * sw).saturating_sub(pad.1), hi - lo);
     let data = input.data();
-    let mut out = vec![0.0f32; out_shape.volume()];
     out.par_chunks_mut((ho * wo).max(1))
         .with_min_len(par::min_chunks(ho * wo * kh * kw))
         .enumerate()
@@ -222,7 +228,7 @@ fn fold_windows<R: WindowReduce>(input: &Tensor, g: Geometry, r: R) -> Result<Te
                 }
             }
         });
-    Tensor::from_vec(out_shape, out)
+    Ok(())
 }
 
 /// Max pooling over `window` with `stride` and symmetric `pad`.
@@ -233,7 +239,7 @@ pub fn max_pool2d(
     stride: (usize, usize),
     precision: Precision,
 ) -> Result<Tensor, TensorError> {
-    pool2d_impl(input, [window, pad, stride], precision, Max)
+    pooled(input, [window, pad, stride], Pooling::Max, precision)
 }
 
 /// Average pooling with optional reduction sampling.
@@ -251,21 +257,56 @@ pub fn avg_pool2d(
     precision: Precision,
 ) -> Result<Tensor, TensorError> {
     approx.validate()?;
-    let (num, den) = match approx {
-        ReduceApprox::Exact => {
-            let denom = (window.0 * window.1) as f32;
-            return pool2d_impl(input, [window, pad, stride], precision, Mean { denom });
+    pooled(
+        input,
+        [window, pad, stride],
+        Pooling::Avg(approx),
+        precision,
+    )
+}
+
+/// Which pooling [`pool2d_into`] (and [`super::reference`]'s oracle)
+/// computes: `max_pool2d`, or `avg_pool2d` under the given reduction knob.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Pooling {
+    /// Largest valid tap.
+    Max,
+    /// Mean of the valid taps (or of a sampled subset of them).
+    Avg(ReduceApprox),
+}
+
+fn pooled(x: &Tensor, g: Geometry, pool: Pooling, p: Precision) -> Result<Tensor, TensorError> {
+    let shape = pool2d_out_shape(x.shape(), g[0], g[1], g[2])?;
+    Tensor::written_by(shape, |out| pool2d_into(x.view(), g, pool, p, out))
+}
+
+/// [`max_pool2d`] or [`avg_pool2d`] into `out`, which must hold the pooled
+/// shape; `geometry` is `[window, pad, stride]`.
+pub fn pool2d_into(
+    input: View,
+    geometry: [(usize, usize); 3],
+    pool: Pooling,
+    precision: Precision,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    let (num, den) = match pool {
+        Pooling::Max => return pool2d_impl(input, geometry, precision, Max, out),
+        Pooling::Avg(ReduceApprox::Exact) => {
+            let denom = (geometry[0].0 * geometry[0].1) as f32;
+            return pool2d_impl(input, geometry, precision, Mean { denom }, out);
         }
-        ReduceApprox::Sampling { num, den } => (num as u32, den as u32),
+        Pooling::Avg(approx @ ReduceApprox::Sampling { num, den }) => {
+            approx.validate()?;
+            (num as u32, den as u32)
+        }
     };
-    let sampled = SampledMean { num, den };
-    pool2d_impl(input, [window, pad, stride], precision, sampled)
+    pool2d_impl(input, geometry, precision, SampledMean { num, den }, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::reference::{pool2d_reference, Pooling};
+    use crate::ops::reference::pool2d_reference;
     use crate::shape::Shape;
 
     fn ramp(n: usize, c: usize, h: usize, w: usize) -> Tensor {

@@ -7,9 +7,10 @@
 //! result by an appropriate constant").
 
 use crate::error::TensorError;
+use crate::f16;
 use crate::knobs::{Precision, ReduceApprox};
 use crate::shape::Shape;
-use crate::tensor::Tensor;
+use crate::tensor::{Tensor, View};
 
 /// The reduction operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -35,6 +36,26 @@ pub fn reduce(
     approx: ReduceApprox,
     precision: Precision,
 ) -> Result<Tensor, TensorError> {
+    let all = input.shape();
+    let dims: Vec<usize> = (0..all.rank())
+        .filter(|&d| d != axis)
+        .map(|d| all.dims()[d])
+        .collect();
+    let shape = Shape::new(if dims.is_empty() { &[1][..] } else { &dims });
+    Tensor::written_by(shape, |out| {
+        reduce_into(input.view(), axis, kind, approx, precision, out)
+    })
+}
+
+/// [`reduce`] into `out`, one element per position of the other axes.
+pub fn reduce_into(
+    input: View,
+    axis: usize,
+    kind: ReduceKind,
+    approx: ReduceApprox,
+    precision: Precision,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
     approx.validate()?;
     let rank = input.shape().rank();
     if axis >= rank {
@@ -45,13 +66,19 @@ pub fn reduce(
     let len = dims[axis];
     let outer: usize = dims[..axis].iter().product();
     let inner: usize = dims[axis + 1..].iter().product();
+    if out.len() != outer * inner {
+        return Err(TensorError::DataLength {
+            expected: outer * inner,
+            got: out.len(),
+        });
+    }
 
     let qin;
     let input_t = match precision {
         Precision::Fp32 => input,
         Precision::Fp16 => {
             qin = input.to_f16();
-            &qin
+            qin.view()
         }
     };
     let data = input_t.data();
@@ -72,7 +99,6 @@ pub fn reduce(
         });
     }
 
-    let mut out = vec![0.0f32; outer * inner];
     for o in 0..outer {
         for i in 0..inner {
             let at = |j: usize| data[(o * len + j) * inner + i];
@@ -106,21 +132,10 @@ pub fn reduce(
         }
     }
 
-    let out_dims: Vec<usize> = dims
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &d)| if i == axis { None } else { Some(d) })
-        .collect();
-    let shape = if out_dims.is_empty() {
-        Shape::new(&[1])
-    } else {
-        Shape::new(&out_dims)
-    };
-    let mut t = Tensor::from_vec(shape, out)?;
     if precision == Precision::Fp16 {
-        t.quantize_f16();
+        f16::quantize_slice(out);
     }
-    Ok(t)
+    Ok(())
 }
 
 #[cfg(test)]

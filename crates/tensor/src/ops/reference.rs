@@ -395,15 +395,7 @@ fn compute_direct(
     Tensor::from_vec(out_shape, out)
 }
 
-/// Which pooling [`pool2d_reference`] computes: `max_pool2d`, or
-/// `avg_pool2d` under the given reduction knob.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Pooling {
-    /// Largest valid tap.
-    Max,
-    /// Mean of the valid taps (or of a sampled subset of them).
-    Avg(ReduceApprox),
-}
+pub use super::pool::Pooling;
 
 /// Naive pooling: each output element on its own, its in-bounds taps
 /// gathered in `(ky, kx)` order by testing every tap against the padding,

@@ -3,23 +3,24 @@
 
 use crate::error::TensorError;
 use crate::knobs::Precision;
-use crate::par;
-use crate::tensor::Tensor;
+use crate::tensor::{check_len, View};
+use crate::{f16, par};
 use rayon::prelude::*;
 
-/// Numerically-stable softmax over the last dimension of a `[M, N]` tensor.
-pub fn softmax_rows(input: &Tensor, precision: Precision) -> Result<Tensor, TensorError> {
+/// Numerically-stable softmax over the last dimension of a `[M, N]` tensor,
+/// into `out`, which must be as long as `input`.
+pub fn softmax_rows_into(
+    input: View,
+    precision: Precision,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
     let (_, n) = input.shape().as_mat()?;
-    let qin;
-    let input_t = match precision {
-        Precision::Fp32 => input,
-        Precision::Fp16 => {
-            qin = input.to_f16();
-            &qin
-        }
-    };
-    let mut out = input_t.data().to_vec();
-    out.par_chunks_mut(n)
+    check_len(input.shape(), out.len())?;
+    out.copy_from_slice(input.data());
+    if precision == Precision::Fp16 {
+        f16::quantize_slice(out);
+    }
+    out.par_chunks_mut(n.max(1))
         .with_min_len(par::min_chunks(n))
         .for_each(|row| {
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -34,16 +35,20 @@ pub fn softmax_rows(input: &Tensor, precision: Precision) -> Result<Tensor, Tens
                 }
             }
         });
-    let mut t = Tensor::from_vec(input.shape(), out)?;
     if precision == Precision::Fp16 {
-        t.quantize_f16();
+        f16::quantize_slice(out);
     }
-    Ok(t)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
+
+    fn softmax_rows(x: &Tensor, precision: Precision) -> Result<Tensor, TensorError> {
+        Tensor::written_by(x.shape(), |out| softmax_rows_into(x.view(), precision, out))
+    }
     use crate::Shape;
 
     #[test]

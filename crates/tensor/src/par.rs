@@ -33,6 +33,18 @@ pub(crate) fn map<T: Copy + Sync, R: Send>(xs: &[T], f: impl Fn(T) -> R + Sync) 
     xs.par_iter().with_min_len(GRAIN).map(|&x| f(x)).collect()
 }
 
+/// Order-preserving element-wise map into `out` (as long as `xs`).
+pub(crate) fn map_into<T: Copy + Sync, R: Send + Sync>(
+    xs: &[T],
+    out: &mut [R],
+    f: impl Fn(T) -> R + Sync,
+) {
+    out.par_chunks_mut(CHUNK)
+        .with_min_len(GRAIN / CHUNK)
+        .zip(xs.par_chunks(CHUNK))
+        .for_each(|(o, x)| o.iter_mut().zip(x).for_each(|(o, &x)| *o = f(x)));
+}
+
 /// Element-wise map in place.
 pub(crate) fn map_in_place<T: Copy + Send + Sync>(xs: &mut [T], f: impl Fn(T) -> T + Sync) {
     xs.par_chunks_mut(CHUNK)

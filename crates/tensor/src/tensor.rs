@@ -34,16 +34,83 @@ impl std::fmt::Debug for Tensor {
     }
 }
 
+/// A shape over borrowed data of exactly its volume: what a kernel reads,
+/// whether the values sit in a [`Tensor`] or in a buffer its caller reuses.
+#[derive(Clone, Copy)]
+pub struct View<'a> {
+    shape: Shape,
+    data: &'a [f32],
+}
+
+/// `Err(DataLength)` unless `len` is `shape`'s volume.
+pub(crate) fn check_len(shape: Shape, len: usize) -> Result<(), TensorError> {
+    if shape.volume() == len {
+        return Ok(());
+    }
+    Err(TensorError::DataLength {
+        expected: shape.volume(),
+        got: len,
+    })
+}
+
+impl<'a> View<'a> {
+    /// Reads `data` as a tensor of `shape`.
+    pub fn new(shape: Shape, data: &'a [f32]) -> Result<Self, TensorError> {
+        check_len(shape, data.len())?;
+        Ok(View { shape, data })
+    }
+
+    /// The shape.
+    pub fn shape(&self) -> Shape {
+        self.shape
+    }
+
+    /// The elements.
+    pub fn data(&self) -> &'a [f32] {
+        self.data
+    }
+
+    /// An owned copy.
+    pub fn to_tensor(&self) -> Tensor {
+        Tensor {
+            shape: self.shape,
+            data: self.data.to_vec(),
+        }
+    }
+
+    /// An FP16-quantised copy.
+    pub fn to_f16(&self) -> Tensor {
+        Tensor {
+            shape: self.shape,
+            data: f16::quantized(self.data),
+        }
+    }
+}
+
 impl Tensor {
     /// Creates a tensor from a shape and backing data.
     pub fn from_vec(shape: Shape, data: Vec<f32>) -> Result<Self, TensorError> {
-        if shape.volume() != data.len() {
-            return Err(TensorError::DataLength {
-                expected: shape.volume(),
-                got: data.len(),
-            });
-        }
+        check_len(shape, data.len())?;
         Ok(Tensor { shape, data })
+    }
+
+    /// A tensor of `shape` whose every element `write` sets: the allocating
+    /// form of a kernel's `_into` entry.
+    pub(crate) fn written_by(
+        shape: Shape,
+        write: impl FnOnce(&mut [f32]) -> Result<(), TensorError>,
+    ) -> Result<Tensor, TensorError> {
+        let mut data = vec![0.0; shape.volume()];
+        write(&mut data)?;
+        Ok(Tensor { shape, data })
+    }
+
+    /// The tensor as a [`View`].
+    pub fn view(&self) -> View<'_> {
+        View {
+            shape: self.shape,
+            data: &self.data,
+        }
     }
 
     /// A tensor of zeros.
@@ -110,26 +177,6 @@ impl Tensor {
         self.data.is_empty()
     }
 
-    /// Reinterprets the tensor with a new shape of identical volume.
-    pub fn reshape(&self, shape: Shape) -> Result<Tensor, TensorError> {
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::DataLength {
-                expected: shape.volume(),
-                got: self.data.len(),
-            });
-        }
-        Ok(Tensor {
-            shape,
-            data: self.data.clone(),
-        })
-    }
-
-    /// [`Tensor::reshape`] for a tensor the caller is done with: the backing
-    /// data moves instead of being copied.
-    pub fn into_reshaped(self, shape: Shape) -> Result<Tensor, TensorError> {
-        Tensor::from_vec(shape, self.data)
-    }
-
     /// Mutable element at a 4-D NCHW coordinate.
     #[inline(always)]
     pub fn at4_mut(&mut self, n: usize, c: usize, h: usize, w: usize) -> &mut f32 {
@@ -145,10 +192,7 @@ impl Tensor {
 
     /// Returns an FP16-quantised copy.
     pub fn to_f16(&self) -> Tensor {
-        Tensor {
-            shape: self.shape,
-            data: f16::quantized(&self.data),
-        }
+        self.view().to_f16()
     }
 
     /// Elementwise sum of absolute values (L1 norm).
@@ -177,26 +221,6 @@ impl Tensor {
             })
             .sum();
         Ok(sum / self.data.len() as f64)
-    }
-
-    /// Elementwise addition producing a new tensor.
-    pub fn add(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                op: "add",
-                detail: format!("{} vs {}", self.shape, other.shape),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a + b)
-            .collect();
-        Ok(Tensor {
-            shape: self.shape,
-            data,
-        })
     }
 
     /// Elementwise difference (`self - other`).
