@@ -11,9 +11,9 @@ use crate::env::Sizing;
 use crate::harness::geomean;
 use crate::report::{fx, Artifact, Table};
 use at_core::config::{single_op_configs, Config};
-use at_core::install::EdgeDevice;
+use at_core::install::{EdgeDevice, InstallObjective};
 use at_core::knobs::{KnobId, KnobSet};
-use at_core::perf::PerfModel;
+use at_core::perf::{PerfModel, Pricing};
 use at_core::search::{Autotuner, Proposal, SearchSpace};
 use at_imgproc::combined::CombinedApp;
 use at_models::data::build_dataset;
@@ -21,7 +21,7 @@ use at_models::ModelScale;
 
 /// The `fig7` experiment.
 pub(crate) fn run(sizing: &Sizing) -> Artifact {
-    let device = EdgeDevice::tx2();
+    let (device, objective) = (&EdgeDevice::tx2(), InstallObjective::Speedup);
     let mut app = CombinedApp::new(ModelScale::Tiny).expect("combined app builds");
     let ds = build_dataset(&app.cnn, sizing.samples.min(48), sizing.batch, 0xF16);
     app.calibrate_routing(&ds.batches).expect("routing");
@@ -64,17 +64,17 @@ pub(crate) fn run(sizing: &Sizing) -> Artifact {
     let cnn_perf = PerfModel::new(&app.cnn.graph, &app.registry, ds.batches[0].shape()).unwrap();
     let canny_input = at_tensor::Shape::nchw(1, 1, 32, 32);
     let canny_perf = PerfModel::new(&app.canny, &app.registry, canny_input).unwrap();
-    let joint = |c: &Config, cost: &dyn Fn(&PerfModel, &Config) -> f64| {
-        cost(&cnn_perf, &Config::from_knobs(c.knobs()[..n_cnn].to_vec()))
-            + cost(
-                &canny_perf,
-                &Config::from_knobs(c.knobs()[n_cnn..].to_vec()),
-            )
+    let on_device = Pricing::Device { device, objective };
+    let joint = |c: &Config, pricing: &Pricing| {
+        let price = |m: &PerfModel, knobs: &[KnobId]| {
+            m.price(&Config::from_knobs(knobs.to_vec()), pricing)
+                .expect("model pricing")
+        };
+        price(&cnn_perf, &c.knobs()[..n_cnn]) + price(&canny_perf, &c.knobs()[n_cnn..])
     };
-    let predicted = |m: &PerfModel, c: &Config| m.predicted_cost(c);
-    let on_device = |m: &PerfModel, c: &Config| m.device_time(c, &device.timing, &device.promise);
-    let (base_cost, base_time) = (joint(&base_cfg, &predicted), joint(&base_cfg, &on_device));
-    let speedup = |c: &Config| base_cost / joint(c, &predicted).max(1e-12);
+    let base_cost = joint(&base_cfg, &Pricing::OpCount);
+    let base_time = joint(&base_cfg, &on_device);
+    let speedup = |c: &Config| base_cost / joint(c, &Pricing::OpCount).max(1e-12);
     let device_speedup = |c: &Config| base_time / joint(c, &on_device).max(1e-30);
 
     // --- The 3×3 grid. ---

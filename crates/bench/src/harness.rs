@@ -4,9 +4,9 @@
 
 use crate::env::Sizing;
 use at_core::empirical::EmpiricalTuner;
-use at_core::install::EdgeDevice;
+use at_core::install::{EdgeDevice, InstallObjective};
 use at_core::knobs::{KnobRegistry, KnobSet};
-use at_core::perf::PerfModel;
+use at_core::perf::{PerfModel, Pricing};
 use at_core::predict::PredictionModel;
 use at_core::profile::{collect_profiles, measure_config, QosProfiles};
 use at_core::qos::{QosMetric, QosReference};
@@ -236,8 +236,10 @@ impl Prepared {
     /// Simulated per-batch time of the exact baseline on `device`.
     pub(crate) fn base_time(&self, device: &EdgeDevice) -> f64 {
         let baseline = Config::baseline(&self.bench.graph);
+        let objective = InstallObjective::Speedup;
         self.perf_model()
-            .device_time(&baseline, &device.timing, &device.promise)
+            .price(&baseline, &Pricing::Device { device, objective })
+            .expect("device pricing")
     }
 
     /// Picks the curve point with the best device speedup under the
@@ -250,23 +252,19 @@ impl Prepared {
         device: &EdgeDevice,
     ) -> Option<Evaluated> {
         let perf = self.perf_model();
+        let on_device = |config: &Config, objective| {
+            perf.speedup(config, &Pricing::Device { device, objective })
+                .expect("device pricing")
+        };
         let (best, speedup) = curve
             .points()
             .iter()
             .filter(|p| p.qos >= qos_min)
-            .map(|p| {
-                let s = perf.device_speedup(&p.config, &device.timing, &device.promise);
-                (p, s)
-            })
+            .map(|p| (p, on_device(&p.config, InstallObjective::Speedup)))
             .max_by(|a, b| a.1.total_cmp(&b.1))?;
         Some(Evaluated {
             speedup,
-            energy_reduction: perf.device_energy_reduction(
-                &best.config,
-                &device.timing,
-                &device.promise,
-                &device.power,
-            ),
+            energy_reduction: on_device(&best.config, InstallObjective::EnergyReduction),
             test_drop: self.baseline_test_accuracy() - self.accuracy(&best.config, &self.test),
             histogram: best
                 .config

@@ -9,6 +9,7 @@ use crate::report::{pct, Artifact, Table};
 use at_core::install::{distributed_install_tune, EdgeDevice, InstallObjective};
 use at_core::knobs::KnobSet;
 use at_core::pareto::{pareto_set, pareto_set_eps};
+use at_core::perf::Pricing;
 use at_core::predict::PredictionModel::{self, Pi1, Pi2};
 use at_core::qos::{QosMetric, QosReference};
 use at_core::tuner::TunerParams;
@@ -288,7 +289,8 @@ pub(crate) fn curve_size(sizing: &Sizing) -> Artifact {
 /// Individual benchmarks reach 10–16x in the paper when most convolutions
 /// map to PROMISE; ResNet-50 maps none.
 pub(crate) fn fig4(sizing: &Sizing) -> Artifact {
-    let device = EdgeDevice::tx2();
+    let (device, objective) = (&EdgeDevice::tx2(), InstallObjective::EnergyReduction);
+    let energy = Pricing::Device { device, objective };
     let mut table = Table::new(&[
         "Benchmark",
         "ProfileTime(s)",
@@ -329,8 +331,7 @@ pub(crate) fn fig4(sizing: &Sizing) -> Artifact {
             let r = distributed_install_tune(
                 &p.bench.graph,
                 &p.registry,
-                &device,
-                InstallObjective::EnergyReduction,
+                &energy,
                 &p.cal.batches,
                 QosMetric::Accuracy,
                 &shard_ref,
@@ -362,10 +363,10 @@ pub(crate) fn fig4(sizing: &Sizing) -> Artifact {
             .points()
             .iter()
             .filter(|pt| pt.qos >= params.qos_min);
-        let energy = |pt: &at_core::TradeoffPoint| {
-            perf.device_energy_reduction(&pt.config, &device.timing, &device.promise, &device.power)
+        let reduction = |pt: &at_core::TradeoffPoint| {
+            perf.speedup(&pt.config, &energy).expect("device pricing")
         };
-        reductions.push(feasible.map(energy).fold(1.0f64, f64::max));
+        reductions.push(feasible.map(reduction).fold(1.0f64, f64::max));
         let lead = [
             p.name().to_string(),
             format!("{profile_t:.1}"),

@@ -18,7 +18,8 @@ use crate::env::Sizing;
 use crate::harness::{sweep, Prepared};
 use crate::report::{Artifact, Table};
 use at_core::closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport, TraceRow};
-use at_core::install::{refine_software_only, EdgeDevice, InstallObjective};
+use at_core::install::{refine, EdgeDevice, InstallObjective};
+use at_core::perf::Pricing;
 use at_core::predict::PredictionModel;
 use at_core::qos::QosMetric;
 use at_core::runtime::Policy;
@@ -100,21 +101,20 @@ fn mean(rows: &[TraceRow], f: impl Fn(&TraceRow) -> f64) -> f64 {
 const BATCHES_PER_FREQ: usize = 20;
 
 /// Development-time tuning at ΔQoS 3% (Π1), then install-time software-only
-/// refinement: predicted performance is replaced by `device`-measured
+/// refinement: predicted performance is replaced by `device`-modelled
 /// speedup.
 fn refined_curve(p: &Prepared, device: &EdgeDevice) -> TradeoffCurve {
     let params = p.params(3.0, PredictionModel::Pi1);
-    refine_software_only(
+    let objective = InstallObjective::Speedup;
+    refine(
         &p.bench.graph,
         &p.registry,
-        device,
-        InstallObjective::Speedup,
+        &Pricing::Device { device, objective },
         &p.tune(&params).curve,
         &p.cal.batches,
         QosMetric::Accuracy,
         &p.cal_reference(),
         params.qos_min,
-        p.input_shape(),
         0,
     )
     .expect("refinement succeeds")
@@ -127,9 +127,7 @@ pub(crate) fn run(sizing: &Sizing) -> Artifact {
     let p = Prepared::single("runtime_adapt", sizing, BenchmarkId::ResNet18);
     let curve = refined_curve(&p, &device);
     let baseline_qos = p.baseline_cal_accuracy();
-    let perf = p.perf_model();
-    let baseline_cfg = at_core::Config::baseline(&p.bench.graph);
-    let base_time = perf.device_time(&baseline_cfg, &device.timing, &device.promise);
+    let base_time = p.base_time(&device);
     let max_speedup = curve.points().iter().map(|q| q.perf).fold(1.0, f64::max);
     eprintln!(
         "[runtime_adapt] curve: {} points, max speedup {max_speedup:.2}x, baseline {base_time:.4}s",
@@ -194,8 +192,9 @@ pub(crate) fn run(sizing: &Sizing) -> Artifact {
         // The roofline static time uses the full timing model at the step's
         // clock: memory-bound layers flatten the slowdown slightly below
         // the compute-bound `f_nominal / f` line.
-        let throttled = device.timing.clone().with_frequency_mhz(ladder.at(step));
-        let roofline = perf.device_time(&baseline_cfg, &throttled, &device.promise) / base_time;
+        let mut throttled = device.clone();
+        throttled.timing = device.timing.clone().with_frequency_mhz(ladder.at(step));
+        let roofline = p.base_time(&throttled) / base_time;
         let row = SweepStepRow {
             freq_mhz: ladder.at(step),
             static_norm_time: ladder.slowdown(step),

@@ -28,7 +28,7 @@ use crate::config::Config;
 use crate::fault::FaultyEvaluator;
 use crate::knobs::KnobRegistry;
 use crate::pareto::{cap_points, eps_for_budget, pareto_set_eps, TradeoffCurve, TradeoffPoint};
-use crate::perf::PerfModel;
+use crate::perf::{PerfModel, Pricing};
 use crate::predict::Predictor;
 use crate::profile::measure_config;
 use crate::qos::{QosMetric, QosReference};
@@ -82,7 +82,7 @@ impl Evaluator for PredictiveEvaluator<'_> {
     fn evaluate(&self, config: &Config, _attempt: u32) -> Result<Evaluation, TensorError> {
         Ok(Evaluation {
             qos: self.predictor.predict(config, self.reference),
-            perf: self.perf.predicted_speedup(config),
+            perf: self.perf.speedup(config, &Pricing::OpCount)?,
         })
     }
 }
@@ -120,7 +120,7 @@ impl Evaluator for EmpiricalEvaluator<'_> {
         )?;
         Ok(Evaluation {
             qos,
-            perf: self.perf.predicted_speedup(config),
+            perf: self.perf.speedup(config, &Pricing::OpCount)?,
         })
     }
 }

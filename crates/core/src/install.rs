@@ -6,8 +6,8 @@
 
 use crate::config::Config;
 use crate::knobs::{KnobRegistry, KnobSet};
-use crate::pareto::{TradeoffCurve, TradeoffPoint};
-use crate::perf::PerfModel;
+use crate::pareto::TradeoffCurve;
+use crate::perf::{PerfModel, Pricing};
 use crate::profile::{collect_profiles, validate, QosProfiles};
 use crate::qos::{QosMetric, QosReference};
 use crate::tuner::{PredictiveTuner, TunerParams};
@@ -75,11 +75,49 @@ pub fn measured_cpu_time_s(
     Ok(samples[samples.len() / 2])
 }
 
-/// Install-time refinement against the *host CPU itself* as the target
-/// device: each shipped configuration keeps its re-measured QoS, and its
-/// performance axis becomes the measured wall-clock speedup over the
-/// measured FP32 baseline (median of `reps` runs each). The survivors are
-/// timed one at a time, after all QoS measurement has finished.
+/// The first calibration input: the one [`Pricing::Measured`] times and
+/// whose shape the cost model is built for.
+fn first_input(inputs: &[Tensor]) -> Result<&Tensor, TensorError> {
+    inputs.first().ok_or_else(|| TensorError::ShapeMismatch {
+        op: "install::refine",
+        detail: "need at least one calibration input".into(),
+    })
+}
+
+/// Install-time refinement (§4): runs the shipped curve's configurations on
+/// `inputs`, keeps those whose re-measured QoS meets `qos_min`, replaces
+/// their performance with the speedup `pricing` gives them over the
+/// baseline, and returns the strict Pareto curve `PS(S*)`. The survivors
+/// are priced one at a time, after all QoS measurement has finished.
+#[allow(clippy::too_many_arguments)]
+pub fn refine(
+    graph: &Graph,
+    registry: &KnobRegistry,
+    pricing: &Pricing,
+    shipped: &TradeoffCurve,
+    inputs: &[Tensor],
+    metric: QosMetric,
+    reference: &QosReference,
+    qos_min: f64,
+    promise_seed: u64,
+) -> Result<TradeoffCurve, TensorError> {
+    let perf = PerfModel::new(graph, registry, first_input(inputs)?.shape())?;
+    let kept = validate(
+        graph,
+        registry,
+        shipped.points(),
+        inputs,
+        metric,
+        reference,
+        qos_min,
+        promise_seed,
+    )?;
+    perf.curve(kept, pricing)
+}
+
+/// [`refine`] against the host CPU itself: [`Pricing::Measured`] on the
+/// first input, `reps` runs per configuration. Kept only for the frozen
+/// `benchmark/` harness; ROADMAP item 4 deletes it.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_measured_cpu(
     graph: &Graph,
@@ -92,89 +130,22 @@ pub fn refine_measured_cpu(
     reps: usize,
     promise_seed: u64,
 ) -> Result<TradeoffCurve, TensorError> {
-    assert!(!inputs.is_empty(), "need at least one calibration input");
-    let kept = validate(
+    let pricing = Pricing::Measured {
+        input: first_input(inputs)?,
+        reps,
+        promise_seed,
+    };
+    refine(
         graph,
         registry,
-        shipped.points(),
+        &pricing,
+        shipped,
         inputs,
         metric,
         reference,
         qos_min,
         promise_seed,
-    )?;
-    let time = |config: &Config| {
-        measured_cpu_time_s(graph, registry, config, &inputs[0], reps, promise_seed)
-    };
-    let base = time(&Config::baseline(graph))?;
-    let measured = kept
-        .into_iter()
-        .map(|p| {
-            let t = time(&p.config)?;
-            Ok(TradeoffPoint {
-                perf: if t > 0.0 { base / t } else { 1.0 },
-                ..p
-            })
-        })
-        .collect::<Result<Vec<_>, TensorError>>()?;
-    Ok(TradeoffCurve::from_points(measured))
-}
-
-/// The strict Pareto curve of `points` with the performance axis replaced
-/// by the device's value of each configuration under `objective`.
-fn device_curve(
-    points: Vec<TradeoffPoint>,
-    perf: &PerfModel,
-    device: &EdgeDevice,
-    objective: InstallObjective,
-) -> TradeoffCurve {
-    let price = |config: &Config| match objective {
-        InstallObjective::Speedup => perf.device_speedup(config, &device.timing, &device.promise),
-        InstallObjective::EnergyReduction => {
-            perf.device_energy_reduction(config, &device.timing, &device.promise, &device.power)
-        }
-    };
-    TradeoffCurve::from_points(
-        points
-            .into_iter()
-            .map(|p| TradeoffPoint {
-                perf: price(&p.config),
-                ..p
-            })
-            .collect(),
     )
-}
-
-/// Software-only install-time refinement: runs the shipped development-time
-/// curve's configurations on the device, replaces predicted performance
-/// with measured performance, re-filters by measured QoS and returns the
-/// strict Pareto curve `PS(S*)`.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_software_only(
-    graph: &Graph,
-    registry: &KnobRegistry,
-    device: &EdgeDevice,
-    objective: InstallObjective,
-    shipped: &TradeoffCurve,
-    inputs: &[Tensor],
-    metric: QosMetric,
-    reference: &QosReference,
-    qos_min: f64,
-    input_shape: Shape,
-    promise_seed: u64,
-) -> Result<TradeoffCurve, TensorError> {
-    let perf = PerfModel::new(graph, registry, input_shape)?;
-    let kept = validate(
-        graph,
-        registry,
-        shipped.points(),
-        inputs,
-        metric,
-        reference,
-        qos_min,
-        promise_seed,
-    )?;
-    Ok(device_curve(kept, &perf, device, objective))
 }
 
 /// Result of a distributed install-time tuning round.
@@ -203,14 +174,13 @@ pub struct InstallResult {
 ///    software + hardware knob space (approximation choices cannot be
 ///    decoupled, so the development-time curve is not reused); its step 5
 ///    validates every candidate on the full calibration set;
-/// 3. the validated curve is re-priced with device performance on the
-///    install objective, and its strict Pareto set is the device curve.
+/// 3. the validated curve is re-priced under `pricing`, and its strict
+///    Pareto set is the device curve.
 #[allow(clippy::too_many_arguments)]
 pub fn distributed_install_tune(
     graph: &Graph,
     registry: &KnobRegistry,
-    device: &EdgeDevice,
-    objective: InstallObjective,
+    pricing: &Pricing,
     inputs: &[Tensor],
     metric: QosMetric,
     reference_for_shard: &dyn Fn(usize, usize) -> QosReference,
@@ -220,7 +190,6 @@ pub fn distributed_install_tune(
     input_shape: Shape,
     promise_seed: u64,
 ) -> Result<InstallResult, TensorError> {
-    assert!(n_edge > 0);
     let params = TunerParams {
         knob_set: KnobSet::WithHardware,
         ..params.clone()
@@ -229,7 +198,7 @@ pub fn distributed_install_tune(
     // Step 1: per-device profile collection over input shards.
     let collect_tensors = params.model == crate::predict::PredictionModel::Pi1;
     // Device `i` holds batches i, i + n_edge, …; devices past the last
-    // batch hold none and sit out.
+    // batch hold none and sit out (with no device, nothing is collected).
     let active_devices = n_edge.min(inputs.len());
     let shard_profiles = (0..active_devices)
         .filter_map(|i| {
@@ -249,7 +218,7 @@ pub fn distributed_install_tune(
         .collect();
     let merged = QosProfiles::merge(shard_profiles).ok_or_else(|| TensorError::ShapeMismatch {
         op: "install::merge",
-        detail: "no device produced profiles".into(),
+        detail: format!("none of {n_edge} devices produced profiles"),
     })?;
     let device_profile_time_s = merged.collection_time_s;
 
@@ -273,7 +242,7 @@ pub fn distributed_install_tune(
     // changes.
     let perf = PerfModel::new(graph, registry, input_shape)?;
     Ok(InstallResult {
-        curve: device_curve(result.curve.points().to_vec(), &perf, device, objective),
+        curve: perf.curve(result.curve.points().to_vec(), pricing)?,
         device_profile_time_s,
         server_tuning_time_s,
         active_devices,
@@ -283,6 +252,7 @@ pub fn distributed_install_tune(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto::TradeoffPoint;
     use crate::predict::PredictionModel;
     use at_ir::{execute, ExecOptions, GraphBuilder};
     use rand::rngs::StdRng;
@@ -352,8 +322,10 @@ mod tests {
         let r = distributed_install_tune(
             &g,
             &registry,
-            &device,
-            InstallObjective::EnergyReduction,
+            &Pricing::Device {
+                device: &device,
+                objective: InstallObjective::EnergyReduction,
+            },
             &inputs,
             QosMetric::Accuracy,
             &shard_ref,
@@ -408,8 +380,10 @@ mod tests {
         let r = distributed_install_tune(
             &g,
             &registry,
-            &device,
-            InstallObjective::Speedup,
+            &Pricing::Device {
+                device: &device,
+                objective: InstallObjective::Speedup,
+            },
             &inputs,
             QosMetric::Accuracy,
             &shard_ref,
@@ -421,6 +395,63 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.active_devices, 4);
+    }
+
+    #[test]
+    fn zero_devices_is_a_typed_error() {
+        let (g, inputs, labels) = setup();
+        let registry = KnobRegistry::new();
+        let reference = QosReference::Labels(labels);
+        let shard_ref = |_: usize, _: usize| reference.clone();
+        let r = distributed_install_tune(
+            &g,
+            &registry,
+            &Pricing::OpCount,
+            &inputs,
+            QosMetric::Accuracy,
+            &shard_ref,
+            &reference,
+            0,
+            &TunerParams::default(),
+            inputs[0].shape(),
+            0,
+        );
+        assert!(matches!(
+            r,
+            Err(TensorError::ShapeMismatch {
+                op: "install::merge",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn refining_without_inputs_is_a_typed_error() {
+        let (g, _, labels) = setup();
+        let registry = KnobRegistry::new();
+        let shipped = TradeoffCurve::from_points(vec![TradeoffPoint {
+            qos: 100.0,
+            perf: 1.0,
+            config: Config::baseline(&g),
+        }]);
+        let r = refine_measured_cpu(
+            &g,
+            &registry,
+            &shipped,
+            &[],
+            QosMetric::Accuracy,
+            &QosReference::Labels(labels),
+            50.0,
+            3,
+            0,
+        );
+        assert!(matches!(
+            r,
+            Err(TensorError::ShapeMismatch {
+                op: "install::refine",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -506,17 +537,18 @@ mod tests {
         let profiles = tuner.collect(&params).unwrap();
         let dev = tuner.tune(&profiles, &params).unwrap();
         assert!(!dev.curve.is_empty());
-        let refined = refine_software_only(
+        let refined = refine(
             &g,
             &registry,
-            &device,
-            InstallObjective::Speedup,
+            &Pricing::Device {
+                device: &device,
+                objective: InstallObjective::Speedup,
+            },
             &dev.curve,
             &inputs,
             QosMetric::Accuracy,
             &reference,
             params.qos_min,
-            inputs[0].shape(),
             0,
         )
         .unwrap();

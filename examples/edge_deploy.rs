@@ -16,6 +16,7 @@
 
 use approxtuner::core::install::{distributed_install_tune, EdgeDevice, InstallObjective};
 use approxtuner::core::knobs::{KnobRegistry, KnobSet};
+use approxtuner::core::perf::Pricing;
 use approxtuner::core::predict::PredictionModel;
 use approxtuner::core::qos::{QosMetric, QosReference};
 use approxtuner::core::runtime::{Policy, RuntimeTuner};
@@ -77,8 +78,10 @@ fn main() {
     let install = distributed_install_tune(
         &bench.graph,
         &registry,
-        &device,
-        InstallObjective::Speedup,
+        &Pricing::Device {
+            device: &device,
+            objective: InstallObjective::Speedup,
+        },
         &cal.batches,
         QosMetric::Accuracy,
         &shard_ref,

@@ -66,10 +66,17 @@ fn tuned_artifact_installs_with_and_without_fp16() {
         args.extend_from_slice(&small);
         let install = atune(&args);
         assert_ok(&install, &format!("install {extra:?}"));
+        let printed = stdout(&install);
         assert!(
-            stdout(&install).contains("install-time curve on"),
-            "install {extra:?} printed no curve:\n{}",
-            stdout(&install)
+            printed.contains("install-time curve on"),
+            "install {extra:?} printed no curve:\n{printed}"
+        );
+        // The points are priced by a device model, not timed on the host.
+        assert!(
+            printed.contains("device model:")
+                && printed.contains("modelled speedup")
+                && !printed.contains("measured speedup"),
+            "install {extra:?} mislabels its pricing:\n{printed}"
         );
     }
     let _ = std::fs::remove_file(&path);

@@ -10,11 +10,10 @@
 use approxtuner::core::closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport};
 use approxtuner::core::config::Config;
 use approxtuner::core::empirical::EmpiricalTuner;
-use approxtuner::core::install::{
-    distributed_install_tune, refine_software_only, EdgeDevice, InstallObjective,
-};
+use approxtuner::core::install::{distributed_install_tune, refine, EdgeDevice, InstallObjective};
 use approxtuner::core::knobs::KnobRegistry;
 use approxtuner::core::pareto::{TradeoffCurve, TradeoffPoint};
+use approxtuner::core::perf::Pricing;
 use approxtuner::core::predict::PredictionModel;
 use approxtuner::core::qos::{QosMetric, QosReference};
 use approxtuner::core::runtime::Policy;
@@ -132,25 +131,28 @@ fn install_curves(s: &Setup, dev: &TradeoffCurve, threads: usize) -> [TradeoffCu
     let device = EdgeDevice::tx2();
     let shape = s.cal.batches[0].shape();
     in_pool(threads, || {
-        let refined = refine_software_only(
+        let refined = refine(
             &s.bench.graph,
             &s.registry,
-            &device,
-            InstallObjective::Speedup,
+            &Pricing::Device {
+                device: &device,
+                objective: InstallObjective::Speedup,
+            },
             dev,
             &s.cal.batches,
             QosMetric::Accuracy,
             &reference,
             85.0,
-            shape,
             0,
         )
         .expect("refinement");
         let installed = distributed_install_tune(
             &s.bench.graph,
             &s.registry,
-            &device,
-            InstallObjective::EnergyReduction,
+            &Pricing::Device {
+                device: &device,
+                objective: InstallObjective::EnergyReduction,
+            },
             &s.cal.batches,
             QosMetric::Accuracy,
             &shard_ref,
@@ -172,7 +174,7 @@ fn install_time_curves_identical_across_thread_counts() {
     let single = install_curves(&s, &dev, 1);
     let multi = install_curves(&s, &dev, 4);
     for (what, a, b) in [
-        ("refine_software_only", &single[0], &multi[0]),
+        ("refine", &single[0], &multi[0]),
         ("distributed_install_tune", &single[1], &multi[1]),
     ] {
         assert!(!a.is_empty(), "{what} produced no curve");

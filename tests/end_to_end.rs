@@ -1,10 +1,9 @@
 //! Cross-crate integration test: the full three-phase ApproxTuner pipeline
 //! (development-time → install-time → run-time) on a small CNN.
 
-use approxtuner::core::install::{
-    distributed_install_tune, refine_software_only, EdgeDevice, InstallObjective,
-};
+use approxtuner::core::install::{distributed_install_tune, refine, EdgeDevice, InstallObjective};
 use approxtuner::core::knobs::{KnobRegistry, KnobSet};
+use approxtuner::core::perf::Pricing;
 use approxtuner::core::predict::PredictionModel;
 use approxtuner::core::qos::{QosMetric, QosReference};
 use approxtuner::core::runtime::{Policy, RuntimeTuner};
@@ -75,17 +74,18 @@ fn three_phase_pipeline() {
 
     // --- Phase 2: install time, software-only refinement. ---
     let device = EdgeDevice::tx2();
-    let refined = refine_software_only(
+    let refined = refine(
         &s.bench.graph,
         &s.registry,
-        &device,
-        InstallObjective::Speedup,
+        &Pricing::Device {
+            device: &device,
+            objective: InstallObjective::Speedup,
+        },
         &shipped,
         &s.cal.batches,
         QosMetric::Accuracy,
         &reference,
         p.qos_min,
-        s.cal.batches[0].shape(),
         0,
     )
     .expect("refinement");
@@ -112,8 +112,10 @@ fn three_phase_pipeline() {
     let install = distributed_install_tune(
         &s.bench.graph,
         &s.registry,
-        &device,
-        InstallObjective::EnergyReduction,
+        &Pricing::Device {
+            device: &device,
+            objective: InstallObjective::EnergyReduction,
+        },
         &s.cal.batches,
         QosMetric::Accuracy,
         &shard_ref,
