@@ -304,7 +304,7 @@ fn overhead_campaign(seed: u64, dim: usize) -> OverheadStats {
         }
         best_s
     };
-    let plain_s = best(&mut || gemm_f32(m, k, n, &a, &b, &mut plain, &Epilogue::Raw));
+    let plain_s = best(&mut || _ = gemm_f32(m, k, n, &a, &b, &mut plain, &Epilogue::Raw));
     let abft_s = best(&mut || {
         let _ = gemm_f32_abft(m, k, n, &a, &b, &mut abft, &Epilogue::Raw, &tol);
     });

@@ -49,7 +49,7 @@ pub enum InstallObjective {
 
 /// Empirical wall-clock time of one program invocation under a
 /// configuration on the host CPU: the median over `reps` runs of the summed
-/// per-node kernel times from [`at_ir::exec::execute_with_trace`]. This is
+/// seconds of the per-node records from [`at_ir::execute_with_records`]. This is
 /// the empirical counterpart of the analytical device models — on a CPU
 /// target the install-time tuner can replace predicted performance with
 /// real measured kernel time (the fast tiled/SIMD kernels make the
@@ -68,8 +68,8 @@ pub fn measured_cpu_time_s(
     };
     let mut samples = Vec::with_capacity(reps.max(1));
     for _ in 0..reps.max(1) {
-        let (_, times) = at_ir::exec::execute_with_trace(graph, input, &opts)?;
-        samples.push(times.iter().sum::<f64>());
+        let (_, records) = at_ir::execute_with_records(graph, input, &opts)?;
+        samples.push(records.iter().map(|r| r.seconds).sum::<f64>());
     }
     samples.sort_by(f64::total_cmp);
     Ok(samples[samples.len() / 2])

@@ -1,7 +1,7 @@
 //! The dataflow-graph program representation.
 
 use crate::error::GraphError;
-use at_tensor::ops::ReduceKind;
+use at_tensor::ops::{ReduceKind, UnaryOp};
 use at_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -320,6 +320,9 @@ impl Graph {
                     check_param(mean)?;
                     check_param(var)?;
                 }
+                OpKind::ClippedRelu { lo, hi } => UnaryOp::ClippedRelu(lo, hi)
+                    .validate()
+                    .map_err(|e| fail(format!("node {i}: {e}")))?,
                 _ => {}
             }
         }
@@ -454,5 +457,23 @@ mod tests {
             "conv",
         );
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn clipped_relu_with_reversed_or_nan_bounds_fails_validation_and_execution() {
+        for (lo, hi) in [(1.0, 0.0), (f32::NAN, 1.0), (0.0, f32::NAN)] {
+            let mut g = Graph::new("bad");
+            let i = g.add_node(OpKind::Input, vec![], "in");
+            let r = g.add_node(OpKind::Relu, vec![i], "relu");
+            g.add_node(OpKind::ClippedRelu { lo, hi }, vec![r], "clip");
+            assert!(matches!(
+                g.validate(),
+                Err(GraphError::InvalidStructure { .. })
+            ));
+            // Unvalidated, the (in-place) kernel still refuses it.
+            let x = Tensor::zeros(Shape::mat(2, 3));
+            let run = crate::exec::execute(&g, &x, &crate::ExecOptions::baseline());
+            assert!(run.is_err());
+        }
     }
 }

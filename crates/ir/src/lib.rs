@@ -34,5 +34,8 @@ pub mod shapes;
 pub use approx::ApproxChoice;
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use exec::{execute, execute_all, execute_suffix, execute_with_trace, ExecOptions};
+pub use exec::{
+    execute, execute_all, execute_suffix, execute_with_records, execute_with_trace, ExecOptions,
+    NodeRecord, PlanAction,
+};
 pub use graph::{Graph, NodeId, OpClass, OpKind};

@@ -13,25 +13,18 @@ use at_tensor::ops::matmul;
 use at_tensor::{Precision, Tensor, TensorError};
 use rand::Rng;
 
-/// Adds level-calibrated Gaussian noise to an exact output tensor.
-fn inject_noise<R: Rng + ?Sized>(out: &mut Tensor, level: VoltageLevel, rng: &mut R) {
-    let n = out.len();
+/// Adds level-calibrated Gaussian noise to an exact output.
+pub fn inject_noise<R: Rng + ?Sized>(data: &mut [f32], level: VoltageLevel, rng: &mut R) {
+    let n = data.len();
     if n == 0 {
         return;
     }
-    let rms = (out
-        .data()
-        .iter()
-        .map(|&x| (x as f64) * (x as f64))
-        .sum::<f64>()
-        / n as f64)
-        .sqrt();
+    let rms = (data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>() / n as f64).sqrt();
     let std = (level.error_rel_std() * rms) as f32;
     if std == 0.0 {
         return;
     }
     // Box–Muller pairs.
-    let data = out.data_mut();
     let mut i = 0;
     while i < n {
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
@@ -69,7 +62,7 @@ pub fn promise_conv2d<R: Rng + ?Sized>(
             ..Default::default()
         },
     )?;
-    inject_noise(&mut out, level, rng);
+    inject_noise(out.data_mut(), level, rng);
     Ok(out)
 }
 
@@ -81,7 +74,7 @@ pub fn promise_matmul<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Tensor, TensorError> {
     let mut out = matmul::matmul(a, b, Precision::Fp32)?;
-    inject_noise(&mut out, level, rng);
+    inject_noise(out.data_mut(), level, rng);
     Ok(out)
 }
 

@@ -27,6 +27,6 @@ pub mod geometry;
 pub mod model;
 pub mod voltage;
 
-pub use functional::{promise_conv2d, promise_matmul};
+pub use functional::{inject_noise, promise_conv2d, promise_matmul};
 pub use model::PromiseModel;
 pub use voltage::VoltageLevel;

@@ -1,49 +1,49 @@
-//! Kernel instrumentation: a process-wide multiply counter.
+//! Kernel instrumentation: multiplies travel by return value.
 //!
 //! The skip-work tests for perforation and filter sampling need proof that
 //! approximate kernels *execute* fewer multiplies than exact ones, not
-//! merely that they discard results after computing them. Every GEMM panel
-//! and LUT inner loop reports its multiply count here in bulk (one atomic
-//! add per kernel invocation, so the counter costs nothing measurable even
-//! on hot paths).
-//!
-//! The counter is global and relaxed: concurrent kernels from rayon workers
-//! all add to it, and the total for a fixed workload is deterministic
-//! because the amount of work is. Tests that read it must serialise the
-//! workloads they count (run them inside a single `#[test]`, or take the
-//! `counting_lock`) so unrelated kernels do not pollute the window.
+//! merely that they discard results after computing them. Every GEMM
+//! returns the multiplies it ran (`m·k·n`), and the `_into` entries above
+//! it (`conv2d_into`, `matmul_into`) return their totals, so the graph
+//! executor can record them per node. The entries that return a new tensor
+//! (`conv2d`, `conv2d_fused`, `matmul`, `matmul_ex` and their ABFT twins)
+//! add theirs, on the calling thread, to that thread's tally, which
+//! [`count_muls`] reads.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use crate::error::TensorError;
+use crate::shape::Shape;
+use crate::tensor::Tensor;
+use std::cell::Cell;
 
-static MULS: AtomicU64 = AtomicU64::new(0);
-static COUNT_LOCK: Mutex<()> = Mutex::new(());
-
-/// Adds `n` multiplies to the global counter (relaxed; call once per
-/// kernel/panel, not per element).
-#[inline]
-pub(crate) fn add_muls(n: u64) {
-    MULS.fetch_add(n, Ordering::Relaxed);
+thread_local! {
+    /// Multiplies of the tensor-returning entries called on this thread.
+    static TALLY: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Current multiply count since process start.
-pub(crate) fn muls() -> u64 {
-    MULS.load(Ordering::Relaxed)
+/// [`Tensor::written_by`] for an `_into` entry that returns the multiplies
+/// it ran, which go to this thread's tally.
+pub(crate) fn tallied(
+    shape: Shape,
+    write: impl FnOnce(&mut [f32]) -> Result<u64, TensorError>,
+) -> Result<Tensor, TensorError> {
+    let mut muls = 0;
+    let t = Tensor::written_by(shape, |out| {
+        muls = write(out)?;
+        Ok(())
+    })?;
+    TALLY.set(TALLY.get().wrapping_add(muls));
+    Ok(t)
 }
 
-/// Serialises counting windows across tests in one process. Hold the guard
-/// around `muls`/workload/`muls` sequences.
-pub(crate) fn counting_lock() -> std::sync::MutexGuard<'static, ()> {
-    COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` under the counting lock and returns (result, multiplies
-/// executed by `f`).
+/// Runs `f` and returns (result, multiplies of the tensor-returning entries
+/// `f` called on this thread). A kernel forked onto other threads is
+/// counted by the entry that forked it; another thread's own calls never
+/// are. Kept only for `benchmark/` and `skipwork.rs`; ROADMAP item 4
+/// deletes it.
 pub fn count_muls<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let _guard = counting_lock();
-    let before = muls();
+    let before = TALLY.get();
     let out = f();
-    (out, muls().saturating_sub(before))
+    (out, TALLY.get().wrapping_sub(before))
 }
 
 #[cfg(test)]
@@ -53,8 +53,8 @@ mod tests {
     #[test]
     fn counter_accumulates() {
         let (_, n) = count_muls(|| {
-            add_muls(3);
-            add_muls(4);
+            tallied(Shape::vec(1), |_| Ok(3)).unwrap();
+            tallied(Shape::vec(2), |_| Ok(4)).unwrap();
         });
         assert_eq!(n, 7);
     }

@@ -43,6 +43,7 @@
 //! this).
 
 use crate::error::TensorError;
+use crate::instrument;
 use crate::knobs::{MulApprox, Precision};
 use crate::lut;
 use crate::ops::activation::UnaryOp;
@@ -305,7 +306,8 @@ fn apply_epilogue(out: &mut [f32], n: usize, epi: &Epilogue) {
 
 /// ABFT-protected tiled f32 GEMM: multiply with a raw epilogue, verify the
 /// Huang–Abraham checksums, then apply `epi`. On detection the (corrupt)
-/// buffer contents are unspecified and must be discarded.
+/// buffer contents are unspecified and must be discarded. Returns the
+/// multiplies it ran.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_f32_abft(
     m: usize,
@@ -316,11 +318,11 @@ pub fn gemm_f32_abft(
     out: &mut [f32],
     epi: &Epilogue,
     tol: &AbftTol,
-) -> Result<(), TensorError> {
-    gemm::gemm_f32(m, k, n, a, b, out, &Epilogue::Raw);
+) -> Result<u64, TensorError> {
+    let muls = gemm::gemm_f32(m, k, n, a, b, out, &Epilogue::Raw);
     verify_gemm_f32(m, k, n, a, b, out, tol)?;
     apply_epilogue(out, n, epi);
-    Ok(())
+    Ok(muls)
 }
 
 /// ABFT-protected LUT GEMM — approximate-multiplier twin of
@@ -337,11 +339,11 @@ pub(crate) fn gemm_lut_abft(
     out: &mut [f32],
     epi: &Epilogue,
     tol: &AbftTol,
-) -> Result<(), TensorError> {
-    gemm::gemm_lut(m, k, n, a, b, bits, dequant, out, &Epilogue::Raw);
+) -> Result<u64, TensorError> {
+    let muls = gemm::gemm_lut(m, k, n, a, b, bits, dequant, out, &Epilogue::Raw);
     verify_gemm_lut(m, k, n, a, b, dequant, out, tol)?;
     apply_epilogue(out, n, epi);
-    Ok(())
+    Ok(muls)
 }
 
 /// A [`MulKernel`] whose raw product can be checked against its operands.
@@ -378,11 +380,11 @@ pub(crate) fn gemm_windows_abft<K: Verified>(
     b: &Windows,
     out: &mut [f32],
     epi: &Epilogue,
-) -> Result<(), TensorError> {
-    gemm::gemm_windows(kern, m, a, b, out, &Epilogue::Raw);
+) -> Result<u64, TensorError> {
+    let muls = gemm::gemm_windows(kern, m, a, b, out, &Epilogue::Raw);
     kern.check(m, a, b, out)?;
     apply_epilogue(out, b.n(), epi);
-    Ok(())
+    Ok(muls)
 }
 
 /// ABFT-protected dense layer: [`crate::ops::matmul_ex`] semantics
@@ -424,21 +426,19 @@ pub fn matmul_abft(
         bias: bias.map(|t| t.data()),
         fp16: precision == Precision::Fp16,
     };
-    let mut out = vec![0.0f32; m * n];
-    match mul {
+    instrument::tallied(Shape::mat(m, n), |out| match mul {
         MulApprox::Exact => {
             let tol = AbftTol::exact(m, ka, n);
-            gemm_f32_abft(m, ka, n, a.data(), b.data(), &mut out, &epi, &tol)?;
+            gemm_f32_abft(m, ka, n, a.data(), b.data(), out, &epi, &tol)
         }
         MulApprox::Lut { bits } => {
             let aq = lut::quantize_symmetric(a.data(), bits);
             let bq = lut::quantize_symmetric(b.data(), bits);
             let dq = aq.scale * bq.scale;
             let tol = AbftTol::lut(ka, dq);
-            gemm_lut_abft(m, ka, n, &aq.q, &bq.q, bits, dq, &mut out, &epi, &tol)?;
+            gemm_lut_abft(m, ka, n, &aq.q, &bq.q, bits, dq, out, &epi, &tol)
         }
-    }
-    Tensor::from_vec(Shape::mat(m, n), out)
+    })
 }
 
 /// ABFT-protected convolution: [`crate::ops::conv2d`] semantics

@@ -125,14 +125,24 @@ trait ElementLoop {
 }
 
 impl UnaryOp {
+    /// Rejects a clipped ReLU whose bounds are out of order or NaN.
+    pub fn validate(self) -> Result<(), TensorError> {
+        match self {
+            UnaryOp::ClippedRelu(lo, hi) if lo.is_nan() || hi.is_nan() || lo > hi => {
+                Err(TensorError::InvalidKnob {
+                    op: "clipped_relu",
+                    detail: format!("bounds out of order: {lo} > {hi}"),
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
     fn with_fn<L: ElementLoop>(self, body: L) -> L::Out {
         use UnaryOp::*;
         match self {
             Relu => body.run(|x| Relu.apply(x)),
-            ClippedRelu(lo, hi) => {
-                assert!(lo <= hi, "clipped ReLU bounds out of order: {lo} > {hi}");
-                body.run(|x| ClippedRelu(lo, hi).apply(x))
-            }
+            ClippedRelu(lo, hi) => body.run(|x| ClippedRelu(lo, hi).apply(x)),
             Tanh => body.run(|x| Tanh.apply(x)),
             Abs => body.run(|x| Abs.apply(x)),
             Scale(s) => body.run(|x| Scale(s).apply(x)),
@@ -188,6 +198,7 @@ pub fn map_unary_into(
         }
     }
     check_len(input.shape(), out.len())?;
+    op.validate()?;
     op.with_fn(IntoSlice(input.data(), out, precision));
     Ok(())
 }
@@ -195,7 +206,11 @@ pub fn map_unary_into(
 /// [`map_unary`] overwriting its operand: the same value for every element,
 /// without the second buffer. For a caller that owns `xs` and has no other
 /// reader of it (the graph executor, once a value's last consumer runs).
-pub fn map_unary_in_place(xs: &mut [f32], op: UnaryOp, precision: Precision) {
+pub fn map_unary_in_place(
+    xs: &mut [f32],
+    op: UnaryOp,
+    precision: Precision,
+) -> Result<(), TensorError> {
     struct InPlace<'a>(&'a mut [f32], Precision);
     impl ElementLoop for InPlace<'_> {
         type Out = ();
@@ -206,7 +221,9 @@ pub fn map_unary_in_place(xs: &mut [f32], op: UnaryOp, precision: Precision) {
             }
         }
     }
-    op.with_fn(InPlace(xs, precision))
+    op.validate()?;
+    op.with_fn(InPlace(xs, precision));
+    Ok(())
 }
 
 /// `out = a + b` element-wise, rounded through binary16 under FP16: the
@@ -258,6 +275,18 @@ mod tests {
         let t = Tensor::from_vec(Shape::vec(3), vec![-2.0, 3.0, 9.0]).unwrap();
         let r = clipped_relu(&t, 0.0, 6.0, Precision::Fp32).unwrap();
         assert_eq!(r.data(), &[0.0, 3.0, 6.0]);
+    }
+
+    #[test]
+    fn clipped_relu_with_reversed_or_nan_bounds_is_a_typed_error() {
+        let t = Tensor::from_vec(Shape::vec(3), vec![-2.0, 0.5, 9.0]).unwrap();
+        for (lo, hi) in [(1.0, 0.0), (f32::NAN, 1.0), (0.0, f32::NAN)] {
+            let op = UnaryOp::ClippedRelu(lo, hi);
+            let bad = |r: Result<_, TensorError>| matches!(r, Err(TensorError::InvalidKnob { .. }));
+            assert!(bad(map_unary(&t, op, Precision::Fp32).map(drop)));
+            let mut xs = t.data().to_vec();
+            assert!(bad(map_unary_in_place(&mut xs, op, Precision::Fp16)));
+        }
     }
 
     #[test]

@@ -80,7 +80,8 @@ pub fn conv2d_fused(
 }
 
 /// [`conv2d`], or [`conv2d_fused`] with `act`, into `out`, which must hold
-/// the output shape; every element is written.
+/// the output shape; every element is written. Returns the multiplies it
+/// ran.
 pub fn conv2d_into(
     input: View,
     weight: &Tensor,
@@ -88,7 +89,7 @@ pub fn conv2d_into(
     params: Conv2dParams,
     act: Option<UnaryOp>,
     out: &mut [f32],
-) -> Result<(), TensorError> {
+) -> Result<u64, TensorError> {
     super::im2col::lower_into(input, weight, bias, params, act, false, out)
 }
 

@@ -53,7 +53,6 @@
 //! oracle.
 
 use crate::f16;
-use crate::instrument;
 use crate::lut;
 use crate::ops::activation::UnaryOp;
 use crate::par;
@@ -470,7 +469,8 @@ fn tile_into<K: MulKernel, const R: usize>(
 /// thread gets [`par::GRAIN`] worth of multiplies). Inside a chunk the loop
 /// is panel-outer: each panel is covered by register-blocked row groups of
 /// 8, then 4, 2 and 1 rows — full tiles first, then the largest that still
-/// fits what is left — before the next panel is touched.
+/// fits what is left — before the next panel is touched. Returns the
+/// multiplies it ran, `m·k·n`.
 pub(crate) fn gemm_windows<K: MulKernel>(
     kern: &K,
     m: usize,
@@ -478,14 +478,13 @@ pub(crate) fn gemm_windows<K: MulKernel>(
     b: &Windows,
     out: &mut [f32],
     epi: &Epilogue,
-) {
+) -> u64 {
     let (k, n) = (b.k, b.n());
     assert_eq!(a.len(), m * k, "gemm A size");
     assert_eq!(out.len(), m * n, "gemm C size");
     if m == 0 || n == 0 {
-        return;
+        return 0;
     }
-    instrument::add_muls((m * k * n) as u64);
     out.par_chunks_mut(ROW_BLOCK * n)
         .with_min_len(par::min_chunks(ROW_BLOCK * k * n / K::MULS_PER_ITEM))
         .enumerate()
@@ -510,6 +509,7 @@ pub(crate) fn gemm_windows<K: MulKernel>(
                 epi.apply_row(i0 + di, orow);
             }
         });
+    (m * k * n) as u64
 }
 
 /// [`gemm_windows`] over a row-major `B`, packed here, once, into the slabs
@@ -526,7 +526,7 @@ pub(crate) fn gemm_dense<K: MulKernel>(
     quant: impl Fn(f32) -> f32,
     out: &mut [f32],
     epi: &Epilogue,
-) {
+) -> u64 {
     assert_eq!(b.len(), k * n, "gemm B size");
     let mut packed = PACKED.take();
     pack_b_panels(k, n, b, quant, &mut packed);
@@ -540,12 +540,13 @@ pub(crate) fn gemm_dense<K: MulKernel>(
         k,
         runs: &runs,
     };
-    gemm_windows(kern, m, a, &b, out, epi);
+    let muls = gemm_windows(kern, m, a, &b, out, epi);
     PACKED.set(packed);
+    muls
 }
 
 /// Tiled f32 GEMM with fused epilogue: `out[M,N] = epi(A[M,K] × B[K,N])`,
-/// all row-major.
+/// all row-major. Returns the multiplies it ran.
 pub fn gemm_f32(
     m: usize,
     k: usize,
@@ -554,8 +555,8 @@ pub fn gemm_f32(
     b: &[f32],
     out: &mut [f32],
     epi: &Epilogue,
-) {
-    gemm_dense(&Fma, m, k, n, a, b, |v| v, out, epi);
+) -> u64 {
+    gemm_dense(&Fma, m, k, n, a, b, |v| v, out, epi)
 }
 
 /// Approximate-multiplier GEMM over quantised operands, `B` row-major:
@@ -576,7 +577,7 @@ pub(crate) fn gemm_lut(
     dequant: f32,
     out: &mut [f32],
     epi: &Epilogue,
-) {
+) -> u64 {
     let qmax = lut::qmax(bits) as f32;
     let in_range = |xs: &[f32]| {
         xs.iter()
@@ -586,7 +587,7 @@ pub(crate) fn gemm_lut(
         in_range(a) && in_range(b),
         "gemm_lut operand outside the {bits}-bit range"
     );
-    gemm_dense(&LutMul { dequant }, m, k, n, a, b, |v| v, out, epi);
+    gemm_dense(&LutMul { dequant }, m, k, n, a, b, |v| v, out, epi)
 }
 
 #[cfg(test)]

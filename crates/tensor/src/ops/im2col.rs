@@ -70,6 +70,7 @@
 
 use crate::error::TensorError;
 use crate::f16;
+use crate::instrument;
 use crate::knobs::{ConvApprox, MulApprox, PerforationDim, Precision};
 use crate::lut;
 use crate::ops::abft::{self, Verified};
@@ -82,6 +83,7 @@ use crate::tensor::{check_len, Tensor, View};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// What one thread's lowered convolutions borrow instead of allocating: the
@@ -477,7 +479,8 @@ fn scatter_interpolate(
 /// Drives stage → GEMM over the staged windows (checksum-verified if
 /// `verify`) → epilogue or scatter over every (image, group), images in
 /// parallel (forked only when every thread gets [`par::GRAIN`] worth of
-/// multiplies). `quant` turns one input row into staged elements.
+/// multiplies). `quant` turns one input row into staged elements. Returns
+/// the multiplies its GEMMs ran, summed over the images.
 #[allow(clippy::too_many_arguments)]
 fn run_lowered<K: Verified>(
     low: &Lowering,
@@ -488,11 +491,11 @@ fn run_lowered<K: Verified>(
     bias: Option<&[f32]>,
     out: &mut [f32],
     verify: bool,
-) -> Result<(), TensorError> {
+) -> Result<u64, TensorError> {
     let (kpg, kk2, plane) = (low.kpg, low.kept.len(), low.ho * low.wo);
     let k = kpg * low.groups;
     if k * plane == 0 {
-        return Ok(());
+        return Ok(0);
     }
     let n_pos = low.oys.len() * low.oxs.len();
     // The kept weight elements of every output channel: group `g`'s GEMM A
@@ -512,8 +515,7 @@ fn run_lowered<K: Verified>(
         if verify {
             abft::gemm_windows_abft(kern, kpg, a, b, dst, epi)
         } else {
-            gemm::gemm_windows(kern, kpg, a, b, dst, epi);
-            Ok(())
+            Ok(gemm::gemm_windows(kern, kpg, a, b, dst, epi))
         }
     };
 
@@ -528,6 +530,7 @@ fn run_lowered<K: Verified>(
         if kept_plane.len() < kept_len {
             kept_plane.resize(kept_len, 0.0);
         }
+        let mut muls = 0;
         for g in 0..low.groups {
             let group = &image[g * per_group..][..per_group];
             low.stage(group, &quant, staged, &mut row[..row_len]);
@@ -549,7 +552,7 @@ fn run_lowered<K: Verified>(
                     fp16: low.fp16,
                     act: low.act,
                 };
-                gemm_call(a, &b, planes, &epi)?;
+                muls += gemm_call(a, &b, planes, &epi)?;
                 continue;
             };
             // Compute only the kept positions, then scatter and interpolate.
@@ -562,7 +565,7 @@ fn run_lowered<K: Verified>(
                 fp16: false,
                 act: None,
             };
-            gemm_call(a, &b, &mut kept_plane[..kept_len], &epi)?;
+            muls += gemm_call(a, &b, &mut kept_plane[..kept_len], &epi)?;
             for (di, op) in planes.chunks_mut(plane).enumerate() {
                 let bias_v = bias_slice.map_or(0.0, |bs| bs[di]);
                 let kept = &kept_plane[di * n_pos..(di + 1) * n_pos];
@@ -575,7 +578,7 @@ fn run_lowered<K: Verified>(
                 }
             }
         }
-        Ok(())
+        Ok(muls)
     };
 
     // The failed checksum of the lowest image, so the report does not depend
@@ -584,6 +587,8 @@ fn run_lowered<K: Verified>(
     let failed = Mutex::new(None::<(usize, TensorError)>);
     // A poisoned slot is still a whole `Option`: every update is one store.
     let lock = || failed.lock().unwrap_or_else(|e| e.into_inner());
+    // This call's multiplies, whichever thread ran each image.
+    let muls = AtomicU64::new(0);
     out.par_chunks_mut(k * plane)
         .with_min_len(par::min_chunks(k * kk2 * n_pos / K::MULS_PER_ITEM))
         .enumerate()
@@ -595,15 +600,18 @@ fn run_lowered<K: Verified>(
             let mut scratch = SCRATCH.take();
             let done = lower_image(image, oimg, &mut scratch);
             SCRATCH.set(scratch);
-            if let Err(e) = done {
-                let mut slot = lock();
-                if slot.as_ref().is_none_or(|(b, _)| bimg < *b) {
-                    *slot = Some((bimg, e));
+            match done {
+                Ok(n) => _ = muls.fetch_add(n, Ordering::Relaxed),
+                Err(e) => {
+                    let mut slot = lock();
+                    if slot.as_ref().is_none_or(|(b, _)| bimg < *b) {
+                        *slot = Some((bimg, e));
+                    }
                 }
             }
         });
     let first = failed.into_inner().unwrap_or_else(|e| e.into_inner());
-    first.map_or(Ok(()), |(_, e)| {
+    first.map_or(Ok(muls.into_inner()), |(_, e)| {
         Err(TensorError::CorruptionDetected {
             op: "conv2d",
             detail: e.to_string(),
@@ -630,7 +638,7 @@ pub(crate) fn conv2d_lowered(
     verify: bool,
 ) -> Result<Tensor, TensorError> {
     let shape = conv_out_shape(input.shape(), weight.shape(), params)?;
-    Tensor::written_by(shape, |out| {
+    instrument::tallied(shape, |out| {
         lower_into(input.view(), weight, bias, params, act, verify, out)
     })
 }
@@ -654,7 +662,7 @@ fn conv_out_shape(input: Shape, weight: Shape, params: Conv2dParams) -> Result<S
 }
 
 /// [`conv2d_lowered`] into `out`, which must hold the output shape and
-/// whose every element is written.
+/// whose every element is written. Returns the multiplies it ran.
 pub(crate) fn lower_into(
     input: View,
     weight: &Tensor,
@@ -663,9 +671,10 @@ pub(crate) fn lower_into(
     act: Option<UnaryOp>,
     verify: bool,
     out: &mut [f32],
-) -> Result<(), TensorError> {
+) -> Result<u64, TensorError> {
     params.approx.validate()?;
     params.mul.validate()?;
+    act.map_or(Ok(()), UnaryOp::validate)?;
     let (_, _, h, w) = input.shape().as_nchw()?;
     let (k, cpg, r, s) = weight.shape().as_nchw()?;
     let out_shape = conv_out_shape(input.shape(), weight.shape(), params)?;

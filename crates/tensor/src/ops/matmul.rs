@@ -9,6 +9,7 @@
 
 use crate::error::TensorError;
 use crate::f16;
+use crate::instrument;
 use crate::knobs::{MulApprox, Precision};
 use crate::lut;
 use crate::ops::gemm::{self, Epilogue, Fma, LutMul};
@@ -39,12 +40,13 @@ pub fn matmul_ex(
     mul: MulApprox,
 ) -> Result<Tensor, TensorError> {
     let shape = Shape::mat(a.shape().as_mat()?.0, b.shape().as_mat()?.1);
-    Tensor::written_by(shape, |out| {
+    instrument::tallied(shape, |out| {
         matmul_into(a.view(), b, bias, precision, mul, out)
     })
 }
 
-/// [`matmul_ex`] into `out`, which must hold `[M, N]`.
+/// [`matmul_ex`] into `out`, which must hold `[M, N]`. Returns the
+/// multiplies it ran.
 pub fn matmul_into(
     a: View,
     b: &Tensor,
@@ -52,7 +54,7 @@ pub fn matmul_into(
     precision: Precision,
     mul: MulApprox,
     out: &mut [f32],
-) -> Result<(), TensorError> {
+) -> Result<u64, TensorError> {
     mul.validate()?;
     let (m, ka) = a.shape().as_mat()?;
     let (kb, n) = b.shape().as_mat()?;
@@ -82,7 +84,7 @@ pub fn matmul_into(
         fp16,
     };
     let (a, b) = (a.data(), b.data());
-    match mul {
+    Ok(match mul {
         MulApprox::Exact if fp16 => {
             gemm::gemm_dense(&Fma, m, ka, n, a, b, f16::quantize, out, &epi)
         }
@@ -97,10 +99,9 @@ pub fn matmul_into(
                 dequant: aq.scale * bs.scale,
             };
             let quant = |v| bs.q(b16(v));
-            gemm::gemm_dense(&kern, m, ka, n, &aq.q, b, quant, out, &epi);
+            gemm::gemm_dense(&kern, m, ka, n, &aq.q, b, quant, out, &epi)
         }
-    }
-    Ok(())
+    })
 }
 
 /// Adds a bias row-vector `[N]` to every row of `x: [M,N]`.
