@@ -145,7 +145,6 @@ pub(crate) fn run(sizing: &Sizing) -> Artifact {
         tolerance: 1.0,
         strikes_to_quarantine: 3,
         qos_floor,
-        ..GuardParams::default()
     };
     let mut table = Table::new(&[
         "Severity",

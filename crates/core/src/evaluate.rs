@@ -369,7 +369,7 @@ pub(crate) fn search(
         }
         None => evaluator,
     };
-    let supervisor = SupervisedEvaluator::new(evaluator, robustness.supervision);
+    let supervisor = SupervisedEvaluator::new(evaluator);
     let mut tuner = Autotuner::new(
         space,
         params.max_iters,
@@ -554,7 +554,6 @@ fn round_entry(
 mod tests {
     use super::*;
     use crate::knobs::KnobId;
-    use crate::supervise::SupervisionPolicy;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A pure synthetic evaluator that counts its invocations.
@@ -577,15 +576,6 @@ mod tests {
                 qos: 100.0 - s as f64,
                 perf: 1.0 + 0.3 * s as f64,
             })
-        }
-    }
-
-    /// One attempt, no quarantine: supervision as a pass-through for
-    /// evaluators that never fail.
-    fn pass_through() -> SupervisionPolicy {
-        SupervisionPolicy {
-            max_attempts: 1,
-            quarantine_threshold: u32::MAX,
         }
     }
 
@@ -645,7 +635,7 @@ mod tests {
         let evaluator = CountingEvaluator {
             calls: AtomicUsize::new(0),
         };
-        let sup = SupervisedEvaluator::new(&evaluator, pass_through());
+        let sup = SupervisedEvaluator::new(&evaluator);
         let mut cache = EvalCache::new();
         let a = Config::from_knobs(vec![KnobId(0), KnobId(2)]);
         let b = Config::from_knobs(vec![KnobId(1), KnobId(1)]);
@@ -696,7 +686,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .expect("pool");
-            let sup = SupervisedEvaluator::new(&Sleepy, pass_through());
+            let sup = SupervisedEvaluator::new(&Sleepy);
             let mut cache = EvalCache::new();
             let started = std::time::Instant::now();
             let evals = pool.install(|| cache.evaluate_batch_supervised(&sup, &configs));

@@ -305,6 +305,9 @@ impl GuardEvent {
 // Parameters, verdicts, report
 // ---------------------------------------------------------------------------
 
+/// Ring capacity of each point's [`ResidualWindow`].
+const RESIDUAL_WINDOW: usize = 32;
+
 /// Guard configuration.
 #[derive(Clone, Debug)]
 pub struct GuardParams {
@@ -318,8 +321,6 @@ pub struct GuardParams {
     pub tolerance: f64,
     /// Consecutive canary misses that convict a point.
     pub strikes_to_quarantine: usize,
-    /// Ring capacity of each point's [`ResidualWindow`].
-    pub residual_window: usize,
     /// The QoS floor served requests must not be planned below.
     pub qos_floor: f64,
 }
@@ -331,7 +332,6 @@ impl Default for GuardParams {
             canary_seed: 0xCA9A,
             tolerance: 1.0,
             strikes_to_quarantine: 3,
-            residual_window: 32,
             qos_floor: 0.0,
         }
     }
@@ -449,7 +449,7 @@ impl QosGuard {
                 trust: PointTrust::Trusted,
                 canaries: 0,
                 strikes: 0,
-                window: ResidualWindow::new(params.residual_window.max(1)),
+                window: ResidualWindow::new(RESIDUAL_WINDOW),
                 shipped_qos: p.qos,
             })
             .collect();

@@ -107,5 +107,5 @@ pub use serve::{
     ServeReport, TrafficPattern,
 };
 pub use ship::ShippedArtifact;
-pub use supervise::{FaultStats, SupervisionPolicy};
+pub use supervise::FaultStats;
 pub use tuner::{PredictiveTuner, RobustnessParams, TunerParams};

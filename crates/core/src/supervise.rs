@@ -72,23 +72,10 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Retry/quarantine policy for supervised evaluation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct SupervisionPolicy {
-    /// Attempts per candidate per round (≥ 1).
-    pub max_attempts: u32,
-    /// Rounds of budget exhaustion before a config is quarantined.
-    pub quarantine_threshold: u32,
-}
-
-impl Default for SupervisionPolicy {
-    fn default() -> Self {
-        SupervisionPolicy {
-            max_attempts: 4,
-            quarantine_threshold: 1,
-        }
-    }
-}
+/// Attempts per candidate per round.
+const MAX_ATTEMPTS: u32 = 4;
+/// Rounds of budget exhaustion before a config is quarantined.
+const QUARANTINE_THRESHOLD: u32 = 1;
 
 /// Counters describing what supervision absorbed during a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -160,16 +147,14 @@ struct SupState {
 /// guards only bookkeeping, never an in-flight evaluation.
 pub(crate) struct SupervisedEvaluator<'a> {
     inner: &'a dyn Evaluator,
-    policy: SupervisionPolicy,
     state: Mutex<SupState>,
 }
 
 impl<'a> SupervisedEvaluator<'a> {
-    /// Supervises `inner` under `policy`.
-    pub(crate) fn new(inner: &'a dyn Evaluator, policy: SupervisionPolicy) -> Self {
+    /// Supervises `inner`.
+    pub(crate) fn new(inner: &'a dyn Evaluator) -> Self {
         SupervisedEvaluator {
             inner,
-            policy,
             state: Mutex::new(SupState {
                 stats: FaultStats::default(),
                 quarantine: HashSet::new(),
@@ -179,7 +164,7 @@ impl<'a> SupervisedEvaluator<'a> {
         }
     }
 
-    /// Evaluates `config` under supervision: up to `max_attempts` isolated
+    /// Evaluates `config` under supervision: up to [`MAX_ATTEMPTS`] isolated
     /// attempts, refusing quarantined configs and rejecting non-finite
     /// readings.
     pub(crate) fn evaluate(&self, config: &Config) -> Result<Evaluation, EvalError> {
@@ -197,8 +182,7 @@ impl<'a> SupervisedEvaluator<'a> {
         let mut outcome = Err(EvalError::Panicked {
             detail: "no attempts executed".into(),
         });
-        let attempts = self.policy.max_attempts.max(1);
-        for i in 0..attempts {
+        for i in 0..MAX_ATTEMPTS {
             if i > 0 {
                 local.retries += 1;
             }
@@ -239,7 +223,7 @@ impl<'a> SupervisedEvaluator<'a> {
             st.stats.exhausted += 1;
             let n = st.failures.entry(config.clone()).or_insert(0);
             *n += 1;
-            if *n >= self.policy.quarantine_threshold {
+            if *n >= QUARANTINE_THRESHOLD {
                 st.quarantine.insert(config.clone());
                 st.failures.remove(config);
             }
@@ -364,7 +348,7 @@ mod tests {
 
     #[test]
     fn clean_evaluator_passes_through() {
-        let sup = SupervisedEvaluator::new(&Good, SupervisionPolicy::default());
+        let sup = SupervisedEvaluator::new(&Good);
         let e = sup.evaluate(&cfg(1)).unwrap();
         assert_eq!(e.qos, 95.0);
         let s = sup.stats();
@@ -379,7 +363,7 @@ mod tests {
             fail_first: 2,
             calls: AtomicU64::new(0),
         };
-        let sup = SupervisedEvaluator::new(&flaky, SupervisionPolicy::default());
+        let sup = SupervisedEvaluator::new(&flaky);
         let e = sup.evaluate(&cfg(1)).unwrap();
         assert_eq!(e.perf, 1.2);
         let s = sup.stats();
@@ -391,7 +375,7 @@ mod tests {
 
     #[test]
     fn panics_are_contained_and_budget_respected() {
-        let sup = SupervisedEvaluator::new(&AlwaysPanics, SupervisionPolicy::default());
+        let sup = SupervisedEvaluator::new(&AlwaysPanics);
         let err = sup.evaluate(&cfg(1)).unwrap_err();
         assert!(matches!(err, EvalError::Panicked { .. }), "{err}");
         let s = sup.stats();
@@ -402,7 +386,7 @@ mod tests {
 
     #[test]
     fn exhausted_configs_are_quarantined_and_refused() {
-        let sup = SupervisedEvaluator::new(&AlwaysPanics, SupervisionPolicy::default());
+        let sup = SupervisedEvaluator::new(&AlwaysPanics);
         assert!(sup.evaluate(&cfg(7)).is_err());
         // Default threshold quarantines after one exhausted round.
         let err = sup.evaluate(&cfg(7)).unwrap_err();
@@ -425,7 +409,7 @@ mod tests {
                 })
             }
         }
-        let sup = SupervisedEvaluator::new(&Poison, SupervisionPolicy::default());
+        let sup = SupervisedEvaluator::new(&Poison);
         let err = sup.evaluate(&cfg(1)).unwrap_err();
         assert!(matches!(err, EvalError::NonFinite { .. }), "{err}");
         assert_eq!(sup.stats().poisoned, 4);
@@ -446,7 +430,7 @@ mod tests {
             stall_ms: 0,
         };
         let faulty = FaultyEvaluator::new(&Good, plan);
-        let sup = SupervisedEvaluator::new(&faulty, SupervisionPolicy::default());
+        let sup = SupervisedEvaluator::new(&faulty);
         let mut ok = 0;
         for x in 0..100u16 {
             if sup.evaluate(&cfg(x)).is_ok() {
@@ -464,12 +448,12 @@ mod tests {
             fail_first: 2,
             calls: AtomicU64::new(0),
         };
-        let sup = SupervisedEvaluator::new(&flaky, SupervisionPolicy::default());
+        let sup = SupervisedEvaluator::new(&flaky);
         sup.evaluate(&cfg(1)).unwrap();
         let snap = sup.snapshot();
         assert_eq!(snap.attempt_base, vec![(cfg(1), 3)]);
 
-        let sup2 = SupervisedEvaluator::new(&Good, SupervisionPolicy::default());
+        let sup2 = SupervisedEvaluator::new(&Good);
         sup2.restore(&snap);
         assert_eq!(sup2.snapshot(), snap);
         assert_eq!(sup2.stats(), sup.stats());

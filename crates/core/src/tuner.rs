@@ -11,7 +11,7 @@ use crate::predict::{PredictionModel, Predictor};
 use crate::profile::{collect_profiles, measure_config, validate, QosProfiles};
 use crate::qos::{QosMetric, QosReference};
 use crate::search::SearchSpace;
-use crate::supervise::{FaultStats, SupervisionPolicy};
+use crate::supervise::FaultStats;
 use at_ir::Graph;
 use at_tensor::{Shape, Tensor, TensorError};
 
@@ -48,8 +48,8 @@ pub struct TunerParams {
     /// classic one-at-a-time loop. For any value, a seeded run is
     /// deterministic regardless of the evaluation thread count.
     pub batch_size: usize,
-    /// Fault-tolerance knobs: supervision policy, optional fault injection,
-    /// checkpointing and resume.
+    /// Fault-tolerance knobs: optional fault injection, checkpointing and
+    /// resume.
     pub robustness: RobustnessParams,
 }
 
@@ -59,8 +59,6 @@ pub struct RobustnessParams {
     /// Inject deterministic faults into every evaluation (test harness;
     /// `None` in production runs).
     pub fault_plan: Option<FaultPlan>,
-    /// Retry/quarantine policy for supervised evaluation.
-    pub supervision: SupervisionPolicy,
     /// Write a [`SearchCheckpoint`] every N rounds, if set.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Stop the search after this many total rounds with `halted = true`

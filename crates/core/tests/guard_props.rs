@@ -113,7 +113,6 @@ proptest! {
                 tolerance,
                 qos_floor: floor,
                 strikes_to_quarantine: strikes,
-                residual_window: 4,
                 ..GuardParams::default()
             },
             &c,

@@ -63,7 +63,6 @@ fn guard_params(qos_floor: f64) -> GuardParams {
         tolerance: 1.0,
         strikes_to_quarantine: 3,
         qos_floor,
-        ..GuardParams::default()
     }
 }
 

@@ -8,7 +8,6 @@ use at_core::fault::{FaultMix, FaultPlan};
 use at_core::knobs::{KnobRegistry, KnobSet};
 use at_core::predict::PredictionModel;
 use at_core::qos::{QosMetric, QosReference};
-use at_core::supervise::SupervisionPolicy;
 use at_core::tuner::{PredictiveTuner, RobustnessParams, TunerParams, TuningResult};
 use at_ir::{execute, ExecOptions, Graph, GraphBuilder};
 use at_tensor::{Shape, Tensor};
@@ -103,7 +102,6 @@ fn crash_and_resume(name: &str, k: usize, fault_plan: Option<FaultPlan>) {
     let path = scratch(name);
     let robustness = |ckpt, halt, resume| RobustnessParams {
         fault_plan: fault_plan.clone(),
-        supervision: SupervisionPolicy::default(),
         checkpoint: ckpt,
         halt_after_rounds: halt,
         resume_from: resume,
