@@ -25,6 +25,7 @@ use serde::{Deserialize, Serialize};
 use crate::evaluate::{BatchTelemetry, CacheSnapshot};
 use crate::pareto::TradeoffPoint;
 use crate::search::TunerState;
+use crate::ship::{fnv1a, FNV_OFFSET};
 use crate::supervise::SupervisionSnapshot;
 
 /// Current checkpoint schema version; bumped on any layout change.
@@ -101,16 +102,6 @@ impl std::error::Error for CheckpointError {}
 // The sealed envelope
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over a checkpoint's canonical JSON — the content fingerprint.
-fn fnv1a64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Minimal probe deserialising only the version field (tolerates any
 /// trailing fields because the vendored deserializer ignores unknown keys).
 #[derive(Deserialize)]
@@ -156,12 +147,12 @@ impl SearchCheckpoint {
         serde_json::to_string(self).expect("checkpoint state contains only finite floats")
     }
 
-    /// Recomputes the content fingerprint from everything but the
-    /// fingerprint field itself.
+    /// Recomputes the content fingerprint, FNV-1a over the canonical JSON
+    /// of everything but the fingerprint field itself.
     fn content_fingerprint(&self) -> u64 {
         let mut z = self.clone();
         z.fingerprint = 0;
-        fnv1a64(&z.to_json())
+        fnv1a(FNV_OFFSET, z.to_json().as_bytes())
     }
 
     /// Stamps the content fingerprint. A checkpoint must be sealed before

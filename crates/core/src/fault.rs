@@ -18,6 +18,7 @@
 
 use crate::config::Config;
 use crate::evaluate::{Evaluation, Evaluator};
+use crate::ship::{fnv1a, FNV_OFFSET};
 use at_tensor::TensorError;
 use serde::{Deserialize, Serialize};
 
@@ -115,15 +116,8 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// SplitMix64-style finalizer over an FNV-1a hash of the triple.
     fn draw(&self, config: &Config, attempt: u32, stream: u64) -> f64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
         let mut h = FNV_OFFSET ^ self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
         for k in config.knobs() {
             eat(&k.0.to_le_bytes());
         }

@@ -17,20 +17,24 @@ use serde::{Deserialize, Serialize};
 /// Version tag of the artifact schema (bump on incompatible change).
 pub const ARTIFACT_VERSION: u32 = 1;
 
+/// The FNV-1a start state.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a: folds `bytes` into the state `h`. Every fingerprint and draw in
+/// this crate hashes through it.
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
+}
+
 /// A cheap structural fingerprint of a graph: op names, arity and
 /// parameter sizes hashed with FNV-1a. Two structurally different programs
 /// collide with negligible probability; weight *values* are not included
 /// (install-time refinement re-measures QoS anyway).
 pub fn graph_fingerprint(graph: &Graph) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
     let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
     eat(graph.name().as_bytes());
     for n in graph.nodes() {
         eat(n.op.name().as_bytes());
@@ -50,15 +54,8 @@ pub fn graph_fingerprint(graph: &Graph) -> u64 {
 /// constructed against a pinned fingerprint can refuse silently corrupted
 /// weights with a typed error instead of serving garbage.
 pub fn weights_fingerprint(graph: &Graph) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
     let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
     for p in graph.params() {
         eat(&(p.shape().dims().len() as u32).to_le_bytes());
         for &d in p.shape().dims() {
