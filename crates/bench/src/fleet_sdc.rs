@@ -32,6 +32,7 @@ use crate::fleet_storm::{FleetStorm, LIAR};
 use crate::report::{fx, pct, Artifact, Table};
 use at_core::chaos::{ChaosPlan, FlipTarget};
 use at_core::fleet::{FleetReport, RouterPolicy, SdcParams};
+use at_core::guard::{mix64, unit_interval};
 use at_hw::{FrequencyLadder, Scenario};
 use at_tensor::ops::gemm::{gemm_f32, Epilogue};
 use at_tensor::ops::{flip_bit, gemm_f32_abft, verify_gemm_f32, AbftTol};
@@ -149,11 +150,8 @@ pub struct Body {
 fn unit_stream(seed: u64, len: usize) -> Vec<f32> {
     (0..len)
         .map(|i| {
-            let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 2));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            ((z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
+            let z = mix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 2)));
+            (unit_interval(z) * 2.0 - 1.0) as f32
         })
         .collect()
 }

@@ -27,7 +27,7 @@
 //! has to *detect* it, and the injector's ground truth is what makes
 //! escapes measurable.
 
-use crate::guard::splitmix64;
+use crate::guard::{splitmix64, unit_interval};
 use serde::{Deserialize, Serialize};
 
 /// What a chaos event does to its target replica.
@@ -158,7 +158,7 @@ fn unit(seed: u64, stream: u64, i: u64) -> f64 {
     let h = splitmix64(
         seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i.wrapping_mul(0xD134_2543_DE82_EF95),
     );
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    unit_interval(h)
 }
 
 /// Picks a replica index in `[0, n)` from a splitmix64 draw.

@@ -18,6 +18,7 @@
 
 use crate::config::Config;
 use crate::evaluate::{Evaluation, Evaluator};
+use crate::guard::{mix64, unit_interval};
 use crate::ship::{fnv1a, FNV_OFFSET};
 use at_tensor::TensorError;
 use serde::{Deserialize, Serialize};
@@ -124,11 +125,7 @@ impl FaultPlan {
         eat(&attempt.to_le_bytes());
         eat(&stream.to_le_bytes());
         // Finalize so nearby triples decorrelate.
-        let mut z = h;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_interval(mix64(h))
     }
 
     /// The (pure, replayable) injection decision for one evaluation

@@ -61,10 +61,21 @@ pub fn fails_floor(qos: f64, floor: f64) -> bool {
 /// RNG so whether request `k` is a canary depends only on `(seed, k)` —
 /// never on how many other decisions the guard has taken.
 pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    mix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
+}
+
+/// SplitMix64's finaliser alone: decorrelates nearby inputs (a hash that
+/// already spread its state needs no golden-ratio step first).
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Maps a 64-bit draw to `[0, 1)` through its top 53 bits — every value a
+/// multiple of 2⁻⁵³, exact in an `f64`.
+pub fn unit_interval(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Seeded, deterministic Bernoulli sampler over request indices.
@@ -96,9 +107,7 @@ impl CanarySampler {
         if self.fraction >= 1.0 {
             return true;
         }
-        // Map the top 53 bits to [0, 1) — exact for every f64 fraction.
-        let u = (splitmix64(self.seed ^ k as u64) >> 11) as f64 / (1u64 << 53) as f64;
-        u < self.fraction
+        unit_interval(splitmix64(self.seed ^ k as u64)) < self.fraction
     }
 
     /// The configured fraction.
@@ -704,8 +713,7 @@ impl RequestExecutor for MiscalibratedExecutor {
         let h = splitmix64(
             self.seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((rung as u64) << 48),
         );
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        Some(honest + (2.0 * u - 1.0) * self.jitter)
+        Some(honest + (2.0 * unit_interval(h) - 1.0) * self.jitter)
     }
 }
 
@@ -713,6 +721,18 @@ impl RequestExecutor for MiscalibratedExecutor {
 mod tests {
     use super::*;
     use crate::config::Config;
+
+    #[test]
+    fn draws_map_into_the_unit_interval_at_the_two_ends() {
+        assert_eq!(unit_interval(0), 0.0);
+        assert_eq!(unit_interval(u64::MAX), 1.0 - f64::EPSILON / 2.0);
+        assert!(unit_interval(u64::MAX) < 1.0);
+        // `splitmix64` is the finaliser after one golden-ratio step.
+        assert_eq!(
+            splitmix64(7),
+            mix64(7u64.wrapping_add(0x9E37_79B9_7F4A_7C15))
+        );
+    }
 
     fn curve(qos: &[f64]) -> TradeoffCurve {
         TradeoffCurve::from_points(

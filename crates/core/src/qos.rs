@@ -28,6 +28,20 @@ pub enum QosReference {
     Golden(Vec<Tensor>),
 }
 
+/// The predicted class of one output row: the index of its first maximum
+/// (`v > row[best]`: a tie keeps the lower index, a NaN is never chosen
+/// past index 0 and one at index 0 is never replaced, and an empty row
+/// predicts 0).
+pub fn argmax(row: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = i;
+        }
+    }
+    best
+}
+
 /// Top-1 accuracy in percent of batched `[B, classes]` outputs.
 pub fn accuracy(outputs: &[Tensor], labels: &[Vec<usize>]) -> f64 {
     let mut correct = 0usize;
@@ -38,14 +52,7 @@ pub fn accuracy(outputs: &[Tensor], labels: &[Vec<usize>]) -> f64 {
             Err(_) => continue,
         };
         for (r, &lab) in labs.iter().enumerate().take(rows) {
-            let row = &out.data()[r * classes..(r + 1) * classes];
-            let mut best = 0usize;
-            for (i, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = i;
-                }
-            }
-            if best == lab {
+            if argmax(&out.data()[r * classes..(r + 1) * classes]) == lab {
                 correct += 1;
             }
             total += 1;
@@ -104,6 +111,26 @@ pub(crate) fn measure(metric: QosMetric, outputs: &[Tensor], reference: &QosRefe
 mod tests {
     use super::*;
     use at_tensor::Shape;
+
+    #[test]
+    fn argmax_keeps_the_first_maximum() {
+        assert_eq!(
+            argmax(&[0.5, 2.0, 2.0, -1.0]),
+            1,
+            "a tie keeps the lower index"
+        );
+        assert_eq!(
+            argmax(&[1.0, f32::NAN, 3.0]),
+            2,
+            "a NaN past index 0 never wins"
+        );
+        assert_eq!(
+            argmax(&[f32::NAN, 3.0]),
+            0,
+            "a NaN at index 0 is never replaced"
+        );
+        assert_eq!(argmax(&[]), 0);
+    }
 
     #[test]
     fn accuracy_counts_correct_rows() {

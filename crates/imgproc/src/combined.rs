@@ -44,16 +44,7 @@ pub struct CombinedGolden {
 fn predictions(out: &Tensor) -> Result<Vec<usize>, TensorError> {
     let (rows, classes) = out.shape().as_mat()?;
     Ok((0..rows)
-        .map(|r| {
-            let row = &out.data()[r * classes..(r + 1) * classes];
-            let mut best = 0;
-            for (i, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = i;
-                }
-            }
-            best
-        })
+        .map(|r| qos::argmax(&out.data()[r * classes..(r + 1) * classes]))
         .collect())
 }
 

@@ -1,19 +1,19 @@
 //! Functional simulation: exact computation plus calibrated analog noise.
 //!
 //! The voltage swings of the analog compute path "introduce statistical
-//! (normally distributed) errors in the output values" (§2.3). The
-//! functional simulator therefore computes the exact result and injects
-//! i.i.d. Gaussian noise whose standard deviation is the level's relative
-//! error times the RMS magnitude of the exact output — preserving the key
-//! property that error scales with signal amplitude in analog compute.
+//! (normally distributed) errors in the output values" (§2.3). A PROMISE
+//! layer is therefore the exact digital kernel's result plus i.i.d.
+//! Gaussian noise whose standard deviation is the level's relative error
+//! times the RMS magnitude of the exact output — preserving the key
+//! property that error scales with signal amplitude in analog compute. The
+//! graph executor computes the exact convolution or product into its slot
+//! and calls [`inject_noise`] there.
 
 use crate::voltage::VoltageLevel;
-use at_tensor::ops::conv::{conv2d, Conv2dParams};
-use at_tensor::ops::matmul;
-use at_tensor::{Precision, Tensor, TensorError};
 use rand::Rng;
 
-/// Adds level-calibrated Gaussian noise to an exact output.
+/// Adds level-calibrated Gaussian noise to an exact output, turning it into
+/// what PROMISE computes at `level`.
 pub fn inject_noise<R: Rng + ?Sized>(data: &mut [f32], level: VoltageLevel, rng: &mut R) {
     let n = data.len();
     if n == 0 {
@@ -39,64 +39,38 @@ pub fn inject_noise<R: Rng + ?Sized>(data: &mut [f32], level: VoltageLevel, rng:
     }
 }
 
-/// A convolution executed on PROMISE at the given voltage level.
-///
-/// PROMISE has no FP16 mode — the analog path has its own precision
-/// characteristics — so there is no precision parameter.
-pub fn promise_conv2d<R: Rng + ?Sized>(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    pad: (usize, usize),
-    stride: (usize, usize),
-    level: VoltageLevel,
-    rng: &mut R,
-) -> Result<Tensor, TensorError> {
-    let mut out = conv2d(
-        input,
-        weight,
-        bias,
-        Conv2dParams {
-            pad,
-            stride,
-            ..Default::default()
-        },
-    )?;
-    inject_noise(out.data_mut(), level, rng);
-    Ok(out)
-}
-
-/// A matrix multiplication executed on PROMISE at the given voltage level.
-pub fn promise_matmul<R: Rng + ?Sized>(
-    a: &Tensor,
-    b: &Tensor,
-    level: VoltageLevel,
-    rng: &mut R,
-) -> Result<Tensor, TensorError> {
-    let mut out = matmul::matmul(a, b, Precision::Fp32)?;
-    inject_noise(out.data_mut(), level, rng);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use at_tensor::Shape;
+    use at_tensor::ops::conv::{conv2d, Conv2dParams};
+    use at_tensor::ops::matmul_ex;
+    use at_tensor::{MulApprox, Precision, Shape, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn exact_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        matmul_ex(a, b, None, Precision::Fp32, MulApprox::Exact).unwrap()
+    }
+
+    /// A matrix multiplication on PROMISE: the exact product plus its noise.
+    fn promise_matmul(a: &Tensor, b: &Tensor, level: VoltageLevel, rng: &mut StdRng) -> Tensor {
+        let mut out = exact_matmul(a, b);
+        inject_noise(out.data_mut(), level, rng);
+        out
+    }
 
     #[test]
     fn noise_scales_with_level() {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Tensor::uniform(Shape::mat(32, 32), -1.0, 1.0, &mut rng);
         let b = Tensor::uniform(Shape::mat(32, 32), -1.0, 1.0, &mut rng);
-        let exact = matmul::matmul(&a, &b, Precision::Fp32).unwrap();
+        let exact = exact_matmul(&a, &b);
         let mse_at = |level: VoltageLevel| {
             // Average over several seeds for a stable estimate.
             let mut total = 0.0;
             for s in 0..8 {
                 let mut r = StdRng::seed_from_u64(100 + s);
-                let noisy = promise_matmul(&a, &b, level, &mut r).unwrap();
+                let noisy = promise_matmul(&a, &b, level, &mut r);
                 total += exact.mse(&noisy).unwrap();
             }
             total / 8.0
@@ -113,7 +87,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let a = Tensor::uniform(Shape::mat(64, 64), -1.0, 1.0, &mut rng);
         let b = Tensor::uniform(Shape::mat(64, 64), -1.0, 1.0, &mut rng);
-        let exact = matmul::matmul(&a, &b, Precision::Fp32).unwrap();
+        let exact = exact_matmul(&a, &b);
         let rms = (exact
             .data()
             .iter()
@@ -123,7 +97,7 @@ mod tests {
             .sqrt();
         let level = VoltageLevel::P3;
         let mut r = StdRng::seed_from_u64(3);
-        let noisy = promise_matmul(&a, &b, level, &mut r).unwrap();
+        let noisy = promise_matmul(&a, &b, level, &mut r);
         let err_std = exact.mse(&noisy).unwrap().sqrt();
         let expected = level.error_rel_std() * rms;
         let rel = (err_std - expected).abs() / expected;
@@ -136,8 +110,8 @@ mod tests {
         let x = Tensor::uniform(Shape::nchw(1, 2, 8, 8), -1.0, 1.0, &mut rng);
         let w = Tensor::uniform(Shape::nchw(2, 2, 3, 3), -1.0, 1.0, &mut rng);
         let exact = conv2d(&x, &w, None, Conv2dParams::default()).unwrap();
-        let noisy =
-            promise_conv2d(&x, &w, None, (0, 0), (1, 1), VoltageLevel::P5, &mut rng).unwrap();
+        let mut noisy = exact.clone();
+        inject_noise(noisy.data_mut(), VoltageLevel::P5, &mut rng);
         assert_eq!(exact.shape(), noisy.shape());
         assert!(exact.mse(&noisy).unwrap() > 0.0);
     }
@@ -149,8 +123,8 @@ mod tests {
         let b = Tensor::uniform(Shape::mat(8, 8), -1.0, 1.0, &mut rng);
         let mut r1 = StdRng::seed_from_u64(5);
         let mut r2 = StdRng::seed_from_u64(5);
-        let o1 = promise_matmul(&a, &b, VoltageLevel::P2, &mut r1).unwrap();
-        let o2 = promise_matmul(&a, &b, VoltageLevel::P2, &mut r2).unwrap();
+        let o1 = promise_matmul(&a, &b, VoltageLevel::P2, &mut r1);
+        let o2 = promise_matmul(&a, &b, VoltageLevel::P2, &mut r2);
         assert_eq!(o1.data(), o2.data());
     }
 }

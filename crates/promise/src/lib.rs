@@ -15,7 +15,9 @@
 //! validated timing and energy model" plays in the paper:
 //!
 //! * [`VoltageLevel`] — the P1..P7 knob with monotone error/energy tables.
-//! * [`functional`] — Gaussian error injection on conv/matmul outputs.
+//! * [`functional`] — Gaussian error injection ([`inject_noise`]) on the
+//!   exact conv/matmul outputs the graph executor computes in a PROMISE
+//!   layer's slot.
 //! * [`model`] — latency and energy estimates per op, calibrated so
 //!   PROMISE is 3.4–5.5× more energy-efficient and 1.4–3.4× faster than
 //!   the digital baseline, as reported by Srivastava et al.
@@ -27,6 +29,6 @@ pub mod geometry;
 pub mod model;
 pub mod voltage;
 
-pub use functional::{inject_noise, promise_conv2d, promise_matmul};
+pub use functional::inject_noise;
 pub use model::PromiseModel;
 pub use voltage::VoltageLevel;

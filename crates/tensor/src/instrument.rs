@@ -5,10 +5,14 @@
 //! merely that they discard results after computing them. Every GEMM
 //! returns the multiplies it ran (`m·k·n`), and the `_into` entries above
 //! it (`conv2d_into`, `matmul_into`) return their totals, so the graph
-//! executor can record them per node. The entries that return a new tensor
-//! (`conv2d`, `conv2d_fused`, `matmul`, `matmul_ex` and their ABFT twins)
-//! add theirs, on the calling thread, to that thread's tally, which
-//! [`count_muls`] reads.
+//! executor can record them per node, and the skip-work tests read them
+//! from `conv2d_into`. The entries that return a new tensor (`conv2d`,
+//! `matmul_ex` and their ABFT twins `conv2d_abft`, `matmul_abft`) add
+//! theirs, on the calling thread, to that thread's tally, which
+//! [`count_muls`] reads. The other allocating entries — `conv2d_fused`,
+//! `conv2d_fused_abft`, `matmul`, `map_unary`, `max_pool2d`, `avg_pool2d`
+//! and `at_promise`'s `promise_conv2d`/`promise_matmul` — are retired: their
+//! `_into` forms (or `inject_noise` over an exact product) are the one path.
 
 use crate::error::TensorError;
 use crate::shape::Shape;
@@ -38,8 +42,9 @@ pub(crate) fn tallied(
 /// Runs `f` and returns (result, multiplies of the tensor-returning entries
 /// `f` called on this thread). A kernel forked onto other threads is
 /// counted by the entry that forked it; another thread's own calls never
-/// are. Kept only for `benchmark/` and `skipwork.rs`; ROADMAP item 4
-/// deletes it.
+/// are. Its only caller outside this crate's tests is the frozen
+/// `benchmark/` harness; ROADMAP item 4 deletes it with the harness's next
+/// change.
 pub fn count_muls<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = TALLY.get();
     let out = f();

@@ -10,7 +10,7 @@
 
 use crate::error::TensorError;
 use crate::knobs::Precision;
-use crate::tensor::{check_len, Tensor, View};
+use crate::tensor::{check_len, View};
 use crate::{f16, par};
 
 /// Elementwise unary operations supported as `map` ops.
@@ -40,7 +40,7 @@ impl UnaryOp {
         match self {
             UnaryOp::Relu => max0(x),
             // `f32::clamp` without its per-call `lo <= hi` assertion, which
-            // keeps a slice loop from vectorising; `map_unary` checks once.
+            // keeps a slice loop from vectorising; the entries check once.
             UnaryOp::ClippedRelu(lo, hi) => {
                 let y = if x < lo { lo } else { x };
                 if y > hi {
@@ -172,15 +172,8 @@ fn through_f16(f: impl Fn(f32) -> f32 + Sync) -> impl Fn(f32) -> f32 + Sync {
     move |x| f16::quantize(f(f16::quantize(x)))
 }
 
-/// Applies a unary map over the tensor into a new one, honouring FP16
-/// semantics.
-pub fn map_unary(input: &Tensor, op: UnaryOp, precision: Precision) -> Result<Tensor, TensorError> {
-    Tensor::written_by(input.shape(), |out| {
-        map_unary_into(input.view(), op, precision, out)
-    })
-}
-
-/// [`map_unary`] into `out`, which must be as long as `input`.
+/// Applies a unary map over `input` into `out`, which must be as long as
+/// `input`, honouring FP16 semantics.
 pub fn map_unary_into(
     input: View,
     op: UnaryOp,
@@ -203,7 +196,7 @@ pub fn map_unary_into(
     Ok(())
 }
 
-/// [`map_unary`] overwriting its operand: the same value for every element,
+/// [`map_unary_into`] overwriting its operand: the same value for every element,
 /// without the second buffer. For a caller that owns `xs` and has no other
 /// reader of it (the graph executor, once a value's last consumer runs).
 pub fn map_unary_in_place(
@@ -253,7 +246,14 @@ pub fn add_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
     use crate::Shape;
+
+    fn map_unary(input: &Tensor, op: UnaryOp, precision: Precision) -> Result<Tensor, TensorError> {
+        Tensor::written_by(input.shape(), |out| {
+            map_unary_into(input.view(), op, precision, out)
+        })
+    }
 
     fn relu(t: &Tensor, precision: Precision) -> Result<Tensor, TensorError> {
         map_unary(t, UnaryOp::Relu, precision)

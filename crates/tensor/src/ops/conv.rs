@@ -59,28 +59,15 @@ pub fn conv2d(
     bias: Option<&Tensor>,
     params: Conv2dParams,
 ) -> Result<Tensor, TensorError> {
-    super::im2col::conv2d_lowered(input, weight, bias, params, None, false)
+    super::im2col::conv2d_lowered(input, weight, bias, params, false)
 }
 
-/// [`conv2d`] with the subsequent FP32 activation fused into the kernel's
-/// epilogue, so the executor skips one full pass over the intermediate
-/// tensor.
-///
-/// Bit-identical to `map_unary(conv2d(..), act, Fp32)` for every `params`
-/// setting (the epilogue applies the same scalar function after the same
-/// quantisation points).
-pub fn conv2d_fused(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    act: UnaryOp,
-) -> Result<Tensor, TensorError> {
-    super::im2col::conv2d_lowered(input, weight, bias, params, Some(act), false)
-}
-
-/// [`conv2d`], or [`conv2d_fused`] with `act`, into `out`, which must hold
-/// the output shape; every element is written. Returns the multiplies it
+/// [`conv2d`] into `out`, which must hold the output shape; every element
+/// is written. With `act` the subsequent FP32 activation is fused into the
+/// kernel's epilogue, so the executor skips one full pass over the
+/// intermediate tensor — bit-identical to applying `act` to [`conv2d`]'s
+/// output for every `params` setting (the epilogue applies the same scalar
+/// function after the same quantisation points). Returns the multiplies it
 /// ran.
 pub fn conv2d_into(
     input: View,

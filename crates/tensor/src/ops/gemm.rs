@@ -96,7 +96,7 @@ pub enum Epilogue<'a> {
     },
     /// Dense-layer epilogue: optional fp16 quantisation of the product,
     /// then per-*column* bias, then fp16 again — matching the unfused
-    /// `matmul` → `bias_add_rows` pair exactly.
+    /// matmul → bias-add pair of the reference oracle exactly.
     Dense {
         /// Per-column bias.
         bias: Option<&'a [f32]>,
@@ -512,21 +512,17 @@ pub(crate) fn gemm_windows<K: MulKernel>(
     (m * k * n) as u64
 }
 
-/// [`gemm_windows`] over a row-major `B`, packed here, once, into the slabs
-/// the kernel reads, each element through `quant` on its way in (so an FP16
-/// or LUT operand needs no quantised copy of its own).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_dense<K: MulKernel>(
-    kern: &K,
-    m: usize,
+/// Packs a row-major `K×N` `B` once into the slabs the kernel reads, each
+/// element through `quant` on its way in (so an FP16 or LUT operand needs no
+/// quantised copy of its own), and hands them to `run` as [`Windows`] — for
+/// [`gemm_windows`] or its checksum-verified twin.
+pub(crate) fn gemm_dense<T>(
     k: usize,
     n: usize,
-    a: &[f32],
     b: &[f32],
     quant: impl Fn(f32) -> f32,
-    out: &mut [f32],
-    epi: &Epilogue,
-) -> u64 {
+    run: impl FnOnce(&Windows) -> T,
+) -> T {
     assert_eq!(b.len(), k * n, "gemm B size");
     let mut packed = PACKED.take();
     pack_b_panels(k, n, b, quant, &mut packed);
@@ -535,14 +531,13 @@ pub(crate) fn gemm_dense<K: MulKernel>(
         step: k * PANEL,
         row_off: (0..k).map(|kk| kk * PANEL).collect(),
     }];
-    let b = Windows {
+    let done = run(&Windows {
         data: &packed,
         k,
         runs: &runs,
-    };
-    let muls = gemm_windows(kern, m, a, &b, out, epi);
+    });
     PACKED.set(packed);
-    muls
+    done
 }
 
 /// Tiled f32 GEMM with fused epilogue: `out[M,N] = epi(A[M,K] × B[K,N])`,
@@ -556,43 +551,25 @@ pub fn gemm_f32(
     out: &mut [f32],
     epi: &Epilogue,
 ) -> u64 {
-    gemm_dense(&Fma, m, k, n, a, b, |v| v, out, epi)
-}
-
-/// Approximate-multiplier GEMM over quantised operands, `B` row-major:
-/// Mitchell products summed exactly, dequantised by `dequant` (= scale_A ·
-/// scale_B) before the epilogue. Operands must be integers of magnitude at
-/// most `qmax` at `bits` (what [`lut::quantize_symmetric`] produces), and
-/// that is checked here, once per call, because the kernel does not check
-/// per element: its closed form is Mitchell's product only on such
-/// operands, and its sums are exact only while products stay below 2¹⁴.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_lut(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    bits: u8,
-    dequant: f32,
-    out: &mut [f32],
-    epi: &Epilogue,
-) -> u64 {
-    let qmax = lut::qmax(bits) as f32;
-    let in_range = |xs: &[f32]| {
-        xs.iter()
-            .fold(true, |ok, v| ok & (v.abs() <= qmax) & (v.trunc() == *v))
-    };
-    assert!(
-        in_range(a) && in_range(b),
-        "gemm_lut operand outside the {bits}-bit range"
-    );
-    gemm_dense(&LutMul { dequant }, m, k, n, a, b, |v| v, out, epi)
+    gemm_dense(k, n, b, |v| v, |b| gemm_windows(&Fma, m, a, b, out, epi))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The LUT kernel on the dense path over operands already on the
+    /// quantised grid, raw sums dequantised by `dequant`.
+    fn gemm_lut(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], dequant: f32, out: &mut [f32]) {
+        let kern = LutMul { dequant };
+        gemm_dense(
+            k,
+            n,
+            b,
+            |v| v,
+            |b| gemm_windows(&kern, m, a, b, out, &Epilogue::Raw),
+        );
+    }
 
     #[test]
     fn small_gemm_matches_hand_product() {
@@ -662,7 +639,7 @@ mod tests {
         let b: Vec<f32> = (0..k * n).map(|i| (i % 9) as f32 - 4.0).collect();
         let dq = 0.25f32;
         let mut c = vec![0.0f32; m * n];
-        gemm_lut(m, k, n, &a, &b, 4, dq, &mut c, &Epilogue::Raw);
+        gemm_lut(m, k, n, &a, &b, dq, &mut c);
         for (idx, &got) in c.iter().enumerate() {
             let want = lut_scalar(4, &a, &b, k, n, idx / n, idx % n, dq);
             assert_eq!(got.to_bits(), want.to_bits(), "({}, {})", idx / n, idx % n);
@@ -693,7 +670,7 @@ mod tests {
     #[allow(clippy::too_many_arguments)]
     fn assert_lut_gemm_bits(bits: u8, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], dq: f32) {
         let mut c = vec![0.0f32; m * n];
-        gemm_lut(m, k, n, a, b, bits, dq, &mut c, &Epilogue::Raw);
+        gemm_lut(m, k, n, a, b, dq, &mut c);
         for (idx, &got) in c.iter().enumerate() {
             let want = lut_scalar(bits, a, b, k, n, idx / n, idx % n, dq);
             assert_eq!(
@@ -717,7 +694,7 @@ mod tests {
             let vals: Vec<f32> = (-q..=q).map(|v| v as f32).collect();
             let n = vals.len();
             let mut c = vec![0.0f32; n * n];
-            gemm_lut(n, 1, n, &vals, &vals, bits, 1.0, &mut c, &Epilogue::Raw);
+            gemm_lut(n, 1, n, &vals, &vals, 1.0, &mut c);
             let table = crate::lut::lut_for(bits);
             for (idx, &got) in c.iter().enumerate() {
                 let (a, b) = (vals[idx / n], vals[idx % n]);
@@ -751,7 +728,7 @@ mod tests {
         ];
         assert_lut_gemm_bits(8, m, k, n, &a, &b, 0.5);
         let mut c = vec![f32::NAN; m * n];
-        gemm_lut(m, k, n, &a, &b, 8, 0.5, &mut c, &Epilogue::Raw);
+        gemm_lut(m, k, n, &a, &b, 0.5, &mut c);
         for idx in [0, 1, 2, 3, 4, 7] {
             assert_eq!(c[idx].to_bits(), 0.0f32.to_bits(), "output {idx}");
         }
@@ -805,20 +782,6 @@ mod tests {
                 .collect();
             assert_lut_gemm_bits(8, m, k, n, &a, &b, 0.125);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the 4-bit range")]
-    fn lut_gemm_rejects_operands_past_the_table() {
-        let mut c = [0.0f32];
-        gemm_lut(1, 1, 1, &[8.0], &[1.0], 4, 1.0, &mut c, &Epilogue::Raw);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the 8-bit range")]
-    fn lut_gemm_rejects_fractional_operands() {
-        let mut c = [0.0f32];
-        gemm_lut(1, 1, 1, &[2.0], &[1.5], 8, 1.0, &mut c, &Epilogue::Raw);
     }
 
     #[test]

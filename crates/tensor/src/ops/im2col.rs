@@ -57,7 +57,7 @@
 //! **Skipped work is never computed.** Perforation shrinks the GEMM's
 //! output; the missing outputs are interpolated from computed neighbours
 //! after it, exactly like the direct kernel. The bias/scale/FP16/activation
-//! epilogue is fused into the GEMM's output write ([`gemm::Epilogue`]).
+//! epilogue is fused into the GEMM's output write ([`super::gemm::Epilogue`]).
 //!
 //! **Why every bit is unchanged.** Each output still accumulates its window
 //! in increasing flattened `(channel, ky, kx)` order through one `mul_add`
@@ -76,7 +76,7 @@ use crate::lut;
 use crate::ops::abft::{self, Verified};
 use crate::ops::activation::UnaryOp;
 use crate::ops::conv::Conv2dParams;
-use crate::ops::gemm::{self, Epilogue, Fma, LutMul, Run, Windows, PANEL};
+use crate::ops::gemm::{Epilogue, Fma, LutMul, Run, Windows, PANEL};
 use crate::par;
 use crate::shape::{conv2d_out_shape, Shape};
 use crate::tensor::{check_len, Tensor, View};
@@ -511,13 +511,6 @@ fn run_lowered<K: Verified>(
     };
     let per_group = low.cpg * low.h * low.w;
     let (staged_len, row_len) = (low.staged_len(), low.w + 2 * low.pw);
-    let gemm_call = |a: &[f32], b: &Windows, dst: &mut [f32], epi: &Epilogue| {
-        if verify {
-            abft::gemm_windows_abft(kern, kpg, a, b, dst, epi)
-        } else {
-            Ok(gemm::gemm_windows(kern, kpg, a, b, dst, epi))
-        }
-    };
 
     let lower_image = |image: &[f32], oimg: &mut [f32], scratch: &mut Scratch| {
         let Scratch { staged, kept_plane } = scratch;
@@ -552,7 +545,7 @@ fn run_lowered<K: Verified>(
                     fp16: low.fp16,
                     act: low.act,
                 };
-                muls += gemm_call(a, &b, planes, &epi)?;
+                muls += abft::gemm_windows_abft(kern, kpg, a, &b, planes, &epi, verify)?;
                 continue;
             };
             // Compute only the kept positions, then scatter and interpolate.
@@ -565,7 +558,8 @@ fn run_lowered<K: Verified>(
                 fp16: false,
                 act: None,
             };
-            muls += gemm_call(a, &b, &mut kept_plane[..kept_len], &epi)?;
+            let computed = &mut kept_plane[..kept_len];
+            muls += abft::gemm_windows_abft(kern, kpg, a, &b, computed, &epi, verify)?;
             for (di, op) in planes.chunks_mut(plane).enumerate() {
                 let bias_v = bias_slice.map_or(0.0, |bs| bs[di]);
                 let kept = &kept_plane[di * n_pos..(di + 1) * n_pos];
@@ -619,12 +613,11 @@ fn run_lowered<K: Verified>(
     })
 }
 
-/// Lowers a convolution (any [`Conv2dParams`] setting, optionally with a
-/// fused trailing FP32 activation) onto the windowed GEMM — the kernel behind
-/// [`super::conv2d`] and [`super::conv::conv2d_fused`]; results are
+/// Lowers a convolution (any [`Conv2dParams`] setting) onto the windowed
+/// GEMM into a new tensor — the kernel behind [`super::conv2d`]; results are
 /// bit-identical to the direct reference kernel for every configuration.
 ///
-/// With `verify` it is their ABFT twin: every lowered GEMM runs with a raw
+/// With `verify` it is its ABFT twin: every lowered GEMM runs with a raw
 /// epilogue, its Huang–Abraham checksums are folded over the staged windows
 /// the multiply read ([`super::abft`]), and only then is the epilogue
 /// applied — so clean outputs stay bit-identical while corrupted
@@ -634,12 +627,11 @@ pub(crate) fn conv2d_lowered(
     weight: &Tensor,
     bias: Option<&Tensor>,
     params: Conv2dParams,
-    act: Option<UnaryOp>,
     verify: bool,
 ) -> Result<Tensor, TensorError> {
     let shape = conv_out_shape(input.shape(), weight.shape(), params)?;
     instrument::tallied(shape, |out| {
-        lower_into(input.view(), weight, bias, params, act, verify, out)
+        lower_into(input.view(), weight, bias, params, None, verify, out)
     })
 }
 
@@ -661,8 +653,9 @@ fn conv_out_shape(input: Shape, weight: Shape, params: Conv2dParams) -> Result<S
     conv2d_out_shape(Shape::nchw(n, cpg, h, w), weight, params.pad, params.stride)
 }
 
-/// [`conv2d_lowered`] into `out`, which must hold the output shape and
-/// whose every element is written. Returns the multiplies it ran.
+/// [`conv2d_lowered`], optionally with a fused trailing FP32 activation
+/// `act`, into `out`, which must hold the output shape and whose every
+/// element is written. Returns the multiplies it ran.
 pub(crate) fn lower_into(
     input: View,
     weight: &Tensor,
@@ -767,7 +760,7 @@ mod tests {
 
     fn check(params: Conv2dParams, ctx: &str) {
         let (x, w, b) = fixtures();
-        let lowered = conv2d_lowered(&x, &w, Some(&b), params, None, false).unwrap();
+        let lowered = conv2d_lowered(&x, &w, Some(&b), params, false).unwrap();
         let direct = conv2d_reference(&x, &w, Some(&b), params).unwrap();
         assert_bits_eq(&lowered, &direct, ctx);
     }
@@ -868,7 +861,7 @@ mod tests {
             groups: 4,
             ..Default::default()
         };
-        let lowered = conv2d_lowered(&x, &w, None, params, None, false).unwrap();
+        let lowered = conv2d_lowered(&x, &w, None, params, false).unwrap();
         let direct = conv2d_reference(&x, &w, None, params).unwrap();
         assert_bits_eq(&lowered, &direct, "depthwise");
     }
@@ -890,14 +883,21 @@ mod tests {
                 approx,
                 ..Default::default()
             };
-            let fused =
-                conv2d_lowered(&x, &w, Some(&b), params, Some(UnaryOp::Relu), false).unwrap();
-            let unfused = crate::ops::map_unary(
-                &conv2d_lowered(&x, &w, Some(&b), params, None, false).unwrap(),
-                UnaryOp::Relu,
-                Precision::Fp32,
+            let mut unfused = conv2d_lowered(&x, &w, Some(&b), params, false).unwrap();
+            let mut fused = unfused.clone();
+            let relu = Some(UnaryOp::Relu);
+            lower_into(
+                x.view(),
+                &w,
+                Some(&b),
+                params,
+                relu,
+                false,
+                fused.data_mut(),
             )
             .unwrap();
+            crate::ops::map_unary_in_place(unfused.data_mut(), UnaryOp::Relu, Precision::Fp32)
+                .unwrap();
             assert_bits_eq(&fused, &unfused, &format!("fused relu {approx:?}"));
         }
     }
@@ -911,7 +911,7 @@ mod tests {
             stride: (1, 1),
             ..Default::default()
         };
-        assert!(conv2d_lowered(&x, &w, Some(&bad), params, None, false).is_err());
+        assert!(conv2d_lowered(&x, &w, Some(&bad), params, false).is_err());
     }
 
     /// Stages `image` through the shifted-copy path and through the per-row
@@ -1009,7 +1009,7 @@ mod tests {
         let x = Tensor::uniform(Shape::nchw(1, 1, 3, 2), -1.0, 1.0, &mut rng);
         let w = Tensor::uniform(Shape::nchw(1, 1, 1, 1), -1.0, 1.0, &mut rng);
         let params = Conv2dParams::default();
-        let lowered = conv2d_lowered(&x, &w, None, params, None, false).unwrap();
+        let lowered = conv2d_lowered(&x, &w, None, params, false).unwrap();
         let direct = conv2d_reference(&x, &w, None, params).unwrap();
         assert_bits_eq(&lowered, &direct, "1x1");
     }

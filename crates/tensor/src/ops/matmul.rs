@@ -1,37 +1,35 @@
 //! Matrix multiplication (dense/fully-connected layers) on the tiled GEMM
 //! core, with FP16 and LUT approximate-multiplier support.
 //!
-//! [`matmul`] keeps the original naive-kernel semantics bit-for-bit (the
-//! differential suite enforces this against [`super::reference`]);
-//! [`matmul_ex`] additionally fuses the per-column bias add and selects the
-//! multiplier, so the IR executor's dense layers run in one kernel without
-//! materialising the unbiased product.
+//! [`matmul_ex`] fuses the per-column bias add and selects the multiplier,
+//! so the IR executor's dense layers run in one kernel without
+//! materialising the unbiased product; with no bias and the exact
+//! multiplier it keeps the naive kernel's semantics bit for bit (the
+//! differential suite enforces this against [`super::reference`]). Its
+//! ABFT twin [`super::matmul_abft`] is the same step with the product's
+//! checksums verified.
 
 use crate::error::TensorError;
 use crate::f16;
 use crate::instrument;
 use crate::knobs::{MulApprox, Precision};
 use crate::lut;
+use crate::ops::abft;
 use crate::ops::gemm::{self, Epilogue, Fma, LutMul};
 use crate::tensor::{check_len, Tensor, View};
 use crate::Shape;
 
-/// `C = A × B` for `A: [M,K]`, `B: [K,N]` on the register-blocked kernel.
+/// Fused dense layer: `C = epilogue(A × B)` for `A: [M,K]`, `B: [K,N]` on
+/// the register-blocked kernel, with optional per-column bias, FP16
+/// semantics and a selectable multiplier.
 ///
-/// `Precision::Fp16` quantises both operands and the result through binary16
-/// while accumulating in f32.
-pub fn matmul(a: &Tensor, b: &Tensor, precision: Precision) -> Result<Tensor, TensorError> {
-    matmul_ex(a, b, None, precision, MulApprox::Exact)
-}
-
-/// Fused dense layer: `C = epilogue(A × B)` with optional per-column bias,
-/// FP16 semantics and a selectable multiplier.
-///
-/// Bit-compatibility contract: with `MulApprox::Exact` this equals the
-/// unfused `matmul` → [`bias_add_rows`] sequence exactly (same quantisation
-/// points, same accumulation order). With `MulApprox::Lut`, operands are
-/// symmetric-quantised per tensor and every product is Mitchell's (the
-/// bitwidth's table as a closed form), summed exactly.
+/// `Precision::Fp16` quantises both operands and the result through
+/// binary16 while accumulating in f32. Bit-compatibility contract: with
+/// `MulApprox::Exact` this equals the unfused naive matmul → bias-add
+/// sequence of [`super::reference::matmul_ex_reference`] exactly (same
+/// quantisation points, same accumulation order). With `MulApprox::Lut`,
+/// operands are symmetric-quantised per tensor and every product is
+/// Mitchell's (the bitwidth's table as a closed form), summed exactly.
 pub fn matmul_ex(
     a: &Tensor,
     b: &Tensor,
@@ -39,10 +37,7 @@ pub fn matmul_ex(
     precision: Precision,
     mul: MulApprox,
 ) -> Result<Tensor, TensorError> {
-    let shape = Shape::mat(a.shape().as_mat()?.0, b.shape().as_mat()?.1);
-    instrument::tallied(shape, |out| {
-        matmul_into(a.view(), b, bias, precision, mul, out)
-    })
+    dense(a, b, bias, precision, mul, false)
 }
 
 /// [`matmul_ex`] into `out`, which must hold `[M, N]`. Returns the
@@ -53,6 +48,37 @@ pub fn matmul_into(
     bias: Option<&Tensor>,
     precision: Precision,
     mul: MulApprox,
+    out: &mut [f32],
+) -> Result<u64, TensorError> {
+    dense_into(a, b, bias, precision, mul, false, out)
+}
+
+/// [`matmul_ex`], or with `verify` [`super::matmul_abft`], into a new
+/// tensor; the multiplies go to this thread's tally.
+pub(crate) fn dense(
+    a: &Tensor,
+    b: &Tensor,
+    bias: Option<&Tensor>,
+    precision: Precision,
+    mul: MulApprox,
+    verify: bool,
+) -> Result<Tensor, TensorError> {
+    let shape = Shape::mat(a.shape().as_mat()?.0, b.shape().as_mat()?.1);
+    instrument::tallied(shape, |out| {
+        dense_into(a.view(), b, bias, precision, mul, verify, out)
+    })
+}
+
+/// The one dense step: validate, quantise `B` as it is packed, then the
+/// GEMM over the packed slabs — checksum-verified before the epilogue
+/// under `verify` ([`abft::gemm_windows_abft`]).
+fn dense_into(
+    a: View,
+    b: &Tensor,
+    bias: Option<&Tensor>,
+    precision: Precision,
+    mul: MulApprox,
+    verify: bool,
     out: &mut [f32],
 ) -> Result<u64, TensorError> {
     mul.validate()?;
@@ -84,51 +110,35 @@ pub fn matmul_into(
         fp16,
     };
     let (a, b) = (a.data(), b.data());
-    Ok(match mul {
-        MulApprox::Exact if fp16 => {
-            gemm::gemm_dense(&Fma, m, ka, n, a, b, f16::quantize, out, &epi)
-        }
-        MulApprox::Exact => gemm::gemm_dense(&Fma, m, ka, n, a, b, |v| v, out, &epi),
+    match mul {
+        MulApprox::Exact if fp16 => gemm::gemm_dense(ka, n, b, f16::quantize, |b| {
+            abft::gemm_windows_abft(&Fma, m, a, b, out, &epi, verify)
+        }),
+        MulApprox::Exact => gemm::gemm_dense(
+            ka,
+            n,
+            b,
+            |v| v,
+            |b| abft::gemm_windows_abft(&Fma, m, a, b, out, &epi, verify),
+        ),
         MulApprox::Lut { bits } => {
-            // Both operands come out of the quantiser, so they are in
-            // `gemm_lut`'s range by construction.
+            // Both operands come out of the symmetric quantiser, so they
+            // are on the grid the kernel's closed form assumes.
             let b16 = |v| if fp16 { f16::quantize(v) } else { v };
             let aq = lut::quantize_symmetric(a, bits);
             let bs = lut::Symmetric::fit(lut::max_abs(b.iter().map(|&v| b16(v))), bits);
             let kern = LutMul {
                 dequant: aq.scale * bs.scale,
             };
-            let quant = |v| bs.q(b16(v));
-            gemm::gemm_dense(&kern, m, ka, n, &aq.q, b, quant, out, &epi)
-        }
-    })
-}
-
-/// Adds a bias row-vector `[N]` to every row of `x: [M,N]`.
-pub fn bias_add_rows(
-    x: &Tensor,
-    bias: &Tensor,
-    precision: Precision,
-) -> Result<Tensor, TensorError> {
-    let (m, n) = x.shape().as_mat()?;
-    if bias.len() != n {
-        return Err(TensorError::ShapeMismatch {
-            op: "bias_add",
-            detail: format!("bias len {} != cols {n}", bias.len()),
-        });
-    }
-    let bd = bias.data();
-    let mut out = x.data().to_vec();
-    for row in 0..m {
-        for col in 0..n {
-            out[row * n + col] += bd[col];
+            gemm::gemm_dense(
+                ka,
+                n,
+                b,
+                |v| bs.q(b16(v)),
+                |b| abft::gemm_windows_abft(&kern, m, &aq.q, b, out, &epi, verify),
+            )
         }
     }
-    let mut t = Tensor::from_vec(x.shape(), out)?;
-    if precision == Precision::Fp16 {
-        t.quantize_f16();
-    }
-    Ok(t)
 }
 
 #[cfg(test)]
@@ -136,6 +146,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn matmul(a: &Tensor, b: &Tensor, precision: Precision) -> Result<Tensor, TensorError> {
+        matmul_ex(a, b, None, precision, MulApprox::Exact)
+    }
 
     #[test]
     fn small_known_product() {
@@ -178,8 +192,9 @@ mod tests {
     #[test]
     fn bias_add() {
         let x = Tensor::from_vec(Shape::mat(2, 2), vec![1., 2., 3., 4.]).unwrap();
+        let eye = Tensor::from_vec(Shape::mat(2, 2), vec![1., 0., 0., 1.]).unwrap();
         let b = Tensor::from_vec(Shape::vec(2), vec![10., 20.]).unwrap();
-        let y = bias_add_rows(&x, &b, Precision::Fp32).unwrap();
+        let y = matmul_ex(&x, &eye, Some(&b), Precision::Fp32, MulApprox::Exact).unwrap();
         assert_eq!(y.data(), &[11., 22., 13., 24.]);
     }
 
@@ -190,8 +205,15 @@ mod tests {
         let b = Tensor::uniform(Shape::mat(37, 91), -1.0, 1.0, &mut rng);
         let bias = Tensor::uniform(Shape::vec(91), -0.5, 0.5, &mut rng);
         for precision in Precision::ALL {
-            let unfused =
-                bias_add_rows(&matmul(&a, &b, precision).unwrap(), &bias, precision).unwrap();
+            // The oracle runs the naive matmul, then adds the bias.
+            let unfused = crate::ops::reference::matmul_ex_reference(
+                &a,
+                &b,
+                Some(&bias),
+                precision,
+                MulApprox::Exact,
+            )
+            .unwrap();
             let fused = matmul_ex(&a, &b, Some(&bias), precision, MulApprox::Exact).unwrap();
             for (u, f) in unfused.data().iter().zip(fused.data()) {
                 assert_eq!(u.to_bits(), f.to_bits(), "{precision:?}");

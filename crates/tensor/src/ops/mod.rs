@@ -15,13 +15,11 @@ pub mod reduce;
 pub mod reference;
 pub mod softmax;
 
-pub use abft::{
-    conv2d_abft, conv2d_fused_abft, flip_bit, gemm_f32_abft, matmul_abft, verify_gemm_f32, AbftTol,
-};
-pub use activation::{add_into, map_unary, map_unary_in_place, map_unary_into, UnaryOp};
-pub use conv::{conv2d, conv2d_fused, conv2d_into};
-pub use matmul::{bias_add_rows, matmul, matmul_ex, matmul_into};
+pub use abft::{conv2d_abft, flip_bit, gemm_f32_abft, matmul_abft, verify_gemm_f32, AbftTol};
+pub use activation::{add_into, map_unary_in_place, map_unary_into, UnaryOp};
+pub use conv::{conv2d, conv2d_into};
+pub use matmul::{matmul_ex, matmul_into};
 pub use norm::batchnorm2d_into;
-pub use pool::{avg_pool2d, max_pool2d, pool2d_into, Pooling};
+pub use pool::{pool2d_into, Pooling};
 pub use reduce::{reduce, reduce_into, ReduceKind};
 pub use softmax::softmax_rows_into;

@@ -12,7 +12,7 @@ use crate::f16;
 use crate::knobs::{Precision, ReduceApprox};
 use crate::par;
 use crate::shape::pool2d_out_shape;
-use crate::tensor::{check_len, Tensor, View};
+use crate::tensor::{check_len, View};
 use rayon::prelude::*;
 
 /// What a pooling window's valid taps are folded into, one tap at a time:
@@ -231,57 +231,22 @@ fn fold_windows<R: WindowReduce>(
     Ok(())
 }
 
-/// Max pooling over `window` with `stride` and symmetric `pad`.
-pub fn max_pool2d(
-    input: &Tensor,
-    window: (usize, usize),
-    pad: (usize, usize),
-    stride: (usize, usize),
-    precision: Precision,
-) -> Result<Tensor, TensorError> {
-    pooled(input, [window, pad, stride], Pooling::Max, precision)
-}
-
-/// Average pooling with optional reduction sampling.
-///
-/// Under `ReduceApprox::Sampling { num, den }` only `num` of every `den`
-/// window elements are visited and the mean is taken over the visited
-/// subset, mirroring the paper's reduction sampling (the result is rescaled
-/// implicitly by averaging over fewer elements).
-pub fn avg_pool2d(
-    input: &Tensor,
-    window: (usize, usize),
-    pad: (usize, usize),
-    stride: (usize, usize),
-    approx: ReduceApprox,
-    precision: Precision,
-) -> Result<Tensor, TensorError> {
-    approx.validate()?;
-    pooled(
-        input,
-        [window, pad, stride],
-        Pooling::Avg(approx),
-        precision,
-    )
-}
-
 /// Which pooling [`pool2d_into`] (and [`super::reference`]'s oracle)
-/// computes: `max_pool2d`, or `avg_pool2d` under the given reduction knob.
+/// computes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Pooling {
     /// Largest valid tap.
     Max,
-    /// Mean of the valid taps (or of a sampled subset of them).
+    /// Mean of the valid taps, or under `ReduceApprox::Sampling { num, den
+    /// }` of the `num` of every `den` window elements visited, mirroring the
+    /// paper's reduction sampling (the result is rescaled implicitly by
+    /// averaging over fewer elements).
     Avg(ReduceApprox),
 }
 
-fn pooled(x: &Tensor, g: Geometry, pool: Pooling, p: Precision) -> Result<Tensor, TensorError> {
-    let shape = pool2d_out_shape(x.shape(), g[0], g[1], g[2])?;
-    Tensor::written_by(shape, |out| pool2d_into(x.view(), g, pool, p, out))
-}
-
-/// [`max_pool2d`] or [`avg_pool2d`] into `out`, which must hold the pooled
-/// shape; `geometry` is `[window, pad, stride]`.
+/// Max or average pooling over `window` with `stride` and symmetric `pad`
+/// into `out`, which must hold the pooled shape; `geometry` is `[window,
+/// pad, stride]`.
 pub fn pool2d_into(
     input: View,
     geometry: [(usize, usize); 3],
@@ -308,6 +273,38 @@ mod tests {
     use super::*;
     use crate::ops::reference::pool2d_reference;
     use crate::shape::Shape;
+    use crate::tensor::Tensor;
+
+    fn pooled(x: &Tensor, g: Geometry, pool: Pooling, p: Precision) -> Result<Tensor, TensorError> {
+        let shape = pool2d_out_shape(x.shape(), g[0], g[1], g[2])?;
+        Tensor::written_by(shape, |out| pool2d_into(x.view(), g, pool, p, out))
+    }
+
+    fn max_pool2d(
+        input: &Tensor,
+        window: (usize, usize),
+        pad: (usize, usize),
+        stride: (usize, usize),
+        precision: Precision,
+    ) -> Result<Tensor, TensorError> {
+        pooled(input, [window, pad, stride], Pooling::Max, precision)
+    }
+
+    fn avg_pool2d(
+        input: &Tensor,
+        window: (usize, usize),
+        pad: (usize, usize),
+        stride: (usize, usize),
+        approx: ReduceApprox,
+        precision: Precision,
+    ) -> Result<Tensor, TensorError> {
+        pooled(
+            input,
+            [window, pad, stride],
+            Pooling::Avg(approx),
+            precision,
+        )
+    }
 
     fn ramp(n: usize, c: usize, h: usize, w: usize) -> Tensor {
         Tensor::from_vec(

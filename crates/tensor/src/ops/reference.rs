@@ -97,7 +97,7 @@ pub fn matmul_ex_reference(
         MulApprox::Exact => {
             let out = matmul_reference(a, b, precision)?;
             return match bias {
-                Some(bt) => crate::ops::matmul::bias_add_rows(&out, bt, precision),
+                Some(bt) => bias_add_rows(&out, bt, precision),
                 None => Ok(out),
             };
         }
@@ -141,6 +141,24 @@ pub fn matmul_ex_reference(
         }
     }
     Tensor::from_vec(Shape::mat(m, n), out)
+}
+
+/// Adds a bias row-vector `[N]` to every row of `x: [M,N]` — the unfused
+/// dense layer's second step. The caller has checked the bias length.
+fn bias_add_rows(x: &Tensor, bias: &Tensor, precision: Precision) -> Result<Tensor, TensorError> {
+    let (m, n) = x.shape().as_mat()?;
+    let bd = bias.data();
+    let mut out = x.data().to_vec();
+    for row in 0..m {
+        for col in 0..n {
+            out[row * n + col] += bd[col];
+        }
+    }
+    let mut t = Tensor::from_vec(x.shape(), out)?;
+    if precision == Precision::Fp16 {
+        t.quantize_f16();
+    }
+    Ok(t)
 }
 
 /// Naive direct 2-D convolution supporting every [`Conv2dParams`] setting

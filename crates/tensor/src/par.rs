@@ -13,7 +13,7 @@ use rayon::prelude::*;
 /// Minimum element-wise items (one `tanh`, one binary16 round-trip, one
 /// pooling-window tap) per thread.
 ///
-/// Measured with `map_unary` on the 2-vCPU Xeon VM (min of 300, µs, inline
+/// Measured with the element-wise map on the 2-vCPU Xeon VM (min of 300, µs, inline
 /// → forked in two): the vectorised maps cost 0.15 (ReLU) to 0.7 (`tanh`
 /// under FP16) ns per item, and forking adds a fixed 6–8 µs at any size —
 /// 32 Ki ReLU 4.0 → 10.8, 32 Ki `tanh` 10.1 → 16.2, 128 Ki `tanh` 34 → 48.
