@@ -3,12 +3,11 @@
 //! per-benchmark `sweep` the paper's tables and figures are rows of.
 
 use crate::env::Sizing;
-use at_core::empirical::EmpiricalTuner;
 use at_core::install::{EdgeDevice, InstallObjective};
 use at_core::knobs::{KnobRegistry, KnobSet};
 use at_core::perf::{PerfModel, Pricing};
 use at_core::predict::PredictionModel;
-use at_core::profile::{collect_profiles, measure_config, QosProfiles};
+use at_core::profile::QosProfiles;
 use at_core::qos::{QosMetric, QosReference};
 use at_core::ship::{graph_fingerprint, weights_fingerprint};
 use at_core::tuner::{PredictiveTuner, TunerParams, TuningResult};
@@ -32,6 +31,8 @@ pub struct Prepared {
     pub test: Dataset,
     /// The knob registry.
     pub registry: KnobRegistry,
+    /// QoS reference over the calibration labels.
+    cal_reference: QosReference,
     sizing: Sizing,
     profiles: OnceCell<QosProfiles>,
     baseline_cal: OnceCell<f64>,
@@ -59,6 +60,7 @@ impl Prepared {
         let ds = build_dataset(&bench, sizing.samples, sizing.batch, 0xD5EED ^ id as u64);
         let (cal, test) = ds.split();
         Prepared {
+            cal_reference: QosReference::Labels(cal.labels.clone()),
             bench,
             cal,
             test,
@@ -95,23 +97,29 @@ impl Prepared {
         self.cal.batches[0].shape()
     }
 
-    /// QoS reference over the calibration labels.
-    pub(crate) fn cal_reference(&self) -> QosReference {
-        QosReference::Labels(self.cal.labels.clone())
+    /// The tuning run over the calibration split: accuracy, PROMISE seed 0.
+    pub(crate) fn tuner(&self) -> PredictiveTuner<'_> {
+        PredictiveTuner {
+            graph: &self.bench.graph,
+            registry: &self.registry,
+            inputs: &self.cal.batches,
+            metric: QosMetric::Accuracy,
+            reference: &self.cal_reference,
+            input_shape: self.input_shape(),
+            promise_seed: 0,
+        }
     }
 
     /// Measured accuracy (%) of a configuration on one of the splits.
     pub(crate) fn accuracy(&self, config: &Config, split: &Dataset) -> f64 {
-        measure_config(
-            &self.bench.graph,
-            &self.registry,
-            config,
-            &split.batches,
-            QosMetric::Accuracy,
-            &QosReference::Labels(split.labels.clone()),
-            0,
-        )
-        .expect("the model runs on its own dataset")
+        let on_split = PredictiveTuner {
+            inputs: &split.batches,
+            reference: &QosReference::Labels(split.labels.clone()),
+            ..self.tuner()
+        };
+        on_split
+            .measure(config)
+            .expect("the model runs on its own dataset")
     }
 
     /// Exact-baseline accuracy on the calibration split, measured once.
@@ -157,17 +165,15 @@ impl Prepared {
             if let Some(p) = cached.and_then(|s| serde_json::from_str(&s).ok()) {
                 return p;
             }
-            let profiles = collect_profiles(
-                graph,
-                &self.registry,
-                set,
-                &self.cal.batches,
-                QosMetric::Accuracy,
-                &self.cal_reference(),
-                true,
-                0,
-            )
-            .expect("profile collection succeeds");
+            let params = TunerParams {
+                knob_set: set,
+                model: PredictionModel::Pi1,
+                ..TunerParams::default()
+            };
+            let profiles = self
+                .tuner()
+                .collect(&params)
+                .expect("profile collection succeeds");
             if let (Some(dir), Ok(s)) = (path.parent(), serde_json::to_string(&profiles)) {
                 let _ = std::fs::create_dir_all(dir);
                 let _ = std::fs::write(&path, s);
@@ -188,7 +194,6 @@ impl Prepared {
             max_shipped: self.sizing.max_cfg,
             knob_set: KnobSet::HardwareIndependent,
             model,
-            calibrate: true,
             seed: 0xA99 ^ self.bench.id as u64,
             batch_size: self.sizing.batch_size,
             robustness: at_core::tuner::RobustnessParams::default(),
@@ -197,17 +202,7 @@ impl Prepared {
 
     /// Runs development-time predictive tuning.
     pub fn tune(&self, params: &TunerParams) -> TuningResult {
-        let reference = self.cal_reference();
-        let tuner = PredictiveTuner {
-            graph: &self.bench.graph,
-            registry: &self.registry,
-            inputs: &self.cal.batches,
-            metric: QosMetric::Accuracy,
-            reference: &reference,
-            input_shape: self.input_shape(),
-            promise_seed: 0,
-        };
-        tuner
+        self.tuner()
             .tune(self.profiles(), params)
             .expect("tuning succeeds")
     }
@@ -215,17 +210,9 @@ impl Prepared {
     /// Runs conventional empirical tuning: every iteration executes the
     /// program on the calibration split (the `model` field is ignored).
     pub(crate) fn tune_empirical(&self, params: &TunerParams) -> TuningResult {
-        let reference = self.cal_reference();
-        let tuner = EmpiricalTuner {
-            graph: &self.bench.graph,
-            registry: &self.registry,
-            inputs: &self.cal.batches,
-            metric: QosMetric::Accuracy,
-            reference: &reference,
-            input_shape: self.input_shape(),
-            promise_seed: 0,
-        };
-        tuner.tune(params).expect("empirical tuning succeeds")
+        self.tuner()
+            .tune_empirical(params)
+            .expect("empirical tuning succeeds")
     }
 
     /// The Eqn-3 performance model of the benchmark.

@@ -6,12 +6,12 @@
 use crate::env::Sizing;
 use crate::harness::{sweep, Evaluated};
 use crate::report::{pct, Artifact, Table};
-use at_core::install::{distributed_install_tune, EdgeDevice, InstallObjective};
+use at_core::install::{EdgeDevice, InstallObjective};
 use at_core::knobs::KnobSet;
 use at_core::pareto::{pareto_set, pareto_set_eps};
 use at_core::perf::Pricing;
 use at_core::predict::PredictionModel::{self, Pi1, Pi2};
-use at_core::qos::{QosMetric, QosReference};
+use at_core::qos::QosReference;
 use at_core::tuner::TunerParams;
 use at_hw::{DeviceSpec, FrequencyLadder, PowerModel, TimingModel};
 use at_models::prune::nonzero_conv_macs;
@@ -307,7 +307,6 @@ pub(crate) fn fig4(sizing: &Sizing) -> Artifact {
         BenchmarkId::ResNet18,
     ];
     let rows = sweep("fig4", sizing, &default, |p| {
-        let reference_full = p.cal_reference();
         let labels = p.cal.labels.clone();
         let shard_ref = move |i: usize, n: usize| {
             QosReference::Labels(
@@ -328,20 +327,10 @@ pub(crate) fn fig4(sizing: &Sizing) -> Artifact {
             };
             // The paper emulates 100 edge devices; shards are per
             // calibration batch, so at most #batches devices are active.
-            let r = distributed_install_tune(
-                &p.bench.graph,
-                &p.registry,
-                &energy,
-                &p.cal.batches,
-                QosMetric::Accuracy,
-                &shard_ref,
-                &reference_full,
-                sizing.edge_devices,
-                &params,
-                p.input_shape(),
-                0,
-            )
-            .expect("install tuning");
+            let r = p
+                .tuner()
+                .install_tune(&energy, &shard_ref, sizing.edge_devices, &params)
+                .expect("install tuning");
             let feasible = r
                 .curve
                 .points()

@@ -18,10 +18,9 @@ use crate::env::Sizing;
 use crate::harness::{sweep, Prepared};
 use crate::report::{Artifact, Table};
 use at_core::closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport, TraceRow};
-use at_core::install::{refine, EdgeDevice, InstallObjective};
+use at_core::install::{EdgeDevice, InstallObjective};
 use at_core::perf::Pricing;
 use at_core::predict::PredictionModel;
-use at_core::qos::QosMetric;
 use at_core::runtime::Policy;
 use at_core::TradeoffCurve;
 use at_hw::{Disturbance, DisturbedDevice, FrequencyLadder, Scenario};
@@ -106,18 +105,13 @@ const BATCHES_PER_FREQ: usize = 20;
 fn refined_curve(p: &Prepared, device: &EdgeDevice) -> TradeoffCurve {
     let params = p.params(3.0, PredictionModel::Pi1);
     let objective = InstallObjective::Speedup;
-    refine(
-        &p.bench.graph,
-        &p.registry,
-        &Pricing::Device { device, objective },
-        &p.tune(&params).curve,
-        &p.cal.batches,
-        QosMetric::Accuracy,
-        &p.cal_reference(),
-        params.qos_min,
-        0,
-    )
-    .expect("refinement succeeds")
+    p.tuner()
+        .refine(
+            &Pricing::Device { device, objective },
+            &p.tune(&params).curve,
+            params.qos_min,
+        )
+        .expect("refinement succeeds")
 }
 
 /// The `runtime_adapt` experiment: tune + refine a curve, replay every

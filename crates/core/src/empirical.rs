@@ -8,38 +8,17 @@
 //! the program on the calibration inputs.
 
 use crate::evaluate::{search, select, EmpiricalEvaluator};
-use crate::knobs::KnobRegistry;
 use crate::pareto::TradeoffCurve;
 use crate::perf::PerfModel;
-use crate::qos::{QosMetric, QosReference};
 use crate::search::SearchSpace;
-use crate::tuner::{seed_configs, TunerParams, TuningResult};
-use at_ir::Graph;
-use at_tensor::{Shape, Tensor, TensorError};
+use crate::tuner::{seed_configs, PredictiveTuner, TunerParams, TuningResult};
+use at_tensor::TensorError;
 
-/// The empirical tuner.
-pub struct EmpiricalTuner<'a> {
-    /// The program under tuning.
-    pub graph: &'a Graph,
-    /// The knob registry.
-    pub registry: &'a KnobRegistry,
-    /// Calibration input batches.
-    pub inputs: &'a [Tensor],
-    /// The QoS metric.
-    pub metric: QosMetric,
-    /// The metric's reference data.
-    pub reference: &'a QosReference,
-    /// Per-sample input shape for the performance model.
-    pub input_shape: Shape,
-    /// PROMISE noise seed for measured runs.
-    pub promise_seed: u64,
-}
-
-impl<'a> EmpiricalTuner<'a> {
+impl PredictiveTuner<'_> {
     /// Runs measurement-based tuning with the same parameters as
-    /// Algorithm 1 (the `model`/`calibrate` fields are ignored — there is
-    /// no predictor).
-    pub fn tune(&self, params: &TunerParams) -> Result<TuningResult, TensorError> {
+    /// Algorithm 1 (`model` and `n_calibrate` are ignored — there is no
+    /// predictor).
+    pub fn tune_empirical(&self, params: &TunerParams) -> Result<TuningResult, TensorError> {
         let started = std::time::Instant::now();
         let perf = PerfModel::new(self.graph, self.registry, self.input_shape)?;
         let space = SearchSpace::new(self.registry.node_knobs(self.graph, params.knob_set));
@@ -48,13 +27,8 @@ impl<'a> EmpiricalTuner<'a> {
         // per-candidate program runs of one round execute concurrently, and
         // the cache spares re-proposed configs entirely.
         let evaluator = EmpiricalEvaluator {
-            graph: self.graph,
-            registry: self.registry,
-            inputs: self.inputs,
-            metric: self.metric,
-            reference: self.reference,
+            tuner: self,
             perf: &perf,
-            promise_seed: self.promise_seed,
         };
         // Same feasible anchors as the predictive tuner (baseline, all-FP16).
         let outcome = search(
@@ -75,9 +49,11 @@ impl<'a> EmpiricalTuner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::KnobRegistry;
     use crate::predict::PredictionModel;
-    use crate::tuner::PredictiveTuner;
-    use at_ir::{execute, ExecOptions, GraphBuilder};
+    use crate::qos::{QosMetric, QosReference};
+    use at_ir::{execute, ExecOptions, Graph, GraphBuilder};
+    use at_tensor::{Shape, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -119,7 +95,7 @@ mod tests {
     fn empirical_tuning_finds_speedups() {
         let (g, inputs, reference) = setup();
         let registry = KnobRegistry::new();
-        let tuner = EmpiricalTuner {
+        let tuner = PredictiveTuner {
             graph: &g,
             registry: &registry,
             inputs: &inputs,
@@ -135,7 +111,7 @@ mod tests {
             max_shipped: 10,
             ..Default::default()
         };
-        let r = tuner.tune(&params).unwrap();
+        let r = tuner.tune_empirical(&params).unwrap();
         assert!(!r.curve.is_empty());
         let best = r
             .curve
@@ -159,7 +135,6 @@ mod tests {
         let params = TunerParams {
             qos_min: 85.0,
             n_calibrate: 0, // isolate the search loop
-            calibrate: false,
             max_iters: iters,
             convergence_window: iters,
             model: PredictionModel::Pi2,
@@ -167,7 +142,7 @@ mod tests {
             max_shipped: 5,
             ..Default::default()
         };
-        let ptuner = PredictiveTuner {
+        let tuner = PredictiveTuner {
             graph: &g,
             registry: &registry,
             inputs: &inputs,
@@ -176,18 +151,9 @@ mod tests {
             input_shape: inputs[0].shape(),
             promise_seed: 0,
         };
-        let profiles = ptuner.collect(&params).unwrap();
-        let pr = ptuner.tune(&profiles, &params).unwrap();
-        let etuner = EmpiricalTuner {
-            graph: &g,
-            registry: &registry,
-            inputs: &inputs,
-            metric: QosMetric::Accuracy,
-            reference: &reference,
-            input_shape: inputs[0].shape(),
-            promise_seed: 0,
-        };
-        let er = etuner.tune(&params).unwrap();
+        let profiles = tuner.collect(&params).unwrap();
+        let pr = tuner.tune(&profiles, &params).unwrap();
+        let er = tuner.tune_empirical(&params).unwrap();
         assert!(
             pr.search_time_s < er.search_time_s,
             "predictive search ({}s) should beat empirical ({}s)",

@@ -1,9 +1,9 @@
 //! Step 3 of Algorithm 1 and the selection after it: the `Evaluator`
 //! abstraction over predictive and measured (QoS, perf) scoring, a
 //! config-keyed memoisation cache, `search` — the one batch-synchronous
-//! search driver of both the predictive ([`crate::tuner`]) and empirical
-//! ([`crate::empirical`]) tuners — and `select`, the ε-Pareto cut both
-//! apply to what the search found.
+//! search driver of both the predictive ([`PredictiveTuner::tune`]) and
+//! empirical ([`PredictiveTuner::tune_empirical`]) tuners — and `select`,
+//! the ε-Pareto cut both apply to what the search found.
 //!
 //! # Batch-synchronous search
 //!
@@ -26,17 +26,14 @@
 use crate::checkpoint::{SearchCheckpoint, CHECKPOINT_VERSION};
 use crate::config::Config;
 use crate::fault::FaultyEvaluator;
-use crate::knobs::KnobRegistry;
 use crate::pareto::{cap_points, eps_for_budget, pareto_set_eps, TradeoffCurve, TradeoffPoint};
 use crate::perf::{PerfModel, Pricing};
 use crate::predict::Predictor;
-use crate::profile::measure_config;
-use crate::qos::{QosMetric, QosReference};
+use crate::qos::QosReference;
 use crate::search::{Autotuner, Proposal, SearchSpace};
 use crate::supervise::{EvalError, FaultStats, SupervisedEvaluator};
-use crate::tuner::{TunerParams, TuningResult};
-use at_ir::Graph;
-use at_tensor::{Tensor, TensorError};
+use crate::tuner::{PredictiveTuner, TunerParams, TuningResult};
+use at_tensor::TensorError;
 use rayon::ParallelSlice;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -88,38 +85,19 @@ impl Evaluator for PredictiveEvaluator<'_> {
 }
 
 /// The conventional empirical path: QoS from actually running the program
-/// on the calibration inputs (expensive — this is where batching pays),
-/// performance from the analytical model.
+/// on the tuning run's calibration inputs (expensive — this is where
+/// batching pays), performance from the analytical model.
 pub(crate) struct EmpiricalEvaluator<'a> {
-    /// The program under tuning.
-    pub graph: &'a Graph,
-    /// The knob registry.
-    pub registry: &'a KnobRegistry,
-    /// Calibration input batches.
-    pub inputs: &'a [Tensor],
-    /// The QoS metric.
-    pub metric: QosMetric,
-    /// The metric's reference data.
-    pub reference: &'a QosReference,
+    /// The tuning run: program, calibration inputs, metric and seed.
+    pub tuner: &'a PredictiveTuner<'a>,
     /// The analytical performance model.
     pub perf: &'a PerfModel<'a>,
-    /// PROMISE noise seed for measured runs.
-    pub promise_seed: u64,
 }
 
 impl Evaluator for EmpiricalEvaluator<'_> {
     fn evaluate(&self, config: &Config, _attempt: u32) -> Result<Evaluation, TensorError> {
-        let qos = measure_config(
-            self.graph,
-            self.registry,
-            config,
-            self.inputs,
-            self.metric,
-            self.reference,
-            self.promise_seed,
-        )?;
         Ok(Evaluation {
-            qos,
+            qos: self.tuner.measure(config)?,
             perf: self.perf.speedup(config, &Pricing::OpCount)?,
         })
     }

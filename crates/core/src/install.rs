@@ -8,13 +8,13 @@ use crate::config::Config;
 use crate::knobs::{KnobRegistry, KnobSet};
 use crate::pareto::TradeoffCurve;
 use crate::perf::{PerfModel, Pricing};
-use crate::profile::{collect_profiles, validate, QosProfiles};
+use crate::profile::QosProfiles;
 use crate::qos::{QosMetric, QosReference};
 use crate::tuner::{PredictiveTuner, TunerParams};
 use at_hw::{PowerModel, TimingModel};
 use at_ir::Graph;
 use at_promise::PromiseModel;
-use at_tensor::{Shape, Tensor, TensorError};
+use at_tensor::{Tensor, TensorError};
 
 /// The simulated edge device: timing, accelerator and power models.
 #[derive(Clone)]
@@ -84,40 +84,9 @@ fn first_input(inputs: &[Tensor]) -> Result<&Tensor, TensorError> {
     })
 }
 
-/// Install-time refinement (§4): runs the shipped curve's configurations on
-/// `inputs`, keeps those whose re-measured QoS meets `qos_min`, replaces
-/// their performance with the speedup `pricing` gives them over the
-/// baseline, and returns the strict Pareto curve `PS(S*)`. The survivors
-/// are priced one at a time, after all QoS measurement has finished.
-#[allow(clippy::too_many_arguments)]
-pub fn refine(
-    graph: &Graph,
-    registry: &KnobRegistry,
-    pricing: &Pricing,
-    shipped: &TradeoffCurve,
-    inputs: &[Tensor],
-    metric: QosMetric,
-    reference: &QosReference,
-    qos_min: f64,
-    promise_seed: u64,
-) -> Result<TradeoffCurve, TensorError> {
-    let perf = PerfModel::new(graph, registry, first_input(inputs)?.shape())?;
-    let kept = validate(
-        graph,
-        registry,
-        shipped.points(),
-        inputs,
-        metric,
-        reference,
-        qos_min,
-        promise_seed,
-    )?;
-    perf.curve(kept, pricing)
-}
-
-/// [`refine`] against the host CPU itself: [`Pricing::Measured`] on the
-/// first input, `reps` runs per configuration. Kept only for the frozen
-/// `benchmark/` harness; ROADMAP item 4 deletes it.
+/// [`PredictiveTuner::refine`] against the host CPU itself:
+/// [`Pricing::Measured`] on the first input, `reps` runs per configuration.
+/// Kept only for the frozen `benchmark/` harness; ROADMAP item 4 deletes it.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_measured_cpu(
     graph: &Graph,
@@ -130,22 +99,22 @@ pub fn refine_measured_cpu(
     reps: usize,
     promise_seed: u64,
 ) -> Result<TradeoffCurve, TensorError> {
-    let pricing = Pricing::Measured {
-        input: first_input(inputs)?,
-        reps,
-        promise_seed,
-    };
-    refine(
+    let input = first_input(inputs)?;
+    let tuner = PredictiveTuner {
         graph,
         registry,
-        &pricing,
-        shipped,
         inputs,
         metric,
         reference,
-        qos_min,
+        input_shape: input.shape(),
         promise_seed,
-    )
+    };
+    let pricing = Pricing::Measured {
+        input,
+        reps,
+        promise_seed,
+    };
+    tuner.refine(&pricing, shipped, qos_min)
 }
 
 /// Result of a distributed install-time tuning round.
@@ -163,90 +132,95 @@ pub struct InstallResult {
     pub active_devices: usize,
 }
 
-/// Distributed predictive install-time tuning (§4, hardware-specific
-/// knobs):
-///
-/// 1. each of `n_edge` devices collects QoS profiles on its shard of the
-///    calibration inputs (simulated one device after another, each
-///    collection parallel on the pool);
-/// 2. the server merges the profiles (mean ΔQ, concatenated ΔT) and runs a
-///    fresh predictive-tuning round over the *combined*
-///    software + hardware knob space (approximation choices cannot be
-///    decoupled, so the development-time curve is not reused); its step 5
-///    validates every candidate on the full calibration set;
-/// 3. the validated curve is re-priced under `pricing`, and its strict
-///    Pareto set is the device curve.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_install_tune(
-    graph: &Graph,
-    registry: &KnobRegistry,
-    pricing: &Pricing,
-    inputs: &[Tensor],
-    metric: QosMetric,
-    reference_for_shard: &dyn Fn(usize, usize) -> QosReference,
-    reference_full: &QosReference,
-    n_edge: usize,
-    params: &TunerParams,
-    input_shape: Shape,
-    promise_seed: u64,
-) -> Result<InstallResult, TensorError> {
-    let params = TunerParams {
-        knob_set: KnobSet::WithHardware,
-        ..params.clone()
-    };
+impl PredictiveTuner<'_> {
+    /// Install-time refinement (§4): runs the shipped curve's
+    /// configurations on the calibration inputs, keeps those whose
+    /// re-measured QoS meets `qos_min`, replaces their performance with the
+    /// speedup `pricing` gives them over the baseline, and returns the
+    /// strict Pareto curve `PS(S*)`. The survivors are priced one at a
+    /// time, after all QoS measurement has finished.
+    pub fn refine(
+        &self,
+        pricing: &Pricing,
+        shipped: &TradeoffCurve,
+        qos_min: f64,
+    ) -> Result<TradeoffCurve, TensorError> {
+        let perf = PerfModel::new(self.graph, self.registry, first_input(self.inputs)?.shape())?;
+        perf.curve(self.validate(shipped.points(), qos_min)?, pricing)
+    }
 
-    // Step 1: per-device profile collection over input shards.
-    let collect_tensors = params.model == crate::predict::PredictionModel::Pi1;
-    // Device `i` holds batches i, i + n_edge, …; devices past the last
-    // batch hold none and sit out (with no device, nothing is collected).
-    let active_devices = n_edge.min(inputs.len());
-    let shard_profiles = (0..active_devices)
-        .filter_map(|i| {
-            let shard: Vec<Tensor> = inputs.iter().skip(i).step_by(n_edge).cloned().collect();
-            collect_profiles(
-                graph,
-                registry,
-                KnobSet::WithHardware,
-                &shard,
-                metric,
-                &reference_for_shard(i, n_edge),
-                collect_tensors,
-                promise_seed ^ (i as u64),
-            )
-            .ok()
+    /// Distributed predictive install-time tuning (§4, hardware-specific
+    /// knobs):
+    ///
+    /// 1. each of `n_edge` devices collects QoS profiles on its shard of
+    ///    the calibration inputs, against `reference_for_shard(i, n_edge)`
+    ///    (simulated one device after another, each collection parallel on
+    ///    the pool);
+    /// 2. the server merges the profiles (mean ΔQ, concatenated ΔT) and
+    ///    runs a fresh predictive-tuning round over the *combined*
+    ///    software + hardware knob space (approximation choices cannot be
+    ///    decoupled, so the development-time curve is not reused); its step
+    ///    5 validates every candidate on the full calibration set;
+    /// 3. the validated curve is re-priced under `pricing`, and its strict
+    ///    Pareto set is the device curve.
+    pub fn install_tune(
+        &self,
+        pricing: &Pricing,
+        reference_for_shard: &dyn Fn(usize, usize) -> QosReference,
+        n_edge: usize,
+        params: &TunerParams,
+    ) -> Result<InstallResult, TensorError> {
+        let params = TunerParams {
+            knob_set: KnobSet::WithHardware,
+            ..params.clone()
+        };
+
+        // Step 1: per-device profile collection over input shards. Device
+        // `i` holds batches i, i + n_edge, …; devices past the last batch
+        // hold none and sit out (with no device, nothing is collected).
+        let active_devices = n_edge.min(self.inputs.len());
+        let shard_profiles = (0..active_devices)
+            .filter_map(|i| {
+                let shard: Vec<Tensor> = self
+                    .inputs
+                    .iter()
+                    .skip(i)
+                    .step_by(n_edge)
+                    .cloned()
+                    .collect();
+                let device = PredictiveTuner {
+                    inputs: &shard,
+                    reference: &reference_for_shard(i, n_edge),
+                    promise_seed: self.promise_seed ^ (i as u64),
+                    ..*self
+                };
+                device.collect(&params).ok()
+            })
+            .collect();
+        let merged =
+            QosProfiles::merge(shard_profiles).ok_or_else(|| TensorError::ShapeMismatch {
+                op: "install::merge",
+                detail: format!("none of {n_edge} devices produced profiles"),
+            })?;
+        let device_profile_time_s = merged.collection_time_s;
+
+        // Step 2: fresh server-side predictive tuning over software +
+        // hardware knobs.
+        let server_started = std::time::Instant::now();
+        let result = self.tune(&merged, &params)?;
+        let server_tuning_time_s = server_started.elapsed().as_secs_f64();
+
+        // Step 3: the server's step 5 already measured every point's QoS on
+        // these inputs with this reference and seed; only the performance
+        // axis changes.
+        let perf = PerfModel::new(self.graph, self.registry, self.input_shape)?;
+        Ok(InstallResult {
+            curve: perf.curve(result.curve.points().to_vec(), pricing)?,
+            device_profile_time_s,
+            server_tuning_time_s,
+            active_devices,
         })
-        .collect();
-    let merged = QosProfiles::merge(shard_profiles).ok_or_else(|| TensorError::ShapeMismatch {
-        op: "install::merge",
-        detail: format!("none of {n_edge} devices produced profiles"),
-    })?;
-    let device_profile_time_s = merged.collection_time_s;
-
-    // Step 2: fresh server-side predictive tuning over software + hardware
-    // knobs.
-    let server_started = std::time::Instant::now();
-    let tuner = PredictiveTuner {
-        graph,
-        registry,
-        inputs,
-        metric,
-        reference: reference_full,
-        input_shape,
-        promise_seed,
-    };
-    let result = tuner.tune(&merged, &params)?;
-    let server_tuning_time_s = server_started.elapsed().as_secs_f64();
-
-    // Step 3: the server's step 5 already measured every point's QoS on
-    // these inputs with this reference and seed; only the performance axis
-    // changes.
-    let perf = PerfModel::new(graph, registry, input_shape)?;
-    Ok(InstallResult {
-        curve: perf.curve(result.curve.points().to_vec(), pricing)?,
-        device_profile_time_s,
-        server_tuning_time_s,
-        active_devices,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -255,6 +229,7 @@ mod tests {
     use crate::pareto::TradeoffPoint;
     use crate::predict::PredictionModel;
     use at_ir::{execute, ExecOptions, GraphBuilder};
+    use at_tensor::Shape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -292,6 +267,23 @@ mod tests {
         (g, inputs, labels)
     }
 
+    fn tuner<'a>(
+        g: &'a Graph,
+        registry: &'a KnobRegistry,
+        inputs: &'a [Tensor],
+        reference: &'a QosReference,
+    ) -> PredictiveTuner<'a> {
+        PredictiveTuner {
+            graph: g,
+            registry,
+            inputs,
+            metric: QosMetric::Accuracy,
+            reference,
+            input_shape: inputs[0].shape(),
+            promise_seed: 0,
+        }
+    }
+
     #[test]
     fn distributed_tuning_produces_device_curve() {
         let (g, inputs, labels) = setup();
@@ -319,23 +311,17 @@ mod tests {
             model: PredictionModel::Pi2,
             ..Default::default()
         };
-        let r = distributed_install_tune(
-            &g,
-            &registry,
-            &Pricing::Device {
-                device: &device,
-                objective: InstallObjective::EnergyReduction,
-            },
-            &inputs,
-            QosMetric::Accuracy,
-            &shard_ref,
-            &reference_full,
-            3,
-            &params,
-            inputs[0].shape(),
-            0,
-        )
-        .unwrap();
+        let r = tuner(&g, &registry, &inputs, &reference_full)
+            .install_tune(
+                &Pricing::Device {
+                    device: &device,
+                    objective: InstallObjective::EnergyReduction,
+                },
+                &shard_ref,
+                3,
+                &params,
+            )
+            .unwrap();
         assert_eq!(r.active_devices, 3);
         assert!(!r.curve.is_empty(), "install-time curve empty");
         // Energy objective: best point should save energy.
@@ -368,7 +354,6 @@ mod tests {
         let params = TunerParams {
             qos_min: 80.0,
             n_calibrate: 0,
-            calibrate: false,
             max_iters: 40,
             convergence_window: 40,
             max_validated: 6,
@@ -377,23 +362,17 @@ mod tests {
             ..Default::default()
         };
         // 10 devices, 4 batches: 6 devices hold no data and are skipped.
-        let r = distributed_install_tune(
-            &g,
-            &registry,
-            &Pricing::Device {
-                device: &device,
-                objective: InstallObjective::Speedup,
-            },
-            &inputs,
-            QosMetric::Accuracy,
-            &shard_ref,
-            &reference_full,
-            10,
-            &params,
-            inputs[0].shape(),
-            0,
-        )
-        .unwrap();
+        let r = tuner(&g, &registry, &inputs, &reference_full)
+            .install_tune(
+                &Pricing::Device {
+                    device: &device,
+                    objective: InstallObjective::Speedup,
+                },
+                &shard_ref,
+                10,
+                &params,
+            )
+            .unwrap();
         assert_eq!(r.active_devices, 4);
     }
 
@@ -403,18 +382,11 @@ mod tests {
         let registry = KnobRegistry::new();
         let reference = QosReference::Labels(labels);
         let shard_ref = |_: usize, _: usize| reference.clone();
-        let r = distributed_install_tune(
-            &g,
-            &registry,
+        let r = tuner(&g, &registry, &inputs, &reference).install_tune(
             &Pricing::OpCount,
-            &inputs,
-            QosMetric::Accuracy,
             &shard_ref,
-            &reference,
             0,
             &TunerParams::default(),
-            inputs[0].shape(),
-            0,
         );
         assert!(matches!(
             r,
@@ -515,15 +487,7 @@ mod tests {
         let device = EdgeDevice::tx2();
         let reference = QosReference::Labels(labels);
         // Build a small dev-time curve first.
-        let tuner = PredictiveTuner {
-            graph: &g,
-            registry: &registry,
-            inputs: &inputs,
-            metric: QosMetric::Accuracy,
-            reference: &reference,
-            input_shape: inputs[0].shape(),
-            promise_seed: 0,
-        };
+        let tuner = tuner(&g, &registry, &inputs, &reference);
         let params = TunerParams {
             qos_min: 80.0,
             n_calibrate: 2,
@@ -537,21 +501,16 @@ mod tests {
         let profiles = tuner.collect(&params).unwrap();
         let dev = tuner.tune(&profiles, &params).unwrap();
         assert!(!dev.curve.is_empty());
-        let refined = refine(
-            &g,
-            &registry,
-            &Pricing::Device {
-                device: &device,
-                objective: InstallObjective::Speedup,
-            },
-            &dev.curve,
-            &inputs,
-            QosMetric::Accuracy,
-            &reference,
-            params.qos_min,
-            0,
-        )
-        .unwrap();
+        let refined = tuner
+            .refine(
+                &Pricing::Device {
+                    device: &device,
+                    objective: InstallObjective::Speedup,
+                },
+                &dev.curve,
+                params.qos_min,
+            )
+            .unwrap();
         // The refined curve is a strict Pareto set.
         for (i, p) in refined.points().iter().enumerate() {
             for (j, q) in refined.points().iter().enumerate() {

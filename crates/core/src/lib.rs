@@ -38,9 +38,14 @@
 //!
 //! [`knobs`] defines the integer knob registry (63 per convolution, 8 per
 //! reduction, 2 per other op — §2.3); [`config`] the per-program
-//! configuration type; [`qos`] the quality-of-service metrics; and
-//! [`empirical`] the conventional measurement-based tuner used as the
-//! paper's comparison baseline.
+//! configuration type; and [`qos`] the quality-of-service metrics.
+//!
+//! One handle, [`PredictiveTuner`], carries a tuning run's program, knob
+//! registry, calibration inputs, QoS metric and reference, and PROMISE
+//! seed; every phase is a method of it: `collect` and `tune` (Algorithm 1),
+//! `tune_empirical` (the conventional measurement-based tuner used as the
+//! paper's comparison baseline), and the install-time `refine` and
+//! `install_tune`.
 //!
 //! Both tuners drive the search through one function, `evaluate::search`:
 //! a batch-synchronous loop whose round 0 is the seed anchors and whose
@@ -49,7 +54,7 @@
 //! config-keyed memoisation cache, and fitness is reported back in
 //! proposal order — so seeded runs are deterministic regardless of thread
 //! count. `evaluate::select` makes the ε-Pareto cut after it, and
-//! `profile::validate` is the one pass that measures the QoS of tuned
+//! `PredictiveTuner::validate` is the one pass that measures the QoS of tuned
 //! points, for Algorithm 1's step 5 and for install-time refinement alike.
 //!
 //! Long campaigns are fault-tolerant: every candidate runs under a
@@ -63,7 +68,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod closed_loop;
 pub mod config;
-pub mod empirical;
+mod empirical;
 pub mod evaluate;
 pub mod fault;
 pub mod fleet;

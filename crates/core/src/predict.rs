@@ -213,7 +213,7 @@ impl<'p> Predictor<'p> {
 mod tests {
     use super::*;
     use crate::knobs::{KnobRegistry, KnobSet};
-    use crate::profile::{collect_profiles, measure_config};
+    use crate::tuner::{PredictiveTuner, TunerParams};
     use at_ir::{execute, ExecOptions, Graph, GraphBuilder};
     use at_tensor::Shape;
     use rand::rngs::StdRng;
@@ -252,23 +252,41 @@ mod tests {
         (g, inputs, QosReference::Labels(labels), KnobRegistry::new())
     }
 
+    fn tuner<'a>(
+        g: &'a Graph,
+        r: &'a KnobRegistry,
+        inputs: &'a [Tensor],
+        reference: &'a QosReference,
+    ) -> PredictiveTuner<'a> {
+        PredictiveTuner {
+            graph: g,
+            registry: r,
+            inputs,
+            metric: QosMetric::Accuracy,
+            reference,
+            input_shape: inputs[0].shape(),
+            promise_seed: 0,
+        }
+    }
+
+    /// Profiles of the hardware-independent knobs, `ΔT` included when
+    /// `model` is Π1.
+    fn collect(t: &PredictiveTuner, model: PredictionModel) -> QosProfiles {
+        let params = TunerParams {
+            knob_set: KnobSet::HardwareIndependent,
+            model,
+            ..TunerParams::default()
+        };
+        t.collect(&params).unwrap()
+    }
+
     fn profiles(
         g: &Graph,
         r: &KnobRegistry,
         inputs: &[Tensor],
         reference: &QosReference,
     ) -> QosProfiles {
-        collect_profiles(
-            g,
-            r,
-            KnobSet::HardwareIndependent,
-            inputs,
-            QosMetric::Accuracy,
-            reference,
-            true,
-            0,
-        )
-        .unwrap()
+        collect(&tuner(g, r, inputs, reference), PredictionModel::Pi1)
     }
 
     #[test]
@@ -297,8 +315,7 @@ mod tests {
         config.set_knob(node, knob);
         let pred = Predictor::new(&p, PredictionModel::Pi2, QosMetric::Accuracy);
         let predicted = pred.predict(&config, &reference);
-        let real =
-            measure_config(&g, &r, &config, &inputs, QosMetric::Accuracy, &reference, 0).unwrap();
+        let real = tuner(&g, &r, &inputs, &reference).measure(&config).unwrap();
         assert!((predicted - real).abs() < 1e-9);
     }
 
@@ -312,8 +329,7 @@ mod tests {
         config.set_knob(node, knob);
         let pred = Predictor::new(&p, PredictionModel::Pi1, QosMetric::Accuracy);
         let predicted = pred.predict(&config, &reference);
-        let real =
-            measure_config(&g, &r, &config, &inputs, QosMetric::Accuracy, &reference, 0).unwrap();
+        let real = tuner(&g, &r, &inputs, &reference).measure(&config).unwrap();
         assert!((predicted - real).abs() < 1e-9);
     }
 
@@ -327,8 +343,7 @@ mod tests {
         let samples: Vec<(Config, f64)> = (0..12)
             .map(|_| {
                 let c = Config::random(&nk, &mut rng);
-                let q = measure_config(&g, &r, &c, &inputs, QosMetric::Accuracy, &reference, 0)
-                    .unwrap();
+                let q = tuner(&g, &r, &inputs, &reference).measure(&c).unwrap();
                 (c, q)
             })
             .collect();
@@ -357,8 +372,7 @@ mod tests {
         let samples: Vec<(Config, f64)> = (0..6)
             .map(|_| {
                 let c = Config::random(&nk, &mut rng);
-                let q = measure_config(&g, &r, &c, &inputs, QosMetric::Accuracy, &reference, 0)
-                    .unwrap();
+                let q = tuner(&g, &r, &inputs, &reference).measure(&c).unwrap();
                 (c, q)
             })
             .collect();
@@ -431,17 +445,7 @@ mod tests {
     #[should_panic(expected = "requires tensor")]
     fn pi1_requires_tensor_profiles() {
         let (g, inputs, reference, r) = setup();
-        let p = collect_profiles(
-            &g,
-            &r,
-            KnobSet::HardwareIndependent,
-            &inputs,
-            QosMetric::Accuracy,
-            &reference,
-            false,
-            0,
-        )
-        .unwrap();
+        let p = collect(&tuner(&g, &r, &inputs, &reference), PredictionModel::Pi2);
         let _ = Predictor::new(&p, PredictionModel::Pi1, QosMetric::Accuracy);
     }
 }

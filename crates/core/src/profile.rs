@@ -14,9 +14,11 @@
 //! bit-identical results.
 
 use crate::config::{single_op_configs, Config};
-use crate::knobs::{KnobId, KnobRegistry, KnobSet};
+use crate::knobs::{KnobId, KnobRegistry};
 use crate::pareto::TradeoffPoint;
+use crate::predict::PredictionModel;
 use crate::qos::{measure, QosMetric, QosReference};
+use crate::tuner::{PredictiveTuner, TunerParams};
 use at_ir::{execute, execute_all, execute_suffix, ExecOptions, Graph, NodeId};
 use at_tensor::{Tensor, TensorError};
 use rayon::ParallelSlice;
@@ -55,36 +57,7 @@ pub fn measure_config(
     Ok(measure(metric, &outs, reference))
 }
 
-/// Step 5 of Algorithm 1, and the QoS half of install-time refinement:
-/// measures the real QoS of every point's configuration, concurrently on
-/// the pool, and keeps, in input order, the points whose QoS is finite and
-/// above `qos_min`, with the measured QoS and the point's own `perf`. The
-/// first error in input order is returned.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn validate(
-    graph: &Graph,
-    registry: &KnobRegistry,
-    points: &[TradeoffPoint],
-    inputs: &[Tensor],
-    metric: QosMetric,
-    reference: &QosReference,
-    qos_min: f64,
-    promise_seed: u64,
-) -> Result<Vec<TradeoffPoint>, TensorError> {
-    keep_valid(points, qos_min, |config| {
-        measure_config(
-            graph,
-            registry,
-            config,
-            inputs,
-            metric,
-            reference,
-            promise_seed,
-        )
-    })
-}
-
-/// [`validate`] over any QoS measurement.
+/// `PredictiveTuner::validate` over any QoS measurement.
 fn keep_valid(
     points: &[TradeoffPoint],
     qos_min: f64,
@@ -199,90 +172,119 @@ impl PairIndex {
     }
 }
 
-/// Collects the QoS profiles for every (op, knob) pair in the knob set.
-///
-/// `collect_tensors` controls whether `ΔT` (needed by Π1) is stored; Π2
-/// only needs `ΔQ`.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_profiles(
-    graph: &Graph,
-    registry: &KnobRegistry,
-    set: KnobSet,
-    inputs: &[Tensor],
-    metric: QosMetric,
-    reference: &QosReference,
-    collect_tensors: bool,
-    promise_seed: u64,
-) -> Result<QosProfiles, TensorError> {
-    let started = std::time::Instant::now();
-    let pairs = single_op_configs(graph, registry, set);
-
-    // Baseline pass, caching every node output per batch for suffix reuse.
-    let baseline_opts = ExecOptions::baseline();
-    let mut caches = Vec::with_capacity(inputs.len());
-    let mut t_base = Vec::with_capacity(inputs.len());
-    for b in inputs {
-        let all = execute_all(graph, b, &baseline_opts)?;
-        let last = all.last().ok_or(TensorError::EmptyGraph)?;
-        t_base.push(last.clone());
-        caches.push(all);
+impl PredictiveTuner<'_> {
+    /// Runs `config` on the calibration inputs and measures its QoS
+    /// ([`measure_config`] over the handle).
+    pub fn measure(&self, config: &Config) -> Result<f64, TensorError> {
+        measure_config(
+            self.graph,
+            self.registry,
+            config,
+            self.inputs,
+            self.metric,
+            self.reference,
+            self.promise_seed,
+        )
     }
-    let qos_base = measure(metric, &t_base, reference);
 
-    // Per-pair suffix executions, in parallel: each pair re-executes only
-    // its own graph suffix against the shared read-only baseline caches, so
-    // pairs are independent and results are collected in pair order
-    // (bit-identical to the sequential loop).
-    let per_pair: Result<Vec<(f64, Vec<Tensor>)>, TensorError> = pairs
-        .par_iter()
-        .map(|&(node, knob)| {
-            let class = graph.node(NodeId(node as u32)).op.class();
-            let choice = registry.decode(class, knob);
-            let mut config = vec![at_ir::ApproxChoice::BASELINE; graph.len()];
-            config[node] = choice;
-            let opts = ExecOptions {
-                config,
-                promise_seed,
-            };
-            let mut outs = Vec::with_capacity(inputs.len());
-            for (b, cache) in inputs.iter().zip(&caches) {
-                outs.push(execute_suffix(graph, b, cache, NodeId(node as u32), &opts)?);
-            }
-            let q = measure(metric, &outs, reference);
-            let deltas = if collect_tensors {
-                outs.iter()
-                    .zip(&t_base)
-                    .map(|(o, b)| o.sub(b))
-                    .collect::<Result<Vec<Tensor>, TensorError>>()?
-            } else {
-                Vec::new()
-            };
-            Ok((q - qos_base, deltas))
-        })
-        .collect();
-    let mut dq = Vec::with_capacity(pairs.len());
-    let mut dt: Vec<Vec<Tensor>> =
-        Vec::with_capacity(if collect_tensors { pairs.len() } else { 0 });
-    for (d, deltas) in per_pair? {
-        dq.push(d);
-        if collect_tensors {
-            dt.push(deltas);
+    /// Step 5 of Algorithm 1, and the QoS half of install-time refinement:
+    /// measures the real QoS of every point's configuration, concurrently on
+    /// the pool, and keeps, in input order, the points whose QoS is finite
+    /// and above `qos_min`, with the measured QoS and the point's own
+    /// `perf`. The first error in input order is returned.
+    pub(crate) fn validate(
+        &self,
+        points: &[TradeoffPoint],
+        qos_min: f64,
+    ) -> Result<Vec<TradeoffPoint>, TensorError> {
+        keep_valid(points, qos_min, |config| self.measure(config))
+    }
+
+    /// Step 1 of Algorithm 1: the QoS profile of every (op, knob) pair of
+    /// `params.knob_set`. `ΔT` (needed by Π1) is stored only when
+    /// `params.model` is Π1; Π2 only needs `ΔQ`.
+    pub fn collect(&self, params: &TunerParams) -> Result<QosProfiles, TensorError> {
+        let PredictiveTuner {
+            graph,
+            registry,
+            inputs,
+            metric,
+            reference,
+            promise_seed,
+            ..
+        } = *self;
+        let collect_tensors = params.model == PredictionModel::Pi1;
+        let started = std::time::Instant::now();
+        let pairs = single_op_configs(graph, registry, params.knob_set);
+
+        // Baseline pass, caching every node output per batch for suffix reuse.
+        let baseline_opts = ExecOptions::baseline();
+        let mut caches = Vec::with_capacity(inputs.len());
+        let mut t_base = Vec::with_capacity(inputs.len());
+        for b in inputs {
+            let all = execute_all(graph, b, &baseline_opts)?;
+            let last = all.last().ok_or(TensorError::EmptyGraph)?;
+            t_base.push(last.clone());
+            caches.push(all);
         }
-    }
+        let qos_base = measure(metric, &t_base, reference);
 
-    Ok(QosProfiles {
-        pairs,
-        qos_base,
-        t_base,
-        dq,
-        dt,
-        collection_time_s: started.elapsed().as_secs_f64(),
-    })
+        // Per-pair suffix executions, in parallel: each pair re-executes only
+        // its own graph suffix against the shared read-only baseline caches, so
+        // pairs are independent and results are collected in pair order
+        // (bit-identical to the sequential loop).
+        let per_pair: Result<Vec<(f64, Vec<Tensor>)>, TensorError> = pairs
+            .par_iter()
+            .map(|&(node, knob)| {
+                let class = graph.node(NodeId(node as u32)).op.class();
+                let choice = registry.decode(class, knob);
+                let mut config = vec![at_ir::ApproxChoice::BASELINE; graph.len()];
+                config[node] = choice;
+                let opts = ExecOptions {
+                    config,
+                    promise_seed,
+                };
+                let mut outs = Vec::with_capacity(inputs.len());
+                for (b, cache) in inputs.iter().zip(&caches) {
+                    outs.push(execute_suffix(graph, b, cache, NodeId(node as u32), &opts)?);
+                }
+                let q = measure(metric, &outs, reference);
+                let deltas = if collect_tensors {
+                    outs.iter()
+                        .zip(&t_base)
+                        .map(|(o, b)| o.sub(b))
+                        .collect::<Result<Vec<Tensor>, TensorError>>()?
+                } else {
+                    Vec::new()
+                };
+                Ok((q - qos_base, deltas))
+            })
+            .collect();
+        let mut dq = Vec::with_capacity(pairs.len());
+        let mut dt: Vec<Vec<Tensor>> =
+            Vec::with_capacity(if collect_tensors { pairs.len() } else { 0 });
+        for (d, deltas) in per_pair? {
+            dq.push(d);
+            if collect_tensors {
+                dt.push(deltas);
+            }
+        }
+
+        Ok(QosProfiles {
+            pairs,
+            qos_base,
+            t_base,
+            dq,
+            dt,
+            collection_time_s: started.elapsed().as_secs_f64(),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::KnobSet;
     use at_ir::{GraphBuilder, OpClass};
     use at_tensor::Shape;
     use rand::rngs::StdRng;
@@ -323,21 +325,40 @@ mod tests {
         (g, inputs, QosReference::Labels(labels))
     }
 
+    fn tuner<'a>(
+        g: &'a Graph,
+        r: &'a KnobRegistry,
+        inputs: &'a [Tensor],
+        reference: &'a QosReference,
+    ) -> PredictiveTuner<'a> {
+        PredictiveTuner {
+            graph: g,
+            registry: r,
+            inputs,
+            metric: QosMetric::Accuracy,
+            reference,
+            input_shape: inputs[0].shape(),
+            promise_seed: 0,
+        }
+    }
+
+    /// Parameters that collect `ΔT` (Π1) or only `ΔQ` (Π2) over the
+    /// hardware-independent knobs.
+    fn collecting(model: PredictionModel) -> TunerParams {
+        TunerParams {
+            knob_set: KnobSet::HardwareIndependent,
+            model,
+            ..TunerParams::default()
+        }
+    }
+
     #[test]
     fn baseline_profile_properties() {
         let (g, inputs, reference) = setup();
         let r = KnobRegistry::new();
-        let p = collect_profiles(
-            &g,
-            &r,
-            KnobSet::HardwareIndependent,
-            &inputs,
-            QosMetric::Accuracy,
-            &reference,
-            true,
-            0,
-        )
-        .unwrap();
+        let p = tuner(&g, &r, &inputs, &reference)
+            .collect(&collecting(PredictionModel::Pi1))
+            .unwrap();
         // Labels were set to baseline predictions.
         assert_eq!(p.qos_base, 100.0);
         assert_eq!(p.dq.len(), p.pairs.len());
@@ -375,23 +396,13 @@ mod tests {
     fn suffix_profiles_match_full_execution() {
         let (g, inputs, reference) = setup();
         let r = KnobRegistry::new();
-        let p = collect_profiles(
-            &g,
-            &r,
-            KnobSet::HardwareIndependent,
-            &inputs,
-            QosMetric::Accuracy,
-            &reference,
-            false,
-            0,
-        )
-        .unwrap();
+        let t = tuner(&g, &r, &inputs, &reference);
+        let p = t.collect(&collecting(PredictionModel::Pi2)).unwrap();
         // Cross-check one pair against a full (non-suffix) execution.
         let (node, knob) = p.pairs[10];
         let mut config = Config::baseline(&g);
         config.set_knob(node, knob);
-        let q =
-            measure_config(&g, &r, &config, &inputs, QosMetric::Accuracy, &reference, 0).unwrap();
+        let q = t.measure(&config).unwrap();
         assert!(
             (p.dq[10] - (q - p.qos_base)).abs() < 1e-9,
             "suffix ΔQ mismatch"
@@ -402,9 +413,8 @@ mod tests {
     fn validate_keeps_order_floor_and_perf() {
         let (g, inputs, reference) = setup();
         let r = KnobRegistry::new();
-        let measured = |c: &Config| {
-            measure_config(&g, &r, c, &inputs, QosMetric::Accuracy, &reference, 0).unwrap()
-        };
+        let t = tuner(&g, &r, &inputs, &reference);
+        let measured = |c: &Config| t.measure(c).unwrap();
         // Every knob of the conv, each tagged with its position as its perf.
         let conv = g
             .nodes()
@@ -434,17 +444,7 @@ mod tests {
             .filter(|&q| q < 100.0)
             .fold(f64::MIN, f64::max);
         assert!(floor > f64::MIN, "no approximate config loses accuracy");
-        let kept = validate(
-            &g,
-            &r,
-            &points,
-            &inputs,
-            QosMetric::Accuracy,
-            &reference,
-            floor,
-            0,
-        )
-        .unwrap();
+        let kept = t.validate(&points, floor).unwrap();
         let expected: Vec<TradeoffPoint> = points
             .iter()
             .zip(&qos)
@@ -457,18 +457,7 @@ mod tests {
         assert_eq!(kept, expected);
         assert!(kept.len() < points.len(), "the floor dropped nothing");
         // At or below: a floor equal to the baseline's 100 % keeps nothing.
-        assert!(validate(
-            &g,
-            &r,
-            &points,
-            &inputs,
-            QosMetric::Accuracy,
-            &reference,
-            100.0,
-            0
-        )
-        .unwrap()
-        .is_empty());
+        assert!(t.validate(&points, 100.0).unwrap().is_empty());
     }
 
     #[test]
@@ -517,17 +506,9 @@ mod tests {
         let (g, inputs, reference) = setup();
         let r = KnobRegistry::new();
         let mk = |slice: &[Tensor]| {
-            collect_profiles(
-                &g,
-                &r,
-                KnobSet::HardwareIndependent,
-                slice,
-                QosMetric::Accuracy,
-                &reference,
-                true,
-                0,
-            )
-            .unwrap()
+            tuner(&g, &r, slice, &reference)
+                .collect(&collecting(PredictionModel::Pi1))
+                .unwrap()
         };
         // NOTE: both shards use the same reference for simplicity; merge
         // semantics are what is under test.
@@ -544,17 +525,9 @@ mod tests {
     fn merge_rejects_mismatched_pairs() {
         let (g, inputs, reference) = setup();
         let r = KnobRegistry::new();
-        let a = collect_profiles(
-            &g,
-            &r,
-            KnobSet::HardwareIndependent,
-            &inputs[..1],
-            QosMetric::Accuracy,
-            &reference,
-            false,
-            0,
-        )
-        .unwrap();
+        let a = tuner(&g, &r, &inputs[..1], &reference)
+            .collect(&collecting(PredictionModel::Pi2))
+            .unwrap();
         let mut b = a.clone();
         b.pairs.pop();
         b.dq.pop();

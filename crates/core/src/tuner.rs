@@ -8,7 +8,7 @@ use crate::knobs::{KnobRegistry, KnobSet};
 use crate::pareto::{cap_points, eps_for_budget, pareto_set_eps, TradeoffCurve};
 use crate::perf::PerfModel;
 use crate::predict::{PredictionModel, Predictor};
-use crate::profile::{collect_profiles, measure_config, validate, QosProfiles};
+use crate::profile::QosProfiles;
 use crate::qos::{QosMetric, QosReference};
 use crate::search::SearchSpace;
 use crate::supervise::FaultStats;
@@ -21,7 +21,7 @@ pub struct TunerParams {
     /// `QoS_min`: minimal acceptable QoS (same unit as the metric).
     pub qos_min: f64,
     /// `nCalibrate`: measured configurations used to refine α (the paper
-    /// finds ~50 sufficient).
+    /// finds ~50 sufficient); `0` skips calibration (α = 1).
     pub n_calibrate: usize,
     /// `nIters`: maximum autotuning iterations (paper: 30 K).
     pub max_iters: usize,
@@ -38,9 +38,6 @@ pub struct TunerParams {
     pub knob_set: KnobSet,
     /// Which QoS prediction model drives the search.
     pub model: PredictionModel,
-    /// Whether to run predictor calibration (step 2). Disabling it is the
-    /// `--no-calibrate` ablation.
-    pub calibrate: bool,
     /// RNG seed for the search.
     pub seed: u64,
     /// Candidates proposed per batch-synchronous search round; unseen ones
@@ -80,7 +77,6 @@ impl Default for TunerParams {
             max_shipped: 50,
             knob_set: KnobSet::HardwareIndependent,
             model: PredictionModel::Pi1,
-            calibrate: true,
             seed: 0xA99,
             batch_size: 16,
             robustness: RobustnessParams::default(),
@@ -141,7 +137,12 @@ impl TuningResult {
     }
 }
 
-/// The development-time predictive tuner (Algorithm 1).
+/// One tuning run's program and calibration set: the handle every tuner
+/// phase works through. Algorithm 1 is [`PredictiveTuner::collect`] then
+/// [`PredictiveTuner::tune`]; the empirical baseline
+/// ([`PredictiveTuner::tune_empirical`]) and install-time tuning
+/// ([`PredictiveTuner::refine`], [`PredictiveTuner::install_tune`]) are
+/// methods of the same handle, implemented beside their phase.
 pub struct PredictiveTuner<'a> {
     /// The program under tuning.
     pub graph: &'a Graph,
@@ -159,21 +160,7 @@ pub struct PredictiveTuner<'a> {
     pub promise_seed: u64,
 }
 
-impl<'a> PredictiveTuner<'a> {
-    /// Step 1: profile collection (delegates to [`collect_profiles`]).
-    pub fn collect(&self, params: &TunerParams) -> Result<QosProfiles, TensorError> {
-        collect_profiles(
-            self.graph,
-            self.registry,
-            params.knob_set,
-            self.inputs,
-            self.metric,
-            self.reference,
-            params.model == PredictionModel::Pi1,
-            self.promise_seed,
-        )
-    }
-
+impl PredictiveTuner<'_> {
     /// Steps 2–5 of Algorithm 1 over pre-collected profiles.
     pub fn tune(
         &self,
@@ -186,21 +173,13 @@ impl<'a> PredictiveTuner<'a> {
 
         // Step 2: refine α against a few measured configurations.
         let space = SearchSpace::new(self.registry.node_knobs(self.graph, params.knob_set));
-        if params.calibrate && params.n_calibrate > 0 {
+        if params.n_calibrate > 0 {
             use rand::SeedableRng;
             let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed ^ 0xCAFE);
             let mut samples = Vec::with_capacity(params.n_calibrate);
             for _ in 0..params.n_calibrate {
                 let c = space.random(&mut rng);
-                let q = measure_config(
-                    self.graph,
-                    self.registry,
-                    &c,
-                    self.inputs,
-                    self.metric,
-                    self.reference,
-                    self.promise_seed,
-                )?;
+                let q = self.measure(&c)?;
                 samples.push((c, q));
             }
             predictor.calibrate(&samples, self.reference);
@@ -233,16 +212,7 @@ impl<'a> PredictiveTuner<'a> {
         // Step 5: validate — measure the real QoS of every retained config
         // and drop the violators.
         let validation_started = std::time::Instant::now();
-        let validated = validate(
-            self.graph,
-            self.registry,
-            &pareto_configs,
-            self.inputs,
-            self.metric,
-            self.reference,
-            params.qos_min,
-            self.promise_seed,
-        )?;
+        let validated = self.validate(&pareto_configs, params.qos_min)?;
         let eps2 = eps_for_budget(&validated, params.max_shipped);
         let shipped = cap_points(pareto_set_eps(&validated, eps2), params.max_shipped);
         let curve = TradeoffCurve::from_points_eps(shipped, f64::INFINITY);
@@ -381,17 +351,7 @@ mod tests {
         // Re-measure every shipped config: real QoS must exceed QoS_min
         // (validation guarantees it on the calibration inputs).
         for p in result.curve.points() {
-            let q = measure_config(
-                &g,
-                &registry,
-                &p.config,
-                &inputs,
-                QosMetric::Accuracy,
-                &reference,
-                0,
-            )
-            .unwrap();
-            assert!(q > params.qos_min);
+            assert!(tuner.measure(&p.config).unwrap() > params.qos_min);
         }
     }
 

@@ -3,7 +3,6 @@
 //! poisoned evaluations) must complete without aborting, report accurate
 //! counters, stay deterministic, and land close to the zero-fault result.
 
-use at_core::empirical::EmpiricalTuner;
 use at_core::fault::{FaultMix, FaultPlan};
 use at_core::knobs::{KnobRegistry, KnobSet};
 use at_core::predict::PredictionModel;
@@ -169,7 +168,7 @@ fn faulted_runs_are_deterministic() {
 fn empirical_tuner_survives_faults_too() {
     let (g, inputs, reference) = setup();
     let registry = KnobRegistry::new();
-    let tuner = EmpiricalTuner {
+    let tuner = PredictiveTuner {
         graph: &g,
         registry: &registry,
         inputs: &inputs,
@@ -189,7 +188,7 @@ fn empirical_tuner_survives_faults_too() {
         },
         ..TunerParams::default()
     };
-    let r = tuner.tune(&p).unwrap();
+    let r = tuner.tune_empirical(&p).unwrap();
     assert!(!r.curve.is_empty());
     assert!(r.faults.faults_absorbed() > 0);
 }

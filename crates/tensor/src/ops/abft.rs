@@ -239,9 +239,18 @@ where
         let expected = f64::from(expected_col[j]);
         let actual = f64::from(actual_col[j]);
         let limit = tol.abs + tol.rel * fin(f64::from(magnitude_col[j]));
-        // `!(x <= y)` instead of `x > y`: NaN on either side must trip.
+        // A non-finite expected checksum means the operands themselves
+        // overflow (an FP16-quantised value past 65504 is ±inf): the
+        // product's column is then non-finite too, deterministically, and
+        // only a finite column sum contradicts it. Elsewhere `!(x <= y)`
+        // instead of `x > y`: NaN on either side must trip.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !((actual - expected).abs() <= limit) {
+        let corrupt = if expected.is_finite() {
+            !((actual - expected).abs() <= limit)
+        } else {
+            actual.is_finite()
+        };
+        if corrupt {
             return Err(TensorError::CorruptionDetected {
                 op,
                 detail: format!(
@@ -638,6 +647,65 @@ mod tests {
             kern.check(m, &aq.q, &win, &bad),
             Err(TensorError::CorruptionDetected { .. })
         ));
+    }
+
+    /// FP16 quantisation turns an operand past 65504 into ±inf, so the
+    /// product's affected columns are non-finite without any fault: the
+    /// verified entries return what the plain kernels return, and a fault
+    /// in a column the overflow did not reach is still caught.
+    #[test]
+    fn fp16_operand_overflow_is_not_corruption() {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let (a, b, _) = mats(64, 64, 64, 14);
+            let (mut big_a, mut big_b) = (a.data().to_vec(), b.data().to_vec());
+            big_a[0] = 70_000.0;
+            big_b[5 * 64 + 7] = 70_000.0;
+            let big_a = Tensor::from_vec(Shape::mat(64, 64), big_a).unwrap();
+            let big_b = Tensor::from_vec(Shape::mat(64, 64), big_b).unwrap();
+            let (fp16, exact) = (Precision::Fp16, MulApprox::Exact);
+            for (what, a, b) in [("A", &big_a, &b), ("B", &a, &big_b)] {
+                let plain = matmul_ex(a, b, None, fp16, exact).unwrap();
+                assert!(plain.data().iter().any(|v| !v.is_finite()), "{what}");
+                let abft = matmul_abft(a, b, None, fp16, exact)
+                    .unwrap_or_else(|e| panic!("overflow in {what} flagged: {e}"));
+                assert_bits_eq(&plain, &abft, what);
+            }
+            // Only column 7 overflows when B does: row 3 of column 4 is
+            // finite, and flipping it must trip.
+            FAULT.set(Some(Fault::FlipAccumulator(3 * 64 + 4)));
+            assert!(matches!(
+                matmul_abft(&a, &big_b, None, fp16, exact),
+                Err(TensorError::CorruptionDetected { .. })
+            ));
+
+            let mut rng = StdRng::seed_from_u64(15);
+            let x = Tensor::uniform(Shape::nchw(2, 4, 8, 8), -1.0, 1.0, &mut rng);
+            let w = Tensor::uniform(Shape::nchw(8, 4, 3, 3), -0.5, 0.5, &mut rng);
+            let mut big_x = x.data().to_vec();
+            big_x[64 + 3 * 8 + 4] = 70_000.0;
+            let big_x = Tensor::from_vec(x.shape(), big_x).unwrap();
+            let params = Conv2dParams {
+                pad: (1, 1),
+                precision: fp16,
+                ..Default::default()
+            };
+            let plain = conv2d(&big_x, &w, None, params).unwrap();
+            let non_finite = plain.data().iter().filter(|v| !v.is_finite()).count();
+            assert_eq!(non_finite, 8 * 9, "every filter at the 3×3 neighbourhood");
+            let abft = conv2d_abft(&big_x, &w, None, params)
+                .unwrap_or_else(|e| panic!("overflow in the input flagged: {e}"));
+            assert_bits_eq(&plain, &abft, "conv");
+            // Filter 0 at pixel (7, 7) of image 0, far from the overflow.
+            FAULT.set(Some(Fault::FlipAccumulator(63)));
+            assert!(matches!(
+                conv2d_abft(&big_x, &w, None, params),
+                Err(TensorError::CorruptionDetected { .. })
+            ));
+        });
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! cargo run --release --example edge_deploy
 //! ```
 
-use approxtuner::core::install::{distributed_install_tune, EdgeDevice, InstallObjective};
+use approxtuner::core::install::{EdgeDevice, InstallObjective};
 use approxtuner::core::knobs::{KnobRegistry, KnobSet};
 use approxtuner::core::perf::Pricing;
 use approxtuner::core::predict::PredictionModel;
@@ -75,30 +75,24 @@ fn main() {
                 .collect(),
         )
     };
-    let install = distributed_install_tune(
-        &bench.graph,
-        &registry,
-        &Pricing::Device {
-            device: &device,
-            objective: InstallObjective::Speedup,
-        },
-        &cal.batches,
-        QosMetric::Accuracy,
-        &shard_ref,
-        &reference,
-        4, // simulated edge devices participating
-        &TunerParams {
-            knob_set: KnobSet::WithHardware,
-            model: PredictionModel::Pi2,
-            max_iters: 300,
-            convergence_window: 150,
-            qos_min,
-            ..Default::default()
-        },
-        cal.batches[0].shape(),
-        0,
-    )
-    .expect("install-time tuning");
+    let install = tuner
+        .install_tune(
+            &Pricing::Device {
+                device: &device,
+                objective: InstallObjective::Speedup,
+            },
+            &shard_ref,
+            4, // simulated edge devices participating
+            &TunerParams {
+                knob_set: KnobSet::WithHardware,
+                model: PredictionModel::Pi2,
+                max_iters: 300,
+                convergence_window: 150,
+                qos_min,
+                ..Default::default()
+            },
+        )
+        .expect("install-time tuning");
     println!(
         "phase 2 (install time): {} devices; device curve with {} points; \
          profile {:.2}s/device, server tuning {:.2}s",

@@ -14,7 +14,7 @@
 //! the program, and refines it: QoS re-measured, speedups from the TX2 GPU or
 //! CPU device model.
 
-use approxtuner::core::install::{refine, EdgeDevice, InstallObjective};
+use approxtuner::core::install::{EdgeDevice, InstallObjective};
 use approxtuner::core::knobs::{KnobRegistry, KnobSet};
 use approxtuner::core::perf::Pricing;
 use approxtuner::core::predict::PredictionModel;
@@ -155,16 +155,9 @@ fn cmd_tune(name: &str, flags: Flags) -> ExitCode {
         promise_seed: 0,
     };
     // Baseline accuracy → absolute bound.
-    let base = approxtuner::core::profile::measure_config(
-        &bench.graph,
-        &registry,
-        &Config::baseline(&bench.graph),
-        &cal.batches,
-        QosMetric::Accuracy,
-        &reference,
-        0,
-    )
-    .expect("baseline runs");
+    let base = tuner
+        .measure(&Config::baseline(&bench.graph))
+        .expect("baseline runs");
     let params = TunerParams {
         qos_min: base - flags.qos_drop,
         max_iters: flags.iters,
@@ -317,18 +310,16 @@ fn cmd_install(name: &str, path: &str, flags: Flags) -> ExitCode {
         device: &device,
         objective: InstallObjective::Speedup,
     };
-    let refined = refine(
-        &bench.graph,
-        &registry,
-        &pricing,
-        &curve,
-        &cal.batches,
-        QosMetric::Accuracy,
-        &reference,
-        qos_min,
-        0,
-    )
-    .expect("refinement");
+    let tuner = PredictiveTuner {
+        graph: &bench.graph,
+        registry: &registry,
+        inputs: &cal.batches,
+        metric: QosMetric::Accuracy,
+        reference: &reference,
+        input_shape: cal.batches[0].shape(),
+        promise_seed: 0,
+    };
+    let refined = tuner.refine(&pricing, &curve, qos_min).expect("refinement");
     let target = if flags.fp16 { "tx2-gpu" } else { "tx2-cpu" };
     println!(
         "install-time curve on {target} ({} points), priced by the {target} device model:",

@@ -9,8 +9,7 @@
 
 use approxtuner::core::closed_loop::{run_closed_loop, ClosedLoopParams, ClosedLoopReport};
 use approxtuner::core::config::Config;
-use approxtuner::core::empirical::EmpiricalTuner;
-use approxtuner::core::install::{distributed_install_tune, refine, EdgeDevice, InstallObjective};
+use approxtuner::core::install::{EdgeDevice, InstallObjective};
 use approxtuner::core::knobs::KnobRegistry;
 use approxtuner::core::pareto::{TradeoffCurve, TradeoffPoint};
 use approxtuner::core::perf::Pricing;
@@ -27,6 +26,7 @@ struct Setup {
     bench: Benchmark,
     cal: Dataset,
     registry: KnobRegistry,
+    reference: QosReference,
 }
 
 fn setup() -> Setup {
@@ -34,9 +34,24 @@ fn setup() -> Setup {
     let ds = build_dataset(&bench, 48, 12, 99);
     let (cal, _) = ds.split();
     Setup {
+        reference: QosReference::Labels(cal.labels.clone()),
         bench,
         cal,
         registry: KnobRegistry::new(),
+    }
+}
+
+impl Setup {
+    fn tuner(&self) -> PredictiveTuner<'_> {
+        PredictiveTuner {
+            graph: &self.bench.graph,
+            registry: &self.registry,
+            inputs: &self.cal.batches,
+            metric: QosMetric::Accuracy,
+            reference: &self.reference,
+            input_shape: self.cal.batches[0].shape(),
+            promise_seed: 0,
+        }
     }
 }
 
@@ -62,16 +77,7 @@ fn in_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 }
 
 fn predictive_run(s: &Setup, threads: usize) -> TuningResult {
-    let reference = QosReference::Labels(s.cal.labels.clone());
-    let tuner = PredictiveTuner {
-        graph: &s.bench.graph,
-        registry: &s.registry,
-        inputs: &s.cal.batches,
-        metric: QosMetric::Accuracy,
-        reference: &reference,
-        input_shape: s.cal.batches[0].shape(),
-        promise_seed: 0,
-    };
+    let tuner = s.tuner();
     let p = params(PredictionModel::Pi1, 120);
     in_pool(threads, || {
         let profiles = tuner.collect(&p).expect("profiles");
@@ -80,18 +86,8 @@ fn predictive_run(s: &Setup, threads: usize) -> TuningResult {
 }
 
 fn empirical_run(s: &Setup, threads: usize) -> TuningResult {
-    let reference = QosReference::Labels(s.cal.labels.clone());
-    let tuner = EmpiricalTuner {
-        graph: &s.bench.graph,
-        registry: &s.registry,
-        inputs: &s.cal.batches,
-        metric: QosMetric::Accuracy,
-        reference: &reference,
-        input_shape: s.cal.batches[0].shape(),
-        promise_seed: 0,
-    };
     let p = params(PredictionModel::Pi2, 40);
-    in_pool(threads, || tuner.tune(&p).expect("tuning"))
+    in_pool(threads, || s.tuner().tune_empirical(&p).expect("tuning"))
 }
 
 fn assert_identical(a: &TuningResult, b: &TuningResult) {
@@ -124,45 +120,33 @@ fn empirical_tuning_identical_across_thread_counts() {
 /// Install-time refinement of `dev` and a three-device distributed round:
 /// both measure QoS on the pool.
 fn install_curves(s: &Setup, dev: &TradeoffCurve, threads: usize) -> [TradeoffCurve; 2] {
-    let reference = QosReference::Labels(s.cal.labels.clone());
     let shard_ref = |i: usize, n: usize| {
         QosReference::Labels(s.cal.labels.iter().skip(i).step_by(n).cloned().collect())
     };
     let device = EdgeDevice::tx2();
-    let shape = s.cal.batches[0].shape();
+    let tuner = s.tuner();
     in_pool(threads, || {
-        let refined = refine(
-            &s.bench.graph,
-            &s.registry,
-            &Pricing::Device {
-                device: &device,
-                objective: InstallObjective::Speedup,
-            },
-            dev,
-            &s.cal.batches,
-            QosMetric::Accuracy,
-            &reference,
-            85.0,
-            0,
-        )
-        .expect("refinement");
-        let installed = distributed_install_tune(
-            &s.bench.graph,
-            &s.registry,
-            &Pricing::Device {
-                device: &device,
-                objective: InstallObjective::EnergyReduction,
-            },
-            &s.cal.batches,
-            QosMetric::Accuracy,
-            &shard_ref,
-            &reference,
-            3,
-            &params(PredictionModel::Pi2, 60),
-            shape,
-            0,
-        )
-        .expect("distributed install");
+        let refined = tuner
+            .refine(
+                &Pricing::Device {
+                    device: &device,
+                    objective: InstallObjective::Speedup,
+                },
+                dev,
+                85.0,
+            )
+            .expect("refinement");
+        let installed = tuner
+            .install_tune(
+                &Pricing::Device {
+                    device: &device,
+                    objective: InstallObjective::EnergyReduction,
+                },
+                &shard_ref,
+                3,
+                &params(PredictionModel::Pi2, 60),
+            )
+            .expect("distributed install");
         [refined, installed.curve]
     })
 }
@@ -175,7 +159,7 @@ fn install_time_curves_identical_across_thread_counts() {
     let multi = install_curves(&s, &dev, 4);
     for (what, a, b) in [
         ("refine", &single[0], &multi[0]),
-        ("distributed_install_tune", &single[1], &multi[1]),
+        ("install_tune", &single[1], &multi[1]),
     ] {
         assert!(!a.is_empty(), "{what} produced no curve");
         assert_eq!(a.to_json(), b.to_json(), "{what} curves differ");

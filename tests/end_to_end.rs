@@ -1,7 +1,7 @@
 //! Cross-crate integration test: the full three-phase ApproxTuner pipeline
 //! (development-time → install-time → run-time) on a small CNN.
 
-use approxtuner::core::install::{distributed_install_tune, refine, EdgeDevice, InstallObjective};
+use approxtuner::core::install::{EdgeDevice, InstallObjective};
 use approxtuner::core::knobs::{KnobRegistry, KnobSet};
 use approxtuner::core::perf::Pricing;
 use approxtuner::core::predict::PredictionModel;
@@ -74,21 +74,16 @@ fn three_phase_pipeline() {
 
     // --- Phase 2: install time, software-only refinement. ---
     let device = EdgeDevice::tx2();
-    let refined = refine(
-        &s.bench.graph,
-        &s.registry,
-        &Pricing::Device {
-            device: &device,
-            objective: InstallObjective::Speedup,
-        },
-        &shipped,
-        &s.cal.batches,
-        QosMetric::Accuracy,
-        &reference,
-        p.qos_min,
-        0,
-    )
-    .expect("refinement");
+    let refined = tuner
+        .refine(
+            &Pricing::Device {
+                device: &device,
+                objective: InstallObjective::Speedup,
+            },
+            &shipped,
+            p.qos_min,
+        )
+        .expect("refinement");
     assert!(!refined.is_empty(), "refined curve empty");
     // Device-measured performance replaces the hardware-agnostic estimate;
     // every point satisfies the QoS bound.
@@ -109,26 +104,20 @@ fn three_phase_pipeline() {
                 .collect(),
         )
     };
-    let install = distributed_install_tune(
-        &s.bench.graph,
-        &s.registry,
-        &Pricing::Device {
-            device: &device,
-            objective: InstallObjective::EnergyReduction,
-        },
-        &s.cal.batches,
-        QosMetric::Accuracy,
-        &shard_ref,
-        &reference,
-        2,
-        &TunerParams {
-            knob_set: KnobSet::WithHardware,
-            ..params(85.0, PredictionModel::Pi2)
-        },
-        s.cal.batches[0].shape(),
-        0,
-    )
-    .expect("install tuning");
+    let install = tuner
+        .install_tune(
+            &Pricing::Device {
+                device: &device,
+                objective: InstallObjective::EnergyReduction,
+            },
+            &shard_ref,
+            2,
+            &TunerParams {
+                knob_set: KnobSet::WithHardware,
+                ..params(85.0, PredictionModel::Pi2)
+            },
+        )
+        .expect("install tuning");
     assert_eq!(install.active_devices, 2);
     assert!(!install.curve.is_empty());
 
@@ -189,7 +178,7 @@ fn predictive_and_empirical_agree_on_feasibility() {
     let s = setup();
     let reference = QosReference::Labels(s.cal.labels.clone());
     let p = params(88.0, PredictionModel::Pi2);
-    let ptuner = PredictiveTuner {
+    let tuner = PredictiveTuner {
         graph: &s.bench.graph,
         registry: &s.registry,
         inputs: &s.cal.batches,
@@ -198,29 +187,11 @@ fn predictive_and_empirical_agree_on_feasibility() {
         input_shape: s.cal.batches[0].shape(),
         promise_seed: 0,
     };
-    let profiles = ptuner.collect(&p).expect("profiles");
-    let pr = ptuner.tune(&profiles, &p).expect("predictive");
-    let etuner = approxtuner::core::empirical::EmpiricalTuner {
-        graph: &s.bench.graph,
-        registry: &s.registry,
-        inputs: &s.cal.batches,
-        metric: QosMetric::Accuracy,
-        reference: &reference,
-        input_shape: s.cal.batches[0].shape(),
-        promise_seed: 0,
-    };
-    let er = etuner.tune(&p).expect("empirical");
+    let profiles = tuner.collect(&p).expect("profiles");
+    let pr = tuner.tune(&profiles, &p).expect("predictive");
+    let er = tuner.tune_empirical(&p).expect("empirical");
     for pt in pr.curve.points().iter().chain(er.curve.points()) {
-        let q = approxtuner::core::profile::measure_config(
-            &s.bench.graph,
-            &s.registry,
-            &pt.config,
-            &s.cal.batches,
-            QosMetric::Accuracy,
-            &reference,
-            0,
-        )
-        .expect("measurement");
+        let q = tuner.measure(&pt.config).expect("measurement");
         assert!(q > p.qos_min, "shipped config violates the bound: {q}");
     }
 }

@@ -9,7 +9,7 @@
 //! commit.
 
 use approxtuner::core::config::{single_op_configs, Config};
-use approxtuner::core::install::{distributed_install_tune, refine, EdgeDevice, InstallObjective};
+use approxtuner::core::install::{EdgeDevice, InstallObjective};
 use approxtuner::core::knobs::{KnobRegistry, KnobSet};
 use approxtuner::core::pareto::TradeoffCurve;
 use approxtuner::core::perf::{PerfModel, Pricing};
@@ -100,52 +100,40 @@ fn install_curves() -> [TradeoffCurve; 2] {
         model,
         ..Default::default()
     };
-    let shape = cal.batches[0].shape();
     let tuner = PredictiveTuner {
         graph: &bench.graph,
         registry: &registry,
         inputs: &cal.batches,
         metric: QosMetric::Accuracy,
         reference: &reference,
-        input_shape: shape,
+        input_shape: cal.batches[0].shape(),
         promise_seed: 0,
     };
     let p = params(PredictionModel::Pi1, 120);
     let profiles = tuner.collect(&p).expect("profiles");
     let dev = tuner.tune(&profiles, &p).expect("tuning").curve;
     let device = EdgeDevice::tx2();
-    let refined = refine(
-        &bench.graph,
-        &registry,
-        &Pricing::Device {
-            device: &device,
-            objective: InstallObjective::Speedup,
-        },
-        &dev,
-        &cal.batches,
-        QosMetric::Accuracy,
-        &reference,
-        85.0,
-        0,
-    )
-    .expect("refinement");
-    let installed = distributed_install_tune(
-        &bench.graph,
-        &registry,
-        &Pricing::Device {
-            device: &device,
-            objective: InstallObjective::EnergyReduction,
-        },
-        &cal.batches,
-        QosMetric::Accuracy,
-        &shard_ref,
-        &reference,
-        3,
-        &params(PredictionModel::Pi2, 60),
-        shape,
-        0,
-    )
-    .expect("distributed install");
+    let refined = tuner
+        .refine(
+            &Pricing::Device {
+                device: &device,
+                objective: InstallObjective::Speedup,
+            },
+            &dev,
+            85.0,
+        )
+        .expect("refinement");
+    let installed = tuner
+        .install_tune(
+            &Pricing::Device {
+                device: &device,
+                objective: InstallObjective::EnergyReduction,
+            },
+            &shard_ref,
+            3,
+            &params(PredictionModel::Pi2, 60),
+        )
+        .expect("distributed install");
     [refined, installed.curve]
 }
 
