@@ -165,9 +165,11 @@ impl Prepared {
             if let Some(p) = cached.and_then(|s| serde_json::from_str(&s).ok()) {
                 return p;
             }
+            // Every pair, as Eq. 3 pricing (`Prepared::params`) searches them.
             let params = TunerParams {
                 knob_set: set,
                 model: PredictionModel::Pi1,
+                pricing: Pricing::OpCount,
                 ..TunerParams::default()
             };
             let profiles = self
@@ -183,7 +185,8 @@ impl Prepared {
     }
 
     /// Default tuner parameters for a QoS-drop target (percentage points
-    /// below the measured calibration baseline).
+    /// below the measured calibration baseline), priced by Eq. 3's
+    /// operation count as the paper's development-time tuner is.
     pub fn params(&self, qos_drop: f64, model: PredictionModel) -> TunerParams {
         TunerParams {
             qos_min: self.baseline_cal_accuracy() - qos_drop,
@@ -194,6 +197,7 @@ impl Prepared {
             max_shipped: self.sizing.max_cfg,
             knob_set: KnobSet::HardwareIndependent,
             model,
+            pricing: Pricing::OpCount,
             seed: 0xA99 ^ self.bench.id as u64,
             batch_size: self.sizing.batch_size,
             robustness: at_core::tuner::RobustnessParams::default(),

@@ -11,6 +11,7 @@
 //! artifact writing live in [`report`].
 
 pub mod bench_kernels;
+mod cost_fit;
 pub mod env;
 mod fig7;
 pub mod fleet_chaos;

@@ -228,7 +228,7 @@ impl Artifact {
 /// Where an artifact named `relative` (to the working directory) goes: in
 /// place for a default-sized run, under `target/bench/` for an overridden
 /// one (`smoke`), whose numbers are not the committed artifact's.
-fn artifact_path(relative: &str, smoke: bool) -> PathBuf {
+pub(crate) fn artifact_path(relative: &str, smoke: bool) -> PathBuf {
     if smoke {
         Path::new("target/bench").join(relative)
     } else {

@@ -4,8 +4,8 @@
 use crate::env::Sizing;
 use crate::report::Artifact;
 use crate::{
-    bench_kernels, fig7, fleet_chaos, fleet_sdc, paper, qos_guard, runtime_adapt, serve_fleet,
-    serve_storm, tune_faults,
+    bench_kernels, cost_fit, fig7, fleet_chaos, fleet_sdc, paper, qos_guard, runtime_adapt,
+    serve_fleet, serve_storm, tune_faults,
 };
 
 /// One registered experiment.
@@ -21,7 +21,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in the order `repro all` runs them.
-pub const EXPERIMENTS: [Experiment; 21] = [
+pub const EXPERIMENTS: [Experiment; 23] = [
     Experiment {
         name: "table1",
         regenerates: "Table 1: benchmarks, layer counts, baseline accuracy, search space",
@@ -147,6 +147,18 @@ pub const EXPERIMENTS: [Experiment; 21] = [
         regenerates: "kernel micro-benchmark per knob family → BENCH_kernels.json",
         headline: "exact GEMM vs naive; k=2 column perforation vs exact conv",
         run: bench_kernels::run,
+    },
+    Experiment {
+        name: "cost_fit",
+        regenerates: "CPU cost model: per-(node, knob) timings, NNLS fit → crates/core/src/cost_table.rs, results/cost_fit.json",
+        headline: "leave-one-shape-out median error ≤ 15%, per-node τ ≥ 0.8",
+        run: cost_fit::run_fit,
+    },
+    Experiment {
+        name: "cost_rank",
+        regenerates: "whole-configuration ranking, OpCount vs Cpu price → results/cost_rank.json",
+        headline: "§3.4: the cost model ranks configurations by their speedup",
+        run: cost_fit::run_rank,
     },
 ];
 

@@ -71,6 +71,8 @@ pub(crate) struct PredictiveEvaluator<'a> {
     pub predictor: &'a Predictor<'a>,
     /// The analytical performance model.
     pub perf: &'a PerfModel<'a>,
+    /// The development-time price ([`TunerParams::pricing`]).
+    pub pricing: Pricing<'a>,
     /// Reference data of the QoS metric.
     pub reference: &'a QosReference,
 }
@@ -79,7 +81,7 @@ impl Evaluator for PredictiveEvaluator<'_> {
     fn evaluate(&self, config: &Config, _attempt: u32) -> Result<Evaluation, TensorError> {
         Ok(Evaluation {
             qos: self.predictor.predict(config, self.reference),
-            perf: self.perf.speedup(config, &Pricing::OpCount)?,
+            perf: self.perf.speedup(config, &self.pricing)?,
         })
     }
 }
@@ -92,13 +94,15 @@ pub(crate) struct EmpiricalEvaluator<'a> {
     pub tuner: &'a PredictiveTuner<'a>,
     /// The analytical performance model.
     pub perf: &'a PerfModel<'a>,
+    /// The development-time price ([`TunerParams::pricing`]).
+    pub pricing: Pricing<'a>,
 }
 
 impl Evaluator for EmpiricalEvaluator<'_> {
     fn evaluate(&self, config: &Config, _attempt: u32) -> Result<Evaluation, TensorError> {
         Ok(Evaluation {
             qos: self.tuner.measure(config)?,
-            perf: self.perf.speedup(config, &Pricing::OpCount)?,
+            perf: self.perf.speedup(config, &self.pricing)?,
         })
     }
 }

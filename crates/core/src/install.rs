@@ -145,7 +145,7 @@ impl PredictiveTuner<'_> {
         shipped: &TradeoffCurve,
         qos_min: f64,
     ) -> Result<TradeoffCurve, TensorError> {
-        let perf = PerfModel::new(self.graph, self.registry, first_input(self.inputs)?.shape())?;
+        let perf = PerfModel::new(self.graph, self.registry, self.input_shape)?;
         perf.curve(self.validate(shipped.points(), qos_min)?, pricing)
     }
 
@@ -478,6 +478,44 @@ mod tests {
         for p in refined.points() {
             assert!(p.perf > 0.0 && p.perf.is_finite());
         }
+    }
+
+    #[test]
+    fn refine_prices_on_the_handle_input_shape() {
+        let (g, inputs, labels) = setup();
+        let registry = KnobRegistry::new();
+        let reference = QosReference::Labels(labels);
+        // One image per invocation, though the calibration batches hold 8:
+        // the CPU price has a per-call term, so the two shapes price the
+        // same configuration differently.
+        let one = Shape::nchw(1, 2, 8, 8);
+        let tuner = PredictiveTuner {
+            input_shape: one,
+            ..tuner(&g, &registry, &inputs, &reference)
+        };
+        let sampled = registry
+            .table(at_ir::OpClass::Conv)
+            .iter()
+            .find(|k| k.label == "samp-50%-o0-fp32")
+            .unwrap()
+            .id;
+        let mut config = Config::baseline(&g);
+        config.set_knob(1, sampled);
+        let shipped = TradeoffCurve::from_points(vec![TradeoffPoint {
+            qos: 100.0,
+            perf: 1.0,
+            config: config.clone(),
+        }]);
+        let refined = tuner.refine(&Pricing::Cpu, &shipped, 0.0).unwrap();
+        let at = |shape| {
+            PerfModel::new(&g, &registry, shape)
+                .unwrap()
+                .speedup(&config, &Pricing::Cpu)
+                .unwrap()
+        };
+        let (want, batch) = (at(one), at(inputs[0].shape()));
+        assert_ne!(want.to_bits(), batch.to_bits());
+        assert_eq!(refined.points()[0].perf.to_bits(), want.to_bits());
     }
 
     #[test]

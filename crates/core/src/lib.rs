@@ -68,6 +68,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod closed_loop;
 pub mod config;
+pub mod cost_table;
 mod empirical;
 pub mod evaluate;
 pub mod fault;

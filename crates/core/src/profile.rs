@@ -14,8 +14,10 @@
 //! bit-identical results.
 
 use crate::config::{single_op_configs, Config};
+use crate::cost_table::ADMIT_MARGIN;
 use crate::knobs::{KnobId, KnobRegistry};
 use crate::pareto::TradeoffPoint;
+use crate::perf::{PerfModel, Pricing};
 use crate::predict::PredictionModel;
 use crate::qos::{measure, QosMetric, QosReference};
 use crate::tuner::{PredictiveTuner, TunerParams};
@@ -201,8 +203,12 @@ impl PredictiveTuner<'_> {
     }
 
     /// Step 1 of Algorithm 1: the QoS profile of every (op, knob) pair of
-    /// `params.knob_set`. `ΔT` (needed by Π1) is stored only when
-    /// `params.model` is Π1; Π2 only needs `ΔQ`.
+    /// `params.knob_set` — under [`Pricing::Cpu`] only of the pairs whose
+    /// modelled node speedup over exact is above
+    /// [`crate::cost_table::ADMIT_MARGIN`] (profiling a pair that runs
+    /// slower than exact buys a point no curve ships), and of every
+    /// hardware-specific pair. `ΔT` (needed by Π1)
+    /// is stored only when `params.model` is Π1; Π2 only needs `ΔQ`.
     pub fn collect(&self, params: &TunerParams) -> Result<QosProfiles, TensorError> {
         let PredictiveTuner {
             graph,
@@ -215,7 +221,21 @@ impl PredictiveTuner<'_> {
         } = *self;
         let collect_tensors = params.model == PredictionModel::Pi1;
         let started = std::time::Instant::now();
-        let pairs = single_op_configs(graph, registry, params.knob_set);
+        let mut pairs = single_op_configs(graph, registry, params.knob_set);
+        if matches!(params.pricing, Pricing::Cpu) {
+            let perf = PerfModel::new(graph, registry, self.input_shape)?;
+            let mut admitted = Vec::with_capacity(pairs.len());
+            for (node, knob) in pairs {
+                // A hardware-specific knob's gain is on its device, which the
+                // CPU model does not price: always profiled.
+                let class = graph.node(NodeId(node as u32)).op.class();
+                let elsewhere = registry.table(class)[usize::from(knob.0)].hardware_specific;
+                if elsewhere || perf.cpu_node_speedup(node, knob)? > ADMIT_MARGIN {
+                    admitted.push((node, knob));
+                }
+            }
+            pairs = admitted;
+        }
 
         // Baseline pass, caching every node output per batch for suffix reuse.
         let baseline_opts = ExecOptions::baseline();
@@ -342,12 +362,13 @@ mod tests {
         }
     }
 
-    /// Parameters that collect `ΔT` (Π1) or only `ΔQ` (Π2) over the
-    /// hardware-independent knobs.
+    /// Parameters that collect `ΔT` (Π1) or only `ΔQ` (Π2) over every
+    /// hardware-independent pair (Eq. 3 pricing admits them all).
     fn collecting(model: PredictionModel) -> TunerParams {
         TunerParams {
             knob_set: KnobSet::HardwareIndependent,
             model,
+            pricing: Pricing::OpCount,
             ..TunerParams::default()
         }
     }

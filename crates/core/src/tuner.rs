@@ -4,9 +4,9 @@ use crate::checkpoint::{CheckpointPolicy, SearchCheckpoint};
 use crate::config::Config;
 use crate::evaluate::{search, select, BatchTelemetry, CacheStats, PredictiveEvaluator};
 use crate::fault::FaultPlan;
-use crate::knobs::{KnobRegistry, KnobSet};
+use crate::knobs::{KnobId, KnobRegistry, KnobSet};
 use crate::pareto::{cap_points, eps_for_budget, pareto_set_eps, TradeoffCurve};
-use crate::perf::PerfModel;
+use crate::perf::{PerfModel, Pricing};
 use crate::predict::{PredictionModel, Predictor};
 use crate::profile::QosProfiles;
 use crate::qos::{QosMetric, QosReference};
@@ -38,6 +38,13 @@ pub struct TunerParams {
     pub knob_set: KnobSet,
     /// Which QoS prediction model drives the search.
     pub model: PredictionModel,
+    /// The development-time price of a configuration, the search's
+    /// performance axis. Under [`Pricing::Cpu`] (the default) profile
+    /// collection admits only the (op, knob) pairs the CPU model prices
+    /// above [`crate::cost_table::ADMIT_MARGIN`] of exact, and the search
+    /// runs over the admitted pairs; under [`Pricing::OpCount`] (Eq. 3,
+    /// every paper reproduction) every pair is profiled and searched.
+    pub pricing: Pricing<'static>,
     /// RNG seed for the search.
     pub seed: u64,
     /// Candidates proposed per batch-synchronous search round; unseen ones
@@ -77,6 +84,7 @@ impl Default for TunerParams {
             max_shipped: 50,
             knob_set: KnobSet::HardwareIndependent,
             model: PredictionModel::Pi1,
+            pricing: Pricing::Cpu,
             seed: 0xA99,
             batch_size: 16,
             robustness: RobustnessParams::default(),
@@ -172,7 +180,7 @@ impl PredictiveTuner<'_> {
         let mut predictor = Predictor::new(profiles, params.model, self.metric);
 
         // Step 2: refine α against a few measured configurations.
-        let space = SearchSpace::new(self.registry.node_knobs(self.graph, params.knob_set));
+        let (space, anchors) = self.search_space(profiles, params);
         if params.n_calibrate > 0 {
             use rand::SeedableRng;
             let mut rng = rand::rngs::StdRng::seed_from_u64(params.seed ^ 0xCAFE);
@@ -188,21 +196,18 @@ impl PredictiveTuner<'_> {
         // Step 3: batched autotuning with the QoS and performance
         // prediction models. The search is seeded with the two
         // universally-sensible anchors — the exact baseline (always
-        // feasible) and all-FP16 — because random points in a
+        // feasible) and all-FP16, on the nodes where FP16 is in the space —
+        // because random points in a
         // 56-knobs-per-conv space are almost surely infeasible, so without
         // anchors the ensemble spends its whole budget walking back to the
         // feasible region.
         let evaluator = PredictiveEvaluator {
             predictor: &predictor,
             perf: &perf,
+            pricing: params.pricing,
             reference: self.reference,
         };
-        let outcome = search(
-            space,
-            &evaluator,
-            &seed_configs(self.graph, self.registry),
-            params,
-        )?;
+        let outcome = search(space, &evaluator, &anchors, params)?;
 
         // Step 4: keep configs within ε1 of the Pareto set, with ε1 chosen
         // per benchmark to bound validation work.
@@ -219,6 +224,42 @@ impl PredictiveTuner<'_> {
         let validation_time_s = validation_started.elapsed().as_secs_f64();
 
         Ok(outcome.into_result(curve, search_time_s, validation_time_s, predictor.alpha))
+    }
+
+    /// The space steps 2–3 search and the anchors they start from: every
+    /// knob of `params.knob_set`, or under [`Pricing::Cpu`] only the
+    /// profiled pairs plus the baseline — an anchor's unprofiled knobs
+    /// reset to the baseline, and an anchor that then repeats an earlier
+    /// one is dropped.
+    fn search_space(
+        &self,
+        profiles: &QosProfiles,
+        params: &TunerParams,
+    ) -> (SearchSpace, Vec<Config>) {
+        let mut node_knobs = self.registry.node_knobs(self.graph, params.knob_set);
+        let mut anchors = seed_configs(self.graph, self.registry);
+        if matches!(params.pricing, Pricing::Cpu) {
+            let profiled: std::collections::HashSet<(usize, KnobId)> =
+                profiles.pairs.iter().copied().collect();
+            let kept =
+                |node: usize, k: KnobId| k == KnobId::BASELINE || profiled.contains(&(node, k));
+            for (node, knobs) in node_knobs.iter_mut().enumerate() {
+                knobs.retain(|&k| kept(node, k));
+            }
+            let mut masked: Vec<Config> = Vec::with_capacity(anchors.len());
+            for mut anchor in anchors {
+                for node in 0..self.graph.len() {
+                    if !kept(node, anchor.knob(node)) {
+                        anchor.set_knob(node, KnobId::BASELINE);
+                    }
+                }
+                if !masked.contains(&anchor) {
+                    masked.push(anchor);
+                }
+            }
+            anchors = masked;
+        }
+        (SearchSpace::new(node_knobs), anchors)
     }
 }
 

@@ -15,8 +15,9 @@ use crate::graph::{Graph, Node, NodeId, OpKind};
 use crate::shapes::infer_shapes;
 use at_promise::inject_noise;
 use at_tensor::cost::{self, OpCounts};
+use at_tensor::instrument::Counters;
 use at_tensor::ops::{self, conv::Conv2dParams, Pooling, UnaryOp};
-use at_tensor::{MulApprox, Precision, ReduceApprox, Shape, Tensor, TensorError, View};
+use at_tensor::{ConvApprox, MulApprox, Precision, ReduceApprox, Shape, Tensor, TensorError, View};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
@@ -77,7 +78,7 @@ fn unary_op(op: &OpKind) -> Option<UnaryOp> {
 /// with `in_place`, `out` already holds operand 0 (its last read), and an
 /// element-wise map overwrites it, `Flatten` leaves it as it is. `fused` is
 /// the activation a convolution applies in its epilogue on behalf of its
-/// only consumer (see [`Plan`]). Returns the multiplies its kernels ran.
+/// only consumer (see [`Plan`]). Returns the work its kernels did.
 #[allow(clippy::too_many_arguments)]
 fn eval_node<'a>(
     graph: &Graph,
@@ -88,28 +89,13 @@ fn eval_node<'a>(
     fused: Option<UnaryOp>,
     in_place: bool,
     out: &mut [f32],
-) -> Result<u64, GraphError> {
-    let (conv_approx, reduce_approx, precision, mul_approx) = match choice {
-        ApproxChoice::Digital {
-            conv,
-            reduce,
-            precision,
-            mul,
-        } => (conv, reduce, precision, mul),
-        ApproxChoice::Promise(_) => (
-            at_tensor::ConvApprox::Exact,
-            ReduceApprox::Exact,
-            Precision::Fp32,
-            MulApprox::Exact,
-        ),
-    };
+) -> Result<Counters, GraphError> {
+    let (conv_approx, reduce_approx, precision, mul_approx) = digital_knobs(choice);
     let promise_rng = || StdRng::seed_from_u64(promise_seed ^ ((node.id.0 as u64) << 17));
     match &node.op {
-        OpKind::Input => {
-            return Err(GraphError::Internal {
-                detail: format!("Input node {} reached the kernel dispatch", node.id.0),
-            })
-        }
+        OpKind::Input => Err(GraphError::Internal {
+            detail: format!("Input node {} reached the kernel dispatch", node.id.0),
+        }),
         OpKind::Conv2d {
             weight,
             bias,
@@ -126,13 +112,13 @@ fn eval_node<'a>(
                 precision,
                 mul: mul_approx,
             };
-            let muls = ops::conv2d_into(x, w, b, params, fused, out)?;
+            let work = ops::conv2d_into(x, w, b, params, fused, out)?;
             // PROMISE adds its analog noise to the exact result (dense
             // convolutions only; grouped convs run the digital exact kernel).
             if let (ApproxChoice::Promise(level), 1) = (choice, *groups) {
                 inject_noise(out, level, &mut promise_rng());
             }
-            return Ok(muls);
+            Ok(work)
         }
         OpKind::Dense { weight, bias } => {
             let (x, w, b) = (arg(0)?, graph.param(*weight), bias.map(|p| graph.param(p)));
@@ -143,7 +129,7 @@ fn eval_node<'a>(
             };
             // PROMISE (FP32): the exact product, its analog noise, then the
             // bias, added in the slot.
-            let muls = ops::matmul_into(x, w, None, precision, mul_approx, out)?;
+            let work = ops::matmul_into(x, w, None, precision, mul_approx, out)?;
             inject_noise(out, level, &mut promise_rng());
             if let Some(b) = b {
                 let n = w.shape().as_mat()?.1;
@@ -158,36 +144,42 @@ fn eval_node<'a>(
                     row.iter_mut().zip(b.data()).for_each(|(v, &bv)| *v += bv);
                 }
             }
-            return Ok(muls);
+            Ok(work)
         }
         OpKind::Relu | OpKind::ClippedRelu { .. } | OpKind::Tanh | OpKind::Abs => {
             let op = unary_op(&node.op).ok_or_else(|| GraphError::Internal {
                 detail: format!("node {} is not an element-wise map", node.id.0),
             })?;
             if in_place {
-                ops::map_unary_in_place(out, op, precision)?;
+                Ok(ops::map_unary_in_place(out, op, precision)?)
             } else {
-                ops::map_unary_into(arg(0)?, op, precision, out)?;
+                Ok(ops::map_unary_into(arg(0)?, op, precision, out)?)
             }
         }
         OpKind::MaxPool2d {
             window,
             pad,
             stride,
-        } => ops::pool2d_into(
+        } => Ok(ops::pool2d_into(
             arg(0)?,
             [*window, *pad, *stride],
             Pooling::Max,
             precision,
             out,
-        )?,
+        )?),
         OpKind::AvgPool2d {
             window,
             pad,
             stride,
         } => {
             let pool = Pooling::Avg(reduce_approx);
-            ops::pool2d_into(arg(0)?, [*window, *pad, *stride], pool, precision, out)?
+            Ok(ops::pool2d_into(
+                arg(0)?,
+                [*window, *pad, *stride],
+                pool,
+                precision,
+                out,
+            )?)
         }
         OpKind::BatchNorm {
             gamma,
@@ -197,17 +189,46 @@ fn eval_node<'a>(
             eps,
         } => {
             let stats = [gamma, beta, mean, var].map(|p| graph.param(*p));
-            ops::batchnorm2d_into(arg(0)?, stats, *eps, precision, out)?
+            Ok(ops::batchnorm2d_into(arg(0)?, stats, *eps, precision, out)?)
         }
-        OpKind::Softmax => ops::softmax_rows_into(arg(0)?, precision, out)?,
-        OpKind::Add => ops::add_into(arg(0)?, arg(1)?, precision, out)?,
-        OpKind::Flatten if in_place => {}
-        OpKind::Flatten => out.copy_from_slice(arg(0)?.data()),
-        OpKind::Reduce { axis, kind } => {
-            ops::reduce_into(arg(0)?, *axis, *kind, reduce_approx, precision, out)?
+        OpKind::Softmax => Ok(ops::softmax_rows_into(arg(0)?, precision, out)?),
+        OpKind::Add => Ok(ops::add_into(arg(0)?, arg(1)?, precision, out)?),
+        OpKind::Flatten if in_place => Ok(Counters::default()),
+        OpKind::Flatten => {
+            out.copy_from_slice(arg(0)?.data());
+            Ok(Counters {
+                ew_copy: out.len() as u64,
+                ..Counters::default()
+            })
         }
+        OpKind::Reduce { axis, kind } => Ok(ops::reduce_into(
+            arg(0)?,
+            *axis,
+            *kind,
+            reduce_approx,
+            precision,
+            out,
+        )?),
     }
-    Ok(0)
+}
+
+/// The digital knobs a choice runs with: a PROMISE choice runs the exact
+/// FP32 kernels (its noise is added to their result).
+fn digital_knobs(choice: ApproxChoice) -> (ConvApprox, ReduceApprox, Precision, MulApprox) {
+    match choice {
+        ApproxChoice::Digital {
+            conv,
+            reduce,
+            precision,
+            mul,
+        } => (conv, reduce, precision, mul),
+        ApproxChoice::Promise(_) => (
+            ConvApprox::Exact,
+            ReduceApprox::Exact,
+            Precision::Fp32,
+            MulApprox::Exact,
+        ),
+    }
 }
 
 /// Executes the graph on `input`, returning the output tensor of the final
@@ -411,8 +432,9 @@ pub struct NodeRecord {
     /// Wall-clock seconds of the node; a convolution's include the
     /// activation fused into it.
     pub seconds: f64,
-    /// Multiplies its kernels ran.
-    pub muls: u64,
+    /// The work its kernels did (zero where no kernel ran);
+    /// [`node_counters`] computes the same value without running it.
+    pub counters: Counters,
     /// The approximation applied.
     pub choice: ApproxChoice,
     /// What the plan made of it.
@@ -466,7 +488,7 @@ fn run(
         let started = records.is_some().then(std::time::Instant::now);
         let idx = node.id.0 as usize;
         let action = plan.action(node);
-        let mut muls = 0;
+        let mut counters = Counters::default();
         if let (Some(s), false) = (plan.slot[idx], action == PlanAction::AppliedByProducer) {
             let mut out = std::mem::take(&mut arena[s]);
             let operand = |i: usize| match node.inputs.get(i) {
@@ -487,12 +509,12 @@ fn run(
                 None => Err(internal(format!("slot {s} is too short for node {idx}"))),
             };
             arena[s] = out;
-            muls = done?;
+            counters = done?;
         }
         if let (Some(records), Some(started)) = (records.as_deref_mut(), started) {
             records.push(NodeRecord {
                 seconds: started.elapsed().as_secs_f64(),
-                muls,
+                counters,
                 choice: opts.choice(node.id),
                 action,
                 bytes_out: plan.shapes[idx].volume() * 4,
@@ -566,7 +588,7 @@ fn run_live(
 
 /// Executes the graph and additionally returns one [`NodeRecord`] per node,
 /// in node order: its wall-clock seconds (host measurements), the
-/// multiplies its kernels ran, the knob applied, what the plan made of it
+/// work its kernels did, the knob applied, what the plan made of it
 /// and its output bytes.
 pub fn execute_with_records(
     graph: &Graph,
@@ -659,9 +681,11 @@ pub fn node_costs(graph: &Graph, input: Shape) -> Result<Vec<OpCounts>, GraphErr
             // count of this CPU's kernel: `at-tensor`'s rational `tanh` runs
             // 29 flops per element (11 FMAs, 3 multiplies, a divide, 4
             // min/max/selects) and measures ≈ 13 GEMM-flop times. Left at 8
-            // so predicted speedups — every shipped curve's `perf` — do not
-            // move with a kernel change; re-fitting the weights against
-            // wall-clock is ROADMAP item 1's calibration study.
+            // so Eq. 3's prices (`Pricing::OpCount`, `Pricing::Device`) do
+            // not move with a kernel change; this CPU's price of a `tanh` is
+            // the `ew_tanh`/`epi_tanh` weight of the CPU cost model
+            // (`at_core::perf`, fitted by `repro cost_fit`) over
+            // [`node_counters`].
             OpKind::Tanh => cost::map_counts(in_shape(0).volume(), 8.0),
             OpKind::MaxPool2d {
                 window,
@@ -689,6 +713,120 @@ pub fn node_costs(graph: &Graph, input: Shape) -> Result<Vec<OpCounts>, GraphErr
         counts.push(c);
     }
     Ok(counts)
+}
+
+/// The [`Counters`] each node of a whole-graph [`execute`] of an input of
+/// shape `input` under `opts` returns in its [`NodeRecord`], computed from
+/// shapes and knobs without running a kernel: the executed counts' analytic
+/// twin. Indexed by node id; a node no kernel runs for (the input, an
+/// activation its convolution applied, a renaming `Flatten`) counts zero.
+pub fn node_counters(
+    graph: &Graph,
+    input: Shape,
+    opts: &ExecOptions,
+) -> Result<Vec<Counters>, GraphError> {
+    let all: Vec<usize> = (0..graph.len()).collect();
+    node_counters_of(graph, input, opts, &all)
+}
+
+/// [`node_counters`] of the nodes `ids` only, in that order: what a cost
+/// model needs for the few nodes one knob touches.
+pub fn node_counters_of(
+    graph: &Graph,
+    input: Shape,
+    opts: &ExecOptions,
+    ids: &[usize],
+) -> Result<Vec<Counters>, GraphError> {
+    let shapes = infer_shapes(graph, input)?;
+    let plan = Plan::new(graph, opts, 0, Keep::Live, shapes);
+    let elementwise = |n: usize, per_fp16: u64, precision| {
+        let rounded = if precision == Precision::Fp16 {
+            per_fp16 * n as u64
+        } else {
+            0
+        };
+        (n as u64, rounded)
+    };
+    let mut all = Vec::with_capacity(ids.len());
+    for &idx in ids {
+        let node = graph.node(NodeId(idx as u32));
+        let runs = matches!(
+            plan.action(node),
+            PlanAction::Kernel | PlanAction::KernelFused(_) | PlanAction::InPlace
+        );
+        if !runs {
+            all.push(Counters::default());
+            continue;
+        }
+        let choice = opts.choice(node.id);
+        let (conv, reduce, precision, mul) = digital_knobs(choice);
+        let in_shape = |i: usize| plan.shapes[node.inputs[i].0 as usize];
+        let n = plan.shapes[idx].volume();
+        let mut c = Counters::default();
+        match &node.op {
+            OpKind::Input => {}
+            OpKind::Conv2d {
+                weight,
+                bias,
+                pad,
+                stride,
+                groups,
+            } => {
+                let params = Conv2dParams {
+                    pad: *pad,
+                    stride: *stride,
+                    groups: *groups,
+                    approx: conv,
+                    precision,
+                    mul,
+                };
+                let w = graph.param(*weight).shape();
+                c = ops::conv2d_work(in_shape(0), w, bias.is_some(), params, plan.fused[idx])?;
+            }
+            OpKind::Dense { weight, bias } => {
+                let (m, k) = in_shape(0).as_mat()?;
+                let (_, cols) = graph.param(*weight).shape().as_mat()?;
+                // PROMISE adds its bias after the noise, outside the kernel.
+                let bias = bias.is_some() && matches!(choice, ApproxChoice::Digital { .. });
+                c = ops::matmul_work((m, k, cols), bias, precision, mul);
+            }
+            OpKind::Relu | OpKind::ClippedRelu { .. } | OpKind::Tanh | OpKind::Abs => {
+                if let Some(op) = unary_op(&node.op) {
+                    c = ops::map_unary_work(op, n, precision);
+                }
+            }
+            OpKind::MaxPool2d {
+                window,
+                pad,
+                stride,
+            }
+            | OpKind::AvgPool2d {
+                window,
+                pad,
+                stride,
+            } => c = ops::pool2d_work(in_shape(0), [*window, *pad, *stride], precision)?,
+            OpKind::BatchNorm { .. } => (c.ew_norm, c.ew_fp16) = elementwise(n, 2, precision),
+            OpKind::Softmax => (c.ew_softmax, c.ew_fp16) = elementwise(n, 2, precision),
+            OpKind::Add => (c.ew_add, c.ew_fp16) = elementwise(n, 1, precision),
+            OpKind::Flatten => c.ew_copy = n as u64,
+            OpKind::Reduce { axis, .. } => {
+                let s = in_shape(0);
+                let len = s.dim(*axis)?;
+                let visited = match reduce {
+                    ReduceApprox::Exact => len,
+                    ReduceApprox::Sampling { num, den } => {
+                        (0..len).filter(|i| i % den < num).count()
+                    }
+                };
+                c.ew_reduce = (n * visited) as u64;
+                if precision == Precision::Fp16 {
+                    c.ew_fp16 = (s.volume() + n) as u64;
+                }
+            }
+        }
+        all.push(c);
+    }
+    Ok(all)
 }
 
 #[cfg(test)]
@@ -944,7 +1082,7 @@ mod tests {
         ];
         assert_eq!(actions, want);
         // Conv: 2 images × (4 filters × 27 taps × 64 pixels); dense: 2 × 64 × 10.
-        let muls: Vec<_> = records.iter().map(|r| r.muls).collect();
+        let muls: Vec<_> = records.iter().map(|r| r.counters.muls).collect();
         assert_eq!(muls, [0, 2 * 4 * 27 * 64, 0, 0, 0, 2 * 64 * 10, 0]);
         for (r, s) in records.iter().zip(shapes(&g, &x)) {
             assert_eq!(r.bytes_out, s.volume() * 4);

@@ -43,6 +43,7 @@
 //! this).
 
 use crate::error::TensorError;
+use crate::instrument::Counters;
 use crate::knobs::{MulApprox, Precision};
 use crate::ops::conv::Conv2dParams;
 use crate::ops::gemm::{self, Epilogue, Fma, LutMul, MulKernel, Panel, Windows};
@@ -292,11 +293,16 @@ pub fn verify_gemm_f32(
 
 /// Applies an epilogue element-wise to a raw `[M,N]` accumulator buffer —
 /// bit-identical to the fused kernels because [`Epilogue::apply_row`] is a
-/// pure per-element function.
-fn apply_epilogue(out: &mut [f32], n: usize, epi: &Epilogue) {
+/// pure per-element function. Returns the epilogue's work.
+fn apply_epilogue(out: &mut [f32], n: usize, epi: &Epilogue) -> Counters {
+    let mut rows = 0;
     for (i, orow) in out.chunks_mut(n.max(1)).enumerate() {
         epi.apply_row(i, orow);
+        rows += 1;
     }
+    let mut c = Counters::default();
+    epi.count_rows(rows, n, &mut c);
+    c
 }
 
 /// ABFT-protected tiled f32 GEMM: multiply with a raw epilogue, verify the
@@ -347,7 +353,9 @@ impl Verified for LutMul {
 /// [`gemm::gemm_windows`] — the one GEMM of the dense layers and the
 /// convolution lowering — and with `verify` its ABFT twin: multiply with a
 /// raw epilogue, verify over the windows the multiply read, then apply
-/// `epi`. On detection the contents of `out` are unspecified.
+/// `epi`. On detection the contents of `out` are unspecified. The work
+/// done is added to `work`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_windows_abft<K: Verified>(
     kern: &K,
     m: usize,
@@ -356,16 +364,18 @@ pub(crate) fn gemm_windows_abft<K: Verified>(
     out: &mut [f32],
     epi: &Epilogue,
     verify: bool,
-) -> Result<u64, TensorError> {
+    work: &mut Counters,
+) -> Result<(), TensorError> {
     if !verify {
-        return Ok(gemm::gemm_windows(kern, m, a, b, out, epi));
+        gemm::gemm_windows(kern, m, a, b, out, epi, work);
+        return Ok(());
     }
-    let muls = gemm::gemm_windows(kern, m, a, b, out, &Epilogue::Raw);
+    gemm::gemm_windows(kern, m, a, b, out, &Epilogue::Raw, work);
     #[cfg(test)]
     tests::inject(kern, m, a, b, out);
     kern.check(m, a, b, out)?;
-    apply_epilogue(out, b.n(), epi);
-    Ok(muls)
+    *work += apply_epilogue(out, b.n(), epi);
+    Ok(())
 }
 
 /// ABFT-protected dense layer: [`crate::ops::matmul_ex`] semantics
@@ -582,7 +592,8 @@ mod tests {
                     29
                 };
                 flip_bit(&mut bad, i, bit);
-                gemm::gemm_windows(kern, m, &bad, b, out, &Epilogue::Raw);
+                let mut work = Counters::default();
+                gemm::gemm_windows(kern, m, &bad, b, out, &Epilogue::Raw, &mut work);
             }
         }
     }
@@ -638,7 +649,15 @@ mod tests {
         };
         let kern = LutMul { dequant: dq };
         let mut c = vec![0.0f32; m * n];
-        gemm::gemm_windows(&kern, m, &aq.q, &win, &mut c, &Epilogue::Raw);
+        gemm::gemm_windows(
+            &kern,
+            m,
+            &aq.q,
+            &win,
+            &mut c,
+            &Epilogue::Raw,
+            &mut Counters::default(),
+        );
         kern.check(m, &aq.q, &win, &c).unwrap();
         let mut bad = c;
         assert_ne!(bad[5 * n + 7], 0.0, "flip a non-zero accumulator");

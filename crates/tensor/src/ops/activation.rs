@@ -9,6 +9,7 @@
 //! these loops while inference stays bit-identical at any thread count.
 
 use crate::error::TensorError;
+use crate::instrument::Counters;
 use crate::knobs::Precision;
 use crate::tensor::{check_len, View};
 use crate::{f16, par};
@@ -172,14 +173,25 @@ fn through_f16(f: impl Fn(f32) -> f32 + Sync) -> impl Fn(f32) -> f32 + Sync {
     move |x| f16::quantize(f(f16::quantize(x)))
 }
 
+/// The work [`map_unary_into`] and [`map_unary_in_place`] return for `op`
+/// over `n` elements: under FP16 each element is rounded through binary16
+/// on its way in and out.
+pub fn map_unary_work(op: UnaryOp, n: usize, precision: Precision) -> Counters {
+    let mut c = Counters::map(op, n);
+    if precision == Precision::Fp16 {
+        c.ew_fp16 += 2 * n as u64;
+    }
+    c
+}
+
 /// Applies a unary map over `input` into `out`, which must be as long as
-/// `input`, honouring FP16 semantics.
+/// `input`, honouring FP16 semantics. Returns the work it did.
 pub fn map_unary_into(
     input: View,
     op: UnaryOp,
     precision: Precision,
     out: &mut [f32],
-) -> Result<(), TensorError> {
+) -> Result<Counters, TensorError> {
     struct IntoSlice<'a>(&'a [f32], &'a mut [f32], Precision);
     impl ElementLoop for IntoSlice<'_> {
         type Out = ();
@@ -193,7 +205,7 @@ pub fn map_unary_into(
     check_len(input.shape(), out.len())?;
     op.validate()?;
     op.with_fn(IntoSlice(input.data(), out, precision));
-    Ok(())
+    Ok(map_unary_work(op, out.len(), precision))
 }
 
 /// [`map_unary_into`] overwriting its operand: the same value for every element,
@@ -203,7 +215,7 @@ pub fn map_unary_in_place(
     xs: &mut [f32],
     op: UnaryOp,
     precision: Precision,
-) -> Result<(), TensorError> {
+) -> Result<Counters, TensorError> {
     struct InPlace<'a>(&'a mut [f32], Precision);
     impl ElementLoop for InPlace<'_> {
         type Out = ();
@@ -215,8 +227,9 @@ pub fn map_unary_in_place(
         }
     }
     op.validate()?;
+    let n = xs.len();
     op.with_fn(InPlace(xs, precision));
-    Ok(())
+    Ok(map_unary_work(op, n, precision))
 }
 
 /// `out = a + b` element-wise, rounded through binary16 under FP16: the
@@ -226,7 +239,7 @@ pub fn add_into(
     b: View,
     precision: Precision,
     out: &mut [f32],
-) -> Result<(), TensorError> {
+) -> Result<Counters, TensorError> {
     if a.shape() != b.shape() {
         return Err(TensorError::ShapeMismatch {
             op: "add",
@@ -237,10 +250,15 @@ pub fn add_into(
     for ((o, &x), &y) in out.iter_mut().zip(a.data()).zip(b.data()) {
         *o = x + y;
     }
+    let mut c = Counters {
+        ew_add: out.len() as u64,
+        ..Counters::default()
+    };
     if precision == Precision::Fp16 {
         f16::quantize_slice(out);
+        c.ew_fp16 += out.len() as u64;
     }
-    Ok(())
+    Ok(c)
 }
 
 #[cfg(test)]
@@ -251,7 +269,7 @@ mod tests {
 
     fn map_unary(input: &Tensor, op: UnaryOp, precision: Precision) -> Result<Tensor, TensorError> {
         Tensor::written_by(input.shape(), |out| {
-            map_unary_into(input.view(), op, precision, out)
+            map_unary_into(input.view(), op, precision, out).map(drop)
         })
     }
 
@@ -285,7 +303,9 @@ mod tests {
             let bad = |r: Result<_, TensorError>| matches!(r, Err(TensorError::InvalidKnob { .. }));
             assert!(bad(map_unary(&t, op, Precision::Fp32).map(drop)));
             let mut xs = t.data().to_vec();
-            assert!(bad(map_unary_in_place(&mut xs, op, Precision::Fp16)));
+            assert!(bad(
+                map_unary_in_place(&mut xs, op, Precision::Fp16).map(drop)
+            ));
         }
     }
 

@@ -9,8 +9,10 @@
 //! parameter struct and the public entry points.
 
 use crate::error::TensorError;
+use crate::instrument::Counters;
 use crate::knobs::{ConvApprox, MulApprox, Precision};
 use crate::ops::activation::UnaryOp;
+use crate::shape::Shape;
 use crate::tensor::{Tensor, View};
 
 /// Configuration of a convolution call.
@@ -67,8 +69,7 @@ pub fn conv2d(
 /// kernel's epilogue, so the executor skips one full pass over the
 /// intermediate tensor — bit-identical to applying `act` to [`conv2d`]'s
 /// output for every `params` setting (the epilogue applies the same scalar
-/// function after the same quantisation points). Returns the multiplies it
-/// ran.
+/// function after the same quantisation points). Returns the work it did.
 pub fn conv2d_into(
     input: View,
     weight: &Tensor,
@@ -76,15 +77,27 @@ pub fn conv2d_into(
     params: Conv2dParams,
     act: Option<UnaryOp>,
     out: &mut [f32],
-) -> Result<u64, TensorError> {
+) -> Result<Counters, TensorError> {
     super::im2col::lower_into(input, weight, bias, params, act, false, out)
+}
+
+/// The work [`conv2d_into`] returns for an input of shape `input`, weights
+/// of shape `weight`, a bias if `bias`, these knobs and fused activation —
+/// computed from shapes alone, without running the kernel.
+pub fn conv2d_work(
+    input: Shape,
+    weight: Shape,
+    bias: bool,
+    params: Conv2dParams,
+    act: Option<UnaryOp>,
+) -> Result<Counters, TensorError> {
+    super::im2col::lower_work(input, weight, bias, params, act)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::knobs::PerforationDim;
-    use crate::shape::Shape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -349,7 +362,6 @@ mod tests {
 mod group_tests {
     use super::*;
     use crate::knobs::PerforationDim;
-    use crate::shape::Shape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

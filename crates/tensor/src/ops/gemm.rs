@@ -53,10 +53,12 @@
 //! oracle.
 
 use crate::f16;
+use crate::instrument::{Counters, MIN_TILE_ROWS};
 use crate::lut;
 use crate::ops::activation::UnaryOp;
 use crate::par;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// SIMD lane count the microkernel is unrolled for (f32x16 ≙ AVX-512 zmm;
 /// lowers to a ymm pair on AVX2-only parts).
@@ -106,6 +108,27 @@ pub enum Epilogue<'a> {
 }
 
 impl Epilogue<'_> {
+    /// Adds the work [`Epilogue::apply_row`] does on `rows` rows of `len`
+    /// elements to `c`.
+    pub(crate) fn count_rows(&self, rows: u64, len: usize, c: &mut Counters) {
+        let len = rows * len as u64;
+        match *self {
+            Epilogue::Raw => {}
+            Epilogue::Conv { fp16, act, .. } => {
+                c.epi_affine += len;
+                c.epi_fp16 += if fp16 { len } else { 0 };
+                if let Some(op) = act {
+                    *c.epi_field(op) += len;
+                }
+            }
+            Epilogue::Dense { bias, fp16 } => {
+                let passes = 1 + u64::from(bias.is_some());
+                c.epi_fp16 += if fp16 { passes * len } else { 0 };
+                c.epi_affine += if bias.is_some() { len } else { 0 };
+            }
+        }
+    }
+
     /// Applies the epilogue in place to the raw accumulators of output row
     /// `row`. What does not vary along a row (variant, bias presence, the
     /// row's bias, the flags) is resolved once, so each step is a
@@ -206,6 +229,8 @@ pub(crate) trait MulKernel: Sync {
     /// Multiplies that cost as much as one element-wise item of
     /// [`par::GRAIN`], for the fork-or-inline rule.
     const MULS_PER_ITEM: usize;
+    /// The counter of this kernel's tile steps.
+    fn steps(c: &mut Counters) -> &mut u64;
     /// Raw accumulators of rows `i0..i0 + R` of `a` against one panel of
     /// `b` (all [`PANEL`] lanes, surplus ones included).
     fn tile<const R: usize>(
@@ -224,6 +249,10 @@ pub(crate) struct Fma;
 
 impl MulKernel for Fma {
     const MULS_PER_ITEM: usize = 8;
+
+    fn steps(c: &mut Counters) -> &mut u64 {
+        &mut c.fma_steps
+    }
 
     /// Shares each B vector load across all `R` rows' accumulator chains —
     /// the classic register-blocking trade: more independent FMA chains in
@@ -364,6 +393,10 @@ impl MulKernel for LutMul {
     /// every size when a neighbour kept it busy.
     const MULS_PER_ITEM: usize = 4;
 
+    fn steps(c: &mut Counters) -> &mut u64 {
+        &mut c.lut_steps
+    }
+
     /// The FMA tile with the multiply replaced by Mitchell's closed form
     /// ([`LutMul::block`]). Sums of up to [`LUT_BLOCK`] products are
     /// integers below `2²⁴`, hence exact, and for `k ≤ LUT_BLOCK` (every zoo
@@ -469,8 +502,10 @@ fn tile_into<K: MulKernel, const R: usize>(
 /// thread gets [`par::GRAIN`] worth of multiplies). Inside a chunk the loop
 /// is panel-outer: each panel is covered by register-blocked row groups of
 /// 8, then 4, 2 and 1 rows — full tiles first, then the largest that still
-/// fits what is left — before the next panel is touched. Returns the
-/// multiplies it ran, `m·k·n`.
+/// fits what is left — before the next panel is touched. Adds the work it
+/// did to `work`: `m·k·n` multiplies, one call, one tile step per tile row
+/// and `k` step, and the epilogue's elements, counted per tile and per
+/// row.
 pub(crate) fn gemm_windows<K: MulKernel>(
     kern: &K,
     m: usize,
@@ -478,18 +513,22 @@ pub(crate) fn gemm_windows<K: MulKernel>(
     b: &Windows,
     out: &mut [f32],
     epi: &Epilogue,
-) -> u64 {
+    work: &mut Counters,
+) {
     let (k, n) = (b.k, b.n());
     assert_eq!(a.len(), m * k, "gemm A size");
     assert_eq!(out.len(), m * n, "gemm C size");
     if m == 0 || n == 0 {
-        return 0;
+        return;
     }
+    // Tile steps and epilogue rows, added once per row block.
+    let (steps, epi_rows) = (AtomicU64::new(0), AtomicU64::new(0));
     out.par_chunks_mut(ROW_BLOCK * n)
         .with_min_len(par::min_chunks(ROW_BLOCK * k * n / K::MULS_PER_ITEM))
         .enumerate()
         .for_each(|(blk, ob)| {
             let (i0, rows) = (blk * ROW_BLOCK, ob.len() / n);
+            let mut block_steps = 0;
             for panel in b.panels() {
                 let mut d = 0;
                 for r in [8, 4, 2, 1] {
@@ -501,15 +540,37 @@ pub(crate) fn gemm_windows<K: MulKernel>(
                             2 => tile_into::<K, 2>(kern, a, i0 + d, b.data, &panel, n, orows),
                             _ => tile_into::<K, 1>(kern, a, i0 + d, b.data, &panel, n, orows),
                         }
+                        block_steps += r.max(MIN_TILE_ROWS) * k;
                         d += r;
                     }
                 }
             }
+            let mut block_rows = 0;
             for (di, orow) in ob.chunks_mut(n).enumerate() {
                 epi.apply_row(i0 + di, orow);
+                block_rows += 1;
             }
+            steps.fetch_add(block_steps as u64, Ordering::Relaxed);
+            epi_rows.fetch_add(block_rows, Ordering::Relaxed);
         });
-    (m * k * n) as u64
+    work.muls += (m * k * n) as u64;
+    work.gemm_calls += 1;
+    *K::steps(work) += steps.into_inner();
+    epi.count_rows(epi_rows.into_inner(), n, work);
+}
+
+/// The tile rows [`gemm_windows`] counts per panel and `k` step for `m`
+/// output rows: each [`ROW_BLOCK`] is covered by tiles of 8, then 4, 2
+/// and 1 rows, each counted as at least [`MIN_TILE_ROWS`].
+pub(crate) fn padded_rows(m: usize) -> usize {
+    (0..m)
+        .step_by(ROW_BLOCK)
+        .map(|i0| {
+            let rows = ROW_BLOCK.min(m - i0);
+            let tail = rows % 8;
+            8 * (rows / 8) + MIN_TILE_ROWS * tail.count_ones() as usize
+        })
+        .sum()
 }
 
 /// Packs a row-major `K×N` `B` once into the slabs the kernel reads, each
@@ -540,6 +601,12 @@ pub(crate) fn gemm_dense<T>(
     done
 }
 
+/// Elements [`gemm_dense`] packs for a `K×N` `B`: whole panels, the last
+/// one zero-padded.
+pub(crate) fn packed_len(k: usize, n: usize) -> usize {
+    n.div_ceil(PANEL) * k * PANEL
+}
+
 /// Tiled f32 GEMM with fused epilogue: `out[M,N] = epi(A[M,K] × B[K,N])`,
 /// all row-major. Returns the multiplies it ran.
 pub fn gemm_f32(
@@ -551,7 +618,15 @@ pub fn gemm_f32(
     out: &mut [f32],
     epi: &Epilogue,
 ) -> u64 {
-    gemm_dense(k, n, b, |v| v, |b| gemm_windows(&Fma, m, a, b, out, epi))
+    let mut work = Counters::default();
+    gemm_dense(
+        k,
+        n,
+        b,
+        |v| v,
+        |b| gemm_windows(&Fma, m, a, b, out, epi, &mut work),
+    );
+    work.muls
 }
 
 #[cfg(test)]
@@ -562,12 +637,13 @@ mod tests {
     /// quantised grid, raw sums dequantised by `dequant`.
     fn gemm_lut(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], dequant: f32, out: &mut [f32]) {
         let kern = LutMul { dequant };
+        let mut work = Counters::default();
         gemm_dense(
             k,
             n,
             b,
             |v| v,
-            |b| gemm_windows(&kern, m, a, b, out, &Epilogue::Raw),
+            |b| gemm_windows(&kern, m, a, b, out, &Epilogue::Raw, &mut work),
         );
     }
 

@@ -70,20 +70,19 @@
 
 use crate::error::TensorError;
 use crate::f16;
-use crate::instrument;
+use crate::instrument::{self, Counters};
 use crate::knobs::{ConvApprox, MulApprox, PerforationDim, Precision};
 use crate::lut;
 use crate::ops::abft::{self, Verified};
 use crate::ops::activation::UnaryOp;
 use crate::ops::conv::Conv2dParams;
-use crate::ops::gemm::{Epilogue, Fma, LutMul, Run, Windows, PANEL};
+use crate::ops::gemm::{padded_rows, Epilogue, Fma, LutMul, MulKernel, Run, Windows, PANEL};
 use crate::par;
 use crate::shape::{conv2d_out_shape, Shape};
 use crate::tensor::{check_len, Tensor, View};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// What one thread's lowered convolutions borrow instead of allocating: the
@@ -134,6 +133,8 @@ struct Lowering {
     /// Perforation dimension if active, with the skipped coordinates.
     perf: Option<(PerforationDim, Vec<(usize, Fill)>)>,
     fp16: bool,
+    /// Whether the operands are staged for the LUT multiplier.
+    lut: bool,
     /// FP32 activation fused behind the convolution.
     act: Option<UnaryOp>,
     /// Staged row slot of each padded input row (phase-major), `None` for a
@@ -257,6 +258,7 @@ impl Lowering {
             oxs,
             perf,
             fp16: params.precision == Precision::Fp16,
+            lut: params.mul != MulApprox::Exact,
             act,
             rows,
             natural_rows: m == 1,
@@ -272,19 +274,84 @@ impl Lowering {
     /// Writes the staged image of one (image, group) — `image` is its `cpg`
     /// input planes — over whatever `staged` held: every element of every
     /// plane, zeros where the window pads. `row` is one padded input row of
-    /// working space for the per-row path.
+    /// working space for the per-row path. The staged elements are added to
+    /// `c`, per staged row or plane, under the path and the quantiser.
     fn stage(
         &self,
         image: &[f32],
         quant: impl Fn(&[f32], &mut [f32]),
         staged: &mut [f32],
         row: &mut [f32],
+        c: &mut Counters,
     ) {
         if self.shifts_planes() {
             self.stage_shifted(image, quant, staged);
         } else {
             self.stage_rows(image, quant, staged, row);
         }
+        self.count_staging(c);
+    }
+
+    /// Adds one staged (image, group) to `c`: every element of every
+    /// plane, and the pieces quantised one at a time. Counted once per
+    /// image, outside the staging loops, whose code generation a counter
+    /// inside them disturbs.
+    fn count_staging(&self, c: &mut Counters) {
+        *self.stage_field(c) += (self.staged_len() - PANEL) as u64;
+        let one_by_one = !(self.shifts_planes() && self.natural_rows);
+        c.stage_rows += (self.cpg * if one_by_one { self.rows.len() } else { 1 }) as u64;
+    }
+
+    /// The counter of this lowering's staged elements: its staging path
+    /// and its quantiser.
+    fn stage_field<'c>(&self, c: &'c mut Counters) -> &'c mut u64 {
+        match (self.shifts_planes(), self.lut, self.fp16) {
+            (true, true, _) => &mut c.stage_copy_lut,
+            (true, false, true) => &mut c.stage_copy_fp16,
+            (true, false, false) => &mut c.stage_copy_fp32,
+            (false, true, _) => &mut c.stage_gather_lut,
+            (false, false, true) => &mut c.stage_gather_fp16,
+            (false, false, false) => &mut c.stage_gather_fp32,
+        }
+    }
+
+    /// The work [`run_lowered`] counts for one (image, group), from the
+    /// layout alone.
+    fn group_work<K: MulKernel>(&self) -> Counters {
+        let (kpg, kk2, plane) = (self.kpg, self.kept.len(), self.ho * self.wo);
+        let mut c = Counters::default();
+        if kpg * self.groups * plane == 0 {
+            return c;
+        }
+        self.count_staging(&mut c);
+        let n_pos = self.oys.len() * self.oxs.len();
+        if n_pos > 0 {
+            let panels: usize = self.runs.iter().map(|r| r.len.div_ceil(PANEL)).sum();
+            c.muls = (kpg * kk2 * n_pos) as u64;
+            c.gemm_calls = 1;
+            *K::steps(&mut c) = (panels * padded_rows(kpg) * kk2) as u64;
+            let (fp16, act) = match self.perf {
+                None => (self.fp16, self.act),
+                Some(_) => (false, None),
+            };
+            let epi = Epilogue::Conv {
+                scale: self.scale,
+                bias: None,
+                fp16,
+                act,
+            };
+            epi.count_rows(kpg as u64, n_pos, &mut c);
+        }
+        if self.perf.is_some() {
+            let planes = (kpg * plane) as u64;
+            c.scatter += planes;
+            c.scatter_rows += (kpg * self.ho) as u64;
+            c.epi_fp16 += if self.fp16 { planes } else { 0 };
+            if let Some(act) = self.act {
+                *c.epi_field(act) += planes;
+            }
+        }
+        c
     }
 
     /// Whether the tap planes are shifted copies of the centre plane: unit
@@ -480,7 +547,7 @@ fn scatter_interpolate(
 /// `verify`) → epilogue or scatter over every (image, group), images in
 /// parallel (forked only when every thread gets [`par::GRAIN`] worth of
 /// multiplies). `quant` turns one input row into staged elements. Returns
-/// the multiplies its GEMMs ran, summed over the images.
+/// the work done, summed over the images.
 #[allow(clippy::too_many_arguments)]
 fn run_lowered<K: Verified>(
     low: &Lowering,
@@ -491,11 +558,11 @@ fn run_lowered<K: Verified>(
     bias: Option<&[f32]>,
     out: &mut [f32],
     verify: bool,
-) -> Result<u64, TensorError> {
+) -> Result<Counters, TensorError> {
     let (kpg, kk2, plane) = (low.kpg, low.kept.len(), low.ho * low.wo);
     let k = kpg * low.groups;
     if k * plane == 0 {
-        return Ok(0);
+        return Ok(Counters::default());
     }
     let n_pos = low.oys.len() * low.oxs.len();
     // The kept weight elements of every output channel: group `g`'s GEMM A
@@ -523,10 +590,10 @@ fn run_lowered<K: Verified>(
         if kept_plane.len() < kept_len {
             kept_plane.resize(kept_len, 0.0);
         }
-        let mut muls = 0;
+        let mut c = Counters::default();
         for g in 0..low.groups {
             let group = &image[g * per_group..][..per_group];
-            low.stage(group, &quant, staged, &mut row[..row_len]);
+            low.stage(group, &quant, staged, &mut row[..row_len], &mut c);
             let b = Windows {
                 data: staged,
                 k: kk2,
@@ -545,7 +612,7 @@ fn run_lowered<K: Verified>(
                     fp16: low.fp16,
                     act: low.act,
                 };
-                muls += abft::gemm_windows_abft(kern, kpg, a, &b, planes, &epi, verify)?;
+                abft::gemm_windows_abft(kern, kpg, a, &b, planes, &epi, verify, &mut c)?;
                 continue;
             };
             // Compute only the kept positions, then scatter and interpolate.
@@ -559,20 +626,24 @@ fn run_lowered<K: Verified>(
                 act: None,
             };
             let computed = &mut kept_plane[..kept_len];
-            muls += abft::gemm_windows_abft(kern, kpg, a, &b, computed, &epi, verify)?;
+            abft::gemm_windows_abft(kern, kpg, a, &b, computed, &epi, verify, &mut c)?;
             for (di, op) in planes.chunks_mut(plane).enumerate() {
                 let bias_v = bias_slice.map_or(0.0, |bs| bs[di]);
                 let kept = &kept_plane[di * n_pos..(di + 1) * n_pos];
                 scatter_interpolate(low, *dim, skipped, kept, bias_v, op);
+                c.scatter += plane as u64;
+                c.scatter_rows += low.ho as u64;
                 if low.fp16 {
                     op.iter_mut().for_each(|v| *v = f16::quantize(*v));
+                    c.epi_fp16 += plane as u64;
                 }
                 if let Some(act) = low.act {
                     act.apply_slice(op);
+                    *c.epi_field(act) += plane as u64;
                 }
             }
         }
-        Ok(muls)
+        Ok(c)
     };
 
     // The failed checksum of the lowest image, so the report does not depend
@@ -581,8 +652,8 @@ fn run_lowered<K: Verified>(
     let failed = Mutex::new(None::<(usize, TensorError)>);
     // A poisoned slot is still a whole `Option`: every update is one store.
     let lock = || failed.lock().unwrap_or_else(|e| e.into_inner());
-    // This call's multiplies, whichever thread ran each image.
-    let muls = AtomicU64::new(0);
+    // This call's work, whichever thread ran each image.
+    let work = Mutex::new(Counters::default());
     out.par_chunks_mut(k * plane)
         .with_min_len(par::min_chunks(k * kk2 * n_pos / K::MULS_PER_ITEM))
         .enumerate()
@@ -595,7 +666,7 @@ fn run_lowered<K: Verified>(
             let done = lower_image(image, oimg, &mut scratch);
             SCRATCH.set(scratch);
             match done {
-                Ok(n) => _ = muls.fetch_add(n, Ordering::Relaxed),
+                Ok(c) => *work.lock().unwrap_or_else(|e| e.into_inner()) += c,
                 Err(e) => {
                     let mut slot = lock();
                     if slot.as_ref().is_none_or(|(b, _)| bimg < *b) {
@@ -605,7 +676,8 @@ fn run_lowered<K: Verified>(
             }
         });
     let first = failed.into_inner().unwrap_or_else(|e| e.into_inner());
-    first.map_or(Ok(muls.into_inner()), |(_, e)| {
+    let work = work.into_inner().unwrap_or_else(|e| e.into_inner());
+    first.map_or(Ok(work), |(_, e)| {
         Err(TensorError::CorruptionDetected {
             op: "conv2d",
             detail: e.to_string(),
@@ -655,7 +727,7 @@ fn conv_out_shape(input: Shape, weight: Shape, params: Conv2dParams) -> Result<S
 
 /// [`conv2d_lowered`], optionally with a fused trailing FP32 activation
 /// `act`, into `out`, which must hold the output shape and whose every
-/// element is written. Returns the multiplies it ran.
+/// element is written. Returns the work it did.
 pub(crate) fn lower_into(
     input: View,
     weight: &Tensor,
@@ -664,7 +736,7 @@ pub(crate) fn lower_into(
     act: Option<UnaryOp>,
     verify: bool,
     out: &mut [f32],
-) -> Result<u64, TensorError> {
+) -> Result<Counters, TensorError> {
     params.approx.validate()?;
     params.mul.validate()?;
     act.map_or(Ok(()), UnaryOp::validate)?;
@@ -696,6 +768,7 @@ pub(crate) fn lower_into(
 
     let (_, _, ho, wo) = out_shape.as_nchw()?;
     let low = Lowering::new((h, w), (k, cpg, r, s), (ho, wo), params, act);
+    let prep = low.prep_work(params, input.shape(), weight.shape(), bias.is_some());
     let (x, w, b) = (input.data(), weight.data(), bias.map(|t| t.data()));
     let through_f16 = |src: &[f32], dst: &mut [f32]| {
         for (d, &v) in dst.iter_mut().zip(src) {
@@ -704,7 +777,7 @@ pub(crate) fn lower_into(
     };
     // One closure type per quantiser, so the plain FP32 staging loop carries
     // none of the others' code.
-    match params.mul {
+    let work = match params.mul {
         MulApprox::Exact if fp16 => run_lowered(&low, &Fma, x, through_f16, w, b, out, verify),
         MulApprox::Exact => {
             let plain = |src: &[f32], dst: &mut [f32]| dst.copy_from_slice(src);
@@ -722,7 +795,53 @@ pub(crate) fn lower_into(
             let quant = |src: &[f32], dst: &mut [f32]| quantize_lut(sym, fp16, src, dst);
             run_lowered(&low, &kern, x, quant, &qw.q, b, out, verify)
         }
+    };
+    Ok(work? + prep)
+}
+
+impl Lowering {
+    /// Operand elements [`lower_into`] passes through a quantiser, a scale
+    /// scan or the sampled weights' gather, once per call.
+    fn prep_work(&self, params: Conv2dParams, input: Shape, weight: Shape, bias: bool) -> Counters {
+        let (k, total) = (self.kpg * self.groups, weight.volume());
+        let sampled = self.kept.len() < total / k.max(1);
+        let mut prep = if sampled { k * self.kept.len() } else { 0 };
+        prep += match params.mul {
+            MulApprox::Exact if self.fp16 => total + if bias { k } else { 0 },
+            MulApprox::Exact => 0,
+            MulApprox::Lut { .. } => input.volume() + 2 * total,
+        };
+        Counters {
+            operand_prep: prep as u64,
+            ..Counters::default()
+        }
     }
+}
+
+/// The work [`lower_into`] returns for these shapes and knobs, computed
+/// without running it: its analytic twin.
+pub(crate) fn lower_work(
+    input: Shape,
+    weight: Shape,
+    bias: bool,
+    params: Conv2dParams,
+    act: Option<UnaryOp>,
+) -> Result<Counters, TensorError> {
+    params.approx.validate()?;
+    params.mul.validate()?;
+    let (n, _, h, w) = input.as_nchw()?;
+    let (k, cpg, r, s) = weight.as_nchw()?;
+    let (_, _, ho, wo) = conv_out_shape(input, weight, params)?.as_nchw()?;
+    let low = Lowering::new((h, w), (k, cpg, r, s), (ho, wo), params, act);
+    let group = match params.mul {
+        MulApprox::Exact => low.group_work::<Fma>(),
+        MulApprox::Lut { .. } => low.group_work::<LutMul>(),
+    };
+    let mut c = low.prep_work(params, input, weight, bias);
+    for _ in 0..n * low.groups {
+        c += group;
+    }
+    Ok(c)
 }
 
 /// The LUT multiplier's input quantiser over one staged row or plane:

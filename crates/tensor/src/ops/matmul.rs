@@ -11,11 +11,11 @@
 
 use crate::error::TensorError;
 use crate::f16;
-use crate::instrument;
+use crate::instrument::{self, Counters};
 use crate::knobs::{MulApprox, Precision};
 use crate::lut;
 use crate::ops::abft;
-use crate::ops::gemm::{self, Epilogue, Fma, LutMul};
+use crate::ops::gemm::{self, Epilogue, Fma, LutMul, PANEL};
 use crate::tensor::{check_len, Tensor, View};
 use crate::Shape;
 
@@ -40,8 +40,8 @@ pub fn matmul_ex(
     dense(a, b, bias, precision, mul, false)
 }
 
-/// [`matmul_ex`] into `out`, which must hold `[M, N]`. Returns the
-/// multiplies it ran.
+/// [`matmul_ex`] into `out`, which must hold `[M, N]`. Returns the work it
+/// did.
 pub fn matmul_into(
     a: View,
     b: &Tensor,
@@ -49,7 +49,7 @@ pub fn matmul_into(
     precision: Precision,
     mul: MulApprox,
     out: &mut [f32],
-) -> Result<u64, TensorError> {
+) -> Result<Counters, TensorError> {
     dense_into(a, b, bias, precision, mul, false, out)
 }
 
@@ -80,7 +80,7 @@ fn dense_into(
     mul: MulApprox,
     verify: bool,
     out: &mut [f32],
-) -> Result<u64, TensorError> {
+) -> Result<Counters, TensorError> {
     mul.validate()?;
     let (m, ka) = a.shape().as_mat()?;
     let (kb, n) = b.shape().as_mat()?;
@@ -110,17 +110,20 @@ fn dense_into(
         fp16,
     };
     let (a, b) = (a.data(), b.data());
+    let mut work = prep_work(m, ka, n, precision, mul);
+    work.dense_pack = gemm::packed_len(ka, n) as u64;
+    let w = &mut work;
     match mul {
         MulApprox::Exact if fp16 => gemm::gemm_dense(ka, n, b, f16::quantize, |b| {
-            abft::gemm_windows_abft(&Fma, m, a, b, out, &epi, verify)
-        }),
+            abft::gemm_windows_abft(&Fma, m, a, b, out, &epi, verify, w)
+        })?,
         MulApprox::Exact => gemm::gemm_dense(
             ka,
             n,
             b,
             |v| v,
-            |b| abft::gemm_windows_abft(&Fma, m, a, b, out, &epi, verify),
-        ),
+            |b| abft::gemm_windows_abft(&Fma, m, a, b, out, &epi, verify, w),
+        )?,
         MulApprox::Lut { bits } => {
             // Both operands come out of the symmetric quantiser, so they
             // are on the grid the kernel's closed form assumes.
@@ -135,10 +138,55 @@ fn dense_into(
                 n,
                 b,
                 |v| bs.q(b16(v)),
-                |b| abft::gemm_windows_abft(&kern, m, &aq.q, b, out, &epi, verify),
-            )
+                |b| abft::gemm_windows_abft(&kern, m, &aq.q, b, out, &epi, verify, w),
+            )?
         }
     }
+    Ok(work)
+}
+
+/// Elements the dense step passes through a quantiser or a scale scan
+/// before its GEMM: FP16 rounds `A` and `B`; LUT scans and quantises `A`,
+/// scans `B` and quantises it as it is packed.
+fn prep_work(m: usize, k: usize, n: usize, precision: Precision, mul: MulApprox) -> Counters {
+    let (ak, kn) = ((m * k) as u64, (k * n) as u64);
+    Counters {
+        operand_prep: match mul {
+            MulApprox::Exact if precision == Precision::Fp16 => ak + kn,
+            MulApprox::Exact => 0,
+            MulApprox::Lut { .. } => 2 * ak + 2 * kn,
+        },
+        ..Counters::default()
+    }
+}
+
+/// The work [`matmul_into`] returns for `[m, k] × [k, n]`, a bias if
+/// `bias`, and these knobs — computed from shapes alone.
+pub fn matmul_work(
+    (m, k, n): (usize, usize, usize),
+    bias: bool,
+    precision: Precision,
+    mul: MulApprox,
+) -> Counters {
+    let mut c = prep_work(m, k, n, precision, mul);
+    let panels = n.div_ceil(PANEL);
+    c.dense_pack = gemm::packed_len(k, n) as u64;
+    if m == 0 || n == 0 {
+        return c;
+    }
+    c.muls += (m * k * n) as u64;
+    c.gemm_calls = 1;
+    let steps = (panels * gemm::padded_rows(m) * k) as u64;
+    match mul {
+        MulApprox::Exact => c.fma_steps += steps,
+        MulApprox::Lut { .. } => c.lut_steps += steps,
+    }
+    let epi = Epilogue::Dense {
+        bias: bias.then_some(&[][..]),
+        fp16: precision == Precision::Fp16,
+    };
+    epi.count_rows(m as u64, n, &mut c);
+    c
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Inference-mode batch normalisation.
 
 use crate::error::TensorError;
+use crate::instrument::Counters;
 use crate::knobs::Precision;
 use crate::tensor::{check_len, Tensor, View};
 use crate::{f16, par};
@@ -8,14 +9,15 @@ use rayon::prelude::*;
 
 /// Inference batch normalisation over NCHW input into `out`, which must be
 /// as long as `input`, with per-channel `[gamma, beta, mean, var]` (each of
-/// length `C`; `mean` and `var` the running statistics).
+/// length `C`; `mean` and `var` the running statistics). Returns the work it
+/// did.
 pub fn batchnorm2d_into(
     input: View,
     [gamma, beta, mean, var]: [&Tensor; 4],
     eps: f32,
     precision: Precision,
     out: &mut [f32],
-) -> Result<(), TensorError> {
+) -> Result<Counters, TensorError> {
     let (_, c, h, w) = input.shape().as_nchw()?;
     check_len(input.shape(), out.len())?;
     for (name, t) in [
@@ -62,10 +64,16 @@ pub fn batchnorm2d_into(
             }
         });
 
+    let mut work = Counters {
+        ew_norm: out.len() as u64,
+        ..Counters::default()
+    };
     if precision == Precision::Fp16 {
         f16::quantize_slice(out);
+        // The input on its way in, the result on its way out.
+        work.ew_fp16 += 2 * out.len() as u64;
     }
-    Ok(())
+    Ok(work)
 }
 
 #[cfg(test)]
@@ -82,7 +90,7 @@ mod tests {
         precision: Precision,
     ) -> Result<Tensor, TensorError> {
         Tensor::written_by(x.shape(), |out| {
-            batchnorm2d_into(x.view(), [gamma, beta, mean, var], eps, precision, out)
+            batchnorm2d_into(x.view(), [gamma, beta, mean, var], eps, precision, out).map(drop)
         })
     }
     use crate::Shape;

@@ -9,9 +9,10 @@
 
 use crate::error::TensorError;
 use crate::f16;
+use crate::instrument::Counters;
 use crate::knobs::{Precision, ReduceApprox};
 use crate::par;
-use crate::shape::pool2d_out_shape;
+use crate::shape::{pool2d_out_shape, Shape};
 use crate::tensor::{check_len, View};
 use rayon::prelude::*;
 
@@ -231,6 +232,54 @@ fn fold_windows<R: WindowReduce>(
     Ok(())
 }
 
+/// Taps per input row of a window, summed over one output row's `wo`
+/// windows of width `kw` at stride `sw` with left padding `pad`.
+fn row_taps(w: usize, wo: usize, kw: usize, sw: usize, pad: usize) -> usize {
+    (0..wo)
+        .map(|ox| {
+            let x1 = (ox * sw + kw).saturating_sub(pad).min(w);
+            x1 - (ox * sw).saturating_sub(pad).min(x1)
+        })
+        .sum()
+}
+
+/// The work [`pool2d_into`] returns for an input of shape `input` and this
+/// geometry and precision, computed from shapes alone (the taps read do not
+/// depend on the pooling kind).
+pub fn pool2d_work(
+    input: Shape,
+    geometry: [(usize, usize); 3],
+    precision: Precision,
+) -> Result<Counters, TensorError> {
+    let [window, pad, stride] = geometry;
+    let (n, c, h, w) = input.as_nchw()?;
+    let (_, _, ho, wo) = pool2d_out_shape(input, window, pad, stride)?.as_nchw()?;
+    let ((kh, kw), (sh, sw)) = (window, stride);
+    let row_taps = row_taps(w, wo, kw, sw, pad.1);
+    let per_plane: usize = (0..ho)
+        .map(|oy| {
+            let y1 = (oy * sh + kh).saturating_sub(pad.0).min(h);
+            (y1 - (oy * sh).saturating_sub(pad.0).min(y1)) * row_taps
+        })
+        .sum();
+    let reads = (n * c * per_plane) as u64;
+    let mut work = Counters {
+        pool_rows: (n * c * ho) as u64,
+        pool_reads: reads,
+        ..Counters::default()
+    };
+    if precision == Precision::Fp16 {
+        let overlap = window.0 > stride.0 || window.1 > stride.1;
+        let rounded = if overlap {
+            input.volume() as u64
+        } else {
+            reads
+        };
+        work.ew_fp16 = rounded + (n * c * ho * wo) as u64;
+    }
+    Ok(work)
+}
+
 /// Which pooling [`pool2d_into`] (and [`super::reference`]'s oracle)
 /// computes.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -246,38 +295,46 @@ pub enum Pooling {
 
 /// Max or average pooling over `window` with `stride` and symmetric `pad`
 /// into `out`, which must hold the pooled shape; `geometry` is `[window,
-/// pad, stride]`.
+/// pad, stride]`. Returns the work it did.
 pub fn pool2d_into(
     input: View,
     geometry: [(usize, usize); 3],
     pool: Pooling,
     precision: Precision,
     out: &mut [f32],
-) -> Result<(), TensorError> {
-    let (num, den) = match pool {
-        Pooling::Max => return pool2d_impl(input, geometry, precision, Max, out),
+) -> Result<Counters, TensorError> {
+    match pool {
+        Pooling::Max => pool2d_impl(input, geometry, precision, Max, out)?,
         Pooling::Avg(ReduceApprox::Exact) => {
             let denom = (geometry[0].0 * geometry[0].1) as f32;
-            return pool2d_impl(input, geometry, precision, Mean { denom }, out);
+            pool2d_impl(input, geometry, precision, Mean { denom }, out)?
         }
         Pooling::Avg(approx @ ReduceApprox::Sampling { num, den }) => {
             approx.validate()?;
-            (num as u32, den as u32)
+            let reducer = SampledMean {
+                num: num as u32,
+                den: den as u32,
+            };
+            pool2d_impl(input, geometry, precision, reducer, out)?
         }
-    };
-    pool2d_impl(input, geometry, precision, SampledMean { num, den }, out)
+    }
+    // Every reducer folds the taps the geometry clips, so the work is
+    // counted once per call, outside the folds (a counter in the row loop
+    // cost 10–20 % of a pooling call).
+    pool2d_work(input.shape(), geometry, precision)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::reference::pool2d_reference;
-    use crate::shape::Shape;
     use crate::tensor::Tensor;
 
     fn pooled(x: &Tensor, g: Geometry, pool: Pooling, p: Precision) -> Result<Tensor, TensorError> {
         let shape = pool2d_out_shape(x.shape(), g[0], g[1], g[2])?;
-        Tensor::written_by(shape, |out| pool2d_into(x.view(), g, pool, p, out))
+        Tensor::written_by(shape, |out| {
+            pool2d_into(x.view(), g, pool, p, out).map(drop)
+        })
     }
 
     fn max_pool2d(

@@ -8,6 +8,7 @@
 
 use crate::error::TensorError;
 use crate::f16;
+use crate::instrument::Counters;
 use crate::knobs::{Precision, ReduceApprox};
 use crate::shape::Shape;
 use crate::tensor::{Tensor, View};
@@ -43,11 +44,12 @@ pub fn reduce(
         .collect();
     let shape = Shape::new(if dims.is_empty() { &[1][..] } else { &dims });
     Tensor::written_by(shape, |out| {
-        reduce_into(input.view(), axis, kind, approx, precision, out)
+        reduce_into(input.view(), axis, kind, approx, precision, out).map(drop)
     })
 }
 
 /// [`reduce`] into `out`, one element per position of the other axes.
+/// Returns the work it did.
 pub fn reduce_into(
     input: View,
     axis: usize,
@@ -55,7 +57,7 @@ pub fn reduce_into(
     approx: ReduceApprox,
     precision: Precision,
     out: &mut [f32],
-) -> Result<(), TensorError> {
+) -> Result<Counters, TensorError> {
     approx.validate()?;
     let rank = input.shape().rank();
     if axis >= rank {
@@ -132,10 +134,15 @@ pub fn reduce_into(
         }
     }
 
+    let mut work = Counters {
+        ew_reduce: (out.len() * visit.len()) as u64,
+        ..Counters::default()
+    };
     if precision == Precision::Fp16 {
         f16::quantize_slice(out);
+        work.ew_fp16 += (input.data().len() + out.len()) as u64;
     }
-    Ok(())
+    Ok(work)
 }
 
 #[cfg(test)]

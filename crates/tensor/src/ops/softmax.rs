@@ -2,18 +2,19 @@
 //! output is the `T_out` tensor consumed by the Π1 prediction model).
 
 use crate::error::TensorError;
+use crate::instrument::Counters;
 use crate::knobs::Precision;
 use crate::tensor::{check_len, View};
 use crate::{f16, par};
 use rayon::prelude::*;
 
 /// Numerically-stable softmax over the last dimension of a `[M, N]` tensor,
-/// into `out`, which must be as long as `input`.
+/// into `out`, which must be as long as `input`. Returns the work it did.
 pub fn softmax_rows_into(
     input: View,
     precision: Precision,
     out: &mut [f32],
-) -> Result<(), TensorError> {
+) -> Result<Counters, TensorError> {
     let (_, n) = input.shape().as_mat()?;
     check_len(input.shape(), out.len())?;
     out.copy_from_slice(input.data());
@@ -35,10 +36,16 @@ pub fn softmax_rows_into(
                 }
             }
         });
+    let n = out.len() as u64;
+    let mut work = Counters {
+        ew_softmax: n,
+        ..Counters::default()
+    };
     if precision == Precision::Fp16 {
         f16::quantize_slice(out);
+        work.ew_fp16 += 2 * n;
     }
-    Ok(())
+    Ok(work)
 }
 
 #[cfg(test)]
@@ -47,7 +54,9 @@ mod tests {
     use crate::tensor::Tensor;
 
     fn softmax_rows(x: &Tensor, precision: Precision) -> Result<Tensor, TensorError> {
-        Tensor::written_by(x.shape(), |out| softmax_rows_into(x.view(), precision, out))
+        Tensor::written_by(x.shape(), |out| {
+            softmax_rows_into(x.view(), precision, out).map(drop)
+        })
     }
     use crate::Shape;
 

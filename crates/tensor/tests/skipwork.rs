@@ -7,7 +7,12 @@
 //! the multiplies `conv2d_into` returns and with wall-clock timing:
 //!
 //! 1. the multiplies the approximate kernels report running are strictly
-//!    below the exact kernel's (and close to the analytical fraction);
+//!    below the exact kernel's (and close to the analytical fraction), and
+//!    on Alexnet2-Tiny's six batch-16 convolutions with their fused `tanh`
+//!    filter sampling and row perforation run fewer microkernel tile steps
+//!    than exact, row perforation's scatter/interpolate count is the one
+//!    `conv2d_work` computes from shapes, and every counter the kernel
+//!    returns is its analytic twin's;
 //! 2. the approximations are measurably faster than the exact kernel on the
 //!    same shape (minimum over interleaved repetitions: the kernels differ
 //!    by the work they do, and the minimum is the repetition least disturbed
@@ -37,7 +42,7 @@
 //! interleave with other tests.
 
 use at_tensor::ops::conv::Conv2dParams;
-use at_tensor::ops::{conv2d, conv2d_into};
+use at_tensor::ops::{conv2d, conv2d_into, conv2d_work, UnaryOp};
 use at_tensor::{ConvApprox, PerforationDim, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,8 +84,11 @@ fn approximations_execute_fewer_multiplies_and_run_faster() {
 
     // --- 1. multiply counting -------------------------------------------
     let mut out = vec![0.0f32; 32 * 64 * 64];
-    let mut muls =
-        |approx| conv2d_into(x.view(), &w, None, params(approx), None, &mut out).unwrap();
+    let mut muls = |approx| {
+        conv2d_into(x.view(), &w, None, params(approx), None, &mut out)
+            .unwrap()
+            .muls
+    };
     let exact_muls = muls(ConvApprox::Exact);
     assert!(exact_muls > 0, "exact kernel reported no multiplies");
 
@@ -121,6 +129,53 @@ fn approximations_execute_fewer_multiplies_and_run_faster() {
     };
     let perf3_muls = muls(perf3);
     assert!(perf3_muls < exact_muls);
+
+    // Alexnet2-Tiny's convolutions at batch 16, each with its fused tanh:
+    // (input channels, output channels, side).
+    let perf_row = ConvApprox::Perforation {
+        dim: PerforationDim::Row,
+        k: 2,
+        offset: 0,
+    };
+    for (c, k, side) in [
+        (3, 4, 32),
+        (4, 4, 32),
+        (4, 8, 16),
+        (8, 8, 16),
+        (8, 12, 8),
+        (12, 12, 8),
+    ] {
+        let x = Tensor::uniform(Shape::nchw(16, c, side, side), -1.0, 1.0, &mut rng);
+        let w = Tensor::uniform(Shape::nchw(k, c, 3, 3), -1.0, 1.0, &mut rng);
+        let b = Tensor::uniform(Shape::vec(k), -1.0, 1.0, &mut rng);
+        let mut out = vec![0.0f32; 16 * k * side * side];
+        let shape = format!("[16,{c},{side},{side}] -> {k}");
+        let mut run = |approx| {
+            let p = params(approx);
+            let tanh = Some(UnaryOp::Tanh);
+            let got = conv2d_into(x.view(), &w, Some(&b), p, tanh, &mut out).unwrap();
+            let twin = conv2d_work(x.shape(), w.shape(), true, p, tanh).unwrap();
+            assert_eq!(
+                got, twin,
+                "{shape} {approx:?}: executed vs analytic counters"
+            );
+            got
+        };
+        let exact = run(ConvApprox::Exact);
+        let (sampled, perforated) = (run(samp), run(perf_row));
+        for (what, c) in [("sampling", sampled), ("row perforation", perforated)] {
+            assert!(
+                c.fma_steps < exact.fma_steps,
+                "{shape}: {what} ran {} tile steps, exact {}",
+                c.fma_steps,
+                exact.fma_steps
+            );
+        }
+        // Every output element of a row-perforated convolution is scattered
+        // or interpolated once; exact scatters nothing.
+        assert_eq!(perforated.scatter, (16 * k * side * side) as u64, "{shape}");
+        assert_eq!(exact.scatter, 0, "{shape}");
+    }
 
     // --- 2. wall-clock ---------------------------------------------------
     // A call is ≈ 1 ms (≈ 0.1 ms on the small layer below) optimised; the

@@ -1,9 +1,11 @@
 //! Cross-crate integration test: the full three-phase ApproxTuner pipeline
 //! (development-time → install-time → run-time) on a small CNN.
 
+use approxtuner::core::config::single_op_configs;
+use approxtuner::core::cost_table::ADMIT_MARGIN;
 use approxtuner::core::install::{EdgeDevice, InstallObjective};
 use approxtuner::core::knobs::{KnobRegistry, KnobSet};
-use approxtuner::core::perf::Pricing;
+use approxtuner::core::perf::{PerfModel, Pricing};
 use approxtuner::core::predict::PredictionModel;
 use approxtuner::core::qos::{QosMetric, QosReference};
 use approxtuner::core::runtime::{Policy, RuntimeTuner};
@@ -59,11 +61,16 @@ fn three_phase_pipeline() {
     };
     let p = params(85.0, PredictionModel::Pi1);
     let profiles = tuner.collect(&p).expect("profiles");
-    assert!(
-        profiles.pairs.len() > 100,
-        "profile pairs {}",
-        profiles.pairs.len()
-    );
+    // Under the default CPU price exactly the pairs the model prices above
+    // the admission margin are profiled (22 of LeNet-Tiny's 131).
+    let perf = PerfModel::new(&s.bench.graph, &s.registry, tuner.input_shape).expect("perf");
+    let all = single_op_configs(&s.bench.graph, &s.registry, KnobSet::HardwareIndependent);
+    let admitted: Vec<_> = all
+        .into_iter()
+        .filter(|&(n, k)| perf.cpu_node_speedup(n, k).expect("price") > ADMIT_MARGIN)
+        .collect();
+    assert_eq!(profiles.pairs, admitted);
+    assert_eq!(profiles.pairs.len(), 22);
     let dev = tuner.tune(&profiles, &p).expect("dev tuning");
     assert!(!dev.curve.is_empty(), "dev-time curve empty");
 

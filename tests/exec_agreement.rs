@@ -155,7 +155,7 @@ fn ladder_multiply_counts_are_pinned() {
                 .find(|(name, _)| name == label)
                 .expect("rung");
             let (_, records) = execute_with_records(graph, &input, opts).expect("records");
-            let muls: u64 = records.iter().map(|r| r.muls).sum();
+            let muls: u64 = records.iter().map(|r| r.counters.muls).sum();
             assert_eq!(muls, want, "{} [{label}]", id.name());
         }
     }

@@ -138,7 +138,7 @@ fn per_node_multiplies_belong_to_their_own_run_under_concurrent_runs() {
     };
     let muls = |opts: &ExecOptions| -> Vec<u64> {
         let (_, records) = execute_with_records(&graph, &input, opts).expect("traced");
-        records.iter().map(|r| r.muls).collect()
+        records.iter().map(|r| r.counters.muls).collect()
     };
     let alone: Vec<_> = pool(1).install(|| configs.iter().map(muls).collect());
     let mut distinct = alone.clone();

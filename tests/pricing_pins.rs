@@ -138,8 +138,10 @@ fn install_curves() -> [TradeoffCurve; 2] {
 }
 
 /// FNV-1a of each curve's `to_json` (the JSON writer round-trips `f64`
-/// exactly, so the string pins every bit) and its length in bytes.
-const CURVE_PINS: [(u64, usize); 2] = [(0xeea643756dc233b5, 573), (0x5a53325970ba9103, 862)];
+/// exactly, so the string pins every bit) and its length in bytes. Both
+/// curves are tuned under the default development-time price, the CPU
+/// model of `at_core::cost_table`: refitting it moves them.
+const CURVE_PINS: [(u64, usize); 2] = [(0xf5c1bf5302839a6f, 871), (0xc150e6261c8d5962, 570)];
 
 #[test]
 fn install_curves_are_pinned() {
