@@ -456,13 +456,21 @@ fn narrow(sums: &mut [f32], total: &[f64]) {
 /// prefetchers give up at page boundaries. Packing costs one `O(K·N)` pass
 /// and turns the `O(M·K·N)` hot loop into sequential reads. Pure data
 /// movement: the arithmetic, and therefore every output bit, is unchanged.
+/// The buffer is sized once and every slot written once, each `k` row's
+/// window in place (under the identity `quant`, a plain copy).
 fn pack_b_panels(k: usize, n: usize, b: &[f32], quant: impl Fn(f32) -> f32, packed: &mut Vec<f32>) {
-    packed.clear();
-    for j in (0..n).step_by(PANEL) {
+    packed.resize(packed_len(k, n), 0.0);
+    for (slab, j) in packed
+        .chunks_exact_mut((k * PANEL).max(1))
+        .zip((0..n).step_by(PANEL))
+    {
         let width = PANEL.min(n - j);
-        for kk in 0..k {
-            packed.extend(b[kk * n + j..][..width].iter().map(|&v| quant(v)));
-            packed.resize(packed.len() + PANEL - width, 0.0);
+        for (dst, src) in slab.chunks_exact_mut(PANEL).zip(b[j..].chunks(n)) {
+            let (dst, pad) = dst.split_at_mut(width);
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = quant(v);
+            }
+            pad.fill(0.0);
         }
     }
 }

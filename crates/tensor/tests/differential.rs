@@ -460,6 +460,72 @@ proptest! {
     }
 }
 
+/// Pooling at the shapes the zoo runs it on: the five Tiny-model pool
+/// inputs at batch 16, odd planes, and 38 planes of 128×130, whose 16 640
+/// taps each (at 2×2, stride 2) fork the planes over 2 and over 4 threads.
+/// Under the zoo's unpadded 2×2 window at stride 2, a padded one and an
+/// overlapping padded 3×3 one at stride 2 (each where it fits the input),
+/// every pooling kind at FP32 and FP16, at 1, 2 and 4 pool threads: bit
+/// for bit against the per-window oracle.
+#[test]
+fn pooling_bitwise_at_zoo_shapes() {
+    let shapes = [
+        (16, 4, 32, 32),
+        (16, 8, 16, 16),
+        (16, 12, 8, 8),
+        (16, 2, 28, 28),
+        (16, 4, 14, 14),
+        (2, 3, 15, 17),
+        (3, 2, 1, 1),
+        (2, 19, 128, 130),
+    ];
+    let geometries = [
+        [(2, 2), (0, 0), (2, 2)],
+        [(2, 2), (1, 1), (2, 2)],
+        [(3, 3), (1, 1), (2, 2)],
+    ];
+    let poolings: Vec<Pooling> = [Pooling::Max, Pooling::Avg(ReduceApprox::Exact)]
+        .into_iter()
+        .chain(ReduceApprox::ALL_SAMPLING.map(Pooling::Avg))
+        .collect();
+    let pools = [1usize, 2, 4].map(|t| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(t)
+            .build()
+            .unwrap()
+    });
+    for (seed, (n, c, h, w)) in shapes.into_iter().enumerate() {
+        let x = pooling_input(Shape::nchw(n, c, h, w), seed as u64);
+        for [window, pad, stride] in geometries {
+            if window.0 > h + 2 * pad.0 || window.1 > w + 2 * pad.1 {
+                continue;
+            }
+            for (&pooling, precision) in poolings
+                .iter()
+                .flat_map(|p| [(p, Precision::Fp32), (p, Precision::Fp16)])
+            {
+                let want = reference::pool2d_reference(&x, pooling, window, pad, stride, precision)
+                    .unwrap();
+                let mut got = Tensor::zeros(want.shape());
+                for pool in &pools {
+                    let geometry = [window, pad, stride];
+                    pool.install(|| {
+                        pool2d_into(x.view(), geometry, pooling, precision, got.data_mut())
+                    })
+                    .unwrap();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{pooling:?} {precision:?} {} {geometry:?} at {} threads",
+                        x.shape(),
+                        pool.current_num_threads()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Every row-group height (8, 4, 2, 1, their sums, and the edges of the
 /// 64-row block a rayon task covers panel by panel)
 /// against every column regime — below one lane group, exactly one, a ragged
