@@ -20,7 +20,7 @@ use crate::install::{measured_cpu_time_s, EdgeDevice, InstallObjective};
 use crate::knobs::{KnobId, KnobRegistry};
 use crate::pareto::{TradeoffCurve, TradeoffPoint};
 use at_hw::LutMulPoint;
-use at_ir::exec::{node_counters, node_counters_of};
+use at_ir::exec::CounterTwin;
 use at_ir::{ApproxChoice, ExecOptions, Graph};
 use at_tensor::cost::{self, OpCounts, ReductionFactors};
 use at_tensor::instrument::Counters;
@@ -111,10 +111,17 @@ fn cpu_seconds(c: &Counters) -> f64 {
 impl CpuPrices {
     fn new(graph: &Graph, registry: &KnobRegistry, input: Shape) -> Result<CpuPrices, TensorError> {
         let n = graph.len();
-        let base_s: Vec<f64> = node_counters(graph, input, &ExecOptions::baseline())?
+        // The shapes and the baseline plan once; each (node, knob) counts
+        // only the nodes it touches.
+        let twin = CounterTwin::new(graph, input)?;
+        let mut opts = ExecOptions::baseline();
+        let all: Vec<usize> = (0..n).collect();
+        let base_s: Vec<f64> = twin
+            .counters_of(&opts, &all)?
             .iter()
             .map(cpu_seconds)
             .collect();
+        opts.config = vec![ApproxChoice::BASELINE; n];
         let mut consumers = vec![Vec::new(); n];
         for node in graph.nodes() {
             for v in &node.inputs {
@@ -133,18 +140,11 @@ impl CpuPrices {
             let table = registry.table(node.op.class());
             let mut d = Vec::with_capacity(table.len());
             for knob in table {
-                let mut config = vec![ApproxChoice::BASELINE; n];
-                config[i] = knob.choice;
-                let opts = ExecOptions {
-                    config,
-                    promise_seed: 0,
-                };
-                let after: f64 = node_counters_of(graph, input, &opts, &ids)?
-                    .iter()
-                    .map(cpu_seconds)
-                    .sum();
+                opts.config[i] = knob.choice;
+                let after: f64 = twin.counters_of(&opts, &ids)?.iter().map(cpu_seconds).sum();
                 d.push(after - before);
             }
+            opts.config[i] = ApproxChoice::BASELINE;
             delta.push(d);
             touched.push(before);
         }

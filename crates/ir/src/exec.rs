@@ -11,12 +11,12 @@
 
 use crate::approx::ApproxChoice;
 use crate::error::GraphError;
-use crate::graph::{Graph, Node, NodeId, OpKind};
+use crate::graph::{Graph, GraphId, Node, NodeId, OpKind};
 use crate::shapes::infer_shapes;
 use at_promise::inject_noise;
 use at_tensor::cost::{self, OpCounts};
 use at_tensor::instrument::Counters;
-use at_tensor::ops::{self, conv::Conv2dParams, Pooling, UnaryOp};
+use at_tensor::ops::{self, conv::Conv2dParams, Pooling, PreparedConv, PreparedDense, UnaryOp};
 use at_tensor::{ConvApprox, MulApprox, Precision, ReduceApprox, Shape, Tensor, TensorError, View};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,6 +79,8 @@ fn unary_op(op: &OpKind) -> Option<UnaryOp> {
 /// element-wise map overwrites it, `Flatten` leaves it as it is. `fused` is
 /// the activation a convolution applies in its epilogue on behalf of its
 /// only consumer (see [`Plan`]). Returns the work its kernels did.
+/// `prepared` is the node's prepared convolution or dense layer, if its
+/// compilation prepared one.
 #[allow(clippy::too_many_arguments)]
 fn eval_node<'a>(
     graph: &Graph,
@@ -88,9 +90,10 @@ fn eval_node<'a>(
     promise_seed: u64,
     fused: Option<UnaryOp>,
     in_place: bool,
+    prepared: Option<&Prepared>,
     out: &mut [f32],
 ) -> Result<Counters, GraphError> {
-    let (conv_approx, reduce_approx, precision, mul_approx) = digital_knobs(choice);
+    let (_, reduce_approx, precision, mul_approx) = digital_knobs(choice);
     let promise_rng = || StdRng::seed_from_u64(promise_seed ^ ((node.id.0 as u64) << 17));
     match &node.op {
         OpKind::Input => Err(GraphError::Internal {
@@ -99,20 +102,17 @@ fn eval_node<'a>(
         OpKind::Conv2d {
             weight,
             bias,
-            pad,
-            stride,
             groups,
+            ..
         } => {
             let (x, w, b) = (arg(0)?, graph.param(*weight), bias.map(|p| graph.param(p)));
-            let params = Conv2dParams {
-                pad: *pad,
-                stride: *stride,
-                groups: *groups,
-                approx: conv_approx,
-                precision,
-                mul: mul_approx,
+            let work = match prepared {
+                Some(Prepared::Conv(p)) => p.run(x, w, b, false, out)?,
+                _ => {
+                    let params = conv_params(&node.op, choice).unwrap_or_default();
+                    ops::conv2d_into(x, w, b, params, fused, out)?
+                }
             };
-            let work = ops::conv2d_into(x, w, b, params, fused, out)?;
             // PROMISE adds its analog noise to the exact result (dense
             // convolutions only; grouped convs run the digital exact kernel).
             if let (ApproxChoice::Promise(level), 1) = (choice, *groups) {
@@ -122,14 +122,18 @@ fn eval_node<'a>(
         }
         OpKind::Dense { weight, bias } => {
             let (x, w, b) = (arg(0)?, graph.param(*weight), bias.map(|p| graph.param(p)));
+            let matmul = |b, out: &mut [f32]| match prepared {
+                Some(Prepared::Dense(p)) => p.run(x, b, false, out),
+                _ => ops::matmul_into(x, w, b, precision, mul_approx, out),
+            };
             let ApproxChoice::Promise(level) = choice else {
                 // Fused GEMM+bias epilogue; bit-identical to the unfused
                 // matmul → bias-add pair at every precision.
-                return Ok(ops::matmul_into(x, w, b, precision, mul_approx, out)?);
+                return Ok(matmul(b, out)?);
             };
             // PROMISE (FP32): the exact product, its analog noise, then the
             // bias, added in the slot.
-            let work = ops::matmul_into(x, w, None, precision, mul_approx, out)?;
+            let work = matmul(None, out)?;
             inject_noise(out, level, &mut promise_rng());
             if let Some(b) = b {
                 let n = w.shape().as_mat()?.1;
@@ -231,6 +235,27 @@ fn digital_knobs(choice: ApproxChoice) -> (ConvApprox, ReduceApprox, Precision, 
     }
 }
 
+/// The parameters a convolution node runs with under `choice`.
+fn conv_params(op: &OpKind, choice: ApproxChoice) -> Option<Conv2dParams> {
+    let (approx, _, precision, mul) = digital_knobs(choice);
+    match *op {
+        OpKind::Conv2d {
+            pad,
+            stride,
+            groups,
+            ..
+        } => Some(Conv2dParams {
+            pad,
+            stride,
+            groups,
+            approx,
+            precision,
+            mul,
+        }),
+        _ => None,
+    }
+}
+
 /// Executes the graph on `input`, returning the output tensor of the final
 /// node.
 pub fn execute(graph: &Graph, input: &Tensor, opts: &ExecOptions) -> Result<Tensor, GraphError> {
@@ -258,6 +283,9 @@ thread_local! {
     /// calls. A run takes them and puts them back, so one entered while
     /// another holds them starts from empty ones instead of aliasing.
     static ARENA: Cell<Arena> = Cell::default();
+    /// The configuration this thread's last live-value run compiled, taken
+    /// and put back like the arena.
+    static COMPILED: Cell<Option<Compiled>> = Cell::default();
 }
 
 /// Bytes this thread's arena holds between calls.
@@ -273,14 +301,10 @@ pub fn arena_bytes() -> usize {
 struct Plan {
     /// Every node's output shape.
     shapes: Vec<Shape>,
+    readers: Readers,
     /// `fused[c]`: the activation convolution `c` applies in its epilogue,
-    /// its only consumer then keeping `c`'s slot without running a kernel.
-    ///
-    /// Fusion is bit-invisible (the epilogue applies the node's own scalar
-    /// function exactly where the standalone FP32 node would), so it is
-    /// planned only when that holds: the activation's sole input is a
-    /// digitally-executed convolution of this run that nobody else reads,
-    /// and the activation itself runs digitally at FP32.
+    /// its only consumer then keeping `c`'s slot without running a kernel
+    /// ([`Readers::fusion`]).
     fused: Vec<Option<UnaryOp>>,
     /// `in_place[v]`: node `v` takes over its first operand's slot at that
     /// operand's last read — as a fused activation, as an element-wise map
@@ -296,49 +320,74 @@ struct Plan {
     peak_live: usize,
 }
 
+/// Who reads each value of a run of nodes `start..`.
+struct Readers {
+    start: usize,
+    /// `last[v]` and `count[v]`: the last node that reads value `v`, and how
+    /// many do (none under [`Keep::All`]).
+    last: Vec<Option<usize>>,
+    count: Vec<u32>,
+}
+
+impl Readers {
+    fn new(graph: &Graph, start: usize, keep: Keep) -> Readers {
+        let n = graph.len();
+        let (mut last, mut count) = (vec![None; n], vec![0; n]);
+        for node in graph.nodes()[start..].iter().filter(|_| keep == Keep::Live) {
+            for inp in &node.inputs {
+                last[inp.0 as usize] = Some(node.id.0 as usize);
+                count[inp.0 as usize] += 1;
+            }
+        }
+        Readers { start, last, count }
+    }
+
+    /// The activation convolution `c` applies in its epilogue under
+    /// `choices`. Fusion is bit-invisible (the epilogue applies the node's
+    /// own scalar function exactly where the standalone FP32 node would), so
+    /// it is planned only when that holds: the activation's sole input is a
+    /// digitally-executed convolution of this run that nobody else reads,
+    /// and the activation itself runs digitally at FP32. Nothing else a plan
+    /// decides depends on the configuration.
+    fn fusion(&self, graph: &Graph, choices: &[ApproxChoice], c: usize) -> Option<UnaryOp> {
+        let r = self.last[c].filter(|_| c >= self.start && self.count[c] == 1)?;
+        let reader = &graph.nodes()[r];
+        let act = unary_op(&reader.op)?;
+        let act_fp32 = matches!(
+            choices[r],
+            ApproxChoice::Digital {
+                precision: Precision::Fp32,
+                ..
+            }
+        );
+        let sole_input = reader.inputs.first().is_some_and(|v| v.0 as usize == c);
+        (sole_input
+            && act_fp32
+            && matches!(graph.nodes()[c].op, OpKind::Conv2d { .. })
+            && matches!(choices[c], ApproxChoice::Digital { .. }))
+        .then_some(act)
+    }
+}
+
 impl Plan {
-    /// Plans the run of nodes `start..`. In node order, a value that does
-    /// not take over its operand's slot gets the smallest free slot that
-    /// fits it, else the largest free one (grown), else a new one; a slot
-    /// is free again once its value's last reader has run, at once if no
-    /// node reads it. Under [`Keep::All`] no slot is ever freed.
+    /// Plans the run of nodes `start..` under `choices` (one per node). In
+    /// node order, a value that does not take over its operand's slot gets
+    /// the smallest free slot that fits it, else the largest free one
+    /// (grown), else a new one; a slot is free again once its value's last
+    /// reader has run, at once if no node reads it. Under [`Keep::All`] no
+    /// slot is ever freed.
     fn new(
         graph: &Graph,
-        opts: &ExecOptions,
+        choices: &[ApproxChoice],
         start: usize,
         keep: Keep,
         shapes: Vec<Shape>,
     ) -> Plan {
         let n = graph.len();
-        let (mut last_use, mut fused, mut readers) = (vec![None; n], vec![None; n], vec![0; n]);
+        let readers = Readers::new(graph, start, keep);
+        let fused: Vec<_> = (0..n).map(|c| readers.fusion(graph, choices, c)).collect();
+        let last_use = &readers.last;
         let nodes = &graph.nodes()[start..];
-        for node in nodes.iter().filter(|_| keep == Keep::Live) {
-            for inp in &node.inputs {
-                last_use[inp.0 as usize] = Some(node.id.0 as usize);
-                readers[inp.0 as usize] += 1;
-            }
-        }
-        for node in nodes.iter().filter(|_| keep == Keep::Live) {
-            let (Some(act), Some(&cid)) = (unary_op(&node.op), node.inputs.first()) else {
-                continue;
-            };
-            let c = cid.0 as usize;
-            let act_fp32 = matches!(
-                opts.choice(node.id),
-                ApproxChoice::Digital {
-                    precision: Precision::Fp32,
-                    ..
-                }
-            );
-            if c >= start
-                && readers[c] == 1
-                && act_fp32
-                && matches!(graph.node(cid).op, OpKind::Conv2d { .. })
-                && matches!(opts.choice(cid), ApproxChoice::Digital { .. })
-            {
-                fused[c] = Some(act);
-            }
-        }
         let (mut in_place, mut slot) = (vec![false; n], vec![None; n]);
         let (mut slot_len, mut free, mut live, mut peak_live) = (vec![], vec![], 0, 0);
         for node in nodes {
@@ -384,6 +433,7 @@ impl Plan {
         }
         Plan {
             shapes,
+            readers,
             fused,
             in_place,
             slot,
@@ -394,9 +444,14 @@ impl Plan {
 
     /// What this plan makes of `node`.
     fn action(&self, node: &Node) -> PlanAction {
+        self.action_with(node, |c| self.fused[c])
+    }
+
+    /// [`Plan::action`] with `fused` in place of the planned fusion.
+    fn action_with(&self, node: &Node, fused: impl Fn(usize) -> Option<UnaryOp>) -> PlanAction {
         let i = node.id.0 as usize;
-        let fused_away = |c: &NodeId| self.fused[c.0 as usize].is_some();
-        match (self.slot[i], self.fused[i], self.in_place[i]) {
+        let fused_away = |c: &NodeId| fused(c.0 as usize).is_some();
+        match (self.slot[i], fused(i), self.in_place[i]) {
             (None, ..) => PlanAction::NotRun,
             _ if node.inputs.first().is_some_and(fused_away) => PlanAction::AppliedByProducer,
             (_, Some(act), _) => PlanAction::KernelFused(act),
@@ -407,7 +462,13 @@ impl Plan {
     }
 }
 
-/// What a run's plan made of one node.
+/// Every node's choice under `config` (baseline beyond its end).
+fn choices(graph: &Graph, config: &[ApproxChoice]) -> Vec<ApproxChoice> {
+    let choice = |i: usize| config.get(i).copied().unwrap_or_default();
+    (0..graph.len()).map(choice).collect()
+}
+
+/// What one run's plan made of one node.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PlanAction {
     /// A kernel wrote the node's value into an arena slot.
@@ -452,76 +513,215 @@ pub fn peak_live_bytes(
     opts: &ExecOptions,
 ) -> Result<usize, GraphError> {
     let shapes = infer_shapes(graph, input)?;
-    Ok(Plan::new(graph, opts, 0, Keep::Live, shapes).peak_live * 4)
+    Ok(Plan::new(graph, &choices(graph, &opts.config), 0, Keep::Live, shapes).peak_live * 4)
 }
 
-/// The one node-evaluation loop behind every entry point: runs nodes
-/// `start..` in order, reading earlier nodes from `cache`, and returns the
-/// plan it followed. With `records`, one [`NodeRecord`] per node is pushed;
-/// without, the run reads no clock.
+/// A node's kernel setup, done at compile time.
+enum Prepared {
+    Conv(Box<PreparedConv>),
+    Dense(PreparedDense),
+}
+
+/// One configuration of a graph compiled for inputs of one shape, run from
+/// one first node: everything a run derives before its first kernel — the
+/// shapes and the `Plan`, and per convolution its lowering with its
+/// weights FP16-rounded, LUT-quantised or filter-sampled, per dense layer
+/// its weights packed under their quantiser. What depends on the request
+/// stays per call: the PROMISE seed and a LUT convolution's input scale.
 ///
-/// Every value produced here is written into its plan slot of `arena`
-/// (grown first where the plan needs more), so a run whose plan fits the
-/// arena allocates no output and fills none twice. `input` and `cache` are
-/// only ever read.
-#[allow(clippy::too_many_arguments)]
-fn run(
-    graph: &Graph,
-    input: &Tensor,
-    opts: &ExecOptions,
-    cache: &[Tensor],
-    start: usize,
-    keep: Keep,
-    arena: &mut Vec<Vec<f32>>,
-    mut records: Option<&mut Vec<NodeRecord>>,
-) -> Result<Plan, GraphError> {
-    let shapes = infer_shapes(graph, input.shape())?;
-    let plan = Plan::new(graph, opts, start, keep, shapes);
-    arena.resize_with(arena.len().max(plan.slot_len.len()), Vec::new);
-    for (buf, &len) in arena.iter_mut().zip(&plan.slot_len) {
-        if buf.len() < len {
-            *buf = Vec::new();
-            buf.resize(len, 0.0);
-        }
+/// [`execute`], [`execute_suffix`] and [`execute_with_records`] keep the
+/// last configuration each thread compiled and compile again only when the
+/// graph, the input shape, the first node or a node's choice differs. The
+/// graph is keyed by an identity that every `&mut` access to it renews, so
+/// a changed weight is never run from a stale preparation.
+pub struct Compiled {
+    graph: GraphId,
+    input: Shape,
+    /// Every node's choice.
+    choices: Vec<ApproxChoice>,
+    plan: Plan,
+    /// Per node: its prepared kernel, if it has one and preparing it
+    /// succeeded (one that fails fails again, in node order, when its node
+    /// runs).
+    kernels: Vec<Option<Prepared>>,
+}
+
+impl Compiled {
+    /// Compiles `config` (a choice per node; nodes beyond it run at the
+    /// baseline) of `graph` for inputs of shape `input`.
+    pub fn new(
+        graph: &Graph,
+        input: Shape,
+        config: &[ApproxChoice],
+    ) -> Result<Compiled, GraphError> {
+        Compiled::build(graph, input, 0, choices(graph, config), Keep::Live)
     }
-    for node in &graph.nodes()[start..] {
-        let started = records.is_some().then(std::time::Instant::now);
-        let idx = node.id.0 as usize;
-        let action = plan.action(node);
-        let mut counters = Counters::default();
-        if let (Some(s), false) = (plan.slot[idx], action == PlanAction::AppliedByProducer) {
-            let mut out = std::mem::take(&mut arena[s]);
-            let operand = |i: usize| match node.inputs.get(i) {
-                Some(v) => read(&plan, input, cache, start, arena, v.0 as usize),
-                None => Err(internal(format!("node {idx} has no input #{i}"))),
-            };
-            let done = match out.get_mut(..plan.shapes[idx].volume()) {
-                Some(dst) => eval_node(
-                    graph,
-                    node,
-                    operand,
-                    opts.choice(node.id),
-                    opts.promise_seed,
-                    plan.fused[idx],
-                    plan.in_place[idx],
-                    dst,
-                ),
-                None => Err(internal(format!("slot {s} is too short for node {idx}"))),
-            };
-            arena[s] = out;
-            counters = done?;
-        }
-        if let (Some(records), Some(started)) = (records.as_deref_mut(), started) {
-            records.push(NodeRecord {
-                seconds: started.elapsed().as_secs_f64(),
-                counters,
-                choice: opts.choice(node.id),
-                action,
-                bytes_out: plan.shapes[idx].volume() * 4,
+
+    fn build(
+        graph: &Graph,
+        input: Shape,
+        start: usize,
+        choices: Vec<ApproxChoice>,
+        keep: Keep,
+    ) -> Result<Compiled, GraphError> {
+        let plan = Plan::new(graph, &choices, start, keep, infer_shapes(graph, input)?);
+        // Only what this run computes: no slot, no kernel.
+        let prepare = |node: &Node| {
+            let i = node.id.0 as usize;
+            plan.slot[i]?;
+            match node.op {
+                OpKind::Conv2d { weight, bias, .. } => {
+                    let params = conv_params(&node.op, choices[i])?;
+                    let x = plan.shapes[node.inputs[0].0 as usize];
+                    let (w, b) = (graph.param(weight), bias.map(|p| graph.param(p)));
+                    let p = PreparedConv::new(x, w, b, params, plan.fused[i]);
+                    p.ok().map(|p| Prepared::Conv(Box::new(p)))
+                }
+                OpKind::Dense { weight, .. } => {
+                    let (_, _, precision, mul) = digital_knobs(choices[i]);
+                    let p = PreparedDense::new(graph.param(weight), precision, mul);
+                    p.ok().map(Prepared::Dense)
+                }
+                _ => None,
+            }
+        };
+        let kernels = graph.nodes().iter().map(prepare).collect();
+        Ok(Compiled {
+            graph: graph.id,
+            input,
+            choices,
+            plan,
+            kernels,
+        })
+    }
+
+    /// Whether this is `opts` of `graph` for `input` from node `start`.
+    fn compiled_for(&self, graph: &Graph, input: Shape, start: usize, opts: &ExecOptions) -> bool {
+        let same_choice = |(i, c): (usize, &ApproxChoice)| opts.choice(NodeId(i as u32)) == *c;
+        self.graph == graph.id
+            && self.input == input
+            && self.plan.readers.start == start
+            && self.choices.iter().enumerate().all(same_choice)
+    }
+
+    /// Runs this configuration of `graph` (the graph it was compiled from,
+    /// unchanged since) on `input` with PROMISE seed `promise_seed`, on this
+    /// thread's arena, and returns the program output.
+    pub fn run(
+        &self,
+        graph: &Graph,
+        input: &Tensor,
+        promise_seed: u64,
+    ) -> Result<Tensor, GraphError> {
+        if self.graph != graph.id || self.input != input.shape() {
+            let detail = format!(
+                "compiled for another graph or input shape than {:?}",
+                input.shape()
+            );
+            return Err(GraphError::InvalidStructure {
+                op: "Compiled::run",
+                detail,
             });
         }
+        self.run_live(graph, input, &[], promise_seed, None)
     }
-    Ok(plan)
+
+    /// [`Compiled::run_into`] under [`Keep::Live`] on this thread's arena,
+    /// returning a copy of the program output (the arena's next run
+    /// overwrites the original).
+    fn run_live(
+        &self,
+        graph: &Graph,
+        input: &Tensor,
+        cache: &[Tensor],
+        promise_seed: u64,
+        records: Option<&mut Vec<NodeRecord>>,
+    ) -> Result<Tensor, GraphError> {
+        let out = graph.output().ok_or(GraphError::EmptyGraph)?.0 as usize;
+        let sized = Some((input.shape(), self.plan.readers.start));
+        let (sized_for, mut arena) = ARENA.take();
+        // Slots only grow while the thread keeps running inputs of one shape
+        // from one first node; another model, batch size or suffix start
+        // begins from its own plan's slots instead of keeping the largest any
+        // earlier plan needed.
+        if sized_for != sized {
+            arena.clear();
+        }
+        let done = self.run_into(graph, input, cache, promise_seed, &mut arena, records);
+        let t = done.and_then(|()| {
+            let start = self.plan.readers.start;
+            Ok(read(&self.plan, input, cache, start, &arena, out)?.to_tensor())
+        });
+        ARENA.set((sized, arena));
+        t
+    }
+
+    /// The one node-evaluation loop behind every entry point: runs nodes
+    /// `start..` in order, reading earlier nodes from `cache`. With
+    /// `records`, one [`NodeRecord`] per node is pushed; without, the run
+    /// reads no clock.
+    ///
+    /// Every value produced here is written into its plan slot of `arena`
+    /// (grown first where the plan needs more), so a run whose plan fits the
+    /// arena allocates no output and fills none twice. `input` and `cache`
+    /// are only ever read.
+    fn run_into(
+        &self,
+        graph: &Graph,
+        input: &Tensor,
+        cache: &[Tensor],
+        promise_seed: u64,
+        arena: &mut Vec<Vec<f32>>,
+        mut records: Option<&mut Vec<NodeRecord>>,
+    ) -> Result<(), GraphError> {
+        let (plan, start) = (&self.plan, self.plan.readers.start);
+        arena.resize_with(arena.len().max(plan.slot_len.len()), Vec::new);
+        for (buf, &len) in arena.iter_mut().zip(&plan.slot_len) {
+            if buf.len() < len {
+                *buf = Vec::new();
+                buf.resize(len, 0.0);
+            }
+        }
+        for node in &graph.nodes()[start..] {
+            let started = records.is_some().then(std::time::Instant::now);
+            let idx = node.id.0 as usize;
+            let action = plan.action(node);
+            let mut counters = Counters::default();
+            if let (Some(s), false) = (plan.slot[idx], action == PlanAction::AppliedByProducer) {
+                let mut out = std::mem::take(&mut arena[s]);
+                let operand = |i: usize| match node.inputs.get(i) {
+                    Some(v) => read(plan, input, cache, start, arena, v.0 as usize),
+                    None => Err(internal(format!("node {idx} has no input #{i}"))),
+                };
+                let done = match out.get_mut(..plan.shapes[idx].volume()) {
+                    Some(dst) => eval_node(
+                        graph,
+                        node,
+                        operand,
+                        self.choices[idx],
+                        promise_seed,
+                        plan.fused[idx],
+                        plan.in_place[idx],
+                        self.kernels[idx].as_ref(),
+                        dst,
+                    ),
+                    None => Err(internal(format!("slot {s} is too short for node {idx}"))),
+                };
+                arena[s] = out;
+                counters = done?;
+            }
+            if let (Some(records), Some(started)) = (records.as_deref_mut(), started) {
+                records.push(NodeRecord {
+                    seconds: started.elapsed().as_secs_f64(),
+                    counters,
+                    choice: self.choices[idx],
+                    action,
+                    bytes_out: plan.shapes[idx].volume() * 4,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 fn internal(detail: String) -> GraphError {
@@ -552,8 +752,9 @@ fn read<'a>(
     }
 }
 
-/// [`run`] under [`Keep::Live`] on this thread's arena, returning a copy
-/// of the program output (the arena's next run overwrites the original).
+/// Runs `opts` of `graph` on `input` from node `start` under [`Keep::Live`]:
+/// from this thread's last compiled configuration if it is this one, else
+/// compiled first (and kept in its place).
 fn run_live(
     graph: &Graph,
     input: &Tensor,
@@ -562,27 +763,20 @@ fn run_live(
     start: usize,
     records: Option<&mut Vec<NodeRecord>>,
 ) -> Result<Tensor, GraphError> {
-    let out = graph.output().ok_or(GraphError::EmptyGraph)?.0 as usize;
-    let (sized_for, mut arena) = ARENA.take();
-    // Slots only grow while the thread keeps running inputs of one shape
-    // from one first node; another model, batch size or suffix start
-    // begins from its own plan's slots instead of keeping the largest any
-    // earlier plan needed.
-    if sized_for != Some((input.shape(), start)) {
-        arena.clear();
-    }
-    let plan = run(
-        graph,
-        input,
-        opts,
-        cache,
-        start,
-        Keep::Live,
-        &mut arena,
-        records,
-    );
-    let t = plan.and_then(|p| Ok(read(&p, input, cache, start, &arena, out)?.to_tensor()));
-    ARENA.set((Some((input.shape(), start)), arena));
+    // A miss drops the previous configuration before the next is built: a
+    // thread holds one at a time.
+    let kept = COMPILED
+        .take()
+        .filter(|c| c.compiled_for(graph, input.shape(), start, opts));
+    let compiled = match kept {
+        Some(c) => c,
+        None => {
+            let choices = choices(graph, &opts.config);
+            Compiled::build(graph, input.shape(), start, choices, Keep::Live)?
+        }
+    };
+    let t = compiled.run_live(graph, input, cache, opts.promise_seed, records);
+    COMPILED.set(Some(compiled));
     t
 }
 
@@ -620,7 +814,15 @@ pub fn execute_all(
     opts: &ExecOptions,
 ) -> Result<Vec<Tensor>, GraphError> {
     let mut arena = Vec::new();
-    let plan = run(graph, input, opts, &[], 0, Keep::All, &mut arena, None)?;
+    let compiled = Compiled::build(
+        graph,
+        input.shape(),
+        0,
+        choices(graph, &opts.config),
+        Keep::All,
+    )?;
+    compiled.run_into(graph, input, &[], opts.promise_seed, &mut arena, None)?;
+    let plan = &compiled.plan;
     let tensor = |(v, slot): (usize, &Option<usize>)| match slot {
         Some(s) => Ok(Tensor::from_vec(
             plan.shapes[v],
@@ -726,107 +928,114 @@ pub fn node_counters(
     opts: &ExecOptions,
 ) -> Result<Vec<Counters>, GraphError> {
     let all: Vec<usize> = (0..graph.len()).collect();
-    node_counters_of(graph, input, opts, &all)
+    CounterTwin::new(graph, input)?.counters_of(opts, &all)
 }
 
-/// [`node_counters`] of the nodes `ids` only, in that order: what a cost
-/// model needs for the few nodes one knob touches.
-pub fn node_counters_of(
-    graph: &Graph,
-    input: Shape,
-    opts: &ExecOptions,
-    ids: &[usize],
-) -> Result<Vec<Counters>, GraphError> {
-    let shapes = infer_shapes(graph, input)?;
-    let plan = Plan::new(graph, opts, 0, Keep::Live, shapes);
-    let elementwise = |n: usize, per_fp16: u64, precision| {
-        let rounded = if precision == Precision::Fp16 {
-            per_fp16 * n as u64
-        } else {
-            0
-        };
-        (n as u64, rounded)
-    };
-    let mut all = Vec::with_capacity(ids.len());
-    for &idx in ids {
-        let node = graph.node(NodeId(idx as u32));
-        let runs = matches!(
-            plan.action(node),
-            PlanAction::Kernel | PlanAction::KernelFused(_) | PlanAction::InPlace
-        );
-        if !runs {
-            all.push(Counters::default());
-            continue;
-        }
-        let choice = opts.choice(node.id);
-        let (conv, reduce, precision, mul) = digital_knobs(choice);
-        let in_shape = |i: usize| plan.shapes[node.inputs[i].0 as usize];
-        let n = plan.shapes[idx].volume();
-        let mut c = Counters::default();
-        match &node.op {
-            OpKind::Input => {}
-            OpKind::Conv2d {
-                weight,
-                bias,
-                pad,
-                stride,
-                groups,
-            } => {
-                let params = Conv2dParams {
-                    pad: *pad,
-                    stride: *stride,
-                    groups: *groups,
-                    approx: conv,
-                    precision,
-                    mul,
-                };
-                let w = graph.param(*weight).shape();
-                c = ops::conv2d_work(in_shape(0), w, bias.is_some(), params, plan.fused[idx])?;
-            }
-            OpKind::Dense { weight, bias } => {
-                let (m, k) = in_shape(0).as_mat()?;
-                let (_, cols) = graph.param(*weight).shape().as_mat()?;
-                // PROMISE adds its bias after the noise, outside the kernel.
-                let bias = bias.is_some() && matches!(choice, ApproxChoice::Digital { .. });
-                c = ops::matmul_work((m, k, cols), bias, precision, mul);
-            }
-            OpKind::Relu | OpKind::ClippedRelu { .. } | OpKind::Tanh | OpKind::Abs => {
-                if let Some(op) = unary_op(&node.op) {
-                    c = ops::map_unary_work(op, n, precision);
-                }
-            }
-            OpKind::MaxPool2d {
-                window,
-                pad,
-                stride,
-            }
-            | OpKind::AvgPool2d {
-                window,
-                pad,
-                stride,
-            } => c = ops::pool2d_work(in_shape(0), [*window, *pad, *stride], precision)?,
-            OpKind::BatchNorm { .. } => (c.ew_norm, c.ew_fp16) = elementwise(n, 2, precision),
-            OpKind::Softmax => (c.ew_softmax, c.ew_fp16) = elementwise(n, 2, precision),
-            OpKind::Add => (c.ew_add, c.ew_fp16) = elementwise(n, 1, precision),
-            OpKind::Flatten => c.ew_copy = n as u64,
-            OpKind::Reduce { axis, .. } => {
-                let s = in_shape(0);
-                let len = s.dim(*axis)?;
-                let visited = match reduce {
-                    ReduceApprox::Exact => len,
-                    ReduceApprox::Sampling { num, den } => {
-                        (0..len).filter(|i| i % den < num).count()
-                    }
-                };
-                c.ew_reduce = (n * visited) as u64;
-                if precision == Precision::Fp16 {
-                    c.ew_fp16 = (s.volume() + n) as u64;
-                }
-            }
-        }
-        all.push(c);
+/// [`node_counters`] for many configurations of one graph and input shape:
+/// the shapes and the baseline plan are worked out once, and a
+/// configuration re-plans only the fusions of the nodes it asks about — the
+/// rest of a plan does not depend on the configuration.
+pub struct CounterTwin<'g> {
+    graph: &'g Graph,
+    plan: Plan,
+}
+
+impl<'g> CounterTwin<'g> {
+    /// The shapes and the baseline plan of `graph` on inputs of shape
+    /// `input`.
+    pub fn new(graph: &'g Graph, input: Shape) -> Result<CounterTwin<'g>, GraphError> {
+        let baseline = vec![ApproxChoice::BASELINE; graph.len()];
+        let shapes = infer_shapes(graph, input)?;
+        let plan = Plan::new(graph, &baseline, 0, Keep::Live, shapes);
+        Ok(CounterTwin { graph, plan })
     }
-    Ok(all)
+
+    /// [`node_counters`] under `opts` of the nodes `ids` only, in that
+    /// order: what a cost model needs for the few nodes one knob touches.
+    pub fn counters_of(
+        &self,
+        opts: &ExecOptions,
+        ids: &[usize],
+    ) -> Result<Vec<Counters>, GraphError> {
+        let (graph, plan) = (self.graph, &self.plan);
+        let choices = choices(graph, &opts.config);
+        let fused = |c: usize| plan.readers.fusion(graph, &choices, c);
+        let elementwise = |n: usize, per_fp16: u64, precision| {
+            let rounded = if precision == Precision::Fp16 {
+                per_fp16 * n as u64
+            } else {
+                0
+            };
+            (n as u64, rounded)
+        };
+        let mut all = Vec::with_capacity(ids.len());
+        for &idx in ids {
+            let node = graph.node(NodeId(idx as u32));
+            let runs = matches!(
+                plan.action_with(node, fused),
+                PlanAction::Kernel | PlanAction::KernelFused(_) | PlanAction::InPlace
+            );
+            if !runs {
+                all.push(Counters::default());
+                continue;
+            }
+            let choice = choices[idx];
+            let (_, reduce, precision, mul) = digital_knobs(choice);
+            let in_shape = |i: usize| plan.shapes[node.inputs[i].0 as usize];
+            let n = plan.shapes[idx].volume();
+            let mut c = Counters::default();
+            match &node.op {
+                OpKind::Input => {}
+                OpKind::Conv2d { weight, bias, .. } => {
+                    let params = conv_params(&node.op, choice).unwrap_or_default();
+                    let w = graph.param(*weight).shape();
+                    c = ops::conv2d_work(in_shape(0), w, bias.is_some(), params, fused(idx))?;
+                }
+                OpKind::Dense { weight, bias } => {
+                    let (m, k) = in_shape(0).as_mat()?;
+                    let (_, cols) = graph.param(*weight).shape().as_mat()?;
+                    // PROMISE adds its bias after the noise, outside the kernel.
+                    let bias = bias.is_some() && matches!(choice, ApproxChoice::Digital { .. });
+                    c = ops::matmul_work((m, k, cols), bias, precision, mul);
+                }
+                OpKind::Relu | OpKind::ClippedRelu { .. } | OpKind::Tanh | OpKind::Abs => {
+                    if let Some(op) = unary_op(&node.op) {
+                        c = ops::map_unary_work(op, n, precision);
+                    }
+                }
+                OpKind::MaxPool2d {
+                    window,
+                    pad,
+                    stride,
+                }
+                | OpKind::AvgPool2d {
+                    window,
+                    pad,
+                    stride,
+                } => c = ops::pool2d_work(in_shape(0), [*window, *pad, *stride], precision)?,
+                OpKind::BatchNorm { .. } => (c.ew_norm, c.ew_fp16) = elementwise(n, 2, precision),
+                OpKind::Softmax => (c.ew_softmax, c.ew_fp16) = elementwise(n, 2, precision),
+                OpKind::Add => (c.ew_add, c.ew_fp16) = elementwise(n, 1, precision),
+                OpKind::Flatten => c.ew_copy = n as u64,
+                OpKind::Reduce { axis, .. } => {
+                    let s = in_shape(0);
+                    let len = s.dim(*axis)?;
+                    let visited = match reduce {
+                        ReduceApprox::Exact => len,
+                        ReduceApprox::Sampling { num, den } => {
+                            (0..len).filter(|i| i % den < num).count()
+                        }
+                    };
+                    c.ew_reduce = (n * visited) as u64;
+                    if precision == Precision::Fp16 {
+                        c.ew_fp16 = (s.volume() + n) as u64;
+                    }
+                }
+            }
+            all.push(c);
+        }
+        Ok(all)
+    }
 }
 
 #[cfg(test)]
@@ -970,7 +1179,7 @@ mod tests {
         // execute() fuses conv→relu; execute_all() never does. The program
         // output must stay bitwise identical under every digital conv knob.
         assert_eq!(
-            Plan::new(&g, &ExecOptions::baseline(), 0, Keep::Live, shapes(&g, &x)).fused[1],
+            Plan::new(&g, &choices(&g, &[]), 0, Keep::Live, shapes(&g, &x)).fused[1],
             Some(UnaryOp::Relu)
         );
         let conv_choices = [
@@ -1174,7 +1383,7 @@ mod tests {
             let all = execute_all(&g, &x, &opts).unwrap();
             let want: Vec<u32> = all.last().unwrap().data().iter().map(|v| v.to_bits()).collect();
             for start in 0..g.len() {
-                let plan = Plan::new(&g, &opts, start, Keep::Live, shapes(&g, &x));
+                let plan = Plan::new(&g, &choices(&g, &opts.config), start, Keep::Live, shapes(&g, &x));
                 // `v` is live from its producer to its last reader (to the
                 // end for the program output, only while it is produced if
                 // nothing reads it).

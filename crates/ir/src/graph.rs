@@ -4,6 +4,7 @@ use crate::error::GraphError;
 use at_tensor::ops::{ReduceKind, UnaryOp};
 use at_tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a node within a [`Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -163,21 +164,36 @@ pub struct Node {
     pub label: String,
 }
 
+/// A graph's identity as a compiled configuration keys it
+/// ([`crate::exec::Compiled`]): drawn fresh when the graph is made and
+/// again by every `&mut` accessor, so two graphs share one only while one
+/// is an unchanged clone of the other.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct GraphId(u64);
+
+impl Default for GraphId {
+    fn default() -> GraphId {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        GraphId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
 /// A dataflow-graph tensor program.
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
     params: Vec<Tensor>,
     name: String,
+    /// Renewed by every `&mut` method.
+    pub(crate) id: GraphId,
 }
 
 impl Graph {
     /// An empty graph with a program name.
     pub fn new(name: impl Into<String>) -> Graph {
         Graph {
-            nodes: Vec::new(),
-            params: Vec::new(),
             name: name.into(),
+            ..Graph::default()
         }
     }
 
@@ -188,6 +204,7 @@ impl Graph {
 
     /// Adds a parameter tensor, returning its id.
     pub fn add_param(&mut self, t: Tensor) -> ParamId {
+        self.id = GraphId::default();
         self.params.push(t);
         ParamId(self.params.len() as u32 - 1)
     }
@@ -205,6 +222,7 @@ impl Graph {
 
     /// Mutable parameter access (used by the pruning study).
     pub fn param_mut(&mut self, id: ParamId) -> &mut Tensor {
+        self.id = GraphId::default();
         &mut self.params[id.0 as usize]
     }
 
@@ -215,6 +233,7 @@ impl Graph {
         inputs: Vec<NodeId>,
         label: impl Into<String>,
     ) -> NodeId {
+        self.id = GraphId::default();
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             id,

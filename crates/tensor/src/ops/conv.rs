@@ -15,6 +15,8 @@ use crate::ops::activation::UnaryOp;
 use crate::shape::Shape;
 use crate::tensor::{Tensor, View};
 
+pub use super::im2col::PreparedConv;
+
 /// Configuration of a convolution call.
 #[derive(Clone, Copy, Debug)]
 pub struct Conv2dParams {

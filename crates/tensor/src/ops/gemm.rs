@@ -58,7 +58,6 @@ use crate::lut;
 use crate::ops::activation::UnaryOp;
 use crate::par;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// SIMD lane count the microkernel is unrolled for (f32x16 ≙ AVX-512 zmm;
 /// lowers to a ymm pair on AVX2-only parts).
@@ -481,6 +480,61 @@ thread_local! {
     static PACKED: std::cell::Cell<Vec<f32>> = Default::default();
 }
 
+/// A dense layer's `B` packed into slabs ([`pack_b_panels`]), with the
+/// one run of windows over them.
+pub(crate) struct PackedB {
+    data: Vec<f32>,
+    /// Rows of `B`.
+    pub(crate) k: usize,
+    run: [Run; 1],
+}
+
+impl PackedB {
+    /// Packs the row-major `K×N` `b` into `buf`'s storage, each element
+    /// through `quant` on its way in (so an FP16 or LUT operand needs no
+    /// quantised copy of its own).
+    pub(crate) fn new(
+        k: usize,
+        n: usize,
+        b: &[f32],
+        quant: impl Fn(f32) -> f32,
+        mut buf: Vec<f32>,
+    ) -> PackedB {
+        assert_eq!(b.len(), k * n, "gemm B size");
+        pack_b_panels(k, n, b, quant, &mut buf);
+        let run = Run {
+            len: n,
+            step: k * PANEL,
+            row_off: (0..k).map(|kk| kk * PANEL).collect(),
+        };
+        PackedB {
+            data: buf,
+            k,
+            run: [run],
+        }
+    }
+
+    /// This thread's slab buffer, for a packing that lives for one call;
+    /// [`PackedB::recycle`] gives it back.
+    pub(crate) fn call_buf() -> Vec<f32> {
+        PACKED.take()
+    }
+
+    /// Returns the slab buffer to this thread for its next packing.
+    pub(crate) fn recycle(self) {
+        PACKED.set(self.data);
+    }
+
+    /// The slabs as the kernels address them.
+    pub(crate) fn windows(&self) -> Windows<'_> {
+        Windows {
+            data: &self.data,
+            k: self.k,
+            runs: &self.run,
+        }
+    }
+}
+
 /// `R` whole output rows (`orows` is `R·n` long, row `i0` of `a` first)
 /// against one panel.
 fn tile_into<K: MulKernel, const R: usize>(
@@ -529,12 +583,12 @@ pub(crate) fn gemm_windows<K: MulKernel>(
     if m == 0 || n == 0 {
         return;
     }
-    // Tile steps and epilogue rows, added once per row block.
-    let (steps, epi_rows) = (AtomicU64::new(0), AtomicU64::new(0));
-    out.par_chunks_mut(ROW_BLOCK * n)
+    // Tile steps and epilogue rows: each row block's, folded in order.
+    let (steps, epi_rows) = out
+        .par_chunks_mut(ROW_BLOCK * n)
         .with_min_len(par::min_chunks(ROW_BLOCK * k * n / K::MULS_PER_ITEM))
         .enumerate()
-        .for_each(|(blk, ob)| {
+        .map(|(blk, ob)| {
             let (i0, rows) = (blk * ROW_BLOCK, ob.len() / n);
             let mut block_steps = 0;
             for panel in b.panels() {
@@ -558,13 +612,13 @@ pub(crate) fn gemm_windows<K: MulKernel>(
                 epi.apply_row(i0 + di, orow);
                 block_rows += 1;
             }
-            steps.fetch_add(block_steps as u64, Ordering::Relaxed);
-            epi_rows.fetch_add(block_rows, Ordering::Relaxed);
-        });
+            (block_steps as u64, block_rows)
+        })
+        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
     work.muls += (m * k * n) as u64;
     work.gemm_calls += 1;
-    *K::steps(work) += steps.into_inner();
-    epi.count_rows(epi_rows.into_inner(), n, work);
+    *K::steps(work) += steps;
+    epi.count_rows(epi_rows, n, work);
 }
 
 /// The tile rows [`gemm_windows`] counts per panel and `k` step for `m`
@@ -581,10 +635,9 @@ pub(crate) fn padded_rows(m: usize) -> usize {
         .sum()
 }
 
-/// Packs a row-major `K×N` `B` once into the slabs the kernel reads, each
-/// element through `quant` on its way in (so an FP16 or LUT operand needs no
-/// quantised copy of its own), and hands them to `run` as [`Windows`] — for
-/// [`gemm_windows`] or its checksum-verified twin.
+/// Packs a row-major `K×N` `B` for one call ([`PackedB::call_buf`]) and
+/// hands the slabs to `run` as [`Windows`] — for [`gemm_windows`] or its
+/// checksum-verified twin.
 pub(crate) fn gemm_dense<T>(
     k: usize,
     n: usize,
@@ -592,24 +645,13 @@ pub(crate) fn gemm_dense<T>(
     quant: impl Fn(f32) -> f32,
     run: impl FnOnce(&Windows) -> T,
 ) -> T {
-    assert_eq!(b.len(), k * n, "gemm B size");
-    let mut packed = PACKED.take();
-    pack_b_panels(k, n, b, quant, &mut packed);
-    let runs = [Run {
-        len: n,
-        step: k * PANEL,
-        row_off: (0..k).map(|kk| kk * PANEL).collect(),
-    }];
-    let done = run(&Windows {
-        data: &packed,
-        k,
-        runs: &runs,
-    });
-    PACKED.set(packed);
+    let packed = PackedB::new(k, n, b, quant, PackedB::call_buf());
+    let done = run(&packed.windows());
+    packed.recycle();
     done
 }
 
-/// Elements [`gemm_dense`] packs for a `K×N` `B`: whole panels, the last
+/// Elements [`PackedB::new`] packs for a `K×N` `B`: whole panels, the last
 /// one zero-padded.
 pub(crate) fn packed_len(k: usize, n: usize) -> usize {
     n.div_ceil(PANEL) * k * PANEL

@@ -81,7 +81,6 @@ use crate::par;
 use crate::shape::{conv2d_out_shape, Shape};
 use crate::tensor::{check_len, Tensor, View};
 use rayon::prelude::*;
-use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::Mutex;
 
@@ -147,12 +146,15 @@ struct Lowering {
 }
 
 impl Lowering {
+    /// Without `tables` the runs carry no offset tables: what a count
+    /// ([`lower_work`]) reads of a lowering is its layout, not its tables.
     fn new(
         (h, w): (usize, usize),
         (k, cpg, r, s): (usize, usize, usize, usize),
         (ho, wo): (usize, usize),
         params: Conv2dParams,
         act: Option<UnaryOp>,
+        tables: bool,
     ) -> Lowering {
         let ((ph, pw), (sh, sw)) = (params.pad, params.stride);
         let groups = params.groups.max(1);
@@ -210,6 +212,7 @@ impl Lowering {
 
         // The offset table of a run whose first position is output row `oy`.
         let table = |oy: usize| -> Vec<usize> {
+            let kept = if tables { &kept[..] } else { &[] };
             kept.iter()
                 .map(|&idx| {
                     let (chan, ky, kx) = (idx / (r * s), idx % (r * s) / s, idx % s);
@@ -546,15 +549,17 @@ fn scatter_interpolate(
 /// Drives stage → GEMM over the staged windows (checksum-verified if
 /// `verify`) → epilogue or scatter over every (image, group), images in
 /// parallel (forked only when every thread gets [`par::GRAIN`] worth of
-/// multiplies). `quant` turns one input row into staged elements. Returns
-/// the work done, summed over the images.
+/// multiplies). `quant` turns one input row into staged elements;
+/// `weights` holds every output channel's kept weight elements (group `g`'s
+/// GEMM A matrix is rows `g·kpg..(g + 1)·kpg`). Returns the work done,
+/// summed over the images.
 #[allow(clippy::too_many_arguments)]
 fn run_lowered<K: Verified>(
     low: &Lowering,
     kern: &K,
     input: &[f32],
     quant: impl Fn(&[f32], &mut [f32]) + Sync,
-    w_data: &[f32],
+    weights: &[f32],
     bias: Option<&[f32]>,
     out: &mut [f32],
     verify: bool,
@@ -565,17 +570,6 @@ fn run_lowered<K: Verified>(
         return Ok(Counters::default());
     }
     let n_pos = low.oys.len() * low.oxs.len();
-    // The kept weight elements of every output channel: group `g`'s GEMM A
-    // matrix is rows `g·kpg..(g + 1)·kpg`. Without filter sampling that is
-    // the weight tensor itself.
-    let total = w_data.len() / k;
-    let weights: Cow<[f32]> = if kk2 == total {
-        Cow::Borrowed(w_data)
-    } else {
-        (0..k)
-            .flat_map(|oc| low.kept.iter().map(move |&idx| w_data[oc * total + idx]))
-            .collect()
-    };
     let per_group = low.cpg * low.h * low.w;
     let (staged_len, row_len) = (low.staged_len(), low.w + 2 * low.pw);
 
@@ -652,31 +646,29 @@ fn run_lowered<K: Verified>(
     let failed = Mutex::new(None::<(usize, TensorError)>);
     // A poisoned slot is still a whole `Option`: every update is one store.
     let lock = || failed.lock().unwrap_or_else(|e| e.into_inner());
-    // This call's work, whichever thread ran each image.
-    let work = Mutex::new(Counters::default());
-    out.par_chunks_mut(k * plane)
+    // This call's work: each image's, folded in image order.
+    let work = out
+        .par_chunks_mut(k * plane)
         .with_min_len(par::min_chunks(k * kk2 * n_pos / K::MULS_PER_ITEM))
         .enumerate()
-        .for_each(|(bimg, oimg)| {
+        .map(|(bimg, oimg)| {
             if verify && lock().as_ref().is_some_and(|(b, _)| *b < bimg) {
-                return;
+                return Counters::default();
             }
             let image = &input[bimg * low.groups * per_group..][..low.groups * per_group];
             let mut scratch = SCRATCH.take();
             let done = lower_image(image, oimg, &mut scratch);
             SCRATCH.set(scratch);
-            match done {
-                Ok(c) => *work.lock().unwrap_or_else(|e| e.into_inner()) += c,
-                Err(e) => {
-                    let mut slot = lock();
-                    if slot.as_ref().is_none_or(|(b, _)| bimg < *b) {
-                        *slot = Some((bimg, e));
-                    }
+            done.unwrap_or_else(|e| {
+                let mut slot = lock();
+                if slot.as_ref().is_none_or(|(b, _)| bimg < *b) {
+                    *slot = Some((bimg, e));
                 }
-            }
-        });
+                Counters::default()
+            })
+        })
+        .reduce(Counters::default, |a, b| a + b);
     let first = failed.into_inner().unwrap_or_else(|e| e.into_inner());
-    let work = work.into_inner().unwrap_or_else(|e| e.into_inner());
     first.map_or(Ok(work), |(_, e)| {
         Err(TensorError::CorruptionDetected {
             op: "conv2d",
@@ -737,71 +729,151 @@ pub(crate) fn lower_into(
     verify: bool,
     out: &mut [f32],
 ) -> Result<Counters, TensorError> {
-    params.approx.validate()?;
-    params.mul.validate()?;
-    act.map_or(Ok(()), UnaryOp::validate)?;
-    let (_, _, h, w) = input.shape().as_nchw()?;
-    let (k, cpg, r, s) = weight.shape().as_nchw()?;
-    let out_shape = conv_out_shape(input.shape(), weight.shape(), params)?;
-    check_len(out_shape, out.len())?;
-    if let Some(b) = bias {
-        if b.len() != k {
-            return Err(TensorError::ShapeMismatch {
-                op: "conv2d",
-                detail: format!("bias length {} != output channels {k}", b.len()),
-            });
+    PreparedConv::new(input.shape(), weight, bias, params, act)?
+        .run(input, weight, bias, verify, out)
+}
+
+/// Everything a convolution derives from its input shape, weights, bias and
+/// knobs before it stages an image: its `Lowering` and its operands as
+/// the GEMM reads them. [`super::conv2d_into`] prepares and runs in one
+/// call; a compiled graph prepares once and runs many times.
+pub struct PreparedConv {
+    low: Lowering,
+    params: Conv2dParams,
+    input: Shape,
+    weight: Shape,
+    out: Shape,
+    /// Every output channel's kept weight elements, FP16-rounded and
+    /// LUT-quantised as the knobs ask; `None` where that is the weight
+    /// tensor as it is (exact FP32 without filter sampling).
+    weights: Option<Vec<f32>>,
+    /// The FP16-rounded bias under FP16; `None` reads the bias tensor.
+    bias: Option<Vec<f32>>,
+    /// The LUT weights' quantisation scale.
+    w_scale: f32,
+    /// The operand preparation of one call ([`Lowering::prep_work`]): part
+    /// of every call's work, done once.
+    prep: Counters,
+}
+
+impl PreparedConv {
+    /// Validates the knobs and shapes and prepares the weights: the checks
+    /// and the setup [`super::conv2d_into`] runs before its kernel.
+    pub fn new(
+        input: Shape,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        params: Conv2dParams,
+        act: Option<UnaryOp>,
+    ) -> Result<PreparedConv, TensorError> {
+        params.approx.validate()?;
+        params.mul.validate()?;
+        act.map_or(Ok(()), UnaryOp::validate)?;
+        let (_, _, h, w) = input.as_nchw()?;
+        let (k, cpg, r, s) = weight.shape().as_nchw()?;
+        let out = conv_out_shape(input, weight.shape(), params)?;
+        if let Some(b) = bias {
+            if b.len() != k {
+                return Err(TensorError::ShapeMismatch {
+                    op: "conv2d",
+                    detail: format!("bias length {} != output channels {k}", b.len()),
+                });
+            }
         }
+        let (_, _, ho, wo) = out.as_nchw()?;
+        let low = Lowering::new((h, w), (k, cpg, r, s), (ho, wo), params, act, true);
+        let prep = low.prep_work(params, input, weight.shape(), bias.is_some());
+
+        // FP16 semantics: quantise operands, accumulate in f32, quantise
+        // the result. The input is quantised row by row as it is staged;
+        // weights and bias here. The LUT quantises the weights over the
+        // whole tensor, then filter sampling keeps its elements.
+        let fp16 = params.precision == Precision::Fp16;
+        let bias = bias.filter(|_| fp16).map(|b| b.to_f16().data().to_vec());
+        let mut weights = fp16.then(|| weight.to_f16().data().to_vec());
+        let mut w_scale = 1.0;
+        if let MulApprox::Lut { bits } = params.mul {
+            let qw = lut::quantize_symmetric(weights.as_deref().unwrap_or(weight.data()), bits);
+            (weights, w_scale) = (Some(qw.q), qw.scale);
+        }
+        let total = cpg * r * s;
+        if low.kept.len() < total {
+            let w = weights.as_deref().unwrap_or(weight.data());
+            let kept = |oc: usize| low.kept.iter().map(move |&idx| w[oc * total + idx]);
+            weights = Some((0..k).flat_map(kept).collect());
+        }
+        Ok(PreparedConv {
+            low,
+            params,
+            input,
+            weight: weight.shape(),
+            out,
+            weights,
+            bias,
+            w_scale,
+            prep,
+        })
     }
 
-    // FP16 semantics: quantise operands, accumulate in f32, quantise result.
-    // The input is quantised row by row as it is staged; weights and bias
-    // are small.
-    let fp16 = params.precision == Precision::Fp16;
-    let (qwt, qb);
-    let (weight, bias) = if fp16 {
-        qwt = weight.to_f16();
-        qb = bias.map(|b| b.to_f16());
-        (&qwt, qb.as_ref())
-    } else {
-        (weight, bias)
-    };
-
-    let (_, _, ho, wo) = out_shape.as_nchw()?;
-    let low = Lowering::new((h, w), (k, cpg, r, s), (ho, wo), params, act);
-    let prep = low.prep_work(params, input.shape(), weight.shape(), bias.is_some());
-    let (x, w, b) = (input.data(), weight.data(), bias.map(|t| t.data()));
-    let through_f16 = |src: &[f32], dst: &mut [f32]| {
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = f16::quantize(v);
+    /// The convolution of `input` into `out`, which must hold the output
+    /// shape and whose every element is written; `weight` and `bias` are the
+    /// tensors this was prepared from. Returns the work it did, the
+    /// preparation's included.
+    pub fn run(
+        &self,
+        input: View,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        verify: bool,
+        out: &mut [f32],
+    ) -> Result<Counters, TensorError> {
+        if (input.shape(), weight.shape()) != (self.input, self.weight) {
+            let detail = format!("prepared for {:?} × {:?}", self.input, self.weight);
+            return Err(TensorError::ShapeMismatch {
+                op: "conv2d",
+                detail,
+            });
         }
-    };
-    // One closure type per quantiser, so the plain FP32 staging loop carries
-    // none of the others' code.
-    let work = match params.mul {
-        MulApprox::Exact if fp16 => run_lowered(&low, &Fma, x, through_f16, w, b, out, verify),
-        MulApprox::Exact => {
-            let plain = |src: &[f32], dst: &mut [f32]| dst.copy_from_slice(src);
-            run_lowered(&low, &Fma, x, plain, w, b, out, verify)
-        }
-        MulApprox::Lut { bits } => {
-            // Whole-tensor symmetric quantisation of both operands; the
-            // input's is fitted here and applied while staging.
-            let as_staged = x.iter().map(|&v| if fp16 { f16::quantize(v) } else { v });
-            let sym = lut::Symmetric::fit(lut::max_abs(as_staged), bits);
-            let qw = lut::quantize_symmetric(w, bits);
-            let kern = LutMul {
-                dequant: sym.scale * qw.scale,
-            };
-            let quant = |src: &[f32], dst: &mut [f32]| quantize_lut(sym, fp16, src, dst);
-            run_lowered(&low, &kern, x, quant, &qw.q, b, out, verify)
-        }
-    };
-    Ok(work? + prep)
+        check_len(self.out, out.len())?;
+        let (low, x, fp16) = (
+            &self.low,
+            input.data(),
+            self.params.precision == Precision::Fp16,
+        );
+        let w = self.weights.as_deref().unwrap_or(weight.data());
+        let b = self.bias.as_deref().or(bias.map(|t| t.data()));
+        let through_f16 = |src: &[f32], dst: &mut [f32]| {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = f16::quantize(v);
+            }
+        };
+        // One closure type per quantiser, so the plain FP32 staging loop
+        // carries none of the others' code.
+        let work = match self.params.mul {
+            MulApprox::Exact if fp16 => run_lowered(low, &Fma, x, through_f16, w, b, out, verify),
+            MulApprox::Exact => {
+                let plain = |src: &[f32], dst: &mut [f32]| dst.copy_from_slice(src);
+                run_lowered(low, &Fma, x, plain, w, b, out, verify)
+            }
+            MulApprox::Lut { bits } => {
+                // Whole-tensor symmetric quantisation of the input, fitted
+                // per call and applied while staging.
+                let as_staged = x.iter().map(|&v| if fp16 { f16::quantize(v) } else { v });
+                let sym = lut::Symmetric::fit(lut::max_abs(as_staged), bits);
+                let kern = LutMul {
+                    dequant: sym.scale * self.w_scale,
+                };
+                let quant = |src: &[f32], dst: &mut [f32]| quantize_lut(sym, fp16, src, dst);
+                run_lowered(low, &kern, x, quant, w, b, out, verify)
+            }
+        };
+        Ok(work? + self.prep)
+    }
 }
 
 impl Lowering {
-    /// Operand elements [`lower_into`] passes through a quantiser, a scale
-    /// scan or the sampled weights' gather, once per call.
+    /// Operand elements a convolution passes through a quantiser, a scale
+    /// scan or the sampled weights' gather in preparing a call.
     fn prep_work(&self, params: Conv2dParams, input: Shape, weight: Shape, bias: bool) -> Counters {
         let (k, total) = (self.kpg * self.groups, weight.volume());
         let sampled = self.kept.len() < total / k.max(1);
@@ -832,7 +904,7 @@ pub(crate) fn lower_work(
     let (n, _, h, w) = input.as_nchw()?;
     let (k, cpg, r, s) = weight.as_nchw()?;
     let (_, _, ho, wo) = conv_out_shape(input, weight, params)?.as_nchw()?;
-    let low = Lowering::new((h, w), (k, cpg, r, s), (ho, wo), params, act);
+    let low = Lowering::new((h, w), (k, cpg, r, s), (ho, wo), params, act, false);
     let group = match params.mul {
         MulApprox::Exact => low.group_work::<Fma>(),
         MulApprox::Lut { .. } => low.group_work::<LutMul>(),
@@ -1099,7 +1171,7 @@ mod tests {
                         approx,
                         ..Default::default()
                     };
-                    let low = Lowering::new((h, w), (3, cpg, s, s), (h, w), params, None);
+                    let low = Lowering::new((h, w), (3, cpg, s, s), (h, w), params, None, true);
                     assert!(low.shifts_planes());
                     let ctx = format!("s={s} w={w} {approx:?}");
                     assert_shifted_staging_matches(&low, &image, plain, &format!("{ctx} fp32"));

@@ -15,7 +15,7 @@ use crate::instrument::{self, Counters};
 use crate::knobs::{MulApprox, Precision};
 use crate::lut;
 use crate::ops::abft;
-use crate::ops::gemm::{self, Epilogue, Fma, LutMul, PANEL};
+use crate::ops::gemm::{self, Epilogue, Fma, LutMul, PackedB, PANEL};
 use crate::tensor::{check_len, Tensor, View};
 use crate::Shape;
 
@@ -69,9 +69,9 @@ pub(crate) fn dense(
     })
 }
 
-/// The one dense step: validate, quantise `B` as it is packed, then the
-/// GEMM over the packed slabs — checksum-verified before the epilogue
-/// under `verify` ([`abft::gemm_windows_abft`]).
+/// The one dense step: quantise `B` as it is packed into this thread's
+/// slab buffer, then [`PreparedDense::run`] — checksum-verified before the
+/// epilogue under `verify` ([`abft::gemm_windows_abft`]).
 fn dense_into(
     a: View,
     b: &Tensor,
@@ -82,67 +82,125 @@ fn dense_into(
     out: &mut [f32],
 ) -> Result<Counters, TensorError> {
     mul.validate()?;
-    let (m, ka) = a.shape().as_mat()?;
-    let (kb, n) = b.shape().as_mat()?;
-    check_len(Shape::mat(m, n), out.len())?;
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul",
-            detail: format!("inner dims {ka} vs {kb}"),
-        });
+    let (k, n) = b.shape().as_mat()?;
+    let prepared = PreparedDense::pack(k, n, b.data(), precision, mul, PackedB::call_buf());
+    let done = prepared.run(a, bias, verify, out);
+    prepared.packed.recycle();
+    done
+}
+
+/// A dense layer's weights packed once under their quantiser:
+/// [`matmul_into`] packs on every call, a compiled graph once per
+/// configuration.
+pub struct PreparedDense {
+    packed: PackedB,
+    n: usize,
+    precision: Precision,
+    mul: MulApprox,
+    /// The LUT weights' quantisation scale.
+    b_scale: f32,
+}
+
+impl PreparedDense {
+    /// Validates the multiplier and packs `weight` (`[K, N]`) under it.
+    pub fn new(
+        weight: &Tensor,
+        precision: Precision,
+        mul: MulApprox,
+    ) -> Result<PreparedDense, TensorError> {
+        mul.validate()?;
+        let (k, n) = weight.shape().as_mat()?;
+        Ok(PreparedDense::pack(
+            k,
+            n,
+            weight.data(),
+            precision,
+            mul,
+            Vec::new(),
+        ))
     }
-    if let Some(bt) = bias {
-        if bt.len() != n {
-            return Err(TensorError::ShapeMismatch {
-                op: "bias_add",
-                detail: format!("bias len {} != cols {n}", bt.len()),
-            });
+
+    /// Packs the row-major `K×N` `b` into `buf`'s storage, FP16 and LUT
+    /// quantising it on the way in: one closure type per quantiser, so the
+    /// plain FP32 packing stays a copy.
+    fn pack(
+        k: usize,
+        n: usize,
+        b: &[f32],
+        precision: Precision,
+        mul: MulApprox,
+        buf: Vec<f32>,
+    ) -> PreparedDense {
+        let fp16 = precision == Precision::Fp16;
+        let (packed, b_scale) = match mul {
+            MulApprox::Exact if fp16 => (PackedB::new(k, n, b, f16::quantize, buf), 1.0),
+            MulApprox::Exact => (PackedB::new(k, n, b, |v| v, buf), 1.0),
+            MulApprox::Lut { bits } => {
+                // Both operands come out of the symmetric quantiser, so they
+                // are on the grid the kernel's closed form assumes.
+                let b16 = |v| if fp16 { f16::quantize(v) } else { v };
+                let bs = lut::Symmetric::fit(lut::max_abs(b.iter().map(|&v| b16(v))), bits);
+                (PackedB::new(k, n, b, |v| bs.q(b16(v)), buf), bs.scale)
+            }
+        };
+        PreparedDense {
+            packed,
+            n,
+            precision,
+            mul,
+            b_scale,
         }
     }
 
-    // FP16 and LUT quantise `B` as it is packed, one closure type per
-    // quantiser so the plain FP32 packing stays a copy.
-    let fp16 = precision == Precision::Fp16;
-    let qa = fp16.then(|| a.to_f16());
-    let a = qa.as_ref().map_or(a, Tensor::view);
-    let epi = Epilogue::Dense {
-        bias: bias.map(|t| t.data()),
-        fp16,
-    };
-    let (a, b) = (a.data(), b.data());
-    let mut work = prep_work(m, ka, n, precision, mul);
-    work.dense_pack = gemm::packed_len(ka, n) as u64;
-    let w = &mut work;
-    match mul {
-        MulApprox::Exact if fp16 => gemm::gemm_dense(ka, n, b, f16::quantize, |b| {
-            abft::gemm_windows_abft(&Fma, m, a, b, out, &epi, verify, w)
-        })?,
-        MulApprox::Exact => gemm::gemm_dense(
-            ka,
-            n,
-            b,
-            |v| v,
-            |b| abft::gemm_windows_abft(&Fma, m, a, b, out, &epi, verify, w),
-        )?,
-        MulApprox::Lut { bits } => {
-            // Both operands come out of the symmetric quantiser, so they
-            // are on the grid the kernel's closed form assumes.
-            let b16 = |v| if fp16 { f16::quantize(v) } else { v };
-            let aq = lut::quantize_symmetric(a, bits);
-            let bs = lut::Symmetric::fit(lut::max_abs(b.iter().map(|&v| b16(v))), bits);
-            let kern = LutMul {
-                dequant: aq.scale * bs.scale,
-            };
-            gemm::gemm_dense(
-                ka,
-                n,
-                b,
-                |v| bs.q(b16(v)),
-                |b| abft::gemm_windows_abft(&kern, m, &aq.q, b, out, &epi, verify, w),
-            )?
+    /// `out = epilogue(a × B)` for `a: [M, K]`, with the optional per-column
+    /// `bias`, into `out`, which must hold `[M, N]`. Returns the work it
+    /// did, the packing included.
+    pub fn run(
+        &self,
+        a: View,
+        bias: Option<&Tensor>,
+        verify: bool,
+        out: &mut [f32],
+    ) -> Result<Counters, TensorError> {
+        let (m, ka) = a.shape().as_mat()?;
+        let (k, n) = (self.packed.k, self.n);
+        check_len(Shape::mat(m, n), out.len())?;
+        if ka != k {
+            return Err(TensorError::ShapeMismatch {
+                op: "matmul",
+                detail: format!("inner dims {ka} vs {k}"),
+            });
         }
+        if let Some(bt) = bias {
+            if bt.len() != n {
+                return Err(TensorError::ShapeMismatch {
+                    op: "bias_add",
+                    detail: format!("bias len {} != cols {n}", bt.len()),
+                });
+            }
+        }
+        let fp16 = self.precision == Precision::Fp16;
+        let qa = fp16.then(|| a.to_f16());
+        let a = qa.as_ref().map_or(a, Tensor::view);
+        let epi = Epilogue::Dense {
+            bias: bias.map(|t| t.data()),
+            fp16,
+        };
+        let mut work = prep_work(m, k, n, self.precision, self.mul);
+        work.dense_pack = gemm::packed_len(k, n) as u64;
+        let (a, b, w) = (a.data(), self.packed.windows(), &mut work);
+        match self.mul {
+            MulApprox::Exact => abft::gemm_windows_abft(&Fma, m, a, &b, out, &epi, verify, w)?,
+            MulApprox::Lut { bits } => {
+                let aq = lut::quantize_symmetric(a, bits);
+                let kern = LutMul {
+                    dequant: aq.scale * self.b_scale,
+                };
+                abft::gemm_windows_abft(&kern, m, &aq.q, &b, out, &epi, verify, w)?
+            }
+        }
+        Ok(work)
     }
-    Ok(work)
 }
 
 /// Elements the dense step passes through a quantiser or a scale scan

@@ -17,8 +17,8 @@ pub mod softmax;
 
 pub use abft::{conv2d_abft, flip_bit, gemm_f32_abft, matmul_abft, verify_gemm_f32, AbftTol};
 pub use activation::{add_into, map_unary_in_place, map_unary_into, map_unary_work, UnaryOp};
-pub use conv::{conv2d, conv2d_into, conv2d_work};
-pub use matmul::{matmul_ex, matmul_into, matmul_work};
+pub use conv::{conv2d, conv2d_into, conv2d_work, PreparedConv};
+pub use matmul::{matmul_ex, matmul_into, matmul_work, PreparedDense};
 pub use norm::batchnorm2d_into;
 pub use pool::{pool2d_into, pool2d_work, Pooling};
 pub use reduce::{reduce, reduce_into, ReduceKind};
